@@ -18,16 +18,15 @@ from .data import generate_dataset, synthetic_scores
 from .errors import (BBCQError, ConfigError, ContractError,
                      DegenerateRangeError, DegenerateScaleError,
                      DimensionError, FormatError, LabelIndexError, LengthError,
-                     MagicError, ManifestError, ParameterError, VersionError)
+                     MagicError, ManifestError, NonFiniteError, ParameterError,
+                     VersionError)
 from .metrics import (ErrorStats, EvalMetrics, QuantReportRow, code_entropy,
                       compare_softmax_quantizers, error_stats, evaluate)
 from .model import (MatmulSite, Model, ModelSpec, block_forward,
                     enumerate_sites, forward, forward_from, init_model)
 from .quantizers import (CodeTensor, QuantParams, calibrate_softmax_max,
-                         dequantize, fake_quant_array, log_dequant, log_quant,
-                         mpq_dequant, mpq_quant, quantize, round_half_away,
-                         twin_uniform_dequant, twin_uniform_quant,
-                         uniform_dequant, uniform_quant)
+                         dequantize, fake_quant_array, quantize,
+                         round_half_away)
 from .serialize import (load_dataset, load_model, save_dataset, save_model,
                         serialize_dataset, serialize_model)
 from .tensor import (Tape, Tensor, add, concat, cross_entropy, gelu,
@@ -42,9 +41,7 @@ __all__ = [
     "transpose",
     # quantizers
     "CodeTensor", "QuantParams", "calibrate_softmax_max", "dequantize",
-    "fake_quant_array", "log_dequant", "log_quant", "mpq_dequant", "mpq_quant",
-    "quantize", "round_half_away", "twin_uniform_dequant",
-    "twin_uniform_quant", "uniform_dequant", "uniform_quant",
+    "fake_quant_array", "quantize", "round_half_away",
     # model + serialization
     "MatmulSite", "Model", "ModelSpec", "block_forward", "enumerate_sites",
     "forward", "forward_from", "init_model", "load_dataset", "load_model",
@@ -62,5 +59,5 @@ __all__ = [
     "BBCQError", "ConfigError", "ContractError", "DegenerateRangeError",
     "DegenerateScaleError", "DimensionError", "FormatError",
     "LabelIndexError", "LengthError", "MagicError", "ManifestError",
-    "ParameterError", "VersionError",
+    "NonFiniteError", "ParameterError", "VersionError",
 ]

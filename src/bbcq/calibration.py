@@ -194,12 +194,10 @@ class BlockCache:
 
 
 class RangeObserver(Observer):
-    """Accumulates per-site operand ranges and per-block softmax extrema."""
+    """Accumulates the [min, max] range of every observed matmul operand."""
 
     def __init__(self):
         self.ranges: dict[MatmulSite, tuple[float, float]] = {}
-        self.softmax_max: dict[int, float] = {}
-        self.softmax_min: dict[int, float] = {}
 
     def observe_operand(self, site: MatmulSite, values: np.ndarray) -> None:
         lo, hi = float(values.min()), float(values.max())
@@ -207,12 +205,6 @@ class RangeObserver(Observer):
             prev_lo, prev_hi = self.ranges[site]
             lo, hi = min(lo, prev_lo), max(hi, prev_hi)
         self.ranges[site] = (lo, hi)
-
-    def observe_softmax(self, block: int, values: np.ndarray) -> None:
-        hi = float(values.max())
-        lo = float(values.min())
-        self.softmax_max[block] = max(hi, self.softmax_max.get(block, -math.inf))
-        self.softmax_min[block] = min(lo, self.softmax_min.get(block, math.inf))
 
 
 @dataclass
@@ -347,11 +339,12 @@ def cache_fp_pass(model: Model, inputs, labels, *, blocks_as_layers: bool = Fals
                     outputs=[out.data.copy()], grads=[grad],
                     h_diags=[grad * grad]))
                 instr.on_cache_alloc()
-    num_blocks = model.spec.num_blocks
+    softmax = [observer.ranges[MatmulSite("attn-apply", "A", b)]
+               for b in range(model.spec.num_blocks)]
     return FPPass(caches=caches, loss=loss.item(), logits=result.logits.data.copy(),
                   ranges=dict(observer.ranges),
-                  softmax_max=[observer.softmax_max[b] for b in range(num_blocks)],
-                  softmax_min=[observer.softmax_min[b] for b in range(num_blocks)])
+                  softmax_max=[hi for _, hi in softmax],
+                  softmax_min=[lo for lo, _ in softmax])
 
 
 def _unit_metric(model: Model, cache: BlockCache,

@@ -84,3 +84,9 @@ class ManifestError(FormatError):
     """Manifest JSON is unreadable or inconsistent with the declared spec."""
 
     category = "manifest-mismatch"
+
+
+class NonFiniteError(FormatError):
+    """A container tensor holds NaN or infinity."""
+
+    category = "non-finite"

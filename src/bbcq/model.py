@@ -294,41 +294,30 @@ class ForwardResult:
 
 
 class Observer:
-    """Callback interface for FP-pass statistics; all hooks optional."""
+    """Callback interface for FP-pass statistics.
+
+    ``observe_operand`` sees the exact operand of every matmul site before it
+    is fake-quantized, including the softmax output at ``attn-apply.A``.
+    """
 
     def observe_operand(self, site: MatmulSite, values: np.ndarray) -> None:
-        pass
-
-    def observe_softmax(self, block: int, values: np.ndarray) -> None:
         pass
 
 
 def _apply_site(x: Tensor, site: MatmulSite,
                 quant: Mapping[MatmulSite, QuantParams] | None,
-                observer: Observer | None) -> Tensor:
+                observer: Observer | None, dynamic: bool = False) -> Tensor:
+    """Observe and fake-quantize one operand; ``dynamic`` anchors each row."""
     if observer is not None:
         observer.observe_operand(site, x.data)
     if quant is not None:
         params = quant.get(site)
         if params is not None:
+            if dynamic:
+                return Tensor(fake_quant_softmax_dynamic(
+                    x.data, params.scheme, params.bits))
             return Tensor(fake_quant_array(x.data, params))
     return x
-
-
-def _apply_softmax_site(s: Tensor, site: MatmulSite,
-                        quant: Mapping[MatmulSite, QuantParams] | None,
-                        dynamic_softmax: bool,
-                        observer: Observer | None) -> Tensor:
-    if observer is not None:
-        observer.observe_softmax(site.block, s.data)
-    if quant is not None:
-        params = quant.get(site)
-        if params is not None:
-            if dynamic_softmax:
-                return Tensor(fake_quant_softmax_dynamic(
-                    s.data, params.scheme, params.bits))
-            return Tensor(fake_quant_array(s.data, params))
-    return s
 
 
 def block_forward(model: Model, block: int, x: Tensor,
@@ -369,8 +358,8 @@ def block_forward(model: Model, block: int, x: Tensor,
                         _apply_site(kt, site("attn-score", "B"), quant, observer)),
                  inv_sqrt_d)
     attn = softmax(scores, axis=-1)
-    attn = _apply_softmax_site(attn, site("attn-apply", "A"), quant,
-                               dynamic_softmax, observer)
+    attn = _apply_site(attn, site("attn-apply", "A"), quant, observer,
+                       dynamic_softmax)
     ctx = matmul(attn, _apply_site(vh, site("attn-apply", "B"), quant, observer))
     merged = reshape(transpose(ctx, (0, 2, 1, 3)), (batch, n, d))
     attn_out = matmul(_apply_site(merged, site("out-projection", "A"), quant, observer),

@@ -6,12 +6,18 @@ max-anchored schemes (``mpq``, ``log2``, ``twin``) keep the calibrated
 maximum exactly representable: their kernels work on the normalized ratio
 ``s / calibrated_max`` so the top of the range survives the float round trip
 bit-for-bit.
+
+Each scheme is one ``SCHEME_TABLE`` entry: its encode and decode kernels plus
+the anchor rule that turns an observed range into kernel arguments. Static
+sites and dynamic (per-row) softmax run the same kernels; only the anchor's
+inputs differ.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -20,8 +26,6 @@ from .errors import (ContractError, DegenerateScaleError, DimensionError,
 from .tensor import Tensor
 
 EPSILON = 1e-12
-
-SCHEMES = ("uniform", "mpq", "log2", "twin")
 
 
 def round_half_away(x: np.ndarray | float) -> np.ndarray:
@@ -113,7 +117,7 @@ def _input_array(x) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # kernels (array in / array out, broadcast-friendly so the dynamic softmax
-# path can pass per-row maxima)
+# path can pass per-row anchors)
 
 
 def affine_code_values(x: np.ndarray, scale, zero_point, bits: int) -> np.ndarray:
@@ -170,154 +174,129 @@ def twin_dequant_values(codes: np.ndarray, bits: int, calibrated_max,
 
 
 # ---------------------------------------------------------------------------
+# the scheme table
+
+
+class Anchor(NamedTuple):
+    """Kernel arguments of one quantizer, named as in ``QuantParams``.
+
+    Fields are Python numbers for a static site, or per-row arrays (shape
+    ``(..., 1)``) when dynamic softmax anchors every row to its own range.
+    """
+
+    bits: int
+    scale: Any
+    zero_point: Any
+    calibrated_max: Any = None
+    threshold: Any = None
+
+
+def _uniform_anchor(bits: int, hi, lo) -> Anchor:
+    """Min-max affine: step (hi-lo)/(2^bits - 1), floored; clamped zero point."""
+    levels = (1 << bits) - 1
+    scale = np.maximum((hi - lo) / levels, EPSILON)
+    return Anchor(bits, scale, np.clip(round_half_away(-lo / scale), 0, levels))
+
+
+def _mpq_anchor(bits: int, hi, lo) -> Anchor:
+    """Max-anchored: the top code is hi itself, step hi/(2^bits - 1)."""
+    return Anchor(bits, hi / ((1 << bits) - 1), 0, calibrated_max=hi)
+
+
+def _log_anchor(bits: int, hi, lo) -> Anchor:
+    """Power-of-two levels below hi: code m reconstructs hi * 2^-m."""
+    return Anchor(bits, hi, 0, calibrated_max=hi)
+
+
+def _twin_anchor(bits: int, hi, lo) -> Anchor:
+    """Two uniform segments split at T = hi / 2^(bits-1).
+
+    Codes [0, 2^(bits-1)-1] cover [0, T) with step T/(2^(bits-1)-1); codes
+    [2^(bits-1), 2^bits-1] map [T, hi]. ``scale`` is the upper step.
+    """
+    threshold = hi / (1 << (bits - 1))
+    span = (1 << (bits - 1)) - 1
+    return Anchor(bits, (hi - threshold) / max(span, 1), 0, calibrated_max=hi,
+                  threshold=threshold)
+
+
+class Scheme(NamedTuple):
+    """One quantizer: its kernels and the rule that anchors them to a range.
+
+    ``encode(x, p)`` returns float codes and ``decode(codes, p)`` the values
+    they stand for; ``p`` is a ``QuantParams`` or an ``Anchor``.
+    ``anchor(bits, hi, lo)`` builds the ``Anchor`` for the range [lo, hi].
+    """
+
+    encode: Callable[[np.ndarray, Any], np.ndarray]
+    decode: Callable[[np.ndarray, Any], np.ndarray]
+    anchor: Callable[[int, Any, Any], Anchor]
+
+
+SCHEME_TABLE: dict[str, Scheme] = {
+    "uniform": Scheme(
+        lambda x, p: affine_code_values(x, p.scale, p.zero_point, p.bits),
+        lambda codes, p: affine_dequant_values(codes, p.scale, p.zero_point),
+        _uniform_anchor),
+    "mpq": Scheme(
+        lambda s, p: mpq_code_values(s, p.bits, p.calibrated_max),
+        lambda codes, p: mpq_dequant_values(codes, p.bits, p.calibrated_max),
+        _mpq_anchor),
+    "log2": Scheme(
+        lambda s, p: log_code_values(s, p.bits, p.calibrated_max),
+        lambda codes, p: log_dequant_values(codes, p.calibrated_max),
+        _log_anchor),
+    "twin": Scheme(
+        lambda s, p: twin_code_values(s, p.bits, p.calibrated_max, p.threshold),
+        lambda codes, p: twin_dequant_values(codes, p.bits, p.calibrated_max,
+                                             p.threshold),
+        _twin_anchor),
+}
+
+SCHEMES = tuple(SCHEME_TABLE)
+
+
+def _scheme(name: str) -> Scheme:
+    try:
+        return SCHEME_TABLE[name]
+    except KeyError:
+        raise ParameterError(
+            f"unknown scheme {name!r}; expected one of {SCHEMES}") from None
+
+
+# ---------------------------------------------------------------------------
 # public quantizer API
 
 
-def uniform_quant(x, scale: float, zero_point: int, bits: int) -> CodeTensor:
-    """code = clamp(round(x / scale) + zero_point, 0, 2^bits - 1)."""
-    params = QuantParams(bits=bits, scale=float(scale), zero_point=int(zero_point),
-                         scheme="uniform")
-    arr = _input_array(x)
-    codes = affine_code_values(arr, params.scale, params.zero_point, bits)
-    return CodeTensor(arr.shape, codes, params)
-
-
-def uniform_dequant(ct: CodeTensor) -> Tensor:
-    values = affine_dequant_values(ct.codes, ct.params.scale, ct.params.zero_point)
-    return Tensor(values.reshape(ct.shape))
-
-
-def mpq_quant(s, bits: int, calibrated_max: float) -> CodeTensor:
-    """Max-anchored uniform quantizer for softmax outputs (zero point 0).
-
-    The step is calibrated_max / (2^bits - 1), so any element equal to the
-    calibrated maximum maps to the top code and dequantizes exactly.
-    """
-    calibrated_max = float(calibrated_max)
-    levels = (1 << bits) - 1
-    params = QuantParams(bits=bits, scale=calibrated_max / levels, zero_point=0,
-                         scheme="mpq", calibrated_max=calibrated_max)
-    arr = _input_array(s)
-    codes = mpq_code_values(arr, bits, calibrated_max)
-    return CodeTensor(arr.shape, codes, params)
-
-
-def mpq_dequant(ct: CodeTensor) -> Tensor:
-    values = mpq_dequant_values(ct.codes, ct.params.bits, ct.params.calibrated_max)
-    return Tensor(values.reshape(ct.shape))
-
-
-def log_quant(s, bits: int, calibrated_max: float) -> CodeTensor:
-    """Power-of-two quantizer: code m reconstructs calibrated_max * 2^-m.
-
-    Non-positive inputs take the top code (the smallest representable value).
-    """
-    calibrated_max = float(calibrated_max)
-    params = QuantParams(bits=bits, scale=calibrated_max, zero_point=0,
-                         scheme="log2", calibrated_max=calibrated_max)
-    arr = _input_array(s)
-    codes = log_code_values(arr, bits, calibrated_max)
-    return CodeTensor(arr.shape, codes, params)
-
-
-def log_dequant(ct: CodeTensor) -> Tensor:
-    values = log_dequant_values(ct.codes, ct.params.calibrated_max)
-    return Tensor(values.reshape(ct.shape))
-
-
-def default_twin_threshold(bits: int, calibrated_max: float) -> float:
-    return calibrated_max / (1 << (bits - 1))
-
-
-def twin_uniform_quant(s, bits: int, calibrated_max: float,
-                       threshold: float | None = None) -> CodeTensor:
-    """Two-scale segmental quantizer.
-
-    Codes [0, 2^(bits-1)-1] cover [0, threshold) with step threshold/(2^(bits-1)-1);
-    codes [2^(bits-1), 2^bits-1] map [threshold, calibrated_max].
-    """
-    calibrated_max = float(calibrated_max)
-    if threshold is None:
-        threshold = default_twin_threshold(bits, calibrated_max)
-    threshold = float(threshold)
-    span = (1 << (bits - 1)) - 1
-    params = QuantParams(bits=bits, scale=(calibrated_max - threshold) / max(span, 1),
-                         zero_point=0, scheme="twin",
-                         calibrated_max=calibrated_max, threshold=threshold)
-    arr = _input_array(s)
-    codes = twin_code_values(arr, bits, calibrated_max, threshold)
-    return CodeTensor(arr.shape, codes, params)
-
-
-def twin_uniform_dequant(ct: CodeTensor) -> Tensor:
-    values = twin_dequant_values(ct.codes, ct.params.bits,
-                                 ct.params.calibrated_max, ct.params.threshold)
-    return Tensor(values.reshape(ct.shape))
-
-
 def quantize(x, params: QuantParams) -> CodeTensor:
-    """Scheme dispatch for a prebuilt QuantParams."""
-    if params.scheme == "uniform":
-        return uniform_quant(x, params.scale, params.zero_point, params.bits)
-    if params.scheme == "mpq":
-        return mpq_quant(x, params.bits, params.calibrated_max)
-    if params.scheme == "log2":
-        return log_quant(x, params.bits, params.calibrated_max)
-    return twin_uniform_quant(x, params.bits, params.calibrated_max,
-                              params.threshold)
+    """Integer codes of ``x`` under ``params``."""
+    arr = _input_array(x)
+    codes = SCHEME_TABLE[params.scheme].encode(arr, params)
+    return CodeTensor(arr.shape, codes, params)
 
 
 def dequantize(ct: CodeTensor) -> Tensor:
-    if ct.params.scheme == "uniform":
-        return uniform_dequant(ct)
-    if ct.params.scheme == "mpq":
-        return mpq_dequant(ct)
-    if ct.params.scheme == "log2":
-        return log_dequant(ct)
-    return twin_uniform_dequant(ct)
+    values = SCHEME_TABLE[ct.params.scheme].decode(ct.codes, ct.params)
+    return Tensor(values.reshape(ct.shape))
 
 
 def fake_quant_array(x: np.ndarray, params: QuantParams) -> np.ndarray:
     """Quantize-then-dequantize without materializing a CodeTensor."""
-    if params.scheme == "uniform":
-        codes = affine_code_values(x, params.scale, params.zero_point, params.bits)
-        return affine_dequant_values(codes, params.scale, params.zero_point)
-    if params.scheme == "mpq":
-        codes = mpq_code_values(x, params.bits, params.calibrated_max)
-        return mpq_dequant_values(codes, params.bits, params.calibrated_max)
-    if params.scheme == "log2":
-        codes = log_code_values(x, params.bits, params.calibrated_max)
-        return log_dequant_values(codes, params.calibrated_max)
-    codes = twin_code_values(x, params.bits, params.calibrated_max, params.threshold)
-    return twin_dequant_values(codes, params.bits, params.calibrated_max,
-                               params.threshold)
+    entry = SCHEME_TABLE[params.scheme]
+    return entry.decode(entry.encode(x, params), params)
 
 
 def fake_quant_softmax_dynamic(s: np.ndarray, scheme: str, bits: int) -> np.ndarray:
     """Fake-quant softmax output with per-row (last axis) live statistics.
 
-    Softmax rows sum to 1, so the row max is at least 1/row_len and the
-    scales never degenerate.
+    The static path with each row anchored to its own max and min. Softmax
+    rows sum to 1, so the row max is at least 1/row_len and the scales never
+    degenerate.
     """
-    if scheme not in SCHEMES:
-        raise ParameterError(f"unknown scheme {scheme!r}")
-    row_max = s.max(axis=-1, keepdims=True)
-    if scheme == "mpq":
-        codes = mpq_code_values(s, bits, row_max)
-        return mpq_dequant_values(codes, bits, row_max)
-    if scheme == "log2":
-        codes = log_code_values(s, bits, row_max)
-        return log_dequant_values(codes, row_max)
-    if scheme == "twin":
-        threshold = row_max / (1 << (bits - 1))
-        codes = twin_code_values(s, bits, row_max, threshold)
-        return twin_dequant_values(codes, bits, row_max, threshold)
-    row_min = s.min(axis=-1, keepdims=True)
-    levels = (1 << bits) - 1
-    scale = np.maximum((row_max - row_min) / levels, EPSILON)
-    zero_point = np.clip(round_half_away(-row_min / scale), 0, levels)
-    codes = affine_code_values(s, scale, zero_point, bits)
-    return affine_dequant_values(codes, scale, zero_point)
+    entry = _scheme(scheme)
+    rows = entry.anchor(bits, s.max(axis=-1, keepdims=True),
+                        s.min(axis=-1, keepdims=True))
+    return entry.decode(entry.encode(s, rows), rows)
 
 
 def calibrate_softmax_max(outputs) -> float:
@@ -336,34 +315,18 @@ def calibrate_softmax_max(outputs) -> float:
 
 def minmax_affine_params(values: np.ndarray, bits: int) -> QuantParams:
     """Plain min-max affine params: scale (max-min)/(2^bits - 1), floored."""
-    lo = float(values.min())
-    hi = float(values.max())
-    levels = (1 << bits) - 1
-    scale = max((hi - lo) / levels, EPSILON)
-    zero_point = int(np.clip(round_half_away(-lo / scale), 0, levels))
-    return QuantParams(bits=bits, scale=scale, zero_point=zero_point,
-                       scheme="uniform")
+    return softmax_site_params("uniform", bits, float(values.max()),
+                               float(values.min()))
 
 
 def softmax_site_params(scheme: str, bits: int, calibrated_max: float,
                         observed_min: float = 0.0) -> QuantParams:
-    """Params for a post-softmax site calibrated from FP-pass statistics."""
-    if scheme not in SCHEMES:
-        raise ParameterError(f"unknown scheme {scheme!r}")
-    levels = (1 << bits) - 1
-    if scheme == "uniform":
-        scale = max((calibrated_max - observed_min) / levels, EPSILON)
-        zero_point = int(np.clip(round_half_away(-observed_min / scale), 0, levels))
-        return QuantParams(bits=bits, scale=scale, zero_point=zero_point,
-                           scheme="uniform")
-    if scheme == "mpq":
-        return QuantParams(bits=bits, scale=calibrated_max / levels, zero_point=0,
-                           scheme="mpq", calibrated_max=calibrated_max)
-    if scheme == "log2":
-        return QuantParams(bits=bits, scale=calibrated_max, zero_point=0,
-                           scheme="log2", calibrated_max=calibrated_max)
-    threshold = default_twin_threshold(bits, calibrated_max)
-    span = (1 << (bits - 1)) - 1
-    return QuantParams(bits=bits, scale=(calibrated_max - threshold) / max(span, 1),
-                       zero_point=0, scheme="twin", calibrated_max=calibrated_max,
-                       threshold=threshold)
+    """Params anchored to the range [observed_min, calibrated_max].
+
+    Used for post-softmax sites calibrated from FP-pass statistics; only the
+    uniform scheme reads ``observed_min``.
+    """
+    a = _scheme(scheme).anchor(bits, calibrated_max, observed_min)
+    return QuantParams(bits=bits, scale=float(a.scale),
+                       zero_point=int(a.zero_point), scheme=scheme,
+                       calibrated_max=a.calibrated_max, threshold=a.threshold)

@@ -10,8 +10,9 @@ Layout (all integers little-endian):
 
 The manifest records ``kind`` (``model`` or ``dataset``), a ``spec`` object,
 and a ``tensors`` list of ``{name, shape, dtype, offset}`` descriptors with
-offsets relative to the payload start. Each corruption mode maps to its own
-error type so callers can tell a truncated file from a mismatched manifest.
+offsets relative to the payload start. Float tensors must be finite. Each
+corruption mode maps to its own error type so callers can tell a truncated
+file from a mismatched manifest.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import (LengthError, MagicError, ManifestError, ParameterError,
-                     VersionError)
+from .errors import (LengthError, MagicError, ManifestError, NonFiniteError,
+                     ParameterError, VersionError)
 from .model import Model, ModelSpec, parameter_shapes
 
 MAGIC = b"BBCVIT"
@@ -105,8 +106,11 @@ def _unpack(blob: bytes, expect_kind: str) -> tuple[dict, dict[str, np.ndarray]]
             raise LengthError(
                 f"payload truncated: tensor {name!r} needs bytes up to "
                 f"{expected_end}, have {len(payload)}")
-        tensors[name] = np.frombuffer(
+        tensor = np.frombuffer(
             payload[offset:offset + nbytes], dtype=np_dtype).reshape(shape).copy()
+        if tensor.dtype.kind == "f" and not np.isfinite(tensor).all():
+            raise NonFiniteError(f"tensor {name!r} holds NaN or infinite values")
+        tensors[name] = tensor
     if expected_end != len(payload):
         raise LengthError(
             f"payload has {len(payload) - expected_end} trailing bytes")

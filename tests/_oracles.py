@@ -49,7 +49,10 @@ def naive_bbc_metric(sigma, h_diag) -> float:
 
 
 # ---------------------------------------------------------------------------
-# fake-quant kernels (uniform + max-anchored), mirrored arithmetic
+# fake-quant kernels (uniform, mpq, log2, twin), mirrored arithmetic
+#
+# Parameters may be Python floats or arrays that broadcast against the
+# values (one anchor per softmax row).
 
 
 def _rha(x):
@@ -69,7 +72,48 @@ def _fq(values: np.ndarray, params: tuple) -> np.ndarray:
         levels = (1 << bits) - 1
         codes = np.clip(_rha((values / cal_max) * levels), 0, levels)
         return (codes / levels) * cal_max
+    if scheme == "log2":
+        # code m stands for cal_max * 2^-m; m = round(-log2(v / cal_max)),
+        # and a non-positive value takes the top (smallest) code.
+        _, bits, cal_max = params
+        top = (1 << bits) - 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m = np.clip(_rha(-np.log2(values / cal_max)), 0, top)
+        m = np.where(values <= 0.0, float(top), m)
+        return cal_max * np.exp2(-m)
+    if scheme == "twin":
+        # codes [0, half) step T/(half-1) over [0, T); codes [half, 2*half)
+        # step (cal_max-T)/(half-1) over [T, cal_max].
+        _, bits, cal_max, threshold = params
+        half = 1 << (bits - 1)
+        span = half - 1
+        low_code = np.clip(_rha(values / (threshold / span)), 0, span)
+        high_code = half + np.clip(
+            _rha((values - threshold) / ((cal_max - threshold) / span)), 0, span)
+        codes = np.where(values < threshold, low_code, high_code)
+        low = (codes / span) * threshold
+        frac = (codes - half) / span
+        high = threshold * (1.0 - frac) + cal_max * frac
+        return np.where(codes < half, low, high)
     raise AssertionError(f"oracle does not model scheme {scheme!r}")
+
+
+def fq_softmax_rows(values: np.ndarray, scheme: str, bits: int) -> np.ndarray:
+    """Fake-quant with each last-axis row anchored to its own max (and min).
+
+    uniform spans [row_min, row_max] with a floored step; the max-anchored
+    schemes take cal_max = row_max, and twin splits at row_max / 2^(bits-1).
+    """
+    hi = values.max(axis=-1, keepdims=True)
+    if scheme == "uniform":
+        lo = values.min(axis=-1, keepdims=True)
+        levels = (1 << bits) - 1
+        scale = np.maximum((hi - lo) / levels, _EPS)
+        zero_point = np.clip(_rha(-lo / scale), 0, levels)
+        return _fq(values, ("uniform", scale, zero_point, bits))
+    if scheme == "twin":
+        return _fq(values, ("twin", bits, hi, hi / (1 << (bits - 1))))
+    return _fq(values, (scheme, bits, hi))
 
 
 def _maybe_fq(values: np.ndarray, state: dict, key) -> np.ndarray:

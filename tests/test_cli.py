@@ -11,7 +11,7 @@ import pytest
 
 from bbcq.cli import main
 from bbcq.report import report_schema
-from bbcq.serialize import load_dataset, load_model
+from bbcq.serialize import load_dataset, load_model, save_dataset
 
 ERROR_LINE = re.compile(r"^error:[a-z-]+: .+$")
 
@@ -34,6 +34,15 @@ def _calibrate(tmp_path, data, name="run", extra=()):
             "--rounds", "1"] + list(extra)
     assert main(args) == 0
     return out
+
+
+def _with_nan(data, split):
+    """Copy of a split with one input value set to NaN."""
+    inputs, labels, meta = load_dataset(data / f"{split}.bbcv")
+    inputs[0, 0, 0] = np.nan
+    path = data / f"{split}-nan.bbcv"
+    save_dataset(inputs, labels, path, meta)
+    return path
 
 
 def _report(path):
@@ -154,6 +163,16 @@ def test_calibrate_rejects_non_container_model(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:bad-magic: ")
 
 
+def test_calibrate_rejects_nan_calibration_split(tmp_path, capsys):
+    data = _gen(tmp_path)
+    rc = main(["calibrate", "--model", str(data / "model.bbcv"),
+               "--calib", str(_with_nan(data, "calib")),
+               "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.strip()
+    assert rc != 0
+    assert err.startswith("error:non-finite: ") and "\n" not in err
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -188,6 +207,15 @@ def test_eval_without_results_reports_fp_only(tmp_path):
     assert rc == 0
     rows = _report(out)["metrics"]
     assert len(rows) == 1 and rows[0]["label"] == "fp"
+
+
+def test_eval_rejects_nan_eval_split(tmp_path, capsys):
+    data = _gen(tmp_path)
+    rc = main(["eval", "--model", str(data / "model.bbcv"),
+               "--eval", str(_with_nan(data, "eval")),
+               "--out", str(tmp_path / "ev")])
+    assert rc != 0
+    assert capsys.readouterr().err.startswith("error:non-finite: ")
 
 
 def test_eval_corrupt_result_is_format_error(tmp_path, capsys):

@@ -194,8 +194,9 @@ def test_attention_rows_sum_to_one(tiny_model, tiny_batch):
         def __init__(self):
             self.rows = []
 
-        def observe_softmax(self, block, values):
-            self.rows.append(values)
+        def observe_operand(self, site, values):
+            if site.is_softmax_output:
+                self.rows.append(values)
 
     probe = SoftmaxProbe()
     forward(tiny_model, x, observer=probe)
@@ -251,11 +252,9 @@ def test_observer_sees_every_site(tiny_model, tiny_batch):
 
     probe = SiteProbe()
     forward(tiny_model, x, observer=probe)
-    # every non-softmax site appears; the shared qkv weight site fires three
-    # times (w_q, w_k, w_v)
-    expected = {s for s in enumerate_sites(tiny_model.spec)
-                if not s.is_softmax_output}
-    assert set(probe.seen) == expected
+    # every site appears, the softmax output included; the shared qkv weight
+    # site fires three times (w_q, w_k, w_v)
+    assert set(probe.seen) == set(enumerate_sites(tiny_model.spec))
     assert probe.seen.count(MatmulSite("qkv-projection", "B", 0)) == 3
 
 

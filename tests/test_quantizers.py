@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,13 +12,13 @@ from hypothesis import strategies as st
 from bbcq.errors import (ContractError, DegenerateScaleError, DimensionError,
                          ParameterError)
 from bbcq.quantizers import (EPSILON, CodeTensor, QuantParams,
-                             calibrate_softmax_max, default_twin_threshold,
-                             dequantize, fake_quant_array,
-                             fake_quant_softmax_dynamic, log_quant,
-                             minmax_affine_params, mpq_quant, quantize,
-                             round_half_away, twin_uniform_quant,
-                             uniform_dequant, uniform_quant)
+                             calibrate_softmax_max, dequantize,
+                             fake_quant_array, fake_quant_softmax_dynamic,
+                             minmax_affine_params, quantize, round_half_away,
+                             softmax_site_params)
 from bbcq.tensor import Tensor
+
+import _oracles as oracles
 
 
 # ---------------------------------------------------------------------------
@@ -74,33 +76,45 @@ def test_num_codes():
     assert params.num_codes == 32
 
 
+def _uniform(scale, zero_point, bits):
+    return QuantParams(bits=bits, scale=scale, zero_point=zero_point,
+                       scheme="uniform")
+
+
+def _twin(bits, cal_max, threshold):
+    span = (1 << (bits - 1)) - 1
+    return QuantParams(bits=bits, scale=(cal_max - threshold) / span,
+                       zero_point=0, scheme="twin", calibrated_max=cal_max,
+                       threshold=threshold)
+
+
 # ---------------------------------------------------------------------------
 # uniform affine: hand examples
 
 
 def test_uniform_hand_example():
     """k=2, step 2/3, zero point 2: 0.4 lands on code 3 and dequants to 2/3."""
-    ct = uniform_quant(np.array([0.4]), scale=2.0 / 3.0, zero_point=2, bits=2)
+    ct = quantize(np.array([0.4]), _uniform(scale=2.0 / 3.0, zero_point=2, bits=2))
     assert ct.codes.tolist() == [3]
-    assert uniform_dequant(ct).data[0] == 2.0 / 3.0
+    assert dequantize(ct).data[0] == 2.0 / 3.0
 
 
 def test_uniform_grid_points_are_fixed():
     scale, zp, bits = 0.37, 5, 4
     codes = np.arange(16)
     grid = (codes - zp) * scale
-    ct = uniform_quant(grid, scale, zp, bits)
+    ct = quantize(grid, _uniform(scale, zp, bits))
     np.testing.assert_array_equal(ct.codes, codes)
-    np.testing.assert_array_equal(uniform_dequant(ct).data, grid)
+    np.testing.assert_array_equal(dequantize(ct).data, grid)
 
 
 def test_uniform_saturates():
-    ct = uniform_quant(np.array([1e9, -1e9]), 0.1, 3, 4)
+    ct = quantize(np.array([1e9, -1e9]), _uniform(0.1, 3, 4))
     assert ct.codes.tolist() == [15, 0]
 
 
 def test_uniform_accepts_tensor_input():
-    ct = uniform_quant(Tensor(np.array([[0.0, 1.0]])), 0.5, 0, 4)
+    ct = quantize(Tensor(np.array([[0.0, 1.0]])), _uniform(0.5, 0, 4))
     assert ct.shape == (1, 2)
     assert ct.codes.tolist() == [0, 2]
 
@@ -111,13 +125,13 @@ def test_uniform_accepts_tensor_input():
 
 def test_mpq_one_hot_row_exact():
     for bits in (2, 4, 8):
-        ct = mpq_quant(np.array([1.0, 0.0, 0.0]), bits, calibrated_max=1.0)
+        ct = quantize(np.array([1.0, 0.0, 0.0]), softmax_site_params("mpq", bits, 1.0))
         assert ct.codes.tolist() == [(1 << bits) - 1, 0, 0]
         np.testing.assert_array_equal(dequantize(ct).data, [1.0, 0.0, 0.0])
 
 
 def test_mpq_hand_example():
-    ct = mpq_quant(np.array([0.7, 0.2, 0.1]), bits=2, calibrated_max=0.7)
+    ct = quantize(np.array([0.7, 0.2, 0.1]), softmax_site_params("mpq", 2, 0.7))
     assert ct.codes.tolist() == [3, 1, 0]
     deq = dequantize(ct).data
     assert deq[0] == 0.7  # top of range survives the round trip exactly
@@ -126,14 +140,14 @@ def test_mpq_hand_example():
 
 def test_mpq_uniform_row_all_top():
     row = np.full(3, 1.0 / 3.0)
-    ct = mpq_quant(row, bits=4, calibrated_max=1.0 / 3.0)
+    ct = quantize(row, softmax_site_params("mpq", 4, 1.0 / 3.0))
     assert ct.codes.tolist() == [15, 15, 15]
     np.testing.assert_array_equal(dequantize(ct).data, row)
 
 
 def test_mpq_rejects_degenerate_max():
     with pytest.raises(DegenerateScaleError):
-        mpq_quant(np.array([0.5]), 4, calibrated_max=0.0)
+        quantize(np.array([0.5]), softmax_site_params("mpq", 4, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -141,19 +155,19 @@ def test_mpq_rejects_degenerate_max():
 
 
 def test_log_top_of_range():
-    ct = log_quant(np.array([0.8]), 4, calibrated_max=0.8)
+    ct = quantize(np.array([0.8]), softmax_site_params("log2", 4, 0.8))
     assert ct.codes.tolist() == [0]
     assert dequantize(ct).data[0] == 0.8
 
 
 def test_log_quarter_power():
-    ct = log_quant(np.array([0.2]), 4, calibrated_max=0.8)
+    ct = quantize(np.array([0.2]), softmax_site_params("log2", 4, 0.8))
     assert ct.codes.tolist() == [2]
     assert dequantize(ct).data[0] == 0.2
 
 
 def test_log_zero_maps_to_smallest():
-    ct = log_quant(np.array([0.0, -0.3]), 4, calibrated_max=1.0)
+    ct = quantize(np.array([0.0, -0.3]), softmax_site_params("log2", 4, 1.0))
     assert ct.codes.tolist() == [15, 15]
     np.testing.assert_array_equal(dequantize(ct).data, [2.0 ** -15, 2.0 ** -15])
 
@@ -165,23 +179,21 @@ def test_log_zero_maps_to_smallest():
 def test_twin_segment_boundary_and_top():
     bits, cal_max = 4, 1.0
     threshold = 0.25
-    ct = twin_uniform_quant(np.array([threshold, cal_max]), bits, cal_max,
-                            threshold)
+    ct = quantize(np.array([threshold, cal_max]), _twin(bits, cal_max, threshold))
     assert ct.codes.tolist() == [8, 15]
     np.testing.assert_array_equal(dequantize(ct).data, [threshold, cal_max])
 
 
 def test_twin_hand_example_small_segment():
-    ct = twin_uniform_quant(np.array([0.005]), bits=4, calibrated_max=1.0,
-                            threshold=0.01)
+    ct = quantize(np.array([0.005]), _twin(bits=4, cal_max=1.0, threshold=0.01))
     # 0.005 / (0.01/7) = 3.5 rounds away from zero to code 4
     assert ct.codes.tolist() == [4]
     assert dequantize(ct).data[0] == pytest.approx(4 * 0.01 / 7, rel=1e-15)
 
 
 def test_twin_default_threshold():
-    assert default_twin_threshold(4, 1.0) == 1.0 / 8.0
-    ct = twin_uniform_quant(np.array([0.5]), bits=4, calibrated_max=1.0)
+    assert softmax_site_params("twin", 4, 1.0).threshold == 1.0 / 8.0
+    ct = quantize(np.array([0.5]), softmax_site_params("twin", 4, 1.0))
     assert ct.params.threshold == 1.0 / 8.0
 
 
@@ -249,12 +261,7 @@ def test_uniform_in_range_error_bound(case):
 def test_max_anchored_dequant_monotone(scheme, case):
     row, bits = case
     cal_max = float(row.max())
-    if scheme == "mpq":
-        ct = mpq_quant(np.sort(row), bits, cal_max)
-    elif scheme == "log2":
-        ct = log_quant(np.sort(row), bits, cal_max)
-    else:
-        ct = twin_uniform_quant(np.sort(row), bits, cal_max)
+    ct = quantize(np.sort(row), softmax_site_params(scheme, bits, cal_max))
     deq = dequantize(ct).data
     assert (np.diff(deq) >= -1e-18).all()
 
@@ -264,9 +271,9 @@ def test_max_anchored_dequant_monotone(scheme, case):
 def test_max_anchored_idempotent(scheme, case):
     row, bits = case
     cal_max = float(row.max())
-    quant = {"mpq": mpq_quant, "log2": log_quant}[scheme]
-    once = quant(row, bits, cal_max)
-    twice = quant(dequantize(once).data, bits, cal_max)
+    params = softmax_site_params(scheme, bits, cal_max)
+    once = quantize(row, params)
+    twice = quantize(dequantize(once).data, params)
     np.testing.assert_array_equal(once.codes, twice.codes)
 
 
@@ -281,9 +288,10 @@ def test_twin_idempotent(case):
     """
     row, bits = case
     cal_max = float(row.max())
-    once = twin_uniform_quant(row, bits, cal_max)
+    params = softmax_site_params("twin", bits, cal_max)
+    once = quantize(row, params)
     deq = dequantize(once).data
-    twice = twin_uniform_quant(deq, bits, cal_max)
+    twice = quantize(deq, params)
     np.testing.assert_array_equal(deq, dequantize(twice).data)
     off_seam = deq != once.params.threshold
     np.testing.assert_array_equal(once.codes[off_seam.ravel()],
@@ -294,7 +302,7 @@ def test_twin_idempotent(case):
 def test_mpq_dominant_value_survives_exactly(case):
     row, bits = case
     cal_max = float(row.max())
-    ct = mpq_quant(row, bits, cal_max)
+    ct = quantize(row, softmax_site_params("mpq", bits, cal_max))
     deq = dequantize(ct).data
     top = int(np.argmax(row))
     assert ct.codes.reshape(row.shape)[top] == ct.codes.max()
@@ -306,7 +314,7 @@ def test_mpq_dominant_value_survives_exactly(case):
 def test_log_dequant_on_power_of_two_grid(case):
     row, bits = case
     cal_max = float(row.max())
-    deq = dequantize(log_quant(row, bits, cal_max)).data
+    deq = dequantize(quantize(row, softmax_site_params("log2", bits, cal_max))).data
     # power-of-two multiples leave the mantissa of cal_max untouched
     mantissa, _ = np.frexp(deq)
     ref, _ = np.frexp(cal_max)
@@ -382,3 +390,156 @@ def test_minmax_affine_params_floor():
     spread = minmax_affine_params(np.array([-1.0, 2.0]), bits=2)
     assert spread.scale == 1.0
     assert spread.zero_point == 1
+
+
+# ---------------------------------------------------------------------------
+# public API
+
+
+def test_public_api_names_resolve():
+    import bbcq
+
+    assert [name for name in bbcq.__all__ if not hasattr(bbcq, name)] == []
+
+
+# ---------------------------------------------------------------------------
+# differential: every scheme against the straight-line oracle, bit for bit
+
+
+def _nudge_to_tie(pre_round, guess: float, target: float) -> float:
+    """The float nearest ``guess`` whose pre-rounding value is ``target``.
+
+    Rounding a product or quotient can miss an exact half step by an ulp;
+    stepping a few ulps either way usually finds an input that lands on it.
+    Returns ``guess`` unchanged when no nearby float does.
+    """
+    for direction in (np.inf, -np.inf):
+        value = guess
+        for _ in range(16):
+            if pre_round(value) == target:
+                return value
+            value = float(np.nextafter(value, direction))
+    return guess
+
+
+def _tie_value(scheme: str, bits: int, anchor: dict, index: int) -> float:
+    """A value on (or, for log2, beside) a half-step tie of the quantizer.
+
+    ``anchor`` holds the oracle's kernel arguments; ``index`` picks the tie.
+    Every returned value lies inside the quantizer's range.
+    """
+    levels = (1 << bits) - 1
+    if scheme == "uniform":
+        scale, lo, hi = anchor["scale"], anchor["lo"], anchor["hi"]
+        first = math.ceil(lo / scale - 0.5)
+        count = math.floor(hi / scale - 0.5) - first + 1
+        if count <= 0:
+            return hi
+        target = first + index % count + 0.5
+        return _nudge_to_tie(lambda v: v / scale, target * scale, target)
+    cal_max = anchor["cal_max"]
+    if scheme == "mpq":
+        target = index % levels + 0.5
+        return _nudge_to_tie(lambda v: (v / cal_max) * levels,
+                             target / levels * cal_max, target)
+    if scheme == "log2":
+        # -log2(v / max) is irrational at a half step, so aim beside it.
+        return cal_max * 2.0 ** -(index % levels + 0.5)
+    threshold = anchor["threshold"]
+    span = (1 << (bits - 1)) - 1
+    target = (index // 2) % span + 0.5
+    if index % 2 == 0:
+        step = threshold / span
+        return _nudge_to_tie(lambda v: v / step, target * step, target)
+    step = (cal_max - threshold) / span
+    return _nudge_to_tie(lambda v: (v - threshold) / step,
+                         threshold + target * step, target)
+
+
+@st.composite
+def static_scheme_cases(draw):
+    """(params, oracle tuple, values) with zeros, the anchor and ties."""
+    scheme = draw(st.sampled_from(["uniform", "mpq", "log2", "twin"]))
+    bits = draw(st.integers(2, 8))
+    levels = (1 << bits) - 1
+    if scheme == "uniform":
+        scale = draw(st.one_of(st.floats(min_value=1e-4, max_value=50.0),
+                               st.integers(-8, 4).map(lambda e: 2.0 ** e)))
+        zero_point = draw(st.integers(0, levels))
+        params = QuantParams(bits=bits, scale=scale, zero_point=zero_point,
+                             scheme="uniform")
+        oracle = ("uniform", scale, zero_point, bits)
+        lo, hi = -zero_point * scale, (levels - zero_point) * scale
+        anchor = {"scale": scale, "lo": lo, "hi": hi}
+    else:
+        cal_max = draw(st.one_of(st.floats(min_value=1e-3, max_value=1.0),
+                                 st.integers(-8, 0).map(lambda e: 2.0 ** e)))
+        lo, hi = 0.0, cal_max
+        anchor = {"cal_max": cal_max}
+        if scheme == "mpq":
+            params = QuantParams(bits=bits, scale=cal_max / levels, zero_point=0,
+                                 scheme="mpq", calibrated_max=cal_max)
+            oracle = ("mpq", bits, cal_max)
+        elif scheme == "log2":
+            params = QuantParams(bits=bits, scale=cal_max, zero_point=0,
+                                 scheme="log2", calibrated_max=cal_max)
+            oracle = ("log2", bits, cal_max)
+        else:
+            span = (1 << (bits - 1)) - 1
+            fraction = draw(st.one_of(
+                st.just(1.0 / (1 << (bits - 1))),
+                st.floats(min_value=0.01, max_value=0.99)))
+            threshold = cal_max * fraction
+            params = QuantParams(bits=bits, scale=(cal_max - threshold) / span,
+                                 zero_point=0, scheme="twin",
+                                 calibrated_max=cal_max, threshold=threshold)
+            oracle = ("twin", bits, cal_max, threshold)
+            anchor["threshold"] = threshold
+    ties = [_tie_value(scheme, bits, anchor, i)
+            for i in draw(st.lists(st.integers(0, 255), max_size=8))]
+    width = hi - lo
+    noise = _finite_arrays(draw, lo=lo - 0.25 * width, hi=hi + 0.25 * width,
+                           max_size=16)
+    values = np.concatenate([noise, ties, [0.0, lo, hi]])
+    return params, oracle, values
+
+
+@st.composite
+def dynamic_scheme_cases(draw):
+    """(scheme, bits, rows): each row holds its own max, ties, maybe a zero."""
+    scheme = draw(st.sampled_from(["uniform", "mpq", "log2", "twin"]))
+    bits = draw(st.integers(2, 8))
+    levels = (1 << bits) - 1
+    width = draw(st.integers(2, 8))
+    tie_count = draw(st.integers(0, 6))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        base = _finite_arrays(draw, lo=1e-6, hi=1.0, min_size=width,
+                              max_size=width)
+        if draw(st.booleans()):
+            base[-1] = 0.0
+        hi, lo = float(base.max()), float(base.min())
+        scale = max((hi - lo) / levels, 1e-12)
+        anchor = {"scale": scale, "lo": lo, "hi": hi, "cal_max": hi,
+                  "threshold": hi / (1 << (bits - 1))}
+        indices = draw(st.lists(st.integers(0, 255), min_size=tie_count,
+                                max_size=tie_count))
+        ties = [_tie_value(scheme, bits, anchor, i) for i in indices]
+        rows.append(np.concatenate([base, ties]))
+    return scheme, bits, np.stack(rows)
+
+
+@given(static_scheme_cases())
+@settings(max_examples=200)
+def test_fake_quant_array_matches_oracle(case):
+    params, oracle, values = case
+    np.testing.assert_array_equal(fake_quant_array(values, params),
+                                  oracles._fq(values, oracle))
+
+
+@given(dynamic_scheme_cases())
+@settings(max_examples=200)
+def test_dynamic_softmax_matches_oracle(case):
+    scheme, bits, rows = case
+    np.testing.assert_array_equal(fake_quant_softmax_dynamic(rows, scheme, bits),
+                                  oracles.fq_softmax_rows(rows, scheme, bits))

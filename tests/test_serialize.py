@@ -10,7 +10,7 @@ import pytest
 
 from bbcq.data import generate_dataset
 from bbcq.errors import (LengthError, MagicError, ManifestError,
-                         ParameterError, VersionError)
+                         NonFiniteError, ParameterError, VersionError)
 from bbcq.model import ModelSpec, init_model
 from bbcq.serialize import (deserialize_dataset, deserialize_model,
                             load_dataset, load_model, save_dataset,
@@ -209,6 +209,13 @@ def test_missing_manifest_key(model_blob):
     del manifest["spec"]
     with pytest.raises(ManifestError, match="spec"):
         deserialize_model(_reassemble(manifest, payload))
+
+
+def test_non_finite_weight_rejected():
+    model = init_model(_spec())
+    model.blocks[1].w_o[2, 3] = np.inf
+    with pytest.raises(NonFiniteError, match="block1.attn.w_o"):
+        deserialize_model(serialize_model(model))
 
 
 # ---------------------------------------------------------------------------
