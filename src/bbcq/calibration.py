@@ -27,11 +27,10 @@ import numpy as np
 
 from .errors import (ConfigError, ContractError, DegenerateRangeError,
                      DimensionError, ParameterError)
-from .model import (BLOCK_KINDS, MatmulSite, Model, Observer, block_forward,
-                    forward)
+from .model import BLOCK_KINDS, MatmulSite, Model, block_forward, forward
 from .quantizers import (EPSILON, SCHEMES, QuantParams, minmax_affine_params,
                          round_half_away, softmax_site_params)
-from .tensor import Tape, Tensor, cross_entropy
+from .tensor import Tape, Tensor, cross_entropy, require_finite
 
 PROFILES = ("classification", "detection")
 
@@ -159,9 +158,9 @@ class BlockCache:
     """FP-pass cache for one search unit.
 
     In blockwise mode (``kind == "block"``) the unit is a whole transformer
-    block and the lists hold single entries: the block output, its loss
-    gradient, and the gradient's elementwise square. In layerwise mode the
-    unit is one matmul and ``kind`` names it (the fused q/k/v projection
+    block and the lists hold single entries: the block output and its loss
+    gradient (whose elementwise square is the sensitivity). In layerwise mode
+    the unit is one matmul and ``kind`` names it (the fused q/k/v projection
     carries three parallel outputs). ``block_input`` is shared by all units
     of one block and is always the full-precision value.
     """
@@ -171,14 +170,13 @@ class BlockCache:
     block_input: np.ndarray
     outputs: list[np.ndarray]
     grads: list[np.ndarray]
-    h_diags: list[np.ndarray]
 
     def __post_init__(self):
-        for o, g, h in zip(self.outputs, self.grads, self.h_diags, strict=True):
-            if not (o.shape == g.shape == h.shape):
+        for o, g in zip(self.outputs, self.grads, strict=True):
+            if o.shape != g.shape:
                 raise ContractError(
                     f"cache tensors for block {self.block}/{self.kind} disagree "
-                    f"on shape: {o.shape} vs {g.shape} vs {h.shape}")
+                    f"on shape: {o.shape} vs {g.shape}")
 
     @property
     def output(self) -> np.ndarray:
@@ -187,24 +185,6 @@ class BlockCache:
     @property
     def grad(self) -> np.ndarray:
         return self.grads[0]
-
-    @property
-    def h_diag(self) -> np.ndarray:
-        return self.h_diags[0]
-
-
-class RangeObserver(Observer):
-    """Accumulates the [min, max] range of every observed matmul operand."""
-
-    def __init__(self):
-        self.ranges: dict[MatmulSite, tuple[float, float]] = {}
-
-    def observe_operand(self, site: MatmulSite, values: np.ndarray) -> None:
-        lo, hi = float(values.min()), float(values.max())
-        if site in self.ranges:
-            prev_lo, prev_hi = self.ranges[site]
-            lo, hi = min(lo, prev_lo), max(hi, prev_hi)
-        self.ranges[site] = (lo, hi)
 
 
 @dataclass
@@ -215,8 +195,6 @@ class FPPass:
     loss: float
     logits: np.ndarray
     ranges: dict[MatmulSite, tuple[float, float]]
-    softmax_max: list[float]
-    softmax_min: list[float]
 
 
 def candidate_scales(x_min: float, x_max: float, bits: int,
@@ -303,65 +281,67 @@ def cache_fp_pass(model: Model, inputs, labels, *, blocks_as_layers: bool = Fals
                   instrumentation: CalibInstrumentation | None = None) -> FPPass:
     """One taped forward/backward; retains block-level tensors only.
 
-    Per block this caches the input, the output, the loss gradient at the
-    output, and the gradient's square — never the layer-by-layer
-    activations. With ``blocks_as_layers`` the same triple is kept per
-    matmul instead (the layerwise baseline's working set).
+    Per block this caches the input, the output and the loss gradient at the
+    output — never the layer-by-layer activations. With ``blocks_as_layers``
+    the same pair is kept per matmul instead (the layerwise baseline's
+    working set). ``ranges`` holds the [min, max] of every site's operand.
     """
     instr = instrumentation if instrumentation is not None else CalibInstrumentation()
-    observer = RangeObserver()
-    x = np.asarray(inputs, dtype=np.float64)
+    x = require_finite(np.asarray(inputs, dtype=np.float64), "inputs")
+    ranges: dict[MatmulSite, tuple[float, float]] = {}
+    unit_outputs: dict[tuple[int, str], list[Tensor]] = {}
+
+    def hook(kind, block, a, b, out):
+        # Edge activations (embed/head operand A) are never quantized.
+        operands = (("B", b),) if block is None else (("A", a), ("B", b))
+        for role, values in operands:
+            site = MatmulSite(kind, role, block)
+            lo, hi = float(values.min()), float(values.max())
+            if site in ranges:
+                prev_lo, prev_hi = ranges[site]
+                lo, hi = min(lo, prev_lo), max(hi, prev_hi)
+            ranges[site] = (lo, hi)
+        if blocks_as_layers and block is not None:
+            unit_outputs.setdefault((block, kind), []).append(out)
+
     caches: list[BlockCache] = []
     with Tape() as tape:
-        block_taps: list[dict] | None = [] if blocks_as_layers else None
-        result = forward(model, Tensor(x), observer=observer,
-                         block_taps=block_taps)
+        result = forward(model, Tensor(x), hook=hook)
         loss = cross_entropy(result.logits, labels)
         tape.backward(loss)
         for b in range(model.spec.num_blocks):
             source = result.embed_output if b == 0 else result.block_outputs[b - 1]
             block_input = source.data.copy()
-            if blocks_as_layers:
-                for kind in BLOCK_KINDS:
-                    tap = block_taps[b][kind]
-                    outs = [t.data.copy() for t in tap]
-                    grads = [tape.grad(t).data.copy() for t in tap]
-                    caches.append(BlockCache(
-                        block=b, kind=kind, block_input=block_input,
-                        outputs=outs, grads=grads,
-                        h_diags=[g * g for g in grads]))
-                    instr.on_cache_alloc()
-            else:
-                out = result.block_outputs[b]
-                grad = tape.grad(out).data.copy()
+            units = ([(kind, unit_outputs[(b, kind)]) for kind in BLOCK_KINDS]
+                     if blocks_as_layers else [("block", [result.block_outputs[b]])])
+            for kind, outs in units:
                 caches.append(BlockCache(
-                    block=b, kind="block", block_input=block_input,
-                    outputs=[out.data.copy()], grads=[grad],
-                    h_diags=[grad * grad]))
+                    block=b, kind=kind, block_input=block_input,
+                    outputs=[t.data.copy() for t in outs],
+                    grads=[tape.grad(t).data.copy() for t in outs]))
                 instr.on_cache_alloc()
-    softmax = [observer.ranges[MatmulSite("attn-apply", "A", b)]
-               for b in range(model.spec.num_blocks)]
     return FPPass(caches=caches, loss=loss.item(), logits=result.logits.data.copy(),
-                  ranges=dict(observer.ranges),
-                  softmax_max=[hi for _, hi in softmax],
-                  softmax_min=[lo for lo, _ in softmax])
+                  ranges=ranges)
 
 
 def _unit_metric(model: Model, cache: BlockCache,
                  quant: Mapping[MatmulSite, QuantParams],
                  gamma: float, dynamic_softmax: bool) -> float:
     """Masked sensitivity metric of one unit under a trial quant state."""
-    taps: dict | None = None if cache.kind == "block" else {}
+    trial_outputs: list[np.ndarray] = []
+
+    def hook(kind, block, a, b, out):
+        if kind == cache.kind:
+            trial_outputs.append(out.data)
+
     out = block_forward(model, cache.block, Tensor(cache.block_input), quant,
-                        dynamic_softmax, taps=taps)
+                        dynamic_softmax, None if cache.kind == "block" else hook)
     if cache.kind == "block":
-        trial_outputs = [out.data]
-    else:
-        trial_outputs = [t.data for t in taps[cache.kind]]
+        trial_outputs.append(out.data)
     total = 0.0
-    for produced, reference, h in zip(trial_outputs, cache.outputs, cache.h_diags,
+    for produced, reference, g in zip(trial_outputs, cache.outputs, cache.grads,
                                       strict=True):
-        total += bbc_metric(bottom_mask(produced - reference, gamma), h)
+        total += bbc_metric(bottom_mask(produced - reference, gamma), g * g)
     return total
 
 
@@ -476,8 +456,17 @@ class CalibResult:
 
     @classmethod
     def from_json(cls, payload: Mapping) -> "CalibResult":
-        if payload.get("kind") != "calib-result":
+        if not isinstance(payload, Mapping) or payload.get("kind") != "calib-result":
             raise ParameterError("not a calib-result document")
+        try:
+            return cls._from_fields(payload)
+        except KeyError as missing:
+            raise ParameterError(f"calib-result is missing field {missing}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ParameterError(f"malformed calib-result: {exc}") from None
+
+    @classmethod
+    def _from_fields(cls, payload: Mapping) -> "CalibResult":
         config = CalibConfig.from_json(payload["config"])
         params: dict[MatmulSite, QuantParams] = {}
         chosen: dict[MatmulSite, int | None] = {}
@@ -545,9 +534,9 @@ def calibrate(model: Model, inputs, labels, config: CalibConfig,
         for b in range(model.spec.num_blocks):
             instr.enter_block()
             softmax_site = MatmulSite("attn-apply", "A", b)
+            softmax_lo, softmax_hi = fp.ranges[softmax_site]
             state[softmax_site] = softmax_site_params(
-                config.softmax_quantizer, config.a_bits,
-                fp.softmax_max[b], fp.softmax_min[b])
+                config.softmax_quantizer, config.a_bits, softmax_hi, softmax_lo)
             traces[softmax_site] = []
             chosen[softmax_site] = None
             for kind in reversed(BLOCK_KINDS):
@@ -590,7 +579,8 @@ def calibrate(model: Model, inputs, labels, config: CalibConfig,
 
     return CalibResult(config=config, params=state, chosen_index=chosen,
                        traces=traces, fp_loss=fp.loss,
-                       softmax_max=list(fp.softmax_max))
+                       softmax_max=[fp.ranges[MatmulSite("attn-apply", "A", b)][1]
+                                    for b in range(model.spec.num_blocks)])
 
 
 def total_blockwise_metric(model: Model, inputs, labels,

@@ -226,10 +226,13 @@ def _harvest_scores(model_path: str, data_path: str) -> np.ndarray:
     """Pre-softmax attention rows from a full-precision forward pass."""
     model = load_model(model_path)
     inputs, _labels, _meta = load_dataset(data_path)
-    taps: list[dict] = []
-    forward(model, Tensor(np.asarray(inputs, dtype=np.float64)),
-            block_taps=taps)
-    per_block = [t["attn-score"][0].data for t in taps]
+    per_block: list[np.ndarray] = []
+
+    def hook(kind, block, a, b, out):
+        if kind == "attn-score":
+            per_block.append(out.data)
+
+    forward(model, Tensor(np.asarray(inputs, dtype=np.float64)), hook=hook)
     cols = per_block[0].shape[-1]
     return np.concatenate([s.reshape(-1, cols) for s in per_block], axis=0)
 

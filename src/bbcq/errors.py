@@ -87,6 +87,6 @@ class ManifestError(FormatError):
 
 
 class NonFiniteError(FormatError):
-    """A container tensor holds NaN or infinity."""
+    """A container tensor or an in-memory input holds NaN or infinity."""
 
     category = "non-finite"

@@ -12,7 +12,7 @@ from .errors import ContractError, DimensionError, ParameterError
 from .model import Model, forward
 from .quantizers import (CodeTensor, fake_quant_array, mpq_code_values,
                          mpq_dequant_values, quantize, softmax_site_params)
-from .tensor import Tensor, cross_entropy
+from .tensor import Tensor, cross_entropy, require_finite
 
 COMPARE_SCHEMES = ("uniform", "log2", "twin", "mpq")
 
@@ -146,7 +146,7 @@ def evaluate(model: Model, result: CalibResult | None, inputs,
     With no calibration result the model runs in full precision and agrees
     with itself exactly.
     """
-    x = np.asarray(inputs, dtype=np.float64)
+    x = require_finite(np.asarray(inputs, dtype=np.float64), "inputs")
     labels = np.asarray(labels)
     fp_logits = forward(model, Tensor(x)).logits.data
     if result is None:

@@ -1,4 +1,4 @@
-"""A small pre-norm vision transformer with per-matmul quantization hooks.
+"""A small pre-norm vision transformer with per-matmul quantization sites.
 
 The model is deliberately minimal: a linear patch embedding over
 pre-flattened patches, ``num_blocks`` identical blocks (layernorm -> MSA ->
@@ -8,13 +8,17 @@ linear classifier head. Every matrix multiplication exposes two
 matrix); fake quantization is applied to the exact operand tensor fed to the
 matmul, after any reshape/transpose. Softmax, layernorm, GeLU, biases,
 residual adds, and pooling always run in full precision.
+
+``block_forward`` and ``forward`` take one optional ``hook``, called after
+every matmul with its kind, block, pre-quantization operands and output;
+calibration reads operand ranges and per-matmul outputs through it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -293,23 +297,15 @@ class ForwardResult:
     embed_output: Tensor
 
 
-class Observer:
-    """Callback interface for FP-pass statistics.
-
-    ``observe_operand`` sees the exact operand of every matmul site before it
-    is fake-quantized, including the softmax output at ``attn-apply.A``.
-    """
-
-    def observe_operand(self, site: MatmulSite, values: np.ndarray) -> None:
-        pass
+#: ``hook(kind, block, a, b, out)``: called once per matmul, right after it.
+MatmulHook = Callable[[str, "int | None", np.ndarray, np.ndarray, Tensor], None]
 
 
 def _apply_site(x: Tensor, site: MatmulSite,
                 quant: Mapping[MatmulSite, QuantParams] | None,
-                observer: Observer | None, dynamic: bool = False) -> Tensor:
-    """Observe and fake-quantize one operand; ``dynamic`` anchors each row."""
-    if observer is not None:
-        observer.observe_operand(site, x.data)
+                dynamic: bool = False) -> Tensor:
+    """Fake-quantize one operand if ``quant`` lists its site; ``dynamic``
+    anchors each row."""
     if quant is not None:
         params = quant.get(site)
         if params is not None:
@@ -323,14 +319,15 @@ def _apply_site(x: Tensor, site: MatmulSite,
 def block_forward(model: Model, block: int, x: Tensor,
                   quant: Mapping[MatmulSite, QuantParams] | None = None,
                   dynamic_softmax: bool = False,
-                  observer: Observer | None = None,
-                  taps: dict[str, list[Tensor]] | None = None) -> Tensor:
+                  hook: MatmulHook | None = None) -> Tensor:
     """One transformer block. ``x`` is the (B, N, D) block input.
 
-    When ``taps`` is a dict it is filled with each matmul's raw output
-    tensors keyed by site kind (``qkv-projection`` gets the three projection
-    outputs; the MLP entries are pre-bias). The tensors are nodes of the
-    active tape when one is recording, so callers can read their gradients.
+    ``hook(kind, block, a, b, out)`` is called once per matmul, right after
+    it: ``a`` and ``b`` are the operand arrays before fake quantization and
+    ``out`` is the raw output tensor (pre-bias for the MLP; attn-score
+    includes the 1/sqrt(head_dim) scale). ``qkv-projection`` fires three
+    times, for ``w_q``, ``w_k`` and ``w_v``. While a tape records, ``out`` is
+    a tape node, so callers can read its gradient after ``backward``.
     """
     spec = model.spec
     p = model.blocks[block]
@@ -338,15 +335,22 @@ def block_forward(model: Model, block: int, x: Tensor,
     heads, head_dim = spec.num_heads, spec.head_dim
     inv_sqrt_d = 1.0 / math.sqrt(head_dim)
 
-    def site(kind: str, role: str) -> MatmulSite:
-        return MatmulSite(kind, role, block)
+    def site_matmul(kind: str, a: Tensor, b: Tensor, a_quant: Tensor | None = None,
+                    dynamic: bool = False) -> Tensor:
+        if a_quant is None:
+            a_quant = _apply_site(a, MatmulSite(kind, "A", block), quant, dynamic)
+        out = matmul(a_quant, _apply_site(b, MatmulSite(kind, "B", block), quant))
+        if kind == "attn-score":
+            out = mul(out, inv_sqrt_d)
+        if hook is not None:
+            hook(kind, block, a.data, b.data, out)
+        return out
 
     h = layernorm(x, Tensor(p.ln1_gamma), Tensor(p.ln1_beta))
-    hq = _apply_site(h, site("qkv-projection", "A"), quant, observer)
-    qkv_b = site("qkv-projection", "B")
-    q = matmul(hq, _apply_site(Tensor(p.w_q), qkv_b, quant, observer))
-    k = matmul(hq, _apply_site(Tensor(p.w_k), qkv_b, quant, observer))
-    v = matmul(hq, _apply_site(Tensor(p.w_v), qkv_b, quant, observer))
+    # One fake-quant of the shared activation feeds all three projections.
+    hq = _apply_site(h, MatmulSite("qkv-projection", "A", block), quant)
+    q, k, v = (site_matmul("qkv-projection", h, Tensor(w), hq)
+               for w in (p.w_q, p.w_k, p.w_v))
 
     def split_heads(t: Tensor) -> Tensor:
         return transpose(reshape(t, (batch, n, heads, head_dim)), (0, 2, 1, 3))
@@ -354,46 +358,27 @@ def block_forward(model: Model, block: int, x: Tensor,
     qh = split_heads(q)
     kt = transpose(split_heads(k), (0, 1, 3, 2))
     vh = split_heads(v)
-    scores = mul(matmul(_apply_site(qh, site("attn-score", "A"), quant, observer),
-                        _apply_site(kt, site("attn-score", "B"), quant, observer)),
-                 inv_sqrt_d)
+    scores = site_matmul("attn-score", qh, kt)
     attn = softmax(scores, axis=-1)
-    attn = _apply_site(attn, site("attn-apply", "A"), quant, observer,
-                       dynamic_softmax)
-    ctx = matmul(attn, _apply_site(vh, site("attn-apply", "B"), quant, observer))
+    ctx = site_matmul("attn-apply", attn, vh, dynamic=dynamic_softmax)
     merged = reshape(transpose(ctx, (0, 2, 1, 3)), (batch, n, d))
-    attn_out = matmul(_apply_site(merged, site("out-projection", "A"), quant, observer),
-                      _apply_site(Tensor(p.w_o), site("out-projection", "B"),
-                                  quant, observer))
-    h1 = add(x, attn_out)
+    h1 = add(x, site_matmul("out-projection", merged, Tensor(p.w_o)))
 
     h2 = layernorm(h1, Tensor(p.ln2_gamma), Tensor(p.ln2_beta))
-    m1_pre = matmul(_apply_site(h2, site("mlp-1", "A"), quant, observer),
-                    _apply_site(Tensor(p.w1), site("mlp-1", "B"), quant, observer))
-    m1 = add(m1_pre, Tensor(p.b1))
-    m2_pre = matmul(_apply_site(gelu(m1), site("mlp-2", "A"), quant, observer),
-                    _apply_site(Tensor(p.w2), site("mlp-2", "B"), quant, observer))
-    m2 = add(m2_pre, Tensor(p.b2))
-    if taps is not None:
-        taps["qkv-projection"] = [q, k, v]
-        taps["attn-score"] = [scores]
-        taps["attn-apply"] = [ctx]
-        taps["out-projection"] = [attn_out]
-        taps["mlp-1"] = [m1_pre]
-        taps["mlp-2"] = [m2_pre]
+    m1 = add(site_matmul("mlp-1", h2, Tensor(p.w1)), Tensor(p.b1))
+    m2 = add(site_matmul("mlp-2", gelu(m1), Tensor(p.w2)), Tensor(p.b2))
     return add(h1, m2)
 
 
 def forward(model: Model, x, quant: Mapping[MatmulSite, QuantParams] | None = None,
             dynamic_softmax: bool = False,
-            observer: Observer | None = None,
-            block_taps: list[dict[str, list[Tensor]]] | None = None) -> ForwardResult:
+            hook: MatmulHook | None = None) -> ForwardResult:
     """Full forward pass; returns logits plus every block's output.
 
     With ``quant`` supplied, each listed site's operand is fake-quantized
     right before its matmul. Quantized forwards are not differentiable and
-    are rejected while a tape is recording. Passing a list as ``block_taps``
-    appends one per-matmul tap dict per block (see ``block_forward``).
+    are rejected while a tape is recording. ``hook`` sees every matmul (see
+    ``block_forward``); for ``embed`` and ``head`` its ``block`` is None.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     spec = model.spec
@@ -406,20 +391,19 @@ def forward(model: Model, x, quant: Mapping[MatmulSite, QuantParams] | None = No
             raise ContractError("quantized forward cannot run under a recording tape")
         validate_quant_sites(spec, quant.keys())
 
-    embed_out = matmul(x, _apply_site(Tensor(model.embed_w), MatmulSite("embed", "B"),
-                                      quant, observer))
+    def edge_matmul(kind: str, a: Tensor, w: np.ndarray) -> Tensor:
+        out = matmul(a, _apply_site(Tensor(w), MatmulSite(kind, "B"), quant))
+        if hook is not None:
+            hook(kind, None, a.data, w, out)
+        return out
+
+    embed_out = edge_matmul("embed", x, model.embed_w)
     current = embed_out
     block_outputs = []
     for b in range(spec.num_blocks):
-        taps = None if block_taps is None else {}
-        current = block_forward(model, b, current, quant, dynamic_softmax, observer,
-                                taps=taps)
-        if block_taps is not None:
-            block_taps.append(taps)
+        current = block_forward(model, b, current, quant, dynamic_softmax, hook)
         block_outputs.append(current)
-    pooled = current.mean(axis=1)
-    logits = matmul(pooled, _apply_site(Tensor(model.head_w), MatmulSite("head", "B"),
-                                        quant, observer))
+    logits = edge_matmul("head", current.mean(axis=1), model.head_w)
     return ForwardResult(logits=logits, block_outputs=block_outputs,
                          embed_output=embed_out)
 

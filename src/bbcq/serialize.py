@@ -23,9 +23,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import (LengthError, MagicError, ManifestError, NonFiniteError,
-                     ParameterError, VersionError)
+from .errors import (LengthError, MagicError, ManifestError, ParameterError,
+                     VersionError)
 from .model import Model, ModelSpec, parameter_shapes
+from .tensor import require_finite
 
 MAGIC = b"BBCVIT"
 VERSION = b"01"
@@ -108,8 +109,8 @@ def _unpack(blob: bytes, expect_kind: str) -> tuple[dict, dict[str, np.ndarray]]
                 f"{expected_end}, have {len(payload)}")
         tensor = np.frombuffer(
             payload[offset:offset + nbytes], dtype=np_dtype).reshape(shape).copy()
-        if tensor.dtype.kind == "f" and not np.isfinite(tensor).all():
-            raise NonFiniteError(f"tensor {name!r} holds NaN or infinite values")
+        if tensor.dtype.kind == "f":
+            require_finite(tensor, f"tensor {name!r}")
         tensors[name] = tensor
     if expected_end != len(payload):
         raise LengthError(

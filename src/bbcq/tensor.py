@@ -9,21 +9,23 @@ no tape and therefore allocate no graph.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import erf
 
-from .errors import ContractError, DimensionError, LabelIndexError
+from .errors import ContractError, DimensionError, LabelIndexError, NonFiniteError
 
 LAYERNORM_EPS = 1e-5
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
-# The single active tape, if any. A Tape is single-writer; nesting two
-# recording scopes has no defined gradient semantics, so it is rejected.
-_TAPE: "Tape | None" = None
+# The active tape of the current context (thread), if any. A Tape is
+# single-writer; nesting two recording scopes has no defined gradient
+# semantics, so it is rejected. Tapes in other threads are invisible here.
+_TAPE: "ContextVar[Tape | None]" = ContextVar("bbcq_tape", default=None)
 
 
 def _asarray(values) -> np.ndarray:
@@ -115,15 +117,13 @@ class Tape:
         self._grads: dict[int, np.ndarray] = {}
 
     def __enter__(self) -> "Tape":
-        global _TAPE
-        if _TAPE is not None:
+        if _TAPE.get() is not None:
             raise ContractError("a tape is already recording; tapes do not nest")
-        _TAPE = self
+        _TAPE.set(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        global _TAPE
-        _TAPE = None
+        _TAPE.set(None)
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -185,12 +185,19 @@ class Tape:
 
 
 def _recording() -> "Tape | None":
-    return _TAPE
+    return _TAPE.get()
 
 
 def recording_active() -> bool:
-    """True while some Tape is recording operations."""
-    return _TAPE is not None
+    """True while a Tape is recording operations in this context."""
+    return _TAPE.get() is not None
+
+
+def require_finite(values: np.ndarray, what: str) -> np.ndarray:
+    """``values`` unchanged; NonFiniteError if it holds NaN or infinity."""
+    if not np.isfinite(values).all():
+        raise NonFiniteError(f"{what} holds NaN or infinite values")
+    return values
 
 
 # ---------------------------------------------------------------------------

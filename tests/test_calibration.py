@@ -8,6 +8,7 @@ since both sides mirror the same documented arithmetic.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -19,11 +20,11 @@ from bbcq.calibration import (CalibConfig, CalibInstrumentation, CalibResult,
                               search_site, total_blockwise_metric)
 from bbcq.data import generate_dataset
 from bbcq.errors import (ConfigError, DegenerateRangeError, DimensionError,
-                         ParameterError)
+                         NonFiniteError, ParameterError)
 from bbcq.model import (BLOCK_KINDS, MatmulSite, ModelSpec, forward,
                         forward_from, init_model)
 from bbcq.quantizers import EPSILON, QuantParams, minmax_affine_params
-from bbcq.tensor import Tensor, cross_entropy
+from bbcq.tensor import Tape, Tensor, add, cross_entropy
 
 from _oracles import naive_bbc_metric, oracle_calibrate
 
@@ -258,7 +259,7 @@ def test_cache_fp_pass_structure():
     for b, cache in enumerate(fp.caches):
         np.testing.assert_array_equal(cache.output,
                                       result.block_outputs[b].data)
-        np.testing.assert_array_equal(cache.h_diag, cache.grad * cache.grad)
+        assert cache.grads == [cache.grad]
     assert fp.loss == cross_entropy(result.logits, y).item()
     assert np.isfinite(fp.logits).all()
 
@@ -270,7 +271,8 @@ def test_cache_fp_pass_deterministic():
     assert a.loss == b.loss
     np.testing.assert_array_equal(a.caches[0].grad, b.caches[0].grad)
     assert a.ranges == b.ranges
-    assert a.softmax_max == b.softmax_max
+    softmax = MatmulSite("attn-apply", "A", 0)
+    assert a.ranges[softmax] == b.ranges[softmax]
 
 
 def test_cache_fp_pass_ranges_match_operands():
@@ -284,8 +286,9 @@ def test_cache_fp_pass_ranges_match_operands():
                        float(blk.w_v.min())),
                    max(float(blk.w_q.max()), float(blk.w_k.max()),
                        float(blk.w_v.max())))
-    assert 0.0 < fp.softmax_max[0] <= 1.0
-    assert 0.0 <= fp.softmax_min[0] < fp.softmax_max[0]
+    softmax_min, softmax_max = fp.ranges[MatmulSite("attn-apply", "A", 0)]
+    assert 0.0 < softmax_max <= 1.0
+    assert 0.0 <= softmax_min < softmax_max
 
 
 def test_cache_fp_pass_counts_allocations():
@@ -302,11 +305,22 @@ def test_cache_fp_pass_layerwise_units():
     kinds = {(c.block, c.kind) for c in fp.caches}
     assert kinds == {(b, k) for b in range(2) for k in BLOCK_KINDS}
     qkv = next(c for c in fp.caches if c.kind == "qkv-projection")
-    assert len(qkv.outputs) == len(qkv.grads) == len(qkv.h_diags) == 3
+    assert len(qkv.outputs) == len(qkv.grads) == 3
     block0 = [c for c in fp.caches if c.block == 0]
     for cache in block0[1:]:
         np.testing.assert_array_equal(cache.block_input,
                                       block0[0].block_input)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_inputs_rejected(bad):
+    model, x, y = _small_setup()
+    x = x.copy()
+    x[1, 2, 3] = bad
+    with pytest.raises(NonFiniteError):
+        cache_fp_pass(model, x, y)
+    with pytest.raises(NonFiniteError):
+        calibrate(model, x, y, CalibConfig(num_candidates=2, rounds=1))
 
 
 def test_block_output_gradient_matches_finite_difference():
@@ -443,6 +457,36 @@ def test_calibrate_thread_count_does_not_change_result(monkeypatch):
     assert sequential.dumps() == threaded.dumps()
 
 
+def test_calibrate_while_another_thread_holds_a_tape():
+    """The tape is context-local: one recording in another thread neither
+    blocks calibrate() nor receives its operations."""
+    model, x, y = _small_setup()
+    config = CalibConfig(w_bits=4, a_bits=4, num_candidates=5, rounds=1)
+    sequential = calibrate(model, x, y, config).dumps()
+    held: list[Tape] = []
+    holding, release = threading.Event(), threading.Event()
+
+    def hold_tape():
+        with Tape() as tape:
+            add(Tensor([1.0]), Tensor([2.0]))
+            held.append(tape)
+            holding.set()
+            release.wait(timeout=60)
+
+    holder = threading.Thread(target=hold_tape)
+    holder.start()
+    try:
+        assert holding.wait(timeout=60)
+        before = len(held[0])
+        concurrent = calibrate(model, x, y, config).dumps()
+        assert len(held[0]) == before > 0
+    finally:
+        release.set()
+        holder.join(timeout=60)
+    assert not holder.is_alive()
+    assert concurrent == sequential
+
+
 def test_bad_thread_env_rejected(monkeypatch):
     model, x, y = _small_setup()
     config = CalibConfig(num_candidates=2, rounds=1)
@@ -519,7 +563,7 @@ def test_matmul_units_match_layerwise_oracle():
                          num_candidates=6, rounds=1, blocks_as_layers=True)
     result = calibrate(model, x, y, config)
     fp = cache_fp_pass(model, x, y, blocks_as_layers=True)
-    h_override = {(c.block, c.kind): c.h_diags for c in fp.caches}
+    h_override = {(c.block, c.kind): [g * g for g in c.grads] for c in fp.caches}
     oracle = oracle_calibrate(model, x, y, w_bits=4, a_bits=4, gamma=0.0,
                               alpha=0.0, beta=1.2, n=6, rounds=1,
                               unit="layer", h_override=h_override)

@@ -229,6 +229,37 @@ def test_eval_corrupt_result_is_format_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:format: ")
 
 
+def _eval_with_edited_result(tmp_path, capsys, edit):
+    """Run eval on a calib result altered by ``edit``; return (rc, stderr)."""
+    data = _gen(tmp_path)
+    path = _calibrate(tmp_path, data) / "calib_result.json"
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    rc = main(["eval", "--model", str(data / "model.bbcv"),
+               "--eval", str(data / "eval.bbcv"),
+               "--result", str(path), "--out", str(tmp_path / "o")])
+    return rc, capsys.readouterr().err.strip()
+
+
+def test_eval_result_without_sites_is_parameter_error(tmp_path, capsys):
+    rc, err = _eval_with_edited_result(tmp_path, capsys,
+                                       lambda p: p.pop("sites"))
+    assert rc == 1
+    assert "\n" not in err and ERROR_LINE.match(err)
+    assert err.startswith("error:parameter: ")
+
+
+def test_eval_result_with_string_scale_is_parameter_error(tmp_path, capsys):
+    def string_scale(payload):
+        payload["sites"][0]["scale"] = "wide"
+
+    rc, err = _eval_with_edited_result(tmp_path, capsys, string_scale)
+    assert rc == 1
+    assert "\n" not in err and ERROR_LINE.match(err)
+    assert err.startswith("error:parameter: ")
+
+
 # ---------------------------------------------------------------------------
 # compare-softmax
 

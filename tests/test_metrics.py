@@ -9,7 +9,8 @@ import pytest
 
 from bbcq.calibration import CalibConfig, bottom_threshold, calibrate
 from bbcq.data import generate_dataset, synthetic_scores
-from bbcq.errors import ContractError, DimensionError, ParameterError
+from bbcq.errors import (ContractError, DimensionError, NonFiniteError,
+                         ParameterError)
 from bbcq.metrics import (COMPARE_SCHEMES, EvalMetrics, QuantReportRow,
                           code_entropy, compare_softmax_quantizers, error_stats,
                           evaluate)
@@ -166,6 +167,15 @@ def test_evaluate_quantized_model():
     assert math.isfinite(metrics.mean_loss)
     again = evaluate(model, result, x, y)
     assert metrics == again
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_evaluate_rejects_non_finite_inputs(bad):
+    model, x, y = _eval_setup()
+    x = x.copy()
+    x[0, 0, 0] = bad
+    with pytest.raises(NonFiniteError):
+        evaluate(model, None, x, y)
 
 
 def test_eval_metrics_json_keys():

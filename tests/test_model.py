@@ -7,9 +7,9 @@ import pytest
 
 from bbcq.data import generate_dataset
 from bbcq.errors import ContractError, DimensionError, ParameterError
-from bbcq.model import (BLOCK_KINDS, MatmulSite, ModelSpec, Observer,
-                        block_forward, enumerate_sites, forward, forward_from,
-                        init_model, parameter_shapes, validate_quant_sites)
+from bbcq.model import (BLOCK_KINDS, MatmulSite, ModelSpec, block_forward,
+                        enumerate_sites, forward, forward_from, init_model,
+                        parameter_shapes, validate_quant_sites)
 from bbcq.quantizers import QuantParams
 from bbcq.tensor import Tape, Tensor, cross_entropy
 
@@ -187,22 +187,20 @@ def test_batch_permutation_permutes_logits(tiny_model, tiny_batch):
     np.testing.assert_array_equal(permuted, logits[perm])
 
 
+def _collect_calls(model, x, **kwargs) -> list[tuple]:
+    """Every (kind, block, a, b, out) the forward hook receives, in order."""
+    calls = []
+    forward(model, x, hook=lambda *call: calls.append(call), **kwargs)
+    return calls
+
+
 def test_attention_rows_sum_to_one(tiny_model, tiny_batch):
     x, _ = tiny_batch
-
-    class SoftmaxProbe(Observer):
-        def __init__(self):
-            self.rows = []
-
-        def observe_operand(self, site, values):
-            if site.is_softmax_output:
-                self.rows.append(values)
-
-    probe = SoftmaxProbe()
-    forward(tiny_model, x, observer=probe)
-    assert len(probe.rows) == tiny_model.spec.num_blocks
-    for rows in probe.rows:
-        np.testing.assert_allclose(rows.sum(axis=-1), 1.0, atol=1e-9)
+    rows = [a for kind, block, a, _, _ in _collect_calls(tiny_model, x)
+            if MatmulSite(kind, "A", block).is_softmax_output]
+    assert len(rows) == tiny_model.spec.num_blocks
+    for block_rows in rows:
+        np.testing.assert_allclose(block_rows.sum(axis=-1), 1.0, atol=1e-9)
 
 
 def test_empty_quant_state_is_bitwise_noop(tiny_model, tiny_batch):
@@ -240,30 +238,34 @@ def test_quant_unknown_site_rejected(tiny_model, tiny_batch):
         forward(tiny_model, x, quant=quant)
 
 
+def _block_outputs(calls, block: int) -> dict[str, list[Tensor]]:
+    """The hook's matmul outputs of one block, keyed by kind."""
+    outs: dict[str, list[Tensor]] = {}
+    for kind, b, _, _, out in calls:
+        if b == block:
+            outs.setdefault(kind, []).append(out)
+    return outs
+
+
 def test_observer_sees_every_site(tiny_model, tiny_batch):
     x, _ = tiny_batch
-
-    class SiteProbe(Observer):
-        def __init__(self):
-            self.seen = []
-
-        def observe_operand(self, site, values):
-            self.seen.append(site)
-
-    probe = SiteProbe()
-    forward(tiny_model, x, observer=probe)
+    seen = []
+    for kind, block, _, _, _ in _collect_calls(tiny_model, x):
+        # embed and head expose their weight operand only
+        roles = ("B",) if block is None else ("A", "B")
+        seen.extend(MatmulSite(kind, role, block) for role in roles)
     # every site appears, the softmax output included; the shared qkv weight
     # site fires three times (w_q, w_k, w_v)
-    assert set(probe.seen) == set(enumerate_sites(tiny_model.spec))
-    assert probe.seen.count(MatmulSite("qkv-projection", "B", 0)) == 3
+    assert set(seen) == set(enumerate_sites(tiny_model.spec))
+    assert seen.count(MatmulSite("qkv-projection", "B", 0)) == 3
 
 
 def test_block_taps_expose_matmul_outputs(tiny_model, tiny_batch):
     x, _ = tiny_batch
-    taps: list[dict] = []
-    forward(tiny_model, x, block_taps=taps)
-    assert len(taps) == tiny_model.spec.num_blocks
-    tap = taps[0]
+    calls = _collect_calls(tiny_model, x)
+    blocks = {block for _, block, _, _, _ in calls if block is not None}
+    assert blocks == set(range(tiny_model.spec.num_blocks))
+    tap = _block_outputs(calls, 0)
     assert sorted(tap) == sorted(BLOCK_KINDS)
     assert len(tap["qkv-projection"]) == 3
     batch, n, d = x.shape
@@ -275,12 +277,34 @@ def test_block_taps_expose_matmul_outputs(tiny_model, tiny_batch):
 
 def test_taps_carry_gradients_under_tape(tiny_model, tiny_batch):
     x, y = tiny_batch
-    taps: list[dict] = []
+    calls = []
     with Tape() as tape:
         result = forward(tiny_model, Tensor(np.asarray(x, dtype=np.float64)),
-                         block_taps=taps)
+                         hook=lambda *call: calls.append(call))
         tape.backward(cross_entropy(result.logits, y))
+        tap = _block_outputs(calls, 0)
         for kind in BLOCK_KINDS:
-            for t in taps[0][kind]:
+            for t in tap[kind]:
                 grad = tape.grad(t)
                 assert grad is not None and grad.shape == t.shape
+
+
+def test_hook_receives_pre_quant_operands(tiny_model, tiny_batch):
+    """Under a quant state the hook sees the operands before fake-quant;
+    only ``out`` reflects the quantized matmul."""
+    x, _ = tiny_batch
+    coarse = QuantParams(bits=2, scale=0.05, zero_point=2, scheme="uniform")
+    quant = {MatmulSite(kind, role, 0): coarse
+             for kind in ("qkv-projection", "attn-apply") for role in ("A", "B")}
+    fp_calls = _collect_calls(tiny_model, x)
+    calls = _collect_calls(tiny_model, x, quant=quant)
+    assert [c[:2] for c in calls] == [c[:2] for c in fp_calls]
+    blk = tiny_model.blocks[0]
+    qkv = [c for c in calls if c[0] == "qkv-projection"]
+    for (_, _, a, b, out), weight, fp in zip(qkv, (blk.w_q, blk.w_k, blk.w_v),
+                                             fp_calls[1:4], strict=True):
+        assert b is weight
+        np.testing.assert_array_equal(a, fp[2])
+        assert not np.array_equal(out.data, a @ b)
+    softmax_rows = next(c[2] for c in calls if c[0] == "attn-apply")
+    np.testing.assert_allclose(softmax_rows.sum(axis=-1), 1.0, atol=1e-9)
