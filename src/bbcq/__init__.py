@@ -24,9 +24,8 @@ from .metrics import (ErrorStats, EvalMetrics, QuantReportRow, code_entropy,
                       compare_softmax_quantizers, error_stats, evaluate)
 from .model import (MatmulSite, Model, ModelSpec, block_forward,
                     enumerate_sites, forward, forward_from, init_model)
-from .quantizers import (CodeTensor, QuantParams, calibrate_softmax_max,
-                         dequantize, fake_quant_array, quantize,
-                         round_half_away)
+from .quantizers import (CodeTensor, QuantParams, dequantize,
+                         fake_quant_array, quantize, round_half_away)
 from .serialize import (load_dataset, load_model, save_dataset, save_model,
                         serialize_dataset, serialize_model)
 from .tensor import (Tape, Tensor, add, concat, cross_entropy, gelu,
@@ -40,8 +39,8 @@ __all__ = [
     "matmul", "mul", "reshape", "softmax", "tensor_mean", "tensor_sum",
     "transpose",
     # quantizers
-    "CodeTensor", "QuantParams", "calibrate_softmax_max", "dequantize",
-    "fake_quant_array", "quantize", "round_half_away",
+    "CodeTensor", "QuantParams", "dequantize", "fake_quant_array",
+    "quantize", "round_half_away",
     # model + serialization
     "MatmulSite", "Model", "ModelSpec", "block_forward", "enumerate_sites",
     "forward", "forward_from", "init_model", "load_dataset", "load_model",

@@ -20,14 +20,15 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .errors import (ConfigError, ContractError, DegenerateRangeError,
                      DimensionError, ParameterError)
-from .model import BLOCK_KINDS, MatmulSite, Model, block_forward, forward
+from .model import (BLOCK_KINDS, MatmulSite, Model, block_forward, forward,
+                    json_value, record_fields)
 from .quantizers import (EPSILON, SCHEMES, QuantParams, minmax_affine_params,
                          round_half_away, softmax_site_params)
 from .tensor import Tape, Tensor, cross_entropy, require_finite
@@ -99,38 +100,11 @@ class CalibConfig:
         return cls(**fields)
 
     def to_json(self) -> dict:
-        return {
-            "w_bits": self.w_bits,
-            "a_bits": self.a_bits,
-            "gamma": self.gamma,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "num_candidates": self.num_candidates,
-            "rounds": self.rounds,
-            "softmax_quantizer": self.softmax_quantizer,
-            "dynamic_softmax": self.dynamic_softmax,
-            "calib_batch": self.calib_batch,
-            "blocks_as_layers": self.blocks_as_layers,
-            "profile": self.profile,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, payload: Mapping) -> "CalibConfig":
-        try:
-            return cls(w_bits=int(payload["w_bits"]),
-                       a_bits=int(payload["a_bits"]),
-                       gamma=float(payload["gamma"]),
-                       alpha=float(payload["alpha"]),
-                       beta=float(payload["beta"]),
-                       num_candidates=int(payload["num_candidates"]),
-                       rounds=int(payload["rounds"]),
-                       softmax_quantizer=str(payload["softmax_quantizer"]),
-                       dynamic_softmax=bool(payload["dynamic_softmax"]),
-                       calib_batch=int(payload["calib_batch"]),
-                       blocks_as_layers=bool(payload["blocks_as_layers"]),
-                       profile=str(payload["profile"]))
-        except KeyError as missing:
-            raise ParameterError(f"calib config is missing field {missing}") from None
+        return record_fields(cls, payload, "calib config")
 
 
 @dataclass
@@ -425,22 +399,15 @@ class CalibResult:
     def sites(self) -> list[MatmulSite]:
         return sorted(self.params, key=_site_sort_key)
 
+    def site_rows(self) -> list[dict]:
+        """One JSON row per site: its params, whether and how it was searched."""
+        return [{"site_id": site.site_id, **asdict(self.params[site]),
+                 "searched": bool(self.traces.get(site)),
+                 "chosen_index": self.chosen_index.get(site),
+                 "trace": self.traces.get(site, [])}
+                for site in self.sites()]
+
     def to_json(self) -> dict:
-        entries = []
-        for site in self.sites():
-            p = self.params[site]
-            entries.append({
-                "site_id": site.site_id,
-                "scheme": p.scheme,
-                "bits": p.bits,
-                "scale": p.scale,
-                "zero_point": p.zero_point,
-                "calibrated_max": p.calibrated_max,
-                "threshold": p.threshold,
-                "searched": bool(self.traces.get(site)),
-                "chosen_index": self.chosen_index.get(site),
-                "trace": self.traces.get(site, []),
-            })
         return {
             "schema_version": 1,
             "kind": "calib-result",
@@ -448,7 +415,7 @@ class CalibResult:
             "fp_loss": self.fp_loss,
             "fp_block_inputs": self.fp_block_inputs,
             "softmax_max": list(self.softmax_max),
-            "sites": entries,
+            "sites": self.site_rows(),
         }
 
     def dumps(self) -> str:
@@ -462,32 +429,30 @@ class CalibResult:
             return cls._from_fields(payload)
         except KeyError as missing:
             raise ParameterError(f"calib-result is missing field {missing}") from None
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ParameterError(f"malformed calib-result: {exc}") from None
 
     @classmethod
     def _from_fields(cls, payload: Mapping) -> "CalibResult":
-        config = CalibConfig.from_json(payload["config"])
+        version = json_value(payload["schema_version"], "int", "schema_version")
+        if version != 1:
+            raise ParameterError(f"unsupported calib-result schema_version {version}")
         params: dict[MatmulSite, QuantParams] = {}
         chosen: dict[MatmulSite, int | None] = {}
         traces: dict[MatmulSite, list[list[float]]] = {}
-        for entry in payload["sites"]:
-            site = MatmulSite.parse(entry["site_id"])
-            calibrated_max = entry.get("calibrated_max")
-            threshold = entry.get("threshold")
-            params[site] = QuantParams(
-                bits=int(entry["bits"]), scale=float(entry["scale"]),
-                zero_point=int(entry["zero_point"]), scheme=str(entry["scheme"]),
-                calibrated_max=None if calibrated_max is None else float(calibrated_max),
-                threshold=None if threshold is None else float(threshold))
-            idx = entry.get("chosen_index")
-            chosen[site] = None if idx is None else int(idx)
-            traces[site] = [list(map(float, round_trace))
-                            for round_trace in entry.get("trace", [])]
-        return cls(config=config, params=params, chosen_index=chosen,
-                   traces=traces, fp_loss=float(payload["fp_loss"]),
-                   softmax_max=[float(v) for v in payload.get("softmax_max", [])],
-                   fp_block_inputs=bool(payload.get("fp_block_inputs", True)))
+        for entry in json_value(payload["sites"], "list[dict]", "sites"):
+            site_id = json_value(entry["site_id"], "str", "site_id")
+            site = MatmulSite.parse(site_id)
+            params[site] = record_fields(QuantParams, entry, f"site {site_id}")
+            chosen[site] = json_value(entry["chosen_index"], "int | None",
+                                      f"site {site_id} chosen_index")
+            traces[site] = json_value(entry["trace"], "list[list[float]]",
+                                      f"site {site_id} trace")
+        return cls(config=CalibConfig.from_json(payload["config"]), params=params,
+                   chosen_index=chosen, traces=traces,
+                   fp_loss=json_value(payload["fp_loss"], "float", "fp_loss"),
+                   softmax_max=json_value(payload["softmax_max"], "list[float]",
+                                          "softmax_max"),
+                   fp_block_inputs=json_value(payload["fp_block_inputs"], "bool",
+                                              "fp_block_inputs"))
 
 
 def save_result(result: CalibResult, path) -> None:

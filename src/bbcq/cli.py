@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +20,7 @@ from . import __version__
 from .calibration import (PROFILE_RANGES, PROFILES, CalibConfig, calibrate,
                           load_result, save_result)
 from .data import SYNTHETIC_KINDS, generate_dataset, synthetic_scores
-from .errors import BBCQError, ConfigError
+from .errors import BBCQError, ConfigError, FormatError
 from .metrics import compare_softmax_quantizers, evaluate
 from .model import ModelSpec, forward, init_model
 from .report import Report, site_summaries, write_report
@@ -32,17 +31,6 @@ from .tensor import Tensor
 #: CLI flag spelling -> internal scheme name.
 SOFTMAX_CHOICES = {"uniform": "uniform", "log": "log2", "twin": "twin",
                    "mpq": "mpq"}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Snapshot of one command invocation, embedded in its report."""
-
-    command: str
-    parameters: dict
-
-    def to_json(self) -> dict:
-        return {"command": self.command, **self.parameters}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -174,10 +162,10 @@ def cmd_calibrate(args) -> int:
                        labels[:config.calib_batch], config)
     out = _outdir(args.out)
     save_result(result, out / "calib_result.json")
-    run = RunConfig("calibrate", {
-        "model": args.model, "calib": args.calib, "out": args.out,
-        **config.to_json()})
-    report = Report(command="calibrate", config=run.to_json(),
+    report = Report(command="calibrate",
+                    config={"command": "calibrate", "model": args.model,
+                            "calib": args.calib, "out": args.out,
+                            **config.to_json()},
                     fp_loss=result.fp_loss,
                     fp_block_inputs=result.fp_block_inputs,
                     softmax_max=result.softmax_max,
@@ -209,9 +197,11 @@ def cmd_eval(args) -> int:
                      "dynamic_softmax": result.config.dynamic_softmax,
                      **m.to_json()})
     out = _outdir(args.out)
-    run = RunConfig("eval", {"model": args.model, "eval": args.eval,
-                             "result": list(args.result), "out": args.out})
-    report = Report(command="eval", config=run.to_json(), metrics=rows,
+    report = Report(command="eval",
+                    config={"command": "eval", "model": args.model,
+                            "eval": args.eval, "result": list(args.result),
+                            "out": args.out},
+                    metrics=rows,
                     wall_clock_seconds=time.perf_counter() - started)
     write_report(report, out / "report.json")
     for row in rows:
@@ -253,9 +243,9 @@ def cmd_compare_softmax(args) -> int:
             "compare-softmax needs --synthetic or both --model and --eval")
     rows = compare_softmax_quantizers(scores, args.bits)
     out = _outdir(args.out)
-    run = RunConfig("compare-softmax",
-                    {"bits": args.bits, "out": args.out, **source})
-    report = Report(command="compare-softmax", config=run.to_json(),
+    report = Report(command="compare-softmax",
+                    config={"command": "compare-softmax", "bits": args.bits,
+                            "out": args.out, **source},
                     metrics=[r.to_json() for r in rows],
                     wall_clock_seconds=time.perf_counter() - started)
     write_report(report, out / "report.json")
@@ -276,6 +266,8 @@ def cmd_inspect(args) -> int:
         summary = _inspect_container(path)
     else:
         payload = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(payload, dict):
+            raise FormatError(f"{path}: top level is not a JSON object")
         summary = _inspect_json(payload)
     print(json.dumps(summary, sort_keys=True, indent=2))
     return 0
@@ -324,7 +316,7 @@ def main(argv=None) -> int:
     except BBCQError as exc:
         print(f"error:{exc.category}: {exc}", file=sys.stderr)
         return 1
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error:format: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -3,16 +3,15 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .calibration import CalibResult, bottom_threshold
 from .errors import ContractError, DimensionError, ParameterError
 from .model import Model, forward
-from .quantizers import (CodeTensor, fake_quant_array, mpq_code_values,
-                         mpq_dequant_values, quantize, softmax_site_params)
-from .tensor import Tensor, cross_entropy, require_finite
+from .quantizers import SCHEME_TABLE, CodeTensor, softmax_site_params
+from .tensor import Tensor, cross_entropy, require_finite, softmax
 
 COMPARE_SCHEMES = ("uniform", "log2", "twin", "mpq")
 
@@ -55,23 +54,7 @@ class QuantReportRow:
                 f"rate {self.argmax_preservation_rate} outside [0, 1]")
 
     def to_json(self) -> dict:
-        return {
-            "site_id": self.site_id,
-            "scheme": self.scheme,
-            "bits": self.bits,
-            "entropy_bits": self.entropy_bits,
-            "mean_abs_error": self.mean_abs_error,
-            "max_abs_error": self.max_abs_error,
-            "argmax_preservation_rate": self.argmax_preservation_rate,
-            "max_value_error": self.max_value_error,
-            "top_exact": self.top_exact,
-        }
-
-
-def _stable_softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+        return asdict(self)
 
 
 def compare_softmax_quantizers(scores, bits: int,
@@ -85,28 +68,23 @@ def compare_softmax_quantizers(scores, bits: int,
     representable. ``max_value_error`` is the worst dequantization error at
     any row's argmax position.
     """
-    arr = scores.data if isinstance(scores, Tensor) else \
-        np.asarray(scores, dtype=np.float64)
-    if arr.ndim < 2:
-        raise DimensionError(f"scores must be at least 2-d, got shape {arr.shape}")
-    probs = _stable_softmax(arr).reshape(-1, arr.shape[-1])
+    probs = softmax(scores, axis=-1).data
+    if probs.ndim < 2:
+        raise DimensionError(f"scores must be at least 2-d, got shape {probs.shape}")
+    probs = probs.reshape(-1, probs.shape[-1])
     static_max = float(probs.max())
     static_min = float(probs.min())
+    row_max = probs.max(axis=1, keepdims=True)
     row_idx = np.arange(probs.shape[0])
     fp_argmax = probs.argmax(axis=1)
 
     rows = []
     for scheme in COMPARE_SCHEMES:
-        if scheme == "mpq":
-            row_max = probs.max(axis=1, keepdims=True)
-            code_values = mpq_code_values(probs, bits, row_max)
-            deq = mpq_dequant_values(code_values, bits, row_max)
-            params = softmax_site_params("mpq", bits, static_max)
-            ct = CodeTensor(probs.shape, code_values, params)
-        else:
-            params = softmax_site_params(scheme, bits, static_max, static_min)
-            ct = quantize(probs, params)
-            deq = fake_quant_array(probs, params)
+        entry = SCHEME_TABLE[scheme]
+        params = softmax_site_params(scheme, bits, static_max, static_min)
+        anchor = entry.anchor(bits, row_max, 0.0) if scheme == "mpq" else params
+        codes = entry.encode(probs, anchor)
+        deq = entry.decode(codes, anchor)
         abs_err = np.abs(deq - probs)
         at_max = np.abs(deq[row_idx, fp_argmax] - probs[row_idx, fp_argmax])
         max_value_error = float(at_max.max())
@@ -114,7 +92,7 @@ def compare_softmax_quantizers(scores, bits: int,
             site_id=site_id,
             scheme=scheme,
             bits=bits,
-            entropy_bits=code_entropy(ct),
+            entropy_bits=code_entropy(CodeTensor(probs.shape, codes, params)),
             mean_abs_error=float(abs_err.mean()),
             max_abs_error=float(abs_err.max()),
             argmax_preservation_rate=float(
@@ -132,11 +110,7 @@ class EvalMetrics:
     mean_loss: float
 
     def to_json(self) -> dict:
-        return {
-            "top1_accuracy": self.top1_accuracy,
-            "fp_agreement": self.fp_agreement,
-            "mean_loss": self.mean_loss,
-        }
+        return asdict(self)
 
 
 def evaluate(model: Model, result: CalibResult | None, inputs,

@@ -17,7 +17,7 @@ calibration reads operand ranges and per-matmul outputs through it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -92,6 +92,53 @@ class MatmulSite:
         raise ParameterError(f"bad site id {site_id!r}")
 
 
+#: JSON value types each field annotation admits; bool is never a number.
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,),
+               "str": (str,), "dict": (dict,)}
+
+
+def json_value(value, annotation: str, what: str):
+    """``value`` checked against a field annotation such as ``"int"``,
+    ``"float | None"`` or ``"list[list[float]]"``.
+
+    Types must match exactly: an int field takes no bool or fraction, a
+    float field no string, a bool field only true/false. An int is widened
+    for a float field. Anything else raises ParameterError.
+    """
+    base, _, optional = annotation.partition(" | ")
+    if value is None and optional == "None":
+        return None
+    if base.startswith("list["):
+        if not isinstance(value, list):
+            raise ParameterError(f"{what} must be a list, got {value!r}")
+        return [json_value(v, base[5:-1], f"{what}[{i}]")
+                for i, v in enumerate(value)]
+    if isinstance(value, bool) != (base == "bool") or \
+            not isinstance(value, _JSON_TYPES[base]):
+        raise ParameterError(f"{what} must be {annotation}, got {value!r}")
+    if base == "float" and isinstance(value, int):
+        return float(value)
+    return value
+
+
+def record_fields(cls, payload, what: str):
+    """An instance of dataclass ``cls`` read from a JSON object.
+
+    Every field of ``cls`` must be present with its annotated type (see
+    ``json_value``); other keys are ignored. Raises ParameterError.
+    """
+    if not isinstance(payload, Mapping):
+        raise ParameterError(
+            f"{what} must be a JSON object, got {type(payload).__name__}")
+    values = {}
+    for f in fields(cls):
+        if f.name not in payload:
+            raise ParameterError(f"{what} is missing field {f.name!r}")
+        values[f.name] = json_value(payload[f.name], f.type,
+                                    f"{what} field {f.name!r}")
+    return cls(**values)
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     num_blocks: int
@@ -130,28 +177,11 @@ class ModelSpec:
         return int(round(self.embed_dim * self.mlp_ratio))
 
     def to_json(self) -> dict:
-        return {
-            "num_blocks": self.num_blocks,
-            "embed_dim": self.embed_dim,
-            "num_heads": self.num_heads,
-            "patch_count": self.patch_count,
-            "num_classes": self.num_classes,
-            "mlp_ratio": self.mlp_ratio,
-            "init_seed": self.init_seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, payload: Mapping) -> "ModelSpec":
-        try:
-            return cls(num_blocks=int(payload["num_blocks"]),
-                       embed_dim=int(payload["embed_dim"]),
-                       num_heads=int(payload["num_heads"]),
-                       patch_count=int(payload["patch_count"]),
-                       num_classes=int(payload["num_classes"]),
-                       mlp_ratio=float(payload["mlp_ratio"]),
-                       init_seed=int(payload["init_seed"]))
-        except KeyError as missing:
-            raise ParameterError(f"model spec is missing field {missing}") from None
+        return record_fields(cls, payload, "model spec")
 
 
 @dataclass
@@ -197,23 +227,6 @@ class Model:
             ])
         out.append(("head.weight", self.head_w))
         return out
-
-    def weight_operand_values(self, site: MatmulSite) -> list[np.ndarray]:
-        """The parameter arrays a weight-side site quantizes."""
-        if not site.is_weight_operand:
-            raise ContractError(f"{site.site_id} is not a weight operand")
-        if site.kind == "embed":
-            return [self.embed_w]
-        if site.kind == "head":
-            return [self.head_w]
-        blk = self.blocks[site.block]
-        if site.kind == "qkv-projection":
-            return [blk.w_q, blk.w_k, blk.w_v]
-        if site.kind == "out-projection":
-            return [blk.w_o]
-        if site.kind == "mlp-1":
-            return [blk.w1]
-        return [blk.w2]
 
 
 def parameter_shapes(spec: ModelSpec) -> list[tuple[str, tuple[int, ...]]]:

@@ -109,12 +109,6 @@ class CodeTensor:
         return self.codes.size
 
 
-def _input_array(x) -> np.ndarray:
-    if isinstance(x, Tensor):
-        return x.data
-    return np.asarray(x, dtype=np.float64)
-
-
 # ---------------------------------------------------------------------------
 # kernels (array in / array out, broadcast-friendly so the dynamic softmax
 # path can pass per-row anchors)
@@ -270,7 +264,7 @@ def _scheme(name: str) -> Scheme:
 
 def quantize(x, params: QuantParams) -> CodeTensor:
     """Integer codes of ``x`` under ``params``."""
-    arr = _input_array(x)
+    arr = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
     codes = SCHEME_TABLE[params.scheme].encode(arr, params)
     return CodeTensor(arr.shape, codes, params)
 
@@ -297,20 +291,6 @@ def fake_quant_softmax_dynamic(s: np.ndarray, scheme: str, bits: int) -> np.ndar
     rows = entry.anchor(bits, s.max(axis=-1, keepdims=True),
                         s.min(axis=-1, keepdims=True))
     return entry.decode(entry.encode(s, rows), rows)
-
-
-def calibrate_softmax_max(outputs) -> float:
-    """Largest softmax value observed across the given batch(es)."""
-    if isinstance(outputs, (Tensor, np.ndarray)):
-        outputs = [outputs]
-    arrays = [_input_array(o) for o in outputs]
-    if not arrays or all(a.size == 0 for a in arrays):
-        raise ContractError("calibrate_softmax_max needs at least one value")
-    observed = max(float(a.max()) for a in arrays if a.size)
-    if observed <= EPSILON:
-        raise DegenerateScaleError(
-            f"calibrated max {observed} is below the {EPSILON} floor")
-    return observed
 
 
 def minmax_affine_params(values: np.ndarray, bits: int) -> QuantParams:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 
 from . import __version__
@@ -37,18 +37,7 @@ class Report:
     tool_version: str = field(default=__version__)
 
     def to_json(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "tool_version": self.tool_version,
-            "command": self.command,
-            "config": self.config,
-            "fp_loss": self.fp_loss,
-            "fp_block_inputs": self.fp_block_inputs,
-            "softmax_max": self.softmax_max,
-            "sites": self.sites,
-            "metrics": self.metrics,
-            "wall_clock_seconds": self.wall_clock_seconds,
-        }
+        return {"schema_version": SCHEMA_VERSION, **asdict(self)}
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
@@ -60,32 +49,17 @@ def write_report(report: Report, path) -> None:
 
 
 def site_summaries(result: CalibResult) -> list[dict]:
-    """Per-site rows for a calibration report: params plus a trace digest."""
-    rows = []
-    for site in result.sites():
-        params = result.params[site]
-        trace = result.traces.get(site, [])
-        chosen = result.chosen_index.get(site)
+    """Per-site rows for a calibration report: the result's site rows with
+    the trace replaced by its digest and the chosen candidate's metric."""
+    rows = result.site_rows()
+    for row in rows:
+        trace = row.pop("trace")
+        row["trace_digest"] = row["chosen_metric"] = None
         if trace:
             digest = hashlib.sha256(
                 json.dumps(trace, sort_keys=True).encode("utf-8")).hexdigest()
-            trace_digest = {"rounds": len(trace), "candidates": len(trace[-1]),
-                            "sha256": digest}
-            chosen_metric = trace[-1][chosen]
-        else:
-            trace_digest = None
-            chosen_metric = None
-        rows.append({
-            "site_id": site.site_id,
-            "scheme": params.scheme,
-            "bits": params.bits,
-            "scale": params.scale,
-            "zero_point": params.zero_point,
-            "calibrated_max": params.calibrated_max,
-            "threshold": params.threshold,
-            "searched": bool(trace),
-            "chosen_index": chosen,
-            "chosen_metric": chosen_metric,
-            "trace_digest": trace_digest,
-        })
+            row["trace_digest"] = {"rounds": len(trace),
+                                   "candidates": len(trace[-1]),
+                                   "sha256": digest}
+            row["chosen_metric"] = trace[-1][row["chosen_index"]]
     return rows

@@ -7,11 +7,15 @@ since both sides mirror the same documented arithmetic.
 
 from __future__ import annotations
 
+import json
 import math
 import threading
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bbcq.calibration import (CalibConfig, CalibInstrumentation, CalibResult,
                               PROFILE_RANGES, bbc_metric, bottom_mask,
@@ -22,8 +26,9 @@ from bbcq.data import generate_dataset
 from bbcq.errors import (ConfigError, DegenerateRangeError, DimensionError,
                          NonFiniteError, ParameterError)
 from bbcq.model import (BLOCK_KINDS, MatmulSite, ModelSpec, forward,
-                        forward_from, init_model)
-from bbcq.quantizers import EPSILON, QuantParams, minmax_affine_params
+                        forward_from, init_model, record_fields)
+from bbcq.quantizers import (EPSILON, SCHEMES, QuantParams,
+                             minmax_affine_params, softmax_site_params)
 from bbcq.tensor import Tape, Tensor, add, cross_entropy
 
 from _oracles import naive_bbc_metric, oracle_calibrate
@@ -240,6 +245,85 @@ def test_config_json_round_trip():
     cfg = CalibConfig(w_bits=4, a_bits=6, gamma=25.0, rounds=2,
                       softmax_quantizer="log2", blocks_as_layers=True)
     assert CalibConfig.from_json(cfg.to_json()) == cfg
+
+
+@pytest.mark.parametrize("field,value", [
+    ("dynamic_softmax", "false"), ("w_bits", 4.7), ("rounds", True),
+])
+def test_config_from_json_rejects_wrong_types(field, value):
+    payload = {**CalibConfig().to_json(), field: value}
+    with pytest.raises(ParameterError, match=field):
+        CalibConfig.from_json(payload)
+
+
+def test_config_from_json_widens_int_to_float():
+    cfg = CalibConfig.from_json({**CalibConfig().to_json(), "gamma": 25})
+    assert type(cfg.gamma) is float and cfg.gamma == 25.0
+
+
+def test_config_from_json_reports_missing_field():
+    payload = CalibConfig().to_json()
+    del payload["gamma"]
+    with pytest.raises(ParameterError,
+                       match="calib config is missing field 'gamma'"):
+        CalibConfig.from_json(payload)
+
+
+#: One JSON value of each type, for swapping into a record field.
+JSON_SAMPLES = [True, 3, 2.5, "3", None, [3], {"v": 3}]
+
+
+def _json_type_fits(annotation: str, value) -> bool:
+    base, _, optional = annotation.partition(" | ")
+    if value is None:
+        return optional == "None"
+    return {"int": type(value) is int, "float": type(value) in (int, float),
+            "bool": type(value) is bool, "str": type(value) is str}[base]
+
+
+@st.composite
+def json_records(draw):
+    """A valid CalibConfig, ModelSpec or QuantParams."""
+    kind = draw(st.sampled_from(["config", "spec", "params"]))
+    if kind == "config":
+        alpha = draw(st.floats(0.0, 1.0))
+        return CalibConfig(
+            w_bits=draw(st.integers(2, 8)), a_bits=draw(st.integers(2, 8)),
+            gamma=draw(st.floats(0.0, 100.0)), alpha=alpha,
+            beta=alpha + draw(st.floats(0.01, 2.0)),
+            num_candidates=draw(st.integers(2, 200)),
+            rounds=draw(st.integers(1, 5)),
+            softmax_quantizer=draw(st.sampled_from(SCHEMES)),
+            dynamic_softmax=draw(st.booleans()),
+            calib_batch=draw(st.integers(1, 64)),
+            blocks_as_layers=draw(st.booleans()),
+            profile=draw(st.sampled_from(["classification", "detection"])))
+    if kind == "spec":
+        heads = draw(st.integers(1, 4))
+        return ModelSpec(
+            num_blocks=draw(st.integers(1, 4)),
+            embed_dim=heads * draw(st.integers(1, 8)), num_heads=heads,
+            patch_count=draw(st.integers(1, 16)),
+            num_classes=draw(st.integers(2, 10)),
+            mlp_ratio=draw(st.floats(1.0, 8.0)),
+            init_seed=draw(st.integers(0, 2**32)))
+    return softmax_site_params(draw(st.sampled_from(SCHEMES)),
+                               draw(st.integers(2, 8)),
+                               draw(st.floats(0.01, 1.0)),
+                               draw(st.floats(-1.0, 0.0)))
+
+
+@given(json_records(), st.data())
+@settings(max_examples=60)
+def test_record_json_round_trip_and_exact_types(record, data):
+    cls = type(record)
+    payload = json.loads(json.dumps(asdict(record)))
+    assert record_fields(cls, payload, "record") == record
+    field = data.draw(st.sampled_from(fields(cls)))
+    wrong = data.draw(st.sampled_from(
+        [v for v in JSON_SAMPLES if not _json_type_fits(field.type, v)]))
+    with pytest.raises(ParameterError):
+        record_fields(cls, {**payload, field.name: wrong}, "record")
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import struct
 
 import jsonschema
 import numpy as np
@@ -260,6 +261,44 @@ def test_eval_result_with_string_scale_is_parameter_error(tmp_path, capsys):
     assert err.startswith("error:parameter: ")
 
 
+def _quote_dynamic_softmax(payload):
+    payload["config"]["dynamic_softmax"] = "false"
+
+
+def _set_fractional_chosen_index(payload):
+    searched = next(e for e in payload["sites"] if e["searched"])
+    searched["chosen_index"] = 3.9
+
+
+@pytest.mark.parametrize("edit", [_quote_dynamic_softmax,
+                                  _set_fractional_chosen_index])
+def test_eval_result_with_wrong_json_type_is_parameter_error(tmp_path, capsys,
+                                                             edit):
+    rc, err = _eval_with_edited_result(tmp_path, capsys, edit)
+    assert rc == 1
+    assert "\n" not in err and ERROR_LINE.match(err)
+    assert err.startswith("error:parameter: ")
+
+
+def test_eval_model_with_fractional_spec_field_is_parameter_error(tmp_path,
+                                                                  capsys):
+    data = _gen(tmp_path)
+    blob = (data / "model.bbcv").read_bytes()
+    (manifest_len,) = struct.unpack_from("<Q", blob, 8)
+    manifest = json.loads(blob[16:16 + manifest_len])
+    manifest["spec"]["num_blocks"] += 0.7
+    raw = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    bad = tmp_path / "bad.bbcv"
+    bad.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw
+                    + blob[16 + manifest_len:])
+    capsys.readouterr()
+    rc = main(["eval", "--model", str(bad), "--eval", str(data / "eval.bbcv"),
+               "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.strip()
+    assert rc == 1
+    assert "\n" not in err and err.startswith("error:parameter: ")
+
+
 # ---------------------------------------------------------------------------
 # compare-softmax
 
@@ -377,6 +416,16 @@ def test_inspect_unknown_json(tmp_path, capsys):
     assert main(["inspect", str(path)]) == 0
     info = json.loads(capsys.readouterr().out)
     assert info == {"kind": "unknown-json", "top_level_keys": ["a", "b"]}
+
+
+@pytest.mark.parametrize("content", [b"[1, 2]", b'{"a": "\xff"}'])
+def test_inspect_non_object_or_non_utf8_json_is_format_error(tmp_path, capsys,
+                                                              content):
+    path = tmp_path / "odd.json"
+    path.write_bytes(content)
+    assert main(["inspect", str(path)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err and err.startswith("error:format: ")
 
 
 def test_inspect_missing_file(tmp_path, capsys):

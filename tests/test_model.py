@@ -116,14 +116,6 @@ def test_xavier_bounds(tiny_spec):
     np.testing.assert_array_equal(model.blocks[0].b2, np.zeros(d))
 
 
-def test_weight_operand_values(tiny_model):
-    qkv = tiny_model.weight_operand_values(MatmulSite("qkv-projection", "B", 0))
-    assert len(qkv) == 3
-    assert qkv[0] is tiny_model.blocks[0].w_q
-    with pytest.raises(ContractError):
-        tiny_model.weight_operand_values(MatmulSite("attn-score", "B", 0))
-
-
 # ---------------------------------------------------------------------------
 # forward semantics
 

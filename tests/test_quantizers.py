@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from bbcq.errors import (ContractError, DegenerateScaleError, DimensionError,
                          ParameterError)
-from bbcq.quantizers import (EPSILON, CodeTensor, QuantParams,
-                             calibrate_softmax_max, dequantize,
+from bbcq.quantizers import (EPSILON, CodeTensor, QuantParams, dequantize,
                              fake_quant_array, fake_quant_softmax_dynamic,
                              minmax_affine_params, quantize, round_half_away,
                              softmax_site_params)
@@ -353,35 +352,6 @@ def test_dynamic_rejects_unknown_scheme():
 
 # ---------------------------------------------------------------------------
 # calibration statistics helpers
-
-
-def test_calibrate_softmax_max_idempotent():
-    batch = np.array([[0.5, 0.3, 0.2]])
-    assert calibrate_softmax_max([batch, batch]) == calibrate_softmax_max(batch)
-
-
-def test_calibrate_softmax_max_concat_equivalence(rng):
-    a = rng.uniform(0.01, 0.6, size=(4, 5))
-    b = rng.uniform(0.01, 0.9, size=(3, 5))
-    assert calibrate_softmax_max([a, b]) == \
-        calibrate_softmax_max(np.concatenate([a.ravel(), b.ravel()]))
-
-
-def test_calibrate_softmax_max_one_hot():
-    row = np.array([0.999999, 1e-6, 0.0])
-    assert calibrate_softmax_max(row) == pytest.approx(1.0, abs=1e-5)
-
-
-def test_calibrate_softmax_max_empty():
-    with pytest.raises(ContractError):
-        calibrate_softmax_max([])
-    with pytest.raises(ContractError):
-        calibrate_softmax_max(np.empty((0,)))
-
-
-def test_calibrate_softmax_max_degenerate():
-    with pytest.raises(DegenerateScaleError):
-        calibrate_softmax_max(np.zeros(3))
 
 
 def test_minmax_affine_params_floor():
