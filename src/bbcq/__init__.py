@@ -22,8 +22,9 @@ from .errors import (BBCQError, ConfigError, ContractError,
                      VersionError)
 from .metrics import (ErrorStats, EvalMetrics, QuantReportRow, code_entropy,
                       compare_softmax_quantizers, error_stats, evaluate)
-from .model import (MatmulSite, Model, ModelSpec, block_forward,
-                    enumerate_sites, forward, forward_from, init_model)
+from .model import (BlockCarry, MatmulSite, Model, ModelSpec, block_carry,
+                    block_forward, enumerate_sites, forward, forward_from,
+                    init_model)
 from .quantizers import (CodeTensor, QuantParams, dequantize,
                          fake_quant_array, quantize, round_half_away)
 from .serialize import (load_dataset, load_model, save_dataset, save_model,
@@ -42,9 +43,10 @@ __all__ = [
     "CodeTensor", "QuantParams", "dequantize", "fake_quant_array",
     "quantize", "round_half_away",
     # model + serialization
-    "MatmulSite", "Model", "ModelSpec", "block_forward", "enumerate_sites",
-    "forward", "forward_from", "init_model", "load_dataset", "load_model",
-    "save_dataset", "save_model", "serialize_dataset", "serialize_model",
+    "BlockCarry", "MatmulSite", "Model", "ModelSpec", "block_carry",
+    "block_forward", "enumerate_sites", "forward", "forward_from",
+    "init_model", "load_dataset", "load_model", "save_dataset", "save_model",
+    "serialize_dataset", "serialize_model",
     # calibration
     "BlockCache", "CalibConfig", "CalibInstrumentation", "CalibResult",
     "bbc_metric", "bottom_mask", "bottom_threshold", "cache_fp_pass",

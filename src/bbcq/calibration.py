@@ -6,9 +6,11 @@ loss gradient at the output (whose elementwise square is the diagonal
 second-order sensitivity). Scale candidates for every matmul operand are then
 scored by re-forwarding just the owning block from its cached input and
 measuring the sensitivity-weighted squared output drift, with the smallest
-error magnitudes masked out ("bottom elimination"). Sites are visited in
-reverse execution order per block and each layer's activation/weight pair is
-alternated for a fixed number of rounds.
+error magnitudes masked out ("bottom elimination"). The stages before the
+searched matmul are shared by all candidates of a site, so each candidate
+resumes from a carry at that matmul. Sites are visited in reverse execution
+order per block and each layer's activation/weight pair is alternated for a
+fixed number of rounds.
 
 ``blocks_as_layers=True`` degrades the unit of caching/scoring from a whole
 block to one matmul, which is the plain layerwise Hessian baseline.
@@ -27,8 +29,8 @@ import numpy as np
 
 from .errors import (ConfigError, ContractError, DegenerateRangeError,
                      DimensionError, ParameterError)
-from .model import (BLOCK_KINDS, MatmulSite, Model, block_forward, forward,
-                    json_value, record_fields)
+from .model import (BLOCK_KINDS, BlockCarry, MatmulSite, Model, block_carry,
+                    block_forward, forward, json_value, record_fields)
 from .quantizers import (EPSILON, SCHEMES, QuantParams, minmax_affine_params,
                          round_half_away, softmax_site_params)
 from .tensor import Tape, Tensor, cross_entropy, require_finite
@@ -300,18 +302,25 @@ def cache_fp_pass(model: Model, inputs, labels, *, blocks_as_layers: bool = Fals
 
 def _unit_metric(model: Model, cache: BlockCache,
                  quant: Mapping[MatmulSite, QuantParams],
-                 gamma: float, dynamic_softmax: bool) -> float:
-    """Masked sensitivity metric of one unit under a trial quant state."""
+                 gamma: float, dynamic_softmax: bool,
+                 start: Tensor | BlockCarry) -> float:
+    """Masked sensitivity metric of one unit under a trial quant state.
+
+    The block runs from ``start``: its cached input or a carry (see
+    ``search_site``). A layerwise unit stops right after its own matmul.
+    """
     trial_outputs: list[np.ndarray] = []
 
     def hook(kind, block, a, b, out):
         if kind == cache.kind:
             trial_outputs.append(out.data)
 
-    out = block_forward(model, cache.block, Tensor(cache.block_input), quant,
-                        dynamic_softmax, None if cache.kind == "block" else hook)
     if cache.kind == "block":
-        trial_outputs.append(out.data)
+        trial_outputs.append(block_forward(model, cache.block, start, quant,
+                                           dynamic_softmax).data)
+    else:
+        block_forward(model, cache.block, start, quant, dynamic_softmax, hook,
+                      stop=cache.kind)
     total = 0.0
     for produced, reference, g in zip(trial_outputs, cache.outputs, cache.grads,
                                       strict=True):
@@ -327,16 +336,21 @@ def search_site(model: Model, site: MatmulSite, candidates: list[QuantParams],
     """Score every candidate for one site and pick the argmin.
 
     Each candidate is evaluated with all other sites frozen at ``state``
-    (searched sites quantized, unsearched ones full precision) and the block
-    re-forwarded from its cached FP input. Ties break to the lowest index;
-    candidate evaluations are pure, so the optional executor only changes
-    wall-clock, never the result.
+    (searched sites quantized, unsearched ones full precision). The block
+    is advanced once from its cached FP input to the site's matmul, with
+    the other operand of that matmul fake-quantized once; every candidate
+    resumes from there. Ties break to the lowest index; candidate
+    evaluations are pure, so the optional executor only changes wall-clock,
+    never the result.
     """
+    start = block_carry(model, cache.block, Tensor(cache.block_input), site,
+                        state, config.dynamic_softmax)
+
     def metric_for(params: QuantParams) -> float:
         trial = dict(state)
         trial[site] = params
         return _unit_metric(model, cache, trial, config.gamma,
-                            config.dynamic_softmax)
+                            config.dynamic_softmax, start)
 
     if executor is None:
         trace = [metric_for(params) for params in candidates]
@@ -562,5 +576,6 @@ def total_blockwise_metric(model: Model, inputs, labels,
     fp = cache_fp_pass(model, inputs, labels)
     total = 0.0
     for cache in fp.caches:
-        total += _unit_metric(model, cache, assignment, gamma, dynamic_softmax)
+        total += _unit_metric(model, cache, assignment, gamma, dynamic_softmax,
+                              Tensor(cache.block_input))
     return total

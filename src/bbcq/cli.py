@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calibration import (PROFILE_RANGES, PROFILES, CalibConfig, calibrate,
-                          load_result, save_result)
+from .calibration import (PROFILE_RANGES, PROFILES, CalibConfig, CalibResult,
+                          calibrate, load_result, save_result)
 from .data import SYNTHETIC_KINDS, generate_dataset, synthetic_scores
 from .errors import BBCQError, ConfigError, FormatError
 from .metrics import compare_softmax_quantizers, evaluate
@@ -294,13 +294,17 @@ def _inspect_container(path: Path) -> dict:
 
 def _inspect_json(payload: dict) -> dict:
     if payload.get("kind") == "calib-result":
-        sites = payload.get("sites", [])
+        result = CalibResult.from_json(payload)
         return {"kind": "calib-result",
-                "config": payload.get("config"),
-                "fp_loss": payload.get("fp_loss"),
-                "sites": len(sites),
-                "searched_sites": sum(1 for s in sites if s.get("searched"))}
+                "config": result.config.to_json(),
+                "fp_loss": result.fp_loss,
+                "sites": len(result.params),
+                "searched_sites": sum(1 for t in result.traces.values() if t)}
     if "schema_version" in payload and "command" in payload:
+        for key in ("sites", "metrics"):
+            if not isinstance(payload.get(key), (list, type(None))):
+                raise FormatError(f"report field {key!r} must be a list or null, "
+                                  f"got {type(payload[key]).__name__}")
         return {"kind": "report", "command": payload["command"],
                 "tool_version": payload.get("tool_version"),
                 "has_sites": payload.get("sites") is not None,

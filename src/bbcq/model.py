@@ -11,13 +11,15 @@ residual adds, and pooling always run in full precision.
 
 ``block_forward`` and ``forward`` take one optional ``hook``, called after
 every matmul with its kind, block, pre-quantization operands and output;
-calibration reads operand ranges and per-matmul outputs through it.
+calibration reads operand ranges and per-matmul outputs through it. A block
+runs as six matmul stages over a ``BlockCarry``, so calibration can advance
+a block to one matmul once and resume every candidate from there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -164,9 +166,15 @@ class ModelSpec:
             raise ParameterError(f"num_classes must be >= 2, got {self.num_classes}")
         if not (self.mlp_ratio > 0 and math.isfinite(self.mlp_ratio)):
             raise ParameterError(f"mlp_ratio must be positive, got {self.mlp_ratio}")
-        if self.hidden_dim < 1:
+        try:
+            hidden = self.hidden_dim
+        except OverflowError:
             raise ParameterError(
-                f"mlp hidden dim rounds to {self.hidden_dim}; increase mlp_ratio")
+                f"mlp hidden dim embed_dim * mlp_ratio overflows "
+                f"(mlp_ratio {self.mlp_ratio})") from None
+        if hidden < 1:
+            raise ParameterError(
+                f"mlp hidden dim rounds to {hidden}; increase mlp_ratio")
 
     @property
     def head_dim(self) -> int:
@@ -314,6 +322,30 @@ class ForwardResult:
 MatmulHook = Callable[[str, "int | None", np.ndarray, np.ndarray, Tensor], None]
 
 
+@dataclass(frozen=True)
+class BlockCarry:
+    """A block forward paused in front of one of its six matmuls.
+
+    ``kind`` names the matmul that runs next. ``residual`` is the input of
+    the next residual add: the block input up to out-projection, then the
+    attention output ``h1``. ``a`` and ``b`` are the operands of the next
+    matmul before fake quantization (``b`` is ``w_q``, ``w_k`` and ``w_v``
+    for qkv-projection); ``vh`` carries the value heads from qkv-projection
+    to attn-apply. Layernorm, softmax and GeLU have already run. When set,
+    ``a_quant`` or ``b_quant`` is the operand already fake-quantized, and a
+    resumed forward uses it as is. A carry is never mutated, so threads may
+    resume from the same carry at once.
+    """
+
+    kind: str
+    residual: Tensor
+    a: Tensor
+    b: tuple[Tensor, ...]
+    vh: Tensor | None = None
+    a_quant: Tensor | None = None
+    b_quant: tuple[Tensor, ...] | None = None
+
+
 def _apply_site(x: Tensor, site: MatmulSite,
                 quant: Mapping[MatmulSite, QuantParams] | None,
                 dynamic: bool = False) -> Tensor:
@@ -329,11 +361,88 @@ def _apply_site(x: Tensor, site: MatmulSite,
     return x
 
 
-def block_forward(model: Model, block: int, x: Tensor,
+def _quant_a(carry: BlockCarry, block: int, quant, dynamic_softmax: bool) -> Tensor:
+    if carry.a_quant is not None:
+        return carry.a_quant
+    return _apply_site(carry.a, MatmulSite(carry.kind, "A", block), quant,
+                       dynamic_softmax and carry.kind == SOFTMAX_KIND)
+
+
+def _quant_b(carry: BlockCarry, block: int, quant) -> tuple[Tensor, ...]:
+    if carry.b_quant is not None:
+        return carry.b_quant
+    site = MatmulSite(carry.kind, "B", block)
+    return tuple(_apply_site(b, site, quant) for b in carry.b)
+
+
+def _run_stages(model: Model, block: int, carry: BlockCarry,
+                quant: Mapping[MatmulSite, QuantParams] | None,
+                dynamic_softmax: bool, hook: MatmulHook | None,
+                end: str | None, stop: str | None) -> BlockCarry | Tensor | None:
+    """Run ``carry`` on: pause in front of matmul ``end``, return None right
+    after the hook of matmul ``stop``, or return the block output."""
+    spec = model.spec
+    p = model.blocks[block]
+    batch, n, d = carry.residual.shape
+    inv_sqrt_d = 1.0 / math.sqrt(spec.head_dim)
+
+    def split_heads(t: Tensor) -> Tensor:
+        return transpose(reshape(t, (batch, n, spec.num_heads, spec.head_dim)),
+                         (0, 2, 1, 3))
+
+    while carry.kind != end:
+        kind = carry.kind
+        # One fake-quant of operand A feeds all three q/k/v projections.
+        aq = _quant_a(carry, block, quant, dynamic_softmax)
+        outs = []
+        for b, bq in zip(carry.b, _quant_b(carry, block, quant)):
+            out = matmul(aq, bq)
+            if kind == "attn-score":
+                out = mul(out, inv_sqrt_d)
+            if hook is not None:
+                hook(kind, block, carry.a.data, b.data, out)
+            outs.append(out)
+        if kind == stop:
+            return None
+        res = carry.residual
+        if kind == "qkv-projection":
+            q, k, v = outs
+            carry = BlockCarry("attn-score", res, split_heads(q),
+                               (transpose(split_heads(k), (0, 1, 3, 2)),),
+                               vh=split_heads(v))
+        elif kind == "attn-score":
+            carry = BlockCarry("attn-apply", res, softmax(outs[0], axis=-1),
+                               (carry.vh,))
+        elif kind == "attn-apply":
+            merged = reshape(transpose(outs[0], (0, 2, 1, 3)), (batch, n, d))
+            carry = BlockCarry("out-projection", res, merged, (Tensor(p.w_o),))
+        elif kind == "out-projection":
+            h1 = add(res, outs[0])
+            h2 = layernorm(h1, Tensor(p.ln2_gamma), Tensor(p.ln2_beta))
+            carry = BlockCarry("mlp-1", h1, h2, (Tensor(p.w1),))
+        elif kind == "mlp-1":
+            carry = BlockCarry("mlp-2", res, gelu(add(outs[0], Tensor(p.b1))),
+                               (Tensor(p.w2),))
+        else:
+            return add(res, add(outs[0], Tensor(p.b2)))
+    return carry
+
+
+def _block_entry(model: Model, block: int, x: Tensor) -> BlockCarry:
+    """The carry in front of qkv-projection: ``x`` and its first layernorm."""
+    p = model.blocks[block]
+    return BlockCarry("qkv-projection", x,
+                      layernorm(x, Tensor(p.ln1_gamma), Tensor(p.ln1_beta)),
+                      (Tensor(p.w_q), Tensor(p.w_k), Tensor(p.w_v)))
+
+
+def block_forward(model: Model, block: int, x: Tensor | BlockCarry,
                   quant: Mapping[MatmulSite, QuantParams] | None = None,
                   dynamic_softmax: bool = False,
-                  hook: MatmulHook | None = None) -> Tensor:
-    """One transformer block. ``x`` is the (B, N, D) block input.
+                  hook: MatmulHook | None = None,
+                  stop: str | None = None) -> Tensor | None:
+    """One transformer block. ``x`` is the (B, N, D) block input, or a
+    ``BlockCarry`` to resume from (see ``block_carry``).
 
     ``hook(kind, block, a, b, out)`` is called once per matmul, right after
     it: ``a`` and ``b`` are the operand arrays before fake quantization and
@@ -341,46 +450,35 @@ def block_forward(model: Model, block: int, x: Tensor,
     includes the 1/sqrt(head_dim) scale). ``qkv-projection`` fires three
     times, for ``w_q``, ``w_k`` and ``w_v``. While a tape records, ``out`` is
     a tape node, so callers can read its gradient after ``backward``.
+
+    Returns the block output. With ``stop`` naming a matmul kind, the call
+    ends right after that matmul's hook calls and returns None.
     """
-    spec = model.spec
-    p = model.blocks[block]
-    batch, n, d = x.shape
-    heads, head_dim = spec.num_heads, spec.head_dim
-    inv_sqrt_d = 1.0 / math.sqrt(head_dim)
+    carry = x if isinstance(x, BlockCarry) else _block_entry(model, block, x)
+    if stop is not None and \
+            BLOCK_KINDS.index(stop) < BLOCK_KINDS.index(carry.kind):
+        raise ContractError(
+            f"cannot stop at {stop}: the carry resumes at {carry.kind}")
+    return _run_stages(model, block, carry, quant, dynamic_softmax, hook,
+                       None, stop)
 
-    def site_matmul(kind: str, a: Tensor, b: Tensor, a_quant: Tensor | None = None,
-                    dynamic: bool = False) -> Tensor:
-        if a_quant is None:
-            a_quant = _apply_site(a, MatmulSite(kind, "A", block), quant, dynamic)
-        out = matmul(a_quant, _apply_site(b, MatmulSite(kind, "B", block), quant))
-        if kind == "attn-score":
-            out = mul(out, inv_sqrt_d)
-        if hook is not None:
-            hook(kind, block, a.data, b.data, out)
-        return out
 
-    h = layernorm(x, Tensor(p.ln1_gamma), Tensor(p.ln1_beta))
-    # One fake-quant of the shared activation feeds all three projections.
-    hq = _apply_site(h, MatmulSite("qkv-projection", "A", block), quant)
-    q, k, v = (site_matmul("qkv-projection", h, Tensor(w), hq)
-               for w in (p.w_q, p.w_k, p.w_v))
+def block_carry(model: Model, block: int, x: Tensor, site: MatmulSite,
+                quant: Mapping[MatmulSite, QuantParams] | None = None,
+                dynamic_softmax: bool = False) -> BlockCarry:
+    """The carry in front of ``site``'s matmul, from block input ``x``.
 
-    def split_heads(t: Tensor) -> Tensor:
-        return transpose(reshape(t, (batch, n, heads, head_dim)), (0, 2, 1, 3))
-
-    qh = split_heads(q)
-    kt = transpose(split_heads(k), (0, 1, 3, 2))
-    vh = split_heads(v)
-    scores = site_matmul("attn-score", qh, kt)
-    attn = softmax(scores, axis=-1)
-    ctx = site_matmul("attn-apply", attn, vh, dynamic=dynamic_softmax)
-    merged = reshape(transpose(ctx, (0, 2, 1, 3)), (batch, n, d))
-    h1 = add(x, site_matmul("out-projection", merged, Tensor(p.w_o)))
-
-    h2 = layernorm(h1, Tensor(p.ln2_gamma), Tensor(p.ln2_beta))
-    m1 = add(site_matmul("mlp-1", h2, Tensor(p.w1)), Tensor(p.b1))
-    m2 = add(site_matmul("mlp-2", gelu(m1), Tensor(p.w2)), Tensor(p.b2))
-    return add(h1, m2)
+    Every stage before that matmul runs under ``quant``, and the operand
+    opposite ``site`` is fake-quantized under ``quant`` once, here. A forward
+    resumed from the carry under a state that differs from ``quant`` only
+    at ``site`` equals the full ``block_forward`` under that state, bit for
+    bit.
+    """
+    carry = _run_stages(model, block, _block_entry(model, block, x), quant,
+                        dynamic_softmax, None, site.kind, None)
+    if site.role == "A":
+        return replace(carry, b_quant=_quant_b(carry, block, quant))
+    return replace(carry, a_quant=_quant_a(carry, block, quant, dynamic_softmax))
 
 
 def forward(model: Model, x, quant: Mapping[MatmulSite, QuantParams] | None = None,

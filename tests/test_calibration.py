@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import threading
 from dataclasses import asdict, fields
 
@@ -25,8 +26,9 @@ from bbcq.calibration import (CalibConfig, CalibInstrumentation, CalibResult,
 from bbcq.data import generate_dataset
 from bbcq.errors import (ConfigError, DegenerateRangeError, DimensionError,
                          NonFiniteError, ParameterError)
-from bbcq.model import (BLOCK_KINDS, MatmulSite, ModelSpec, forward,
-                        forward_from, init_model, record_fields)
+from bbcq.model import (BLOCK_KINDS, MatmulSite, ModelSpec, block_forward,
+                        enumerate_sites, forward, forward_from, init_model,
+                        record_fields)
 from bbcq.quantizers import (EPSILON, SCHEMES, QuantParams,
                              minmax_affine_params, softmax_site_params)
 from bbcq.tensor import Tape, Tensor, add, cross_entropy
@@ -477,6 +479,106 @@ def test_search_site_leaves_state_untouched():
     assert frozen == before
 
 
+def _full_reforward_trace(model, site, candidates, state, cache, config):
+    """Every candidate scored by re-forwarding the whole block from the
+    cached FP input, with no carry: the path the staged search replaces."""
+    trace = []
+    for params in candidates:
+        trial = dict(state)
+        trial[site] = params
+        outputs = []
+
+        def hook(kind, block, a, b, out):
+            if kind == cache.kind:
+                outputs.append(out.data)
+
+        out = block_forward(model, cache.block, Tensor(cache.block_input), trial,
+                            config.dynamic_softmax,
+                            None if cache.kind == "block" else hook)
+        if cache.kind == "block":
+            outputs.append(out.data)
+        total = 0.0
+        for produced, reference, g in zip(outputs, cache.outputs, cache.grads,
+                                          strict=True):
+            total += bbc_metric(bottom_mask(produced - reference, config.gamma),
+                                g * g)
+        trace.append(total)
+    return trace
+
+
+def _every_site_state(model, fp, config):
+    """A quant state for every block site, each at a different grid point,
+    with the configured softmax quantizer on the post-softmax sites."""
+    state = {}
+    for i, site in enumerate(s for s in enumerate_sites(model.spec)
+                             if s.block is not None):
+        lo, hi = fp.ranges[site]
+        if site.is_softmax_output:
+            state[site] = softmax_site_params(config.softmax_quantizer,
+                                              config.a_bits, hi, lo)
+        else:
+            bits = config.w_bits if site.is_weight_operand else config.a_bits
+            grid = candidate_scales(lo, hi, bits, config.alpha, config.beta,
+                                    config.num_candidates)
+            state[site] = grid[i % len(grid)]
+    return state
+
+
+@pytest.mark.parametrize("blocks_as_layers", [False, True],
+                         ids=["blockwise", "layerwise"])
+@pytest.mark.parametrize("dynamic_softmax", [False, True],
+                         ids=["static", "dynamic"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_staged_search_matches_full_reforward(scheme, dynamic_softmax,
+                                              blocks_as_layers):
+    """search_site resumes each candidate from a carry at the searched
+    matmul; every trace equals a full block re-forward bit for bit, with
+    sites before and after the searched one frozen."""
+    model, x, y = _small_setup(num_blocks=2)
+    config = CalibConfig(w_bits=3, a_bits=4, gamma=10.0, num_candidates=4,
+                         rounds=1, softmax_quantizer=scheme,
+                         dynamic_softmax=dynamic_softmax,
+                         blocks_as_layers=blocks_as_layers)
+    fp = cache_fp_pass(model, x, y, blocks_as_layers=blocks_as_layers)
+    by_unit = {(c.block, c.kind): c for c in fp.caches}
+    state = _every_site_state(model, fp, config)
+    for site in state:
+        if site.is_softmax_output:
+            continue
+        cache = by_unit[(site.block,
+                         site.kind if blocks_as_layers else "block")]
+        bits = config.w_bits if site.is_weight_operand else config.a_bits
+        candidates = candidate_scales(*fp.ranges[site], bits, config.alpha,
+                                      config.beta, config.num_candidates)
+        _, chosen, trace = search_site(model, site, candidates, state, cache,
+                                       config)
+        want = _full_reforward_trace(model, site, candidates, state, cache,
+                                     config)
+        assert trace == want, site.site_id
+        assert chosen == int(np.argmin(want)), site.site_id
+
+
+def test_staged_search_with_earlier_sites_frozen():
+    """Searching mlp-1.B while only the qkv-projection sites (and the
+    softmax) are frozen: not the last-to-first order calibrate uses."""
+    model, x, y = _small_setup(num_blocks=2)
+    config = CalibConfig(w_bits=4, a_bits=4, num_candidates=6, rounds=1,
+                         dynamic_softmax=True)
+    fp = cache_fp_pass(model, x, y)
+    full = _every_site_state(model, fp, config)
+    state = {site: params for site, params in full.items()
+             if site.block == 1 and (site.kind == "qkv-projection"
+                                     or site.is_softmax_output)}
+    site = MatmulSite("mlp-1", "B", 1)
+    candidates = candidate_scales(*fp.ranges[site], 4, config.alpha,
+                                  config.beta, config.num_candidates)
+    _, _, trace = search_site(model, site, candidates, state, fp.caches[1],
+                              config)
+    assert trace == _full_reforward_trace(model, site, candidates, state,
+                                          fp.caches[1], config)
+    assert len(set(trace)) > 1
+
+
 # ---------------------------------------------------------------------------
 # calibrate: structure and bookkeeping
 
@@ -539,6 +641,28 @@ def test_calibrate_thread_count_does_not_change_result(monkeypatch):
     monkeypatch.setenv("BBCQ_THREADS", "3")
     threaded = calibrate(model, x, y, config)
     assert sequential.dumps() == threaded.dumps()
+
+
+@pytest.mark.parametrize("blocks_as_layers", [False, True],
+                         ids=["blockwise", "layerwise"])
+def test_pool_threads_share_one_carry(monkeypatch, blocks_as_layers):
+    """Pool threads resume candidates from one shared carry per site; with
+    more workers than cores and a short switch interval, the result equals
+    the sequential one byte for byte."""
+    model, x, y = _small_setup(num_blocks=2)
+    config = CalibConfig(w_bits=3, a_bits=3, num_candidates=7, rounds=2,
+                         dynamic_softmax=True, softmax_quantizer="twin",
+                         blocks_as_layers=blocks_as_layers)
+    monkeypatch.delenv("BBCQ_THREADS", raising=False)
+    sequential = calibrate(model, x, y, config).dumps()
+    monkeypatch.setenv("BBCQ_THREADS", "6")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threaded = calibrate(model, x, y, config).dumps()
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == sequential
 
 
 def test_calibrate_while_another_thread_holds_a_tape():
@@ -662,6 +786,49 @@ def test_multi_round_oracle_agreement():
     result = calibrate(model, x, y, config)
     oracle = oracle_calibrate(model, x, y, w_bits=4, a_bits=4, gamma=10.0,
                               alpha=0.0, beta=1.2, n=6, rounds=2)
+    _assert_matches_oracle(result, oracle)
+
+
+@st.composite
+def oracle_cases(draw):
+    heads = draw(st.integers(1, 2))
+    spec = ModelSpec(num_blocks=draw(st.integers(1, 2)),
+                     embed_dim=heads * draw(st.sampled_from([2, 4])),
+                     num_heads=heads, patch_count=draw(st.integers(2, 4)),
+                     num_classes=draw(st.integers(2, 4)),
+                     mlp_ratio=draw(st.sampled_from([1.0, 2.0])),
+                     init_seed=draw(st.integers(0, 1000)))
+    config = CalibConfig(w_bits=draw(st.integers(2, 8)),
+                         a_bits=draw(st.integers(2, 8)),
+                         gamma=draw(st.sampled_from([0.0, 10.0, 50.0])),
+                         num_candidates=draw(st.integers(2, 4)),
+                         rounds=draw(st.integers(1, 2)),
+                         blocks_as_layers=draw(st.booleans()))
+    return spec, config, draw(st.integers(0, 1000))
+
+
+@given(oracle_cases())
+@settings(max_examples=20, deadline=None)
+def test_calibrate_matches_oracle_on_random_specs(case):
+    """The staged search against the straight-line oracle on random small
+    models, bit widths 2-8, both units; the oracle takes the package's
+    cached sensitivities, since it has no autodiff of its own."""
+    spec, config, data_seed = case
+    model = init_model(spec)
+    x, y = generate_dataset(5, spec.patch_count, spec.embed_dim,
+                            spec.num_classes, seed=data_seed)
+    result = calibrate(model, x, y, config)
+    fp = cache_fp_pass(model, x, y, blocks_as_layers=config.blocks_as_layers)
+    if config.blocks_as_layers:
+        unit, h_override = "layer", {(c.block, c.kind): [g * g for g in c.grads]
+                                     for c in fp.caches}
+    else:
+        unit, h_override = "block", {c.block: c.grad * c.grad for c in fp.caches}
+    oracle = oracle_calibrate(model, x, y, w_bits=config.w_bits,
+                              a_bits=config.a_bits, gamma=config.gamma,
+                              alpha=config.alpha, beta=config.beta,
+                              n=config.num_candidates, rounds=config.rounds,
+                              unit=unit, h_override=h_override)
     _assert_matches_oracle(result, oracle)
 
 

@@ -428,6 +428,35 @@ def test_inspect_non_object_or_non_utf8_json_is_format_error(tmp_path, capsys,
     assert "\n" not in err and err.startswith("error:format: ")
 
 
+@pytest.mark.parametrize("sites", [None, [1], [{"site_id": 3}]],
+                         ids=["bare", "int_site", "int_site_id"])
+def test_inspect_malformed_calib_result_is_parameter_error(tmp_path, capsys,
+                                                            sites):
+    path = tmp_path / "calib_result.json"
+    if sites is None:
+        payload = {"kind": "calib-result", "sites": [1]}
+    else:
+        run = _calibrate(tmp_path, _gen(tmp_path))
+        payload = json.loads((run / "calib_result.json").read_text())
+        payload["sites"] = sites
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["inspect", str(path)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err and err.startswith("error:parameter: ")
+
+
+@pytest.mark.parametrize("field, value", [("metrics", 5), ("sites", "x")])
+def test_inspect_malformed_report_is_format_error(tmp_path, capsys, field,
+                                                  value):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"schema_version": 1, "command": "x",
+                                field: value}))
+    assert main(["inspect", str(path)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err and err.startswith("error:format: ")
+
+
 def test_inspect_missing_file(tmp_path, capsys):
     assert main(["inspect", str(tmp_path / "ghost.json")]) == 1
     assert capsys.readouterr().err.startswith("error:io: ")

@@ -7,10 +7,10 @@ import pytest
 
 from bbcq.data import generate_dataset
 from bbcq.errors import ContractError, DimensionError, ParameterError
-from bbcq.model import (BLOCK_KINDS, MatmulSite, ModelSpec, block_forward,
-                        enumerate_sites, forward, forward_from, init_model,
-                        parameter_shapes, validate_quant_sites)
-from bbcq.quantizers import QuantParams
+from bbcq.model import (BLOCK_KINDS, MatmulSite, ModelSpec, block_carry,
+                        block_forward, enumerate_sites, forward, forward_from,
+                        init_model, parameter_shapes, validate_quant_sites)
+from bbcq.quantizers import QuantParams, softmax_site_params
 from bbcq.tensor import Tape, Tensor, cross_entropy
 
 from _oracles import oracle_forward
@@ -33,6 +33,16 @@ def test_spec_validation():
     with pytest.raises(ParameterError):
         ModelSpec(num_blocks=1, embed_dim=16, num_heads=2, patch_count=4,
                   num_classes=4, mlp_ratio=0.0)
+
+
+def test_spec_rejects_overflowing_hidden_dim(tiny_spec):
+    """embed_dim * mlp_ratio past the float range is a ParameterError, from
+    the constructor and from a JSON manifest alike."""
+    with pytest.raises(ParameterError, match="overflows"):
+        ModelSpec(num_blocks=1, embed_dim=16, num_heads=2, patch_count=4,
+                  num_classes=4, mlp_ratio=1e308)
+    with pytest.raises(ParameterError, match="overflows"):
+        ModelSpec.from_json({**tiny_spec.to_json(), "mlp_ratio": 1e308})
 
 
 def test_spec_derived_dims(tiny_spec):
@@ -300,3 +310,53 @@ def test_hook_receives_pre_quant_operands(tiny_model, tiny_batch):
         assert not np.array_equal(out.data, a @ b)
     softmax_rows = next(c[2] for c in calls if c[0] == "attn-apply")
     np.testing.assert_allclose(softmax_rows.sum(axis=-1), 1.0, atol=1e-9)
+
+
+def _block_input(model, x):
+    return forward(model, x).embed_output
+
+
+def test_block_forward_stop_ends_after_that_matmul(tiny_model, tiny_batch):
+    """With ``stop`` the forward returns None right after that matmul's hook
+    calls, which equal the first calls of a full block forward."""
+    x = _block_input(tiny_model, tiny_batch[0])
+    full = []
+    block_forward(tiny_model, 0, x, hook=lambda *call: full.append(call))
+    for kind in BLOCK_KINDS:
+        calls = []
+        assert block_forward(tiny_model, 0, x, stop=kind,
+                             hook=lambda *call: calls.append(call)) is None
+        assert calls[-1][0] == kind
+        assert len(calls) == max(i for i, c in enumerate(full) if c[0] == kind) + 1
+        for got, want in zip(calls, full):
+            assert got[:2] == want[:2]
+            np.testing.assert_array_equal(got[4].data, want[4].data)
+
+
+@pytest.mark.parametrize("dynamic_softmax", [False, True])
+def test_block_carry_resumes_bit_for_bit(tiny_model, tiny_batch,
+                                         dynamic_softmax):
+    """A forward resumed from ``block_carry`` at any site equals the full
+    block forward under a state that differs from the carry's only at
+    that site."""
+    x = _block_input(tiny_model, tiny_batch[0])
+    state = {site: QuantParams(bits=3, scale=0.07, zero_point=3, scheme="uniform")
+             for site in enumerate_sites(tiny_model.spec) if site.block == 0}
+    state[MatmulSite("attn-apply", "A", 0)] = softmax_site_params("mpq", 4, 1.0)
+    for site in state:
+        if site.is_softmax_output:
+            continue
+        carry = block_carry(tiny_model, 0, x, site, state, dynamic_softmax)
+        assert carry.kind == site.kind
+        trial = {**state, site: QuantParams(bits=3, scale=0.11, zero_point=1,
+                                            scheme="uniform")}
+        resumed = block_forward(tiny_model, 0, carry, trial, dynamic_softmax)
+        full = block_forward(tiny_model, 0, x, trial, dynamic_softmax)
+        np.testing.assert_array_equal(resumed.data, full.data, site.site_id)
+
+
+def test_block_forward_cannot_stop_before_its_carry(tiny_model, tiny_batch):
+    x = _block_input(tiny_model, tiny_batch[0])
+    carry = block_carry(tiny_model, 0, x, MatmulSite("mlp-1", "A", 0))
+    with pytest.raises(ContractError):
+        block_forward(tiny_model, 0, carry, stop="attn-score")
