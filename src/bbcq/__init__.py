@@ -20,8 +20,8 @@ from .errors import (BBCQError, ConfigError, ContractError,
                      DimensionError, FormatError, LabelIndexError, LengthError,
                      MagicError, ManifestError, NonFiniteError, ParameterError,
                      VersionError)
-from .metrics import (ErrorStats, EvalMetrics, QuantReportRow, code_entropy,
-                      compare_softmax_quantizers, error_stats, evaluate)
+from .metrics import (EvalMetrics, QuantReportRow, code_entropy,
+                      compare_softmax_quantizers, evaluate)
 from .model import (BlockCarry, MatmulSite, Model, ModelSpec, block_carry,
                     block_forward, enumerate_sites, forward, forward_from,
                     init_model)
@@ -29,16 +29,15 @@ from .quantizers import (CodeTensor, QuantParams, dequantize,
                          fake_quant_array, quantize, round_half_away)
 from .serialize import (load_dataset, load_model, save_dataset, save_model,
                         serialize_dataset, serialize_model)
-from .tensor import (Tape, Tensor, add, concat, cross_entropy, gelu,
-                     layernorm, matmul, mul, reshape, softmax, tensor_mean,
-                     tensor_sum, transpose)
+from .tensor import (Tape, Tensor, add, cross_entropy, gelu, layernorm,
+                     matmul, mul, reshape, softmax, tensor_mean, tensor_sum,
+                     transpose)
 
 __all__ = [
     "__version__",
     # tensor engine
-    "Tape", "Tensor", "add", "concat", "cross_entropy", "gelu", "layernorm",
-    "matmul", "mul", "reshape", "softmax", "tensor_mean", "tensor_sum",
-    "transpose",
+    "Tape", "Tensor", "add", "cross_entropy", "gelu", "layernorm", "matmul",
+    "mul", "reshape", "softmax", "tensor_mean", "tensor_sum", "transpose",
     # quantizers
     "CodeTensor", "QuantParams", "dequantize", "fake_quant_array",
     "quantize", "round_half_away",
@@ -53,8 +52,8 @@ __all__ = [
     "calibrate", "candidate_scales", "load_result", "save_result",
     "search_site", "total_blockwise_metric",
     # metrics + data
-    "ErrorStats", "EvalMetrics", "QuantReportRow", "code_entropy",
-    "compare_softmax_quantizers", "error_stats", "evaluate",
+    "EvalMetrics", "QuantReportRow", "code_entropy",
+    "compare_softmax_quantizers", "evaluate",
     "generate_dataset", "synthetic_scores",
     # errors
     "BBCQError", "ConfigError", "ContractError", "DegenerateRangeError",

@@ -28,7 +28,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import (ConfigError, ContractError, DegenerateRangeError,
-                     DimensionError, ParameterError)
+                     DimensionError, NonFiniteError, ParameterError)
 from .model import (BLOCK_KINDS, BlockCarry, MatmulSite, Model, block_carry,
                     block_forward, forward, json_value, record_fields)
 from .quantizers import (EPSILON, SCHEMES, QuantParams, minmax_affine_params,
@@ -341,7 +341,7 @@ def search_site(model: Model, site: MatmulSite, candidates: list[QuantParams],
     the other operand of that matmul fake-quantized once; every candidate
     resumes from there. Ties break to the lowest index; candidate
     evaluations are pure, so the optional executor only changes wall-clock,
-    never the result.
+    never the result. A NaN or infinite metric raises NonFiniteError.
     """
     start = block_carry(model, cache.block, Tensor(cache.block_input), site,
                         state, config.dynamic_softmax)
@@ -356,6 +356,9 @@ def search_site(model: Model, site: MatmulSite, candidates: list[QuantParams],
         trace = [metric_for(params) for params in candidates]
     else:
         trace = list(executor.map(metric_for, candidates))
+    if not np.isfinite(trace).all():
+        raise NonFiniteError(
+            f"site {site.site_id}: a candidate metric is not finite")
     chosen = int(np.argmin(trace))
     return candidates[chosen], chosen, trace
 
@@ -455,6 +458,8 @@ class CalibResult:
         for entry in json_value(payload["sites"], "list[dict]", "sites"):
             site_id = json_value(entry["site_id"], "str", "site_id")
             site = MatmulSite.parse(site_id)
+            if site in params:
+                raise ParameterError(f"duplicate site {site_id}")
             params[site] = record_fields(QuantParams, entry, f"site {site_id}")
             chosen[site] = json_value(entry["chosen_index"], "int | None",
                                       f"site {site_id} chosen_index")

@@ -17,15 +17,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calibration import (PROFILE_RANGES, PROFILES, CalibConfig, CalibResult,
-                          calibrate, load_result, save_result)
+from .calibration import (PROFILES, CalibConfig, CalibResult, calibrate,
+                          load_result, save_result)
 from .data import SYNTHETIC_KINDS, generate_dataset, synthetic_scores
 from .errors import BBCQError, ConfigError, FormatError
 from .metrics import compare_softmax_quantizers, evaluate
 from .model import ModelSpec, forward, init_model
 from .report import Report, site_summaries, write_report
-from .serialize import (MAGIC, load_dataset, load_model, save_dataset,
-                        save_model)
+from .serialize import (MAGIC, container_kind, deserialize_dataset,
+                        deserialize_model, load_dataset, load_model,
+                        save_dataset, save_model)
 from .tensor import Tensor
 
 #: CLI flag spelling -> internal scheme name.
@@ -141,16 +142,15 @@ def cmd_gen(args) -> int:
 
 
 def _resolve_config(args, sample_count: int) -> CalibConfig:
-    alpha_default, beta_default = PROFILE_RANGES[args.profile]
-    batch = min(args.calib_batch, sample_count)
-    return CalibConfig(
-        w_bits=args.wbits, a_bits=args.abits, gamma=args.gamma,
-        alpha=args.alpha if args.alpha is not None else alpha_default,
-        beta=args.beta if args.beta is not None else beta_default,
+    ranges = {name: getattr(args, name) for name in ("alpha", "beta")
+              if getattr(args, name) is not None}
+    return CalibConfig.for_profile(
+        args.profile, w_bits=args.wbits, a_bits=args.abits, gamma=args.gamma,
         num_candidates=args.candidates, rounds=args.rounds,
         softmax_quantizer=SOFTMAX_CHOICES[args.softmax_quant],
-        dynamic_softmax=args.dynamic_softmax, calib_batch=batch,
-        blocks_as_layers=args.blocks_as_layers, profile=args.profile)
+        dynamic_softmax=args.dynamic_softmax,
+        calib_batch=min(args.calib_batch, sample_count),
+        blocks_as_layers=args.blocks_as_layers, **ranges)
 
 
 def cmd_calibrate(args) -> int:
@@ -259,37 +259,29 @@ def cmd_compare_softmax(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    path = Path(args.path)
-    with path.open("rb") as fh:
-        head = fh.read(6)
-    if head == MAGIC:
-        summary = _inspect_container(path)
+    blob = Path(args.path).read_bytes()
+    if blob.startswith(MAGIC):
+        summary = _inspect_container(blob)
     else:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = json.loads(blob.decode("utf-8"))
         if not isinstance(payload, dict):
-            raise FormatError(f"{path}: top level is not a JSON object")
+            raise FormatError(f"{args.path}: top level is not a JSON object")
         summary = _inspect_json(payload)
     print(json.dumps(summary, sort_keys=True, indent=2))
     return 0
 
 
-def _inspect_container(path: Path) -> dict:
-    with path.open("rb") as fh:
-        blob = fh.read()
-    # Try both container kinds; the manifest records which one it is.
-    from .errors import ManifestError
-    from .serialize import deserialize_dataset, deserialize_model
-    try:
+def _inspect_container(blob: bytes) -> dict:
+    if container_kind(blob) == "model":
         model = deserialize_model(blob)
         return {"kind": "model", "spec": model.spec.to_json(),
                 "parameters": [{"name": n, "shape": list(a.shape)}
                                for n, a in model.parameters()]}
-    except ManifestError:
-        inputs, labels, meta = deserialize_dataset(blob)
-        return {"kind": "dataset", "meta": meta,
-                "inputs_shape": list(inputs.shape),
-                "labels_shape": list(labels.shape),
-                "classes_present": sorted(int(c) for c in np.unique(labels))}
+    inputs, labels, meta = deserialize_dataset(blob)
+    return {"kind": "dataset", "meta": meta,
+            "inputs_shape": list(inputs.shape),
+            "labels_shape": list(labels.shape),
+            "classes_present": sorted(int(c) for c in np.unique(labels))}
 
 
 def _inspect_json(payload: dict) -> dict:

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .calibration import CalibResult, bottom_threshold
-from .errors import ContractError, DimensionError, ParameterError
+from .calibration import CalibResult
+from .errors import ContractError, DimensionError
 from .model import Model, forward
 from .quantizers import SCHEME_TABLE, CodeTensor, softmax_site_params
 from .tensor import Tensor, cross_entropy, require_finite, softmax
@@ -134,55 +133,3 @@ def evaluate(model: Model, result: CalibResult | None, inputs,
         fp_agreement=float((pred == fp_logits.argmax(axis=1)).mean()),
         mean_loss=cross_entropy(Tensor(logits), labels).item(),
     )
-
-
-@dataclass
-class ErrorStats:
-    """Magnitude histogram of one block's output drift, metric-weighted."""
-
-    bin_edges: list[float]
-    bin_mass: list[float]
-    percentiles: dict[int, float]
-    threshold: float
-
-    def to_json(self) -> dict:
-        return {
-            "bin_edges": self.bin_edges,
-            "bin_mass": self.bin_mass,
-            "percentiles": {str(k): v for k, v in self.percentiles.items()},
-            "threshold": self.threshold,
-        }
-
-
-def error_stats(sigma, h_diag, gamma: float = 10.0, bins: int = 16) -> ErrorStats:
-    """Histogram |sigma| with each entry's sensitivity-weighted squared mass.
-
-    Bin mass is sigma^2 * h_diag summed per |sigma| bin (so an all-zero drift
-    yields an all-zero histogram); the percentile summary uses the
-    nearest-rank rule on |sigma| and ``threshold`` is bit-identical to the
-    one bottom_mask would apply at this gamma.
-    """
-    sigma = np.asarray(sigma, dtype=np.float64)
-    h = np.asarray(h_diag, dtype=np.float64)
-    if sigma.shape != h.shape:
-        raise DimensionError(
-            f"sigma shape {sigma.shape} does not match h_diag shape {h.shape}")
-    if bins < 1:
-        raise ParameterError(f"bins must be >= 1, got {bins}")
-    abs_sigma = np.abs(sigma).ravel()
-    weights = (sigma * sigma * h).ravel()
-    top = float(abs_sigma.max()) if abs_sigma.size else 0.0
-    edges = np.linspace(0.0, top if top > 0.0 else 1.0, bins + 1)
-    mass, _ = np.histogram(abs_sigma, bins=edges, weights=weights)
-    ordered = np.sort(abs_sigma)
-    percentiles = {}
-    for p in (25, 50, 75, 90, 100):
-        if ordered.size == 0:
-            percentiles[p] = 0.0
-            continue
-        rank = min(max(int(math.ceil(p / 100.0 * ordered.size)), 1), ordered.size)
-        percentiles[p] = float(ordered[rank - 1])
-    return ErrorStats(bin_edges=[float(e) for e in edges],
-                      bin_mass=[float(m) for m in mass],
-                      percentiles=percentiles,
-                      threshold=bottom_threshold(sigma, gamma))

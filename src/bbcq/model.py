@@ -19,7 +19,7 @@ a block to one matmul once and resume every candidate from there.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, make_dataclass, replace
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -192,20 +192,39 @@ class ModelSpec:
         return record_fields(cls, payload, "model spec")
 
 
-@dataclass
-class BlockParams:
-    ln1_gamma: np.ndarray
-    ln1_beta: np.ndarray
-    w_q: np.ndarray
-    w_k: np.ndarray
-    w_v: np.ndarray
-    w_o: np.ndarray
-    ln2_gamma: np.ndarray
-    ln2_beta: np.ndarray
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
+#: One row per block parameter: its ``BlockParams`` field, its ``.bbcv``
+#: name after ``block<i>.``, and its shape in ``d`` (embed_dim) and ``h``
+#: (hidden_dim). Rows are in serialization and initialization order.
+BLOCK_PARAMS = (
+    ("ln1_gamma", "ln1.gamma", "d"),
+    ("ln1_beta", "ln1.beta", "d"),
+    ("w_q", "attn.w_q", "dd"),
+    ("w_k", "attn.w_k", "dd"),
+    ("w_v", "attn.w_v", "dd"),
+    ("w_o", "attn.w_o", "dd"),
+    ("ln2_gamma", "ln2.gamma", "d"),
+    ("ln2_beta", "ln2.beta", "d"),
+    ("w1", "mlp.w1", "dh"),
+    ("b1", "mlp.b1", "h"),
+    ("w2", "mlp.w2", "hd"),
+    ("b2", "mlp.b2", "d"),
+)
+
+
+#: One transformer block's weights, one field per ``BLOCK_PARAMS`` row.
+BlockParams = make_dataclass(
+    "BlockParams", [(field, np.ndarray) for field, _, _ in BLOCK_PARAMS],
+    namespace={"__module__": __name__})
+
+
+def _layout(num_blocks: int):
+    """(block or None, field, name, shape letters) of every parameter, in
+    canonical order; ``c`` is num_classes."""
+    yield None, "embed_w", "embed.weight", "dd"
+    for i in range(num_blocks):
+        for field, name, dims in BLOCK_PARAMS:
+            yield i, field, f"block{i}.{name}", dims
+    yield None, "head_w", "head.weight", "dc"
 
 
 @dataclass
@@ -217,75 +236,42 @@ class Model:
 
     def parameters(self) -> list[tuple[str, np.ndarray]]:
         """(name, array) pairs in the canonical serialization order."""
-        out = [("embed.weight", self.embed_w)]
-        for i, blk in enumerate(self.blocks):
-            out.extend([
-                (f"block{i}.ln1.gamma", blk.ln1_gamma),
-                (f"block{i}.ln1.beta", blk.ln1_beta),
-                (f"block{i}.attn.w_q", blk.w_q),
-                (f"block{i}.attn.w_k", blk.w_k),
-                (f"block{i}.attn.w_v", blk.w_v),
-                (f"block{i}.attn.w_o", blk.w_o),
-                (f"block{i}.ln2.gamma", blk.ln2_gamma),
-                (f"block{i}.ln2.beta", blk.ln2_beta),
-                (f"block{i}.mlp.w1", blk.w1),
-                (f"block{i}.mlp.b1", blk.b1),
-                (f"block{i}.mlp.w2", blk.w2),
-                (f"block{i}.mlp.b2", blk.b2),
-            ])
-        out.append(("head.weight", self.head_w))
-        return out
+        return [(name, getattr(self if b is None else self.blocks[b], field))
+                for b, field, name, _ in _layout(self.spec.num_blocks)]
+
+    @classmethod
+    def from_parameters(cls, spec: ModelSpec,
+                        params: Mapping[str, np.ndarray]) -> "Model":
+        """The model of ``spec`` whose parameter ``name`` is ``params[name]``."""
+        blocks = [BlockParams(**{field: params[f"block{i}.{name}"]
+                                 for field, name, _ in BLOCK_PARAMS})
+                  for i in range(spec.num_blocks)]
+        return cls(spec=spec, embed_w=params["embed.weight"], blocks=blocks,
+                   head_w=params["head.weight"])
 
 
 def parameter_shapes(spec: ModelSpec) -> list[tuple[str, tuple[int, ...]]]:
     """Canonical (name, shape) list implied by a spec."""
-    d, h, c = spec.embed_dim, spec.hidden_dim, spec.num_classes
-    out = [("embed.weight", (d, d))]
-    for i in range(spec.num_blocks):
-        out.extend([
-            (f"block{i}.ln1.gamma", (d,)),
-            (f"block{i}.ln1.beta", (d,)),
-            (f"block{i}.attn.w_q", (d, d)),
-            (f"block{i}.attn.w_k", (d, d)),
-            (f"block{i}.attn.w_v", (d, d)),
-            (f"block{i}.attn.w_o", (d, d)),
-            (f"block{i}.ln2.gamma", (d,)),
-            (f"block{i}.ln2.beta", (d,)),
-            (f"block{i}.mlp.w1", (d, h)),
-            (f"block{i}.mlp.b1", (h,)),
-            (f"block{i}.mlp.w2", (h, d)),
-            (f"block{i}.mlp.b2", (d,)),
-        ])
-    out.append(("head.weight", (d, c)))
-    return out
+    sizes = {"d": spec.embed_dim, "h": spec.hidden_dim, "c": spec.num_classes}
+    return [(name, tuple(sizes[letter] for letter in dims))
+            for _, _, name, dims in _layout(spec.num_blocks)]
 
 
 def init_model(spec: ModelSpec) -> Model:
     """Seeded Xavier-uniform weights, unit layernorm gains, zero biases.
 
-    Parameters are drawn in the canonical order from a PCG64 stream keyed by
+    Matrices are drawn in the canonical order from a PCG64 stream keyed by
     ``spec.init_seed``, so the same spec always yields a bit-identical model.
     """
     rng = np.random.Generator(np.random.PCG64(spec.init_seed))
-
-    def xavier(fan_in: int, fan_out: int) -> np.ndarray:
-        bound = math.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-bound, bound, size=(fan_in, fan_out))
-
-    d, h = spec.embed_dim, spec.hidden_dim
-    embed_w = xavier(d, d)
-    blocks = []
-    for _ in range(spec.num_blocks):
-        blocks.append(BlockParams(
-            ln1_gamma=np.ones(d), ln1_beta=np.zeros(d),
-            w_q=xavier(d, d), w_k=xavier(d, d), w_v=xavier(d, d),
-            w_o=xavier(d, d),
-            ln2_gamma=np.ones(d), ln2_beta=np.zeros(d),
-            w1=xavier(d, h), b1=np.zeros(h),
-            w2=xavier(h, d), b2=np.zeros(d),
-        ))
-    head_w = xavier(d, spec.num_classes)
-    return Model(spec=spec, embed_w=embed_w, blocks=blocks, head_w=head_w)
+    params = {}
+    for name, shape in parameter_shapes(spec):
+        if len(shape) == 2:
+            bound = math.sqrt(6.0 / sum(shape))
+            params[name] = rng.uniform(-bound, bound, size=shape)
+        else:
+            params[name] = (np.ones if name.endswith("gamma") else np.zeros)(shape)
+    return Model.from_parameters(spec, params)
 
 
 def enumerate_sites(spec: ModelSpec) -> list[MatmulSite]:

@@ -61,7 +61,8 @@ def _pack(kind: str, spec: Mapping, tensors: list[tuple[str, np.ndarray]]) -> by
     return header + manifest + b"".join(chunks)
 
 
-def _unpack(blob: bytes, expect_kind: str) -> tuple[dict, dict[str, np.ndarray]]:
+def _read_manifest(blob: bytes) -> tuple[dict, bytes]:
+    """The checked manifest of a container and the payload after it."""
     if len(blob) < _HEADER.size or blob[:6] != MAGIC:
         raise MagicError("not a BBCVIT container (bad magic)")
     version = blob[6:8]
@@ -79,11 +80,19 @@ def _unpack(blob: bytes, expect_kind: str) -> tuple[dict, dict[str, np.ndarray]]
     for key in ("kind", "spec", "tensors"):
         if key not in manifest:
             raise ManifestError(f"manifest is missing {key!r}")
+    return manifest, body[manifest_len:]
+
+
+def container_kind(blob: bytes) -> str:
+    """The manifest ``kind`` of a container (``model`` or ``dataset``)."""
+    return _read_manifest(blob)[0]["kind"]
+
+
+def _unpack(blob: bytes, expect_kind: str) -> tuple[dict, dict[str, np.ndarray]]:
+    manifest, payload = _read_manifest(blob)
     if manifest["kind"] != expect_kind:
         raise ManifestError(
             f"expected a {expect_kind} container, found {manifest['kind']!r}")
-
-    payload = body[manifest_len:]
     tensors: dict[str, np.ndarray] = {}
     expected_end = 0
     for desc in manifest["tensors"]:
@@ -129,26 +138,7 @@ def deserialize_model(blob: bytes) -> Model:
     if [(n, list(s)) for n, s in expected] != \
             [(d["name"], d["shape"]) for d in manifest["tensors"]]:
         raise ManifestError("tensor list does not match the model spec")
-    params = {name: tensors[name] for name, _ in expected}
-    from .model import BlockParams  # local import avoids a cycle at module load
-    blocks = []
-    for i in range(spec.num_blocks):
-        blocks.append(BlockParams(
-            ln1_gamma=params[f"block{i}.ln1.gamma"],
-            ln1_beta=params[f"block{i}.ln1.beta"],
-            w_q=params[f"block{i}.attn.w_q"],
-            w_k=params[f"block{i}.attn.w_k"],
-            w_v=params[f"block{i}.attn.w_v"],
-            w_o=params[f"block{i}.attn.w_o"],
-            ln2_gamma=params[f"block{i}.ln2.gamma"],
-            ln2_beta=params[f"block{i}.ln2.beta"],
-            w1=params[f"block{i}.mlp.w1"],
-            b1=params[f"block{i}.mlp.b1"],
-            w2=params[f"block{i}.mlp.w2"],
-            b2=params[f"block{i}.mlp.b2"],
-        ))
-    return Model(spec=spec, embed_w=params["embed.weight"], blocks=blocks,
-                 head_w=params["head.weight"])
+    return Model.from_parameters(spec, tensors)
 
 
 def serialize_dataset(inputs: np.ndarray, labels: np.ndarray,

@@ -315,23 +315,6 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
                         lambda g: (np.reshape(g, original),))
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    if not tensors:
-        raise ContractError("concat needs at least one tensor")
-    tensors = [_as_tensor(t) for t in tensors]
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    tape = _recording()
-    if tape is None:
-        return Tensor(out)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum(sizes)[:-1]
-
-    def backward(g: np.ndarray):
-        return tuple(np.split(g, offsets, axis=axis))
-
-    return tape._record("concat", tensors, out, backward)
-
-
 def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     x = _as_tensor(x)
     out = x.data.sum(axis=axis, keepdims=keepdims)

@@ -479,6 +479,17 @@ def test_search_site_leaves_state_untouched():
     assert frozen == before
 
 
+def test_calibrate_rejects_non_finite_candidate_metrics():
+    """Finite weights whose products overflow give NaN metrics, not an argmin."""
+    model, x, y = _small_setup()
+    model.blocks[0].w1 = model.blocks[0].w1 * 1e80
+    model.blocks[0].w2 = model.blocks[0].w2 * 1e80
+    config = CalibConfig(w_bits=4, a_bits=4, num_candidates=4, rounds=1)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonFiniteError, match=r"site b0\.mlp-2\.A"):
+        calibrate(model, x, y, config)
+
+
 def _full_reforward_trace(model, site, candidates, state, cache, config):
     """Every candidate scored by re-forwarding the whole block from the
     cached FP input, with no carry: the path the staged search replaces."""

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
@@ -12,7 +15,7 @@ import pytest
 
 from bbcq.cli import main
 from bbcq.report import report_schema
-from bbcq.serialize import load_dataset, load_model, save_dataset
+from bbcq.serialize import load_dataset, load_model, save_dataset, save_model
 
 ERROR_LINE = re.compile(r"^error:[a-z-]+: .+$")
 
@@ -141,9 +144,32 @@ def test_calibrate_softmax_flag_spelling(tmp_path):
 
 def test_calibrate_profile_changes_search_range(tmp_path):
     data = _gen(tmp_path)
-    run = _calibrate(tmp_path, data, "det", ["--profile", "detection"])
-    cfg = _report(run)["config"]
-    assert (cfg["alpha"], cfg["beta"]) == (0.5, 1.2)
+    for name, extra, expected in (
+            ("det", [], (0.5, 1.2)),
+            ("det-alpha", ["--alpha", "0.3"], (0.3, 1.2))):
+        run = _calibrate(tmp_path, data, name,
+                         ["--profile", "detection"] + extra)
+        cfg = _report(run)["config"]
+        assert (cfg["alpha"], cfg["beta"]) == expected
+
+
+def test_calibrate_non_finite_metric_is_an_error(tmp_path):
+    """Weights whose products overflow end the run with an error line."""
+    data = _gen(tmp_path)
+    model = load_model(data / "model.bbcv")
+    model.blocks[0].w1 = model.blocks[0].w1 * 1e80
+    model.blocks[0].w2 = model.blocks[0].w2 * 1e80
+    save_model(model, data / "big.bbcv")
+    proc = subprocess.run(
+        [sys.executable, "-m", "bbcq.cli", "calibrate",
+         "--model", str(data / "big.bbcv"), "--calib", str(data / "calib.bbcv"),
+         "--out", str(tmp_path / "o"), "--wbits", "4", "--abits", "4",
+         "--candidates", "4", "--rounds", "1"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1].startswith("error:non-finite: ")
+    assert not (tmp_path / "o" / "calib_result.json").exists()
 
 
 def test_calibrate_missing_model_is_io_error(tmp_path, capsys):
@@ -280,17 +306,35 @@ def test_eval_result_with_wrong_json_type_is_parameter_error(tmp_path, capsys,
     assert err.startswith("error:parameter: ")
 
 
-def test_eval_model_with_fractional_spec_field_is_parameter_error(tmp_path,
-                                                                  capsys):
-    data = _gen(tmp_path)
+def test_eval_result_with_duplicate_site_is_parameter_error(tmp_path, capsys):
+    def duplicate_site(payload):
+        row = next(e for e in payload["sites"]
+                   if e["site_id"] == "b0.qkv-projection.A")
+        payload["sites"].append({**row, "scale": row["scale"] * 100})
+
+    rc, err = _eval_with_edited_result(tmp_path, capsys, duplicate_site)
+    assert rc == 1
+    assert "\n" not in err and ERROR_LINE.match(err)
+    assert err.startswith("error:parameter: ") and "b0.qkv-projection.A" in err
+
+
+def _with_model_spec(data, field, value):
+    """Copy of the model container with one manifest spec field replaced."""
     blob = (data / "model.bbcv").read_bytes()
     (manifest_len,) = struct.unpack_from("<Q", blob, 8)
     manifest = json.loads(blob[16:16 + manifest_len])
-    manifest["spec"]["num_blocks"] += 0.7
+    manifest["spec"][field] = value
     raw = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-    bad = tmp_path / "bad.bbcv"
+    bad = data / "bad.bbcv"
     bad.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw
                     + blob[16 + manifest_len:])
+    return bad
+
+
+def test_eval_model_with_fractional_spec_field_is_parameter_error(tmp_path,
+                                                                  capsys):
+    data = _gen(tmp_path)
+    bad = _with_model_spec(data, "num_blocks", 1.7)
     capsys.readouterr()
     rc = main(["eval", "--model", str(bad), "--eval", str(data / "eval.bbcv"),
                "--out", str(tmp_path / "o")])
@@ -393,6 +437,16 @@ def test_inspect_model_and_dataset(tmp_path, capsys):
     assert ds_info["kind"] == "dataset"
     assert ds_info["inputs_shape"] == [16, 4, 16]
     assert set(ds_info["classes_present"]) <= {0, 1, 2, 3}
+
+
+def test_inspect_reports_the_model_container_error(tmp_path, capsys):
+    """A model whose spec disagrees with its tensors is not read as a dataset."""
+    bad = _with_model_spec(_gen(tmp_path), "num_classes", 5)
+    capsys.readouterr()
+    assert main(["inspect", str(bad)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == ("error:manifest-mismatch: tensor list does not match "
+                   "the model spec")
 
 
 def test_inspect_calib_result_and_report(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Code entropy, softmax-quantizer comparison rows, evaluation, error stats."""
+"""Code entropy, softmax-quantizer comparison rows, and evaluation."""
 
 from __future__ import annotations
 
@@ -7,12 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from bbcq.calibration import CalibConfig, bottom_threshold, calibrate
+from bbcq.calibration import CalibConfig, calibrate
 from bbcq.data import generate_dataset, synthetic_scores
 from bbcq.errors import (ContractError, DimensionError, NonFiniteError,
                          ParameterError)
 from bbcq.metrics import (COMPARE_SCHEMES, EvalMetrics, QuantReportRow,
-                          code_entropy, compare_softmax_quantizers, error_stats,
+                          code_entropy, compare_softmax_quantizers,
                           evaluate)
 from bbcq.model import ModelSpec, init_model
 from bbcq.quantizers import CodeTensor, QuantParams, quantize
@@ -182,55 +182,6 @@ def test_eval_metrics_json_keys():
     m = EvalMetrics(top1_accuracy=0.5, fp_agreement=1.0, mean_loss=2.0)
     assert m.to_json() == {"top1_accuracy": 0.5, "fp_agreement": 1.0,
                            "mean_loss": 2.0}
-
-
-# ---------------------------------------------------------------------------
-# drift histograms
-
-
-def test_error_stats_zero_drift():
-    stats = error_stats(np.zeros((3, 4)), np.ones((3, 4)), gamma=10.0, bins=4)
-    assert stats.bin_mass == [0.0] * 4
-    assert stats.bin_edges[0] == 0.0 and stats.bin_edges[-1] == 1.0
-    assert all(v == 0.0 for v in stats.percentiles.values())
-
-
-def test_error_stats_hand_percentiles():
-    sigma = np.array([10.0, 20.0, 30.0, 40.0])
-    stats = error_stats(sigma, np.ones(4), gamma=0.0, bins=2)
-    assert stats.percentiles == {25: 10.0, 50: 20.0, 75: 30.0, 90: 40.0,
-                                 100: 40.0}
-
-
-def test_error_stats_mass_accounts_for_everything(rng):
-    sigma = rng.normal(size=(5, 6))
-    h = rng.uniform(0.0, 2.0, size=(5, 6))
-    stats = error_stats(sigma, h, bins=8)
-    assert sum(stats.bin_mass) == pytest.approx(float((sigma * sigma * h).sum()),
-                                                rel=1e-12)
-    assert stats.bin_edges[-1] == pytest.approx(float(np.abs(sigma).max()))
-    assert len(stats.bin_edges) == 9 and len(stats.bin_mass) == 8
-
-
-def test_error_stats_threshold_matches_masking_rule(rng):
-    sigma = rng.normal(size=37)
-    for gamma in (0.0, 10.0, 50.0, 100.0):
-        stats = error_stats(sigma, np.ones(37), gamma=gamma)
-        assert stats.threshold == bottom_threshold(sigma, gamma)
-
-
-def test_error_stats_validation(rng):
-    with pytest.raises(DimensionError):
-        error_stats(np.zeros(3), np.zeros(4))
-    with pytest.raises(ParameterError):
-        error_stats(np.zeros(3), np.zeros(3), bins=0)
-
-
-def test_error_stats_json_round_trip(rng):
-    sigma = rng.normal(size=10)
-    payload = error_stats(sigma, np.ones(10)).to_json()
-    assert set(payload) == {"bin_edges", "bin_mass", "percentiles", "threshold"}
-    assert set(payload["percentiles"]) == {"25", "50", "75", "90", "100"}
 
 
 # ---------------------------------------------------------------------------

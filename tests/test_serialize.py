@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 
@@ -66,6 +67,19 @@ def test_dataset_round_trip():
 def test_serialize_is_deterministic():
     model = init_model(_spec())
     assert serialize_model(model) == serialize_model(model)
+
+
+@pytest.mark.parametrize("spec, digest", [
+    (ModelSpec(num_blocks=1, embed_dim=16, num_heads=2, patch_count=4,
+               num_classes=4),
+     "837c23d006364672d5f219a9c397bdaa1b04938ca3ef435d1b5da5ae7d42c58a"),
+    (ModelSpec(num_blocks=2, embed_dim=32, num_heads=4, patch_count=8,
+               num_classes=10, mlp_ratio=2.5),
+     "69b963ad5b9592bb1bff1e96ca6a3f4b3ecec1887cfd2a19aa9f30098bf6fedb"),
+], ids=["1x16", "2x32-r2.5"])
+def test_model_bytes_are_pinned(spec, digest):
+    """Parameter names, order, shapes and init draws of ``init_model``."""
+    assert hashlib.sha256(serialize_model(init_model(spec))).hexdigest() == digest
 
 
 def test_file_save_load(tmp_path):

@@ -9,10 +9,9 @@ import pytest
 from scipy.special import erf
 
 from bbcq.errors import ContractError, DimensionError, LabelIndexError
-from bbcq.tensor import (LAYERNORM_EPS, Tape, Tensor, add, concat,
-                         cross_entropy, gelu, layernorm, matmul, mul,
-                         recording_active, reshape, softmax, tensor_mean,
-                         tensor_sum, transpose)
+from bbcq.tensor import (LAYERNORM_EPS, Tape, Tensor, add, cross_entropy,
+                         gelu, layernorm, matmul, mul, recording_active,
+                         reshape, softmax, tensor_mean, tensor_sum, transpose)
 
 
 def check_gradients(build, shapes, seed, points=10, h=1e-6):
@@ -148,15 +147,9 @@ def test_cross_entropy_label_shape_mismatch(rng):
 
 def test_concat_and_reshape_roundtrip(rng):
     a, b = rng.normal(size=(2, 3)), rng.normal(size=(4, 3))
-    joined = concat([Tensor(a), Tensor(b)], axis=0)
-    assert joined.shape == (6, 3)
-    np.testing.assert_array_equal(reshape(joined, (3, 6)).data,
-                                  np.concatenate([a, b]).reshape(3, 6))
-
-
-def test_concat_empty_list():
-    with pytest.raises(ContractError):
-        concat([])
+    joined = np.concatenate([a, b])
+    np.testing.assert_array_equal(reshape(Tensor(joined), (3, 6)).data,
+                                  joined.reshape(3, 6))
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +174,6 @@ GRAD_CASES = [
      [(4, 3)]),
     ("softmax", lambda a: tensor_sum(mul(softmax(a, axis=-1), a)), [(3, 5)]),
     ("gelu", lambda a: tensor_sum(mul(gelu(a), 1.3)), [(4, 4)]),
-    ("concat", lambda a, b: tensor_sum(mul(concat([a, b], axis=1),
-                                           concat([a, b], axis=1))),
-     [(2, 3), (2, 4)]),
 ]
 
 
