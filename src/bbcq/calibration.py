@@ -284,6 +284,7 @@ def cache_fp_pass(model: Model, inputs, labels, *, blocks_as_layers: bool = Fals
     with Tape() as tape:
         result = forward(model, Tensor(x), hook=hook)
         loss = cross_entropy(result.logits, labels)
+        require_finite(loss.data, "the FP loss")
         tape.backward(loss)
         for b in range(model.spec.num_blocks):
             source = result.embed_output if b == 0 else result.block_outputs[b - 1]
@@ -495,10 +496,11 @@ def calibrate(model: Model, inputs, labels, config: CalibConfig,
     its current state. Post-softmax sites get the configured softmax
     quantizer anchored to the FP pass's observed maximum and are active
     (never searched) throughout their block. Embed and head are weight-only
-    min-max quantized.
+    min-max quantized. Only the first ``config.calib_batch`` samples are used.
     """
     instr = instrumentation if instrumentation is not None else CalibInstrumentation()
-    fp = cache_fp_pass(model, inputs, labels,
+    fp = cache_fp_pass(model, inputs[:config.calib_batch],
+                       labels[:config.calib_batch],
                        blocks_as_layers=config.blocks_as_layers,
                        instrumentation=instr)
     state: dict[MatmulSite, QuantParams] = {}

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -158,8 +159,7 @@ def cmd_calibrate(args) -> int:
     model = load_model(args.model)
     inputs, labels, _meta = load_dataset(args.calib)
     config = _resolve_config(args, len(inputs))
-    result = calibrate(model, inputs[:config.calib_batch],
-                       labels[:config.calib_batch], config)
+    result = calibrate(model, inputs, labels, config)
     out = _outdir(args.out)
     save_result(result, out / "calib_result.json")
     report = Report(command="calibrate",
@@ -305,8 +305,18 @@ def _inspect_json(payload: dict) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Warnings (numpy overflow, say) are held until the command ends: a
+    # failing command prints only its error line.
+    with warnings.catch_warnings(record=True) as caught:
+        code = _run(args)
+    if code == 0:
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    return code
+
+
+def _run(args) -> int:
     try:
         return args.func(args)
     except BBCQError as exc:

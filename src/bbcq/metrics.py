@@ -121,12 +121,15 @@ def evaluate(model: Model, result: CalibResult | None, inputs,
     """
     x = require_finite(np.asarray(inputs, dtype=np.float64), "inputs")
     labels = np.asarray(labels)
-    fp_logits = forward(model, Tensor(x)).logits.data
+    fp_logits = require_finite(forward(model, Tensor(x)).logits.data,
+                               "the FP logit array")
     if result is None:
         logits = fp_logits
     else:
-        logits = forward(model, Tensor(x), quant=result.quant_state(),
-                         dynamic_softmax=result.config.dynamic_softmax).logits.data
+        logits = require_finite(
+            forward(model, Tensor(x), quant=result.quant_state(),
+                    dynamic_softmax=result.config.dynamic_softmax).logits.data,
+            "the quantized logit array")
     pred = logits.argmax(axis=1)
     return EvalMetrics(
         top1_accuracy=float((pred == labels).mean()),

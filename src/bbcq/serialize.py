@@ -77,9 +77,15 @@ def _read_manifest(blob: bytes) -> tuple[dict, bytes]:
         manifest = json.loads(body[:manifest_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ManifestError(f"manifest is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ManifestError("manifest is not a JSON object")
     for key in ("kind", "spec", "tensors"):
         if key not in manifest:
             raise ManifestError(f"manifest is missing {key!r}")
+    if not (isinstance(manifest["spec"], dict)
+            and isinstance(manifest["tensors"], list)):
+        raise ManifestError("manifest 'spec' must be an object and "
+                            "'tensors' a list")
     return manifest, body[manifest_len:]
 
 

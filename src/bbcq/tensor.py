@@ -5,6 +5,10 @@ can differ by tiny margins, and argmin tie behavior must be reproducible.
 Recording is explicit — operations append tape nodes only inside a
 ``with Tape() as tape:`` block; calibration's candidate re-forwards run with
 no tape and therefore allocate no graph.
+
+Operations are plain functions over ``Tensor``s, arrays or numbers; a number
+is a 0-d tensor that broadcasts. Each one ends in ``_result``, the single
+place that decides whether the output is recorded.
 """
 
 from __future__ import annotations
@@ -26,6 +30,9 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 # single-writer; nesting two recording scopes has no defined gradient
 # semantics, so it is rejected. Tapes in other threads are invisible here.
 _TAPE: "ContextVar[Tape | None]" = ContextVar("bbcq_tape", default=None)
+
+#: Output gradient -> one gradient contribution (or None) per parent.
+Backward = Callable[[np.ndarray], Sequence["np.ndarray | None"]]
 
 
 def _asarray(values) -> np.ndarray:
@@ -61,58 +68,25 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape})"
-
-    # -- operator sugar -------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def transpose(self, axes: Sequence[int]) -> "Tensor":
-        return transpose(self, axes)
-
-    def reshape(self, shape: Sequence[int]) -> "Tensor":
-        return reshape(self, shape)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tensor_sum(self, axis, keepdims)
-
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         return tensor_mean(self, axis, keepdims)
 
-
-class _Node:
-    __slots__ = ("op", "parents", "backward")
-
-    def __init__(self, op: str, parents: tuple[int, ...], backward):
-        self.op = op
-        self.parents = parents
-        self.backward = backward
+    def __repr__(self) -> str:
+        return f"Tensor(shape={self.shape})"
 
 
 class Tape:
     """Ordered record of forward operations plus per-node gradient buffers.
 
-    Nodes are appended in execution order, so parents always precede their
-    consumers and the backward sweep is a single reversed pass. Gradient
-    accumulation adds contributions in that fixed reverse-node,
-    left-to-right-parent order.
+    A node is a ``(parent_ids, backward)`` pair; a leaf has no parents and
+    ``backward`` None. Nodes are appended in execution order, so parents
+    always precede their consumers and the backward sweep is a single
+    reversed pass. Gradient accumulation adds contributions in that fixed
+    reverse-node, left-to-right-parent order.
     """
 
     def __init__(self):
-        self._nodes: list[_Node] = []
+        self._nodes: list[tuple[tuple[int, ...], Backward | None]] = []
         self._values: list[np.ndarray] = []
         self._grads: dict[int, np.ndarray] = {}
 
@@ -128,24 +102,17 @@ class Tape:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    # -- recording -------------------------------------------------------
-    def _leaf(self, tensor: Tensor) -> int:
-        """Register ``tensor`` as a leaf node (no backward rule)."""
-        if tensor._node is not None:
-            return tensor._node
-        node_id = len(self._nodes)
-        self._nodes.append(_Node("leaf", (), None))
-        self._values.append(tensor.data)
-        tensor._node = node_id
-        return node_id
+    def _append(self, parent_ids: tuple[int, ...], backward: Backward | None,
+                value: np.ndarray) -> int:
+        self._nodes.append((parent_ids, backward))
+        self._values.append(value)
+        return len(self._nodes) - 1
 
-    def _record(self, op: str, parents: Sequence[Tensor], out: np.ndarray,
-                backward: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> Tensor:
-        parent_ids = tuple(self._leaf(p) for p in parents)
-        node_id = len(self._nodes)
-        self._nodes.append(_Node(op, parent_ids, backward))
-        self._values.append(out)
-        return Tensor(out, _node=node_id)
+    def _leaf(self, tensor: Tensor) -> int:
+        """The node of ``tensor``, registered as a leaf if it has none."""
+        if tensor._node is None:
+            tensor._node = self._append((), None, tensor.data)
+        return tensor._node
 
     # -- reverse sweep ----------------------------------------------------
     def backward(self, loss: Tensor) -> None:
@@ -157,12 +124,11 @@ class Tape:
                 f"backward needs a scalar loss, got shape {loss.data.shape}")
         self._grads = {loss._node: np.ones((), dtype=np.float64)}
         for node_id in range(len(self._nodes) - 1, -1, -1):
-            node = self._nodes[node_id]
+            parent_ids, node_backward = self._nodes[node_id]
             grad = self._grads.get(node_id)
-            if grad is None or node.backward is None:
+            if grad is None or node_backward is None:
                 continue
-            contributions = node.backward(grad)
-            for parent_id, contrib in zip(node.parents, contributions):
+            for parent_id, contrib in zip(parent_ids, node_backward(grad)):
                 if contrib is None:
                     continue
                 expected = self._values[parent_id].shape
@@ -172,7 +138,9 @@ class Tape:
                         f"value shape {expected} for node {parent_id}")
                 buffer = self._grads.get(parent_id)
                 if buffer is None:
-                    self._grads[parent_id] = contrib.copy()
+                    # An array even for a 0-d contribution (a numpy scalar),
+                    # so that a later contribution adds in place.
+                    self._grads[parent_id] = np.array(contrib, order="C")
                 else:
                     buffer += contrib
 
@@ -182,10 +150,6 @@ class Tape:
             return None
         grad = self._grads.get(tensor._node)
         return None if grad is None else Tensor(grad)
-
-
-def _recording() -> "Tape | None":
-    return _TAPE.get()
 
 
 def recording_active() -> bool:
@@ -198,6 +162,20 @@ def require_finite(values: np.ndarray, what: str) -> np.ndarray:
     if not np.isfinite(values).all():
         raise NonFiniteError(f"{what} holds NaN or infinite values")
     return values
+
+
+def _result(out: np.ndarray, parents: tuple[Tensor, ...],
+            backward: Backward) -> Tensor:
+    """``out`` as a Tensor; while a tape records, also its node.
+
+    The only operation code that reads the active tape: with none,
+    ``backward`` is dropped unrun and no graph is kept.
+    """
+    tape = _TAPE.get()
+    if tape is None:
+        return Tensor(out)
+    parent_ids = tuple(tape._leaf(p) for p in parents)
+    return Tensor(out, _node=tape._append(parent_ids, backward, out))
 
 
 # ---------------------------------------------------------------------------
@@ -231,123 +209,68 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(
             f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    out = np.matmul(a.data, b.data)
-    tape = _recording()
-    if tape is None:
-        return Tensor(out)
-
-    a_data, b_data = a.data, b.data
 
     def backward(g: np.ndarray):
-        ga = _reduce_to_shape(np.matmul(g, np.swapaxes(b_data, -1, -2)), a_data.shape)
-        gb = _reduce_to_shape(np.matmul(np.swapaxes(a_data, -1, -2), g), b_data.shape)
-        return ga, gb
+        return (_reduce_to_shape(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape),
+                _reduce_to_shape(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
 
-    return tape._record("matmul", (a, b), out, backward)
+    return _result(np.matmul(a.data, b.data), (a, b), backward)
 
 
-def add(a: Tensor, b) -> Tensor:
-    """Elementwise sum; the second operand may be a plain scalar."""
-    a = _as_tensor(a)
-    if isinstance(b, (int, float)):
-        out = a.data + float(b)
-        tape = _recording()
-        if tape is None:
-            return Tensor(out)
-        return tape._record("add", (a,), out, lambda g: (g,))
-    b = _as_tensor(b)
-    out = a.data + b.data
-    tape = _recording()
-    if tape is None:
-        return Tensor(out)
-    a_shape, b_shape = a.shape, b.shape
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum with numpy broadcasting."""
+    a, b = _as_tensor(a), _as_tensor(b)
 
     def backward(g: np.ndarray):
-        return _reduce_to_shape(g, a_shape), _reduce_to_shape(g, b_shape)
+        return _reduce_to_shape(g, a.shape), _reduce_to_shape(g, b.shape)
 
-    return tape._record("add", (a, b), out, backward)
+    return _result(a.data + b.data, (a, b), backward)
 
 
-def mul(a: Tensor, b) -> Tensor:
-    """Elementwise product; the second operand may be a plain scalar."""
-    a = _as_tensor(a)
-    if isinstance(b, (int, float)):
-        scalar = float(b)
-        out = a.data * scalar
-        tape = _recording()
-        if tape is None:
-            return Tensor(out)
-        return tape._record("mul", (a,), out, lambda g: (g * scalar,))
-    b = _as_tensor(b)
-    out = a.data * b.data
-    tape = _recording()
-    if tape is None:
-        return Tensor(out)
-    a_data, b_data = a.data, b.data
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product with numpy broadcasting."""
+    a, b = _as_tensor(a), _as_tensor(b)
 
     def backward(g: np.ndarray):
-        return (_reduce_to_shape(g * b_data, a_data.shape),
-                _reduce_to_shape(g * a_data, b_data.shape))
+        return (_reduce_to_shape(g * b.data, a.shape),
+                _reduce_to_shape(g * a.data, b.shape))
 
-    return tape._record("mul", (a, b), out, backward)
+    return _result(a.data * b.data, (a, b), backward)
 
 
 def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
-    x = _as_tensor(x)
-    axes = tuple(axes)
-    out = np.transpose(x.data, axes)
-    tape = _recording()
-    if tape is None:
-        return Tensor(out)
-    inverse = tuple(np.argsort(axes))
-    return tape._record("transpose", (x,), out,
-                        lambda g: (np.transpose(g, inverse),))
+    x, axes = _as_tensor(x), tuple(axes)
+    return _result(np.transpose(x.data, axes), (x,),
+                   lambda g: (np.transpose(g, np.argsort(axes)),))
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     x = _as_tensor(x)
-    out = np.reshape(x.data, tuple(shape))
-    tape = _recording()
-    if tape is None:
-        return Tensor(out)
-    original = x.shape
-    return tape._record("reshape", (x,), out,
-                        lambda g: (np.reshape(g, original),))
+    return _result(np.reshape(x.data, tuple(shape)), (x,),
+                   lambda g: (np.reshape(g, x.shape),))
+
+
+def _spread(g: np.ndarray, shape: tuple[int, ...], axis,
+            keepdims: bool) -> np.ndarray:
+    """A reduction's output gradient broadcast back over its input shape."""
+    expanded = g if axis is None or keepdims else np.expand_dims(g, axis)
+    return np.broadcast_to(expanded, shape).copy()
 
 
 def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     x = _as_tensor(x)
-    out = x.data.sum(axis=axis, keepdims=keepdims)
-    tape = _recording()
-    if tape is None:
-        return Tensor(out)
-    shape = x.shape
-
-    def backward(g: np.ndarray):
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        expanded = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(expanded, shape).copy(),)
-
-    return tape._record("sum", (x,), out, backward)
+    return _result(x.data.sum(axis=axis, keepdims=keepdims), (x,),
+                   lambda g: (_spread(g, x.shape, axis, keepdims),))
 
 
 def tensor_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     x = _as_tensor(x)
-    out = x.data.mean(axis=axis, keepdims=keepdims)
-    tape = _recording()
-    if tape is None:
-        return Tensor(out)
-    shape = x.shape
-    count = x.size if axis is None else shape[axis]
 
     def backward(g: np.ndarray):
-        if axis is None:
-            return (np.broadcast_to(g / count, shape).copy(),)
-        expanded = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(expanded / count, shape).copy(),)
+        count = x.size if axis is None else x.shape[axis]
+        return (_spread(g / count, x.shape, axis, keepdims),)
 
-    return tape._record("mean", (x,), out, backward)
+    return _result(x.data.mean(axis=axis, keepdims=keepdims), (x,), backward)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -358,15 +281,12 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     exps = np.exp(shifted)
     out = exps / exps.sum(axis=axis, keepdims=True)
-    tape = _recording()
-    if tape is None:
-        return Tensor(out)
 
     def backward(g: np.ndarray):
         inner = (g * out).sum(axis=axis, keepdims=True)
         return (out * (g - inner),)
 
-    return tape._record("softmax", (x,), out, backward)
+    return _result(out, (x,), backward)
 
 
 def layernorm(x: Tensor, gamma: Tensor, beta: Tensor,
@@ -382,15 +302,10 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor,
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
-    out = xhat * gamma.data + beta.data
-    tape = _recording()
-    if tape is None:
-        return Tensor(out)
-    gamma_data = gamma.data
-    reduce_axes = tuple(range(x.ndim - 1))
 
     def backward(g: np.ndarray):
-        dxhat = g * gamma_data
+        reduce_axes = tuple(range(x.ndim - 1))
+        dxhat = g * gamma.data
         dx = inv_std * (dxhat
                         - dxhat.mean(axis=-1, keepdims=True)
                         - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
@@ -398,24 +313,19 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor,
         dbeta = g.sum(axis=reduce_axes)
         return dx, dgamma, dbeta
 
-    return tape._record("layernorm", (x, gamma, beta), out, backward)
+    return _result(xhat * gamma.data + beta.data, (x, gamma, beta), backward)
 
 
 def gelu(x: Tensor) -> Tensor:
     """Exact-erf GeLU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
     x = _as_tensor(x)
     phi = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-    out = x.data * phi
-    tape = _recording()
-    if tape is None:
-        return Tensor(out)
-    x_data = x.data
 
     def backward(g: np.ndarray):
-        density = np.exp(-0.5 * x_data * x_data) * _INV_SQRT_2PI
-        return (g * (phi + x_data * density),)
+        density = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
+        return (g * (phi + x.data * density),)
 
-    return tape._record("gelu", (x,), out, backward)
+    return _result(x.data * phi, (x,), backward)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -440,21 +350,15 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
             f"[{labels.min()}, {labels.max()}]")
     z = logits.data
     batch = z.shape[0]
-    z_max = z.max(axis=1, keepdims=True)
-    shifted = z - z_max
+    shifted = z - z.max(axis=1, keepdims=True)
     exps = np.exp(shifted)
     sums = exps.sum(axis=1, keepdims=True)
     log_probs = shifted - np.log(sums)
     nll = -log_probs[np.arange(batch), labels]
-    out = np.asarray(nll.mean())
-    tape = _recording()
-    if tape is None:
-        return Tensor(out)
-    probs = exps / sums
 
     def backward(g: np.ndarray):
-        grad = probs.copy()
+        grad = exps / sums
         grad[np.arange(batch), labels] -= 1.0
         return (grad * (g / batch),)
 
-    return tape._record("cross_entropy", (logits,), out, backward)
+    return _result(np.asarray(nll.mean()), (logits,), backward)

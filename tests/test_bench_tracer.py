@@ -1,13 +1,19 @@
-"""The benchmark's span tracer still finds every function it wraps.
+"""The benchmark's span tracer still finds every function it wraps, and its
+closed-form call counts still hold.
 
 ``perfbench/spans.py`` patches bbcq functions by module attribute. A rename
-under ``src/`` would otherwise only surface in a traced benchmark run.
+under ``src/``, or a change in how often a candidate or block forward runs,
+would otherwise only surface in a traced benchmark run.
 """
 
 from __future__ import annotations
 
 import importlib.util
 from pathlib import Path
+
+import pytest
+
+from bbcq import cli
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -29,3 +35,35 @@ def test_traced_targets_resolve():
     for module, attr, replacement in wrapped:
         assert replacement.__wrapped__ is getattr(module, attr), \
             f"{module.__name__}.{attr}"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_traced_pipeline_meets_closed_forms(tmp_path, monkeypatch, threads):
+    """gen -> calibrate -> eval under the tracer: call counts obey the
+    formulas the benchmark checks (a refactor that changes how often
+    candidates or block forwards run fails here, not only in the bench)."""
+    spans = _load_spans()
+    monkeypatch.setenv("BBCQ_THREADS", threads)
+    data, out = str(tmp_path / "data"), str(tmp_path / "out")
+    commands = {
+        "gen": ["gen", "--blocks", "1", "--embed-dim", "16", "--heads", "2",
+                "--patches", "4", "--classes", "4", "--calib-size", "8",
+                "--eval-size", "8", "--out", data],
+        "calibrate": ["calibrate", "--model", f"{data}/model.bbcv",
+                      "--calib", f"{data}/calib.bbcv", "--out", out,
+                      "--wbits", "4", "--abits", "4", "--candidates", "3",
+                      "--rounds", "2"],
+        "eval": ["eval", "--model", f"{data}/model.bbcv",
+                 "--eval", f"{data}/eval.bbcv",
+                 "--result", f"{out}/calib_result.json", "--out", out],
+    }
+    tracer = spans.Tracer()
+    tracer.install(spans.traced_targets(tracer))
+    try:
+        for phase, argv in commands.items():
+            tracer.run = phase
+            assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert spans.closed_form_problems(tracer.spans, blocks=1, candidates=3,
+                                      rounds=2) == []

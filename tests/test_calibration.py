@@ -490,6 +490,14 @@ def test_calibrate_rejects_non_finite_candidate_metrics():
         calibrate(model, x, y, config)
 
 
+def test_calibrate_uses_the_first_calib_batch_samples():
+    model, x, y = _small_setup(samples=8)
+    config = CalibConfig(w_bits=4, a_bits=4, num_candidates=4, rounds=1,
+                         calib_batch=4)
+    assert (calibrate(model, x, y, config).dumps()
+            == calibrate(model, x[:4], y[:4], config).dumps())
+
+
 def _full_reforward_trace(model, site, candidates, state, cache, config):
     """Every candidate scored by re-forwarding the whole block from the
     cached FP input, with no carry: the path the staged search replaces."""

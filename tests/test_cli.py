@@ -8,12 +8,15 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import numpy as np
 import pytest
 
+from bbcq import cli
 from bbcq.cli import main
+from bbcq.errors import ParameterError
 from bbcq.report import report_schema
 from bbcq.serialize import load_dataset, load_model, save_dataset, save_model
 
@@ -153,23 +156,68 @@ def test_calibrate_profile_changes_search_range(tmp_path):
         assert (cfg["alpha"], cfg["beta"]) == expected
 
 
-def test_calibrate_non_finite_metric_is_an_error(tmp_path):
-    """Weights whose products overflow end the run with an error line."""
+def _run_with_scaled_mlp(tmp_path, scale, command):
+    """``bbcq <command>`` in a fresh process on the generated model with its
+    MLP weights times ``scale``; numpy's warnings filters stay the default."""
     data = _gen(tmp_path)
     model = load_model(data / "model.bbcv")
-    model.blocks[0].w1 = model.blocks[0].w1 * 1e80
-    model.blocks[0].w2 = model.blocks[0].w2 * 1e80
+    model.blocks[0].w1 = model.blocks[0].w1 * scale
+    model.blocks[0].w2 = model.blocks[0].w2 * scale
     save_model(model, data / "big.bbcv")
-    proc = subprocess.run(
-        [sys.executable, "-m", "bbcq.cli", "calibrate",
-         "--model", str(data / "big.bbcv"), "--calib", str(data / "calib.bbcv"),
-         "--out", str(tmp_path / "o"), "--wbits", "4", "--abits", "4",
-         "--candidates", "4", "--rounds", "1"],
+    if command == "calibrate":
+        extra = ["--calib", str(data / "calib.bbcv"), "--wbits", "4",
+                 "--abits", "4", "--candidates", "4", "--rounds", "1"]
+    else:
+        extra = ["--eval", str(data / "eval.bbcv")]
+    return subprocess.run(
+        [sys.executable, "-m", "bbcq.cli", command,
+         "--model", str(data / "big.bbcv"), "--out", str(tmp_path / "o")]
+        + extra,
         capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+
+
+def test_calibrate_non_finite_metric_is_an_error(tmp_path):
+    """Weights whose products overflow end the run with one error line and
+    none of numpy's overflow warnings."""
+    proc = _run_with_scaled_mlp(tmp_path, 1e80, "calibrate")
     assert proc.returncode == 1
-    assert proc.stderr.splitlines()[-1].startswith("error:non-finite: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error:non-finite: site b0.mlp-2.A")
     assert not (tmp_path / "o" / "calib_result.json").exists()
+
+
+@pytest.mark.parametrize("command, what", [("calibrate", "the FP loss"),
+                                           ("eval", "the FP logit array")])
+def test_overflowing_fp_forward_is_one_error_line(tmp_path, command, what):
+    """Weights so large the FP forward itself overflows to NaN."""
+    proc = _run_with_scaled_mlp(tmp_path, 1e200, command)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        f"error:non-finite: {what} holds NaN or infinite values"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_warnings_wait_for_the_command_outcome(monkeypatch, capsys):
+    """A command's warnings are shown after it succeeds and dropped when
+    it fails, so a failure stays one line."""
+    def command(fails):
+        def run(args):
+            warnings.warn("held", RuntimeWarning)
+            if fails:
+                raise ParameterError("bad")
+            return 0
+        return run
+
+    monkeypatch.setattr(cli, "cmd_inspect", command(False))
+    with pytest.warns(RuntimeWarning, match="held"):
+        assert main(["inspect", "x"]) == 0
+    monkeypatch.setattr(cli, "cmd_inspect", command(True))
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        assert main(["inspect", "x"]) == 1
+    assert shown == []
+    assert capsys.readouterr().err == "error:parameter: bad\n"
 
 
 def test_calibrate_missing_model_is_io_error(tmp_path, capsys):
@@ -318,17 +366,39 @@ def test_eval_result_with_duplicate_site_is_parameter_error(tmp_path, capsys):
     assert err.startswith("error:parameter: ") and "b0.qkv-projection.A" in err
 
 
-def _with_model_spec(data, field, value):
-    """Copy of the model container with one manifest spec field replaced."""
-    blob = (data / "model.bbcv").read_bytes()
+def _with_manifest(source, edit):
+    """Copy of a container whose manifest is replaced by ``edit(manifest)``."""
+    blob = source.read_bytes()
     (manifest_len,) = struct.unpack_from("<Q", blob, 8)
-    manifest = json.loads(blob[16:16 + manifest_len])
-    manifest["spec"][field] = value
+    manifest = edit(json.loads(blob[16:16 + manifest_len]))
     raw = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-    bad = data / "bad.bbcv"
+    bad = source.parent / "bad.bbcv"
     bad.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw
                     + blob[16 + manifest_len:])
     return bad
+
+
+def _with_model_spec(data, field, value):
+    """Copy of the model container with one manifest spec field replaced."""
+    return _with_manifest(data / "model.bbcv",
+                          lambda m: {**m, "spec": {**m["spec"], field: value}})
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: {**m, "tensors": 5},
+    lambda m: {**m, "spec": [1]},
+    lambda m: "kind spec tensors",
+], ids=["tensors-int", "spec-list", "manifest-string"])
+def test_calibrate_manifest_of_wrong_json_shape_is_one_error_line(
+        tmp_path, capsys, edit):
+    data = _gen(tmp_path)
+    bad = _with_manifest(data / "calib.bbcv", edit)
+    capsys.readouterr()
+    rc = main(["calibrate", "--model", str(data / "model.bbcv"),
+               "--calib", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:manifest-mismatch: ")
 
 
 def test_eval_model_with_fractional_spec_field_is_parameter_error(tmp_path,

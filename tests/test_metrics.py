@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from bbcq import metrics as metrics_module
 from bbcq.calibration import CalibConfig, calibrate
 from bbcq.data import generate_dataset, synthetic_scores
 from bbcq.errors import (ContractError, DimensionError, NonFiniteError,
@@ -176,6 +177,24 @@ def test_evaluate_rejects_non_finite_inputs(bad):
     x[0, 0, 0] = bad
     with pytest.raises(NonFiniteError):
         evaluate(model, None, x, y)
+
+
+def test_evaluate_rejects_non_finite_quantized_logits(monkeypatch):
+    model, x, y = _eval_setup()
+    result = calibrate(model, x, y, CalibConfig(w_bits=8, a_bits=8,
+                                                num_candidates=4, rounds=1))
+    fp_forward = metrics_module.forward
+
+    def overflowing_forward(model, x, quant=None, **kwargs):
+        out = fp_forward(model, x, quant=quant, **kwargs)
+        if quant is not None:
+            out.logits.data[0, 0] = np.inf
+        return out
+
+    monkeypatch.setattr(metrics_module, "forward", overflowing_forward)
+    evaluate(model, None, x, y)
+    with pytest.raises(NonFiniteError, match="the quantized logit array"):
+        evaluate(model, result, x, y)
 
 
 def test_eval_metrics_json_keys():

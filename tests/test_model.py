@@ -11,7 +11,7 @@ from bbcq.model import (BLOCK_KINDS, MatmulSite, ModelSpec, block_carry,
                         block_forward, enumerate_sites, forward, forward_from,
                         init_model, parameter_shapes, validate_quant_sites)
 from bbcq.quantizers import QuantParams, softmax_site_params
-from bbcq.tensor import Tape, Tensor, cross_entropy
+from bbcq.tensor import Tape, Tensor, cross_entropy, matmul
 
 from _oracles import oracle_forward
 
@@ -165,12 +165,13 @@ def test_forward_composes_from_block_forward(tiny_model, tiny_batch):
     """Running embed + blocks + pool + head by hand equals forward(), bitwise."""
     x, _ = tiny_batch
     full = forward(tiny_model, x)
-    current = Tensor(np.asarray(x, dtype=np.float64)) @ Tensor(tiny_model.embed_w)
+    current = matmul(Tensor(np.asarray(x, dtype=np.float64)),
+                     Tensor(tiny_model.embed_w))
     np.testing.assert_array_equal(current.data, full.embed_output.data)
     for b in range(tiny_model.spec.num_blocks):
         current = block_forward(tiny_model, b, current)
         np.testing.assert_array_equal(current.data, full.block_outputs[b].data)
-    logits = current.mean(axis=1) @ Tensor(tiny_model.head_w)
+    logits = matmul(current.mean(axis=1), Tensor(tiny_model.head_w))
     np.testing.assert_array_equal(logits.data, full.logits.data)
 
 

@@ -174,6 +174,7 @@ GRAD_CASES = [
      [(4, 3)]),
     ("softmax", lambda a: tensor_sum(mul(softmax(a, axis=-1), a)), [(3, 5)]),
     ("gelu", lambda a: tensor_sum(mul(gelu(a), 1.3)), [(4, 4)]),
+    ("add_scalar", lambda a: tensor_sum(mul(add(a, 2.5), a)), [(3, 4)]),
 ]
 
 
@@ -256,10 +257,53 @@ def test_gradient_accumulates_over_reuse(rng):
         np.testing.assert_allclose(tape.grad(t).data, np.full((1, 3), 5.0))
 
 
+def test_gradient_accumulates_over_reused_scalar(rng):
+    """Contributions to a 0-d node add up, though numpy hands them over as
+    immutable scalars rather than arrays."""
+    x = rng.normal(size=(3,))
+    with Tape() as tape:
+        t = Tensor(x)
+        total = tensor_sum(t)
+        tape.backward(mul(total, total))
+        np.testing.assert_allclose(tape.grad(t).data, np.full(3, 2 * x.sum()))
+
+
+# Every operation once: (name, build, input shapes).
+OP_CASES = [
+    ("matmul", matmul, [(3, 4), (4, 5)]),
+    ("add", add, [(3, 4), (4,)]),
+    ("mul", mul, [(2, 3), (2, 3)]),
+    ("transpose", lambda a: transpose(a, (1, 0)), [(2, 3)]),
+    ("reshape", lambda a: reshape(a, (6,)), [(2, 3)]),
+    ("tensor_sum", lambda a: tensor_sum(a, axis=0), [(2, 3)]),
+    ("tensor_mean", lambda a: tensor_mean(a, axis=1), [(2, 3)]),
+    ("softmax", softmax, [(2, 3)]),
+    ("layernorm", layernorm, [(3, 8), (8,), (8,)]),
+    ("gelu", gelu, [(2, 3)]),
+    ("cross_entropy", lambda a: cross_entropy(a, np.array([0, 2])), [(2, 3)]),
+]
+
+
 def test_ops_run_without_tape(rng):
     assert not recording_active()
-    out = gelu(softmax(Tensor(rng.normal(size=(2, 4)))))
-    assert out._node is None
+    for name, build, shapes in OP_CASES:
+        inputs = [Tensor(rng.normal(size=shape)) for shape in shapes]
+        assert build(*inputs)._node is None, name
+        assert all(t._node is None for t in inputs), name
+
+
+@pytest.mark.parametrize("name,build,shapes", OP_CASES,
+                         ids=[c[0] for c in OP_CASES])
+def test_op_records_one_node_per_call(name, build, shapes, rng):
+    """A taped op adds its own node plus one leaf per input not yet seen."""
+    inputs = [Tensor(rng.normal(size=shape)) for shape in shapes]
+    with Tape() as tape:
+        first = build(*inputs)
+        assert len(tape) == len(inputs) + 1
+        assert first._node == len(tape) - 1
+        second = build(*inputs)
+        assert len(tape) == len(inputs) + 2
+        assert second._node == len(tape) - 1
 
 
 def test_backward_is_deterministic(rng):
