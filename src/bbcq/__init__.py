@@ -25,7 +25,7 @@ from .metrics import (EvalMetrics, QuantReportRow, code_entropy,
 from .model import (BlockCarry, MatmulSite, Model, ModelSpec, block_carry,
                     block_forward, enumerate_sites, forward, forward_from,
                     init_model)
-from .quantizers import (CodeTensor, QuantParams, dequantize,
+from .quantizers import (CodeTensor, DynamicSoftmax, QuantParams, dequantize,
                          fake_quant_array, quantize, round_half_away)
 from .serialize import (load_dataset, load_model, save_dataset, save_model,
                         serialize_dataset, serialize_model)
@@ -39,8 +39,8 @@ __all__ = [
     "Tape", "Tensor", "add", "cross_entropy", "gelu", "layernorm", "matmul",
     "mul", "reshape", "softmax", "tensor_mean", "tensor_sum", "transpose",
     # quantizers
-    "CodeTensor", "QuantParams", "dequantize", "fake_quant_array",
-    "quantize", "round_half_away",
+    "CodeTensor", "DynamicSoftmax", "QuantParams", "dequantize",
+    "fake_quant_array", "quantize", "round_half_away",
     # model + serialization
     "BlockCarry", "MatmulSite", "Model", "ModelSpec", "block_carry",
     "block_forward", "enumerate_sites", "forward", "forward_from",

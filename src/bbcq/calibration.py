@@ -29,9 +29,11 @@ import numpy as np
 
 from .errors import (ConfigError, ContractError, DegenerateRangeError,
                      DimensionError, NonFiniteError, ParameterError)
-from .model import (BLOCK_KINDS, BlockCarry, MatmulSite, Model, block_carry,
-                    block_forward, forward, json_value, record_fields)
-from .quantizers import (EPSILON, SCHEMES, QuantParams, minmax_affine_params,
+from .model import (BLOCK_KINDS, BlockCarry, MatmulSite, Model, QuantState,
+                    block_carry, block_forward, forward, json_value,
+                    record_fields)
+from .quantizers import (EPSILON, SCHEMES, DynamicSoftmax, QuantParams,
+                         constant_params, minmax_affine_params,
                          round_half_away, softmax_site_params)
 from .tensor import Tape, Tensor, cross_entropy, require_finite
 
@@ -89,6 +91,13 @@ class CalibConfig:
         if self.profile not in PROFILES:
             raise ParameterError(
                 f"profile must be one of {PROFILES}, got {self.profile!r}")
+
+    def quant_state(self, params: Mapping[MatmulSite, QuantParams]) -> dict:
+        """The state a forward applies for ``params``: with ``dynamic_softmax``
+        each post-softmax site anchors every row to its own range."""
+        return {site: DynamicSoftmax(p.scheme, p.bits)
+                if self.dynamic_softmax and site.is_softmax_output else p
+                for site, p in params.items()}
 
     @classmethod
     def for_profile(cls, profile: str, **overrides) -> "CalibConfig":
@@ -169,7 +178,6 @@ class FPPass:
 
     caches: list[BlockCache]
     loss: float
-    logits: np.ndarray
     ranges: dict[MatmulSite, tuple[float, float]]
 
 
@@ -297,14 +305,11 @@ def cache_fp_pass(model: Model, inputs, labels, *, blocks_as_layers: bool = Fals
                     outputs=[t.data.copy() for t in outs],
                     grads=[tape.grad(t).data.copy() for t in outs]))
                 instr.on_cache_alloc()
-    return FPPass(caches=caches, loss=loss.item(), logits=result.logits.data.copy(),
-                  ranges=ranges)
+    return FPPass(caches=caches, loss=loss.item(), ranges=ranges)
 
 
-def _unit_metric(model: Model, cache: BlockCache,
-                 quant: Mapping[MatmulSite, QuantParams],
-                 gamma: float, dynamic_softmax: bool,
-                 start: Tensor | BlockCarry) -> float:
+def _unit_metric(model: Model, cache: BlockCache, quant: QuantState,
+                 gamma: float, start: Tensor | BlockCarry) -> float:
     """Masked sensitivity metric of one unit under a trial quant state.
 
     The block runs from ``start``: its cached input or a carry (see
@@ -317,11 +322,9 @@ def _unit_metric(model: Model, cache: BlockCache,
             trial_outputs.append(out.data)
 
     if cache.kind == "block":
-        trial_outputs.append(block_forward(model, cache.block, start, quant,
-                                           dynamic_softmax).data)
+        trial_outputs.append(block_forward(model, cache.block, start, quant).data)
     else:
-        block_forward(model, cache.block, start, quant, dynamic_softmax, hook,
-                      stop=cache.kind)
+        block_forward(model, cache.block, start, quant, hook=hook, stop=cache.kind)
     total = 0.0
     for produced, reference, g in zip(trial_outputs, cache.outputs, cache.grads,
                                       strict=True):
@@ -330,7 +333,7 @@ def _unit_metric(model: Model, cache: BlockCache,
 
 
 def search_site(model: Model, site: MatmulSite, candidates: list[QuantParams],
-                state: Mapping[MatmulSite, QuantParams], cache: BlockCache,
+                state: QuantState, cache: BlockCache,
                 config: CalibConfig,
                 executor: ThreadPoolExecutor | None = None
                 ) -> tuple[QuantParams, int, list[float]]:
@@ -345,13 +348,12 @@ def search_site(model: Model, site: MatmulSite, candidates: list[QuantParams],
     never the result. A NaN or infinite metric raises NonFiniteError.
     """
     start = block_carry(model, cache.block, Tensor(cache.block_input), site,
-                        state, config.dynamic_softmax)
+                        state)
 
     def metric_for(params: QuantParams) -> float:
         trial = dict(state)
         trial[site] = params
-        return _unit_metric(model, cache, trial, config.gamma,
-                            config.dynamic_softmax, start)
+        return _unit_metric(model, cache, trial, config.gamma, start)
 
     if executor is None:
         trace = [metric_for(params) for params in candidates]
@@ -398,9 +400,9 @@ class CalibResult:
 
     ``traces`` maps each searched site to one metric list per round (all
     n+1 candidates); ``chosen_index`` is the argmin of the final round.
-    Unsearched sites (post-softmax, embed, head) carry an empty trace and a
-    None index. ``fp_block_inputs`` records that candidate scoring always
-    re-forwarded from cached full-precision block inputs.
+    Unsearched sites (post-softmax, embed, head, constant operands) carry an
+    empty trace and a None index. ``fp_block_inputs`` records that candidate
+    scoring always re-forwarded from cached full-precision block inputs.
     """
 
     config: CalibConfig
@@ -411,8 +413,9 @@ class CalibResult:
     softmax_max: list[float]
     fp_block_inputs: bool = True
 
-    def quant_state(self) -> dict[MatmulSite, QuantParams]:
-        return dict(self.params)
+    def quant_state(self) -> dict:
+        """The state ``forward`` applies to run this result."""
+        return self.config.quant_state(self.params)
 
     def sites(self) -> list[MatmulSite]:
         return sorted(self.params, key=_site_sort_key)
@@ -495,8 +498,10 @@ def calibrate(model: Model, inputs, labels, config: CalibConfig,
     (activation search, weight search) run, each holding every other site at
     its current state. Post-softmax sites get the configured softmax
     quantizer anchored to the FP pass's observed maximum and are active
-    (never searched) throughout their block. Embed and head are weight-only
-    min-max quantized. Only the first ``config.calib_batch`` samples are used.
+    (never searched) throughout their block. An operand that is one constant
+    over the whole FP pass is not searched either; it gets params that hold
+    that constant exactly. Embed and head are weight-only min-max quantized.
+    Only the first ``config.calib_batch`` samples are used.
     """
     instr = instrumentation if instrumentation is not None else CalibInstrumentation()
     fp = cache_fp_pass(model, inputs[:config.calib_batch],
@@ -528,36 +533,28 @@ def calibrate(model: Model, inputs, labels, config: CalibConfig,
             for kind in reversed(BLOCK_KINDS):
                 unit_kind = kind if config.blocks_as_layers else "block"
                 cache = by_unit[(b, unit_kind)]
-                a_site = MatmulSite(kind, "A", b)
-                b_site = MatmulSite(kind, "B", b)
-                b_bits = config.w_bits if b_site.is_weight_operand else config.a_bits
-                b_lo, b_hi = fp.ranges[b_site]
-                state[b_site] = _init_weight_side(b_lo, b_hi, b_bits)
-                b_candidates = candidate_scales(b_lo, b_hi, b_bits,
-                                                config.alpha, config.beta,
-                                                config.num_candidates)
-                traces[b_site] = []
-                search_a = not a_site.is_softmax_output
-                if search_a:
-                    a_lo, a_hi = fp.ranges[a_site]
-                    a_candidates = candidate_scales(a_lo, a_hi, config.a_bits,
-                                                    config.alpha, config.beta,
-                                                    config.num_candidates)
-                    traces[a_site] = []
+                grids = {}
+                for site in (MatmulSite(kind, "A", b), MatmulSite(kind, "B", b)):
+                    if site.is_softmax_output:
+                        continue
+                    lo, hi = fp.ranges[site]
+                    bits = config.w_bits if site.is_weight_operand else config.a_bits
+                    if lo == hi:
+                        state[site] = constant_params(lo, bits)
+                        traces[site], chosen[site] = [], None
+                        continue
+                    if site.role == "B":
+                        state[site] = _init_weight_side(lo, hi, bits)
+                    grids[site] = candidate_scales(lo, hi, bits, config.alpha,
+                                                   config.beta,
+                                                   config.num_candidates)
+                    traces[site] = []
                 for _ in range(config.rounds):
-                    if search_a:
-                        params, idx, trace = search_site(
-                            model, a_site, a_candidates, state, cache, config,
-                            executor)
-                        state[a_site] = params
-                        chosen[a_site] = idx
-                        traces[a_site].append(trace)
-                    params, idx, trace = search_site(
-                        model, b_site, b_candidates, state, cache, config,
-                        executor)
-                    state[b_site] = params
-                    chosen[b_site] = idx
-                    traces[b_site].append(trace)
+                    for site, candidates in grids.items():
+                        state[site], chosen[site], trace = search_site(
+                            model, site, candidates, config.quant_state(state),
+                            cache, config, executor)
+                        traces[site].append(trace)
             instr.exit_block()
     finally:
         if executor is not None:
@@ -570,8 +567,7 @@ def calibrate(model: Model, inputs, labels, config: CalibConfig,
 
 
 def total_blockwise_metric(model: Model, inputs, labels,
-                           assignment: Mapping[MatmulSite, QuantParams],
-                           gamma: float, dynamic_softmax: bool = False) -> float:
+                           assignment: QuantState, gamma: float) -> float:
     """Summed block metric with a full assignment active.
 
     Re-forwards every block from its cached FP input with all of the block's
@@ -583,6 +579,6 @@ def total_blockwise_metric(model: Model, inputs, labels,
     fp = cache_fp_pass(model, inputs, labels)
     total = 0.0
     for cache in fp.caches:
-        total += _unit_metric(model, cache, assignment, gamma, dynamic_softmax,
+        total += _unit_metric(model, cache, assignment, gamma,
                               Tensor(cache.block_input))
     return total

@@ -8,7 +8,7 @@ import numpy as np
 
 from .calibration import CalibResult
 from .errors import ContractError, DimensionError
-from .model import Model, forward
+from .model import Model, enumerate_sites, forward
 from .quantizers import SCHEME_TABLE, CodeTensor, softmax_site_params
 from .tensor import Tensor, cross_entropy, require_finite, softmax
 
@@ -117,8 +117,14 @@ def evaluate(model: Model, result: CalibResult | None, inputs,
     """Top-1 accuracy, agreement with the FP model's argmax, and mean loss.
 
     With no calibration result the model runs in full precision and agrees
-    with itself exactly.
+    with itself exactly. A result must cover every site of the model.
     """
+    if result is not None:
+        missing = [site.site_id for site in enumerate_sites(model.spec)
+                   if site not in result.params]
+        if missing:
+            raise ContractError(
+                f"calib result misses sites of the model: {', '.join(missing)}")
     x = require_finite(np.asarray(inputs, dtype=np.float64), "inputs")
     labels = np.asarray(labels)
     fp_logits = require_finite(forward(model, Tensor(x)).logits.data,
@@ -127,8 +133,7 @@ def evaluate(model: Model, result: CalibResult | None, inputs,
         logits = fp_logits
     else:
         logits = require_finite(
-            forward(model, Tensor(x), quant=result.quant_state(),
-                    dynamic_softmax=result.config.dynamic_softmax).logits.data,
+            forward(model, Tensor(x), quant=result.quant_state()).logits.data,
             "the quantized logit array")
     pred = logits.argmax(axis=1)
     return EvalMetrics(

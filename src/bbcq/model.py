@@ -25,7 +25,8 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .errors import ContractError, DimensionError, ParameterError
-from .quantizers import QuantParams, fake_quant_array, fake_quant_softmax_dynamic
+from .quantizers import (DynamicSoftmax, QuantParams, fake_quant_array,
+                         fake_quant_softmax_dynamic)
 from .tensor import (Tensor, add, gelu, layernorm, matmul, mul,
                      recording_active, reshape, softmax, transpose)
 
@@ -307,6 +308,10 @@ class ForwardResult:
 #: ``hook(kind, block, a, b, out)``: called once per matmul, right after it.
 MatmulHook = Callable[[str, "int | None", np.ndarray, np.ndarray, Tensor], None]
 
+#: How each listed site's operand is fake-quantized; unlisted sites run FP.
+#: A ``DynamicSoftmax`` entry belongs only at a post-softmax site.
+QuantState = Mapping[MatmulSite, QuantParams | DynamicSoftmax]
+
 
 @dataclass(frozen=True)
 class BlockCarry:
@@ -332,26 +337,27 @@ class BlockCarry:
     b_quant: tuple[Tensor, ...] | None = None
 
 
-def _apply_site(x: Tensor, site: MatmulSite,
-                quant: Mapping[MatmulSite, QuantParams] | None,
-                dynamic: bool = False) -> Tensor:
-    """Fake-quantize one operand if ``quant`` lists its site; ``dynamic``
-    anchors each row."""
-    if quant is not None:
-        params = quant.get(site)
-        if params is not None:
-            if dynamic:
-                return Tensor(fake_quant_softmax_dynamic(
-                    x.data, params.scheme, params.bits))
-            return Tensor(fake_quant_array(x.data, params))
+def _check_entries(quant: QuantState | None) -> None:
+    for site, entry in (quant or {}).items():
+        if isinstance(entry, DynamicSoftmax) and not site.is_softmax_output:
+            raise ContractError(f"{site.site_id} is not a post-softmax site; "
+                                f"it cannot hold {entry}")
+
+
+def _apply_site(x: Tensor, site: MatmulSite, quant: QuantState | None) -> Tensor:
+    """Fake-quantize one operand as ``quant`` says, if it lists the site."""
+    entry = None if quant is None else quant.get(site)
+    if isinstance(entry, DynamicSoftmax):
+        return Tensor(fake_quant_softmax_dynamic(x.data, entry.scheme, entry.bits))
+    if entry is not None:
+        return Tensor(fake_quant_array(x.data, entry))
     return x
 
 
-def _quant_a(carry: BlockCarry, block: int, quant, dynamic_softmax: bool) -> Tensor:
+def _quant_a(carry: BlockCarry, block: int, quant) -> Tensor:
     if carry.a_quant is not None:
         return carry.a_quant
-    return _apply_site(carry.a, MatmulSite(carry.kind, "A", block), quant,
-                       dynamic_softmax and carry.kind == SOFTMAX_KIND)
+    return _apply_site(carry.a, MatmulSite(carry.kind, "A", block), quant)
 
 
 def _quant_b(carry: BlockCarry, block: int, quant) -> tuple[Tensor, ...]:
@@ -362,8 +368,7 @@ def _quant_b(carry: BlockCarry, block: int, quant) -> tuple[Tensor, ...]:
 
 
 def _run_stages(model: Model, block: int, carry: BlockCarry,
-                quant: Mapping[MatmulSite, QuantParams] | None,
-                dynamic_softmax: bool, hook: MatmulHook | None,
+                quant: QuantState | None, hook: MatmulHook | None,
                 end: str | None, stop: str | None) -> BlockCarry | Tensor | None:
     """Run ``carry`` on: pause in front of matmul ``end``, return None right
     after the hook of matmul ``stop``, or return the block output."""
@@ -379,7 +384,7 @@ def _run_stages(model: Model, block: int, carry: BlockCarry,
     while carry.kind != end:
         kind = carry.kind
         # One fake-quant of operand A feeds all three q/k/v projections.
-        aq = _quant_a(carry, block, quant, dynamic_softmax)
+        aq = _quant_a(carry, block, quant)
         outs = []
         for b, bq in zip(carry.b, _quant_b(carry, block, quant)):
             out = matmul(aq, bq)
@@ -423,8 +428,7 @@ def _block_entry(model: Model, block: int, x: Tensor) -> BlockCarry:
 
 
 def block_forward(model: Model, block: int, x: Tensor | BlockCarry,
-                  quant: Mapping[MatmulSite, QuantParams] | None = None,
-                  dynamic_softmax: bool = False,
+                  quant: QuantState | None = None, *,
                   hook: MatmulHook | None = None,
                   stop: str | None = None) -> Tensor | None:
     """One transformer block. ``x`` is the (B, N, D) block input, or a
@@ -440,18 +444,17 @@ def block_forward(model: Model, block: int, x: Tensor | BlockCarry,
     Returns the block output. With ``stop`` naming a matmul kind, the call
     ends right after that matmul's hook calls and returns None.
     """
+    _check_entries(quant)
     carry = x if isinstance(x, BlockCarry) else _block_entry(model, block, x)
     if stop is not None and \
             BLOCK_KINDS.index(stop) < BLOCK_KINDS.index(carry.kind):
         raise ContractError(
             f"cannot stop at {stop}: the carry resumes at {carry.kind}")
-    return _run_stages(model, block, carry, quant, dynamic_softmax, hook,
-                       None, stop)
+    return _run_stages(model, block, carry, quant, hook, None, stop)
 
 
 def block_carry(model: Model, block: int, x: Tensor, site: MatmulSite,
-                quant: Mapping[MatmulSite, QuantParams] | None = None,
-                dynamic_softmax: bool = False) -> BlockCarry:
+                quant: QuantState | None = None) -> BlockCarry:
     """The carry in front of ``site``'s matmul, from block input ``x``.
 
     Every stage before that matmul runs under ``quant``, and the operand
@@ -460,15 +463,15 @@ def block_carry(model: Model, block: int, x: Tensor, site: MatmulSite,
     at ``site`` equals the full ``block_forward`` under that state, bit for
     bit.
     """
+    _check_entries(quant)
     carry = _run_stages(model, block, _block_entry(model, block, x), quant,
-                        dynamic_softmax, None, site.kind, None)
+                        None, site.kind, None)
     if site.role == "A":
         return replace(carry, b_quant=_quant_b(carry, block, quant))
-    return replace(carry, a_quant=_quant_a(carry, block, quant, dynamic_softmax))
+    return replace(carry, a_quant=_quant_a(carry, block, quant))
 
 
-def forward(model: Model, x, quant: Mapping[MatmulSite, QuantParams] | None = None,
-            dynamic_softmax: bool = False,
+def forward(model: Model, x, quant: QuantState | None = None, *,
             hook: MatmulHook | None = None) -> ForwardResult:
     """Full forward pass; returns logits plus every block's output.
 
@@ -487,6 +490,7 @@ def forward(model: Model, x, quant: Mapping[MatmulSite, QuantParams] | None = No
         if recording_active():
             raise ContractError("quantized forward cannot run under a recording tape")
         validate_quant_sites(spec, quant.keys())
+        _check_entries(quant)
 
     def edge_matmul(kind: str, a: Tensor, w: np.ndarray) -> Tensor:
         out = matmul(a, _apply_site(Tensor(w), MatmulSite(kind, "B"), quant))
@@ -498,7 +502,7 @@ def forward(model: Model, x, quant: Mapping[MatmulSite, QuantParams] | None = No
     current = embed_out
     block_outputs = []
     for b in range(spec.num_blocks):
-        current = block_forward(model, b, current, quant, dynamic_softmax, hook)
+        current = block_forward(model, b, current, quant, hook=hook)
         block_outputs.append(current)
     logits = edge_matmul("head", current.mean(axis=1), model.head_w)
     return ForwardResult(logits=logits, block_outputs=block_outputs,

@@ -53,11 +53,7 @@ class QuantParams:
     threshold: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.bits, int) or not 2 <= self.bits <= 8:
-            raise ParameterError(f"bits must be an integer in [2, 8], got {self.bits}")
-        if self.scheme not in SCHEMES:
-            raise ParameterError(
-                f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
+        _check_bits_and_scheme(self.bits, self.scheme)
         if not math.isfinite(self.scale) or self.scale <= 0.0:
             raise DegenerateScaleError(
                 f"scale must be finite and positive, got {self.scale}")
@@ -80,6 +76,24 @@ class QuantParams:
     @property
     def num_codes(self) -> int:
         return 1 << self.bits
+
+
+@dataclass(frozen=True)
+class DynamicSoftmax:
+    """Quant state entry of a post-softmax site whose every row is anchored
+    to its own range at run time (``fake_quant_softmax_dynamic``)."""
+
+    scheme: str
+    bits: int
+
+    def __post_init__(self):
+        _check_bits_and_scheme(self.bits, self.scheme)
+
+
+def _check_bits_and_scheme(bits, scheme) -> None:
+    if not isinstance(bits, int) or not 2 <= bits <= 8:
+        raise ParameterError(f"bits must be an integer in [2, 8], got {bits}")
+    _scheme(scheme)
 
 
 @dataclass
@@ -253,7 +267,7 @@ SCHEMES = tuple(SCHEME_TABLE)
 def _scheme(name: str) -> Scheme:
     try:
         return SCHEME_TABLE[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ParameterError(
             f"unknown scheme {name!r}; expected one of {SCHEMES}") from None
 
@@ -291,6 +305,16 @@ def fake_quant_softmax_dynamic(s: np.ndarray, scheme: str, bits: int) -> np.ndar
     rows = entry.anchor(bits, s.max(axis=-1, keepdims=True),
                         s.min(axis=-1, keepdims=True))
     return entry.decode(entry.encode(s, rows), rows)
+
+
+def constant_params(value: float, bits: int) -> QuantParams:
+    """Uniform params that fake-quantize the constant ``value`` exactly: it
+    is code 1 of step ``value`` if positive, code 0 below zero point 1 if
+    negative, and code 0 if zero."""
+    if value == 0.0:
+        return QuantParams(bits=bits, scale=EPSILON, zero_point=0, scheme="uniform")
+    return QuantParams(bits=bits, scale=abs(value), zero_point=int(value < 0),
+                       scheme="uniform")
 
 
 def minmax_affine_params(values: np.ndarray, bits: int) -> QuantParams:

@@ -9,6 +9,7 @@ would otherwise only surface in a traced benchmark run.
 from __future__ import annotations
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -37,11 +38,23 @@ def test_traced_targets_resolve():
             f"{module.__name__}.{attr}"
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_traced_pipeline_meets_closed_forms(tmp_path, monkeypatch, threads):
+#: Calibrate flag sets: the default, the ``eval-heavy`` workload's dynamic
+#: twin softmax, and the layerwise baseline. The default keeps bare ids.
+FLAG_SETS = [("", []),
+             ("dynamic-twin", ["--dynamic-softmax", "--softmax-quant", "twin"]),
+             ("layerwise", ["--blocks-as-layers"])]
+
+
+@pytest.mark.parametrize("flags, threads", [
+    pytest.param(flags, threads, id="-".join(filter(None, (name, threads))))
+    for name, flags in FLAG_SETS for threads in ("1", "2")])
+def test_traced_pipeline_meets_closed_forms(tmp_path, monkeypatch, flags,
+                                            threads):
     """gen -> calibrate -> eval under the tracer: call counts obey the
     formulas the benchmark checks (a refactor that changes how often
-    candidates or block forwards run fails here, not only in the bench)."""
+    candidates or block forwards run fails here, not only in the bench).
+    A dynamic result runs the per-row softmax kernel once per block in eval
+    and the static softmax kernel nowhere."""
     spans = _load_spans()
     monkeypatch.setenv("BBCQ_THREADS", threads)
     data, out = str(tmp_path / "data"), str(tmp_path / "out")
@@ -52,7 +65,7 @@ def test_traced_pipeline_meets_closed_forms(tmp_path, monkeypatch, threads):
         "calibrate": ["calibrate", "--model", f"{data}/model.bbcv",
                       "--calib", f"{data}/calib.bbcv", "--out", out,
                       "--wbits", "4", "--abits", "4", "--candidates", "3",
-                      "--rounds", "2"],
+                      "--rounds", "2", *flags],
         "eval": ["eval", "--model", f"{data}/model.bbcv",
                  "--eval", f"{data}/eval.bbcv",
                  "--result", f"{out}/calib_result.json", "--out", out],
@@ -67,3 +80,9 @@ def test_traced_pipeline_meets_closed_forms(tmp_path, monkeypatch, threads):
         tracer.uninstall()
     assert spans.closed_form_problems(tracer.spans, blocks=1, candidates=3,
                                       rounds=2) == []
+    if "--dynamic-softmax" in flags:
+        calls = Counter((span[6], span[1]) for span in tracer.spans)
+        # One per block and result: 1 x 1.
+        assert calls[("eval", "quantizers.fake_quant_softmax_dynamic")] == 1
+        assert calls[("calibrate", "quantizers.fake_quant_softmax")] == 0
+        assert calls[("eval", "quantizers.fake_quant_softmax")] == 0

@@ -177,6 +177,19 @@ def _run_with_scaled_mlp(tmp_path, scale, command):
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
 
 
+def test_calibrate_model_with_a_zero_projection(tmp_path):
+    """A pruned, all-zero w_o calibrates; its site is left unsearched."""
+    data = _gen(tmp_path)
+    model = load_model(data / "model.bbcv")
+    model.blocks[0].w_o = np.zeros_like(model.blocks[0].w_o)
+    save_model(model, data / "model.bbcv")
+    run = _calibrate(tmp_path, data)
+    rows = {row["site_id"]: row for row in
+            json.loads((run / "calib_result.json").read_text())["sites"]}
+    assert not rows["b0.out-projection.B"]["searched"]
+    assert rows["b0.out-projection.A"]["searched"]
+
+
 def test_calibrate_non_finite_metric_is_an_error(tmp_path):
     """Weights whose products overflow end the run with one error line and
     none of numpy's overflow warnings."""
@@ -364,6 +377,39 @@ def test_eval_result_with_duplicate_site_is_parameter_error(tmp_path, capsys):
     assert rc == 1
     assert "\n" not in err and ERROR_LINE.match(err)
     assert err.startswith("error:parameter: ") and "b0.qkv-projection.A" in err
+
+
+def _drop_mlp_1_weight_row(payload):
+    payload["sites"] = [e for e in payload["sites"]
+                        if e["site_id"] != "b0.mlp-1.B"]
+
+
+@pytest.mark.parametrize("edit", [lambda p: p.update(sites=[]),
+                                  _drop_mlp_1_weight_row],
+                         ids=["no-sites", "one-row-dropped"])
+def test_eval_result_missing_sites_is_contract_error(tmp_path, capsys, edit):
+    """A result that leaves a site out would run that site at full
+    precision; eval names the missing sites instead."""
+    rc, err = _eval_with_edited_result(tmp_path, capsys, edit)
+    assert rc == 1
+    assert "\n" not in err and ERROR_LINE.match(err)
+    assert err.startswith("error:contract: ") and "b0.mlp-1.B" in err
+
+
+def test_eval_result_of_a_smaller_model_is_contract_error(tmp_path, capsys):
+    """A 1-block result on a 2-block model of the same dims would leave
+    block 1 at full precision."""
+    run = _calibrate(tmp_path, _gen(tmp_path))
+    big = _gen(tmp_path, "big", extra=["--blocks", "2"])
+    capsys.readouterr()
+    rc = main(["eval", "--model", str(big / "model.bbcv"),
+               "--eval", str(big / "eval.bbcv"),
+               "--result", str(run / "calib_result.json"),
+               "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.strip()
+    assert rc == 1
+    assert "\n" not in err and ERROR_LINE.match(err)
+    assert err.startswith("error:contract: ") and "b1.qkv-projection.A" in err
 
 
 def _with_manifest(source, edit):

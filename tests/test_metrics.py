@@ -2,21 +2,22 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from bbcq import metrics as metrics_module
-from bbcq.calibration import CalibConfig, calibrate
+from bbcq.calibration import CalibConfig, CalibResult, calibrate
 from bbcq.data import generate_dataset, synthetic_scores
 from bbcq.errors import (ContractError, DimensionError, NonFiniteError,
                          ParameterError)
 from bbcq.metrics import (COMPARE_SCHEMES, EvalMetrics, QuantReportRow,
                           code_entropy, compare_softmax_quantizers,
                           evaluate)
-from bbcq.model import ModelSpec, init_model
-from bbcq.quantizers import CodeTensor, QuantParams, quantize
+from bbcq.model import MatmulSite, ModelSpec, forward, init_model
+from bbcq.quantizers import CodeTensor, DynamicSoftmax, QuantParams, quantize
 
 
 def _codes(values, bits=4):
@@ -168,6 +169,44 @@ def test_evaluate_quantized_model():
     assert math.isfinite(metrics.mean_loss)
     again = evaluate(model, result, x, y)
     assert metrics == again
+
+
+def _two_block_result(**config):
+    model = init_model(ModelSpec(num_blocks=2, embed_dim=16, num_heads=2,
+                                 patch_count=4, num_classes=4, init_seed=0))
+    cx, cy = generate_dataset(16, 4, 16, 4, seed=1)
+    result = calibrate(model, cx, cy, CalibConfig(w_bits=4, a_bits=4,
+                                                  num_candidates=4, rounds=1,
+                                                  **config))
+    return model, result
+
+
+def test_every_consumer_runs_a_dynamic_result_dynamically():
+    """``quant_state()`` carries the softmax mode, so a plain forward, eval
+    and a JSON round trip all run a dynamic result as calibrate searched it."""
+    model, result = _two_block_result(dynamic_softmax=True,
+                                      softmax_quantizer="twin")
+    ex, ey = generate_dataset(128, 4, 16, 4, seed=2)
+    state = result.quant_state()
+    for b in range(2):
+        assert state[MatmulSite("attn-apply", "A", b)] == DynamicSoftmax("twin", 4)
+    fp = forward(model, ex).logits.data.argmax(axis=1)
+
+    def agreement(quant):
+        return float((forward(model, ex, quant=quant).logits.data.argmax(axis=1)
+                      == fp).mean())
+
+    assert evaluate(model, result, ex, ey).fp_agreement == agreement(state)
+    # The static params give another agreement on this data, so the check
+    # above tells the two modes apart.
+    assert agreement(result.params) != agreement(state)
+    loaded = CalibResult.from_json(json.loads(result.dumps()))
+    assert loaded.quant_state() == state
+
+
+def test_static_result_quant_state_is_its_params():
+    _, result = _two_block_result()
+    assert result.quant_state() == result.params
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

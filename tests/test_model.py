@@ -10,7 +10,9 @@ from bbcq.errors import ContractError, DimensionError, ParameterError
 from bbcq.model import (BLOCK_KINDS, MatmulSite, ModelSpec, block_carry,
                         block_forward, enumerate_sites, forward, forward_from,
                         init_model, parameter_shapes, validate_quant_sites)
-from bbcq.quantizers import QuantParams, softmax_site_params
+from bbcq import model as model_module
+from bbcq.quantizers import (DynamicSoftmax, QuantParams,
+                             fake_quant_softmax_dynamic, softmax_site_params)
 from bbcq.tensor import Tape, Tensor, cross_entropy, matmul
 
 from _oracles import oracle_forward
@@ -343,17 +345,78 @@ def test_block_carry_resumes_bit_for_bit(tiny_model, tiny_batch,
     x = _block_input(tiny_model, tiny_batch[0])
     state = {site: QuantParams(bits=3, scale=0.07, zero_point=3, scheme="uniform")
              for site in enumerate_sites(tiny_model.spec) if site.block == 0}
-    state[MatmulSite("attn-apply", "A", 0)] = softmax_site_params("mpq", 4, 1.0)
+    state[MatmulSite("attn-apply", "A", 0)] = (
+        DynamicSoftmax("mpq", 4) if dynamic_softmax
+        else softmax_site_params("mpq", 4, 1.0))
     for site in state:
         if site.is_softmax_output:
             continue
-        carry = block_carry(tiny_model, 0, x, site, state, dynamic_softmax)
+        carry = block_carry(tiny_model, 0, x, site, state)
         assert carry.kind == site.kind
         trial = {**state, site: QuantParams(bits=3, scale=0.11, zero_point=1,
                                             scheme="uniform")}
-        resumed = block_forward(tiny_model, 0, carry, trial, dynamic_softmax)
-        full = block_forward(tiny_model, 0, x, trial, dynamic_softmax)
+        resumed = block_forward(tiny_model, 0, carry, trial)
+        full = block_forward(tiny_model, 0, x, trial)
         np.testing.assert_array_equal(resumed.data, full.data, site.site_id)
+
+
+def test_dynamic_softmax_entry_anchors_the_softmax_rows(tiny_model, tiny_batch,
+                                                       monkeypatch):
+    """A ``DynamicSoftmax`` entry runs the per-row kernel on exactly the
+    post-softmax operand, once per forward."""
+    x, _ = tiny_batch
+    seen = []
+
+    def spy(s, scheme, bits):
+        seen.append((s, scheme, bits))
+        return fake_quant_softmax_dynamic(s, scheme, bits)
+
+    monkeypatch.setattr(model_module, "fake_quant_softmax_dynamic", spy)
+    calls = []
+    forward(tiny_model, x,
+            quant={MatmulSite("attn-apply", "A", 0): DynamicSoftmax("twin", 3)},
+            hook=lambda *call: calls.append(call))
+    rows = [a for kind, _, a, _, _ in calls if kind == "attn-apply"]
+    assert [entry[1:] for entry in seen] == [("twin", 3)]
+    np.testing.assert_array_equal(seen[0][0], rows[0])
+
+
+@pytest.mark.parametrize("site", [MatmulSite("mlp-1", "A", 0),
+                                  MatmulSite("attn-apply", "B", 0),
+                                  MatmulSite("embed", "B")],
+                         ids=lambda site: site.site_id)
+def test_dynamic_softmax_entry_only_at_post_softmax_sites(tiny_model,
+                                                          tiny_batch, site):
+    x, _ = tiny_batch
+    quant = {site: DynamicSoftmax("mpq", 4)}
+    with pytest.raises(ContractError, match=site.site_id):
+        forward(tiny_model, x, quant=quant)
+    block_input = _block_input(tiny_model, x)
+    with pytest.raises(ContractError, match=site.site_id):
+        block_forward(tiny_model, 0, block_input, quant)
+    with pytest.raises(ContractError, match=site.site_id):
+        block_carry(tiny_model, 0, block_input, MatmulSite("mlp-2", "B", 0),
+                    quant)
+
+
+def test_hook_and_stop_are_keyword_only(tiny_model, tiny_batch):
+    """A positional call in the old ``(quant, dynamic_softmax, hook, stop)``
+    order fails at the call site."""
+    x, _ = tiny_batch
+    block_input = _block_input(tiny_model, x)
+
+    def hook(*call):
+        pass
+
+    with pytest.raises(TypeError):
+        forward(tiny_model, x, None, hook)
+    with pytest.raises(TypeError):
+        block_forward(tiny_model, 0, block_input, None, hook)
+    with pytest.raises(TypeError):
+        block_forward(tiny_model, 0, block_input, None, False, hook, "mlp-1")
+    with pytest.raises(TypeError):
+        block_carry(tiny_model, 0, block_input, MatmulSite("mlp-1", "A", 0),
+                    None, True)
 
 
 def test_block_forward_cannot_stop_before_its_carry(tiny_model, tiny_batch):

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from bbcq.errors import (ContractError, DegenerateScaleError, DimensionError,
                          ParameterError)
-from bbcq.quantizers import (EPSILON, CodeTensor, QuantParams, dequantize,
-                             fake_quant_array, fake_quant_softmax_dynamic,
-                             minmax_affine_params, quantize, round_half_away,
-                             softmax_site_params)
+from bbcq.quantizers import (EPSILON, CodeTensor, DynamicSoftmax, QuantParams,
+                             constant_params, dequantize, fake_quant_array,
+                             fake_quant_softmax_dynamic, minmax_affine_params,
+                             quantize, round_half_away, softmax_site_params)
 from bbcq.tensor import Tensor
 
 import _oracles as oracles
@@ -350,8 +350,26 @@ def test_dynamic_rejects_unknown_scheme():
         fake_quant_softmax_dynamic(np.ones((1, 2)), "nope", 4)
 
 
+@pytest.mark.parametrize("scheme, bits", [("nope", 4), (["mpq"], 4),
+                                          ("mpq", 1), ("mpq", 9),
+                                          ("mpq", 4.0), ("twin", "4")])
+def test_dynamic_softmax_entry_validation(scheme, bits):
+    with pytest.raises(ParameterError):
+        DynamicSoftmax(scheme, bits)
+
+
 # ---------------------------------------------------------------------------
 # calibration statistics helpers
+
+
+@pytest.mark.parametrize("value", [0.0, 0.37, -2.5])
+@pytest.mark.parametrize("bits", [2, 4, 8])
+def test_constant_params_hold_the_constant_exactly(value, bits):
+    x = np.full((3, 5), value)
+    params = constant_params(value, bits)
+    assert params.scheme == "uniform" and params.bits == bits
+    np.testing.assert_array_equal(fake_quant_array(x, params), x)
+    np.testing.assert_array_equal(dequantize(quantize(x, params)).data, x)
 
 
 def test_minmax_affine_params_floor():
