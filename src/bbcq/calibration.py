@@ -219,9 +219,14 @@ def bottom_threshold(sigma, gamma: float) -> float:
     |sigma| (+inf when m == N, 0 when m == 0). Elimination is strict-below,
     so entries tied with the threshold always survive.
     """
+    return _magnitude_threshold(np.abs(_as_array(sigma)), gamma)
+
+
+def _magnitude_threshold(magnitudes: np.ndarray, gamma: float) -> float:
+    """``bottom_threshold`` of the entries whose magnitudes are given."""
     if not 0.0 <= gamma <= 100.0:
         raise ParameterError(f"gamma must lie in [0, 100], got {gamma}")
-    arr = np.abs(_as_array(sigma)).ravel()
+    arr = magnitudes.ravel()
     count = arr.size
     m = min(max(int(math.ceil(gamma / 100.0 * count)), 0), count)
     if m == 0:
@@ -234,8 +239,9 @@ def bottom_threshold(sigma, gamma: float) -> float:
 def bottom_mask(sigma, gamma: float) -> np.ndarray:
     """Zero the bottom-gamma-percent magnitudes of sigma; survivors unchanged."""
     arr = _as_array(sigma)
-    threshold = bottom_threshold(arr, gamma)
-    return np.where(np.abs(arr) < threshold, 0.0, arr)
+    magnitudes = np.abs(arr)
+    return np.where(magnitudes < _magnitude_threshold(magnitudes, gamma),
+                    0.0, arr)
 
 
 def bbc_metric(sigma_masked, h_diag) -> float:
@@ -249,7 +255,8 @@ def bbc_metric(sigma_masked, h_diag) -> float:
     if sigma.shape != h.shape:
         raise DimensionError(
             f"sigma shape {sigma.shape} does not match h_diag shape {h.shape}")
-    contrib = sigma * sigma * h
+    contrib = sigma * sigma
+    contrib *= h
     if sigma.ndim >= 2:
         return float(contrib.reshape(sigma.shape[0], -1).sum(axis=1).mean())
     return float(contrib.sum())
@@ -309,11 +316,13 @@ def cache_fp_pass(model: Model, inputs, labels, *, blocks_as_layers: bool = Fals
 
 
 def _unit_metric(model: Model, cache: BlockCache, quant: QuantState,
-                 gamma: float, start: Tensor | BlockCarry) -> float:
+                 gamma: float, start: Tensor | BlockCarry,
+                 sensitivities: list[np.ndarray]) -> float:
     """Masked sensitivity metric of one unit under a trial quant state.
 
     The block runs from ``start``: its cached input or a carry (see
     ``search_site``). A layerwise unit stops right after its own matmul.
+    ``sensitivities`` holds the square of each of ``cache.grads``.
     """
     trial_outputs: list[np.ndarray] = []
 
@@ -326,9 +335,9 @@ def _unit_metric(model: Model, cache: BlockCache, quant: QuantState,
     else:
         block_forward(model, cache.block, start, quant, hook=hook, stop=cache.kind)
     total = 0.0
-    for produced, reference, g in zip(trial_outputs, cache.outputs, cache.grads,
-                                      strict=True):
-        total += bbc_metric(bottom_mask(produced - reference, gamma), g * g)
+    for produced, reference, h in zip(trial_outputs, cache.outputs,
+                                      sensitivities, strict=True):
+        total += bbc_metric(bottom_mask(produced - reference, gamma), h)
     return total
 
 
@@ -349,11 +358,13 @@ def search_site(model: Model, site: MatmulSite, candidates: list[QuantParams],
     """
     start = block_carry(model, cache.block, Tensor(cache.block_input), site,
                         state)
+    sensitivities = [g * g for g in cache.grads]
 
     def metric_for(params: QuantParams) -> float:
         trial = dict(state)
         trial[site] = params
-        return _unit_metric(model, cache, trial, config.gamma, start)
+        return _unit_metric(model, cache, trial, config.gamma, start,
+                            sensitivities)
 
     if executor is None:
         trace = [metric_for(params) for params in candidates]
@@ -580,5 +591,6 @@ def total_blockwise_metric(model: Model, inputs, labels,
     total = 0.0
     for cache in fp.caches:
         total += _unit_metric(model, cache, assignment, gamma,
-                              Tensor(cache.block_input))
+                              Tensor(cache.block_input),
+                              [g * g for g in cache.grads])
     return total

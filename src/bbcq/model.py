@@ -367,11 +367,12 @@ def _quant_b(carry: BlockCarry, block: int, quant) -> tuple[Tensor, ...]:
     return tuple(_apply_site(b, site, quant) for b in carry.b)
 
 
-def _run_stages(model: Model, block: int, carry: BlockCarry,
+def _run_stages(model: Model, block: int, x: Tensor | BlockCarry,
                 quant: QuantState | None, hook: MatmulHook | None,
                 end: str | None, stop: str | None) -> BlockCarry | Tensor | None:
-    """Run ``carry`` on: pause in front of matmul ``end``, return None right
-    after the hook of matmul ``stop``, or return the block output."""
+    """Run block input or carry ``x`` on: pause in front of matmul ``end``,
+    return None right after matmul ``stop``'s hook, or the block output."""
+    carry = x if isinstance(x, BlockCarry) else _block_entry(model, block, x)
     spec = model.spec
     p = model.blocks[block]
     batch, n, d = carry.residual.shape
@@ -393,29 +394,31 @@ def _run_stages(model: Model, block: int, carry: BlockCarry,
             if hook is not None:
                 hook(kind, block, carry.a.data, b.data, out)
             outs.append(out)
+        # Drop each stage output as soon as the next carry has consumed it;
+        # q, k and v stay in ``outs`` only while attn-score still reads them.
+        del aq, out
         if kind == stop:
             return None
         res = carry.residual
         if kind == "qkv-projection":
-            q, k, v = outs
-            carry = BlockCarry("attn-score", res, split_heads(q),
-                               (transpose(split_heads(k), (0, 1, 3, 2)),),
-                               vh=split_heads(v))
+            carry = BlockCarry("attn-score", res, split_heads(outs[0]),
+                               (transpose(split_heads(outs[1]), (0, 1, 3, 2)),),
+                               vh=split_heads(outs[2]))
         elif kind == "attn-score":
-            carry = BlockCarry("attn-apply", res, softmax(outs[0], axis=-1),
+            carry = BlockCarry("attn-apply", res, softmax(outs.pop(), axis=-1),
                                (carry.vh,))
         elif kind == "attn-apply":
-            merged = reshape(transpose(outs[0], (0, 2, 1, 3)), (batch, n, d))
-            carry = BlockCarry("out-projection", res, merged, (Tensor(p.w_o),))
+            carry = BlockCarry("out-projection", res, reshape(transpose(
+                outs.pop(), (0, 2, 1, 3)), (batch, n, d)), (Tensor(p.w_o),))
         elif kind == "out-projection":
-            h1 = add(res, outs[0])
-            h2 = layernorm(h1, Tensor(p.ln2_gamma), Tensor(p.ln2_beta))
-            carry = BlockCarry("mlp-1", h1, h2, (Tensor(p.w1),))
+            h1 = add(res, outs.pop())
+            carry = BlockCarry("mlp-1", h1, layernorm(
+                h1, Tensor(p.ln2_gamma), Tensor(p.ln2_beta)), (Tensor(p.w1),))
         elif kind == "mlp-1":
-            carry = BlockCarry("mlp-2", res, gelu(add(outs[0], Tensor(p.b1))),
+            carry = BlockCarry("mlp-2", res, gelu(add(outs.pop(), Tensor(p.b1))),
                                (Tensor(p.w2),))
         else:
-            return add(res, add(outs[0], Tensor(p.b2)))
+            return add(res, add(outs.pop(), Tensor(p.b2)))
     return carry
 
 
@@ -445,12 +448,11 @@ def block_forward(model: Model, block: int, x: Tensor | BlockCarry,
     ends right after that matmul's hook calls and returns None.
     """
     _check_entries(quant)
-    carry = x if isinstance(x, BlockCarry) else _block_entry(model, block, x)
-    if stop is not None and \
-            BLOCK_KINDS.index(stop) < BLOCK_KINDS.index(carry.kind):
+    if isinstance(x, BlockCarry) and stop is not None and \
+            BLOCK_KINDS.index(stop) < BLOCK_KINDS.index(x.kind):
         raise ContractError(
-            f"cannot stop at {stop}: the carry resumes at {carry.kind}")
-    return _run_stages(model, block, carry, quant, hook, None, stop)
+            f"cannot stop at {stop}: the carry resumes at {x.kind}")
+    return _run_stages(model, block, x, quant, hook, None, stop)
 
 
 def block_carry(model: Model, block: int, x: Tensor, site: MatmulSite,
@@ -464,8 +466,7 @@ def block_carry(model: Model, block: int, x: Tensor, site: MatmulSite,
     bit.
     """
     _check_entries(quant)
-    carry = _run_stages(model, block, _block_entry(model, block, x), quant,
-                        None, site.kind, None)
+    carry = _run_stages(model, block, x, quant, None, site.kind, None)
     if site.role == "A":
         return replace(carry, b_quant=_quant_b(carry, block, quant))
     return replace(carry, a_quant=_quant_a(carry, block, quant))

@@ -137,6 +137,21 @@ def affine_dequant_values(codes: np.ndarray, scale, zero_point) -> np.ndarray:
     return (np.asarray(codes, dtype=np.float64) - zero_point) * scale
 
 
+def _affine_fake_quant(x: np.ndarray, p) -> np.ndarray:
+    """The uniform encode-decode in one array: the rounded ``x / scale`` is
+    clipped to ``[-z, top - z]``, and ``+ 0.0`` makes a rounded ``-0.0`` the
+    ``+0.0`` that ``code - z`` gives."""
+    t = np.asarray(x / p.scale, dtype=np.float64)
+    np.abs(t, out=t)
+    t += 0.5
+    np.floor(t, out=t)
+    np.copysign(t, x, out=t)
+    np.clip(t, -p.zero_point, (1 << p.bits) - 1 - p.zero_point, out=t)
+    t += 0.0
+    t *= p.scale
+    return t
+
+
 def mpq_code_values(s: np.ndarray, bits: int, calibrated_max) -> np.ndarray:
     levels = (1 << bits) - 1
     return np.clip(round_half_away((s / calibrated_max) * levels), 0, levels)
@@ -233,19 +248,26 @@ class Scheme(NamedTuple):
 
     ``encode(x, p)`` returns float codes and ``decode(codes, p)`` the values
     they stand for; ``p`` is a ``QuantParams`` or an ``Anchor``.
-    ``anchor(bits, hi, lo)`` builds the ``Anchor`` for the range [lo, hi].
+    ``anchor(bits, hi, lo)`` builds the ``Anchor`` for the range [lo, hi];
+    ``reads_lo`` says whether it reads ``lo``. ``fused(x, p)``, if set, is
+    ``decode(encode(x, p), p)`` computed in one array.
     """
 
     encode: Callable[[np.ndarray, Any], np.ndarray]
     decode: Callable[[np.ndarray, Any], np.ndarray]
     anchor: Callable[[int, Any, Any], Anchor]
+    reads_lo: bool = False
+    fused: Callable[[np.ndarray, Any], np.ndarray] | None = None
+
+    def fake_quant(self, x: np.ndarray, p) -> np.ndarray:
+        return self.fused(x, p) if self.fused else self.decode(self.encode(x, p), p)
 
 
 SCHEME_TABLE: dict[str, Scheme] = {
     "uniform": Scheme(
         lambda x, p: affine_code_values(x, p.scale, p.zero_point, p.bits),
         lambda codes, p: affine_dequant_values(codes, p.scale, p.zero_point),
-        _uniform_anchor),
+        _uniform_anchor, reads_lo=True, fused=_affine_fake_quant),
     "mpq": Scheme(
         lambda s, p: mpq_code_values(s, p.bits, p.calibrated_max),
         lambda codes, p: mpq_dequant_values(codes, p.bits, p.calibrated_max),
@@ -290,21 +312,20 @@ def dequantize(ct: CodeTensor) -> Tensor:
 
 def fake_quant_array(x: np.ndarray, params: QuantParams) -> np.ndarray:
     """Quantize-then-dequantize without materializing a CodeTensor."""
-    entry = SCHEME_TABLE[params.scheme]
-    return entry.decode(entry.encode(x, params), params)
+    return SCHEME_TABLE[params.scheme].fake_quant(x, params)
 
 
 def fake_quant_softmax_dynamic(s: np.ndarray, scheme: str, bits: int) -> np.ndarray:
     """Fake-quant softmax output with per-row (last axis) live statistics.
 
-    The static path with each row anchored to its own max and min. Softmax
-    rows sum to 1, so the row max is at least 1/row_len and the scales never
-    degenerate.
+    The static path with each row anchored to its own max, and its min if
+    the scheme's anchor reads it. Softmax rows sum to 1, so the row max is
+    at least 1/row_len and the scales never degenerate.
     """
     entry = _scheme(scheme)
-    rows = entry.anchor(bits, s.max(axis=-1, keepdims=True),
-                        s.min(axis=-1, keepdims=True))
-    return entry.decode(entry.encode(s, rows), rows)
+    lo = s.min(axis=-1, keepdims=True) if entry.reads_lo else None
+    rows = entry.anchor(bits, s.max(axis=-1, keepdims=True), lo)
+    return entry.fake_quant(s, rows)
 
 
 def constant_params(value: float, bits: int) -> QuantParams:

@@ -278,9 +278,9 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     x = _as_tensor(x)
     if not -x.ndim <= axis < x.ndim:
         raise DimensionError(f"softmax axis {axis} invalid for shape {x.shape}")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    exps = np.exp(shifted)
-    out = exps / exps.sum(axis=axis, keepdims=True)
+    out = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
 
     def backward(g: np.ndarray):
         inner = (g * out).sum(axis=axis, keepdims=True)
@@ -298,10 +298,10 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor,
             f"layernorm affine shapes {gamma.shape}/{beta.shape} do not match "
             f"feature dim of {x.shape}")
     mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    xhat = x.data - mu
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
+    xhat *= inv_std
 
     def backward(g: np.ndarray):
         reduce_axes = tuple(range(x.ndim - 1))
@@ -313,19 +313,27 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor,
         dbeta = g.sum(axis=reduce_axes)
         return dx, dgamma, dbeta
 
-    return _result(xhat * gamma.data + beta.data, (x, gamma, beta), backward)
+    out = xhat * gamma.data
+    out += beta.data
+    return _result(out, (x, gamma, beta), backward)
 
 
 def gelu(x: Tensor) -> Tensor:
     """Exact-erf GeLU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
     x = _as_tensor(x)
-    phi = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
 
     def backward(g: np.ndarray):
+        # phi is recomputed here so that the forward keeps a single array.
+        phi = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
         density = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
         return (g * (phi + x.data * density),)
 
-    return _result(x.data * phi, (x,), backward)
+    out = np.asarray(x.data * _INV_SQRT2)
+    erf(out, out=out)
+    out += 1.0
+    out *= 0.5
+    out *= x.data
+    return _result(out, (x,), backward)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from bbcq.calibration import CalibConfig, calibrate
 from bbcq.data import generate_dataset
 from bbcq.errors import ContractError, DimensionError, ParameterError
 from bbcq.model import (BLOCK_KINDS, MatmulSite, ModelSpec, block_carry,
@@ -424,3 +427,34 @@ def test_block_forward_cannot_stop_before_its_carry(tiny_model, tiny_batch):
     carry = block_carry(tiny_model, 0, x, MatmulSite("mlp-1", "A", 0))
     with pytest.raises(ContractError):
         block_forward(tiny_model, 0, carry, stop="attn-score")
+
+
+@pytest.mark.parametrize("dynamic", [False, True], ids=["static", "dynamic"])
+def test_quantized_forward_peak_memory_is_bounded(dynamic):
+    """A quantized forward keeps few activation-sized arrays alive at once.
+
+    H is one MLP hidden activation. Stage outputs are freed once consumed
+    and fake-quant, GeLU, softmax and layernorm each allocate one array, so
+    the peak is about 2.8 H; keeping every temporary (one array per numpy
+    expression, stage outputs held to the end of the next stage) peaks at
+    about 7.3 H.
+    """
+    spec = ModelSpec(num_blocks=1, embed_dim=32, num_heads=2, patch_count=16,
+                     num_classes=4, init_seed=3)
+    model = init_model(spec)
+    cx, cy = generate_dataset(16, 16, 32, 4, seed=1)
+    x, _ = generate_dataset(512, 16, 32, 4, seed=2)
+    result = calibrate(model, cx, cy, CalibConfig(
+        w_bits=4, a_bits=4, num_candidates=4, rounds=1, calib_batch=16,
+        softmax_quantizer="twin", dynamic_softmax=dynamic))
+    state = result.quant_state()
+    hidden_bytes = x.shape[0] * spec.patch_count * spec.hidden_dim * 8
+    forward(model, x, quant=state)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        forward(model, x, quant=state)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * hidden_bytes, f"peak {peak / hidden_bytes:.2f} H"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -11,11 +12,12 @@ from hypothesis import strategies as st
 
 from bbcq.errors import (ContractError, DegenerateScaleError, DimensionError,
                          ParameterError)
-from bbcq.quantizers import (EPSILON, CodeTensor, DynamicSoftmax, QuantParams,
-                             constant_params, dequantize, fake_quant_array,
-                             fake_quant_softmax_dynamic, minmax_affine_params,
-                             quantize, round_half_away, softmax_site_params)
-from bbcq.tensor import Tensor
+from bbcq.quantizers import (EPSILON, SCHEMES, CodeTensor, DynamicSoftmax,
+                             QuantParams, constant_params, dequantize,
+                             fake_quant_array, fake_quant_softmax_dynamic,
+                             minmax_affine_params, quantize, round_half_away,
+                             softmax_site_params)
+from bbcq.tensor import Tape, Tensor
 
 import _oracles as oracles
 
@@ -484,11 +486,11 @@ def static_scheme_cases(draw):
             oracle = ("twin", bits, cal_max, threshold)
             anchor["threshold"] = threshold
     ties = [_tie_value(scheme, bits, anchor, i)
-            for i in draw(st.lists(st.integers(0, 255), max_size=8))]
+            for i in draw(st.lists(st.integers(0, 255), min_size=1, max_size=8))]
     width = hi - lo
     noise = _finite_arrays(draw, lo=lo - 0.25 * width, hi=hi + 0.25 * width,
                            max_size=16)
-    values = np.concatenate([noise, ties, [0.0, lo, hi]])
+    values = np.concatenate([noise, ties, [0.0, -0.0, lo, hi]])
     return params, oracle, values
 
 
@@ -521,8 +523,11 @@ def dynamic_scheme_cases(draw):
 @settings(max_examples=200)
 def test_fake_quant_array_matches_oracle(case):
     params, oracle, values = case
-    np.testing.assert_array_equal(fake_quant_array(values, params),
-                                  oracles._fq(values, oracle))
+    got, want = fake_quant_array(values, params), oracles._fq(values, oracle)
+    np.testing.assert_array_equal(got, want)
+    # assert_array_equal holds -0.0 equal to +0.0; the sign of zero must
+    # match too.
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 @given(dynamic_scheme_cases())
@@ -531,3 +536,21 @@ def test_dynamic_softmax_matches_oracle(case):
     scheme, bits, rows = case
     np.testing.assert_array_equal(fake_quant_softmax_dynamic(rows, scheme, bits),
                                   oracles.fq_softmax_rows(rows, scheme, bits))
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_fake_quant_leaves_its_input_untouched(scheme, taped, rng):
+    """The fake-quant kernels write only into arrays they allocated."""
+    rows = np.abs(rng.normal(size=(3, 2, 6))) + 1e-3
+    rows /= rows.sum(axis=-1, keepdims=True)
+    rows[0, 0, 0] = -0.0
+    params = softmax_site_params(scheme, 4, float(rows.max()),
+                                 float(rows.min()))
+    before = rows.copy()
+    with Tape() if taped else contextlib.nullcontext():
+        fake_quant_array(rows, params)
+        np.testing.assert_array_equal(rows, before)
+        fake_quant_softmax_dynamic(rows, scheme, 4)
+        np.testing.assert_array_equal(rows, before)
+        assert np.signbit(rows[0, 0, 0])

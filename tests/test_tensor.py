@@ -306,6 +306,72 @@ def test_op_records_one_node_per_call(name, build, shapes, rng):
         assert second._node == len(tape) - 1
 
 
+@pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+@pytest.mark.parametrize("name,build,shapes", OP_CASES,
+                         ids=[c[0] for c in OP_CASES])
+def test_op_leaves_its_inputs_untouched(name, build, shapes, taped, rng):
+    """Ops write in place only into arrays they allocated themselves."""
+    arrays = [rng.normal(size=shape) for shape in shapes]
+    before = [a.copy() for a in arrays]
+    if taped:
+        with Tape() as tape:
+            inputs = [Tensor(a) for a in arrays]
+            tape.backward(tensor_sum(build(*inputs)))
+    else:
+        build(*[Tensor(a) for a in arrays])
+    for got, want in zip(arrays, before):
+        np.testing.assert_array_equal(got, want)
+
+
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+
+def _reference_gelu(x, g):
+    """GeLU value and input gradient as single numpy expressions."""
+    phi = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    density = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+    return x * phi, (g * (phi + x * density),)
+
+
+def _reference_softmax(x, g):
+    exps = np.exp(x - x.max(axis=-1, keepdims=True))
+    out = exps / exps.sum(axis=-1, keepdims=True)
+    return out, (out * (g - (g * out).sum(axis=-1, keepdims=True)),)
+
+
+def _reference_layernorm(x, gamma, beta, g):
+    centered = x - x.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + LAYERNORM_EPS)
+    xhat = centered * inv_std
+    dxhat = g * gamma
+    dx = inv_std * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    return xhat * gamma + beta, (dx, (g * xhat).sum(axis=(0, 1)),
+                                 g.sum(axis=(0, 1)))
+
+
+@pytest.mark.parametrize("op,reference,shapes", [
+    (gelu, _reference_gelu, [(3, 4, 8)]),
+    (softmax, _reference_softmax, [(3, 4, 8)]),
+    (layernorm, _reference_layernorm, [(3, 4, 8), (8,), (8,)]),
+], ids=["gelu", "softmax", "layernorm"])
+def test_in_place_op_equals_its_expression(op, reference, shapes, rng):
+    """Values and gradients equal the plain expressions bit for bit."""
+    arrays = [rng.normal(size=shape) * 3.0 for shape in shapes]
+    weight = rng.normal(size=shapes[0])
+    want_value, want_grads = reference(*arrays, weight)
+    np.testing.assert_array_equal(op(*[Tensor(a) for a in arrays]).data,
+                                  want_value)
+    with Tape() as tape:
+        inputs = [Tensor(a) for a in arrays]
+        # d(sum(out * weight)) / d(out) is exactly ``weight``.
+        tape.backward(tensor_sum(mul(op(*inputs), Tensor(weight))))
+    for t, want in zip(inputs, want_grads):
+        np.testing.assert_array_equal(tape.grad(t).data, want)
+
+
 def test_backward_is_deterministic(rng):
     x = rng.normal(size=(4, 5))
     w = rng.normal(size=(5, 3))
