@@ -15,7 +15,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bbcq.calibration import (CalibConfig, CalibInstrumentation, CalibResult,
@@ -34,7 +34,7 @@ from bbcq.quantizers import (EPSILON, SCHEMES, DynamicSoftmax, QuantParams,
                              softmax_site_params)
 from bbcq.tensor import Tape, Tensor, add, cross_entropy
 
-from _oracles import naive_bbc_metric, oracle_calibrate
+from _oracles import _grid, naive_bbc_metric, oracle_calibrate
 
 
 def _small_setup(num_blocks=1, embed_dim=16, seed=7, samples=6):
@@ -83,6 +83,29 @@ def test_candidate_grid_equal_alpha_beta_collapses():
 def test_candidate_grid_alpha_zero_floors_at_epsilon():
     cands = candidate_scales(0.0, 1.0, bits=4, alpha=0.0, beta=1.0, n=4)
     assert cands[0].scale == EPSILON
+
+
+@st.composite
+def grid_inputs(draw):
+    """A range (often starting below zero, some narrow enough that every
+    step floors at EPSILON), bits, an (alpha, beta) pair and a count."""
+    lo = draw(st.one_of(st.floats(-100.0, 0.0), st.floats(-1e-9, 1e-9),
+                        st.floats(0.0, 100.0)))
+    width = draw(st.floats(1.0, 10.0)) * 10.0 ** draw(st.integers(-14, 2))
+    alpha = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+    beta = draw(st.one_of(st.just(alpha), st.floats(alpha, alpha + 2.0)))
+    return (lo, lo + width, draw(st.integers(2, 8)), alpha, beta,
+            draw(st.integers(2, 128)))
+
+
+@given(grid_inputs())
+@settings(max_examples=200, deadline=None)
+def test_candidate_grid_equals_oracle(case):
+    lo, hi, bits, alpha, beta, n = case
+    assume(hi > lo)
+    cands = candidate_scales(lo, hi, bits, alpha, beta, n)
+    assert [(c.scheme, c.scale, c.zero_point, c.bits) for c in cands] == \
+        _grid(lo, hi, bits, alpha, beta, n)
 
 
 def test_candidate_grid_errors():
