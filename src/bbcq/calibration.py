@@ -30,11 +30,10 @@ import numpy as np
 from .errors import (ConfigError, ContractError, DegenerateRangeError,
                      DimensionError, NonFiniteError, ParameterError)
 from .model import (BLOCK_KINDS, BlockCarry, MatmulSite, Model, QuantState,
-                    block_carry, block_forward, forward, json_value,
-                    record_fields)
-from .quantizers import (EPSILON, SCHEMES, DynamicSoftmax, QuantParams,
-                         constant_params, minmax_affine_params,
-                         round_half_away, softmax_site_params)
+                    block_carry, block_forward, check_field_types,
+                    enumerate_sites, forward, json_value, record_fields)
+from .quantizers import (SCHEMES, DynamicSoftmax, QuantParams,
+                         constant_params, softmax_site_params, uniform_grid)
 from .tensor import Tape, Tensor, cross_entropy, require_finite
 
 PROFILES = ("classification", "detection")
@@ -66,9 +65,10 @@ class CalibConfig:
     profile: str = "classification"
 
     def __post_init__(self):
+        check_field_types(self, "calib config")
         for name in ("w_bits", "a_bits"):
             bits = getattr(self, name)
-            if not isinstance(bits, int) or not 2 <= bits <= 8:
+            if not 2 <= bits <= 8:
                 raise ParameterError(f"{name} must be an integer in [2, 8], got {bits}")
         if not 0.0 <= self.gamma <= 100.0:
             raise ParameterError(f"gamma must lie in [0, 100], got {self.gamma}")
@@ -125,9 +125,6 @@ class CalibInstrumentation:
     cache_triples_allocated: int = 0
     live_working_blocks: int = 0
     max_live_working_blocks: int = 0
-
-    def on_cache_alloc(self) -> None:
-        self.cache_triples_allocated += 1
 
     def enter_block(self) -> None:
         self.live_working_blocks += 1
@@ -201,11 +198,8 @@ def candidate_scales(x_min: float, x_max: float, bits: int,
             f"need 0 <= alpha <= beta, got alpha={alpha}, beta={beta}")
     base = (x_max - x_min) / (1 << bits)
     steps = alpha + np.arange(n, dtype=np.float64) * ((beta - alpha) / (n - 1))
-    scales = np.maximum(steps * base, EPSILON)
-    minmax = max((x_max - x_min) / ((1 << bits) - 1), EPSILON)
-    scales = np.append(scales, minmax)
-    levels = (1 << bits) - 1
-    zero_points = np.clip(round_half_away(-x_min / scales), 0, levels)
+    scales, zero_points = uniform_grid(
+        x_min, np.append(steps * base, (x_max - x_min) / ((1 << bits) - 1)), bits)
     return [QuantParams(bits=bits, scale=float(s), zero_point=int(z),
                         scheme="uniform")
             for s, z in zip(scales, zero_points)]
@@ -268,8 +262,8 @@ def _as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def cache_fp_pass(model: Model, inputs, labels, *, blocks_as_layers: bool = False,
-                  instrumentation: CalibInstrumentation | None = None) -> FPPass:
+def cache_fp_pass(model: Model, inputs, labels, *,
+                  blocks_as_layers: bool = False) -> FPPass:
     """One taped forward/backward; retains block-level tensors only.
 
     Per block this caches the input, the output and the loss gradient at the
@@ -277,8 +271,9 @@ def cache_fp_pass(model: Model, inputs, labels, *, blocks_as_layers: bool = Fals
     the same pair is kept per matmul instead (the layerwise baseline's
     working set). ``ranges`` holds the [min, max] of every site's operand.
     """
-    instr = instrumentation if instrumentation is not None else CalibInstrumentation()
     x = require_finite(np.asarray(inputs, dtype=np.float64), "inputs")
+    if x.shape[:1] == (0,):
+        raise ParameterError("the FP pass needs at least one sample")
     ranges: dict[MatmulSite, tuple[float, float]] = {}
     unit_outputs: dict[tuple[int, str], list[Tensor]] = {}
 
@@ -311,7 +306,6 @@ def cache_fp_pass(model: Model, inputs, labels, *, blocks_as_layers: bool = Fals
                     block=b, kind=kind, block_input=block_input,
                     outputs=[t.data.copy() for t in outs],
                     grads=[tape.grad(t).data.copy() for t in outs]))
-                instr.on_cache_alloc()
     return FPPass(caches=caches, loss=loss.item(), ranges=ranges)
 
 
@@ -375,15 +369,6 @@ def search_site(model: Model, site: MatmulSite, candidates: list[QuantParams],
             f"site {site.site_id}: a candidate metric is not finite")
     chosen = int(np.argmin(trace))
     return candidates[chosen], chosen, trace
-
-
-def _init_weight_side(lo: float, hi: float, bits: int) -> QuantParams:
-    """Pre-search weight-operand params: full-range step over 2^bits."""
-    scale = max((hi - lo) / (1 << bits), EPSILON)
-    levels = (1 << bits) - 1
-    zero_point = int(np.clip(round_half_away(-lo / scale), 0, levels))
-    return QuantParams(bits=bits, scale=scale, zero_point=zero_point,
-                       scheme="uniform")
 
 
 def _workers_from_env() -> int:
@@ -503,31 +488,33 @@ def calibrate(model: Model, inputs, labels, config: CalibConfig,
               instrumentation: CalibInstrumentation | None = None) -> CalibResult:
     """Full calibration: one FP caching pass, then per-block greedy search.
 
-    Blocks are processed in order; inside each block the six matmuls are
+    Every site starts from its FP-pass range. Embed and head are weight-only
+    min-max quantized and post-softmax sites get the configured softmax
+    quantizer; both are set before any search and never searched. Blocks
+    are then processed in order; inside each block the six matmuls are
     visited last-to-first. Per matmul the weight side is first initialized
     to its full-range step, then ``config.rounds`` alternations of
     (activation search, weight search) run, each holding every other site at
-    its current state. Post-softmax sites get the configured softmax
-    quantizer anchored to the FP pass's observed maximum and are active
-    (never searched) throughout their block. An operand that is one constant
-    over the whole FP pass is not searched either; it gets params that hold
-    that constant exactly. Embed and head are weight-only min-max quantized.
-    Only the first ``config.calib_batch`` samples are used.
+    its current state. An operand that is one constant over the whole FP
+    pass is not searched either; it gets params that hold that constant
+    exactly. Only the first ``config.calib_batch`` samples are used.
     """
     instr = instrumentation if instrumentation is not None else CalibInstrumentation()
     fp = cache_fp_pass(model, inputs[:config.calib_batch],
                        labels[:config.calib_batch],
-                       blocks_as_layers=config.blocks_as_layers,
-                       instrumentation=instr)
+                       blocks_as_layers=config.blocks_as_layers)
+    instr.cache_triples_allocated = len(fp.caches)
+    sites = enumerate_sites(model.spec)
+    traces: dict[MatmulSite, list[list[float]]] = {site: [] for site in sites}
+    chosen: dict[MatmulSite, int | None] = dict.fromkeys(sites)
     state: dict[MatmulSite, QuantParams] = {}
-    traces: dict[MatmulSite, list[list[float]]] = {}
-    chosen: dict[MatmulSite, int | None] = {}
-
-    for kind, values in (("embed", model.embed_w), ("head", model.head_w)):
-        site = MatmulSite(kind, "B")
-        state[site] = minmax_affine_params(values, config.w_bits)
-        traces[site] = []
-        chosen[site] = None
+    for site in sites:
+        lo, hi = fp.ranges[site]
+        if site.block is None:
+            state[site] = softmax_site_params("uniform", config.w_bits, hi, lo)
+        elif site.is_softmax_output:
+            state[site] = softmax_site_params(config.softmax_quantizer,
+                                              config.a_bits, hi, lo)
 
     by_unit = {(c.block, c.kind): c for c in fp.caches}
     workers = _workers_from_env()
@@ -535,12 +522,6 @@ def calibrate(model: Model, inputs, labels, config: CalibConfig,
     try:
         for b in range(model.spec.num_blocks):
             instr.enter_block()
-            softmax_site = MatmulSite("attn-apply", "A", b)
-            softmax_lo, softmax_hi = fp.ranges[softmax_site]
-            state[softmax_site] = softmax_site_params(
-                config.softmax_quantizer, config.a_bits, softmax_hi, softmax_lo)
-            traces[softmax_site] = []
-            chosen[softmax_site] = None
             for kind in reversed(BLOCK_KINDS):
                 unit_kind = kind if config.blocks_as_layers else "block"
                 cache = by_unit[(b, unit_kind)]
@@ -552,14 +533,13 @@ def calibrate(model: Model, inputs, labels, config: CalibConfig,
                     bits = config.w_bits if site.is_weight_operand else config.a_bits
                     if lo == hi:
                         state[site] = constant_params(lo, bits)
-                        traces[site], chosen[site] = [], None
                         continue
                     if site.role == "B":
-                        state[site] = _init_weight_side(lo, hi, bits)
+                        # The grid's full-range step (hi - lo) / 2^bits.
+                        state[site] = candidate_scales(lo, hi, bits, 1.0, 1.0, 2)[0]
                     grids[site] = candidate_scales(lo, hi, bits, config.alpha,
                                                    config.beta,
                                                    config.num_candidates)
-                    traces[site] = []
                 for _ in range(config.rounds):
                     for site, candidates in grids.items():
                         state[site], chosen[site], trace = search_site(

@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .calibration import CalibResult
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, ParameterError
 from .model import Model, enumerate_sites, forward
 from .quantizers import SCHEME_TABLE, CodeTensor, softmax_site_params
 from .tensor import Tensor, cross_entropy, require_finite, softmax
@@ -117,7 +117,9 @@ def evaluate(model: Model, result: CalibResult | None, inputs,
     """Top-1 accuracy, agreement with the FP model's argmax, and mean loss.
 
     With no calibration result the model runs in full precision and agrees
-    with itself exactly. A result must cover every site of the model.
+    with itself exactly. A result must cover every site of the model, and
+    ``labels`` must hold one label per input sample, of which there must be
+    at least one.
     """
     if result is not None:
         missing = [site.site_id for site in enumerate_sites(model.spec)
@@ -127,6 +129,11 @@ def evaluate(model: Model, result: CalibResult | None, inputs,
                 f"calib result misses sites of the model: {', '.join(missing)}")
     x = require_finite(np.asarray(inputs, dtype=np.float64), "inputs")
     labels = np.asarray(labels)
+    if labels.shape != x.shape[:1]:
+        raise DimensionError(f"labels shape {labels.shape} does not match "
+                             f"{x.shape[:1]}, one label per input sample")
+    if labels.shape == (0,):
+        raise ParameterError("evaluate needs at least one sample")
     fp_logits = require_finite(forward(model, Tensor(x)).logits.data,
                                "the FP logit array")
     if result is None:

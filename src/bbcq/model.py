@@ -142,6 +142,13 @@ def record_fields(cls, payload, what: str):
     return cls(**values)
 
 
+def check_field_types(record, what: str) -> None:
+    """Raise ParameterError unless every field of dataclass ``record`` has
+    the type ``record_fields`` would accept for it."""
+    for f in fields(record):
+        json_value(getattr(record, f.name), f.type, f"{what} field {f.name!r}")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     num_blocks: int
@@ -153,6 +160,7 @@ class ModelSpec:
     init_seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self, "model spec")
         if self.num_blocks < 1:
             raise ParameterError(f"num_blocks must be >= 1, got {self.num_blocks}")
         if self.num_heads < 1:

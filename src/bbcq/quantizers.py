@@ -214,11 +214,19 @@ class Anchor(NamedTuple):
     threshold: Any = None
 
 
+def uniform_grid(lo, step, bits: int) -> tuple[Any, Any]:
+    """(scale, zero point) of the uniform grid that starts at ``lo``.
+
+    The scale is ``step`` floored at EPSILON; the zero point puts ``lo`` on
+    the grid, clamped to the codes. Broadcasts over array ``lo`` and ``step``.
+    """
+    scale = np.maximum(step, EPSILON)
+    return scale, np.clip(round_half_away(-lo / scale), 0, (1 << bits) - 1)
+
+
 def _uniform_anchor(bits: int, hi, lo) -> Anchor:
-    """Min-max affine: step (hi-lo)/(2^bits - 1), floored; clamped zero point."""
-    levels = (1 << bits) - 1
-    scale = np.maximum((hi - lo) / levels, EPSILON)
-    return Anchor(bits, scale, np.clip(round_half_away(-lo / scale), 0, levels))
+    """Min-max affine: step (hi-lo)/(2^bits - 1) from lo."""
+    return Anchor(bits, *uniform_grid(lo, (hi - lo) / ((1 << bits) - 1), bits))
 
 
 def _mpq_anchor(bits: int, hi, lo) -> Anchor:
@@ -338,18 +346,13 @@ def constant_params(value: float, bits: int) -> QuantParams:
                        scheme="uniform")
 
 
-def minmax_affine_params(values: np.ndarray, bits: int) -> QuantParams:
-    """Plain min-max affine params: scale (max-min)/(2^bits - 1), floored."""
-    return softmax_site_params("uniform", bits, float(values.max()),
-                               float(values.min()))
-
-
 def softmax_site_params(scheme: str, bits: int, calibrated_max: float,
                         observed_min: float = 0.0) -> QuantParams:
     """Params anchored to the range [observed_min, calibrated_max].
 
-    Used for post-softmax sites calibrated from FP-pass statistics; only the
-    uniform scheme reads ``observed_min``.
+    Used for the sites calibrated from FP-pass ranges alone: post-softmax
+    sites, and embed and head (uniform min-max). Only the uniform scheme
+    reads ``observed_min``.
     """
     a = _scheme(scheme).anchor(bits, calibrated_max, observed_min)
     return QuantParams(bits=bits, scale=float(a.scale),

@@ -30,8 +30,7 @@ from bbcq.model import (BLOCK_KINDS, MatmulSite, ModelSpec, block_forward,
                         enumerate_sites, forward, forward_from, init_model,
                         record_fields)
 from bbcq.quantizers import (EPSILON, SCHEMES, DynamicSoftmax, QuantParams,
-                             fake_quant_array, minmax_affine_params,
-                             softmax_site_params)
+                             fake_quant_array, softmax_site_params)
 from bbcq.tensor import Tape, Tensor, add, cross_entropy
 
 from _oracles import _grid, naive_bbc_metric, oracle_calibrate
@@ -267,6 +266,31 @@ def test_config_validation(kwargs):
         CalibConfig(**kwargs)
 
 
+#: A value of the wrong JSON type for each field annotation.
+WRONG_TYPE = {"int": 2.5, "float": "10", "bool": 1, "str": 3}
+
+
+@pytest.mark.parametrize("cls,field", [
+    pytest.param(cls, f, id=f"{cls.__name__}.{f.name}")
+    for cls in (CalibConfig, ModelSpec) for f in fields(cls)])
+def test_records_reject_wrong_field_types_at_construction(cls, field):
+    valid = {"num_blocks": 1, "embed_dim": 16, "num_heads": 2,
+             "patch_count": 4, "num_classes": 4} if cls is ModelSpec else {}
+    with pytest.raises(ParameterError, match=f"field '{field.name}' must be"):
+        cls(**{**valid, field.name: WRONG_TYPE[field.type]})
+
+
+def test_records_keep_an_int_in_a_float_field():
+    assert CalibConfig(gamma=10).to_json()["gamma"] == 10
+    assert type(CalibConfig(gamma=10).gamma) is int
+
+
+def test_calibrate_rejects_zero_samples():
+    model, x, y = _small_setup()
+    with pytest.raises(ParameterError, match="at least one sample"):
+        calibrate(model, x[:0], y[:0], CalibConfig(num_candidates=2, rounds=1))
+
+
 def test_config_json_round_trip():
     cfg = CalibConfig(w_bits=4, a_bits=6, gamma=25.0, rounds=2,
                       softmax_quantizer="log2", blocks_as_layers=True)
@@ -402,9 +426,9 @@ def test_cache_fp_pass_ranges_match_operands():
 
 def test_cache_fp_pass_counts_allocations():
     model, x, y = _small_setup(num_blocks=3)
-    instr = CalibInstrumentation()
-    cache_fp_pass(model, x, y, instrumentation=instr)
-    assert instr.cache_triples_allocated == 3
+    fp = cache_fp_pass(model, x, y)
+    assert [(c.block, c.kind, len(c.outputs), len(c.grads))
+            for c in fp.caches] == [(b, "block", 1, 1) for b in range(3)]
 
 
 def test_cache_fp_pass_layerwise_units():
@@ -646,11 +670,11 @@ def test_calibrate_edges_and_softmax_are_not_searched():
     model, x, y = _small_setup()
     config = CalibConfig(w_bits=4, a_bits=4, num_candidates=4, rounds=1)
     result = calibrate(model, x, y, config)
-    embed = result.params[MatmulSite("embed", "B")]
-    assert embed == minmax_affine_params(model.embed_w, 4)
-    assert result.chosen_index[MatmulSite("embed", "B")] is None
-    head = result.params[MatmulSite("head", "B")]
-    assert head == minmax_affine_params(model.head_w, 4)
+    for kind, weights in (("embed", model.embed_w), ("head", model.head_w)):
+        site = MatmulSite(kind, "B")
+        assert result.params[site] == softmax_site_params(
+            "uniform", 4, float(weights.max()), float(weights.min()))
+        assert result.chosen_index[site] is None
     softmax_site = MatmulSite("attn-apply", "A", 0)
     softmax = result.params[softmax_site]
     assert softmax.scheme == "mpq"

@@ -306,6 +306,19 @@ def test_eval_rejects_nan_eval_split(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:non-finite: ")
 
 
+def test_eval_rejects_an_empty_eval_split(tmp_path, capsys):
+    data = _gen(tmp_path)
+    inputs, labels, meta = load_dataset(data / "eval.bbcv")
+    empty = data / "eval-empty.bbcv"
+    save_dataset(inputs[:0], labels[:0], empty, meta)
+    rc = main(["eval", "--model", str(data / "model.bbcv"),
+               "--eval", str(empty), "--out", str(tmp_path / "ev")])
+    err = capsys.readouterr().err.strip()
+    assert rc == 1
+    assert "\n" not in err and err.startswith("error:parameter: ")
+    assert not (tmp_path / "ev" / "report.json").exists()
+
+
 def test_eval_corrupt_result_is_format_error(tmp_path, capsys):
     data = _gen(tmp_path)
     bad = tmp_path / "calib_result.json"

@@ -218,6 +218,18 @@ def test_evaluate_rejects_non_finite_inputs(bad):
         evaluate(model, None, x, y)
 
 
+def test_evaluate_rejects_labels_of_another_length():
+    model, x, y = _eval_setup()
+    with pytest.raises(DimensionError, match="one label per input sample"):
+        evaluate(model, None, x[:8], y[:5])
+
+
+def test_evaluate_rejects_zero_samples():
+    model, x, y = _eval_setup()
+    with pytest.raises(ParameterError, match="at least one sample"):
+        evaluate(model, None, x[:0], y[:0])
+
+
 def test_evaluate_rejects_non_finite_quantized_logits(monkeypatch):
     model, x, y = _eval_setup()
     result = calibrate(model, x, y, CalibConfig(w_bits=8, a_bits=8,

@@ -15,8 +15,7 @@ from bbcq.errors import (ContractError, DegenerateScaleError, DimensionError,
 from bbcq.quantizers import (EPSILON, SCHEMES, CodeTensor, DynamicSoftmax,
                              QuantParams, constant_params, dequantize,
                              fake_quant_array, fake_quant_softmax_dynamic,
-                             minmax_affine_params, quantize, round_half_away,
-                             softmax_site_params)
+                             quantize, round_half_away, softmax_site_params)
 from bbcq.tensor import Tape, Tensor
 
 import _oracles as oracles
@@ -375,9 +374,9 @@ def test_constant_params_hold_the_constant_exactly(value, bits):
 
 
 def test_minmax_affine_params_floor():
-    params = minmax_affine_params(np.zeros(4), bits=8)
+    params = softmax_site_params("uniform", 8, 0.0, 0.0)
     assert params.scale == EPSILON
-    spread = minmax_affine_params(np.array([-1.0, 2.0]), bits=2)
+    spread = softmax_site_params("uniform", 2, 2.0, -1.0)
     assert spread.scale == 1.0
     assert spread.zero_point == 1
 
