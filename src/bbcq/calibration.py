@@ -30,10 +30,10 @@ import numpy as np
 from .errors import (ConfigError, ContractError, DegenerateRangeError,
                      DimensionError, NonFiniteError, ParameterError)
 from .model import (BLOCK_KINDS, BlockCarry, MatmulSite, Model, QuantState,
-                    block_carry, block_forward, check_field_types,
-                    enumerate_sites, forward, json_value, record_fields)
+                    block_carry, block_forward, enumerate_sites, forward)
 from .quantizers import (SCHEMES, DynamicSoftmax, QuantParams,
                          constant_params, softmax_site_params, uniform_grid)
+from .records import check_field_types, json_value, record_fields
 from .tensor import Tape, Tensor, cross_entropy, require_finite
 
 PROFILES = ("classification", "detection")

@@ -150,7 +150,8 @@ def _resolve_config(args, sample_count: int) -> CalibConfig:
         num_candidates=args.candidates, rounds=args.rounds,
         softmax_quantizer=SOFTMAX_CHOICES[args.softmax_quant],
         dynamic_softmax=args.dynamic_softmax,
-        calib_batch=min(args.calib_batch, sample_count),
+        # An empty split is left to calibrate, which names the real fault.
+        calib_batch=min(args.calib_batch, sample_count or args.calib_batch),
         blocks_as_layers=args.blocks_as_layers, **ranges)
 
 

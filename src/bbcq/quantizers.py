@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (ContractError, DegenerateScaleError, DimensionError,
                      ParameterError)
+from .records import check_field_types
 from .tensor import Tensor
 
 EPSILON = 1e-12
@@ -53,12 +54,13 @@ class QuantParams:
     threshold: float | None = None
 
     def __post_init__(self):
+        check_field_types(self, "quant params")
         _check_bits_and_scheme(self.bits, self.scheme)
         if not math.isfinite(self.scale) or self.scale <= 0.0:
             raise DegenerateScaleError(
                 f"scale must be finite and positive, got {self.scale}")
         levels = (1 << self.bits) - 1
-        if not isinstance(self.zero_point, int) or not 0 <= self.zero_point <= levels:
+        if not 0 <= self.zero_point <= levels:
             raise ParameterError(
                 f"zero_point must be an integer in [0, {levels}], got {self.zero_point}")
         if self.scheme in ("mpq", "log2", "twin"):
@@ -87,11 +89,12 @@ class DynamicSoftmax:
     bits: int
 
     def __post_init__(self):
+        check_field_types(self, "dynamic softmax")
         _check_bits_and_scheme(self.bits, self.scheme)
 
 
-def _check_bits_and_scheme(bits, scheme) -> None:
-    if not isinstance(bits, int) or not 2 <= bits <= 8:
+def _check_bits_and_scheme(bits: int, scheme: str) -> None:
+    if not 2 <= bits <= 8:
         raise ParameterError(f"bits must be an integer in [2, 8], got {bits}")
     _scheme(scheme)
 

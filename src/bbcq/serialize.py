@@ -18,14 +18,17 @@ file from a mismatched manifest.
 from __future__ import annotations
 
 import json
+import math
 import struct
+from dataclasses import make_dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .errors import (LengthError, MagicError, ManifestError, ParameterError,
                      VersionError)
-from .model import Model, ModelSpec, parameter_shapes
+from .model import BLOCK_PARAMS, Model, ModelSpec, parameter_shapes
+from .records import record_fields
 from .tensor import require_finite
 
 MAGIC = b"BBCVIT"
@@ -33,6 +36,8 @@ VERSION = b"01"
 _HEADER = struct.Struct("<6s2sQ")
 
 _DTYPES = {"<f8": np.dtype("<f8"), "<i8": np.dtype("<i8")}
+#: The most dimensions, and bytes over the nonzero dimensions, numpy holds.
+_MAX_DIMS, _MAX_BYTES = 64, np.iinfo(np.intp).max
 
 
 def _canonical_json(obj) -> bytes:
@@ -61,8 +66,16 @@ def _pack(kind: str, spec: Mapping, tensors: list[tuple[str, np.ndarray]]) -> by
     return header + manifest + b"".join(chunks)
 
 
-def _read_manifest(blob: bytes) -> tuple[dict, bytes]:
-    """The checked manifest of a container and the payload after it."""
+#: The JSON type of every manifest field and tensor descriptor field.
+_Manifest = make_dataclass("_Manifest", [
+    ("kind", "str"), ("spec", "dict"), ("tensors", "list[dict]")])
+_Descriptor = make_dataclass("_Descriptor", [
+    ("name", "str"), ("shape", "list[int]"), ("dtype", "str"), ("offset", "int")])
+
+
+def _read_manifest(blob: bytes) -> tuple[_Manifest, list[_Descriptor], bytes]:
+    """The checked manifest of a container, its tensor descriptors and the
+    payload after it."""
     if len(blob) < _HEADER.size or blob[:6] != MAGIC:
         raise MagicError("not a BBCVIT container (bad magic)")
     version = blob[6:8]
@@ -75,44 +88,40 @@ def _read_manifest(blob: bytes) -> tuple[dict, bytes]:
             f"manifest length {manifest_len} exceeds remaining {len(body)} bytes")
     try:
         manifest = json.loads(body[:manifest_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8 or JSON, or an int past 4300 digits
         raise ManifestError(f"manifest is not valid JSON: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise ManifestError("manifest is not a JSON object")
-    for key in ("kind", "spec", "tensors"):
-        if key not in manifest:
-            raise ManifestError(f"manifest is missing {key!r}")
-    if not (isinstance(manifest["spec"], dict)
-            and isinstance(manifest["tensors"], list)):
-        raise ManifestError("manifest 'spec' must be an object and "
-                            "'tensors' a list")
-    return manifest, body[manifest_len:]
+    try:
+        manifest = record_fields(_Manifest, manifest, "manifest")
+        descriptors = [record_fields(_Descriptor, desc, f"tensor descriptor {i}")
+                       for i, desc in enumerate(manifest.tensors)]
+    except ParameterError as exc:
+        raise ManifestError(str(exc)) from None
+    return manifest, descriptors, body[manifest_len:]
 
 
 def container_kind(blob: bytes) -> str:
     """The manifest ``kind`` of a container (``model`` or ``dataset``)."""
-    return _read_manifest(blob)[0]["kind"]
+    return _read_manifest(blob)[0].kind
 
 
 def _unpack(blob: bytes, expect_kind: str) -> tuple[dict, dict[str, np.ndarray]]:
-    manifest, payload = _read_manifest(blob)
-    if manifest["kind"] != expect_kind:
+    """The manifest ``spec`` and the tensors by name, in manifest order."""
+    manifest, descriptors, payload = _read_manifest(blob)
+    if manifest.kind != expect_kind:
         raise ManifestError(
-            f"expected a {expect_kind} container, found {manifest['kind']!r}")
+            f"expected a {expect_kind} container, found {manifest.kind!r}")
     tensors: dict[str, np.ndarray] = {}
     expected_end = 0
-    for desc in manifest["tensors"]:
-        try:
-            name, shape = desc["name"], tuple(int(s) for s in desc["shape"])
-            dtype, offset = desc["dtype"], int(desc["offset"])
-        except (KeyError, TypeError, ValueError):
-            raise ManifestError(f"malformed tensor descriptor: {desc!r}") from None
-        if dtype not in _DTYPES:
-            raise ManifestError(f"tensor {name!r} has unknown dtype {dtype!r}")
+    for desc in descriptors:
+        name, shape, offset = desc.name, desc.shape, desc.offset
+        if desc.dtype not in _DTYPES:
+            raise ManifestError(f"tensor {name!r} has unknown dtype {desc.dtype!r}")
         if name in tensors:
             raise ManifestError(f"duplicate tensor name {name!r}")
-        np_dtype = _DTYPES[dtype]
-        nbytes = int(np.prod(shape, dtype=np.int64)) * np_dtype.itemsize
+        if min(shape, default=0) < 0:
+            raise ManifestError(f"tensor {name!r} has a negative dimension {shape}")
+        np_dtype = _DTYPES[desc.dtype]
+        nbytes = math.prod(shape) * np_dtype.itemsize
         if offset != expected_end:
             raise ManifestError(
                 f"tensor {name!r} offset {offset} is not contiguous "
@@ -122,6 +131,11 @@ def _unpack(blob: bytes, expect_kind: str) -> tuple[dict, dict[str, np.ndarray]]
             raise LengthError(
                 f"payload truncated: tensor {name!r} needs bytes up to "
                 f"{expected_end}, have {len(payload)}")
+        # The payload holds it, but numpy may not: too many dimensions, or
+        # an empty tensor whose other dimensions are too large.
+        if len(shape) > _MAX_DIMS or \
+                math.prod(filter(None, shape)) * np_dtype.itemsize > _MAX_BYTES:
+            raise ManifestError(f"numpy cannot hold tensor {name!r} of shape {shape}")
         tensor = np.frombuffer(
             payload[offset:offset + nbytes], dtype=np_dtype).reshape(shape).copy()
         if tensor.dtype.kind == "f":
@@ -130,7 +144,7 @@ def _unpack(blob: bytes, expect_kind: str) -> tuple[dict, dict[str, np.ndarray]]
     if expected_end != len(payload):
         raise LengthError(
             f"payload has {len(payload) - expected_end} trailing bytes")
-    return manifest, tensors
+    return manifest.spec, tensors
 
 
 def serialize_model(model: Model) -> bytes:
@@ -138,11 +152,11 @@ def serialize_model(model: Model) -> bytes:
 
 
 def deserialize_model(blob: bytes) -> Model:
-    manifest, tensors = _unpack(blob, "model")
-    spec = ModelSpec.from_json(manifest["spec"])
-    expected = parameter_shapes(spec)
-    if [(n, list(s)) for n, s in expected] != \
-            [(d["name"], d["shape"]) for d in manifest["tensors"]]:
+    payload_spec, tensors = _unpack(blob, "model")
+    spec = ModelSpec.from_json(payload_spec)
+    # Count first, so that a forged num_blocks lists no huge layout.
+    if len(tensors) != 2 + len(BLOCK_PARAMS) * spec.num_blocks or \
+            parameter_shapes(spec) != [(n, t.shape) for n, t in tensors.items()]:
         raise ManifestError("tensor list does not match the model spec")
     return Model.from_parameters(spec, tensors)
 
@@ -160,11 +174,10 @@ def serialize_dataset(inputs: np.ndarray, labels: np.ndarray,
 
 
 def deserialize_dataset(blob: bytes) -> tuple[np.ndarray, np.ndarray, dict]:
-    manifest, tensors = _unpack(blob, "dataset")
-    names = [d["name"] for d in manifest["tensors"]]
-    if names != ["inputs", "labels"]:
-        raise ManifestError(f"dataset container has tensors {names!r}")
-    return tensors["inputs"], tensors["labels"], dict(manifest["spec"])
+    meta, tensors = _unpack(blob, "dataset")
+    if list(tensors) != ["inputs", "labels"]:
+        raise ManifestError(f"dataset container has tensors {list(tensors)!r}")
+    return tensors["inputs"], tensors["labels"], meta
 
 
 def save_model(model: Model, path) -> None:

@@ -118,7 +118,35 @@ def fq_softmax_rows(values: np.ndarray, scheme: str, bits: int) -> np.ndarray:
 
 def _maybe_fq(values: np.ndarray, state: dict, key) -> np.ndarray:
     params = state.get(key)
+    if params is not None and params[0] == "dynamic":
+        return fq_softmax_rows(values, params[1], params[2])
     return values if params is None else _fq(values, params)
+
+
+def _softmax_state(scheme: str, bits: int, lo: float, hi: float,
+                   dynamic: bool) -> tuple:
+    """State of a post-softmax site whose FP-pass range is [lo, hi]:
+    ``("dynamic", scheme, bits)`` re-anchors every row at run time; static
+    sites anchor to the whole range as ``fq_softmax_rows`` does per row."""
+    if dynamic:
+        return ("dynamic", scheme, bits)
+    if scheme == "uniform":
+        levels = (1 << bits) - 1
+        scale = max((hi - lo) / levels, _EPS)
+        return ("uniform", scale, int(np.clip(_rha(-lo / scale), 0, levels)),
+                bits)
+    if scheme == "twin":
+        return ("twin", bits, hi, hi / (1 << (bits - 1)))
+    return (scheme, bits, hi)
+
+
+def _constant_state(value: float, bits: int) -> tuple:
+    """Uniform params that hold ``value`` exactly: code 1 of step ``value``
+    if positive, code 0 below zero point 1 if negative, the floor step if
+    zero."""
+    if value == 0.0:
+        return ("uniform", _EPS, 0, bits)
+    return ("uniform", abs(value), int(value < 0), bits)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +286,8 @@ def _argmin_first(trace):
 
 
 def oracle_calibrate(model, inputs, labels, *, w_bits, a_bits, gamma, alpha,
-                     beta, n, rounds, unit="block", h_override=None):
+                     beta, n, rounds, unit="block", h_override=None,
+                     softmax="mpq", dynamic=False):
     """Exhaustive reimplementation of the per-block alternating scale search.
 
     Returns ``{site_id: (scale, zero_point, chosen_index, final_trace)}`` for
@@ -266,6 +295,12 @@ def oracle_calibrate(model, inputs, labels, *, w_bits, a_bits, gamma, alpha,
     outputs (default) or per-matmul outputs (the layerwise baseline), in
     which case ``h_override[(block, kind)]`` must supply the sensitivity
     arrays (the search being checked is downstream of autodiff).
+
+    ``softmax`` names the post-softmax quantizer (``uniform``, ``mpq``,
+    ``log2`` or ``twin``), anchored to the FP-pass range, or to each row's
+    own range with ``dynamic``. An operand that is one constant over the FP
+    pass is not searched: it holds that constant exactly, and its entry is
+    ``(scale, zero_point, None, None)``.
     """
     spec = model.spec
     x = np.asarray(inputs, dtype=np.float64)
@@ -321,6 +356,7 @@ def oracle_calibrate(model, inputs, labels, *, w_bits, a_bits, gamma, alpha,
         ranges[(b, "mlp-2", "A")] = (float(gelu_out.min()), float(gelu_out.max()))
         ranges[(b, "mlp-2", "B")] = (float(p.w2.min()), float(p.w2.max()))
         softmax_max.append(float(attn.max()))
+        ranges[(b, "attn-apply", "A")] = (float(attn.min()), float(attn.max()))
 
         fp_outputs.append(out)
         fp_taps.append({
@@ -378,7 +414,8 @@ def oracle_calibrate(model, inputs, labels, *, w_bits, a_bits, gamma, alpha,
 
     chosen: dict[str, tuple] = {}
     for b in range(spec.num_blocks):
-        state = {(b, "attn-apply", "A"): ("mpq", a_bits, softmax_max[b])}
+        state = {(b, "attn-apply", "A"): _softmax_state(
+            softmax, a_bits, *ranges[(b, "attn-apply", "A")], dynamic)}
         for kind in _REVERSED_KINDS:
             b_bits = w_bits if kind in _WEIGHT_KINDS else a_bits
             lo, hi = ranges[(b, kind, "B")]
@@ -390,6 +427,17 @@ def oracle_calibrate(model, inputs, labels, *, w_bits, a_bits, gamma, alpha,
             if search_a:
                 a_lo, a_hi = ranges[(b, kind, "A")]
                 a_cands = _grid(a_lo, a_hi, a_bits, alpha, beta, n)
+            # A constant operand holds its value exactly and is not searched.
+            search_b = lo != hi
+            if not search_b:
+                state[(b, kind, "B")] = _constant_state(lo, b_bits)
+                chosen[f"b{b}.{kind}.B"] = (*state[(b, kind, "B")][1:3],
+                                            None, None)
+            if search_a and a_lo == a_hi:
+                search_a = False
+                state[(b, kind, "A")] = _constant_state(a_lo, a_bits)
+                chosen[f"b{b}.{kind}.A"] = (*state[(b, kind, "A")][1:3],
+                                            None, None)
             for _ in range(rounds):
                 if search_a:
                     trace = []
@@ -401,13 +449,14 @@ def oracle_calibrate(model, inputs, labels, *, w_bits, a_bits, gamma, alpha,
                     state[(b, kind, "A")] = a_cands[idx]
                     chosen[f"b{b}.{kind}.A"] = (a_cands[idx][1], a_cands[idx][2],
                                                 idx, trace)
-                trace = []
-                for cand in b_cands:
-                    trial = dict(state)
-                    trial[(b, kind, "B")] = cand
-                    trace.append(unit_metric(b, kind, trial))
-                idx = _argmin_first(trace)
-                state[(b, kind, "B")] = b_cands[idx]
-                chosen[f"b{b}.{kind}.B"] = (b_cands[idx][1], b_cands[idx][2],
-                                            idx, trace)
+                if search_b:
+                    trace = []
+                    for cand in b_cands:
+                        trial = dict(state)
+                        trial[(b, kind, "B")] = cand
+                        trace.append(unit_metric(b, kind, trial))
+                    idx = _argmin_first(trace)
+                    state[(b, kind, "B")] = b_cands[idx]
+                    chosen[f"b{b}.{kind}.B"] = (b_cands[idx][1], b_cands[idx][2],
+                                                idx, trace)
     return chosen

@@ -27,10 +27,10 @@ from bbcq.data import generate_dataset
 from bbcq.errors import (ConfigError, DegenerateRangeError, DimensionError,
                          NonFiniteError, ParameterError)
 from bbcq.model import (BLOCK_KINDS, MatmulSite, ModelSpec, block_forward,
-                        enumerate_sites, forward, forward_from, init_model,
-                        record_fields)
+                        enumerate_sites, forward, forward_from, init_model)
 from bbcq.quantizers import (EPSILON, SCHEMES, DynamicSoftmax, QuantParams,
                              fake_quant_array, softmax_site_params)
+from bbcq.records import record_fields
 from bbcq.tensor import Tape, Tensor, add, cross_entropy
 
 from _oracles import _grid, naive_bbc_metric, oracle_calibrate
@@ -267,17 +267,30 @@ def test_config_validation(kwargs):
 
 
 #: A value of the wrong JSON type for each field annotation.
-WRONG_TYPE = {"int": 2.5, "float": "10", "bool": 1, "str": 3}
+WRONG_TYPE = {"int": 2.5, "float": "10", "bool": 1, "str": 3,
+              "float | None": "2"}
+
+#: Valid arguments of the records that have fields without defaults.
+VALID_ARGS = {
+    ModelSpec: {"num_blocks": 1, "embed_dim": 16, "num_heads": 2,
+                "patch_count": 4, "num_classes": 4},
+    QuantParams: {"bits": 4, "scale": 0.1, "zero_point": 0, "scheme": "mpq",
+                  "calibrated_max": 1.0},
+    DynamicSoftmax: {"scheme": "mpq", "bits": 4},
+}
 
 
-@pytest.mark.parametrize("cls,field", [
-    pytest.param(cls, f, id=f"{cls.__name__}.{f.name}")
-    for cls in (CalibConfig, ModelSpec) for f in fields(cls)])
-def test_records_reject_wrong_field_types_at_construction(cls, field):
-    valid = {"num_blocks": 1, "embed_dim": 16, "num_heads": 2,
-             "patch_count": 4, "num_classes": 4} if cls is ModelSpec else {}
-    with pytest.raises(ParameterError, match=f"field '{field.name}' must be"):
-        cls(**{**valid, field.name: WRONG_TYPE[field.type]})
+@pytest.mark.parametrize("cls,field,wrong", [
+    pytest.param(cls, f.name, WRONG_TYPE[f.type], id=f"{cls.__name__}.{f.name}")
+    for cls in (CalibConfig, ModelSpec, QuantParams, DynamicSoftmax)
+    for f in fields(cls)] + [
+    pytest.param(QuantParams, "zero_point", True, id="QuantParams.zero_point-bool"),
+    pytest.param(QuantParams, "scale", 10**400, id="QuantParams.scale-huge-int"),
+    pytest.param(ModelSpec, "mlp_ratio", 10**400, id="ModelSpec.mlp_ratio-huge-int"),
+])
+def test_records_reject_wrong_field_types_at_construction(cls, field, wrong):
+    with pytest.raises(ParameterError, match=f"field '{field}' must be"):
+        cls(**{**VALID_ARGS.get(cls, {}), field: wrong})
 
 
 def test_records_keep_an_int_in_a_float_field():
@@ -703,6 +716,11 @@ def test_calibrate_leaves_a_constant_operand_unsearched(blocks_as_layers):
     activation = rows["b0.out-projection.A"]
     assert activation["searched"] and len(activation["trace"]) == 2
     assert sum(row["searched"] for row in rows.values()) == 10
+    # The oracle, too, holds the constant exactly and leaves it unsearched.
+    oracle = _oracle_of(model, x, y, config)
+    assert oracle.pop("b0.out-projection.B") == \
+        (w_params.scale, w_params.zero_point, None, None)
+    _assert_matches_oracle(result, oracle)
 
 
 def test_calibrate_weight_vs_activation_bits():
@@ -894,33 +912,53 @@ def oracle_cases(draw):
                          gamma=draw(st.sampled_from([0.0, 10.0, 50.0])),
                          num_candidates=draw(st.integers(2, 4)),
                          rounds=draw(st.integers(1, 2)),
+                         softmax_quantizer=draw(st.sampled_from(SCHEMES)),
+                         dynamic_softmax=draw(st.booleans()),
                          blocks_as_layers=draw(st.booleans()))
     return spec, config, draw(st.integers(0, 1000))
 
 
-@given(oracle_cases())
-@settings(max_examples=20, deadline=None)
-def test_calibrate_matches_oracle_on_random_specs(case):
-    """The staged search against the straight-line oracle on random small
-    models, bit widths 2-8, both units; the oracle takes the package's
-    cached sensitivities, since it has no autodiff of its own."""
-    spec, config, data_seed = case
-    model = init_model(spec)
-    x, y = generate_dataset(5, spec.patch_count, spec.embed_dim,
-                            spec.num_classes, seed=data_seed)
-    result = calibrate(model, x, y, config)
+def _oracle_of(model, x, y, config):
+    """The oracle's search under ``config``; it takes the package's cached
+    sensitivities, since it has no autodiff of its own."""
     fp = cache_fp_pass(model, x, y, blocks_as_layers=config.blocks_as_layers)
     if config.blocks_as_layers:
         unit, h_override = "layer", {(c.block, c.kind): [g * g for g in c.grads]
                                      for c in fp.caches}
     else:
         unit, h_override = "block", {c.block: c.grad * c.grad for c in fp.caches}
-    oracle = oracle_calibrate(model, x, y, w_bits=config.w_bits,
-                              a_bits=config.a_bits, gamma=config.gamma,
-                              alpha=config.alpha, beta=config.beta,
-                              n=config.num_candidates, rounds=config.rounds,
-                              unit=unit, h_override=h_override)
-    _assert_matches_oracle(result, oracle)
+    return oracle_calibrate(model, x, y, w_bits=config.w_bits,
+                            a_bits=config.a_bits, gamma=config.gamma,
+                            alpha=config.alpha, beta=config.beta,
+                            n=config.num_candidates, rounds=config.rounds,
+                            unit=unit, h_override=h_override,
+                            softmax=config.softmax_quantizer,
+                            dynamic=config.dynamic_softmax)
+
+
+@given(oracle_cases())
+@settings(max_examples=20, deadline=None)
+def test_calibrate_matches_oracle_on_random_specs(case):
+    """The staged search against the straight-line oracle on random small
+    models, bit widths 2-8, every softmax quantizer static or dynamic, both
+    units."""
+    spec, config, data_seed = case
+    model = init_model(spec)
+    x, y = generate_dataset(5, spec.patch_count, spec.embed_dim,
+                            spec.num_classes, seed=data_seed)
+    result = calibrate(model, x, y, config)
+    _assert_matches_oracle(result, _oracle_of(model, x, y, config))
+
+
+@pytest.mark.parametrize("dynamic", [False, True], ids=["static", "dynamic"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_calibrate_matches_oracle_for_every_softmax_mode(scheme, dynamic):
+    """Each of the CLI's eight softmax settings, on a 2-block model."""
+    model, x, y = _small_setup(num_blocks=2, seed=3)
+    config = CalibConfig(w_bits=3, a_bits=3, num_candidates=4, rounds=2,
+                         softmax_quantizer=scheme, dynamic_softmax=dynamic)
+    result = calibrate(model, x, y, config)
+    _assert_matches_oracle(result, _oracle_of(model, x, y, config))
 
 
 # ---------------------------------------------------------------------------

@@ -319,6 +319,19 @@ def test_eval_rejects_an_empty_eval_split(tmp_path, capsys):
     assert not (tmp_path / "ev" / "report.json").exists()
 
 
+def test_calibrate_rejects_an_empty_calib_split(tmp_path, capsys):
+    """The error names the empty split, not the clamped --calib-batch."""
+    data = _gen(tmp_path)
+    inputs, labels, meta = load_dataset(data / "calib.bbcv")
+    empty = data / "calib-empty.bbcv"
+    save_dataset(inputs[:0], labels[:0], empty, meta)
+    rc = main(["calibrate", "--model", str(data / "model.bbcv"),
+               "--calib", str(empty), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.strip()
+    assert rc == 1
+    assert err == "error:parameter: the FP pass needs at least one sample"
+
+
 def test_eval_corrupt_result_is_format_error(tmp_path, capsys):
     data = _gen(tmp_path)
     bad = tmp_path / "calib_result.json"
@@ -576,6 +589,35 @@ def test_inspect_reports_the_model_container_error(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert err == ("error:manifest-mismatch: tensor list does not match "
                    "the model spec")
+
+
+def _set_descriptor(field, value):
+    """Manifest edit that sets ``field`` of the first tensor descriptor."""
+    def edit(manifest):
+        manifest["tensors"][0][field] = value
+        return manifest
+    return edit
+
+
+@pytest.mark.parametrize("field,value", [
+    ("name", ["inputs"]), ("dtype", ["<f8"]), ("offset", "0"), ("offset", 0.0),
+    ("offset", False), ("shape", "234"), ("shape", [2.0, 3, 4]),
+    ("shape", [-2, 3, 4]), ("shape", [2, 3, 4] + [1] * 67),
+    ("shape", [2**32, 2**32, 1]), ("shape", [10**30, 3, 4]),
+], ids=["name-list", "dtype-list", "offset-str", "offset-float",
+        "offset-bool", "shape-str", "shape-float", "shape-negative",
+        "shape-67-ones", "shape-wraps-int64", "shape-past-int64"])
+def test_inspect_bad_tensor_descriptor_is_one_error_line(tmp_path, capsys,
+                                                         field, value):
+    """Each edit of the (2, 3, 4) inputs descriptor is one error line."""
+    split = tmp_path / "split.bbcv"
+    save_dataset(np.zeros((2, 3, 4)), np.zeros(2, dtype=np.int64), split)
+    bad = _with_manifest(split, _set_descriptor(field, value))
+    capsys.readouterr()
+    assert main(["inspect", str(bad)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert re.match(r"^error:(manifest|length)-mismatch: ", err[0])
 
 
 def test_inspect_calib_result_and_report(tmp_path, capsys):

@@ -8,9 +8,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bbcq.data import generate_dataset
-from bbcq.errors import (LengthError, MagicError, ManifestError,
+from bbcq.errors import (BBCQError, LengthError, MagicError, ManifestError,
                          NonFiniteError, ParameterError, VersionError)
 from bbcq.model import ModelSpec, init_model
 from bbcq.serialize import (deserialize_dataset, deserialize_model,
@@ -173,6 +175,15 @@ def test_garbage_manifest(model_blob):
         deserialize_model(mangled)
 
 
+def test_manifest_int_past_the_digit_limit(model_blob):
+    """json.loads raises a plain ValueError for an int of over 4300 digits."""
+    _, _, _, raw, payload = _split(model_blob)
+    raw = raw.replace(b'"offset":0', b'"offset":' + b"1" * 5000, 1)
+    with pytest.raises(ManifestError, match="not valid JSON"):
+        deserialize_model(_HEADER.pack(b"BBCVIT", b"01", len(raw)) + raw
+                          + payload)
+
+
 def test_kind_mismatch():
     inputs, labels = generate_dataset(3, 4, 16, 3, seed=0)
     blob = serialize_dataset(inputs, labels)
@@ -223,6 +234,45 @@ def test_missing_manifest_key(model_blob):
     del manifest["spec"]
     with pytest.raises(ManifestError, match="spec"):
         deserialize_model(_reassemble(manifest, payload))
+
+
+#: Any JSON value; ints reach past 2**63 and past the float range both
+#: ways, and lists of ints stand in for shapes with negative, zero or huge
+#: dimensions.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**1100, 2**1100) | st.floats()
+    | st.text(max_size=6) | st.lists(st.integers(-2**70, 2**70), max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+#: The manifest fields, the model spec fields and two descriptors' fields.
+FIELD_PATHS = ([(key,) for key in ("kind", "spec", "tensors")]
+               + [("spec", f) for f in ModelSpec.__dataclass_fields__]
+               + [("tensors", i, key) for i in (0, 1)
+                  for key in ("name", "shape", "dtype", "offset")])
+
+
+@given(st.booleans(), st.sampled_from(FIELD_PATHS), JSON_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_loaders_raise_only_library_errors_on_any_field(is_model, path,
+                                                        value):
+    """A container with one field replaced by any JSON value either loads
+    or raises a BBCQError, never a raw Python exception."""
+    if is_model:
+        blob, load = serialize_model(init_model(_spec())), deserialize_model
+    else:
+        inputs, labels = generate_dataset(3, 4, 16, 3, seed=0)
+        blob, load = serialize_dataset(inputs, labels), deserialize_dataset
+    _, _, manifest, _, payload = _split(blob)
+    parent = manifest
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    try:
+        load(_reassemble(manifest, payload))
+    except BBCQError:
+        pass
 
 
 def test_non_finite_weight_rejected():
