@@ -28,7 +28,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import (ConfigError, ContractError, DegenerateRangeError,
-                     DimensionError, NonFiniteError, ParameterError)
+                     DimensionError, FormatError, NonFiniteError,
+                     ParameterError)
 from .model import (BLOCK_KINDS, BlockCarry, MatmulSite, Model, QuantState,
                     block_carry, block_forward, enumerate_sites, forward)
 from .quantizers import (SCHEMES, DynamicSoftmax, QuantParams,
@@ -481,7 +482,11 @@ def save_result(result: CalibResult, path) -> None:
 
 def load_result(path) -> CalibResult:
     with open(path, "r", encoding="utf-8") as fh:
-        return CalibResult.from_json(json.load(fh))
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # bad UTF-8 or JSON, or an int past 4300 digits
+            raise FormatError(f"{path}: not valid JSON: {exc}") from None
+    return CalibResult.from_json(payload)
 
 
 def calibrate(model: Model, inputs, labels, config: CalibConfig,

@@ -264,7 +264,10 @@ def cmd_inspect(args) -> int:
     if blob.startswith(MAGIC):
         summary = _inspect_container(blob)
     else:
-        payload = json.loads(blob.decode("utf-8"))
+        try:
+            payload = json.loads(blob.decode("utf-8"))
+        except ValueError as exc:  # bad UTF-8 or JSON, or an int past 4300 digits
+            raise FormatError(f"{args.path}: not valid JSON: {exc}") from None
         if not isinstance(payload, dict):
             raise FormatError(f"{args.path}: top level is not a JSON object")
         summary = _inspect_json(payload)
@@ -322,9 +325,6 @@ def _run(args) -> int:
         return args.func(args)
     except BBCQError as exc:
         print(f"error:{exc.category}: {exc}", file=sys.stderr)
-        return 1
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        print(f"error:format: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error:io: {exc}", file=sys.stderr)

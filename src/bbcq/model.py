@@ -255,9 +255,13 @@ def validate_quant_sites(spec: ModelSpec, sites: Iterable[MatmulSite]) -> None:
 
 @dataclass
 class ForwardResult:
+    """The logits; while a tape records, also every block's output and the
+    embedding output, the tensors calibration takes gradients at. Without a
+    tape both are None: nothing could differentiate them."""
+
     logits: Tensor
-    block_outputs: list[Tensor]
-    embed_output: Tensor
+    block_outputs: list[Tensor] | None
+    embed_output: Tensor | None
 
 
 #: ``hook(kind, block, a, b, out)``: called once per matmul, right after it.
@@ -429,7 +433,8 @@ def block_carry(model: Model, block: int, x: Tensor, site: MatmulSite,
 
 def forward(model: Model, x, quant: QuantState | None = None, *,
             hook: MatmulHook | None = None) -> ForwardResult:
-    """Full forward pass; returns logits plus every block's output.
+    """Full forward pass; returns the logits, and while a tape records also
+    every block's output (see ``ForwardResult``).
 
     With ``quant`` supplied, each listed site's operand is fake-quantized
     right before its matmul. Quantized forwards are not differentiable and
@@ -454,12 +459,15 @@ def forward(model: Model, x, quant: QuantState | None = None, *,
             hook(kind, None, a.data, w, out)
         return out
 
-    embed_out = edge_matmul("embed", x, model.embed_w)
-    current = embed_out
-    block_outputs = []
+    current = edge_matmul("embed", x, model.embed_w)
+    # Untaped, no list holds a block output: each is freed once the next
+    # block has consumed it.
+    taped = recording_active()
+    embed_out, block_outputs = (current, []) if taped else (None, None)
     for b in range(spec.num_blocks):
         current = block_forward(model, b, current, quant, hook=hook)
-        block_outputs.append(current)
+        if taped:
+            block_outputs.append(current)
     logits = edge_matmul("head", current.mean(axis=1), model.head_w)
     return ForwardResult(logits=logits, block_outputs=block_outputs,
                          embed_output=embed_out)

@@ -73,21 +73,21 @@ _Descriptor = make_dataclass("_Descriptor", [
     ("name", "str"), ("shape", "list[int]"), ("dtype", "str"), ("offset", "int")])
 
 
-def _read_manifest(blob: bytes) -> tuple[_Manifest, list[_Descriptor], bytes]:
-    """The checked manifest of a container, its tensor descriptors and the
-    payload after it."""
+def _read_manifest(blob: bytes) -> tuple[_Manifest, list[_Descriptor], memoryview]:
+    """The checked manifest of a container, its tensor descriptors and a
+    view of the payload after it (slicing a view copies no bytes)."""
     if len(blob) < _HEADER.size or blob[:6] != MAGIC:
         raise MagicError("not a BBCVIT container (bad magic)")
     version = blob[6:8]
     if version != VERSION:
         raise VersionError(f"unsupported container version {version!r}")
     (_, _, manifest_len) = _HEADER.unpack_from(blob)
-    body = blob[_HEADER.size:]
+    body = memoryview(blob)[_HEADER.size:]
     if manifest_len > len(body):
         raise LengthError(
             f"manifest length {manifest_len} exceeds remaining {len(body)} bytes")
     try:
-        manifest = json.loads(body[:manifest_len].decode("utf-8"))
+        manifest = json.loads(str(body[:manifest_len], "utf-8"))
     except ValueError as exc:  # bad UTF-8 or JSON, or an int past 4300 digits
         raise ManifestError(f"manifest is not valid JSON: {exc}") from None
     try:

@@ -13,6 +13,7 @@ place that decides whether the output is recorded.
 
 from __future__ import annotations
 
+import weakref
 from contextvars import ContextVar
 from typing import Callable, Sequence
 
@@ -47,11 +48,11 @@ class Tensor:
     id of its tape node so gradients can be looked up after ``backward``.
     """
 
-    __slots__ = ("data", "_node")
+    __slots__ = ("data", "_node", "__weakref__")
 
-    def __init__(self, values, _node: int | None = None):
+    def __init__(self, values):
         self.data = _asarray(values)
-        self._node = _node
+        self._node = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -78,17 +79,19 @@ class Tensor:
 class Tape:
     """Ordered record of forward operations plus per-node gradient buffers.
 
-    A node is a ``(parent_ids, backward)`` pair; a leaf has no parents and
-    ``backward`` None. Nodes are appended in execution order, so parents
-    always precede their consumers and the backward sweep is a single
-    reversed pass. Gradient accumulation adds contributions in that fixed
-    reverse-node, left-to-right-parent order.
+    A node is a ``(parent_ids, backward, shape, tensor_ref)`` tuple: a leaf
+    has no parents and ``backward`` None. The tape keeps no forward value,
+    only its shape and a weak reference to its Tensor; the operands a
+    backward needs live in its closure. Nodes are appended in execution
+    order, so parents always precede their consumers and the backward sweep
+    is a single reversed pass. Gradient accumulation adds contributions in
+    that fixed reverse-node, left-to-right-parent order.
     """
 
     def __init__(self):
-        self._nodes: list[tuple[tuple[int, ...], Backward | None]] = []
-        self._values: list[np.ndarray] = []
+        self._nodes: list[tuple | None] = []
         self._grads: dict[int, np.ndarray] = {}
+        self._swept = False
 
     def __enter__(self) -> "Tape":
         if _TAPE.get() is not None:
@@ -103,49 +106,65 @@ class Tape:
         return len(self._nodes)
 
     def _append(self, parent_ids: tuple[int, ...], backward: Backward | None,
-                value: np.ndarray) -> int:
-        self._nodes.append((parent_ids, backward))
-        self._values.append(value)
-        return len(self._nodes) - 1
+                tensor: Tensor) -> int:
+        """Record ``tensor`` as a new node and return its id."""
+        tensor._node = len(self._nodes)
+        self._nodes.append((parent_ids, backward, tensor.data.shape,
+                            weakref.ref(tensor)))
+        return tensor._node
 
     def _leaf(self, tensor: Tensor) -> int:
         """The node of ``tensor``, registered as a leaf if it has none."""
         if tensor._node is None:
-            tensor._node = self._append((), None, tensor.data)
+            self._append((), None, tensor)
         return tensor._node
 
     # -- reverse sweep ----------------------------------------------------
     def backward(self, loss: Tensor) -> None:
-        """Fill gradient buffers for every node that influences ``loss``."""
+        """Fill gradient buffers for every node that influences ``loss``.
+
+        Each node is dropped once the sweep has passed it: its closure, with
+        the operands that closure holds, and its gradient once propagated
+        unless its Tensor is still reachable. A second sweep is rejected.
+        """
+        if self._swept:
+            raise ContractError("this tape has already run backward; "
+                                "record the forward again on a new tape")
         if loss._node is None or loss._node >= len(self._nodes):
             raise ContractError("loss was not recorded on this tape")
         if loss.data.shape != ():
             raise ContractError(
                 f"backward needs a scalar loss, got shape {loss.data.shape}")
-        self._grads = {loss._node: np.ones((), dtype=np.float64)}
+        self._swept = True
+        grads = self._grads = {loss._node: np.ones((), dtype=np.float64)}
         for node_id in range(len(self._nodes) - 1, -1, -1):
-            parent_ids, node_backward = self._nodes[node_id]
-            grad = self._grads.get(node_id)
-            if grad is None or node_backward is None:
+            parent_ids, node_backward, _, tensor_ref = self._nodes[node_id]
+            self._nodes[node_id] = None
+            grad = grads.pop(node_id, None)
+            if grad is None:
+                continue
+            if tensor_ref() is not None:
+                grads[node_id] = grad
+            if node_backward is None:
                 continue
             for parent_id, contrib in zip(parent_ids, node_backward(grad)):
                 if contrib is None:
                     continue
-                expected = self._values[parent_id].shape
+                expected = self._nodes[parent_id][2]
                 if contrib.shape != expected:
                     raise ContractError(
                         f"gradient shape {contrib.shape} does not match forward "
                         f"value shape {expected} for node {parent_id}")
-                buffer = self._grads.get(parent_id)
+                buffer = grads.get(parent_id)
                 if buffer is None:
                     # An array even for a 0-d contribution (a numpy scalar),
                     # so that a later contribution adds in place.
-                    self._grads[parent_id] = np.array(contrib, order="C")
+                    grads[parent_id] = np.array(contrib, order="C")
                 else:
                     buffer += contrib
 
     def grad(self, tensor: Tensor) -> Tensor | None:
-        """Gradient of the last backward()'s loss w.r.t. ``tensor``."""
+        """Gradient of the swept loss w.r.t. ``tensor``."""
         if tensor._node is None:
             return None
         grad = self._grads.get(tensor._node)
@@ -171,11 +190,11 @@ def _result(out: np.ndarray, parents: tuple[Tensor, ...],
     The only operation code that reads the active tape: with none,
     ``backward`` is dropped unrun and no graph is kept.
     """
+    result = Tensor(out)
     tape = _TAPE.get()
-    if tape is None:
-        return Tensor(out)
-    parent_ids = tuple(tape._leaf(p) for p in parents)
-    return Tensor(out, _node=tape._append(parent_ids, backward, out))
+    if tape is not None:
+        tape._append(tuple(tape._leaf(p) for p in parents), backward, result)
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -398,7 +398,8 @@ def test_cache_fp_pass_structure():
     fp = cache_fp_pass(model, x, y)
     assert len(fp.caches) == 2
     assert [c.kind for c in fp.caches] == ["block", "block"]
-    result = forward(model, x)
+    with Tape():
+        result = forward(model, x)
     np.testing.assert_array_equal(fp.caches[0].block_input,
                                   result.embed_output.data)
     np.testing.assert_array_equal(fp.caches[1].block_input,

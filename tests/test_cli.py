@@ -653,6 +653,26 @@ def test_inspect_non_object_or_non_utf8_json_is_format_error(tmp_path, capsys,
     assert "\n" not in err and err.startswith("error:format: ")
 
 
+@pytest.mark.parametrize("command", ["inspect", "eval"])
+def test_json_int_past_the_digit_limit_is_format_error(tmp_path, capsys,
+                                                       command):
+    """json.loads raises a plain ValueError for an int of over 4300 digits."""
+    path = tmp_path / "calib_result.json"
+    path.write_text('{"kind": "calib-result", "schema_version": '
+                    + "1" * 5000 + "}")
+    if command == "inspect":
+        argv = ["inspect", str(path)]
+    else:
+        data = _gen(tmp_path)
+        argv = ["eval", "--model", str(data / "model.bbcv"),
+                "--eval", str(data / "eval.bbcv"), "--result", str(path),
+                "--out", str(tmp_path / "o")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err and err.startswith("error:format: ")
+
+
 @pytest.mark.parametrize("sites", [None, [1], [{"site_id": 3}]],
                          ids=["bare", "int_site", "int_site_id"])
 def test_inspect_malformed_calib_result_is_parameter_error(tmp_path, capsys,

@@ -137,7 +137,8 @@ def test_xavier_bounds(tiny_spec):
 
 def test_forward_shapes(tiny_model, tiny_batch):
     x, _ = tiny_batch
-    result = forward(tiny_model, x)
+    with Tape():
+        result = forward(tiny_model, x)
     spec = tiny_model.spec
     assert result.logits.shape == (len(x), spec.num_classes)
     assert result.embed_output.shape == x.shape
@@ -158,7 +159,8 @@ def test_forward_matches_straight_line_oracle():
                      num_classes=3, init_seed=3)
     model = init_model(spec)
     x, _ = generate_dataset(4, 5, 16, 3, seed=9)
-    result = forward(model, x)
+    with Tape():
+        result = forward(model, x)
     logits, block_outputs, embed_out = oracle_forward(model, x)
     np.testing.assert_array_equal(result.logits.data, logits)
     np.testing.assert_array_equal(result.embed_output.data, embed_out)
@@ -169,7 +171,8 @@ def test_forward_matches_straight_line_oracle():
 def test_forward_composes_from_block_forward(tiny_model, tiny_batch):
     """Running embed + blocks + pool + head by hand equals forward(), bitwise."""
     x, _ = tiny_batch
-    full = forward(tiny_model, x)
+    with Tape():
+        full = forward(tiny_model, x)
     current = matmul(Tensor(np.asarray(x, dtype=np.float64)),
                      Tensor(tiny_model.embed_w))
     np.testing.assert_array_equal(current.data, full.embed_output.data)
@@ -182,7 +185,8 @@ def test_forward_composes_from_block_forward(tiny_model, tiny_batch):
 
 def test_forward_from_tail(tiny_model, tiny_batch):
     x, _ = tiny_batch
-    full = forward(tiny_model, x)
+    with Tape():
+        full = forward(tiny_model, x)
     tail = forward_from(tiny_model, 0, full.block_outputs[0].data)
     np.testing.assert_array_equal(tail.data, full.logits.data)
 
@@ -319,7 +323,8 @@ def test_hook_receives_pre_quant_operands(tiny_model, tiny_batch):
 
 
 def _block_input(model, x):
-    return forward(model, x).embed_output
+    with Tape():
+        return forward(model, x).embed_output
 
 
 def test_block_forward_stop_ends_after_that_matmul(tiny_model, tiny_batch):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 import zlib
 
 import numpy as np
@@ -237,6 +238,36 @@ def test_backward_rejects_foreign_loss(rng):
     with Tape() as tape:
         with pytest.raises(ContractError):
             tape.backward(loss)
+
+
+def test_second_backward_rejected(rng):
+    """The first sweep frees the closures a second one would need."""
+    with Tape() as tape:
+        x = Tensor(rng.normal(size=(2, 2)))
+        loss = tensor_sum(mul(x, x))
+        tape.backward(loss)
+        first = tape.grad(x).data.copy()
+        with pytest.raises(ContractError, match="already run backward"):
+            tape.backward(loss)
+    np.testing.assert_array_equal(tape.grad(x).data, first)
+
+
+def test_backward_frees_what_it_has_passed(rng):
+    """After the sweep an intermediate held only by a closure is gone, and
+    only tensors the caller still holds keep a gradient."""
+    with Tape() as tape:
+        x = Tensor(rng.normal(size=(3, 4)))
+        hidden = gelu(x)
+        hidden_ref = weakref.ref(hidden)
+        kept = mul(hidden, 2.0)
+        del hidden
+        loss = tensor_sum(kept)
+        assert hidden_ref() is not None
+        tape.backward(loss)
+    assert hidden_ref() is None
+    assert sorted(tape._grads) == sorted(t._node for t in (x, kept, loss))
+    assert all(node is None for node in tape._nodes)
+    np.testing.assert_allclose(tape.grad(kept).data, np.ones((3, 4)))
 
 
 def test_unused_tensor_has_no_gradient(rng):
