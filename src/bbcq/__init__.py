@@ -23,8 +23,8 @@ from .errors import (BBCQError, ConfigError, ContractError,
 from .metrics import (EvalMetrics, QuantReportRow, code_entropy,
                       compare_softmax_quantizers, evaluate)
 from .model import (BlockCarry, MatmulSite, Model, ModelSpec, block_carry,
-                    block_forward, enumerate_sites, forward, forward_from,
-                    init_model)
+                    block_forward, block_prefix, enumerate_sites, forward,
+                    forward_from, init_model)
 from .quantizers import (CodeTensor, DynamicSoftmax, QuantParams, dequantize,
                          fake_quant_array, quantize, round_half_away)
 from .serialize import (load_dataset, load_model, save_dataset, save_model,
@@ -43,9 +43,9 @@ __all__ = [
     "fake_quant_array", "quantize", "round_half_away",
     # model + serialization
     "BlockCarry", "MatmulSite", "Model", "ModelSpec", "block_carry",
-    "block_forward", "enumerate_sites", "forward", "forward_from",
-    "init_model", "load_dataset", "load_model", "save_dataset", "save_model",
-    "serialize_dataset", "serialize_model",
+    "block_forward", "block_prefix", "enumerate_sites", "forward",
+    "forward_from", "init_model", "load_dataset", "load_model",
+    "save_dataset", "save_model", "serialize_dataset", "serialize_model",
     # calibration
     "BlockCache", "CalibConfig", "CalibInstrumentation", "CalibResult",
     "bbc_metric", "bottom_mask", "bottom_threshold", "cache_fp_pass",

@@ -6,11 +6,12 @@ loss gradient at the output (whose elementwise square is the diagonal
 second-order sensitivity). Scale candidates for every matmul operand are then
 scored by re-forwarding just the owning block from its cached input and
 measuring the sensitivity-weighted squared output drift, with the smallest
-error magnitudes masked out ("bottom elimination"). The stages before the
-searched matmul are shared by all candidates of a site, so each candidate
-resumes from a carry at that matmul. Sites are visited in reverse execution
-order per block and each layer's activation/weight pair is alternated for a
-fixed number of rounds.
+error magnitudes masked out ("bottom elimination"). Sites are visited in
+reverse execution order per block and each layer's activation/weight pair is
+alternated for a fixed number of rounds. The stages before a layer's matmul
+are the same for every candidate of both its sites in every round, so the
+block is advanced to that matmul once per layer and each candidate resumes
+from there.
 
 ``blocks_as_layers=True`` degrades the unit of caching/scoring from a whole
 block to one matmul, which is the plain layerwise Hessian baseline.
@@ -31,7 +32,8 @@ from .errors import (ConfigError, ContractError, DegenerateRangeError,
                      DimensionError, FormatError, NonFiniteError,
                      ParameterError)
 from .model import (BLOCK_KINDS, BlockCarry, MatmulSite, Model, QuantState,
-                    block_carry, block_forward, enumerate_sites, forward)
+                    block_carry, block_forward, block_prefix, enumerate_sites,
+                    forward)
 from .quantizers import (SCHEMES, DynamicSoftmax, QuantParams,
                          constant_params, softmax_site_params, uniform_grid)
 from .records import check_field_types, json_value, record_fields
@@ -145,7 +147,8 @@ class BlockCache:
     gradient (whose elementwise square is the sensitivity). In layerwise mode
     the unit is one matmul and ``kind`` names it (the fused q/k/v projection
     carries three parallel outputs). ``block_input`` is shared by all units
-    of one block and is always the full-precision value.
+    of one block and is always the full-precision value. The arrays are
+    read-only, as ``cache_fp_pass`` shares them rather than copying them.
     """
 
     block: int
@@ -271,6 +274,8 @@ def cache_fp_pass(model: Model, inputs, labels, *,
     output — never the layer-by-layer activations. With ``blocks_as_layers``
     the same pair is kept per matmul instead (the layerwise baseline's
     working set). ``ranges`` holds the [min, max] of every site's operand.
+    The cached arrays are the pass's own, not copies, and are read-only; in
+    blockwise mode block b's input is block b-1's output array.
     """
     x = require_finite(np.asarray(inputs, dtype=np.float64), "inputs")
     if x.shape[:1] == (0,):
@@ -299,14 +304,17 @@ def cache_fp_pass(model: Model, inputs, labels, *,
         tape.backward(loss)
         for b in range(model.spec.num_blocks):
             source = result.embed_output if b == 0 else result.block_outputs[b - 1]
-            block_input = source.data.copy()
+            block_input = source.data
             units = ([(kind, unit_outputs[(b, kind)]) for kind in BLOCK_KINDS]
                      if blocks_as_layers else [("block", [result.block_outputs[b]])])
             for kind, outs in units:
                 caches.append(BlockCache(
                     block=b, kind=kind, block_input=block_input,
-                    outputs=[t.data.copy() for t in outs],
-                    grads=[tape.grad(t).data.copy() for t in outs]))
+                    outputs=[t.data for t in outs],
+                    grads=[tape.grad(t).data for t in outs]))
+    for cache in caches:
+        for values in (cache.block_input, *cache.outputs, *cache.grads):
+            values.flags.writeable = False
     return FPPass(caches=caches, loss=loss.item(), ranges=ranges)
 
 
@@ -339,20 +347,23 @@ def _unit_metric(model: Model, cache: BlockCache, quant: QuantState,
 def search_site(model: Model, site: MatmulSite, candidates: list[QuantParams],
                 state: QuantState, cache: BlockCache,
                 config: CalibConfig,
-                executor: ThreadPoolExecutor | None = None
+                executor: ThreadPoolExecutor | None = None,
+                prefix: BlockCarry | None = None
                 ) -> tuple[QuantParams, int, list[float]]:
     """Score every candidate for one site and pick the argmin.
 
     Each candidate is evaluated with all other sites frozen at ``state``
-    (searched sites quantized, unsearched ones full precision). The block
-    is advanced once from its cached FP input to the site's matmul, with
-    the other operand of that matmul fake-quantized once; every candidate
-    resumes from there. Ties break to the lowest index; candidate
-    evaluations are pure, so the optional executor only changes wall-clock,
-    never the result. A NaN or infinite metric raises NonFiniteError.
+    (searched sites quantized, unsearched ones full precision). ``prefix``
+    is the block paused in front of the site's matmul under ``state``
+    (``block_prefix``); without one, the block is advanced here from its
+    cached FP input. The other operand of that matmul is fake-quantized
+    once, and every candidate resumes from there. Ties break to the lowest
+    index; candidate evaluations are pure, so the optional executor only
+    changes wall-clock, never the result. A NaN or infinite metric raises
+    NonFiniteError.
     """
-    start = block_carry(model, cache.block, Tensor(cache.block_input), site,
-                        state)
+    source = Tensor(cache.block_input) if prefix is None else prefix
+    start = block_carry(model, cache.block, source, site, state)
     sensitivities = [g * g for g in cache.grads]
 
     def metric_for(params: QuantParams) -> float:
@@ -500,9 +511,10 @@ def calibrate(model: Model, inputs, labels, config: CalibConfig,
     visited last-to-first. Per matmul the weight side is first initialized
     to its full-range step, then ``config.rounds`` alternations of
     (activation search, weight search) run, each holding every other site at
-    its current state. An operand that is one constant over the whole FP
-    pass is not searched either; it gets params that hold that constant
-    exactly. Only the first ``config.calib_batch`` samples are used.
+    its current state and resuming from the block paused once in front of
+    that matmul (``block_prefix``). An operand that is one constant over the
+    whole FP pass is not searched either; it gets params that hold that
+    constant exactly. Only the first ``config.calib_batch`` samples are used.
     """
     instr = instrumentation if instrumentation is not None else CalibInstrumentation()
     fp = cache_fp_pass(model, inputs[:config.calib_batch],
@@ -545,11 +557,15 @@ def calibrate(model: Model, inputs, labels, config: CalibConfig,
                     grids[site] = candidate_scales(lo, hi, bits, config.alpha,
                                                    config.beta,
                                                    config.num_candidates)
+                if not grids:
+                    continue
+                prefix = block_prefix(model, b, Tensor(cache.block_input),
+                                      kind, config.quant_state(state))
                 for _ in range(config.rounds):
                     for site, candidates in grids.items():
                         state[site], chosen[site], trace = search_site(
                             model, site, candidates, config.quant_state(state),
-                            cache, config, executor)
+                            cache, config, executor, prefix)
                         traces[site].append(trace)
             instr.exit_block()
     finally:

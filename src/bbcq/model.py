@@ -407,25 +407,48 @@ def block_forward(model: Model, block: int, x: Tensor | BlockCarry,
     ends right after that matmul's hook calls and returns None.
     """
     _check_entries(quant)
-    if isinstance(x, BlockCarry) and stop is not None and \
-            BLOCK_KINDS.index(stop) < BLOCK_KINDS.index(x.kind):
-        raise ContractError(
-            f"cannot stop at {stop}: the carry resumes at {x.kind}")
+    if stop is not None:
+        _check_not_behind(x, stop, "stop")
     return _run_stages(model, block, x, quant, hook, None, stop)
 
 
-def block_carry(model: Model, block: int, x: Tensor, site: MatmulSite,
-                quant: QuantState | None = None) -> BlockCarry:
-    """The carry in front of ``site``'s matmul, from block input ``x``.
+def _check_not_behind(x: Tensor | BlockCarry, kind: str, what: str) -> None:
+    if isinstance(x, BlockCarry) and \
+            BLOCK_KINDS.index(kind) < BLOCK_KINDS.index(x.kind):
+        raise ContractError(
+            f"cannot {what} at {kind}: the carry resumes at {x.kind}")
 
-    Every stage before that matmul runs under ``quant``, and the operand
-    opposite ``site`` is fake-quantized under ``quant`` once, here. A forward
+
+def block_prefix(model: Model, block: int, x: Tensor | BlockCarry, kind: str,
+                 quant: QuantState | None = None) -> BlockCarry:
+    """The carry in front of matmul ``kind``, from block input or carry ``x``.
+
+    Every stage before that matmul runs under ``quant``, and neither of its
+    operands is fake-quantized yet. The carry depends on no entry of
+    ``quant`` for this matmul or a later one, so every search of this
+    matmul's two sites can resume from it through ``block_carry``.
+    """
+    _check_entries(quant)
+    _check_not_behind(x, kind, "pause")
+    return replace(_run_stages(model, block, x, quant, None, kind, None),
+                   a_quant=None, b_quant=None)
+
+
+def block_carry(model: Model, block: int, x: Tensor | BlockCarry,
+                site: MatmulSite,
+                quant: QuantState | None = None) -> BlockCarry:
+    """The carry in front of ``site``'s matmul, from block input ``x`` or
+    a carry paused at or before that matmul (such as ``block_prefix``'s).
+
+    Every stage before that matmul runs under ``quant`` (a carry ``x``
+    must have run its stages under the same entries), and the operand
+    opposite ``site`` is fake-quantized under ``quant`` once, here; an
+    operand a carry ``x`` already holds fake-quantized is redone. A forward
     resumed from the carry under a state that differs from ``quant`` only
     at ``site`` equals the full ``block_forward`` under that state, bit for
     bit.
     """
-    _check_entries(quant)
-    carry = _run_stages(model, block, x, quant, None, site.kind, None)
+    carry = block_prefix(model, block, x, site.kind, quant)
     if site.role == "A":
         return replace(carry, b_quant=_quant_b(carry, block, quant))
     return replace(carry, a_quant=_quant_a(carry, block, quant))

@@ -13,6 +13,7 @@ place that decides whether the output is recorded.
 
 from __future__ import annotations
 
+import math
 import weakref
 from contextvars import ContextVar
 from typing import Callable, Sequence
@@ -81,8 +82,10 @@ class Tape:
 
     A node is a ``(parent_ids, backward, shape, tensor_ref)`` tuple: a leaf
     has no parents and ``backward`` None. The tape keeps no forward value,
-    only its shape and a weak reference to its Tensor; the operands a
-    backward needs live in its closure. Nodes are appended in execution
+    only its shape and a weak reference to its Tensor. A backward's closure
+    holds only the arrays it reads: an operation whose gradient needs just
+    an operand's shape keeps that shape, not the operand, so the operand
+    can die with its last other reference. Nodes are appended in execution
     order, so parents always precede their consumers and the backward sweep
     is a single reversed pass. Gradient accumulation adds contributions in
     that fixed reverse-node, left-to-right-parent order.
@@ -239,9 +242,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum with numpy broadcasting."""
     a, b = _as_tensor(a), _as_tensor(b)
+    a_shape, b_shape = a.shape, b.shape
 
     def backward(g: np.ndarray):
-        return _reduce_to_shape(g, a.shape), _reduce_to_shape(g, b.shape)
+        return _reduce_to_shape(g, a_shape), _reduce_to_shape(g, b_shape)
 
     return _result(a.data + b.data, (a, b), backward)
 
@@ -265,8 +269,9 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     x = _as_tensor(x)
+    x_shape = x.shape
     return _result(np.reshape(x.data, tuple(shape)), (x,),
-                   lambda g: (np.reshape(g, x.shape),))
+                   lambda g: (np.reshape(g, x_shape),))
 
 
 def _spread(g: np.ndarray, shape: tuple[int, ...], axis,
@@ -278,16 +283,18 @@ def _spread(g: np.ndarray, shape: tuple[int, ...], axis,
 
 def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     x = _as_tensor(x)
+    x_shape = x.shape
     return _result(x.data.sum(axis=axis, keepdims=keepdims), (x,),
-                   lambda g: (_spread(g, x.shape, axis, keepdims),))
+                   lambda g: (_spread(g, x_shape, axis, keepdims),))
 
 
 def tensor_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     x = _as_tensor(x)
+    x_shape = x.shape
 
     def backward(g: np.ndarray):
-        count = x.size if axis is None else x.shape[axis]
-        return (_spread(g / count, x.shape, axis, keepdims),)
+        count = math.prod(x_shape) if axis is None else x_shape[axis]
+        return (_spread(g / count, x_shape, axis, keepdims),)
 
     return _result(x.data.mean(axis=axis, keepdims=keepdims), (x,), backward)
 
@@ -321,9 +328,9 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor,
     var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat *= inv_std
+    reduce_axes = tuple(range(x.ndim - 1))
 
     def backward(g: np.ndarray):
-        reduce_axes = tuple(range(x.ndim - 1))
         dxhat = g * gamma.data
         dx = inv_std * (dxhat
                         - dxhat.mean(axis=-1, keepdims=True)

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bbcq import model as model_module
 from bbcq.calibration import (CalibConfig, CalibInstrumentation, CalibResult,
                               PROFILE_RANGES, bbc_metric, bottom_mask,
                               bottom_threshold, cache_fp_pass, calibrate,
@@ -27,7 +28,8 @@ from bbcq.data import generate_dataset
 from bbcq.errors import (ConfigError, DegenerateRangeError, DimensionError,
                          NonFiniteError, ParameterError)
 from bbcq.model import (BLOCK_KINDS, MatmulSite, ModelSpec, block_forward,
-                        enumerate_sites, forward, forward_from, init_model)
+                        block_prefix, enumerate_sites, forward, forward_from,
+                        init_model)
 from bbcq.quantizers import (EPSILON, SCHEMES, DynamicSoftmax, QuantParams,
                              fake_quant_array, softmax_site_params)
 from bbcq.records import record_fields
@@ -459,6 +461,22 @@ def test_cache_fp_pass_layerwise_units():
                                       block0[0].block_input)
 
 
+@pytest.mark.parametrize("blocks_as_layers", [False, True],
+                         ids=["blockwise", "layerwise"])
+def test_cache_fp_pass_shares_read_only_arrays(blocks_as_layers):
+    """The caches hold the pass's own arrays, not copies, so none of them
+    can be written; blockwise, block b's input is block b-1's output."""
+    model, x, y = _small_setup(num_blocks=3)
+    fp = cache_fp_pass(model, x, y, blocks_as_layers=blocks_as_layers)
+    for cache in fp.caches:
+        for values in (cache.block_input, *cache.outputs, *cache.grads):
+            with pytest.raises(ValueError):
+                values[(0,) * values.ndim] = 0.0
+    if not blocks_as_layers:
+        for before, cache in zip(fp.caches, fp.caches[1:]):
+            assert np.shares_memory(cache.block_input, before.output)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_inputs_rejected(bad):
     model, x, y = _small_setup()
@@ -638,6 +656,15 @@ def test_staged_search_matches_full_reforward(scheme, dynamic_softmax,
                                      config)
         assert trace == want, site.site_id
         assert chosen == int(np.argmin(want)), site.site_id
+        # The shared prefix depends only on earlier matmuls' entries, so
+        # one paused without this layer's or later layers' sites serves.
+        earlier = {s: p for s, p in state.items()
+                   if s.block != site.block or s.layer < site.layer}
+        prefix = block_prefix(model, site.block, Tensor(cache.block_input),
+                              site.kind, earlier)
+        _, _, shared = search_site(model, site, candidates, state, cache,
+                                   config, prefix=prefix)
+        assert shared == want, site.site_id
 
 
 def test_staged_search_with_earlier_sites_frozen():
@@ -659,6 +686,38 @@ def test_staged_search_with_earlier_sites_frozen():
     assert trace == _full_reforward_trace(model, site, candidates, state,
                                           fp.caches[1], config)
     assert len(set(trace)) > 1
+
+
+@pytest.mark.parametrize("zero_w_v", [False, True],
+                         ids=["every-layer", "constant-v"])
+@pytest.mark.parametrize("blocks_as_layers", [False, True],
+                         ids=["blockwise", "layerwise"])
+def test_calibrate_advances_each_searched_layer_once(monkeypatch,
+                                                     blocks_as_layers,
+                                                     zero_w_v):
+    """Both sites of a layer, in every round, resume from one prefix: the
+    search enters a block from its cached input once per layer with a
+    searched site, on top of the FP pass entering each block once. A zero
+    ``w_v`` makes attn-apply's B operand constant, leaving that layer with
+    no searched site."""
+    model, x, y = _small_setup(num_blocks=2)
+    if zero_w_v:
+        model.blocks[1].w_v = np.zeros_like(model.blocks[1].w_v)
+    entries = []
+    real_entry = model_module._block_entry
+
+    def counting_entry(model, block, x):
+        entries.append(block)
+        return real_entry(model, block, x)
+
+    monkeypatch.setattr(model_module, "_block_entry", counting_entry)
+    config = CalibConfig(w_bits=4, a_bits=4, num_candidates=3, rounds=2,
+                         blocks_as_layers=blocks_as_layers)
+    result = calibrate(model, x, y, config)
+    searched_layers = {(site.block, site.kind)
+                       for site, trace in result.traces.items() if trace}
+    assert len(searched_layers) == 12 - zero_w_v
+    assert len(entries) == model.spec.num_blocks + len(searched_layers)
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,33 @@ def test_fp_pass_peaks_well_below_a_tape_that_keeps_everything(
     assert lean < 0.65 * keeping, (lean, keeping)
 
 
+def test_blockwise_fp_pass_keeps_only_what_backward_reads(monkeypatch):
+    """Closures that need an operand's shape keep the shape, and the caches
+    take the pass's arrays rather than copies, so the blockwise pass peaks
+    below 0.45 of the keeping tape (about 0.40 at this size)."""
+    model, x, y = _setup(num_blocks=2, samples=16)
+
+    def fp_pass():
+        return cache_fp_pass(model, x, y)
+
+    lean = _peak_bytes(fp_pass)
+    monkeypatch.setattr(calibration, "Tape", _KeepingTape)
+    keeping = _peak_bytes(fp_pass)
+    assert lean < 0.45 * keeping, (lean, keeping)
+
+
+def test_layerwise_fp_pass_peaks_near_the_caches_it_returns():
+    """The layerwise caches are most of what the pass holds at its peak;
+    a copy of them on top would put the peak past twice their bytes."""
+    model, x, y = _setup(num_blocks=2, samples=16)
+    passes = []
+    peak = _peak_bytes(lambda: passes.append(
+        cache_fp_pass(model, x, y, blocks_as_layers=True)))
+    cached = {id(values): values.nbytes for cache in passes[0].caches
+              for values in (cache.block_input, *cache.outputs, *cache.grads)}
+    assert peak <= 1.75 * sum(cached.values()), (peak, sum(cached.values()))
+
+
 def test_untaped_forward_peak_does_not_grow_with_depth():
     """Without a tape no block output outlives the block that reads it, so
     four blocks peak where one does."""

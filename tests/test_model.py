@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from bbcq.calibration import CalibConfig, calibrate
 from bbcq.data import generate_dataset
 from bbcq.errors import ContractError, DimensionError, ParameterError
 from bbcq.model import (BLOCK_KINDS, MatmulSite, ModelSpec, block_carry,
-                        block_forward, enumerate_sites, forward, forward_from,
-                        init_model, parameter_shapes, validate_quant_sites)
+                        block_forward, block_prefix, enumerate_sites, forward,
+                        forward_from, init_model, parameter_shapes,
+                        validate_quant_sites)
 from bbcq import model as model_module
 from bbcq.quantizers import (DynamicSoftmax, QuantParams,
                              fake_quant_softmax_dynamic, softmax_site_params)
@@ -368,6 +370,31 @@ def test_block_carry_resumes_bit_for_bit(tiny_model, tiny_batch,
         np.testing.assert_array_equal(resumed.data, full.data, site.site_id)
 
 
+def test_block_carry_from_a_carry_redoes_the_partner(tiny_model, tiny_batch):
+    """From a prefix, or from the other site's carry of the same matmul,
+    ``block_carry`` gives what it gives from the block input: a partner
+    that carry already holds fake-quantized is quantized again."""
+    x = _block_input(tiny_model, tiny_batch[0])
+    state = {site: QuantParams(bits=3, scale=0.07, zero_point=3, scheme="uniform")
+             for site in enumerate_sites(tiny_model.spec) if site.block == 0}
+    for site in state:
+        if site.is_softmax_output:
+            continue
+        other = MatmulSite(site.kind, "B" if site.role == "A" else "A", 0)
+        # Differs from ``state`` only at this matmul's two sites.
+        other_state = {**state, site: replace(state[site], scale=0.05),
+                       other: replace(state[other], scale=0.05)}
+        trial = {**state, site: QuantParams(bits=3, scale=0.11, zero_point=1,
+                                            scheme="uniform")}
+        want = block_forward(tiny_model, 0, x, trial).data
+        for start in (block_prefix(tiny_model, 0, x, site.kind, state),
+                      block_carry(tiny_model, 0, x, other, other_state)):
+            carry = block_carry(tiny_model, 0, start, site, state)
+            np.testing.assert_array_equal(
+                block_forward(tiny_model, 0, carry, trial).data, want,
+                site.site_id)
+
+
 def test_dynamic_softmax_entry_anchors_the_softmax_rows(tiny_model, tiny_batch,
                                                        monkeypatch):
     """A ``DynamicSoftmax`` entry runs the per-row kernel on exactly the
@@ -432,6 +459,10 @@ def test_block_forward_cannot_stop_before_its_carry(tiny_model, tiny_batch):
     carry = block_carry(tiny_model, 0, x, MatmulSite("mlp-1", "A", 0))
     with pytest.raises(ContractError):
         block_forward(tiny_model, 0, carry, stop="attn-score")
+    with pytest.raises(ContractError):
+        block_prefix(tiny_model, 0, carry, "attn-score")
+    with pytest.raises(ContractError):
+        block_carry(tiny_model, 0, carry, MatmulSite("attn-score", "B", 0))
 
 
 @pytest.mark.parametrize("dynamic", [False, True], ids=["static", "dynamic"])

@@ -403,6 +403,46 @@ def test_in_place_op_equals_its_expression(op, reference, shapes, rng):
         np.testing.assert_array_equal(tape.grad(t).data, want)
 
 
+def _reference_add(a, b, g):
+    return a + b, (g, g.sum(axis=0).sum(axis=0))
+
+
+def _reference_reshape(x, g):
+    return x.reshape(12, 8), (g.reshape(x.shape),)
+
+
+def _reference_mean(x, g):
+    return x.mean(axis=1), (np.repeat((g / 4)[:, None, :], 4, axis=1),)
+
+
+@pytest.mark.parametrize("op,reference,shapes,shape_only", [
+    (add, _reference_add, [(3, 4, 8), (8,)], 2),
+    (lambda x: reshape(x, (12, 8)), _reference_reshape, [(3, 4, 8)], 1),
+    (lambda x: tensor_mean(x, axis=1), _reference_mean, [(3, 4, 8)], 1),
+    (layernorm, _reference_layernorm, [(3, 4, 8), (8,), (8,)], 1),
+], ids=["add", "reshape", "tensor_mean", "layernorm"])
+def test_shape_only_operands_die_with_their_caller(op, reference, shapes,
+                                                  shape_only, rng):
+    """A backward that reads only an operand's shape keeps the shape, so
+    the first ``shape_only`` operands die once the caller drops them, tape
+    or not; values and gradients equal the plain expressions bit for bit."""
+    arrays = [rng.normal(size=shape) * 3.0 for shape in shapes]
+    with Tape() as tape:
+        leaves = [Tensor(a) for a in arrays]
+        # Times one is exact, so each leaf's gradient is its operand's.
+        operands = [mul(leaf, 1.0) for leaf in leaves]
+        out = op(*operands)
+        dropped = [weakref.ref(t) for t in operands[:shape_only]]
+        del operands
+        assert [ref() for ref in dropped] == [None] * shape_only
+        weight = rng.normal(size=out.shape)
+        tape.backward(tensor_sum(mul(out, Tensor(weight))))
+    want_value, want_grads = reference(*arrays, weight)
+    np.testing.assert_array_equal(out.data, want_value)
+    for leaf, want in zip(leaves, want_grads, strict=True):
+        np.testing.assert_array_equal(tape.grad(leaf).data, want)
+
+
 def test_backward_is_deterministic(rng):
     x = rng.normal(size=(4, 5))
     w = rng.normal(size=(5, 3))
