@@ -22,9 +22,9 @@ from .errors import (BBCQError, ConfigError, ContractError,
                      VersionError)
 from .metrics import (EvalMetrics, QuantReportRow, code_entropy,
                       compare_softmax_quantizers, evaluate)
-from .model import (BlockCarry, MatmulSite, Model, ModelSpec, block_carry,
-                    block_forward, block_prefix, enumerate_sites, forward,
-                    forward_from, init_model)
+from .model import (BlockCarry, MatmulSite, Model, ModelSpec, block_forward,
+                    block_prefix, enumerate_sites, forward, forward_from,
+                    init_model)
 from .quantizers import (CodeTensor, DynamicSoftmax, QuantParams, dequantize,
                          fake_quant_array, quantize, round_half_away)
 from .serialize import (load_dataset, load_model, save_dataset, save_model,
@@ -42,10 +42,10 @@ __all__ = [
     "CodeTensor", "DynamicSoftmax", "QuantParams", "dequantize",
     "fake_quant_array", "quantize", "round_half_away",
     # model + serialization
-    "BlockCarry", "MatmulSite", "Model", "ModelSpec", "block_carry",
-    "block_forward", "block_prefix", "enumerate_sites", "forward",
-    "forward_from", "init_model", "load_dataset", "load_model",
-    "save_dataset", "save_model", "serialize_dataset", "serialize_model",
+    "BlockCarry", "MatmulSite", "Model", "ModelSpec", "block_forward",
+    "block_prefix", "enumerate_sites", "forward", "forward_from",
+    "init_model", "load_dataset", "load_model", "save_dataset",
+    "save_model", "serialize_dataset", "serialize_model",
     # calibration
     "BlockCache", "CalibConfig", "CalibInstrumentation", "CalibResult",
     "bbc_metric", "bottom_mask", "bottom_threshold", "cache_fp_pass",

@@ -23,7 +23,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -32,8 +32,8 @@ from .errors import (ConfigError, ContractError, DegenerateRangeError,
                      DimensionError, FormatError, NonFiniteError,
                      ParameterError)
 from .model import (BLOCK_KINDS, BlockCarry, MatmulSite, Model, QuantState,
-                    block_carry, block_forward, block_prefix, enumerate_sites,
-                    forward)
+                    block_forward, block_prefix, enumerate_sites,
+                    fake_quant_operand, forward)
 from .quantizers import (SCHEMES, DynamicSoftmax, QuantParams,
                          constant_params, softmax_site_params, uniform_grid)
 from .records import check_field_types, json_value, record_fields
@@ -355,22 +355,32 @@ def search_site(model: Model, site: MatmulSite, candidates: list[QuantParams],
     Each candidate is evaluated with all other sites frozen at ``state``
     (searched sites quantized, unsearched ones full precision). ``prefix``
     is the block paused in front of the site's matmul under ``state``
-    (``block_prefix``); without one, the block is advanced here from its
-    cached FP input. The other operand of that matmul is fake-quantized
-    once, and every candidate resumes from there. Ties break to the lowest
-    index; candidate evaluations are pure, so the optional executor only
-    changes wall-clock, never the result. A NaN or infinite metric raises
-    NonFiniteError.
+    (``block_prefix``); without one, it is paused here from the cached FP
+    input. The other operand of that matmul is fake-quantized into the
+    prefix once, and every candidate resumes from there under ``state``
+    without that operand's entry. Ties break to the lowest index;
+    candidate evaluations are pure, so the optional executor only changes
+    wall-clock, never the result. A NaN or infinite metric raises
+    NonFiniteError; a prefix paused at another matmul raises ContractError.
     """
-    source = Tensor(cache.block_input) if prefix is None else prefix
-    start = block_carry(model, cache.block, source, site, state)
+    if prefix is None:
+        prefix = block_prefix(model, cache.block, Tensor(cache.block_input),
+                              site.kind, state)
+    elif prefix.kind != site.kind:
+        raise ContractError(f"site {site.site_id} cannot resume from a "
+                            f"prefix paused at {prefix.kind}")
+    partner = MatmulSite(site.kind, "B" if site.role == "A" else "A", site.block)
+    if partner.role == "A":
+        start = replace(prefix, a=fake_quant_operand(prefix.a, partner, state))
+    else:
+        start = replace(prefix, b=tuple(fake_quant_operand(b, partner, state)
+                                        for b in prefix.b))
+    rest = {other: entry for other, entry in state.items() if other != partner}
     sensitivities = [g * g for g in cache.grads]
 
     def metric_for(params: QuantParams) -> float:
-        trial = dict(state)
-        trial[site] = params
-        return _unit_metric(model, cache, trial, config.gamma, start,
-                            sensitivities)
+        return _unit_metric(model, cache, {**rest, site: params}, config.gamma,
+                            start, sensitivities)
 
     if executor is None:
         trace = [metric_for(params) for params in candidates]

@@ -19,7 +19,7 @@ a block to one matmul once and resume every candidate from there.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, make_dataclass, replace
+from dataclasses import asdict, dataclass, make_dataclass
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -279,11 +279,10 @@ class BlockCarry:
     ``kind`` names the matmul that runs next. ``residual`` is the input of
     the next residual add: the block input up to out-projection, then the
     attention output ``h1``. ``a`` and ``b`` are the operands of the next
-    matmul before fake quantization (``b`` is ``w_q``, ``w_k`` and ``w_v``
-    for qkv-projection); ``vh`` carries the value heads from qkv-projection
-    to attn-apply. Layernorm, softmax and GeLU have already run. When set,
-    ``a_quant`` or ``b_quant`` is the operand already fake-quantized, and a
-    resumed forward uses it as is. A carry is never mutated, so threads may
+    matmul (``b`` is ``w_q``, ``w_k`` and ``w_v`` for qkv-projection); a
+    resumed forward fake-quantizes them as its state says. ``vh`` carries
+    the value heads from qkv-projection to attn-apply. Layernorm, softmax
+    and GeLU have already run. A carry is never mutated, so threads may
     resume from the same carry at once.
     """
 
@@ -292,8 +291,18 @@ class BlockCarry:
     a: Tensor
     b: tuple[Tensor, ...]
     vh: Tensor | None = None
-    a_quant: Tensor | None = None
-    b_quant: tuple[Tensor, ...] | None = None
+
+
+def _check_call(model: Model, block: int, quant: QuantState | None,
+                kind: str | None = None) -> None:
+    """Reject a block index outside the model, a ``kind`` that is no block
+    matmul, and a ``DynamicSoftmax`` entry away from a post-softmax site."""
+    if not 0 <= block < model.spec.num_blocks:
+        raise ParameterError(f"block index {block} outside a "
+                             f"{model.spec.num_blocks}-block model")
+    if kind is not None and kind not in BLOCK_KINDS:
+        raise ParameterError(f"unknown block matmul kind {kind!r}")
+    _check_entries(quant)
 
 
 def _check_entries(quant: QuantState | None) -> None:
@@ -303,7 +312,8 @@ def _check_entries(quant: QuantState | None) -> None:
                                 f"it cannot hold {entry}")
 
 
-def _apply_site(x: Tensor, site: MatmulSite, quant: QuantState | None) -> Tensor:
+def fake_quant_operand(x: Tensor, site: MatmulSite,
+                       quant: QuantState | None) -> Tensor:
     """Fake-quantize one operand as ``quant`` says, if it lists the site."""
     entry = None if quant is None else quant.get(site)
     if isinstance(entry, DynamicSoftmax):
@@ -313,24 +323,13 @@ def _apply_site(x: Tensor, site: MatmulSite, quant: QuantState | None) -> Tensor
     return x
 
 
-def _quant_a(carry: BlockCarry, block: int, quant) -> Tensor:
-    if carry.a_quant is not None:
-        return carry.a_quant
-    return _apply_site(carry.a, MatmulSite(carry.kind, "A", block), quant)
-
-
-def _quant_b(carry: BlockCarry, block: int, quant) -> tuple[Tensor, ...]:
-    if carry.b_quant is not None:
-        return carry.b_quant
-    site = MatmulSite(carry.kind, "B", block)
-    return tuple(_apply_site(b, site, quant) for b in carry.b)
-
-
 def _run_stages(model: Model, block: int, x: Tensor | BlockCarry,
                 quant: QuantState | None, hook: MatmulHook | None,
                 end: str | None, stop: str | None) -> BlockCarry | Tensor | None:
     """Run block input or carry ``x`` on: pause in front of matmul ``end``,
     return None right after matmul ``stop``'s hook, or the block output."""
+    # Only this frame holds the entry carry, so its layernorm output is
+    # freed once the first stage has consumed it.
     carry = x if isinstance(x, BlockCarry) else _block_entry(model, block, x)
     spec = model.spec
     p = model.blocks[block]
@@ -344,10 +343,11 @@ def _run_stages(model: Model, block: int, x: Tensor | BlockCarry,
     while carry.kind != end:
         kind = carry.kind
         # One fake-quant of operand A feeds all three q/k/v projections.
-        aq = _quant_a(carry, block, quant)
+        aq = fake_quant_operand(carry.a, MatmulSite(kind, "A", block), quant)
+        site_b = MatmulSite(kind, "B", block)
         outs = []
-        for b, bq in zip(carry.b, _quant_b(carry, block, quant)):
-            out = matmul(aq, bq)
+        for b in carry.b:
+            out = matmul(aq, fake_quant_operand(b, site_b, quant))
             if kind == "attn-score":
                 out = mul(out, inv_sqrt_d)
             if hook is not None:
@@ -394,64 +394,41 @@ def block_forward(model: Model, block: int, x: Tensor | BlockCarry,
                   hook: MatmulHook | None = None,
                   stop: str | None = None) -> Tensor | None:
     """One transformer block. ``x`` is the (B, N, D) block input, or a
-    ``BlockCarry`` to resume from (see ``block_carry``).
+    ``BlockCarry`` to resume from (see ``block_prefix``).
 
     ``hook(kind, block, a, b, out)`` is called once per matmul, right after
-    it: ``a`` and ``b`` are the operand arrays before fake quantization and
-    ``out`` is the raw output tensor (pre-bias for the MLP; attn-score
-    includes the 1/sqrt(head_dim) scale). ``qkv-projection`` fires three
-    times, for ``w_q``, ``w_k`` and ``w_v``. While a tape records, ``out`` is
-    a tape node, so callers can read its gradient after ``backward``.
+    it: ``a`` and ``b`` are the operand arrays before fake quantization,
+    except at the matmul a forward resumed from a carry starts at, where
+    they are as the carry holds them (``search_site`` puts its partner
+    operand there fake-quantized). ``out`` is the raw output tensor
+    (pre-bias for the MLP; attn-score includes the 1/sqrt(head_dim) scale). ``qkv-projection``
+    fires three times, for ``w_q``, ``w_k`` and ``w_v``. While a tape
+    records, ``out`` is a tape node, so callers can read its gradient after
+    ``backward``.
 
     Returns the block output. With ``stop`` naming a matmul kind, the call
     ends right after that matmul's hook calls and returns None.
     """
-    _check_entries(quant)
-    if stop is not None:
-        _check_not_behind(x, stop, "stop")
+    _check_call(model, block, quant, stop)
+    if stop is not None and isinstance(x, BlockCarry) and \
+            BLOCK_KINDS.index(stop) < BLOCK_KINDS.index(x.kind):
+        raise ContractError(
+            f"cannot stop at {stop}: the carry resumes at {x.kind}")
     return _run_stages(model, block, x, quant, hook, None, stop)
 
 
-def _check_not_behind(x: Tensor | BlockCarry, kind: str, what: str) -> None:
-    if isinstance(x, BlockCarry) and \
-            BLOCK_KINDS.index(kind) < BLOCK_KINDS.index(x.kind):
-        raise ContractError(
-            f"cannot {what} at {kind}: the carry resumes at {x.kind}")
-
-
-def block_prefix(model: Model, block: int, x: Tensor | BlockCarry, kind: str,
+def block_prefix(model: Model, block: int, x: Tensor, kind: str,
                  quant: QuantState | None = None) -> BlockCarry:
-    """The carry in front of matmul ``kind``, from block input or carry ``x``.
+    """The carry in front of matmul ``kind``, from block input ``x``.
 
-    Every stage before that matmul runs under ``quant``, and neither of its
+    Every stage before that matmul runs under ``quant``; neither of its
     operands is fake-quantized yet. The carry depends on no entry of
-    ``quant`` for this matmul or a later one, so every search of this
-    matmul's two sites can resume from it through ``block_carry``.
+    ``quant`` for this matmul or a later one, so a ``block_forward``
+    resumed from it under any state that agrees with ``quant`` on the
+    earlier sites equals the full forward under that state, bit for bit.
     """
-    _check_entries(quant)
-    _check_not_behind(x, kind, "pause")
-    return replace(_run_stages(model, block, x, quant, None, kind, None),
-                   a_quant=None, b_quant=None)
-
-
-def block_carry(model: Model, block: int, x: Tensor | BlockCarry,
-                site: MatmulSite,
-                quant: QuantState | None = None) -> BlockCarry:
-    """The carry in front of ``site``'s matmul, from block input ``x`` or
-    a carry paused at or before that matmul (such as ``block_prefix``'s).
-
-    Every stage before that matmul runs under ``quant`` (a carry ``x``
-    must have run its stages under the same entries), and the operand
-    opposite ``site`` is fake-quantized under ``quant`` once, here; an
-    operand a carry ``x`` already holds fake-quantized is redone. A forward
-    resumed from the carry under a state that differs from ``quant`` only
-    at ``site`` equals the full ``block_forward`` under that state, bit for
-    bit.
-    """
-    carry = block_prefix(model, block, x, site.kind, quant)
-    if site.role == "A":
-        return replace(carry, b_quant=_quant_b(carry, block, quant))
-    return replace(carry, a_quant=_quant_a(carry, block, quant))
+    _check_call(model, block, quant, kind)
+    return _run_stages(model, block, x, quant, None, kind, None)
 
 
 def forward(model: Model, x, quant: QuantState | None = None, *,
@@ -477,7 +454,8 @@ def forward(model: Model, x, quant: QuantState | None = None, *,
         _check_entries(quant)
 
     def edge_matmul(kind: str, a: Tensor, w: np.ndarray) -> Tensor:
-        out = matmul(a, _apply_site(Tensor(w), MatmulSite(kind, "B"), quant))
+        wq = fake_quant_operand(Tensor(w), MatmulSite(kind, "B"), quant)
+        out = matmul(a, wq)
         if hook is not None:
             hook(kind, None, a.data, w, out)
         return out

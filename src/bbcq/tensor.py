@@ -293,7 +293,8 @@ def tensor_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     x_shape = x.shape
 
     def backward(g: np.ndarray):
-        count = math.prod(x_shape) if axis is None else x_shape[axis]
+        axes = range(len(x_shape)) if axis is None else np.atleast_1d(axis)
+        count = math.prod(x_shape[i] for i in axes)
         return (_spread(g / count, x_shape, axis, keepdims),)
 
     return _result(x.data.mean(axis=axis, keepdims=keepdims), (x,), backward)

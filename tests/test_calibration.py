@@ -18,6 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bbcq import calibration as calibration_module
 from bbcq import model as model_module
 from bbcq.calibration import (CalibConfig, CalibInstrumentation, CalibResult,
                               PROFILE_RANGES, bbc_metric, bottom_mask,
@@ -25,8 +26,8 @@ from bbcq.calibration import (CalibConfig, CalibInstrumentation, CalibResult,
                               candidate_scales, load_result, save_result,
                               search_site, total_blockwise_metric)
 from bbcq.data import generate_dataset
-from bbcq.errors import (ConfigError, DegenerateRangeError, DimensionError,
-                         NonFiniteError, ParameterError)
+from bbcq.errors import (ConfigError, ContractError, DegenerateRangeError,
+                         DimensionError, NonFiniteError, ParameterError)
 from bbcq.model import (BLOCK_KINDS, MatmulSite, ModelSpec, block_forward,
                         block_prefix, enumerate_sites, forward, forward_from,
                         init_model)
@@ -556,6 +557,64 @@ def test_search_site_leaves_state_untouched():
     cands = candidate_scales(*fp.ranges[site], 4, 0.2, 1.0, 4)
     search_site(model, site, cands, frozen, fp.caches[0], config)
     assert frozen == before
+
+
+def test_search_site_rejects_a_prefix_paused_at_another_matmul():
+    model, config, fp = _one_block_search_fixture()
+    site = MatmulSite("mlp-1", "A", 0)
+    cands = candidate_scales(*fp.ranges[site], 4, 0.2, 1.0, 2)
+    for kind in BLOCK_KINDS:
+        if kind == site.kind:
+            continue
+        prefix = block_prefix(model, 0, Tensor(fp.caches[0].block_input), kind)
+        with pytest.raises(ContractError, match=kind):
+            search_site(model, site, cands, {}, fp.caches[0], config,
+                        prefix=prefix)
+
+
+@pytest.mark.parametrize("site_id,partner_operands",
+                         [("b0.mlp-1.A", 1), ("b0.mlp-1.B", 1),
+                          ("b0.qkv-projection.A", 3)])
+def test_search_site_quantizes_the_partner_once(monkeypatch, site_id,
+                                                partner_operands):
+    """Three more candidates cost three more candidate forwards' worth of
+    fake-quants; what is left is the partner, quantized once per search
+    (once per q/k/v weight)."""
+    model, config, fp = _one_block_search_fixture()
+    cache = fp.caches[0]
+    state = _every_site_state(model, fp, config)
+    site = MatmulSite.parse(site_id)
+    prefix = block_prefix(model, 0, Tensor(cache.block_input), site.kind, state)
+    cands = candidate_scales(*fp.ranges[site], 4, config.alpha, config.beta,
+                             config.num_candidates)
+    calls, per_forward = [], []
+
+    def spy(x, params):
+        calls.append(params)
+        return fake_quant_array(x, params)
+
+    def counted(*args):
+        before = len(calls)
+        value = unit_metric(*args)
+        per_forward.append(len(calls) - before)
+        return value
+
+    unit_metric = calibration_module._unit_metric
+    monkeypatch.setattr(model_module, "fake_quant_array", spy)
+    monkeypatch.setattr(calibration_module, "_unit_metric", counted)
+    counts = []
+    for n in (3, 6):
+        calls.clear()
+        search_site(model, site, cands[:n], state, cache, config,
+                    prefix=prefix)
+        counts.append(len(calls))
+    one = per_forward[0]
+    # A candidate forward quantizes the searched operand and every later
+    # matmul's two, but not the partner.
+    later = sum(1 for other in state if other.layer > site.layer)
+    assert per_forward == [1 + later] * 9
+    assert counts[1] - counts[0] == 3 * one
+    assert counts[0] - 3 * one == partner_operands
 
 
 def test_calibrate_rejects_non_finite_candidate_metrics():

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,10 +10,9 @@ import pytest
 from bbcq.calibration import CalibConfig, calibrate
 from bbcq.data import generate_dataset
 from bbcq.errors import ContractError, DimensionError, ParameterError
-from bbcq.model import (BLOCK_KINDS, MatmulSite, ModelSpec, block_carry,
-                        block_forward, block_prefix, enumerate_sites, forward,
-                        forward_from, init_model, parameter_shapes,
-                        validate_quant_sites)
+from bbcq.model import (BLOCK_KINDS, MatmulSite, ModelSpec, block_forward,
+                        block_prefix, enumerate_sites, forward, forward_from,
+                        init_model, parameter_shapes, validate_quant_sites)
 from bbcq import model as model_module
 from bbcq.quantizers import (DynamicSoftmax, QuantParams,
                              fake_quant_softmax_dynamic, softmax_site_params)
@@ -347,11 +345,11 @@ def test_block_forward_stop_ends_after_that_matmul(tiny_model, tiny_batch):
 
 
 @pytest.mark.parametrize("dynamic_softmax", [False, True])
-def test_block_carry_resumes_bit_for_bit(tiny_model, tiny_batch,
-                                         dynamic_softmax):
-    """A forward resumed from ``block_carry`` at any site equals the full
-    block forward under a state that differs from the carry's only at
-    that site."""
+def test_block_prefix_resumes_bit_for_bit(tiny_model, tiny_batch,
+                                          dynamic_softmax):
+    """A forward resumed from ``block_prefix`` at any matmul equals the full
+    block forward under a state that differs from the prefix's at that
+    matmul."""
     x = _block_input(tiny_model, tiny_batch[0])
     state = {site: QuantParams(bits=3, scale=0.07, zero_point=3, scheme="uniform")
              for site in enumerate_sites(tiny_model.spec) if site.block == 0}
@@ -361,38 +359,13 @@ def test_block_carry_resumes_bit_for_bit(tiny_model, tiny_batch,
     for site in state:
         if site.is_softmax_output:
             continue
-        carry = block_carry(tiny_model, 0, x, site, state)
-        assert carry.kind == site.kind
+        prefix = block_prefix(tiny_model, 0, x, site.kind, state)
+        assert prefix.kind == site.kind
         trial = {**state, site: QuantParams(bits=3, scale=0.11, zero_point=1,
                                             scheme="uniform")}
-        resumed = block_forward(tiny_model, 0, carry, trial)
+        resumed = block_forward(tiny_model, 0, prefix, trial)
         full = block_forward(tiny_model, 0, x, trial)
         np.testing.assert_array_equal(resumed.data, full.data, site.site_id)
-
-
-def test_block_carry_from_a_carry_redoes_the_partner(tiny_model, tiny_batch):
-    """From a prefix, or from the other site's carry of the same matmul,
-    ``block_carry`` gives what it gives from the block input: a partner
-    that carry already holds fake-quantized is quantized again."""
-    x = _block_input(tiny_model, tiny_batch[0])
-    state = {site: QuantParams(bits=3, scale=0.07, zero_point=3, scheme="uniform")
-             for site in enumerate_sites(tiny_model.spec) if site.block == 0}
-    for site in state:
-        if site.is_softmax_output:
-            continue
-        other = MatmulSite(site.kind, "B" if site.role == "A" else "A", 0)
-        # Differs from ``state`` only at this matmul's two sites.
-        other_state = {**state, site: replace(state[site], scale=0.05),
-                       other: replace(state[other], scale=0.05)}
-        trial = {**state, site: QuantParams(bits=3, scale=0.11, zero_point=1,
-                                            scheme="uniform")}
-        want = block_forward(tiny_model, 0, x, trial).data
-        for start in (block_prefix(tiny_model, 0, x, site.kind, state),
-                      block_carry(tiny_model, 0, x, other, other_state)):
-            carry = block_carry(tiny_model, 0, start, site, state)
-            np.testing.assert_array_equal(
-                block_forward(tiny_model, 0, carry, trial).data, want,
-                site.site_id)
 
 
 def test_dynamic_softmax_entry_anchors_the_softmax_rows(tiny_model, tiny_batch,
@@ -430,8 +403,7 @@ def test_dynamic_softmax_entry_only_at_post_softmax_sites(tiny_model,
     with pytest.raises(ContractError, match=site.site_id):
         block_forward(tiny_model, 0, block_input, quant)
     with pytest.raises(ContractError, match=site.site_id):
-        block_carry(tiny_model, 0, block_input, MatmulSite("mlp-2", "B", 0),
-                    quant)
+        block_prefix(tiny_model, 0, block_input, "mlp-2", quant)
 
 
 def test_hook_and_stop_are_keyword_only(tiny_model, tiny_batch):
@@ -450,19 +422,30 @@ def test_hook_and_stop_are_keyword_only(tiny_model, tiny_batch):
     with pytest.raises(TypeError):
         block_forward(tiny_model, 0, block_input, None, False, hook, "mlp-1")
     with pytest.raises(TypeError):
-        block_carry(tiny_model, 0, block_input, MatmulSite("mlp-1", "A", 0),
-                    None, True)
+        block_prefix(tiny_model, 0, block_input, "mlp-1", None, True)
 
 
 def test_block_forward_cannot_stop_before_its_carry(tiny_model, tiny_batch):
     x = _block_input(tiny_model, tiny_batch[0])
-    carry = block_carry(tiny_model, 0, x, MatmulSite("mlp-1", "A", 0))
+    carry = block_prefix(tiny_model, 0, x, "mlp-1")
     with pytest.raises(ContractError):
         block_forward(tiny_model, 0, carry, stop="attn-score")
-    with pytest.raises(ContractError):
-        block_prefix(tiny_model, 0, carry, "attn-score")
-    with pytest.raises(ContractError):
-        block_carry(tiny_model, 0, carry, MatmulSite("attn-score", "B", 0))
+    assert block_forward(tiny_model, 0, carry, stop="mlp-1") is None
+
+
+@pytest.mark.parametrize("block,kind", [(0, "bogus"), (0, "embed"),
+                                        (1, "mlp-1"), (-1, "mlp-1")],
+                         ids=["unknown-kind", "edge-kind", "past-the-model",
+                              "negative-block"])
+def test_staged_calls_reject_unknown_kinds_and_blocks(tiny_model, tiny_batch,
+                                                      block, kind):
+    """A kind outside the block's six matmuls, or a block index outside the
+    model, is a ParameterError, not a raw error or a silent full forward."""
+    x = _block_input(tiny_model, tiny_batch[0])
+    with pytest.raises(ParameterError):
+        block_prefix(tiny_model, block, x, kind)
+    with pytest.raises(ParameterError):
+        block_forward(tiny_model, block, x, stop=kind)
 
 
 @pytest.mark.parametrize("dynamic", [False, True], ids=["static", "dynamic"])

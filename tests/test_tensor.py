@@ -173,6 +173,11 @@ GRAD_CASES = [
                                           3.0)), [(3, 4)]),
     ("mean", lambda a: tensor_sum(mul(tensor_mean(a, axis=0), a.mean())),
      [(4, 3)]),
+    ("mean_tuple_axis", lambda a: tensor_sum(mul(tensor_mean(a, axis=(0, 1)), a)),
+     [(2, 3, 4)]),
+    ("mean_tuple_axis_keepdims",
+     lambda a: tensor_sum(mul(tensor_mean(a, axis=(0, 2), keepdims=True), a)),
+     [(2, 3, 4)]),
     ("softmax", lambda a: tensor_sum(mul(softmax(a, axis=-1), a)), [(3, 5)]),
     ("gelu", lambda a: tensor_sum(mul(gelu(a), 1.3)), [(4, 4)]),
     ("add_scalar", lambda a: tensor_sum(mul(add(a, 2.5), a)), [(3, 4)]),
