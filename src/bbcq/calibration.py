@@ -23,7 +23,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -327,21 +327,19 @@ def _unit_metric(model: Model, cache: BlockCache, quant: QuantState,
     ``search_site``). A layerwise unit stops right after its own matmul.
     ``sensitivities`` holds the square of each of ``cache.grads``.
     """
-    trial_outputs: list[np.ndarray] = []
-
-    def hook(kind, block, a, b, out):
-        if kind == cache.kind:
-            trial_outputs.append(out.data)
-
     if cache.kind == "block":
-        trial_outputs.append(block_forward(model, cache.block, start, quant).data)
+        produced = [block_forward(model, cache.block, start, quant)]
     else:
-        block_forward(model, cache.block, start, quant, hook=hook, stop=cache.kind)
+        produced = block_forward(model, cache.block, start, quant, stop=cache.kind)
     total = 0.0
-    for produced, reference, h in zip(trial_outputs, cache.outputs,
-                                      sensitivities, strict=True):
-        total += bbc_metric(bottom_mask(produced - reference, gamma), h)
+    for out, reference, h in zip(produced, cache.outputs, sensitivities, strict=True):
+        total += bbc_metric(bottom_mask(out.data - reference, gamma), h)
     return total
+
+
+def _first_argmin(metrics: list[float]) -> int:
+    """The candidate a search keeps: the first of its smallest metrics."""
+    return int(np.argmin(metrics))
 
 
 def search_site(model: Model, site: MatmulSite, candidates: list[QuantParams],
@@ -361,8 +359,15 @@ def search_site(model: Model, site: MatmulSite, candidates: list[QuantParams],
     without that operand's entry. Ties break to the lowest index;
     candidate evaluations are pure, so the optional executor only changes
     wall-clock, never the result. A NaN or infinite metric raises
-    NonFiniteError; a prefix paused at another matmul raises ContractError.
+    NonFiniteError; a cache of another block or unit, or a prefix paused
+    at another matmul, raises ContractError; no candidates raise
+    ParameterError.
     """
+    if cache.block != site.block or cache.kind not in ("block", site.kind):
+        raise ContractError(f"site {site.site_id} cannot be scored on the "
+                            f"{cache.kind} unit of block {cache.block}")
+    if not candidates:
+        raise ParameterError(f"site {site.site_id} has no candidates")
     if prefix is None:
         prefix = block_prefix(model, cache.block, Tensor(cache.block_input),
                               site.kind, state)
@@ -389,7 +394,7 @@ def search_site(model: Model, site: MatmulSite, candidates: list[QuantParams],
     if not np.isfinite(trace).all():
         raise NonFiniteError(
             f"site {site.site_id}: a candidate metric is not finite")
-    chosen = int(np.argmin(trace))
+    chosen = _first_argmin(trace)
     return candidates[chosen], chosen, trace
 
 
@@ -416,20 +421,23 @@ def _site_sort_key(site: MatmulSite) -> tuple:
 class CalibResult:
     """Chosen quantizers for every site plus the full search evidence.
 
-    ``traces`` maps each searched site to one metric list per round (all
-    n+1 candidates); ``chosen_index`` is the argmin of the final round.
-    Unsearched sites (post-softmax, embed, head, constant operands) carry an
-    empty trace and a None index. ``fp_block_inputs`` records that candidate
-    scoring always re-forwarded from cached full-precision block inputs.
+    ``traces`` maps each site to one metric list per round (all n+1
+    candidates); ``chosen_index`` is derived from it, the first argmin of
+    the final round, as ``search_site`` picks it. Unsearched sites
+    (post-softmax, embed, head, constant operands) carry an empty trace and
+    a None index.
     """
 
     config: CalibConfig
     params: dict[MatmulSite, QuantParams]
-    chosen_index: dict[MatmulSite, int | None]
+    chosen_index: dict[MatmulSite, int | None] = field(init=False)
     traces: dict[MatmulSite, list[list[float]]]
     fp_loss: float
     softmax_max: list[float]
-    fp_block_inputs: bool = True
+
+    def __post_init__(self):
+        self.chosen_index = {site: _first_argmin(trace[-1]) if trace else None
+                             for site, trace in self.traces.items()}
 
     def quant_state(self) -> dict:
         """The state ``forward`` applies to run this result."""
@@ -452,7 +460,8 @@ class CalibResult:
             "kind": "calib-result",
             "config": self.config.to_json(),
             "fp_loss": self.fp_loss,
-            "fp_block_inputs": self.fp_block_inputs,
+            # Candidates are always scored from cached FP block inputs.
+            "fp_block_inputs": True,
             "softmax_max": list(self.softmax_max),
             "sites": self.site_rows(),
         }
@@ -474,6 +483,10 @@ class CalibResult:
         version = json_value(payload["schema_version"], "int", "schema_version")
         if version != 1:
             raise ParameterError(f"unsupported calib-result schema_version {version}")
+        if json_value(payload["fp_block_inputs"], "bool",
+                      "fp_block_inputs") is not True:
+            raise ParameterError("fp_block_inputs must be true")
+        config = CalibConfig.from_json(payload["config"])
         params: dict[MatmulSite, QuantParams] = {}
         chosen: dict[MatmulSite, int | None] = {}
         traces: dict[MatmulSite, list[list[float]]] = {}
@@ -485,15 +498,28 @@ class CalibResult:
             params[site] = record_fields(QuantParams, entry, f"site {site_id}")
             chosen[site] = json_value(entry["chosen_index"], "int | None",
                                       f"site {site_id} chosen_index")
-            traces[site] = json_value(entry["trace"], "list[list[float]]",
-                                      f"site {site_id} trace")
-        return cls(config=CalibConfig.from_json(payload["config"]), params=params,
-                   chosen_index=chosen, traces=traces,
-                   fp_loss=json_value(payload["fp_loss"], "float", "fp_loss"),
-                   softmax_max=json_value(payload["softmax_max"], "list[float]",
-                                          "softmax_max"),
-                   fp_block_inputs=json_value(payload["fp_block_inputs"], "bool",
-                                              "fp_block_inputs"))
+            traces[site] = trace = json_value(entry["trace"], "list[list[float]]",
+                                              f"site {site_id} trace")
+            width = config.num_candidates + 1
+            if trace and (len(trace) != config.rounds
+                          or any(len(metrics) != width for metrics in trace)
+                          or not np.isfinite(trace).all()):
+                raise ParameterError(f"site {site_id} trace must be {config.rounds} "
+                                     f"rounds of {width} finite metrics")
+            if json_value(entry["searched"], "bool",
+                          f"site {site_id} searched") != bool(trace):
+                raise ParameterError(f"site {site_id} searched disagrees with "
+                                     f"its {len(trace)}-round trace")
+        result = cls(config=config, params=params, traces=traces,
+                     fp_loss=json_value(payload["fp_loss"], "float", "fp_loss"),
+                     softmax_max=json_value(payload["softmax_max"], "list[float]",
+                                            "softmax_max"))
+        for site, index in chosen.items():
+            if index != result.chosen_index[site]:
+                raise ParameterError(
+                    f"site {site.site_id} chosen_index {index} is not the first "
+                    f"argmin of its final round, {result.chosen_index[site]}")
+        return result
 
 
 def save_result(result: CalibResult, path) -> None:
@@ -533,7 +559,6 @@ def calibrate(model: Model, inputs, labels, config: CalibConfig,
     instr.cache_triples_allocated = len(fp.caches)
     sites = enumerate_sites(model.spec)
     traces: dict[MatmulSite, list[list[float]]] = {site: [] for site in sites}
-    chosen: dict[MatmulSite, int | None] = dict.fromkeys(sites)
     state: dict[MatmulSite, QuantParams] = {}
     for site in sites:
         lo, hi = fp.ranges[site]
@@ -573,7 +598,7 @@ def calibrate(model: Model, inputs, labels, config: CalibConfig,
                                       kind, config.quant_state(state))
                 for _ in range(config.rounds):
                     for site, candidates in grids.items():
-                        state[site], chosen[site], trace = search_site(
+                        state[site], _, trace = search_site(
                             model, site, candidates, config.quant_state(state),
                             cache, config, executor, prefix)
                         traces[site].append(trace)
@@ -582,8 +607,8 @@ def calibrate(model: Model, inputs, labels, config: CalibConfig,
         if executor is not None:
             executor.shutdown(wait=True)
 
-    return CalibResult(config=config, params=state, chosen_index=chosen,
-                       traces=traces, fp_loss=fp.loss,
+    return CalibResult(config=config, params=state, traces=traces,
+                       fp_loss=fp.loss,
                        softmax_max=[fp.ranges[MatmulSite("attn-apply", "A", b)][1]
                                     for b in range(model.spec.num_blocks)])
 

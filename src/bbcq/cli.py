@@ -168,7 +168,7 @@ def cmd_calibrate(args) -> int:
                             "calib": args.calib, "out": args.out,
                             **config.to_json()},
                     fp_loss=result.fp_loss,
-                    fp_block_inputs=result.fp_block_inputs,
+                    fp_block_inputs=True,
                     softmax_max=result.softmax_max,
                     sites=site_summaries(result),
                     wall_clock_seconds=time.perf_counter() - started)

@@ -293,16 +293,26 @@ class BlockCarry:
     vh: Tensor | None = None
 
 
-def _check_call(model: Model, block: int, quant: QuantState | None,
-                kind: str | None = None) -> None:
-    """Reject a block index outside the model, a ``kind`` that is no block
-    matmul, and a ``DynamicSoftmax`` entry away from a post-softmax site."""
+def _check_call(model: Model, block: int, x: Tensor | BlockCarry,
+                quant: QuantState | None, kind: str | None = None) -> None:
+    """Reject a block index outside the model, a block input that is not
+    (batch, patches, embed_dim), a ``kind`` that is no block matmul, and a
+    ``DynamicSoftmax`` entry away from a post-softmax site."""
     if not 0 <= block < model.spec.num_blocks:
         raise ParameterError(f"block index {block} outside a "
                              f"{model.spec.num_blocks}-block model")
+    if not isinstance(x, BlockCarry):
+        _check_input(model.spec, x)
     if kind is not None and kind not in BLOCK_KINDS:
         raise ParameterError(f"unknown block matmul kind {kind!r}")
     _check_entries(quant)
+
+
+def _check_input(spec: ModelSpec, x: Tensor) -> None:
+    if x.ndim != 3 or x.shape[1] != spec.patch_count or x.shape[2] != spec.embed_dim:
+        raise DimensionError(
+            f"input shape {x.shape} does not match (batch, {spec.patch_count}, "
+            f"{spec.embed_dim})")
 
 
 def _check_entries(quant: QuantState | None) -> None:
@@ -325,9 +335,10 @@ def fake_quant_operand(x: Tensor, site: MatmulSite,
 
 def _run_stages(model: Model, block: int, x: Tensor | BlockCarry,
                 quant: QuantState | None, hook: MatmulHook | None,
-                end: str | None, stop: str | None) -> BlockCarry | Tensor | None:
+                end: str | None,
+                stop: str | None) -> BlockCarry | Tensor | list[Tensor]:
     """Run block input or carry ``x`` on: pause in front of matmul ``end``,
-    return None right after matmul ``stop``'s hook, or the block output."""
+    return matmul ``stop``'s outputs after its hook, or the block output."""
     # Only this frame holds the entry carry, so its layernorm output is
     # freed once the first stage has consumed it.
     carry = x if isinstance(x, BlockCarry) else _block_entry(model, block, x)
@@ -357,7 +368,7 @@ def _run_stages(model: Model, block: int, x: Tensor | BlockCarry,
         # q, k and v stay in ``outs`` only while attn-score still reads them.
         del aq, out
         if kind == stop:
-            return None
+            return outs
         res = carry.residual
         if kind == "qkv-projection":
             carry = BlockCarry("attn-score", res, split_heads(outs[0]),
@@ -392,7 +403,7 @@ def _block_entry(model: Model, block: int, x: Tensor) -> BlockCarry:
 def block_forward(model: Model, block: int, x: Tensor | BlockCarry,
                   quant: QuantState | None = None, *,
                   hook: MatmulHook | None = None,
-                  stop: str | None = None) -> Tensor | None:
+                  stop: str | None = None) -> Tensor | list[Tensor]:
     """One transformer block. ``x`` is the (B, N, D) block input, or a
     ``BlockCarry`` to resume from (see ``block_prefix``).
 
@@ -407,9 +418,10 @@ def block_forward(model: Model, block: int, x: Tensor | BlockCarry,
     ``backward``.
 
     Returns the block output. With ``stop`` naming a matmul kind, the call
-    ends right after that matmul's hook calls and returns None.
+    ends right after that matmul's hook calls and returns its outputs, the
+    hook's ``out``s: q, k and v for qkv-projection, one otherwise.
     """
-    _check_call(model, block, quant, stop)
+    _check_call(model, block, x, quant, stop)
     if stop is not None and isinstance(x, BlockCarry) and \
             BLOCK_KINDS.index(stop) < BLOCK_KINDS.index(x.kind):
         raise ContractError(
@@ -427,7 +439,7 @@ def block_prefix(model: Model, block: int, x: Tensor, kind: str,
     resumed from it under any state that agrees with ``quant`` on the
     earlier sites equals the full forward under that state, bit for bit.
     """
-    _check_call(model, block, quant, kind)
+    _check_call(model, block, x, quant, kind)
     return _run_stages(model, block, x, quant, None, kind, None)
 
 
@@ -443,10 +455,7 @@ def forward(model: Model, x, quant: QuantState | None = None, *,
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     spec = model.spec
-    if x.ndim != 3 or x.shape[1] != spec.patch_count or x.shape[2] != spec.embed_dim:
-        raise DimensionError(
-            f"input shape {x.shape} does not match (batch, {spec.patch_count}, "
-            f"{spec.embed_dim})")
+    _check_input(spec, x)
     if quant is not None:
         if recording_active():
             raise ContractError("quantized forward cannot run under a recording tape")

@@ -64,9 +64,10 @@ class QuantParams:
             raise ParameterError(
                 f"zero_point must be an integer in [0, {levels}], got {self.zero_point}")
         if self.scheme in ("mpq", "log2", "twin"):
-            if self.calibrated_max is None or self.calibrated_max <= EPSILON:
+            if self.calibrated_max is None or \
+                    not EPSILON < self.calibrated_max < math.inf:
                 raise DegenerateScaleError(
-                    f"{self.scheme} needs calibrated_max > {EPSILON}, "
+                    f"{self.scheme} needs a finite calibrated_max > {EPSILON}, "
                     f"got {self.calibrated_max}")
         if self.scheme == "twin":
             if (self.threshold is None or not

@@ -1,0 +1,60 @@
+"""Edits that make a ``calib_result.json`` payload disagree with its own
+search: each changes one stored copy so that it no longer follows from the
+config and the traces. ``CalibResult.from_json`` must reject every one.
+
+The edits expect a result searched for at least two rounds.
+"""
+
+from __future__ import annotations
+
+
+def _searched(payload: dict) -> dict:
+    return next(row for row in payload["sites"] if row["searched"])
+
+
+def _chosen_index_99(payload):
+    _searched(payload)["chosen_index"] = 99
+
+
+def _later_of_two_tied_minima(payload):
+    row = _searched(payload)
+    final, first = row["trace"][-1], row["chosen_index"]
+    other = len(final) - 1 if first < len(final) - 1 else 0
+    final[other] = final[first]
+    row["chosen_index"] = max(first, other)
+
+
+def _one_empty_round(payload):
+    _searched(payload)["trace"] = [[]]
+
+
+def _one_round_too_few(payload):
+    _searched(payload)["trace"].pop(0)
+
+
+def _nan_metric(payload):
+    _searched(payload)["trace"][0][0] = float("nan")
+
+
+def _searched_false_with_a_trace(payload):
+    _searched(payload)["searched"] = False
+
+
+def _searched_yes(payload):
+    _searched(payload)["searched"] = "yes"
+
+
+def _fp_block_inputs_false(payload):
+    payload["fp_block_inputs"] = False
+
+
+RESULT_EDITS = {
+    "chosen-index-99": _chosen_index_99,
+    "later-tied-minimum": _later_of_two_tied_minima,
+    "empty-round": _one_empty_round,
+    "round-too-few": _one_round_too_few,
+    "nan-metric": _nan_metric,
+    "searched-false": _searched_false_with_a_trace,
+    "searched-yes": _searched_yes,
+    "fp-block-inputs-false": _fp_block_inputs_false,
+}

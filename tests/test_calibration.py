@@ -37,6 +37,7 @@ from bbcq.records import record_fields
 from bbcq.tensor import Tape, Tensor, add, cross_entropy
 
 from _oracles import _grid, naive_bbc_metric, oracle_calibrate
+from _result_edits import RESULT_EDITS
 
 
 def _small_setup(num_blocks=1, embed_dim=16, seed=7, samples=6):
@@ -572,6 +573,26 @@ def test_search_site_rejects_a_prefix_paused_at_another_matmul():
                         prefix=prefix)
 
 
+@pytest.mark.parametrize("site_id,layerwise,unit,count,error", [
+    ("b1.mlp-1.B", False, (0, "block"), 4, ContractError),
+    ("b0.mlp-1.B", True, (0, "mlp-2"), 4, ContractError),
+    ("b0.mlp-1.B", False, (0, "block"), 0, ParameterError)],
+    ids=["other-block", "other-unit", "no-candidates"])
+def test_search_site_scores_only_the_unit_of_its_site(site_id, layerwise, unit,
+                                                      count, error):
+    """A cache of another block, or of another layerwise unit, would score
+    the site on an output it does not feed; no candidates leave nothing to
+    pick."""
+    model, x, y = _small_setup(num_blocks=2)
+    config = CalibConfig(w_bits=4, a_bits=4, num_candidates=4, rounds=1)
+    fp = cache_fp_pass(model, x, y, blocks_as_layers=layerwise)
+    cache = next(c for c in fp.caches if (c.block, c.kind) == unit)
+    site = MatmulSite.parse(site_id)
+    cands = candidate_scales(*fp.ranges[site], 4, 0.2, 1.0, 4)[:count]
+    with pytest.raises(error):
+        search_site(model, site, cands, {}, cache, config)
+
+
 @pytest.mark.parametrize("site_id,partner_operands",
                          [("b0.mlp-1.A", 1), ("b0.mlp-1.B", 1),
                           ("b0.qkv-projection.A", 3)])
@@ -945,6 +966,19 @@ def test_calib_result_json_round_trip(tmp_path):
     path = tmp_path / "calib.json"
     save_result(result, path)
     assert load_result(path).dumps() == result.dumps()
+
+
+@pytest.mark.parametrize("edit", RESULT_EDITS.values(), ids=RESULT_EDITS.keys())
+def test_calib_result_rejects_copies_that_disagree_with_the_search(edit):
+    """Each stored copy (chosen index, searched flag, trace shape,
+    fp_block_inputs) is checked against its source on load."""
+    model, x, y = _small_setup()
+    config = CalibConfig(w_bits=4, a_bits=4, num_candidates=4, rounds=2)
+    payload = json.loads(calibrate(model, x, y, config).dumps())
+    CalibResult.from_json(payload)
+    edit(payload)
+    with pytest.raises(ParameterError):
+        CalibResult.from_json(payload)
 
 
 def test_calib_result_rejects_other_documents():

@@ -20,6 +20,8 @@ from bbcq.errors import ParameterError
 from bbcq.report import report_schema
 from bbcq.serialize import load_dataset, load_model, save_dataset, save_model
 
+from _result_edits import RESULT_EDITS
+
 ERROR_LINE = re.compile(r"^error:[a-z-]+: .+$")
 
 TINY_GEN = ["gen", "--blocks", "1", "--embed-dim", "16", "--heads", "2",
@@ -343,10 +345,10 @@ def test_eval_corrupt_result_is_format_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:format: ")
 
 
-def _eval_with_edited_result(tmp_path, capsys, edit):
+def _eval_with_edited_result(tmp_path, capsys, edit, extra=()):
     """Run eval on a calib result altered by ``edit``; return (rc, stderr)."""
     data = _gen(tmp_path)
-    path = _calibrate(tmp_path, data) / "calib_result.json"
+    path = _calibrate(tmp_path, data, extra=extra) / "calib_result.json"
     payload = json.loads(path.read_text())
     edit(payload)
     path.write_text(json.dumps(payload))
@@ -391,6 +393,29 @@ def test_eval_result_with_wrong_json_type_is_parameter_error(tmp_path, capsys,
     assert rc == 1
     assert "\n" not in err and ERROR_LINE.match(err)
     assert err.startswith("error:parameter: ")
+
+
+@pytest.mark.parametrize("edit", RESULT_EDITS.values(), ids=RESULT_EDITS.keys())
+def test_eval_result_that_disagrees_with_the_search_is_parameter_error(
+        tmp_path, capsys, edit):
+    rc, err = _eval_with_edited_result(tmp_path, capsys, edit,
+                                       extra=["--rounds", "2"])
+    assert rc == 1
+    assert "\n" not in err and ERROR_LINE.match(err)
+    assert err.startswith("error:parameter: ")
+
+
+def test_eval_result_with_infinite_calibrated_max_is_degenerate_scale(
+        tmp_path, capsys):
+    """Rejected on load, not after the forward as non-finite logits."""
+    def infinite_max(payload):
+        row = next(e for e in payload["sites"] if e["calibrated_max"] is not None)
+        row["calibrated_max"] = float("inf")
+
+    rc, err = _eval_with_edited_result(tmp_path, capsys, infinite_max)
+    assert rc == 1
+    assert "\n" not in err and ERROR_LINE.match(err)
+    assert err.startswith("error:degenerate-scale: ")
 
 
 def test_eval_result_with_duplicate_site_is_parameter_error(tmp_path, capsys):

@@ -328,15 +328,19 @@ def _block_input(model, x):
 
 
 def test_block_forward_stop_ends_after_that_matmul(tiny_model, tiny_batch):
-    """With ``stop`` the forward returns None right after that matmul's hook
-    calls, which equal the first calls of a full block forward."""
+    """With ``stop`` the forward returns right after that matmul's hook
+    calls, which equal the first calls of a full block forward, and its
+    outputs are the ``out``s those calls saw."""
     x = _block_input(tiny_model, tiny_batch[0])
     full = []
     block_forward(tiny_model, 0, x, hook=lambda *call: full.append(call))
     for kind in BLOCK_KINDS:
         calls = []
-        assert block_forward(tiny_model, 0, x, stop=kind,
-                             hook=lambda *call: calls.append(call)) is None
+        outs = block_forward(tiny_model, 0, x, stop=kind,
+                             hook=lambda *call: calls.append(call))
+        hooked = [call[4] for call in calls if call[0] == kind]
+        assert len(outs) == (3 if kind == "qkv-projection" else 1)
+        assert all(out is seen for out, seen in zip(outs, hooked, strict=True))
         assert calls[-1][0] == kind
         assert len(calls) == max(i for i, c in enumerate(full) if c[0] == kind) + 1
         for got, want in zip(calls, full):
@@ -430,7 +434,8 @@ def test_block_forward_cannot_stop_before_its_carry(tiny_model, tiny_batch):
     carry = block_prefix(tiny_model, 0, x, "mlp-1")
     with pytest.raises(ContractError):
         block_forward(tiny_model, 0, carry, stop="attn-score")
-    assert block_forward(tiny_model, 0, carry, stop="mlp-1") is None
+    [out] = block_forward(tiny_model, 0, carry, stop="mlp-1")
+    assert out.shape == (x.shape[0], x.shape[1], tiny_model.spec.hidden_dim)
 
 
 @pytest.mark.parametrize("block,kind", [(0, "bogus"), (0, "embed"),
@@ -448,6 +453,43 @@ def test_staged_calls_reject_unknown_kinds_and_blocks(tiny_model, tiny_batch,
         block_forward(tiny_model, block, x, stop=kind)
 
 
+@pytest.mark.parametrize("shape", [(6, 16), (6, 5, 16)],
+                         ids=["two-dims", "patches"])
+def test_staged_calls_reject_a_misshapen_block_input(tiny_model, shape):
+    """A block input that is not (batch, patches, embed_dim) is a
+    DimensionError, not a raw unpacking error or a silent forward."""
+    x = Tensor(np.zeros(shape))
+    with pytest.raises(DimensionError):
+        block_prefix(tiny_model, 0, x, "mlp-1")
+    with pytest.raises(DimensionError):
+        block_forward(tiny_model, 0, x)
+
+
+def _twin_quantized(dynamic):
+    """A 1-block dim-32 model, 512 samples and a W4A4 twin-softmax state."""
+    spec = ModelSpec(num_blocks=1, embed_dim=32, num_heads=2, patch_count=16,
+                     num_classes=4, init_seed=3)
+    model = init_model(spec)
+    cx, cy = generate_dataset(16, 16, 32, 4, seed=1)
+    x, _ = generate_dataset(512, 16, 32, 4, seed=2)
+    result = calibrate(model, cx, cy, CalibConfig(
+        w_bits=4, a_bits=4, num_candidates=4, rounds=1, calib_batch=16,
+        softmax_quantizer="twin", dynamic_softmax=dynamic))
+    return model, x, result.quant_state()
+
+
+def _heap_peak(run) -> int:
+    """Heap peak of a second ``run()`` above what was live before it."""
+    run()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("dynamic", [False, True], ids=["static", "dynamic"])
 def test_quantized_forward_peak_memory_is_bounded(dynamic):
     """A quantized forward keeps few activation-sized arrays alive at once.
@@ -458,22 +500,21 @@ def test_quantized_forward_peak_memory_is_bounded(dynamic):
     expression, stage outputs held to the end of the next stage) peaks at
     about 7.3 H.
     """
-    spec = ModelSpec(num_blocks=1, embed_dim=32, num_heads=2, patch_count=16,
-                     num_classes=4, init_seed=3)
-    model = init_model(spec)
-    cx, cy = generate_dataset(16, 16, 32, 4, seed=1)
-    x, _ = generate_dataset(512, 16, 32, 4, seed=2)
-    result = calibrate(model, cx, cy, CalibConfig(
-        w_bits=4, a_bits=4, num_candidates=4, rounds=1, calib_batch=16,
-        softmax_quantizer="twin", dynamic_softmax=dynamic))
-    state = result.quant_state()
-    hidden_bytes = x.shape[0] * spec.patch_count * spec.hidden_dim * 8
-    forward(model, x, quant=state)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        forward(model, x, quant=state)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    model, x, state = _twin_quantized(dynamic)
+    hidden_bytes = x.shape[0] * model.spec.patch_count * model.spec.hidden_dim * 8
+    peak = _heap_peak(lambda: forward(model, x, quant=state))
     assert peak < 3.5 * hidden_bytes, f"peak {peak / hidden_bytes:.2f} H"
+
+
+@pytest.mark.parametrize("dynamic", [False, True], ids=["static", "dynamic"])
+def test_quantized_block_forward_frees_its_entry_carry(dynamic):
+    """The first layernorm output dies once qkv-projection has read it.
+
+    E is one embed-sized array. A quantized block forward from a block
+    input peaks at about 10.0 E; one that holds the entry carry (the block
+    input and its layernorm) until the block returns peaks at about 11.0 E.
+    """
+    model, x, state = _twin_quantized(dynamic)
+    block_input = Tensor(x @ model.embed_w)
+    peak = _heap_peak(lambda: block_forward(model, 0, block_input, state))
+    assert peak < 10.5 * x.nbytes, f"peak {peak / x.nbytes:.2f} E"

@@ -61,6 +61,11 @@ def test_quant_params_validation():
     with pytest.raises(ParameterError):
         QuantParams(bits=4, scale=1.0, zero_point=0, scheme="twin",
                     calibrated_max=1.0, threshold=1.5)
+    for scheme in ("mpq", "log2", "twin"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(DegenerateScaleError):
+                QuantParams(bits=4, scale=1.0, zero_point=0, scheme=scheme,
+                            calibrated_max=value, threshold=0.5)
 
 
 def test_code_tensor_rejects_out_of_range_codes():
