@@ -95,6 +95,11 @@ class CalibConfig:
             raise ParameterError(
                 f"profile must be one of {PROFILES}, got {self.profile!r}")
 
+    def site_quantizer(self, site: MatmulSite) -> tuple[str, int]:
+        """The (scheme, bits) of ``site``'s quantizer under this config."""
+        scheme = self.softmax_quantizer if site.is_softmax_output else "uniform"
+        return scheme, self.w_bits if site.is_weight_operand else self.a_bits
+
     def quant_state(self, params: Mapping[MatmulSite, QuantParams]) -> dict:
         """The state a forward applies for ``params``: with ``dynamic_softmax``
         each post-softmax site anchors every row to its own range."""
@@ -425,7 +430,8 @@ class CalibResult:
     candidates); ``chosen_index`` is derived from it, the first argmin of
     the final round, as ``search_site`` picks it. Unsearched sites
     (post-softmax, embed, head, constant operands) carry an empty trace and
-    a None index.
+    a None index. Each row has the config's scheme and bits; a max-anchored
+    softmax row's ``calibrated_max`` is its block's ``softmax_max``.
     """
 
     config: CalibConfig
@@ -436,6 +442,17 @@ class CalibResult:
     softmax_max: list[float]
 
     def __post_init__(self):
+        for site, p in self.params.items():
+            if (p.scheme, p.bits) != (want := self.config.site_quantizer(site)):
+                raise ParameterError(f"site {site.site_id}: {p.scheme} at {p.bits} "
+                                     f"bits, but the config gives {want}")
+        # Without block rows there is no block count to hold softmax_max to.
+        blocks = {site.block for site in self.params} - {None}
+        if blocks and (len(self.softmax_max) != 1 + max(blocks) or any(
+                p.calibrated_max not in (None, self.softmax_max[site.block])
+                for site, p in self.params.items() if site.is_softmax_output)):
+            raise ParameterError(f"softmax_max {self.softmax_max} is not one entry "
+                                 "per block, each its softmax row's calibrated_max")
         self.chosen_index = {site: _first_argmin(trace[-1]) if trace else None
                              for site, trace in self.traces.items()}
 
@@ -495,7 +512,10 @@ class CalibResult:
             site = MatmulSite.parse(site_id)
             if site in params:
                 raise ParameterError(f"duplicate site {site_id}")
-            params[site] = record_fields(QuantParams, entry, f"site {site_id}")
+            try:
+                params[site] = record_fields(QuantParams, entry, "quant params")
+            except ParameterError as exc:
+                raise type(exc)(f"site {site_id}: {exc}") from None
             chosen[site] = json_value(entry["chosen_index"], "int | None",
                                       f"site {site_id} chosen_index")
             traces[site] = trace = json_value(entry["trace"], "list[list[float]]",
@@ -561,12 +581,9 @@ def calibrate(model: Model, inputs, labels, config: CalibConfig,
     traces: dict[MatmulSite, list[list[float]]] = {site: [] for site in sites}
     state: dict[MatmulSite, QuantParams] = {}
     for site in sites:
-        lo, hi = fp.ranges[site]
-        if site.block is None:
-            state[site] = softmax_site_params("uniform", config.w_bits, hi, lo)
-        elif site.is_softmax_output:
-            state[site] = softmax_site_params(config.softmax_quantizer,
-                                              config.a_bits, hi, lo)
+        if site.block is None or site.is_softmax_output:
+            lo, hi = fp.ranges[site]
+            state[site] = softmax_site_params(*config.site_quantizer(site), hi, lo)
 
     by_unit = {(c.block, c.kind): c for c in fp.caches}
     workers = _workers_from_env()
@@ -582,7 +599,7 @@ def calibrate(model: Model, inputs, labels, config: CalibConfig,
                     if site.is_softmax_output:
                         continue
                     lo, hi = fp.ranges[site]
-                    bits = config.w_bits if site.is_weight_operand else config.a_bits
+                    _, bits = config.site_quantizer(site)
                     if lo == hi:
                         state[site] = constant_params(lo, bits)
                         continue

@@ -39,11 +39,10 @@ def round_half_away(x: np.ndarray | float) -> np.ndarray:
 class QuantParams:
     """One quantizer's configuration.
 
-    ``scale``/``zero_point`` fully describe the uniform scheme; the
-    max-anchored schemes additionally carry ``calibrated_max`` (and ``twin``
-    its split ``threshold``), which their dequant grids are defined by.
-    ``scale`` is still populated for those schemes (the equivalent step size)
-    so reports stay uniform.
+    ``scale``/``zero_point`` fully describe the uniform scheme, whose
+    ``calibrated_max`` and ``threshold`` are None. A max-anchored scheme is
+    ``bits`` and ``calibrated_max`` alone: its other fields must be what
+    ``SCHEME_TABLE[scheme].anchor(bits, calibrated_max, None)`` derives.
     """
 
     bits: int
@@ -63,18 +62,17 @@ class QuantParams:
         if not 0 <= self.zero_point <= levels:
             raise ParameterError(
                 f"zero_point must be an integer in [0, {levels}], got {self.zero_point}")
-        if self.scheme in ("mpq", "log2", "twin"):
-            if self.calibrated_max is None or \
-                    not EPSILON < self.calibrated_max < math.inf:
-                raise DegenerateScaleError(
-                    f"{self.scheme} needs a finite calibrated_max > {EPSILON}, "
-                    f"got {self.calibrated_max}")
-        if self.scheme == "twin":
-            if (self.threshold is None or not
-                    0.0 < self.threshold < self.calibrated_max):
-                raise ParameterError(
-                    f"twin threshold must satisfy 0 < T < calibrated_max, "
-                    f"got T={self.threshold}, max={self.calibrated_max}")
+        if self.scheme != "uniform" and \
+                not EPSILON < (self.calibrated_max or 0.0) < math.inf:
+            raise DegenerateScaleError(
+                f"{self.scheme} needs a finite calibrated_max > {EPSILON}, "
+                f"got {self.calibrated_max}")
+        stored = (self.scale, self.zero_point, self.calibrated_max, self.threshold)
+        a = (Anchor(self.bits, self.scale, self.zero_point) if self.scheme == "uniform"
+             else SCHEME_TABLE[self.scheme].anchor(self.bits, self.calibrated_max, None))
+        if stored != a[1:]:
+            raise ParameterError(f"{self.scheme} (scale, zero_point, calibrated_max, "
+                                 f"threshold) {stored} must be {a[1:]}")
 
     @property
     def num_codes(self) -> int:

@@ -1,8 +1,9 @@
 """Edits that make a ``calib_result.json`` payload disagree with its own
 search: each changes one stored copy so that it no longer follows from the
-config and the traces. ``CalibResult.from_json`` must reject every one.
+config, the traces or a row's own anchor. ``CalibResult.from_json`` must
+reject every one.
 
-The edits expect a result searched for at least two rounds.
+The edits expect an mpq result searched for at least two rounds.
 """
 
 from __future__ import annotations
@@ -48,6 +49,35 @@ def _fp_block_inputs_false(payload):
     payload["fp_block_inputs"] = False
 
 
+def _row(payload, site_id):
+    return next(row for row in payload["sites"] if row["site_id"] == site_id)
+
+
+def _mpq_scale_99(payload):
+    _row(payload, "b0.attn-apply.A")["scale"] = 99.0
+
+
+def _mpq_threshold(payload):
+    row = _row(payload, "b0.attn-apply.A")
+    row["threshold"] = row["calibrated_max"] / 2
+
+
+def _uniform_calibrated_max(payload):
+    _row(payload, "embed.B")["calibrated_max"] = 5.0
+
+
+def _softmax_rows_log2(payload):
+    """Every post-softmax row a valid log2 row, under a config of mpq."""
+    for row in payload["sites"]:
+        if row["site_id"].endswith(".attn-apply.A"):
+            row.update(scheme="log2", scale=row["calibrated_max"], zero_point=0)
+
+
+def _w_bits_off_by_one(payload):
+    bits = payload["config"]["w_bits"]
+    payload["config"]["w_bits"] = bits + 1 if bits < 8 else bits - 1
+
+
 RESULT_EDITS = {
     "chosen-index-99": _chosen_index_99,
     "later-tied-minimum": _later_of_two_tied_minima,
@@ -57,4 +87,11 @@ RESULT_EDITS = {
     "searched-false": _searched_false_with_a_trace,
     "searched-yes": _searched_yes,
     "fp-block-inputs-false": _fp_block_inputs_false,
+    "mpq-scale-99": _mpq_scale_99,
+    "mpq-threshold": _mpq_threshold,
+    "uniform-calibrated-max": _uniform_calibrated_max,
+    "softmax-rows-log2": _softmax_rows_log2,
+    "w-bits-off-by-one": _w_bits_off_by_one,
+    "softmax-max-99": lambda payload: payload.update(softmax_max=[99.0]),
+    "softmax-max-empty": lambda payload: payload.update(softmax_max=[]),
 }

@@ -971,7 +971,8 @@ def test_calib_result_json_round_trip(tmp_path):
 @pytest.mark.parametrize("edit", RESULT_EDITS.values(), ids=RESULT_EDITS.keys())
 def test_calib_result_rejects_copies_that_disagree_with_the_search(edit):
     """Each stored copy (chosen index, searched flag, trace shape,
-    fp_block_inputs) is checked against its source on load."""
+    fp_block_inputs, a row's anchored fields, scheme and bits, softmax_max)
+    is checked against its source on load."""
     model, x, y = _small_setup()
     config = CalibConfig(w_bits=4, a_bits=4, num_candidates=4, rounds=2)
     payload = json.loads(calibrate(model, x, y, config).dumps())
@@ -979,6 +980,26 @@ def test_calib_result_rejects_copies_that_disagree_with_the_search(edit):
     edit(payload)
     with pytest.raises(ParameterError):
         CalibResult.from_json(payload)
+
+
+def test_a_one_unit_mlp_builds_forwards_and_calibrates():
+    """Hidden dim 1 is the smallest legal MLP and a working model; a spec
+    whose hidden dim rounds to 0 is rejected."""
+    spec = ModelSpec(num_blocks=1, embed_dim=4, num_heads=2, patch_count=4,
+                     num_classes=4, mlp_ratio=0.25)
+    assert spec.hidden_dim == 1
+    model = init_model(spec)
+    x, y = generate_dataset(6, spec.patch_count, spec.embed_dim,
+                            spec.num_classes, seed=3)
+    logits = forward(model, Tensor(x)).logits.data
+    assert logits.shape == (6, 4) and np.isfinite(logits).all()
+    config = CalibConfig(w_bits=4, a_bits=4, num_candidates=4, rounds=1)
+    result = calibrate(model, x, y, config)
+    assert sorted(result.params, key=str) == sorted(enumerate_sites(spec), key=str)
+    assert result.traces[MatmulSite("mlp-2", "A", 0)]
+    with pytest.raises(ParameterError, match="rounds to 0"):
+        ModelSpec(num_blocks=1, embed_dim=4, num_heads=2, patch_count=4,
+                  num_classes=4, mlp_ratio=0.1)
 
 
 def test_calib_result_rejects_other_documents():

@@ -398,16 +398,20 @@ def test_eval_result_with_wrong_json_type_is_parameter_error(tmp_path, capsys,
 @pytest.mark.parametrize("edit", RESULT_EDITS.values(), ids=RESULT_EDITS.keys())
 def test_eval_result_that_disagrees_with_the_search_is_parameter_error(
         tmp_path, capsys, edit):
+    """``eval --result`` and ``inspect`` reject the file with one line."""
     rc, err = _eval_with_edited_result(tmp_path, capsys, edit,
                                        extra=["--rounds", "2"])
     assert rc == 1
     assert "\n" not in err and ERROR_LINE.match(err)
     assert err.startswith("error:parameter: ")
+    assert main(["inspect", str(tmp_path / "run" / "calib_result.json")]) == 1
+    assert capsys.readouterr().err.strip() == err
 
 
 def test_eval_result_with_infinite_calibrated_max_is_degenerate_scale(
         tmp_path, capsys):
-    """Rejected on load, not after the forward as non-finite logits."""
+    """Rejected on load, not after the forward as non-finite logits, with
+    the error naming the row's site."""
     def infinite_max(payload):
         row = next(e for e in payload["sites"] if e["calibrated_max"] is not None)
         row["calibrated_max"] = float("inf")
@@ -415,7 +419,7 @@ def test_eval_result_with_infinite_calibrated_max_is_degenerate_scale(
     rc, err = _eval_with_edited_result(tmp_path, capsys, infinite_max)
     assert rc == 1
     assert "\n" not in err and ERROR_LINE.match(err)
-    assert err.startswith("error:degenerate-scale: ")
+    assert err.startswith("error:degenerate-scale: site b0.attn-apply.A: ")
 
 
 def test_eval_result_with_duplicate_site_is_parameter_error(tmp_path, capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,10 +13,11 @@ from hypothesis import strategies as st
 
 from bbcq.errors import (ContractError, DegenerateScaleError, DimensionError,
                          ParameterError)
-from bbcq.quantizers import (EPSILON, SCHEMES, CodeTensor, DynamicSoftmax,
-                             QuantParams, constant_params, dequantize,
-                             fake_quant_array, fake_quant_softmax_dynamic,
-                             quantize, round_half_away, softmax_site_params)
+from bbcq.quantizers import (EPSILON, SCHEME_TABLE, SCHEMES, Anchor,
+                             CodeTensor, DynamicSoftmax, QuantParams,
+                             constant_params, dequantize, fake_quant_array,
+                             fake_quant_softmax_dynamic, quantize,
+                             round_half_away, softmax_site_params)
 from bbcq.tensor import Tape, Tensor
 
 import _oracles as oracles
@@ -62,10 +64,22 @@ def test_quant_params_validation():
         QuantParams(bits=4, scale=1.0, zero_point=0, scheme="twin",
                     calibrated_max=1.0, threshold=1.5)
     for scheme in ("mpq", "log2", "twin"):
-        for value in (float("nan"), float("inf")):
+        for value in (float("nan"), float("inf"), EPSILON):
             with pytest.raises(DegenerateScaleError):
                 QuantParams(bits=4, scale=1.0, zero_point=0, scheme=scheme,
                             calibrated_max=value, threshold=0.5)
+
+    # A max-anchored row is its bits and calibrated_max, every other field
+    # its anchor's; a uniform row has no calibrated_max or threshold.
+    for scheme, field, value in [
+            ("mpq", "scale", 99.0), ("mpq", "threshold", 0.5),
+            ("log2", "zero_point", 1),
+            ("twin", "threshold", float(np.nextafter(0.1, 1.0))),
+            ("uniform", "calibrated_max", 0.8), ("uniform", "threshold", 0.1)]:
+        params = softmax_site_params(scheme, 4, 0.8, 0.0)
+        assert (params.threshold == 0.1) == (scheme == "twin")
+        with pytest.raises(ParameterError, match="threshold.* must be"):
+            replace(params, **{field: value})
 
 
 def test_code_tensor_rejects_out_of_range_codes():
@@ -87,10 +101,21 @@ def _uniform(scale, zero_point, bits):
 
 
 def _twin(bits, cal_max, threshold):
+    """Twin kernel arguments split at any threshold. A ``QuantParams`` row
+    always splits at its anchor's, ``cal_max / 2^(bits-1)``; the kernels
+    take any threshold in (0, cal_max)."""
     span = (1 << (bits - 1)) - 1
-    return QuantParams(bits=bits, scale=(cal_max - threshold) / span,
-                       zero_point=0, scheme="twin", calibrated_max=cal_max,
-                       threshold=threshold)
+    return Anchor(bits, (cal_max - threshold) / span, 0, calibrated_max=cal_max,
+                  threshold=threshold)
+
+
+def _twin_encode_decode(values, anchor):
+    """(codes, values) of the twin kernels, as ``quantize`` and
+    ``dequantize`` compute them."""
+    twin = SCHEME_TABLE["twin"]
+    codes = twin.encode(np.asarray(values, dtype=np.float64), anchor)
+    codes = codes.astype(np.uint8)
+    return codes, twin.decode(codes, anchor)
 
 
 # ---------------------------------------------------------------------------
@@ -184,16 +209,18 @@ def test_log_zero_maps_to_smallest():
 def test_twin_segment_boundary_and_top():
     bits, cal_max = 4, 1.0
     threshold = 0.25
-    ct = quantize(np.array([threshold, cal_max]), _twin(bits, cal_max, threshold))
-    assert ct.codes.tolist() == [8, 15]
-    np.testing.assert_array_equal(dequantize(ct).data, [threshold, cal_max])
+    codes, values = _twin_encode_decode([threshold, cal_max],
+                                        _twin(bits, cal_max, threshold))
+    assert codes.tolist() == [8, 15]
+    np.testing.assert_array_equal(values, [threshold, cal_max])
 
 
 def test_twin_hand_example_small_segment():
-    ct = quantize(np.array([0.005]), _twin(bits=4, cal_max=1.0, threshold=0.01))
+    codes, values = _twin_encode_decode([0.005], _twin(bits=4, cal_max=1.0,
+                                                       threshold=0.01))
     # 0.005 / (0.01/7) = 3.5 rounds away from zero to code 4
-    assert ct.codes.tolist() == [4]
-    assert dequantize(ct).data[0] == pytest.approx(4 * 0.01 / 7, rel=1e-15)
+    assert codes.tolist() == [4]
+    assert values[0] == pytest.approx(4 * 0.01 / 7, rel=1e-15)
 
 
 def test_twin_default_threshold():
@@ -452,7 +479,11 @@ def _tie_value(scheme: str, bits: int, anchor: dict, index: int) -> float:
 
 @st.composite
 def static_scheme_cases(draw):
-    """(params, oracle tuple, values) with zeros, the anchor and ties."""
+    """(params, oracle tuple, values) with zeros, the anchor and ties.
+
+    A twin case split at a free threshold gives its kernel arguments (an
+    ``Anchor``), as no ``QuantParams`` row holds that threshold.
+    """
     scheme = draw(st.sampled_from(["uniform", "mpq", "log2", "twin"]))
     bits = draw(st.integers(2, 8))
     levels = (1 << bits) - 1
@@ -479,14 +510,13 @@ def static_scheme_cases(draw):
                                  scheme="log2", calibrated_max=cal_max)
             oracle = ("log2", bits, cal_max)
         else:
-            span = (1 << (bits - 1)) - 1
             fraction = draw(st.one_of(
                 st.just(1.0 / (1 << (bits - 1))),
                 st.floats(min_value=0.01, max_value=0.99)))
             threshold = cal_max * fraction
-            params = QuantParams(bits=bits, scale=(cal_max - threshold) / span,
-                                 zero_point=0, scheme="twin",
-                                 calibrated_max=cal_max, threshold=threshold)
+            params = _twin(bits, cal_max, threshold)
+            if threshold == cal_max / (1 << (bits - 1)):
+                params = QuantParams(scheme="twin", **params._asdict())
             oracle = ("twin", bits, cal_max, threshold)
             anchor["threshold"] = threshold
     ties = [_tie_value(scheme, bits, anchor, i)
@@ -527,7 +557,11 @@ def dynamic_scheme_cases(draw):
 @settings(max_examples=200)
 def test_fake_quant_array_matches_oracle(case):
     params, oracle, values = case
-    got, want = fake_quant_array(values, params), oracles._fq(values, oracle)
+    if isinstance(params, Anchor):
+        got = SCHEME_TABLE["twin"].fake_quant(values, params)
+    else:
+        got = fake_quant_array(values, params)
+    want = oracles._fq(values, oracle)
     np.testing.assert_array_equal(got, want)
     # assert_array_equal holds -0.0 equal to +0.0; the sign of zero must
     # match too.

@@ -1,0 +1,133 @@
+"""Mutation sweep: run the test suite against one small mutant at a time.
+
+A mutant changes one spot inside the named functions or classes of one
+module: it swaps a comparison (``<``/``<=``, ``>``/``>=``, ``==``/``!=``)
+or an arithmetic operator (``+``/``-``, ``*``/``/``), or bumps a constant
+0, 1, 2 or 0.5 by one. The repository is copied once into a temporary
+directory; each mutant rewrites the module there (with ``ast.unparse``, so
+comments drop out), runs the tier-1 suite with ``pytest -x`` on it, and
+counts as killed if pytest fails or times out. Each survivor is a test
+gap, code that nothing needs, or an equivalent mutant.
+
+    python tools/mutate.py src/bbcq/quantizers.py QuantParams _mpq_anchor
+
+Scopes are a top-level name or ``Class.method``. ``--list`` prints the
+mutation points without running anything. Stdlib only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SWAPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
+         ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Add: ast.Sub,
+         ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult}
+BUMPED = (0, 1, 2, 0.5)
+TIMEOUT_S = 600.0  # a hung mutant counts as killed
+
+
+def _scopes(tree: ast.Module, names: set[str]) -> list[ast.AST]:
+    """The function and class nodes whose qualified names are in ``names``."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if name in names:
+                    found.append(child)
+                else:
+                    visit(child, name + ".")
+
+    visit(tree, "")
+    return found
+
+
+def _points(tree: ast.Module, names: set[str]) -> list[tuple[ast.AST, int]]:
+    """(node, operator index) of every mutation point, in a fixed order."""
+    points = []
+    for scope in _scopes(tree, names):
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Compare):
+                points += [(node, i) for i, op in enumerate(node.ops)
+                           if type(op) in SWAPS]
+            elif isinstance(node, ast.BinOp) and type(node.op) in SWAPS:
+                points.append((node, 0))
+            elif (isinstance(node, ast.Constant)
+                  and type(node.value) in (int, float) and node.value in BUMPED):
+                points.append((node, 0))
+    return points
+
+
+def _mutant(source: str, names: set[str], k: int) -> tuple[str, str]:
+    """The module source with mutation point ``k`` applied, and a label."""
+    tree = ast.parse(source)
+    node, i = _points(tree, names)[k]
+    before = ast.unparse(node)
+    if isinstance(node, ast.Compare):
+        node.ops[i] = SWAPS[type(node.ops[i])]()
+    elif isinstance(node, ast.BinOp):
+        node.op = SWAPS[type(node.op)]()
+    else:
+        node.value += 1
+    return ast.unparse(tree), f"line {node.lineno}: {before} -> {ast.unparse(node)}"
+
+
+def _suite_fails(work: Path) -> bool:
+    env = {**os.environ, "PYTHONPATH": str(work / "src")}
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+            cwd=work, env=env, timeout=TIMEOUT_S,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    except subprocess.TimeoutExpired:
+        return True
+    return run.returncode != 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("module", help="module path relative to the repo root")
+    parser.add_argument("scopes", nargs="+", help="function, class or Class.method")
+    parser.add_argument("--list", action="store_true", help="only list points")
+    args = parser.parse_args(argv)
+    names = set(args.scopes)
+    source = (ROOT / args.module).read_text()
+    count = len(_points(ast.parse(source), names))
+    if not count:
+        parser.error(f"no mutation points in {sorted(names)}")
+    if args.list:
+        for k in range(count):
+            print(k, _mutant(source, names, k)[1])
+        return 0
+    with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
+        work = Path(tmp) / "repo"
+        shutil.copytree(ROOT, work, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".hypothesis", ".pytest_cache",
+            ".perfbench-work"))
+        if _suite_fails(work):
+            print("the unmutated suite fails; nothing to measure", file=sys.stderr)
+            return 1
+        target = work / args.module
+        killed = 0
+        for k in range(count):
+            mutated, label = _mutant(source, names, k)
+            target.write_text(mutated)
+            dead = _suite_fails(work)
+            killed += dead
+            print(f"{'killed ' if dead else 'SURVIVED'} {k} {label}", flush=True)
+    print(f"{args.module}: killed {killed} of {count} mutants")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
