@@ -13,7 +13,9 @@ residual adds, and pooling always run in full precision.
 every matmul with its kind, block, pre-quantization operands and output;
 calibration reads operand ranges and per-matmul outputs through it. A block
 runs as six matmul stages over a ``BlockCarry``, so calibration can advance
-a block to one matmul once and resume every candidate from there.
+a block to one matmul once and resume every candidate from there. An
+untaped, hook-free full block forward runs a large batch in cache-sized
+slices of samples.
 """
 
 from __future__ import annotations
@@ -392,6 +394,14 @@ def _run_stages(model: Model, block: int, x: Tensor | BlockCarry,
     return carry
 
 
+def _slice_rows(spec: ModelSpec) -> int:
+    """Samples per slice of an untaped block forward: as many as keep one
+    slice's MLP hidden activation and attention scores within 2**17 float64
+    values (1 MB, about an L2 cache)."""
+    widest = spec.patch_count * max(spec.hidden_dim, spec.num_heads * spec.patch_count)
+    return max(1, 2 ** 17 // widest)
+
+
 def _block_entry(model: Model, block: int, x: Tensor) -> BlockCarry:
     """The carry in front of qkv-projection: ``x`` and its first layernorm."""
     p = model.blocks[block]
@@ -420,13 +430,28 @@ def block_forward(model: Model, block: int, x: Tensor | BlockCarry,
     Returns the block output. With ``stop`` naming a matmul kind, the call
     ends right after that matmul's hook calls and returns its outputs, the
     hook's ``out``s: q, k and v for qkv-projection, one otherwise.
+
+    An untaped call on a block input with no ``hook`` and no ``stop`` runs
+    the batch in slices of ``_slice_rows(model.spec)`` samples, so its
+    intermediates stay cache-sized however large the batch; any other call
+    runs the batch in one pass.
     """
     _check_call(model, block, x, quant, stop)
     if stop is not None and isinstance(x, BlockCarry) and \
             BLOCK_KINDS.index(stop) < BLOCK_KINDS.index(x.kind):
         raise ContractError(
             f"cannot stop at {stop}: the carry resumes at {x.kind}")
-    return _run_stages(model, block, x, quant, hook, None, stop)
+    rows = _slice_rows(model.spec)
+    if isinstance(x, BlockCarry) or hook is not None or stop is not None \
+            or recording_active() or x.shape[0] <= rows:
+        return _run_stages(model, block, x, quant, hook, None, stop)
+    # Every stage is per sample, so the slices' outputs, in order, are the
+    # whole batch's output bit for bit.
+    out = np.empty(x.shape)
+    for lo in range(0, x.shape[0], rows):
+        out[lo:lo + rows] = _run_stages(model, block, Tensor(x.data[lo:lo + rows]),
+                                        quant, None, None, None).data
+    return Tensor(out)
 
 
 def block_prefix(model: Model, block: int, x: Tensor, kind: str,

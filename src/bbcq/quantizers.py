@@ -92,10 +92,10 @@ class DynamicSoftmax:
         _check_bits_and_scheme(self.bits, self.scheme)
 
 
-def _check_bits_and_scheme(bits: int, scheme: str) -> None:
+def _check_bits_and_scheme(bits: int, scheme: str) -> Scheme:
     if not 2 <= bits <= 8:
         raise ParameterError(f"bits must be an integer in [2, 8], got {bits}")
-    _scheme(scheme)
+    return _scheme(scheme)
 
 
 @dataclass
@@ -330,9 +330,10 @@ def fake_quant_softmax_dynamic(s: np.ndarray, scheme: str, bits: int) -> np.ndar
 
     The static path with each row anchored to its own max, and its min if
     the scheme's anchor reads it. Softmax rows sum to 1, so the row max is
-    at least 1/row_len and the scales never degenerate.
+    at least 1/row_len and the scales never degenerate. ``bits`` and
+    ``scheme`` are checked as ``DynamicSoftmax`` checks them.
     """
-    entry = _scheme(scheme)
+    entry = _check_bits_and_scheme(bits, scheme)
     lo = s.min(axis=-1, keepdims=True) if entry.reads_lo else None
     rows = entry.anchor(bits, s.max(axis=-1, keepdims=True), lo)
     return entry.fake_quant(s, rows)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -518,3 +519,46 @@ def test_quantized_block_forward_frees_its_entry_carry(dynamic):
     block_input = Tensor(x @ model.embed_w)
     peak = _heap_peak(lambda: block_forward(model, 0, block_input, state))
     assert peak < 10.5 * x.nbytes, f"peak {peak / x.nbytes:.2f} E"
+
+
+def _one_slice(monkeypatch):
+    """Run every untaped block forward as one slice, as before slicing."""
+    monkeypatch.setattr(model_module, "_slice_rows", lambda spec: sys.maxsize)
+
+
+@pytest.mark.parametrize("dynamic", [False, True], ids=["static", "dynamic"])
+def test_quantized_forward_peak_memory_is_bounded_in_one_slice(dynamic,
+                                                               monkeypatch):
+    """``test_quantized_forward_peak_memory_is_bounded`` with the 512 samples
+    in one slice: eight slices of 64 peak near 0.8 H, far below any bound a
+    regression inside a block would cross."""
+    _one_slice(monkeypatch)
+    model, x, state = _twin_quantized(dynamic)
+    hidden_bytes = x.shape[0] * model.spec.patch_count * model.spec.hidden_dim * 8
+    peak = _heap_peak(lambda: forward(model, x, quant=state))
+    assert peak < 3.5 * hidden_bytes, f"peak {peak / hidden_bytes:.2f} H"
+
+
+@pytest.mark.parametrize("dynamic", [False, True], ids=["static", "dynamic"])
+def test_quantized_block_forward_frees_its_entry_carry_in_one_slice(dynamic,
+                                                                    monkeypatch):
+    """``test_quantized_block_forward_frees_its_entry_carry`` with the 512
+    samples in one slice (about 10.0 E; eight slices peak near 2.3 E)."""
+    _one_slice(monkeypatch)
+    model, x, state = _twin_quantized(dynamic)
+    block_input = Tensor(x @ model.embed_w)
+    peak = _heap_peak(lambda: block_forward(model, 0, block_input, state))
+    assert peak < 10.5 * x.nbytes, f"peak {peak / x.nbytes:.2f} E"
+
+
+def test_quantized_forward_peak_grows_by_embed_arrays_not_slices():
+    """An untaped quantized forward of 8 slices holds the embedding and one
+    block output of the whole batch (16 E, E one slice's embed-sized array)
+    plus one slice's working set (about 10 E), against about 11 E for one
+    slice: a ratio of 2.3. Running the batch as one slice makes it 7.8."""
+    model, x, state = _twin_quantized(dynamic=True)
+    rows = model_module._slice_rows(model.spec)
+    assert x.shape[0] == 8 * rows
+    one = _heap_peak(lambda: forward(model, x[:rows], quant=state))
+    eight = _heap_peak(lambda: forward(model, x, quant=state))
+    assert eight < 2.75 * one, f"ratio {eight / one:.2f}"

@@ -383,6 +383,16 @@ def test_dynamic_rejects_unknown_scheme():
         fake_quant_softmax_dynamic(np.ones((1, 2)), "nope", 4)
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("bits", [0, 1, 9, 40])
+def test_dynamic_rejects_bits_outside_the_range(scheme, bits):
+    """As ``DynamicSoftmax`` does: 1-bit twin would give NaN rows, 0 bits a
+    raw numpy shift error, and 40 bits would run."""
+    rows = np.array([[0.5, 0.3, 0.2]])
+    with pytest.raises(ParameterError, match=r"\[2, 8\]"):
+        fake_quant_softmax_dynamic(rows, scheme, bits)
+
+
 @pytest.mark.parametrize("scheme, bits", [("nope", 4), (["mpq"], 4),
                                           ("mpq", 1), ("mpq", 9),
                                           ("mpq", 4.0), ("twin", "4")])

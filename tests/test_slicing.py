@@ -1,0 +1,156 @@
+"""Untaped block forwards run large batches in slices of samples.
+
+Every stage of a block is per sample, so a sliced run equals a one-slice
+run bit for bit. A call that a hook, ``stop``, a carry or a recording tape
+can observe still runs the whole batch in one pass.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import numpy as np
+import pytest
+
+from bbcq import model as model_module
+from bbcq.calibration import CalibConfig, calibrate, total_blockwise_metric
+from bbcq.data import generate_dataset
+from bbcq.metrics import evaluate
+from bbcq.model import (ModelSpec, block_forward, block_prefix, forward,
+                        forward_from, init_model)
+from bbcq.quantizers import SCHEMES
+from bbcq.tensor import Tape, Tensor
+
+SPEC = ModelSpec(num_blocks=2, embed_dim=32, num_heads=2, patch_count=16,
+                 num_classes=4, init_seed=3)
+#: 2**17 // (16 patches * 128 hidden): the MLP activation is the widest.
+ROWS = 64
+BATCHES = [ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 5]
+#: Full precision, then every softmax scheme static and dynamic.
+SETTINGS = [None] + [(scheme, dynamic) for scheme in SCHEMES
+                     for dynamic in (False, True)]
+
+
+def _setting_id(setting) -> str:
+    if setting is None:
+        return "fp"
+    scheme, dynamic = setting
+    return f"{scheme}-{'dynamic' if dynamic else 'static'}"
+
+
+@pytest.fixture(scope="module")
+def model():
+    return init_model(SPEC)
+
+
+@pytest.fixture(scope="module")
+def results(model):
+    """One W4A4 calibration result per softmax setting; None for FP."""
+    cx, cy = generate_dataset(16, SPEC.patch_count, SPEC.embed_dim,
+                              SPEC.num_classes, seed=1)
+    found = {None: None}
+    for scheme, dynamic in SETTINGS[1:]:
+        found[(scheme, dynamic)] = calibrate(model, cx, cy, CalibConfig(
+            w_bits=4, a_bits=4, num_candidates=2, rounds=1, calib_batch=16,
+            softmax_quantizer=scheme, dynamic_softmax=dynamic))
+    return found
+
+
+def _batch(samples: int):
+    return generate_dataset(samples, SPEC.patch_count, SPEC.embed_dim,
+                            SPEC.num_classes, seed=2)
+
+
+def _slices_seen(monkeypatch) -> list[int]:
+    """The batch size of every ``_run_stages`` call from here on."""
+    sizes = []
+    run_stages = model_module._run_stages
+
+    def spy(model, block, x, *args):
+        sizes.append(x.shape[0] if isinstance(x, Tensor) else x.residual.shape[0])
+        return run_stages(model, block, x, *args)
+
+    monkeypatch.setattr(model_module, "_run_stages", spy)
+    return sizes
+
+
+def test_slice_rows_fit_the_widest_intermediate():
+    assert model_module._slice_rows(SPEC) == ROWS
+    # The README model: 4 heads, 16 patches, hidden 256.
+    assert model_module._slice_rows(ModelSpec(4, 64, 4, 16, 10)) == 32
+    # Attention scores wider than the MLP: 8 heads of 64 x 64.
+    assert model_module._slice_rows(ModelSpec(1, 16, 8, 64, 4)) == 4
+    # A sample wider than the budget still runs, one at a time.
+    assert model_module._slice_rows(ModelSpec(1, 16, 2, 1024, 4)) == 1
+
+
+@pytest.mark.parametrize("samples, slices", [(ROWS - 1, [ROWS - 1]),
+                                             (ROWS, [ROWS]),
+                                             (ROWS + 1, [ROWS, 1]),
+                                             (3 * ROWS + 5, [ROWS] * 3 + [5])])
+def test_untaped_forward_runs_each_block_in_slices(model, monkeypatch,
+                                                   samples, slices):
+    """One ``block_forward`` call per block, each over the slices in order."""
+    sizes = _slices_seen(monkeypatch)
+    calls = []
+    real_block_forward = model_module.block_forward
+    monkeypatch.setattr(model_module, "block_forward",
+                        lambda *a, **k: calls.append(a[1]) or real_block_forward(*a, **k))
+    forward(model, _batch(samples)[0])
+    assert calls == [0, 1]
+    assert sizes == slices * SPEC.num_blocks
+
+
+@pytest.mark.parametrize("samples", BATCHES)
+@pytest.mark.parametrize("setting", SETTINGS, ids=_setting_id)
+def test_sliced_runs_equal_one_slice(model, results, monkeypatch, samples,
+                                     setting):
+    """``block_forward``, ``forward``, ``forward_from``, ``evaluate`` and
+    ``total_blockwise_metric`` equal a one-slice run bit for bit."""
+    result = results[setting]
+    quant = None if result is None else result.quant_state()
+    x, y = _batch(samples)
+    block_input = Tensor(x @ model.embed_w)
+
+    def run():
+        return (block_forward(model, 0, block_input, quant).data,
+                forward(model, x, quant).logits.data,
+                forward_from(model, 0, block_input).data,
+                evaluate(model, result, x, y),
+                total_blockwise_metric(model, x, y, quant or {}, gamma=10.0))
+
+    sliced = run()
+    with monkeypatch.context() as one_slice:
+        one_slice.setattr(model_module, "_slice_rows", lambda spec: sys.maxsize)
+        whole = run()
+    for got, want in zip(sliced[:3], whole[:3], strict=True):
+        assert np.array_equal(got, want)
+    assert sliced[3:] == whole[3:]
+
+
+def test_a_hooked_forward_runs_in_one_pass(model, results, monkeypatch):
+    """The hook sees one call per matmul, with full-batch operands."""
+    samples = 3 * ROWS + 5
+    x, _ = _batch(samples)
+    sizes = _slices_seen(monkeypatch)
+    calls = []
+    forward(model, x, results[("twin", True)].quant_state(),
+            hook=lambda kind, block, a, b, out: calls.append((kind, block, a, out)))
+    assert sizes == [samples] * SPEC.num_blocks
+    # embed, q/k/v (3) and five more per block, head.
+    assert len(calls) == 2 + 8 * SPEC.num_blocks
+    assert all(a.shape[0] == samples and out.shape[0] == samples
+               for _, _, a, out in calls)
+
+
+def test_stop_carry_and_tape_run_in_one_pass(model, monkeypatch):
+    samples = 3 * ROWS + 5
+    x, _ = _batch(samples)
+    block_input = Tensor(x @ model.embed_w)
+    sizes = _slices_seen(monkeypatch)
+    block_forward(model, 0, block_input, stop="mlp-1")
+    carry = block_prefix(model, 0, block_input, "attn-apply")
+    block_forward(model, 0, carry)
+    with Tape():
+        forward(model, x)
+    assert sizes == [samples] * (3 + SPEC.num_blocks)
