@@ -23,6 +23,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping
 
@@ -293,11 +294,9 @@ def cache_fp_pass(model: Model, inputs, labels, *,
         operands = (("B", b),) if block is None else (("A", a), ("B", b))
         for role, values in operands:
             site = MatmulSite(kind, role, block)
-            lo, hi = float(values.min()), float(values.max())
-            if site in ranges:
-                prev_lo, prev_hi = ranges[site]
-                lo, hi = min(lo, prev_lo), max(hi, prev_hi)
-            ranges[site] = (lo, hi)
+            lo, hi = ranges.get(site, (math.inf, -math.inf))
+            ranges[site] = (min(lo, float(values.min())),
+                            max(hi, float(values.max())))
         if blocks_as_layers and block is not None:
             unit_outputs.setdefault((block, kind), []).append(out)
 
@@ -348,35 +347,30 @@ def _first_argmin(metrics: list[float]) -> int:
 
 
 def search_site(model: Model, site: MatmulSite, candidates: list[QuantParams],
-                state: QuantState, cache: BlockCache,
-                config: CalibConfig,
-                executor: ThreadPoolExecutor | None = None,
-                prefix: BlockCarry | None = None
-                ) -> tuple[QuantParams, int, list[float]]:
-    """Score every candidate for one site and pick the argmin.
+                state: QuantState, cache: BlockCache, prefix: BlockCarry,
+                gamma: float, executor: ThreadPoolExecutor | None = None
+                ) -> list[float]:
+    """Score every candidate for one site: its trace, one metric per candidate.
 
     Each candidate is evaluated with all other sites frozen at ``state``
-    (searched sites quantized, unsearched ones full precision). ``prefix``
-    is the block paused in front of the site's matmul under ``state``
-    (``block_prefix``); without one, it is paused here from the cached FP
-    input. The other operand of that matmul is fake-quantized into the
-    prefix once, and every candidate resumes from there under ``state``
-    without that operand's entry. Ties break to the lowest index;
-    candidate evaluations are pure, so the optional executor only changes
-    wall-clock, never the result. A NaN or infinite metric raises
-    NonFiniteError; a cache of another block or unit, or a prefix paused
-    at another matmul, raises ContractError; no candidates raise
-    ParameterError.
+    (searched sites quantized, unsearched ones full precision), resuming
+    from ``prefix``, the block paused in front of the site's matmul
+    (``block_prefix``) under ``state`` or any state that agrees with it on
+    the earlier matmuls. The other operand of that matmul is fake-quantized
+    into the prefix once, and every candidate resumes from there under
+    ``state`` without that operand's entry. Candidate evaluations are pure,
+    so the optional executor only changes wall-clock, never the trace; its
+    threads run under the caller's numpy error state. A NaN or infinite
+    metric raises NonFiniteError; a cache of another block or unit, or a
+    prefix paused at another matmul, raises ContractError; no candidates
+    raise ParameterError.
     """
     if cache.block != site.block or cache.kind not in ("block", site.kind):
         raise ContractError(f"site {site.site_id} cannot be scored on the "
                             f"{cache.kind} unit of block {cache.block}")
     if not candidates:
         raise ParameterError(f"site {site.site_id} has no candidates")
-    if prefix is None:
-        prefix = block_prefix(model, cache.block, Tensor(cache.block_input),
-                              site.kind, state)
-    elif prefix.kind != site.kind:
+    if prefix.kind != site.kind:
         raise ContractError(f"site {site.site_id} cannot resume from a "
                             f"prefix paused at {prefix.kind}")
     partner = MatmulSite(site.kind, "B" if site.role == "A" else "A", site.block)
@@ -387,20 +381,20 @@ def search_site(model: Model, site: MatmulSite, candidates: list[QuantParams],
                                         for b in prefix.b))
     rest = {other: entry for other, entry in state.items() if other != partner}
     sensitivities = [g * g for g in cache.grads]
+    # numpy keeps its error state per context, and pool threads do not
+    # inherit the caller's, so every candidate runs under it explicitly.
+    errors = np.geterr()
 
     def metric_for(params: QuantParams) -> float:
-        return _unit_metric(model, cache, {**rest, site: params}, config.gamma,
-                            start, sensitivities)
+        with np.errstate(**errors):
+            return _unit_metric(model, cache, {**rest, site: params}, gamma,
+                                start, sensitivities)
 
-    if executor is None:
-        trace = [metric_for(params) for params in candidates]
-    else:
-        trace = list(executor.map(metric_for, candidates))
+    trace = list((executor.map if executor else map)(metric_for, candidates))
     if not np.isfinite(trace).all():
         raise NonFiniteError(
             f"site {site.site_id}: a candidate metric is not finite")
-    chosen = _first_argmin(trace)
-    return candidates[chosen], chosen, trace
+    return trace
 
 
 def _workers_from_env() -> int:
@@ -428,7 +422,7 @@ class CalibResult:
 
     ``traces`` maps each site to one metric list per round (all n+1
     candidates); ``chosen_index`` is derived from it, the first argmin of
-    the final round, as ``search_site`` picks it. Unsearched sites
+    the final round, as ``calibrate`` picks it. Unsearched sites
     (post-softmax, embed, head, constant operands) carry an empty trace and
     a None index. Each row has the config's scheme and bits; a max-anchored
     softmax row's ``calibrated_max`` is its block's ``softmax_max``.
@@ -568,9 +562,11 @@ def calibrate(model: Model, inputs, labels, config: CalibConfig,
     to its full-range step, then ``config.rounds`` alternations of
     (activation search, weight search) run, each holding every other site at
     its current state and resuming from the block paused once in front of
-    that matmul (``block_prefix``). An operand that is one constant over the
-    whole FP pass is not searched either; it gets params that hold that
-    constant exactly. Only the first ``config.calib_batch`` samples are used.
+    that matmul (``block_prefix``), and keeps the first argmin of its trace,
+    the rule ``CalibResult`` derives ``chosen_index`` with. An operand that
+    is one constant over the whole FP pass is not searched either; it gets
+    params that hold that constant exactly. Only the first
+    ``config.calib_batch`` samples are used.
     """
     instr = instrumentation if instrumentation is not None else CalibInstrumentation()
     fp = cache_fp_pass(model, inputs[:config.calib_batch],
@@ -587,8 +583,9 @@ def calibrate(model: Model, inputs, labels, config: CalibConfig,
 
     by_unit = {(c.block, c.kind): c for c in fp.caches}
     workers = _workers_from_env()
-    executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
+    # No pool at one thread: a worker thread's own malloc arena costs RSS.
+    with (ThreadPoolExecutor(max_workers=workers) if workers > 1
+          else nullcontext()) as executor:
         for b in range(model.spec.num_blocks):
             instr.enter_block()
             for kind in reversed(BLOCK_KINDS):
@@ -615,14 +612,12 @@ def calibrate(model: Model, inputs, labels, config: CalibConfig,
                                       kind, config.quant_state(state))
                 for _ in range(config.rounds):
                     for site, candidates in grids.items():
-                        state[site], _, trace = search_site(
-                            model, site, candidates, config.quant_state(state),
-                            cache, config, executor, prefix)
+                        trace = search_site(model, site, candidates,
+                                            config.quant_state(state), cache,
+                                            prefix, config.gamma, executor)
+                        state[site] = candidates[_first_argmin(trace)]
                         traces[site].append(trace)
             instr.exit_block()
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
 
     return CalibResult(config=config, params=state, traces=traces,
                        fp_loss=fp.loss,

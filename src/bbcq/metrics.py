@@ -56,8 +56,7 @@ class QuantReportRow:
         return asdict(self)
 
 
-def compare_softmax_quantizers(scores, bits: int,
-                               site_id: str = "softmax") -> list[QuantReportRow]:
+def compare_softmax_quantizers(scores, bits: int) -> list[QuantReportRow]:
     """Push softmax rows through each quantizer and report the differences.
 
     ``scores`` are pre-softmax values, one attention row per last-axis slice.
@@ -88,7 +87,7 @@ def compare_softmax_quantizers(scores, bits: int,
         at_max = np.abs(deq[row_idx, fp_argmax] - probs[row_idx, fp_argmax])
         max_value_error = float(at_max.max())
         rows.append(QuantReportRow(
-            site_id=site_id,
+            site_id="softmax",
             scheme=scheme,
             bits=bits,
             entropy_bits=code_entropy(CodeTensor(probs.shape, codes, params)),

@@ -524,29 +524,40 @@ def _one_block_search_fixture():
     return model, config, fp
 
 
-def test_search_site_tie_breaks_to_lowest_index():
+def _search(model, site, candidates, state, cache, config):
+    """``search_site`` from the block paused in front of the site's matmul
+    under ``state``, as ``calibrate`` pauses it."""
+    prefix = block_prefix(model, cache.block, Tensor(cache.block_input),
+                          site.kind, state)
+    return search_site(model, site, candidates, state, cache, prefix,
+                       config.gamma)
+
+
+def test_first_argmin_tie_breaks_to_lowest_index():
+    """Equal candidates score equal metrics, and the pick is the first."""
     model, config, fp = _one_block_search_fixture()
     site = MatmulSite("mlp-1", "B", 0)
     same = QuantParams(bits=4, scale=0.021, zero_point=7, scheme="uniform")
-    params, chosen, trace = search_site(model, site, [same] * 5, {},
-                                        fp.caches[0], config)
-    assert chosen == 0
-    assert params is same
-    assert len(set(trace)) == 1
+    trace = _search(model, site, [same] * 5, {}, fp.caches[0], config)
+    assert len(trace) == 5 and len(set(trace)) == 1
+    assert calibration_module._first_argmin(trace) == 0
+    assert calibration_module._first_argmin([3.0, 1.0, 2.0, 1.0]) == 1
 
 
-def test_search_site_returns_argmin_and_full_trace():
+def test_search_site_returns_the_full_trace():
+    """One finite metric per candidate, in candidate order; the grid's best
+    dominates the min-max baseline at its end."""
     model, config, fp = _one_block_search_fixture()
     site = MatmulSite("mlp-1", "B", 0)
     lo, hi = fp.ranges[site]
     cands = candidate_scales(lo, hi, 4, config.alpha, config.beta,
                              config.num_candidates)
-    params, chosen, trace = search_site(model, site, cands, {}, fp.caches[0],
-                                        config)
+    trace = _search(model, site, cands, {}, fp.caches[0], config)
     assert len(trace) == config.num_candidates + 1
-    assert chosen == int(np.argmin(trace))
-    assert params == cands[chosen]
-    assert trace[chosen] <= trace[-1]  # dominates the min-max baseline
+    assert all(isinstance(m, float) and math.isfinite(m) for m in trace)
+    assert trace[::-1] == _search(model, site, cands[::-1], {}, fp.caches[0],
+                                  config)
+    assert min(trace) <= trace[-1]
 
 
 def test_search_site_leaves_state_untouched():
@@ -556,7 +567,7 @@ def test_search_site_leaves_state_untouched():
               QuantParams(bits=4, scale=0.01, zero_point=8, scheme="uniform")}
     before = dict(frozen)
     cands = candidate_scales(*fp.ranges[site], 4, 0.2, 1.0, 4)
-    search_site(model, site, cands, frozen, fp.caches[0], config)
+    _search(model, site, cands, frozen, fp.caches[0], config)
     assert frozen == before
 
 
@@ -569,8 +580,8 @@ def test_search_site_rejects_a_prefix_paused_at_another_matmul():
             continue
         prefix = block_prefix(model, 0, Tensor(fp.caches[0].block_input), kind)
         with pytest.raises(ContractError, match=kind):
-            search_site(model, site, cands, {}, fp.caches[0], config,
-                        prefix=prefix)
+            search_site(model, site, cands, {}, fp.caches[0], prefix,
+                        config.gamma)
 
 
 @pytest.mark.parametrize("site_id,layerwise,unit,count,error", [
@@ -590,7 +601,7 @@ def test_search_site_scores_only_the_unit_of_its_site(site_id, layerwise, unit,
     site = MatmulSite.parse(site_id)
     cands = candidate_scales(*fp.ranges[site], 4, 0.2, 1.0, 4)[:count]
     with pytest.raises(error):
-        search_site(model, site, cands, {}, cache, config)
+        _search(model, site, cands, {}, cache, config)
 
 
 @pytest.mark.parametrize("site_id,partner_operands",
@@ -626,8 +637,8 @@ def test_search_site_quantizes_the_partner_once(monkeypatch, site_id,
     counts = []
     for n in (3, 6):
         calls.clear()
-        search_site(model, site, cands[:n], state, cache, config,
-                    prefix=prefix)
+        search_site(model, site, cands[:n], state, cache, prefix,
+                    config.gamma)
         counts.append(len(calls))
     one = per_forward[0]
     # A candidate forward quantizes the searched operand and every later
@@ -638,8 +649,12 @@ def test_search_site_quantizes_the_partner_once(monkeypatch, site_id,
     assert counts[0] - 3 * one == partner_operands
 
 
-def test_calibrate_rejects_non_finite_candidate_metrics():
-    """Finite weights whose products overflow give NaN metrics, not an argmin."""
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_calibrate_rejects_non_finite_candidate_metrics(monkeypatch, threads):
+    """Finite weights whose products overflow give NaN metrics, not an argmin;
+    pool threads run under the caller's numpy error state, so the overflow
+    is no warning on any thread count."""
+    monkeypatch.setenv("BBCQ_THREADS", threads)
     model, x, y = _small_setup()
     model.blocks[0].w1 = model.blocks[0].w1 * 1e80
     model.blocks[0].w2 = model.blocks[0].w2 * 1e80
@@ -730,20 +745,18 @@ def test_staged_search_matches_full_reforward(scheme, dynamic_softmax,
         bits = config.w_bits if site.is_weight_operand else config.a_bits
         candidates = candidate_scales(*fp.ranges[site], bits, config.alpha,
                                       config.beta, config.num_candidates)
-        _, chosen, trace = search_site(model, site, candidates, state, cache,
-                                       config)
+        trace = _search(model, site, candidates, state, cache, config)
         want = _full_reforward_trace(model, site, candidates, state, cache,
                                      config)
         assert trace == want, site.site_id
-        assert chosen == int(np.argmin(want)), site.site_id
         # The shared prefix depends only on earlier matmuls' entries, so
         # one paused without this layer's or later layers' sites serves.
         earlier = {s: p for s, p in state.items()
                    if s.block != site.block or s.layer < site.layer}
         prefix = block_prefix(model, site.block, Tensor(cache.block_input),
                               site.kind, earlier)
-        _, _, shared = search_site(model, site, candidates, state, cache,
-                                   config, prefix=prefix)
+        shared = search_site(model, site, candidates, state, cache, prefix,
+                             config.gamma)
         assert shared == want, site.site_id
 
 
@@ -761,8 +774,7 @@ def test_staged_search_with_earlier_sites_frozen():
     site = MatmulSite("mlp-1", "B", 1)
     candidates = candidate_scales(*fp.ranges[site], 4, config.alpha,
                                   config.beta, config.num_candidates)
-    _, _, trace = search_site(model, site, candidates, state, fp.caches[1],
-                              config)
+    trace = _search(model, site, candidates, state, fp.caches[1], config)
     assert trace == _full_reforward_trace(model, site, candidates, state,
                                           fp.caches[1], config)
     assert len(set(trace)) > 1
@@ -912,6 +924,54 @@ def test_pool_threads_share_one_carry(monkeypatch, blocks_as_layers):
     finally:
         sys.setswitchinterval(interval)
     assert threaded == sequential
+
+
+@pytest.mark.parametrize("threads,pools", [("1", []), ("2", [2])])
+def test_calibrate_pools_only_above_one_thread(monkeypatch, threads, pools):
+    """BBCQ_THREADS=1 runs every candidate on the calling thread, with no
+    pool (a pool thread's malloc arena would cost RSS); n > 1 threads run
+    them on one pool of n workers."""
+    built = []
+
+    class Recorded(calibration_module.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            built.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(calibration_module, "ThreadPoolExecutor", Recorded)
+    monkeypatch.setenv("BBCQ_THREADS", threads)
+    model, x, y = _small_setup()
+    calibrate(model, x, y, CalibConfig(num_candidates=2, rounds=1))
+    assert built == pools
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("blocks_as_layers", [False, True],
+                         ids=["blockwise", "layerwise"])
+@pytest.mark.parametrize("scheme,dynamic", [("mpq", False), ("twin", True)],
+                         ids=["static-mpq", "dynamic-twin"])
+def test_calibrate_keeps_the_candidate_at_chosen_index(monkeypatch, scheme,
+                                                       dynamic,
+                                                       blocks_as_layers,
+                                                       threads):
+    """Every searched site's params are its grid's candidate at the index
+    CalibResult derives from the final round: calibrate picks by the same
+    first-argmin rule."""
+    monkeypatch.setenv("BBCQ_THREADS", threads)
+    model, x, y = _small_setup(num_blocks=2)
+    config = CalibConfig(w_bits=3, a_bits=4, num_candidates=6, rounds=2,
+                         softmax_quantizer=scheme, dynamic_softmax=dynamic,
+                         blocks_as_layers=blocks_as_layers)
+    result = calibrate(model, x, y, config)
+    fp = cache_fp_pass(model, x, y, blocks_as_layers=blocks_as_layers)
+    searched = [site for site, trace in result.traces.items() if trace]
+    assert len(searched) == 2 * 11
+    for site in searched:
+        _, bits = config.site_quantizer(site)
+        grid = candidate_scales(*fp.ranges[site], bits, config.alpha,
+                                config.beta, config.num_candidates)
+        assert result.params[site] == grid[result.chosen_index[site]], \
+            site.site_id
 
 
 def test_calibrate_while_another_thread_holds_a_tape():

@@ -130,9 +130,9 @@ def test_compare_is_deterministic():
 
 def test_compare_handles_batched_attention_shapes(rng):
     scores = rng.normal(size=(2, 3, 5, 5))  # (batch, heads, rows, cols)
-    rows = compare_softmax_quantizers(scores, 4, site_id="b0.attn")
+    rows = compare_softmax_quantizers(scores, 4)
     assert len(rows) == 4
-    assert rows[0].site_id == "b0.attn"
+    assert rows[0].site_id == "softmax"
 
 
 def test_compare_rejects_vectors():
