@@ -345,20 +345,29 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor,
     return _result(out, (x, gamma, beta), backward)
 
 
+def _phi(x: np.ndarray) -> np.ndarray:
+    """0.5 * (1 + erf(x / sqrt(2))) as one new array. erf runs on |x| and
+    gets the sign back, skipping scipy's branch on u < 0 that half of GeLU's
+    inputs take: the same bits, as erf is odd and rounding sign-symmetric."""
+    out = np.asarray(np.abs(x))
+    out *= _INV_SQRT2
+    erf(out, out=out)
+    np.copysign(out, x, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
+
+
 def gelu(x: Tensor) -> Tensor:
     """Exact-erf GeLU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
     x = _as_tensor(x)
 
     def backward(g: np.ndarray):
         # phi is recomputed here so that the forward keeps a single array.
-        phi = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
         density = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
-        return (g * (phi + x.data * density),)
+        return (g * (_phi(x.data) + x.data * density),)
 
-    out = np.asarray(x.data * _INV_SQRT2)
-    erf(out, out=out)
-    out += 1.0
-    out *= 0.5
+    out = _phi(x.data)
     out *= x.data
     return _result(out, (x,), backward)
 

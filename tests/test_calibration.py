@@ -17,9 +17,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from bbcq import calibration as calibration_module
 from bbcq import model as model_module
+from bbcq import tensor as tensor_module
 from bbcq.calibration import (CalibConfig, CalibInstrumentation, CalibResult,
                               PROFILE_RANGES, bbc_metric, bottom_mask,
                               bottom_threshold, cache_fp_pass, calibrate,
@@ -413,6 +415,25 @@ def test_cache_fp_pass_structure():
                                       result.block_outputs[b].data)
         assert cache.grads == [cache.grad]
     assert fp.loss == cross_entropy(result.logits, y).item()
+
+
+def test_gelu_runs_erf_on_non_negative_inputs_only(monkeypatch):
+    """scipy's erf branches on the sign of each element, which GeLU's
+    inputs flip at random; ``gelu`` feeds it |x| in the FP pass (forward
+    and backward) and in untaped block forwards."""
+    model, x, y = _small_setup()
+    seen = []
+
+    def spy(u, *args, **kwargs):
+        assert not np.signbit(u).any(), "erf got an input with its sign set"
+        seen.append(u.size)
+        return erf(u, *args, **kwargs)
+
+    monkeypatch.setattr(tensor_module, "erf", spy)
+    fp = cache_fp_pass(model, x, y)
+    assert len(seen) == 2
+    block_forward(model, 0, Tensor(fp.caches[0].block_input))
+    assert len(seen) == 3
 
 
 def test_cache_fp_pass_deterministic():

@@ -7,6 +7,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 from bbcq.errors import ContractError, DimensionError, LabelIndexError
@@ -368,6 +370,50 @@ def _reference_gelu(x, g):
     phi = 0.5 * (1.0 + erf(x * _INV_SQRT2))
     density = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
     return x * phi, (g * (phi + x * density),)
+
+
+def _assert_gelu_bits(x, g):
+    """``gelu``'s value and gradient equal ``_reference_gelu``, which runs
+    erf on the signed input, bit for bit; comparing as uint64 tells -0.0
+    from +0.0."""
+    want_value, (want_grad,) = _reference_gelu(x, g)
+    with Tape() as tape:
+        leaf = Tensor(x)
+        out = gelu(leaf)
+        # d(sum(out * g)) / d(out) is exactly ``g``.
+        tape.backward(tensor_sum(mul(out, Tensor(g))))
+    np.testing.assert_array_equal(out.data.view(np.uint64),
+                                  want_value.view(np.uint64))
+    np.testing.assert_array_equal(tape.grad(leaf).data.view(np.uint64),
+                                  want_grad.view(np.uint64))
+
+
+def test_gelu_bits_on_edge_inputs():
+    """Signed zeros and the smallest subnormals; x = +-sqrt(2) and 3 ulps
+    each side, where |x / sqrt(2)| crosses erf's switch to erfc at 1;
+    |x| >= 9, where erf is exactly +-1; and +-1e300, where x * x
+    overflows in the gradient."""
+    root2 = np.sqrt(2.0)
+    edges = np.concatenate([[0.0, 5e-324],
+                            root2 + np.arange(-3, 4) * np.spacing(root2),
+                            [9.0, 9.5, 27.0, 1e5]])
+    x = np.concatenate([edges, -edges])
+    _assert_gelu_bits(x, np.linspace(-2.0, 2.0, x.size))
+    with np.errstate(over="ignore"):
+        _assert_gelu_bits(np.array([1e300, -1e300]), np.array([0.75, 1.25]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False,
+                                    allow_subnormal=True),
+                          st.floats(0.5, 2.0)),
+                min_size=1, max_size=32))
+def test_gelu_bits_match_signed_erf_form(pairs):
+    """Any finite float64, subnormals included. A positive ``g`` keeps the
+    loss's sum of overflowed terms at +inf instead of inf - inf."""
+    x, g = (np.array(column) for column in zip(*pairs))
+    with np.errstate(over="ignore"):
+        _assert_gelu_bits(x, g)
 
 
 def _reference_softmax(x, g):
