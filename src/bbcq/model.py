@@ -15,13 +15,14 @@ calibration reads operand ranges and per-matmul outputs through it. A block
 runs as six matmul stages over a ``BlockCarry``, so calibration can advance
 a block to one matmul once and resume every candidate from there. An
 untaped, hook-free full block forward runs a large batch in cache-sized
-slices of samples.
+slices of samples, and ``forward`` has each block write its output over its
+input.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, make_dataclass
+from dataclasses import asdict, dataclass, make_dataclass, replace
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -402,6 +403,26 @@ def _slice_rows(spec: ModelSpec) -> int:
     return max(1, 2 ** 17 // widest)
 
 
+#: The ``BlockParams`` fields that each weight-operand block matmul reads.
+_WEIGHT_FIELDS = {"qkv-projection": ("w_q", "w_k", "w_v"),
+                  "out-projection": ("w_o",), "mlp-1": ("w1",), "mlp-2": ("w2",)}
+
+
+def _with_quantized_weights(model: Model, block: int, quant: QuantState | None
+                            ) -> tuple[Model, QuantState]:
+    """``model`` with block ``block``'s weights fake-quantized as ``quant``
+    says, and ``quant`` without their sites: the same block forward, with
+    each weight quantized once instead of once per slice."""
+    p, rest, weights = model.blocks[block], dict(quant or {}), {}
+    for kind, fields in _WEIGHT_FIELDS.items():
+        site = MatmulSite(kind, "B", block)
+        weights.update({f: fake_quant_operand(Tensor(getattr(p, f)), site, quant).data
+                        for f in fields})
+        rest.pop(site, None)
+    blocks = [*model.blocks[:block], replace(p, **weights), *model.blocks[block + 1:]]
+    return replace(model, blocks=blocks), rest
+
+
 def _block_entry(model: Model, block: int, x: Tensor) -> BlockCarry:
     """The carry in front of qkv-projection: ``x`` and its first layernorm."""
     p = model.blocks[block]
@@ -413,7 +434,8 @@ def _block_entry(model: Model, block: int, x: Tensor) -> BlockCarry:
 def block_forward(model: Model, block: int, x: Tensor | BlockCarry,
                   quant: QuantState | None = None, *,
                   hook: MatmulHook | None = None,
-                  stop: str | None = None) -> Tensor | list[Tensor]:
+                  stop: str | None = None,
+                  out: np.ndarray | None = None) -> Tensor | list[Tensor]:
     """One transformer block. ``x`` is the (B, N, D) block input, or a
     ``BlockCarry`` to resume from (see ``block_prefix``).
 
@@ -434,7 +456,9 @@ def block_forward(model: Model, block: int, x: Tensor | BlockCarry,
     An untaped call on a block input with no ``hook`` and no ``stop`` runs
     the batch in slices of ``_slice_rows(model.spec)`` samples, so its
     intermediates stay cache-sized however large the batch; any other call
-    runs the batch in one pass.
+    runs the batch in one pass. Such a sliced call writes its output into
+    ``out`` when given, a writeable C-contiguous float64 array of ``x``'s
+    shape that may be ``x.data`` itself; the returned tensor wraps ``out``.
     """
     _check_call(model, block, x, quant, stop)
     if stop is not None and isinstance(x, BlockCarry) and \
@@ -442,12 +466,22 @@ def block_forward(model: Model, block: int, x: Tensor | BlockCarry,
         raise ContractError(
             f"cannot stop at {stop}: the carry resumes at {x.kind}")
     rows = _slice_rows(model.spec)
-    if isinstance(x, BlockCarry) or hook is not None or stop is not None \
-            or recording_active() or x.shape[0] <= rows:
+    one_pass = isinstance(x, BlockCarry) or hook is not None or stop is not None \
+        or recording_active()
+    if out is not None:
+        if one_pass:
+            raise ContractError("out= needs a sliced call: no carry, hook, stop or tape")
+        if not (isinstance(out, np.ndarray) and out.shape == x.shape
+                and out.dtype == np.float64 and out.flags.carray):
+            raise DimensionError(
+                f"out must be a writeable C-contiguous float64 array of shape {x.shape}")
+    elif one_pass or x.shape[0] <= rows:
         return _run_stages(model, block, x, quant, hook, None, stop)
     # Every stage is per sample, so the slices' outputs, in order, are the
-    # whole batch's output bit for bit.
-    out = np.empty(x.shape)
+    # whole batch's output bit for bit. A slice's rows are read before they
+    # are written, so ``out`` may be the input itself.
+    out = np.empty(x.shape) if out is None else out
+    model, quant = _with_quantized_weights(model, block, quant)
     for lo in range(0, x.shape[0], rows):
         out[lo:lo + rows] = _run_stages(model, block, Tensor(x.data[lo:lo + rows]),
                                         quant, None, None, None).data
@@ -495,12 +529,14 @@ def forward(model: Model, x, quant: QuantState | None = None, *,
         return out
 
     current = edge_matmul("embed", x, model.embed_w)
-    # Untaped, no list holds a block output: each is freed once the next
-    # block has consumed it.
+    # Untaped, no list holds a block output. Without a hook as well, every
+    # block writes its output over its input, the embed output, so the
+    # forward holds one batch-sized activation array besides ``x``.
     taped = recording_active()
     embed_out, block_outputs = (current, []) if taped else (None, None)
+    out = None if taped or hook is not None else current.data
     for b in range(spec.num_blocks):
-        current = block_forward(model, b, current, quant, hook=hook)
+        current = block_forward(model, b, current, quant, hook=hook, out=out)
         if taped:
             block_outputs.append(current)
     logits = edge_matmul("head", current.mean(axis=1), model.head_w)

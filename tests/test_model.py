@@ -562,3 +562,16 @@ def test_quantized_forward_peak_grows_by_embed_arrays_not_slices():
     one = _heap_peak(lambda: forward(model, x[:rows], quant=state))
     eight = _heap_peak(lambda: forward(model, x, quant=state))
     assert eight < 2.75 * one, f"ratio {eight / one:.2f}"
+
+
+def test_quantized_forward_runs_its_blocks_in_one_activation_array():
+    """Every block of an untaped forward writes its output over its input,
+    the embed output, so 8 slices hold one embed-sized array of the whole
+    batch (8 E) plus one slice's working set: a ratio of about 1.6 to one
+    slice. A fresh output array per block, with the input held while it is
+    written, makes it 2.3."""
+    model, x, state = _twin_quantized(dynamic=True)
+    rows = model_module._slice_rows(model.spec)
+    one = _heap_peak(lambda: forward(model, x[:rows], quant=state))
+    eight = _heap_peak(lambda: forward(model, x, quant=state))
+    assert eight < 1.9 * one, f"ratio {eight / one:.2f}"

@@ -2,7 +2,9 @@
 
 Every stage of a block is per sample, so a sliced run equals a one-slice
 run bit for bit. A call that a hook, ``stop``, a carry or a recording tape
-can observe still runs the whole batch in one pass.
+can observe still runs the whole batch in one pass. A sliced call may write
+its output into a given array, the block input itself included, and an
+untaped forward runs every block in its embed output that way.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import pytest
 from bbcq import model as model_module
 from bbcq.calibration import CalibConfig, calibrate, total_blockwise_metric
 from bbcq.data import generate_dataset
+from bbcq.errors import ContractError, DimensionError
 from bbcq.metrics import evaluate
 from bbcq.model import (ModelSpec, block_forward, block_prefix, forward,
                         forward_from, init_model)
@@ -113,9 +116,11 @@ def test_sliced_runs_equal_one_slice(model, results, monkeypatch, samples,
     block_input = Tensor(x @ model.embed_w)
 
     def run():
+        in_place = block_input.data.copy()
         return (block_forward(model, 0, block_input, quant).data,
                 forward(model, x, quant).logits.data,
                 forward_from(model, 0, block_input).data,
+                block_forward(model, 0, Tensor(in_place), quant, out=in_place).data,
                 evaluate(model, result, x, y),
                 total_blockwise_metric(model, x, y, quant or {}, gamma=10.0))
 
@@ -123,9 +128,93 @@ def test_sliced_runs_equal_one_slice(model, results, monkeypatch, samples,
     with monkeypatch.context() as one_slice:
         one_slice.setattr(model_module, "_slice_rows", lambda spec: sys.maxsize)
         whole = run()
-    for got, want in zip(sliced[:3], whole[:3], strict=True):
+    for got, want in zip(sliced[:4], whole[:4], strict=True):
         assert np.array_equal(got, want)
-    assert sliced[3:] == whole[3:]
+    assert np.array_equal(sliced[3], whole[0])
+    assert sliced[4:] == whole[4:]
+
+
+def test_sliced_block_forward_quantizes_each_weight_once(model, results,
+                                                         monkeypatch):
+    """Each block's six weights are fake-quantized once per sliced call,
+    not once per slice: over 4 slices, the 2-D operands fake-quantized are
+    the embedding and head weights plus 6 per block."""
+    shapes = []
+    fake_quant_array = model_module.fake_quant_array
+    monkeypatch.setattr(model_module, "fake_quant_array",
+                        lambda x, params: shapes.append(x.ndim)
+                        or fake_quant_array(x, params))
+    forward(model, _batch(3 * ROWS + 5)[0], results[("mpq", False)].quant_state())
+    assert shapes.count(2) == 2 + 6 * SPEC.num_blocks
+
+
+@pytest.mark.parametrize("setting", [None, ("twin", True)], ids=_setting_id)
+def test_forward_writes_neither_input_nor_block_output(model, results, setting):
+    """``forward`` runs its blocks in its own embed output, never in the
+    caller's ``x``; ``forward_from`` leaves its ``block_output`` as given."""
+    result = results[setting]
+    quant = None if result is None else result.quant_state()
+    x, _ = _batch(3 * ROWS + 5)
+    x_before = x.copy()
+    forward(model, x, quant)
+    forward(model, Tensor(x), quant)
+    assert np.array_equal(x, x_before)
+    block_output = block_forward(model, 0, Tensor(x @ model.embed_w)).data
+    output_before = block_output.copy()
+    forward_from(model, 0, block_output)
+    forward_from(model, 0, Tensor(block_output))
+    assert np.array_equal(block_output, output_before)
+
+
+def _block_input(model, samples=3 * ROWS + 5) -> Tensor:
+    return Tensor(_batch(samples)[0] @ model.embed_w)
+
+
+def test_one_slice_batch_returns_its_output_in_out(model):
+    block_input = _block_input(model, ROWS - 1)
+    out = np.empty(block_input.shape)
+    got = block_forward(model, 0, block_input, out=out)
+    assert got.data is out
+    assert np.array_equal(out, block_forward(model, 0, block_input).data)
+
+
+def _read_only(shape):
+    array = np.empty(shape)
+    array.flags.writeable = False
+    return array
+
+
+@pytest.mark.parametrize("make_out", [
+    lambda shape: np.empty((shape[0] - 1, *shape[1:])),
+    lambda shape: np.empty(shape, dtype=np.float32),
+    lambda shape: np.empty(shape[::-1]).T,
+    _read_only,
+], ids=["shape", "dtype", "non-contiguous", "read-only"])
+def test_out_must_match_the_block_input(model, make_out):
+    block_input = _block_input(model)
+    with pytest.raises(DimensionError):
+        block_forward(model, 0, block_input, out=make_out(block_input.shape))
+
+
+@pytest.mark.parametrize("call", [
+    lambda model, x, out: block_forward(
+        model, 0, block_prefix(model, 0, x, "attn-apply"), out=out),
+    lambda model, x, out: block_forward(
+        model, 0, x, hook=lambda *args: None, out=out),
+    lambda model, x, out: block_forward(model, 0, x, stop="mlp-2", out=out),
+], ids=["carry", "hook", "stop"])
+def test_out_needs_a_sliced_call(model, call):
+    """``out`` belongs to the sliced path: a carry, a hook or ``stop``,
+    each of which runs in one pass, rejects it."""
+    block_input = _block_input(model)
+    with pytest.raises(ContractError):
+        call(model, block_input, np.empty(block_input.shape))
+
+
+def test_out_is_rejected_under_a_recording_tape(model):
+    block_input = _block_input(model)
+    with Tape(), pytest.raises(ContractError):
+        block_forward(model, 0, block_input, out=np.empty(block_input.shape))
 
 
 def test_a_hooked_forward_runs_in_one_pass(model, results, monkeypatch):
