@@ -24,7 +24,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -33,8 +33,8 @@ from .errors import (ConfigError, ContractError, DegenerateRangeError,
                      DimensionError, FormatError, NonFiniteError,
                      ParameterError)
 from .model import (BLOCK_KINDS, BlockCarry, MatmulSite, Model, QuantState,
-                    block_forward, block_prefix, enumerate_sites,
-                    fake_quant_operand, forward)
+                    block_forward, block_prefix, enumerate_sites, forward,
+                    freeze_operands)
 from .quantizers import (SCHEMES, DynamicSoftmax, QuantParams,
                          constant_params, softmax_site_params, uniform_grid)
 from .records import check_field_types, json_value, record_fields
@@ -112,12 +112,9 @@ class CalibConfig:
     def for_profile(cls, profile: str, **overrides) -> "CalibConfig":
         """Config with the profile's (alpha, beta) defaults applied."""
         if profile not in PROFILE_RANGES:
-            raise ParameterError(
-                f"profile must be one of {PROFILES}, got {profile!r}")
+            raise ParameterError(f"profile must be one of {PROFILES}, got {profile!r}")
         alpha, beta = PROFILE_RANGES[profile]
-        fields = {"alpha": alpha, "beta": beta, "profile": profile}
-        fields.update(overrides)
-        return cls(**fields)
+        return cls(**{"alpha": alpha, "beta": beta, "profile": profile, **overrides})
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -204,8 +201,7 @@ def candidate_scales(x_min: float, x_max: float, bits: int,
     if n < 2:
         raise ParameterError(f"candidate count must be >= 2, got {n}")
     if alpha < 0.0 or beta < alpha:
-        raise ParameterError(
-            f"need 0 <= alpha <= beta, got alpha={alpha}, beta={beta}")
+        raise ParameterError(f"need 0 <= alpha <= beta, got alpha={alpha}, beta={beta}")
     base = (x_max - x_min) / (1 << bits)
     steps = alpha + np.arange(n, dtype=np.float64) * ((beta - alpha) / (n - 1))
     scales, zero_points = uniform_grid(
@@ -267,9 +263,7 @@ def bbc_metric(sigma_masked, h_diag) -> float:
 
 
 def _as_array(x) -> np.ndarray:
-    if isinstance(x, Tensor):
-        return x.data
-    return np.asarray(x, dtype=np.float64)
+    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
 def cache_fp_pass(model: Model, inputs, labels, *,
@@ -356,9 +350,10 @@ def search_site(model: Model, site: MatmulSite, candidates: list[QuantParams],
     (searched sites quantized, unsearched ones full precision), resuming
     from ``prefix``, the block paused in front of the site's matmul
     (``block_prefix``) under ``state`` or any state that agrees with it on
-    the earlier matmuls. The other operand of that matmul is fake-quantized
-    into the prefix once, and every candidate resumes from there under
-    ``state`` without that operand's entry. Candidate evaluations are pure,
+    the earlier matmuls. What every candidate holds fixed, the other operand
+    of that matmul and each later weight, is fake-quantized once per call
+    (``freeze_operands``), so a candidate quantizes only the searched operand
+    and the later activations. Candidate evaluations are pure,
     so the optional executor only changes wall-clock, never the trace; its
     threads run under the caller's numpy error state. A NaN or infinite
     metric raises NonFiniteError; a cache of another block or unit, or a
@@ -373,13 +368,8 @@ def search_site(model: Model, site: MatmulSite, candidates: list[QuantParams],
     if prefix.kind != site.kind:
         raise ContractError(f"site {site.site_id} cannot resume from a "
                             f"prefix paused at {prefix.kind}")
-    partner = MatmulSite(site.kind, "B" if site.role == "A" else "A", site.block)
-    if partner.role == "A":
-        start = replace(prefix, a=fake_quant_operand(prefix.a, partner, state))
-    else:
-        start = replace(prefix, b=tuple(fake_quant_operand(b, partner, state)
-                                        for b in prefix.b))
-    rest = {other: entry for other, entry in state.items() if other != partner}
+    model, start, rest = freeze_operands(
+        model, site.block, prefix, {k: v for k, v in state.items() if k != site})
     sensitivities = [g * g for g in cache.grads]
     # numpy keeps its error state per context, and pool threads do not
     # inherit the caller's, so every candidate runs under it explicitly.
@@ -392,8 +382,7 @@ def search_site(model: Model, site: MatmulSite, candidates: list[QuantParams],
 
     trace = list((executor.map if executor else map)(metric_for, candidates))
     if not np.isfinite(trace).all():
-        raise NonFiniteError(
-            f"site {site.site_id}: a candidate metric is not finite")
+        raise NonFiniteError(f"site {site.site_id}: a candidate metric is not finite")
     return trace
 
 
@@ -466,16 +455,11 @@ class CalibResult:
                 for site in self.sites()]
 
     def to_json(self) -> dict:
-        return {
-            "schema_version": 1,
-            "kind": "calib-result",
-            "config": self.config.to_json(),
-            "fp_loss": self.fp_loss,
-            # Candidates are always scored from cached FP block inputs.
-            "fp_block_inputs": True,
-            "softmax_max": list(self.softmax_max),
-            "sites": self.site_rows(),
-        }
+        # Candidates are always scored from cached FP block inputs.
+        return {"schema_version": 1, "kind": "calib-result",
+                "config": self.config.to_json(), "fp_loss": self.fp_loss,
+                "fp_block_inputs": True, "softmax_max": list(self.softmax_max),
+                "sites": self.site_rows()}
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"

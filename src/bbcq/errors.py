@@ -87,7 +87,7 @@ class ManifestError(FormatError):
 
 
 class NonFiniteError(FormatError):
-    """A container tensor, an in-memory input or a candidate metric holds
-    NaN or infinity."""
+    """A container tensor, an in-memory input, a softmax score array or a
+    candidate metric holds NaN or infinity."""
 
     category = "non-finite"

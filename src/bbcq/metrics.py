@@ -64,8 +64,9 @@ def compare_softmax_quantizers(scores, bits: int) -> list[QuantReportRow]:
     batch; the max-anchored scheme follows its defining rule of anchoring to
     each row's own maximum, which is what makes the per-row top value exactly
     representable. ``max_value_error`` is the worst dequantization error at
-    any row's argmax position.
+    any row's argmax position; NaN or infinite scores raise NonFiniteError.
     """
+    scores = require_finite(np.asarray(scores, dtype=np.float64), "the score array")
     probs = softmax(scores, axis=-1).data
     if probs.ndim < 2:
         raise DimensionError(f"scores must be at least 2-d, got shape {probs.shape}")

@@ -10,13 +10,14 @@ matmul, after any reshape/transpose. Softmax, layernorm, GeLU, biases,
 residual adds, and pooling always run in full precision.
 
 ``block_forward`` and ``forward`` take one optional ``hook``, called after
-every matmul with its kind, block, pre-quantization operands and output;
-calibration reads operand ranges and per-matmul outputs through it. A block
-runs as six matmul stages over a ``BlockCarry``, so calibration can advance
-a block to one matmul once and resume every candidate from there. An
-untaped, hook-free full block forward runs a large batch in cache-sized
-slices of samples, and ``forward`` has each block write its output over its
-input.
+every matmul with its kind, block, operands and output; calibration reads
+operand ranges and per-matmul outputs through it. A block runs as six
+matmul stages over a ``BlockCarry``, so calibration can advance a block to
+one matmul once and resume every candidate from there. An untaped,
+hook-free full block forward runs a large batch in cache-sized slices of
+samples. ``freeze_operands`` fake-quantizes once what every such resumed
+forward or slice holds fixed. ``forward`` has each block write its output
+over its input.
 """
 
 from __future__ import annotations
@@ -39,10 +40,13 @@ BLOCK_KINDS = ("qkv-projection", "attn-score", "attn-apply",
 EDGE_KINDS = ("embed", "head")
 SOFTMAX_KIND = "attn-apply"
 
+#: The ``BlockParams`` fields that each weight-operand block matmul reads.
+_WEIGHT_FIELDS = {"qkv-projection": ("w_q", "w_k", "w_v"),
+                  "out-projection": ("w_o",), "mlp-1": ("w1",), "mlp-2": ("w2",)}
+
 #: Weight-operand site kinds (role B is a model parameter; quantized with
 #: w_bits). attn-score and attn-apply have activation B operands.
-WEIGHT_B_KINDS = ("qkv-projection", "out-projection", "mlp-1", "mlp-2",
-                  "embed", "head")
+WEIGHT_B_KINDS = (*_WEIGHT_FIELDS, *EDGE_KINDS)
 
 
 @dataclass(frozen=True)
@@ -123,6 +127,8 @@ class ModelSpec:
             raise ParameterError(f"patch_count must be >= 1, got {self.patch_count}")
         if self.num_classes < 2:
             raise ParameterError(f"num_classes must be >= 2, got {self.num_classes}")
+        if self.init_seed < 0:
+            raise ParameterError(f"init_seed must be >= 0, got {self.init_seed}")
         if not (self.mlp_ratio > 0 and math.isfinite(self.mlp_ratio)):
             raise ParameterError(f"mlp_ratio must be positive, got {self.mlp_ratio}")
         try:
@@ -282,7 +288,7 @@ class BlockCarry:
     ``kind`` names the matmul that runs next. ``residual`` is the input of
     the next residual add: the block input up to out-projection, then the
     attention output ``h1``. ``a`` and ``b`` are the operands of the next
-    matmul (``b`` is ``w_q``, ``w_k`` and ``w_v`` for qkv-projection); a
+    matmul (``b`` is the three q/k/v weights for qkv-projection); a
     resumed forward fake-quantizes them as its state says. ``vh`` carries
     the value heads from qkv-projection to attn-apply. Layernorm, softmax
     and GeLU have already run. A carry is never mutated, so threads may
@@ -294,6 +300,11 @@ class BlockCarry:
     a: Tensor
     b: tuple[Tensor, ...]
     vh: Tensor | None = None
+
+
+def _weights(p: BlockParams, kind: str) -> tuple[Tensor, ...]:
+    """The weights block matmul ``kind`` reads from ``p``."""
+    return tuple(Tensor(getattr(p, field)) for field in _WEIGHT_FIELDS[kind])
 
 
 def _check_call(model: Model, block: int, x: Tensor | BlockCarry,
@@ -382,14 +393,14 @@ def _run_stages(model: Model, block: int, x: Tensor | BlockCarry,
                                (carry.vh,))
         elif kind == "attn-apply":
             carry = BlockCarry("out-projection", res, reshape(transpose(
-                outs.pop(), (0, 2, 1, 3)), (batch, n, d)), (Tensor(p.w_o),))
+                outs.pop(), (0, 2, 1, 3)), (batch, n, d)), _weights(p, "out-projection"))
         elif kind == "out-projection":
             h1 = add(res, outs.pop())
             carry = BlockCarry("mlp-1", h1, layernorm(
-                h1, Tensor(p.ln2_gamma), Tensor(p.ln2_beta)), (Tensor(p.w1),))
+                h1, Tensor(p.ln2_gamma), Tensor(p.ln2_beta)), _weights(p, "mlp-1"))
         elif kind == "mlp-1":
             carry = BlockCarry("mlp-2", res, gelu(add(outs.pop(), Tensor(p.b1))),
-                               (Tensor(p.w2),))
+                               _weights(p, "mlp-2"))
         else:
             return add(res, add(outs.pop(), Tensor(p.b2)))
     return carry
@@ -403,24 +414,29 @@ def _slice_rows(spec: ModelSpec) -> int:
     return max(1, 2 ** 17 // widest)
 
 
-#: The ``BlockParams`` fields that each weight-operand block matmul reads.
-_WEIGHT_FIELDS = {"qkv-projection": ("w_q", "w_k", "w_v"),
-                  "out-projection": ("w_o",), "mlp-1": ("w1",), "mlp-2": ("w2",)}
-
-
-def _with_quantized_weights(model: Model, block: int, quant: QuantState | None
-                            ) -> tuple[Model, QuantState]:
-    """``model`` with block ``block``'s weights fake-quantized as ``quant``
-    says, and ``quant`` without their sites: the same block forward, with
-    each weight quantized once instead of once per slice."""
-    p, rest, weights = model.blocks[block], dict(quant or {}), {}
-    for kind, fields in _WEIGHT_FIELDS.items():
-        site = MatmulSite(kind, "B", block)
-        weights.update({f: fake_quant_operand(Tensor(getattr(p, f)), site, quant).data
-                        for f in fields})
-        rest.pop(site, None)
+def freeze_operands(model: Model, block: int, carry: BlockCarry | None,
+                    quant: QuantState | None
+                    ) -> tuple[Model, BlockCarry | None, QuantState]:
+    """Fake-quantize once, as ``quant`` says, what a forward of ``block``
+    from ``carry`` holds fixed: the carry's two operands and every later
+    weight (all six with no carry); unlisted sites stay full precision.
+    Returns copies of the model and carry holding them, and ``quant``
+    without their sites, under which the forward gives the same bits."""
+    _check_entries(quant)
+    later = BLOCK_KINDS if carry is None else \
+        BLOCK_KINDS[BLOCK_KINDS.index(carry.kind) + 1:]
+    frozen = [MatmulSite(kind, "B", block) for kind in later if kind in _WEIGHT_FIELDS]
+    p = model.blocks[block]
+    weights = {field: fake_quant_operand(Tensor(getattr(p, field)), site, quant).data
+               for site in frozen for field in _WEIGHT_FIELDS[site.kind]}
+    if carry is not None:
+        site_a, site_b = (MatmulSite(carry.kind, role, block) for role in "AB")
+        frozen += [site_a, site_b]
+        carry = replace(carry, a=fake_quant_operand(carry.a, site_a, quant),
+                        b=tuple(fake_quant_operand(b, site_b, quant) for b in carry.b))
     blocks = [*model.blocks[:block], replace(p, **weights), *model.blocks[block + 1:]]
-    return replace(model, blocks=blocks), rest
+    rest = {site: entry for site, entry in (quant or {}).items() if site not in frozen}
+    return replace(model, blocks=blocks), carry, rest
 
 
 def _block_entry(model: Model, block: int, x: Tensor) -> BlockCarry:
@@ -428,7 +444,7 @@ def _block_entry(model: Model, block: int, x: Tensor) -> BlockCarry:
     p = model.blocks[block]
     return BlockCarry("qkv-projection", x,
                       layernorm(x, Tensor(p.ln1_gamma), Tensor(p.ln1_beta)),
-                      (Tensor(p.w_q), Tensor(p.w_k), Tensor(p.w_v)))
+                      _weights(p, "qkv-projection"))
 
 
 def block_forward(model: Model, block: int, x: Tensor | BlockCarry,
@@ -440,14 +456,12 @@ def block_forward(model: Model, block: int, x: Tensor | BlockCarry,
     ``BlockCarry`` to resume from (see ``block_prefix``).
 
     ``hook(kind, block, a, b, out)`` is called once per matmul, right after
-    it: ``a`` and ``b`` are the operand arrays before fake quantization,
-    except at the matmul a forward resumed from a carry starts at, where
-    they are as the carry holds them (``search_site`` puts its partner
-    operand there fake-quantized). ``out`` is the raw output tensor
-    (pre-bias for the MLP; attn-score includes the 1/sqrt(head_dim) scale). ``qkv-projection``
-    fires three times, for ``w_q``, ``w_k`` and ``w_v``. While a tape
-    records, ``out`` is a tape node, so callers can read its gradient after
-    ``backward``.
+    it: ``a`` and ``b`` are the operands as the model and carry hold them
+    (``freeze_operands`` may have fake-quantized them), before this call
+    fake-quantizes them. ``out`` is the raw output (pre-bias for the MLP;
+    attn-score includes the 1/sqrt(head_dim) scale); qkv-projection fires
+    once per q/k/v weight. While a tape records, ``out`` is a tape node, so
+    callers can read its gradient after ``backward``.
 
     Returns the block output. With ``stop`` naming a matmul kind, the call
     ends right after that matmul's hook calls and returns its outputs, the
@@ -463,8 +477,7 @@ def block_forward(model: Model, block: int, x: Tensor | BlockCarry,
     _check_call(model, block, x, quant, stop)
     if stop is not None and isinstance(x, BlockCarry) and \
             BLOCK_KINDS.index(stop) < BLOCK_KINDS.index(x.kind):
-        raise ContractError(
-            f"cannot stop at {stop}: the carry resumes at {x.kind}")
+        raise ContractError(f"cannot stop at {stop}: the carry resumes at {x.kind}")
     rows = _slice_rows(model.spec)
     one_pass = isinstance(x, BlockCarry) or hook is not None or stop is not None \
         or recording_active()
@@ -481,7 +494,7 @@ def block_forward(model: Model, block: int, x: Tensor | BlockCarry,
     # whole batch's output bit for bit. A slice's rows are read before they
     # are written, so ``out`` may be the input itself.
     out = np.empty(x.shape) if out is None else out
-    model, quant = _with_quantized_weights(model, block, quant)
+    model, _, quant = freeze_operands(model, block, None, quant)
     for lo in range(0, x.shape[0], rows):
         out[lo:lo + rows] = _run_stages(model, block, Tensor(x.data[lo:lo + rows]),
                                         quant, None, None, None).data
@@ -522,8 +535,7 @@ def forward(model: Model, x, quant: QuantState | None = None, *,
         _check_entries(quant)
 
     def edge_matmul(kind: str, a: Tensor, w: np.ndarray) -> Tensor:
-        wq = fake_quant_operand(Tensor(w), MatmulSite(kind, "B"), quant)
-        out = matmul(a, wq)
+        out = matmul(a, fake_quant_operand(Tensor(w), MatmulSite(kind, "B"), quant))
         if hook is not None:
             hook(kind, None, a.data, w, out)
         return out

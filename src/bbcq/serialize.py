@@ -45,9 +45,7 @@ def _canonical_json(obj) -> bytes:
 
 
 def _pack(kind: str, spec: Mapping, tensors: list[tuple[str, np.ndarray]]) -> bytes:
-    descriptors = []
-    chunks = []
-    offset = 0
+    descriptors, chunks, offset = [], [], 0
     for name, arr in tensors:
         if arr.dtype.kind == "f":
             dtype = "<f8"

@@ -11,6 +11,7 @@ import json
 import math
 import sys
 import threading
+from collections import Counter
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -627,12 +628,13 @@ def test_search_site_scores_only_the_unit_of_its_site(site_id, layerwise, unit,
 
 @pytest.mark.parametrize("site_id,partner_operands",
                          [("b0.mlp-1.A", 1), ("b0.mlp-1.B", 1),
-                          ("b0.qkv-projection.A", 3)])
+                          ("b0.qkv-projection.A", 3), ("b0.qkv-projection.B", 1)])
 def test_search_site_quantizes_the_partner_once(monkeypatch, site_id,
                                                 partner_operands):
-    """Three more candidates cost three more candidate forwards' worth of
-    fake-quants; what is left is the partner, quantized once per search
-    (once per q/k/v weight)."""
+    """What every candidate holds fixed, the partner operand and each later
+    weight, is fake-quantized exactly once per search (once per q/k/v
+    weight) and never by a candidate; a candidate quantizes only the
+    searched operand and the later activation operands."""
     model, config, fp = _one_block_search_fixture()
     cache = fp.caches[0]
     state = _every_site_state(model, fp, config)
@@ -640,34 +642,40 @@ def test_search_site_quantizes_the_partner_once(monkeypatch, site_id,
     prefix = block_prefix(model, 0, Tensor(cache.block_input), site.kind, state)
     cands = candidate_scales(*fp.ranges[site], 4, config.alpha, config.beta,
                              config.num_candidates)
-    calls, per_forward = [], []
+    # Every state entry is its own object, so a call's params name its site;
+    # a candidate's params are not in the state and stand for the site.
+    owner = {id(params): other for other, params in state.items()}
+    calls = []
 
     def spy(x, params):
-        calls.append(params)
+        calls.append(owner.get(id(params), site))
         return fake_quant_array(x, params)
 
     def counted(*args):
-        before = len(calls)
-        value = unit_metric(*args)
-        per_forward.append(len(calls) - before)
-        return value
+        calls.append(None)
+        return unit_metric(*args)
 
     unit_metric = calibration_module._unit_metric
     monkeypatch.setattr(model_module, "fake_quant_array", spy)
     monkeypatch.setattr(calibration_module, "_unit_metric", counted)
-    counts = []
-    for n in (3, 6):
-        calls.clear()
-        search_site(model, site, cands[:n], state, cache, prefix,
-                    config.gamma)
-        counts.append(len(calls))
-    one = per_forward[0]
-    # A candidate forward quantizes the searched operand and every later
-    # matmul's two, but not the partner.
-    later = sum(1 for other in state if other.layer > site.layer)
-    assert per_forward == [1 + later] * 9
-    assert counts[1] - counts[0] == 3 * one
-    assert counts[0] - 3 * one == partner_operands
+    search_site(model, site, cands, state, cache, prefix, config.gamma)
+    groups = [[]]
+    for other in calls:
+        if other is None:
+            groups.append([])
+        else:
+            groups[-1].append(other)
+    fixed, *per_candidate = groups
+    later = [other for other in state if other.layer > site.layer]
+    partner = MatmulSite(site.kind, "B" if site.role == "A" else "A", 0)
+    # One fake-quant per operand; the searched q/k/v weights are three.
+    moving = [site] * (3 if site_id == "b0.qkv-projection.B" else 1)
+    assert Counter(fixed) == Counter(
+        [partner] * partner_operands + [w for w in later if w.is_weight_operand])
+    assert len(per_candidate) == len(cands)
+    for quantized in per_candidate:
+        assert Counter(quantized) == Counter(
+            moving + [a for a in later if not a.is_weight_operand])
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -1103,15 +1111,17 @@ def test_instrumentation_tracks_single_working_block():
 
 
 def _assert_matches_oracle(result, oracle):
-    searched = [s for s in result.params if result.traces.get(s)]
-    assert len(searched) == len(oracle)
-    for site in searched:
-        scale, zero_point, idx, trace = oracle[site.site_id]
+    """Each site the oracle sets, searched or held constant (no pick, no
+    trace), has its params, pick and last trace; no other site is searched."""
+    searched = {s.site_id for s in result.params if result.traces.get(s)}
+    assert searched == {s for s, (*_, idx, _) in oracle.items() if idx is not None}
+    for site_id, (scale, zero_point, idx, trace) in oracle.items():
+        site = MatmulSite.parse(site_id)
         got = result.params[site]
-        assert got.scale == scale, site.site_id
-        assert got.zero_point == zero_point, site.site_id
-        assert result.chosen_index[site] == idx, site.site_id
-        assert result.traces[site][-1] == trace, site.site_id
+        assert got.scale == scale, site_id
+        assert got.zero_point == zero_point, site_id
+        assert result.chosen_index[site] == idx, site_id
+        assert (result.traces[site] or [None])[-1] == trace, site_id
 
 
 def test_single_block_reduces_to_layerwise_search():
@@ -1166,11 +1176,14 @@ def oracle_cases(draw):
                          a_bits=draw(st.integers(2, 8)),
                          gamma=draw(st.sampled_from([0.0, 10.0, 50.0])),
                          num_candidates=draw(st.integers(2, 4)),
-                         rounds=draw(st.integers(1, 2)),
+                         rounds=draw(st.integers(1, 4)),
                          softmax_quantizer=draw(st.sampled_from(SCHEMES)),
                          dynamic_softmax=draw(st.booleans()),
                          blocks_as_layers=draw(st.booleans()))
-    return spec, config, draw(st.integers(0, 1000))
+    # A zeroed (pruned) weight makes constant operands the search holds fixed.
+    zeroed = draw(st.sampled_from([None, "w_v", "w_o", "w1", "w2"]))
+    block = draw(st.integers(0, spec.num_blocks - 1))
+    return spec, config, draw(st.integers(0, 1000)), zeroed, block
 
 
 def _oracle_of(model, x, y, config):
@@ -1195,10 +1208,13 @@ def _oracle_of(model, x, y, config):
 @settings(max_examples=20, deadline=None)
 def test_calibrate_matches_oracle_on_random_specs(case):
     """The staged search against the straight-line oracle on random small
-    models, bit widths 2-8, every softmax quantizer static or dynamic, both
-    units."""
-    spec, config, data_seed = case
+    models, bit widths 2-8, one to four rounds, every softmax quantizer
+    static or dynamic, both units, and at most one zeroed weight."""
+    spec, config, data_seed, zeroed, block = case
     model = init_model(spec)
+    if zeroed is not None:
+        p = model.blocks[block]
+        setattr(p, zeroed, np.zeros_like(getattr(p, zeroed)))
     x, y = generate_dataset(5, spec.patch_count, spec.embed_dim,
                             spec.num_classes, seed=data_seed)
     result = calibrate(model, x, y, config)

@@ -158,25 +158,29 @@ def test_calibrate_profile_changes_search_range(tmp_path):
         assert (cfg["alpha"], cfg["beta"]) == expected
 
 
-def _run_with_scaled_mlp(tmp_path, scale, command):
-    """``bbcq <command>`` in a fresh process on the generated model with its
-    MLP weights times ``scale``; numpy's warnings filters stay the default."""
+def _run_cli(args):
+    """``bbcq <args>`` in a fresh process, where numpy's warnings filters
+    stay the default."""
+    return subprocess.run(
+        [sys.executable, "-m", "bbcq.cli", *args], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+
+
+def _run_with_scaled_weights(tmp_path, scale, command, fields=("w1", "w2")):
+    """``bbcq <command>`` in a fresh process on the generated model with
+    block 0's ``fields`` (the MLP weights by default) times ``scale``."""
     data = _gen(tmp_path)
     model = load_model(data / "model.bbcv")
-    model.blocks[0].w1 = model.blocks[0].w1 * scale
-    model.blocks[0].w2 = model.blocks[0].w2 * scale
+    for field in fields:
+        setattr(model.blocks[0], field, getattr(model.blocks[0], field) * scale)
     save_model(model, data / "big.bbcv")
     if command == "calibrate":
         extra = ["--calib", str(data / "calib.bbcv"), "--wbits", "4",
                  "--abits", "4", "--candidates", "4", "--rounds", "1"]
     else:
         extra = ["--eval", str(data / "eval.bbcv")]
-    return subprocess.run(
-        [sys.executable, "-m", "bbcq.cli", command,
-         "--model", str(data / "big.bbcv"), "--out", str(tmp_path / "o")]
-        + extra,
-        capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    return _run_cli([command, "--model", str(data / "big.bbcv"),
+                     "--out", str(tmp_path / "o")] + extra)
 
 
 def test_calibrate_model_with_a_zero_projection(tmp_path):
@@ -195,7 +199,7 @@ def test_calibrate_model_with_a_zero_projection(tmp_path):
 def test_calibrate_non_finite_metric_is_an_error(tmp_path):
     """Weights whose products overflow end the run with one error line and
     none of numpy's overflow warnings."""
-    proc = _run_with_scaled_mlp(tmp_path, 1e80, "calibrate")
+    proc = _run_with_scaled_weights(tmp_path, 1e80, "calibrate")
     assert proc.returncode == 1
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error:non-finite: site b0.mlp-2.A")
@@ -206,7 +210,7 @@ def test_calibrate_non_finite_metric_is_an_error(tmp_path):
                                            ("eval", "the FP logit array")])
 def test_overflowing_fp_forward_is_one_error_line(tmp_path, command, what):
     """Weights so large the FP forward itself overflows to NaN."""
-    proc = _run_with_scaled_mlp(tmp_path, 1e200, command)
+    proc = _run_with_scaled_weights(tmp_path, 1e200, command)
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [
         f"error:non-finite: {what} holds NaN or infinite values"]
@@ -570,6 +574,42 @@ def test_compare_softmax_requires_a_source(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:config: ") and ERROR_LINE.match(err)
+
+
+@pytest.mark.parametrize("args", [
+    ["gen", "--seed", "-1"],
+    ["compare-softmax", "--synthetic", "gaussian", "--seed", "-1"],
+    ["compare-softmax", "--synthetic", "powerlaw", "--exponent", "nan"],
+    ["compare-softmax", "--synthetic", "powerlaw", "--exponent=-inf"],
+    ["compare-softmax", "--synthetic", "gaussian", "--exponent", "inf"]],
+    ids=["gen-seed", "compare-seed", "exponent-nan", "exponent-minus-inf",
+         "exponent-inf"])
+def test_bad_seed_or_exponent_is_one_error_line(tmp_path, capsys, args):
+    """A negative seed or a non-finite exponent is rejected before any
+    draw, so nothing is written."""
+    out = tmp_path / "o"
+    assert main(args + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and ERROR_LINE.match(err.strip())
+    assert err.startswith("error:parameter: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["underflowing-exponent", "overflowing-model"])
+def test_non_finite_softmax_scores_are_one_error_line(tmp_path, source):
+    """Scores that reach -inf (rank ** -400 underflows to 0) or NaN (q and k
+    times 1e160) end compare-softmax with one error line and no report."""
+    if source == "underflowing-exponent":
+        proc = _run_cli(["compare-softmax", "--synthetic", "powerlaw",
+                         "--rows", "4", "--exponent", "400",
+                         "--out", str(tmp_path / "o")])
+    else:
+        proc = _run_with_scaled_weights(tmp_path, 1e160, "compare-softmax",
+                                        ("w_q", "w_k"))
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "error:non-finite: the score array holds NaN or infinite values"]
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------

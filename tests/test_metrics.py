@@ -140,6 +140,14 @@ def test_compare_rejects_vectors():
         compare_softmax_quantizers(np.zeros(5), 4)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_compare_rejects_non_finite_scores(bad):
+    scores = np.zeros((3, 4))
+    scores[1, 2] = bad
+    with pytest.raises(NonFiniteError, match="the score array"):
+        compare_softmax_quantizers(scores, 4)
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -279,3 +287,11 @@ def test_synthetic_scores_validation():
         synthetic_scores("gaussian", 0, 4, seed=0)
     with pytest.raises(ParameterError):
         synthetic_scores("gaussian", 4, 1, seed=0)
+    for seed, exponent in ((-1, 2.0), (0, np.nan), (0, np.inf), (0, -np.inf)):
+        with pytest.raises(ParameterError):
+            synthetic_scores("gaussian", 4, 4, seed=seed, exponent=exponent)
+
+
+def test_generate_dataset_rejects_a_negative_seed():
+    with pytest.raises(ParameterError, match="seed"):
+        generate_dataset(4, 2, 2, 2, seed=-1)

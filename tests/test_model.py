@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,9 +14,10 @@ from bbcq.data import generate_dataset
 from bbcq.errors import ContractError, DimensionError, ParameterError
 from bbcq.model import (BLOCK_KINDS, MatmulSite, ModelSpec, block_forward,
                         block_prefix, enumerate_sites, forward, forward_from,
-                        init_model, parameter_shapes, validate_quant_sites)
+                        freeze_operands, init_model, parameter_shapes,
+                        validate_quant_sites)
 from bbcq import model as model_module
-from bbcq.quantizers import (DynamicSoftmax, QuantParams,
+from bbcq.quantizers import (DynamicSoftmax, QuantParams, fake_quant_array,
                              fake_quant_softmax_dynamic, softmax_site_params)
 from bbcq.tensor import Tape, Tensor, cross_entropy, matmul
 
@@ -39,6 +41,9 @@ def test_spec_validation():
     with pytest.raises(ParameterError):
         ModelSpec(num_blocks=1, embed_dim=16, num_heads=2, patch_count=4,
                   num_classes=4, mlp_ratio=0.0)
+    with pytest.raises(ParameterError, match="init_seed"):
+        ModelSpec(num_blocks=1, embed_dim=16, num_heads=2, patch_count=4,
+                  num_classes=4, init_seed=-1)
 
 
 def test_spec_rejects_overflowing_hidden_dim(tiny_spec):
@@ -371,6 +376,43 @@ def test_block_prefix_resumes_bit_for_bit(tiny_model, tiny_batch,
         resumed = block_forward(tiny_model, 0, prefix, trial)
         full = block_forward(tiny_model, 0, x, trial)
         np.testing.assert_array_equal(resumed.data, full.data, site.site_id)
+
+
+@pytest.mark.parametrize("kind", [None, *BLOCK_KINDS])
+def test_freeze_operands_quantizes_what_a_forward_holds_fixed(tiny_spec,
+                                                             tiny_batch, kind):
+    """From a carry at ``kind`` (or a block input), the copies hold the
+    carry's two operands and every later weight of that block
+    fake-quantized; nothing else changes, ``rest`` drops just those sites,
+    and resuming from the copies under ``rest`` gives the same bits."""
+    model = init_model(replace(tiny_spec, num_blocks=3))
+    x = Tensor(tiny_batch[0])
+    params = QuantParams(bits=3, scale=0.07, zero_point=3, scheme="uniform")
+    quant = {site: params for site in enumerate_sites(model.spec)}
+    carry = None if kind is None else block_prefix(model, 1, x, kind, quant)
+    frozen, frozen_carry, rest = freeze_operands(model, 1, carry, quant)
+
+    later = BLOCK_KINDS[0 if kind is None else BLOCK_KINDS.index(kind) + 1:]
+    held = {s for s in (MatmulSite(k, "B", 1) for k in later) if s.is_weight_operand}
+    assert len(frozen.blocks) == 3
+    assert frozen.blocks[0] is model.blocks[0] and frozen.blocks[2] is model.blocks[2]
+    for name, value in vars(frozen.blocks[1]).items():
+        original = getattr(model.blocks[1], name)
+        if any(name in model_module._WEIGHT_FIELDS[s.kind] for s in held):
+            np.testing.assert_array_equal(value, fake_quant_array(original, params))
+        else:
+            assert value is original, name
+    if carry is not None:
+        held |= {MatmulSite(kind, "A", 1), MatmulSite(kind, "B", 1)}
+        np.testing.assert_array_equal(frozen_carry.a.data,
+                                      fake_quant_array(carry.a.data, params))
+        for got, b in zip(frozen_carry.b, carry.b, strict=True):
+            np.testing.assert_array_equal(got.data, fake_quant_array(b.data, params))
+        assert (frozen_carry.residual, frozen_carry.vh) == (carry.residual, carry.vh)
+    assert rest == {site: p for site, p in quant.items() if site not in held}
+    resumed = block_forward(frozen, 1, x if carry is None else frozen_carry, rest)
+    np.testing.assert_array_equal(resumed.data,
+                                  block_forward(model, 1, x, quant).data)
 
 
 def test_dynamic_softmax_entry_anchors_the_softmax_rows(tiny_model, tiny_batch,

@@ -5,9 +5,11 @@ module: it swaps a comparison (``<``/``<=``, ``>``/``>=``, ``==``/``!=``)
 or an arithmetic operator (``+``/``-``, ``*``/``/``), or bumps a constant
 0, 1, 2 or 0.5 by one. The repository is copied once into a temporary
 directory; each mutant rewrites the module there (with ``ast.unparse``, so
-comments drop out), runs the tier-1 suite with ``pytest -x`` on it, and
-counts as killed if pytest fails or times out. Each survivor is a test
-gap, code that nothing needs, or an equivalent mutant.
+comments drop out) and runs ``pytest -x`` first on the test files that
+import the module plus ``tests/test_acceptance.py``, then, only if that
+selection passes, on the whole tier-1 suite. It counts as killed if
+pytest fails or times out. Each survivor is a test gap, code that nothing
+needs, or an equivalent mutant.
 
     python tools/mutate.py src/bbcq/quantizers.py QuantParams _mpq_anchor
 
@@ -82,11 +84,37 @@ def _mutant(source: str, names: set[str], k: int) -> tuple[str, str]:
     return ast.unparse(tree), f"line {node.lineno}: {before} -> {ast.unparse(node)}"
 
 
-def _suite_fails(work: Path) -> bool:
+def _imported(tree: ast.Module) -> set[str]:
+    """Every module a file imports, ``from package import module`` included."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.add(node.module)
+            modules.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return modules
+
+
+def _importers(module: str) -> tuple[str, ...]:
+    """The test files that import ``module`` (a path such as
+    ``src/bbcq/model.py``), plus ``tests/test_acceptance.py``."""
+    parts = Path(module).with_suffix("").parts
+    dotted = ".".join(parts[1:] if parts[0] == "src" else parts)
+    found = {"tests/test_acceptance.py"}
+    for path in (ROOT / "tests").glob("test_*.py"):
+        if dotted in _imported(ast.parse(path.read_text())):
+            found.add(f"tests/{path.name}")
+    return tuple(sorted(found))
+
+
+def _suite_fails(work: Path, tests: tuple[str, ...] = ()) -> bool:
+    """Whether ``pytest -x`` fails on ``tests`` (all of tier-1 if none)."""
     env = {**os.environ, "PYTHONPATH": str(work / "src")}
     try:
         run = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             *tests],
             cwd=work, env=env, timeout=TIMEOUT_S,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     except subprocess.TimeoutExpired:
@@ -118,11 +146,13 @@ def main(argv=None) -> int:
             print("the unmutated suite fails; nothing to measure", file=sys.stderr)
             return 1
         target = work / args.module
+        selection = _importers(args.module)
+        print(f"selection: {' '.join(selection)}", flush=True)
         killed = 0
         for k in range(count):
             mutated, label = _mutant(source, names, k)
             target.write_text(mutated)
-            dead = _suite_fails(work)
+            dead = _suite_fails(work, selection) or _suite_fails(work)
             killed += dead
             print(f"{'killed ' if dead else 'SURVIVED'} {k} {label}", flush=True)
     print(f"{args.module}: killed {killed} of {count} mutants")
