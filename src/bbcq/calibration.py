@@ -24,7 +24,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, make_dataclass
 from typing import Mapping
 
 import numpy as np
@@ -37,7 +37,7 @@ from .model import (BLOCK_KINDS, BlockCarry, MatmulSite, Model, QuantState,
                     freeze_operands)
 from .quantizers import (SCHEMES, DynamicSoftmax, QuantParams,
                          constant_params, softmax_site_params, uniform_grid)
-from .records import check_field_types, json_value, record_fields
+from .records import check_field_types, record_fields
 from .tensor import Tape, Tensor, cross_entropy, require_finite
 
 PROFILES = ("classification", "detection")
@@ -351,9 +351,10 @@ def search_site(model: Model, site: MatmulSite, candidates: list[QuantParams],
     from ``prefix``, the block paused in front of the site's matmul
     (``block_prefix``) under ``state`` or any state that agrees with it on
     the earlier matmuls. What every candidate holds fixed, the other operand
-    of that matmul and each later weight, is fake-quantized once per call
-    (``freeze_operands``), so a candidate quantizes only the searched operand
-    and the later activations. Candidate evaluations are pure,
+    of that matmul and, for a block unit, each later weight, is
+    fake-quantized once per call (``freeze_operands``), so a candidate
+    quantizes only the searched operand and, for a block unit, the later
+    activations. Candidate evaluations are pure,
     so the optional executor only changes wall-clock, never the trace; its
     threads run under the caller's numpy error state. A NaN or infinite
     metric raises NonFiniteError; a cache of another block or unit, or a
@@ -368,8 +369,10 @@ def search_site(model: Model, site: MatmulSite, candidates: list[QuantParams],
     if prefix.kind != site.kind:
         raise ContractError(f"site {site.site_id} cannot resume from a "
                             f"prefix paused at {prefix.kind}")
-    model, start, rest = freeze_operands(
-        model, site.block, prefix, {k: v for k, v in state.items() if k != site})
+    # A layerwise unit's forward stops at its own matmul: no later weight is read.
+    fixed = {k: v for k, v in state.items()
+             if k != site and (cache.kind == "block" or k.kind == site.kind)}
+    model, start, rest = freeze_operands(model, site.block, prefix, fixed)
     sensitivities = [g * g for g in cache.grads]
     # numpy keeps its error state per context, and pool threads do not
     # inherit the caller's, so every candidate runs under it explicitly.
@@ -398,11 +401,20 @@ def _workers_from_env() -> int:
 
 
 def _site_sort_key(site: MatmulSite) -> tuple:
-    if site.kind == "embed":
-        return (-1, 0, 0)
-    if site.kind == "head":
-        return (1 << 30, 0, 0)
-    return (site.block, site.layer, 0 if site.role == "A" else 1)
+    """``enumerate_sites`` order: embed, each layer's A then B, head."""
+    if site.block is None:
+        return (-1 if site.kind == "embed" else math.inf,)
+    return (site.block, site.layer, site.role)
+
+
+#: The JSON type of every calib-result field and site row field; a row's
+#: quantizer fields are ``QuantParams``'s own.
+_Document = make_dataclass("_Document", [
+    ("schema_version", "int"), ("fp_block_inputs", "bool"), ("config", "dict"),
+    ("fp_loss", "float"), ("softmax_max", "list[float]"), ("sites", "list[dict]")])
+_SiteRow = make_dataclass("_SiteRow", [
+    ("site_id", "str"), ("searched", "bool"), ("chosen_index", "int | None"),
+    ("trace", "list[list[float]]")])
 
 
 @dataclass
@@ -468,55 +480,43 @@ class CalibResult:
     def from_json(cls, payload: Mapping) -> "CalibResult":
         if not isinstance(payload, Mapping) or payload.get("kind") != "calib-result":
             raise ParameterError("not a calib-result document")
-        try:
-            return cls._from_fields(payload)
-        except KeyError as missing:
-            raise ParameterError(f"calib-result is missing field {missing}") from None
-
-    @classmethod
-    def _from_fields(cls, payload: Mapping) -> "CalibResult":
-        version = json_value(payload["schema_version"], "int", "schema_version")
-        if version != 1:
-            raise ParameterError(f"unsupported calib-result schema_version {version}")
-        if json_value(payload["fp_block_inputs"], "bool",
-                      "fp_block_inputs") is not True:
+        # A missing version is left to the record rule, which names it.
+        if (version := payload.get("schema_version", 1)) != 1:
+            raise ParameterError(f"unsupported calib-result schema_version {version!r}")
+        doc = record_fields(_Document, payload, "calib-result")
+        if not doc.fp_block_inputs:
             raise ParameterError("fp_block_inputs must be true")
-        config = CalibConfig.from_json(payload["config"])
+        config = CalibConfig.from_json(doc.config)
         params: dict[MatmulSite, QuantParams] = {}
-        chosen: dict[MatmulSite, int | None] = {}
-        traces: dict[MatmulSite, list[list[float]]] = {}
-        for entry in json_value(payload["sites"], "list[dict]", "sites"):
-            site_id = json_value(entry["site_id"], "str", "site_id")
-            site = MatmulSite.parse(site_id)
-            if site in params:
-                raise ParameterError(f"duplicate site {site_id}")
+        rows = {}
+        width = config.num_candidates + 1
+        for i, entry in enumerate(doc.sites):
+            row = record_fields(_SiteRow, entry, f"site row {i}")
+            site = MatmulSite.parse(row.site_id)
+            if site in rows:
+                raise ParameterError(f"duplicate site {row.site_id}")
             try:
                 params[site] = record_fields(QuantParams, entry, "quant params")
             except ParameterError as exc:
-                raise type(exc)(f"site {site_id}: {exc}") from None
-            chosen[site] = json_value(entry["chosen_index"], "int | None",
-                                      f"site {site_id} chosen_index")
-            traces[site] = trace = json_value(entry["trace"], "list[list[float]]",
-                                              f"site {site_id} trace")
-            width = config.num_candidates + 1
-            if trace and (len(trace) != config.rounds
-                          or any(len(metrics) != width for metrics in trace)
-                          or not np.isfinite(trace).all()):
-                raise ParameterError(f"site {site_id} trace must be {config.rounds} "
+                raise type(exc)(f"site {row.site_id}: {exc}") from None
+            rows[site] = row
+            if row.trace and (len(row.trace) != config.rounds
+                              or any(len(metrics) != width for metrics in row.trace)
+                              or not np.isfinite(row.trace).all()):
+                raise ParameterError(f"site {row.site_id} trace must be {config.rounds} "
                                      f"rounds of {width} finite metrics")
-            if json_value(entry["searched"], "bool",
-                          f"site {site_id} searched") != bool(trace):
-                raise ParameterError(f"site {site_id} searched disagrees with "
-                                     f"its {len(trace)}-round trace")
-        result = cls(config=config, params=params, traces=traces,
-                     fp_loss=json_value(payload["fp_loss"], "float", "fp_loss"),
-                     softmax_max=json_value(payload["softmax_max"], "list[float]",
-                                            "softmax_max"))
-        for site, index in chosen.items():
-            if index != result.chosen_index[site]:
+            if row.searched != bool(row.trace):
+                raise ParameterError(f"site {row.site_id} searched disagrees with "
+                                     f"its {len(row.trace)}-round trace")
+        result = cls(config=config, params=params,
+                     traces={site: row.trace for site, row in rows.items()},
+                     fp_loss=require_finite(doc.fp_loss, "fp_loss"),
+                     softmax_max=require_finite(doc.softmax_max, "softmax_max"))
+        for site, row in rows.items():
+            if row.chosen_index != result.chosen_index[site]:
                 raise ParameterError(
-                    f"site {site.site_id} chosen_index {index} is not the first "
-                    f"argmin of its final round, {result.chosen_index[site]}")
+                    f"site {site.site_id} chosen_index {row.chosen_index} is not the "
+                    f"first argmin of its final round, {result.chosen_index[site]}")
         return result
 
 

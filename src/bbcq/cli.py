@@ -155,62 +155,57 @@ def _resolve_config(args, sample_count: int) -> CalibConfig:
         blocks_as_layers=args.blocks_as_layers, **ranges)
 
 
+def _report(args, started: float, config: dict, lines: list[str],
+            **fields) -> int:
+    """Write ``report.json`` for the command, then print ``lines`` and the
+    path it wrote."""
+    out = _outdir(args.out)
+    write_report(Report(command=args.command,
+                        config={"command": args.command, "out": args.out,
+                                **config},
+                        wall_clock_seconds=time.perf_counter() - started,
+                        **fields), out / "report.json")
+    for line in lines:
+        print(line)
+    print(f"wrote {out / 'report.json'}")
+    return 0
+
+
 def cmd_calibrate(args) -> int:
     started = time.perf_counter()
     model = load_model(args.model)
     inputs, labels, _meta = load_dataset(args.calib)
     config = _resolve_config(args, len(inputs))
     result = calibrate(model, inputs, labels, config)
-    out = _outdir(args.out)
-    save_result(result, out / "calib_result.json")
-    report = Report(command="calibrate",
-                    config={"command": "calibrate", "model": args.model,
-                            "calib": args.calib, "out": args.out,
-                            **config.to_json()},
-                    fp_loss=result.fp_loss,
-                    fp_block_inputs=True,
-                    softmax_max=result.softmax_max,
-                    sites=site_summaries(result),
-                    wall_clock_seconds=time.perf_counter() - started)
-    write_report(report, out / "report.json")
-    print(f"wrote {out / 'calib_result.json'} "
-          f"(W{config.w_bits}A{config.a_bits}, fp_loss={result.fp_loss:.6f})")
-    print(f"wrote {out / 'report.json'}")
-    return 0
+    path = _outdir(args.out) / "calib_result.json"
+    save_result(result, path)
+    return _report(
+        args, started, {"model": args.model, "calib": args.calib,
+                        **config.to_json()},
+        [f"wrote {path} (W{config.w_bits}A{config.a_bits}, "
+         f"fp_loss={result.fp_loss:.6f})"],
+        fp_loss=result.fp_loss, fp_block_inputs=True,
+        softmax_max=result.softmax_max, sites=site_summaries(result))
 
 
 def cmd_eval(args) -> int:
     started = time.perf_counter()
     model = load_model(args.model)
     inputs, labels, _meta = load_dataset(args.eval)
-    rows = []
-    fp = evaluate(model, None, inputs, labels)
-    rows.append({"label": "fp", "w_bits": None, "a_bits": None,
-                 "softmax_quantizer": None, "dynamic_softmax": None,
-                 **fp.to_json()})
-    for path in args.result:
-        result = load_result(path)
-        m = evaluate(model, result, inputs, labels)
-        rows.append({"label": path,
-                     "w_bits": result.config.w_bits,
-                     "a_bits": result.config.a_bits,
-                     "softmax_quantizer": result.config.softmax_quantizer,
-                     "dynamic_softmax": result.config.dynamic_softmax,
-                     **m.to_json()})
-    out = _outdir(args.out)
-    report = Report(command="eval",
-                    config={"command": "eval", "model": args.model,
-                            "eval": args.eval, "result": list(args.result),
-                            "out": args.out},
-                    metrics=rows,
-                    wall_clock_seconds=time.perf_counter() - started)
-    write_report(report, out / "report.json")
-    for row in rows:
-        print(f"{row['label']}: top1={row['top1_accuracy']:.4f} "
-              f"agreement={row['fp_agreement']:.4f} "
-              f"loss={row['mean_loss']:.6f}")
-    print(f"wrote {out / 'report.json'}")
-    return 0
+    results = [load_result(path) for path in args.result]
+    rows = [{"label": label,
+             **{name: getattr(result and result.config, name, None)
+                for name in ("w_bits", "a_bits", "softmax_quantizer",
+                             "dynamic_softmax")},
+             **evaluate(model, result, inputs, labels).to_json()}
+            for label, result in zip(["fp", *args.result], [None, *results])]
+    return _report(
+        args, started, {"model": args.model, "eval": args.eval,
+                        "result": list(args.result)},
+        [f"{row['label']}: top1={row['top1_accuracy']:.4f} "
+         f"agreement={row['fp_agreement']:.4f} loss={row['mean_loss']:.6f}"
+         for row in rows],
+        metrics=rows)
 
 
 def _harvest_scores(model_path: str, data_path: str) -> np.ndarray:
@@ -243,20 +238,13 @@ def cmd_compare_softmax(args) -> int:
         raise ConfigError(
             "compare-softmax needs --synthetic or both --model and --eval")
     rows = compare_softmax_quantizers(scores, args.bits)
-    out = _outdir(args.out)
-    report = Report(command="compare-softmax",
-                    config={"command": "compare-softmax", "bits": args.bits,
-                            "out": args.out, **source},
-                    metrics=[r.to_json() for r in rows],
-                    wall_clock_seconds=time.perf_counter() - started)
-    write_report(report, out / "report.json")
-    for row in rows:
-        print(f"{row.scheme}: entropy={row.entropy_bits:.4f}b "
-              f"mean_err={row.mean_abs_error:.3e} "
-              f"argmax_rate={row.argmax_preservation_rate:.4f} "
-              f"max_value_err={row.max_value_error:.3e}")
-    print(f"wrote {out / 'report.json'}")
-    return 0
+    return _report(
+        args, started, {"bits": args.bits, **source},
+        [f"{row.scheme}: entropy={row.entropy_bits:.4f}b "
+         f"mean_err={row.mean_abs_error:.3e} "
+         f"argmax_rate={row.argmax_preservation_rate:.4f} "
+         f"max_value_err={row.max_value_error:.3e}" for row in rows],
+        metrics=[row.to_json() for row in rows])
 
 
 def cmd_inspect(args) -> int:

@@ -273,6 +273,11 @@ def test_config_validation(kwargs):
         CalibConfig(**kwargs)
 
 
+def test_config_accepts_gamma_at_both_bounds():
+    assert CalibConfig(gamma=0.0).gamma == 0.0
+    assert CalibConfig(gamma=100.0).gamma == 100.0
+
+
 #: A value of the wrong JSON type for each field annotation.
 WRONG_TYPE = {"int": 2.5, "float": "10", "bool": 1, "str": 3,
               "float | None": "2"}
@@ -626,19 +631,27 @@ def test_search_site_scores_only_the_unit_of_its_site(site_id, layerwise, unit,
         _search(model, site, cands, {}, cache, config)
 
 
-@pytest.mark.parametrize("site_id,partner_operands",
-                         [("b0.mlp-1.A", 1), ("b0.mlp-1.B", 1),
-                          ("b0.qkv-projection.A", 3), ("b0.qkv-projection.B", 1)])
+@pytest.mark.parametrize("site_id,partner_operands,layerwise", [
+    pytest.param("b0.mlp-1.A", 1, False, id="b0.mlp-1.A-1"),
+    pytest.param("b0.mlp-1.B", 1, False, id="b0.mlp-1.B-1"),
+    pytest.param("b0.qkv-projection.A", 3, False, id="b0.qkv-projection.A-3"),
+    pytest.param("b0.qkv-projection.B", 1, False, id="b0.qkv-projection.B-1"),
+    pytest.param("b0.qkv-projection.A", 3, True, id="b0.qkv-projection.A-layerwise"),
+    pytest.param("b0.mlp-1.B", 1, True, id="b0.mlp-1.B-layerwise")])
 def test_search_site_quantizes_the_partner_once(monkeypatch, site_id,
-                                                partner_operands):
-    """What every candidate holds fixed, the partner operand and each later
-    weight, is fake-quantized exactly once per search (once per q/k/v
-    weight) and never by a candidate; a candidate quantizes only the
-    searched operand and the later activation operands."""
-    model, config, fp = _one_block_search_fixture()
-    cache = fp.caches[0]
-    state = _every_site_state(model, fp, config)
+                                                partner_operands, layerwise):
+    """What every candidate holds fixed, the partner operand and, for a
+    block unit, each later weight, is fake-quantized exactly once per
+    search (once per q/k/v weight) and never by a candidate; a candidate
+    quantizes only the searched operand and, for a block unit, the later
+    activation operands. A layerwise unit stops at its own matmul, so it
+    quantizes nothing later."""
+    model, x, y = _small_setup()
+    config = CalibConfig(w_bits=4, a_bits=4, num_candidates=6, rounds=1)
+    fp = cache_fp_pass(model, x, y, blocks_as_layers=layerwise)
     site = MatmulSite.parse(site_id)
+    cache = next(c for c in fp.caches if c.kind in ("block", site.kind))
+    state = _every_site_state(model, fp, config)
     prefix = block_prefix(model, 0, Tensor(cache.block_input), site.kind, state)
     cands = candidate_scales(*fp.ranges[site], 4, config.alpha, config.beta,
                              config.num_candidates)
@@ -666,7 +679,8 @@ def test_search_site_quantizes_the_partner_once(monkeypatch, site_id,
         else:
             groups[-1].append(other)
     fixed, *per_candidate = groups
-    later = [other for other in state if other.layer > site.layer]
+    later = [other for other in state
+             if other.layer > site.layer and not layerwise]
     partner = MatmulSite(site.kind, "B" if site.role == "A" else "A", 0)
     # One fake-quant per operand; the searched q/k/v weights are three.
     moving = [site] * (3 if site_id == "b0.qkv-projection.B" else 1)
@@ -1048,6 +1062,7 @@ def test_calib_result_json_round_trip(tmp_path):
     model, x, y = _small_setup()
     config = CalibConfig(w_bits=4, a_bits=4, num_candidates=4, rounds=1)
     result = calibrate(model, x, y, config)
+    assert result.dumps().startswith('{\n  "config": {\n    "a_bits": 4,\n')
     clone = CalibResult.from_json(result.to_json())
     assert clone.dumps() == result.dumps()
     assert clone.params == result.params
@@ -1055,6 +1070,22 @@ def test_calib_result_json_round_trip(tmp_path):
     path = tmp_path / "calib.json"
     save_result(result, path)
     assert load_result(path).dumps() == result.dumps()
+
+
+@pytest.mark.parametrize("blocks_as_layers", [False, True],
+                         ids=["blockwise", "layerwise"])
+def test_calib_result_rows_follow_site_order(blocks_as_layers):
+    """Rows are written in ``enumerate_sites`` order, each layer's A row
+    before its B row, however the params were built or the rows loaded."""
+    model, x, y = _small_setup(num_blocks=2)
+    config = CalibConfig(w_bits=4, a_bits=4, num_candidates=4, rounds=1,
+                         blocks_as_layers=blocks_as_layers)
+    result = calibrate(model, x, y, config)
+    payload = result.to_json()
+    assert [row["site_id"] for row in payload["sites"]] == \
+        [site.site_id for site in enumerate_sites(model.spec)]
+    payload["sites"].reverse()
+    assert CalibResult.from_json(payload).dumps() == result.dumps()
 
 
 @pytest.mark.parametrize("edit", RESULT_EDITS.values(), ids=RESULT_EDITS.keys())
@@ -1094,6 +1125,18 @@ def test_a_one_unit_mlp_builds_forwards_and_calibrates():
 def test_calib_result_rejects_other_documents():
     with pytest.raises(ParameterError):
         CalibResult.from_json({"kind": "report"})
+    with pytest.raises(ParameterError, match="unsupported calib-result schema_version 2"):
+        CalibResult.from_json({"kind": "calib-result", "schema_version": 2})
+
+
+@pytest.mark.parametrize("field", ["schema_version", "fp_block_inputs", "config",
+                                   "fp_loss", "softmax_max", "sites"])
+def test_calib_result_names_a_missing_field(field):
+    model, x, y = _small_setup()
+    payload = calibrate(model, x, y, CalibConfig(num_candidates=2, rounds=1)).to_json()
+    del payload[field]
+    with pytest.raises(ParameterError, match=f"calib-result is missing field '{field}'"):
+        CalibResult.from_json(payload)
 
 
 def test_instrumentation_tracks_single_working_block():

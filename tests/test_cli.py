@@ -8,6 +8,7 @@ import re
 import struct
 import subprocess
 import sys
+import time
 import warnings
 
 import jsonschema
@@ -16,6 +17,7 @@ import pytest
 
 from bbcq import cli
 from bbcq.cli import main
+from bbcq.data import generate_dataset
 from bbcq.errors import ParameterError
 from bbcq.report import report_schema
 from bbcq.serialize import load_dataset, load_model, save_dataset, save_model
@@ -88,6 +90,19 @@ def test_gen_is_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_gen_splits_regenerate_from_their_meta_seed(tmp_path):
+    """Without ``--seed`` the seed is 0, and each split's meta records the
+    seed it was generated from."""
+    out = tmp_path / "data"
+    assert main(TINY_GEN[:-2] + ["--out", str(out)]) == 0
+    for name, seed in (("calib", 1), ("eval", 2)):
+        inputs, labels, meta = load_dataset(out / f"{name}.bbcv")
+        assert meta["seed"] == seed
+        want_inputs, want_labels = generate_dataset(len(inputs), 4, 16, 4, seed)
+        np.testing.assert_array_equal(inputs, want_inputs)
+        np.testing.assert_array_equal(labels, want_labels)
+
+
 def test_gen_rejects_bad_spec_before_writing(tmp_path, capsys):
     out = tmp_path / "never"
     rc = main(["gen", "--blocks", "1", "--embed-dim", "65", "--heads", "4",
@@ -125,6 +140,13 @@ def test_calibrate_outputs_and_report_config(tmp_path):
     for site in searched:
         assert site["trace_digest"]["candidates"] == 7  # 6 + min-max
         assert site["chosen_metric"] is not None
+
+
+def test_calibrate_accepts_gamma_100(tmp_path):
+    """Every error is eliminated: each metric is 0 and the pick index 0."""
+    report = _report(_calibrate(tmp_path, _gen(tmp_path), extra=["--gamma", "100"]))
+    assert report["config"]["gamma"] == 100.0
+    assert {row["chosen_index"] for row in report["sites"]} == {0, None}
 
 
 def test_calibrate_same_command_is_reproducible(tmp_path):
@@ -293,6 +315,38 @@ def test_eval_fp_row_and_result_rows(tmp_path, capsys):
     assert "fp: top1=" in stdout
 
 
+def test_eval_loads_a_result_file_named_fp(tmp_path, capsys, monkeypatch):
+    """The FP row is the one without a result, not the one labelled fp."""
+    data = _gen(tmp_path)
+    run = _calibrate(tmp_path, data)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fp").write_bytes((run / "calib_result.json").read_bytes())
+    capsys.readouterr()
+    assert main(["eval", "--model", str(data / "model.bbcv"),
+                 "--eval", str(data / "eval.bbcv"), "--result", "fp",
+                 "--out", "ev"]) == 0
+    rows = _report(tmp_path / "ev")["metrics"]
+    assert [(row["label"], row["w_bits"]) for row in rows] == \
+        [("fp", None), ("fp", 4)]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["fp", "fp", "wrote ev/report.json"]
+
+
+def test_eval_failing_on_a_later_result_prints_nothing(tmp_path, capsys):
+    data = _gen(tmp_path)
+    run = _calibrate(tmp_path, data)
+    capsys.readouterr()
+    rc = main(["eval", "--model", str(data / "model.bbcv"),
+               "--eval", str(data / "eval.bbcv"),
+               "--result", str(run / "calib_result.json"),
+               "--result", str(tmp_path / "ghost.json"),
+               "--out", str(tmp_path / "ev")])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error:io: ")
+    assert not (tmp_path / "ev" / "report.json").exists()
+
+
 def test_eval_without_results_reports_fp_only(tmp_path):
     data = _gen(tmp_path)
     out = tmp_path / "ev"
@@ -410,6 +464,29 @@ def test_eval_result_that_disagrees_with_the_search_is_parameter_error(
     assert err.startswith("error:parameter: ")
     assert main(["inspect", str(tmp_path / "run" / "calib_result.json")]) == 1
     assert capsys.readouterr().err.strip() == err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["fp_loss", "softmax_max"])
+def test_non_finite_fp_loss_or_softmax_max_is_one_error_line(tmp_path, capsys,
+                                                             field, value):
+    """Rejected on load like a non-finite trace metric: ``inspect`` would
+    print a number that is not JSON, and ``dumps`` would write it back."""
+    data = _gen(tmp_path)
+    # A uniform softmax row has no calibrated_max to hold softmax_max to.
+    path = _calibrate(tmp_path, data, extra=["--softmax-quant", "uniform"]) \
+        / "calib_result.json"
+    payload = json.loads(path.read_text())
+    payload[field] = value if field == "fp_loss" else [value]
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    for argv in (["eval", "--model", str(data / "model.bbcv"),
+                  "--eval", str(data / "eval.bbcv"), "--result", str(path),
+                  "--out", str(tmp_path / "ev")], ["inspect", str(path)]):
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "", f"error:non-finite: {field} holds NaN or infinite values\n")
 
 
 def test_eval_result_with_infinite_calibrated_max_is_degenerate_scale(
@@ -539,6 +616,19 @@ def test_compare_softmax_synthetic_powerlaw(tmp_path, capsys):
     assert "mpq: entropy=" in capsys.readouterr().out
 
 
+def test_compare_softmax_defaults_and_wall_clock(tmp_path):
+    out = tmp_path / "cmp"
+    start = time.perf_counter()
+    assert main(["compare-softmax", "--synthetic", "powerlaw",
+                 "--out", str(out)]) == 0
+    elapsed = time.perf_counter() - start
+    payload = _report(out)
+    assert {key: payload["config"][key] for key in
+            ("bits", "rows", "cols", "exponent", "seed")} == \
+        {"bits": 4, "rows": 512, "cols": 16, "exponent": 2.0, "seed": 0}
+    assert 0.0 <= payload["wall_clock_seconds"] <= elapsed
+
+
 def test_compare_softmax_entropy_respects_bits(tmp_path):
     out = tmp_path / "cmp8"
     assert main(["compare-softmax", "--bits", "8", "--synthetic", "gaussian",
@@ -567,6 +657,15 @@ def test_compare_softmax_harvests_model_attention(tmp_path):
     payload = _report(out)
     assert payload["config"]["model"] == str(data / "model.bbcv")
     assert len(payload["metrics"]) == 4
+
+
+def test_compare_softmax_harvests_one_row_per_attention_query(tmp_path):
+    """Rows of every block's pre-softmax scores: blocks x samples x heads x
+    patches rows of one score per key patch."""
+    data = _gen(tmp_path, extra=["--blocks", "2"])
+    scores = cli._harvest_scores(str(data / "model.bbcv"),
+                                 str(data / "eval.bbcv"))
+    assert scores.shape == (2 * 16 * 2 * 4, 4)
 
 
 def test_compare_softmax_requires_a_source(tmp_path, capsys):
@@ -708,8 +807,9 @@ def test_inspect_unknown_json(tmp_path, capsys):
     path = tmp_path / "misc.json"
     path.write_text('{"a": 1, "b": 2}')
     assert main(["inspect", str(path)]) == 0
-    info = json.loads(capsys.readouterr().out)
-    assert info == {"kind": "unknown-json", "top_level_keys": ["a", "b"]}
+    out = capsys.readouterr().out
+    assert json.loads(out) == {"kind": "unknown-json", "top_level_keys": ["a", "b"]}
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("content", [b"[1, 2]", b'{"a": "\xff"}'])

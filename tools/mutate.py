@@ -13,7 +13,8 @@ needs, or an equivalent mutant.
 
     python tools/mutate.py src/bbcq/quantizers.py QuantParams _mpq_anchor
 
-Scopes are a top-level name or ``Class.method``. ``--list`` prints the
+Scopes are a top-level name or ``Class.method``; with none, every
+top-level function and class of the module is swept. ``--list`` prints the
 mutation points without running anything. Stdlib only.
 """
 
@@ -125,12 +126,15 @@ def _suite_fails(work: Path, tests: tuple[str, ...] = ()) -> bool:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("module", help="module path relative to the repo root")
-    parser.add_argument("scopes", nargs="+", help="function, class or Class.method")
+    parser.add_argument("scopes", nargs="*",
+                        help="function, class or Class.method (default: all)")
     parser.add_argument("--list", action="store_true", help="only list points")
     args = parser.parse_args(argv)
-    names = set(args.scopes)
     source = (ROOT / args.module).read_text()
-    count = len(_points(ast.parse(source), names))
+    tree = ast.parse(source)
+    names = set(args.scopes) or {node.name for node in tree.body if isinstance(
+        node, (ast.FunctionDef, ast.ClassDef))}
+    count = len(_points(tree, names))
     if not count:
         parser.error(f"no mutation points in {sorted(names)}")
     if args.list:
