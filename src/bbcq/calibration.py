@@ -36,7 +36,7 @@ from .model import (BLOCK_KINDS, BlockCarry, MatmulSite, Model, QuantState,
                     block_forward, block_prefix, enumerate_sites, forward,
                     freeze_operands)
 from .quantizers import (SCHEMES, DynamicSoftmax, QuantParams,
-                         constant_params, softmax_site_params, uniform_grid)
+                         softmax_site_params, uniform_grid)
 from .records import check_field_types, record_fields
 from .tensor import Tape, Tensor, cross_entropy, require_finite
 
@@ -582,7 +582,7 @@ def calibrate(model: Model, inputs, labels, config: CalibConfig,
                     lo, hi = fp.ranges[site]
                     _, bits = config.site_quantizer(site)
                     if lo == hi:
-                        state[site] = constant_params(lo, bits)
+                        state[site] = softmax_site_params("uniform", bits, hi, lo)
                         continue
                     if site.role == "B":
                         # The grid's full-range step (hi - lo) / 2^bits.

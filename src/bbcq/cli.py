@@ -24,6 +24,7 @@ from .data import SYNTHETIC_KINDS, generate_dataset, synthetic_scores
 from .errors import BBCQError, ConfigError, FormatError
 from .metrics import compare_softmax_quantizers, evaluate
 from .model import ModelSpec, forward, init_model
+from .records import strict_json
 from .report import Report, site_summaries, write_report
 from .serialize import (MAGIC, container_kind, deserialize_dataset,
                         deserialize_model, load_dataset, load_model,
@@ -259,7 +260,7 @@ def cmd_inspect(args) -> int:
         if not isinstance(payload, dict):
             raise FormatError(f"{args.path}: top level is not a JSON object")
         summary = _inspect_json(payload)
-    print(json.dumps(summary, sort_keys=True, indent=2))
+    print(strict_json(summary, args.path, sort_keys=True, indent=2))
     return 0
 
 

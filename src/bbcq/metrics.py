@@ -27,7 +27,8 @@ def code_entropy(codes: CodeTensor) -> float:
     counts = np.bincount(codes.codes, minlength=codes.params.num_codes)
     probs = counts / codes.size
     probs = probs[probs > 0]
-    return float(-(probs * np.log2(probs)).sum())
+    # + 0.0 turns the -0.0 of a single code into 0.0.
+    return float(-(probs * np.log2(probs)).sum()) + 0.0
 
 
 @dataclass

@@ -8,9 +8,9 @@ maximum exactly representable: their kernels work on the normalized ratio
 bit-for-bit.
 
 Each scheme is one ``SCHEME_TABLE`` entry: its encode and decode kernels plus
-the anchor rule that turns an observed range into kernel arguments. Static
-sites and dynamic (per-row) softmax run the same kernels; only the anchor's
-inputs differ.
+the anchor rule that turns an observed range into the fields they read. The
+table is the only way into a kernel. Static sites and dynamic (per-row)
+softmax run the same kernels; only the anchor's inputs differ.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ class CodeTensor:
     def __post_init__(self):
         self.shape = tuple(self.shape)
         self.codes = np.asarray(self.codes, dtype=np.uint8).ravel()
-        expected = int(np.prod(self.shape, dtype=np.int64)) if self.shape else 1
+        expected = int(np.prod(self.shape, dtype=np.int64))
         if self.codes.size != expected:
             raise DimensionError(
                 f"codes length {self.codes.size} does not match shape {self.shape}")
@@ -126,17 +126,18 @@ class CodeTensor:
 
 
 # ---------------------------------------------------------------------------
-# kernels (array in / array out, broadcast-friendly so the dynamic softmax
-# path can pass per-row anchors)
+# kernels: ``(values, p)`` in, array out. ``p`` is a ``QuantParams`` or an
+# ``Anchor``, whose fields broadcast, so the dynamic softmax path can pass
+# per-row anchors.
 
 
-def affine_code_values(x: np.ndarray, scale, zero_point, bits: int) -> np.ndarray:
-    top = (1 << bits) - 1
-    return np.clip(round_half_away(x / scale) + zero_point, 0, top)
+def _affine_encode(x: np.ndarray, p) -> np.ndarray:
+    top = (1 << p.bits) - 1
+    return np.clip(round_half_away(x / p.scale) + p.zero_point, 0, top)
 
 
-def affine_dequant_values(codes: np.ndarray, scale, zero_point) -> np.ndarray:
-    return (np.asarray(codes, dtype=np.float64) - zero_point) * scale
+def _affine_decode(codes: np.ndarray, p) -> np.ndarray:
+    return (np.asarray(codes, dtype=np.float64) - p.zero_point) * p.scale
 
 
 def _affine_fake_quant(x: np.ndarray, p) -> np.ndarray:
@@ -154,47 +155,46 @@ def _affine_fake_quant(x: np.ndarray, p) -> np.ndarray:
     return t
 
 
-def mpq_code_values(s: np.ndarray, bits: int, calibrated_max) -> np.ndarray:
-    levels = (1 << bits) - 1
-    return np.clip(round_half_away((s / calibrated_max) * levels), 0, levels)
+def _mpq_encode(s: np.ndarray, p) -> np.ndarray:
+    levels = (1 << p.bits) - 1
+    return np.clip(round_half_away((s / p.calibrated_max) * levels), 0, levels)
 
 
-def mpq_dequant_values(codes: np.ndarray, bits: int, calibrated_max) -> np.ndarray:
-    levels = (1 << bits) - 1
-    return (np.asarray(codes, dtype=np.float64) / levels) * calibrated_max
+def _mpq_decode(codes: np.ndarray, p) -> np.ndarray:
+    levels = (1 << p.bits) - 1
+    return (np.asarray(codes, dtype=np.float64) / levels) * p.calibrated_max
 
 
-def log_code_values(s: np.ndarray, bits: int, calibrated_max) -> np.ndarray:
-    top = (1 << bits) - 1
+def _log_encode(s: np.ndarray, p) -> np.ndarray:
+    top = (1 << p.bits) - 1
     with np.errstate(divide="ignore", invalid="ignore"):
-        exact = -np.log2(s / calibrated_max)
+        exact = -np.log2(s / p.calibrated_max)
     codes = np.clip(round_half_away(exact), 0, top)
     return np.where(s <= 0.0, float(top), codes)
 
 
-def log_dequant_values(codes: np.ndarray, calibrated_max) -> np.ndarray:
-    return calibrated_max * np.exp2(-np.asarray(codes, dtype=np.float64))
+def _log_decode(codes: np.ndarray, p) -> np.ndarray:
+    return p.calibrated_max * np.exp2(-np.asarray(codes, dtype=np.float64))
 
 
-def twin_code_values(s: np.ndarray, bits: int, calibrated_max, threshold) -> np.ndarray:
-    half = 1 << (bits - 1)
+def _twin_encode(s: np.ndarray, p) -> np.ndarray:
+    half = 1 << (p.bits - 1)
     span = half - 1
-    delta1 = threshold / span
-    delta2 = (calibrated_max - threshold) / span
+    delta1 = p.threshold / span
+    delta2 = (p.calibrated_max - p.threshold) / span
     low = np.clip(round_half_away(s / delta1), 0, span)
-    high = half + np.clip(round_half_away((s - threshold) / delta2), 0, span)
-    return np.where(s < threshold, low, high)
+    high = half + np.clip(round_half_away((s - p.threshold) / delta2), 0, span)
+    return np.where(s < p.threshold, low, high)
 
 
-def twin_dequant_values(codes: np.ndarray, bits: int, calibrated_max,
-                        threshold) -> np.ndarray:
-    half = 1 << (bits - 1)
+def _twin_decode(codes: np.ndarray, p) -> np.ndarray:
+    half = 1 << (p.bits - 1)
     span = half - 1
     codes = np.asarray(codes, dtype=np.float64)
     frac_low = codes / span
     frac_high = (codes - half) / span
-    low = frac_low * threshold
-    high = threshold * (1.0 - frac_high) + calibrated_max * frac_high
+    low = frac_low * p.threshold
+    high = p.threshold * (1.0 - frac_high) + p.calibrated_max * frac_high
     return np.where(codes < half, low, high)
 
 
@@ -203,7 +203,7 @@ def twin_dequant_values(codes: np.ndarray, bits: int, calibrated_max,
 
 
 class Anchor(NamedTuple):
-    """Kernel arguments of one quantizer, named as in ``QuantParams``.
+    """The fields a scheme's kernels read, named as in ``QuantParams``.
 
     Fields are Python numbers for a static site, or per-row arrays (shape
     ``(..., 1)``) when dynamic softmax anchors every row to its own range.
@@ -227,8 +227,11 @@ def uniform_grid(lo, step, bits: int) -> tuple[Any, Any]:
 
 
 def _uniform_anchor(bits: int, hi, lo) -> Anchor:
-    """Min-max affine: step (hi-lo)/(2^bits - 1) from lo."""
-    return Anchor(bits, *uniform_grid(lo, (hi - lo) / ((1 << bits) - 1), bits))
+    """Min-max affine: step (hi-lo)/(2^bits - 1) from lo. A zero-width range
+    [v, v] takes step |v|, so v is a code (1 if v > 0, 0 below zero point
+    1 if v < 0) and fake-quantizes to itself."""
+    step = np.where(hi > lo, (hi - lo) / ((1 << bits) - 1), np.abs(lo))
+    return Anchor(bits, *uniform_grid(lo, step, bits))
 
 
 def _mpq_anchor(bits: int, hi, lo) -> Anchor:
@@ -249,7 +252,7 @@ def _twin_anchor(bits: int, hi, lo) -> Anchor:
     """
     threshold = hi / (1 << (bits - 1))
     span = (1 << (bits - 1)) - 1
-    return Anchor(bits, (hi - threshold) / max(span, 1), 0, calibrated_max=hi,
+    return Anchor(bits, (hi - threshold) / span, 0, calibrated_max=hi,
                   threshold=threshold)
 
 
@@ -274,23 +277,11 @@ class Scheme(NamedTuple):
 
 
 SCHEME_TABLE: dict[str, Scheme] = {
-    "uniform": Scheme(
-        lambda x, p: affine_code_values(x, p.scale, p.zero_point, p.bits),
-        lambda codes, p: affine_dequant_values(codes, p.scale, p.zero_point),
-        _uniform_anchor, reads_lo=True, fused=_affine_fake_quant),
-    "mpq": Scheme(
-        lambda s, p: mpq_code_values(s, p.bits, p.calibrated_max),
-        lambda codes, p: mpq_dequant_values(codes, p.bits, p.calibrated_max),
-        _mpq_anchor),
-    "log2": Scheme(
-        lambda s, p: log_code_values(s, p.bits, p.calibrated_max),
-        lambda codes, p: log_dequant_values(codes, p.calibrated_max),
-        _log_anchor),
-    "twin": Scheme(
-        lambda s, p: twin_code_values(s, p.bits, p.calibrated_max, p.threshold),
-        lambda codes, p: twin_dequant_values(codes, p.bits, p.calibrated_max,
-                                             p.threshold),
-        _twin_anchor),
+    "uniform": Scheme(_affine_encode, _affine_decode, _uniform_anchor,
+                      reads_lo=True, fused=_affine_fake_quant),
+    "mpq": Scheme(_mpq_encode, _mpq_decode, _mpq_anchor),
+    "log2": Scheme(_log_encode, _log_decode, _log_anchor),
+    "twin": Scheme(_twin_encode, _twin_decode, _twin_anchor),
 }
 
 SCHEMES = tuple(SCHEME_TABLE)
@@ -339,25 +330,16 @@ def fake_quant_softmax_dynamic(s: np.ndarray, scheme: str, bits: int) -> np.ndar
     return entry.fake_quant(s, rows)
 
 
-def constant_params(value: float, bits: int) -> QuantParams:
-    """Uniform params that fake-quantize the constant ``value`` exactly: it
-    is code 1 of step ``value`` if positive, code 0 below zero point 1 if
-    negative, and code 0 if zero."""
-    if value == 0.0:
-        return QuantParams(bits=bits, scale=EPSILON, zero_point=0, scheme="uniform")
-    return QuantParams(bits=bits, scale=abs(value), zero_point=int(value < 0),
-                       scheme="uniform")
-
-
 def softmax_site_params(scheme: str, bits: int, calibrated_max: float,
                         observed_min: float = 0.0) -> QuantParams:
     """Params anchored to the range [observed_min, calibrated_max].
 
     Used for the sites calibrated from FP-pass ranges alone: post-softmax
-    sites, and embed and head (uniform min-max). Only the uniform scheme
-    reads ``observed_min``.
+    sites, embed and head (uniform min-max), and constant operands (uniform
+    over [v, v]). Only the uniform scheme reads ``observed_min``.
     """
-    a = _scheme(scheme).anchor(bits, calibrated_max, observed_min)
+    a = _check_bits_and_scheme(bits, scheme).anchor(bits, calibrated_max,
+                                                    observed_min)
     return QuantParams(bits=bits, scale=float(a.scale),
                        zero_point=int(a.zero_point), scheme=scheme,
                        calibrated_max=a.calibrated_max, threshold=a.threshold)

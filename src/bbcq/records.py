@@ -3,10 +3,11 @@ where a record is built or read from JSON."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import fields
 from typing import Mapping
 
-from .errors import ParameterError
+from .errors import NonFiniteError, ParameterError
 
 
 #: JSON value types each field annotation admits; bool is never a number.
@@ -59,6 +60,15 @@ def record_fields(cls, payload, what: str):
         values[f.name] = json_value(payload[f.name], f.type,
                                     f"{what} field {f.name!r}")
     return cls(**values)
+
+
+def strict_json(obj, what: str, **kwargs) -> str:
+    """``json.dumps(obj, **kwargs)``, which writes only JSON: a NaN or
+    infinite float in ``obj`` raises NonFiniteError naming ``what``."""
+    try:
+        return json.dumps(obj, allow_nan=False, **kwargs)
+    except ValueError:
+        raise NonFiniteError(f"{what} holds NaN or infinite values") from None
 
 
 def check_field_types(record, what: str) -> None:

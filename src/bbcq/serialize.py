@@ -10,7 +10,8 @@ Layout (all integers little-endian):
 
 The manifest records ``kind`` (``model`` or ``dataset``), a ``spec`` object,
 and a ``tensors`` list of ``{name, shape, dtype, offset}`` descriptors with
-offsets relative to the payload start. Float tensors must be finite. Each
+offsets relative to the payload start. Float tensors must be finite, and the
+writer refuses NaN and infinity in tensors and manifest alike. Each
 corruption mode maps to its own error type so callers can tell a truncated
 file from a mismatched manifest.
 """
@@ -21,6 +22,7 @@ import json
 import math
 import struct
 from dataclasses import make_dataclass
+from pathlib import Path
 from typing import Mapping
 
 import numpy as np
@@ -28,7 +30,7 @@ import numpy as np
 from .errors import (LengthError, MagicError, ManifestError, ParameterError,
                      VersionError)
 from .model import BLOCK_PARAMS, Model, ModelSpec, parameter_shapes
-from .records import record_fields
+from .records import record_fields, strict_json
 from .tensor import require_finite
 
 MAGIC = b"BBCVIT"
@@ -41,7 +43,8 @@ _MAX_DIMS, _MAX_BYTES = 64, np.iinfo(np.intp).max
 
 
 def _canonical_json(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return strict_json(obj, "the manifest", sort_keys=True,
+                       separators=(",", ":")).encode("utf-8")
 
 
 def _pack(kind: str, spec: Mapping, tensors: list[tuple[str, np.ndarray]]) -> bytes:
@@ -49,6 +52,7 @@ def _pack(kind: str, spec: Mapping, tensors: list[tuple[str, np.ndarray]]) -> by
     for name, arr in tensors:
         if arr.dtype.kind == "f":
             dtype = "<f8"
+            require_finite(arr, f"tensor {name!r}")
         elif arr.dtype.kind in "iu":
             dtype = "<i8"
         else:
@@ -179,8 +183,8 @@ def deserialize_dataset(blob: bytes) -> tuple[np.ndarray, np.ndarray, dict]:
 
 
 def save_model(model: Model, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(serialize_model(model))
+    # Serialized first, so a rejected model leaves an existing file intact.
+    Path(path).write_bytes(serialize_model(model))
 
 
 def load_model(path) -> Model:
@@ -190,8 +194,7 @@ def load_model(path) -> Model:
 
 def save_dataset(inputs: np.ndarray, labels: np.ndarray, path,
                  meta: Mapping | None = None) -> None:
-    with open(path, "wb") as fh:
-        fh.write(serialize_dataset(inputs, labels, meta))
+    Path(path).write_bytes(serialize_dataset(inputs, labels, meta))
 
 
 def load_dataset(path) -> tuple[np.ndarray, np.ndarray, dict]:

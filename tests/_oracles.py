@@ -101,14 +101,16 @@ def _fq(values: np.ndarray, params: tuple) -> np.ndarray:
 def fq_softmax_rows(values: np.ndarray, scheme: str, bits: int) -> np.ndarray:
     """Fake-quant with each last-axis row anchored to its own max (and min).
 
-    uniform spans [row_min, row_max] with a floored step; the max-anchored
-    schemes take cal_max = row_max, and twin splits at row_max / 2^(bits-1).
+    uniform spans [row_min, row_max] with a floored step, and a constant
+    row [v, v] takes step |v|; the max-anchored schemes take cal_max =
+    row_max, and twin splits at row_max / 2^(bits-1).
     """
     hi = values.max(axis=-1, keepdims=True)
     if scheme == "uniform":
         lo = values.min(axis=-1, keepdims=True)
         levels = (1 << bits) - 1
-        scale = np.maximum((hi - lo) / levels, _EPS)
+        scale = np.maximum(np.where(hi > lo, (hi - lo) / levels, np.abs(lo)),
+                           _EPS)
         zero_point = np.clip(_rha(-lo / scale), 0, levels)
         return _fq(values, ("uniform", scale, zero_point, bits))
     if scheme == "twin":
@@ -132,7 +134,7 @@ def _softmax_state(scheme: str, bits: int, lo: float, hi: float,
         return ("dynamic", scheme, bits)
     if scheme == "uniform":
         levels = (1 << bits) - 1
-        scale = max((hi - lo) / levels, _EPS)
+        scale = max((hi - lo) / levels if hi > lo else abs(lo), _EPS)
         return ("uniform", scale, int(np.clip(_rha(-lo / scale), 0, levels)),
                 bits)
     if scheme == "twin":

@@ -20,7 +20,6 @@ from bbcq.data import generate_dataset, synthetic_scores
 from bbcq.metrics import (code_entropy, compare_softmax_quantizers, evaluate)
 from bbcq.model import ModelSpec, forward_from, init_model
 from bbcq.quantizers import (CodeTensor, QuantParams, fake_quant_array,
-                             mpq_code_values, mpq_dequant_values,
                              softmax_site_params)
 from bbcq.tensor import cross_entropy
 
@@ -123,7 +122,7 @@ def test_c04_quantizer_property_suites():
         row = rng.uniform(0.0, 1.0, size=12)
         row /= row.sum()
         m = float(row.max())
-        deq = mpq_dequant_values(mpq_code_values(row, bits, m), bits, m)
+        deq = fake_quant_array(row, softmax_site_params("mpq", bits, m))
         assert float(deq[int(row.argmax())]) == m
         order = np.argsort(row, kind="stable")
         assert (np.diff(deq[order]) >= 0.0).all()

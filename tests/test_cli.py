@@ -48,11 +48,13 @@ def _calibrate(tmp_path, data, name="run", extra=()):
 
 
 def _with_nan(data, split):
-    """Copy of a split with one input value set to NaN."""
-    inputs, labels, meta = load_dataset(data / f"{split}.bbcv")
-    inputs[0, 0, 0] = np.nan
+    """Copy of a split with its first input value set to NaN in the
+    container's payload bytes, since the writer refuses to save one."""
+    blob = bytearray((data / f"{split}.bbcv").read_bytes())
+    inputs_start = 16 + struct.unpack_from("<Q", blob, 8)[0]
+    struct.pack_into("<d", blob, inputs_start, np.nan)
     path = data / f"{split}-nan.bbcv"
-    save_dataset(inputs, labels, path, meta)
+    path.write_bytes(bytes(blob))
     return path
 
 
@@ -869,6 +871,39 @@ def test_inspect_malformed_report_is_format_error(tmp_path, capsys, field,
     assert main(["inspect", str(path)]) == 1
     err = capsys.readouterr().err.strip()
     assert "\n" not in err and err.startswith("error:format: ")
+
+
+def _assert_non_finite_error(capsys):
+    """One ``error:non-finite`` line and nothing on stdout."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert "\n" not in err and err.startswith("error:non-finite: ")
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize("field", ["command", "tool_version"])
+def test_inspect_non_finite_report_field_is_non_finite_error(tmp_path, capsys,
+                                                             field, token):
+    """``inspect`` echoes these fields, and prints only strict JSON."""
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"schema_version": 1, "command": "x",
+                                field: "VALUE"}).replace('"VALUE"', token))
+    assert main(["inspect", str(path)]) == 1
+    _assert_non_finite_error(capsys)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_inspect_non_finite_dataset_meta_is_non_finite_error(tmp_path, capsys,
+                                                             value):
+    """The writer refuses such meta; a hand-edited container still loads,
+    but ``inspect`` prints no ``NaN`` or ``Infinity`` token."""
+    split = tmp_path / "split.bbcv"
+    save_dataset(np.zeros((2, 3, 4)), np.zeros(2, dtype=np.int64), split)
+    bad = _with_manifest(split, lambda m: {**m, "spec": {"seed": value}})
+    capsys.readouterr()
+    assert main(["inspect", str(bad)]) == 1
+    _assert_non_finite_error(capsys)
 
 
 def test_inspect_missing_file(tmp_path, capsys):

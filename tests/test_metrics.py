@@ -18,6 +18,7 @@ from bbcq.metrics import (COMPARE_SCHEMES, EvalMetrics, QuantReportRow,
                           evaluate)
 from bbcq.model import MatmulSite, ModelSpec, forward, init_model
 from bbcq.quantizers import CodeTensor, DynamicSoftmax, QuantParams, quantize
+from bbcq.tensor import Tensor
 
 
 def _codes(values, bits=4):
@@ -37,7 +38,9 @@ def test_entropy_uniform_codes_hit_the_bit_width():
 
 
 def test_entropy_constant_codes_is_zero():
-    assert code_entropy(_codes(np.full(50, 9))) == 0.0
+    h = code_entropy(_codes(np.full(50, 9)))
+    # +0.0, not the -0.0 that a report line would print as -0.0000b.
+    assert h == 0.0 and math.copysign(1.0, h) == 1.0
 
 
 def test_entropy_hand_example():
@@ -87,11 +90,35 @@ def test_report_row_validation():
         QuantReportRow(entropy_bits=4.5, argmax_preservation_rate=1.0, **base)
     with pytest.raises(ContractError):
         QuantReportRow(entropy_bits=1.0, argmax_preservation_rate=1.5, **base)
+    for entropy, rate in ((0.0, 0.0), (4.0, 1.0)):  # the bounds are inside
+        QuantReportRow(entropy_bits=entropy, argmax_preservation_rate=rate,
+                       **base)
     row = QuantReportRow(entropy_bits=1.0, argmax_preservation_rate=0.5, **base)
     assert set(row.to_json()) == {
         "site_id", "scheme", "bits", "entropy_bits", "mean_abs_error",
         "max_abs_error", "argmax_preservation_rate", "max_value_error",
         "top_exact"}
+
+
+def test_compare_hand_example():
+    """Rows softmax to [1/4, 3/4] and [1/2, 1/2]. 2-bit uniform over the
+    static range [1/4, 3/4] has step 1/6 and zero point 0, so it gives
+    [1/3, 1/2] and [1/2, 1/2]; mpq anchors each row to its max."""
+    scores = np.array([[0.0, math.log(3.0)], [0.0, 0.0]])
+    rows = {r.scheme: r for r in compare_softmax_quantizers(scores, 2)}
+    uniform = rows["uniform"]
+    assert uniform.mean_abs_error == pytest.approx((1 / 12 + 1 / 4) / 4)
+    assert uniform.max_abs_error == pytest.approx(0.25)
+    assert uniform.max_value_error == pytest.approx(0.25)
+    assert uniform.argmax_preservation_rate == 1.0
+    assert rows["mpq"].mean_abs_error == pytest.approx(0.0, abs=1e-15)
+
+
+def test_compare_uniform_is_exact_on_constant_rows():
+    """Equal scores give constant rows, a zero-width uniform range."""
+    rows = {r.scheme: r for r in compare_softmax_quantizers(np.zeros((4, 8)), 4)}
+    assert rows["uniform"].mean_abs_error == 0.0
+    assert rows["uniform"].top_exact
 
 
 def test_compare_rows_come_back_in_scheme_order():
@@ -166,6 +193,26 @@ def test_evaluate_fp_agrees_with_itself():
     assert metrics.fp_agreement == 1.0
     assert 0.0 <= metrics.top1_accuracy <= 1.0
     assert math.isfinite(metrics.mean_loss) and metrics.mean_loss > 0.0
+
+
+def test_evaluate_top1_accuracy_counts_label_hits():
+    model, x, _ = _eval_setup()
+    fp_pred = forward(model, Tensor(x)).logits.data.argmax(axis=1)
+    assert evaluate(model, None, x, fp_pred).top1_accuracy == 1.0
+    assert evaluate(model, None, x, (fp_pred + 1) % 4).top1_accuracy == 0.0
+
+
+def test_evaluate_one_patch_uniform_softmax_agrees_with_fp():
+    """With one patch every softmax row is [1.0], a zero-width range; the
+    uniform row holds it exactly, as mpq does."""
+    spec = ModelSpec(num_blocks=1, embed_dim=16, num_heads=2, patch_count=1,
+                     num_classes=4, init_seed=0)
+    model = init_model(spec)
+    x, y = generate_dataset(16, 1, 16, 4, seed=1)
+    result = calibrate(model, x, y, CalibConfig(
+        w_bits=8, a_bits=8, num_candidates=4, rounds=1,
+        softmax_quantizer="uniform"))
+    assert evaluate(model, result, x, y).fp_agreement == 1.0
 
 
 def test_evaluate_quantized_model():

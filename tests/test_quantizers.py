@@ -15,7 +15,7 @@ from bbcq.errors import (ContractError, DegenerateScaleError, DimensionError,
                          ParameterError)
 from bbcq.quantizers import (EPSILON, SCHEME_TABLE, SCHEMES, Anchor,
                              CodeTensor, DynamicSoftmax, QuantParams,
-                             constant_params, dequantize, fake_quant_array,
+                             dequantize, fake_quant_array,
                              fake_quant_softmax_dynamic, quantize,
                              round_half_away, softmax_site_params)
 from bbcq.tensor import Tape, Tensor
@@ -141,6 +141,14 @@ def test_uniform_grid_points_are_fixed():
 def test_uniform_saturates():
     ct = quantize(np.array([1e9, -1e9]), _uniform(0.1, 3, 4))
     assert ct.codes.tolist() == [15, 0]
+
+
+def test_uniform_scalar_round_trip():
+    """A shape-() input is one code: ``np.prod(())`` is 1."""
+    ct = quantize(np.float64(0.75), _uniform(0.5, 2, 4))
+    assert ct.shape == () and ct.size == 1 and ct.codes.tolist() == [4]
+    out = dequantize(ct).data
+    assert out.shape == () and out == 1.0
 
 
 def test_uniform_accepts_tensor_input():
@@ -373,9 +381,14 @@ def test_dynamic_mpq_anchors_each_row():
 
 
 def test_dynamic_uniform_handles_constant_rows():
-    rows = np.full((2, 4), 0.25)
+    """A constant row [v, v] takes step |v|, so v is a code rather than ~0
+    on a 1e-12 grid; a row beside it keeps its own step."""
+    rows = np.array([[0.25] * 4, [0.1, 0.2, 0.3, 0.4]])
     out = fake_quant_softmax_dynamic(rows, "uniform", bits=4)
-    assert np.isfinite(out).all()
+    np.testing.assert_array_equal(out[0], rows[0])
+    np.testing.assert_array_equal(
+        out[1], fake_quant_array(rows[1], softmax_site_params("uniform", 4,
+                                                              0.4, 0.1)))
 
 
 def test_dynamic_rejects_unknown_scheme():
@@ -409,10 +422,19 @@ def test_dynamic_softmax_entry_validation(scheme, bits):
 @pytest.mark.parametrize("bits", [2, 4, 8])
 def test_constant_params_hold_the_constant_exactly(value, bits):
     x = np.full((3, 5), value)
-    params = constant_params(value, bits)
+    params = softmax_site_params("uniform", bits, value, value)
     assert params.scheme == "uniform" and params.bits == bits
     np.testing.assert_array_equal(fake_quant_array(x, params), x)
     np.testing.assert_array_equal(dequantize(quantize(x, params)).data, x)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("bits", [0, 1, 9])
+def test_site_params_check_bits_before_anchoring(scheme, bits):
+    """As ``QuantParams`` and ``fake_quant_softmax_dynamic`` check: no anchor
+    sees bits outside [2, 8], where 0 bits would divide by zero."""
+    with pytest.raises(ParameterError, match=r"\[2, 8\]"):
+        softmax_site_params(scheme, bits, 0.5, 0.0)
 
 
 def test_minmax_affine_params_floor():

@@ -276,10 +276,45 @@ def test_loaders_raise_only_library_errors_on_any_field(is_model, path,
 
 
 def test_non_finite_weight_rejected():
+    """The loader's check, on a container edited after it was written."""
+    _, _, manifest, _, payload = _split(serialize_model(init_model(_spec())))
+    (desc,) = [d for d in manifest["tensors"] if d["name"] == "block1.attn.w_o"]
+    at = desc["offset"] + (2 * desc["shape"][1] + 3) * 8
+    payload = payload[:at] + struct.pack("<d", np.inf) + payload[at + 8:]
+    with pytest.raises(NonFiniteError, match="block1.attn.w_o"):
+        deserialize_model(_reassemble(manifest, payload))
+
+
+def test_writers_reject_what_the_loader_rejects(tmp_path):
     model = init_model(_spec())
     model.blocks[1].w_o[2, 3] = np.inf
-    with pytest.raises(NonFiniteError, match="block1.attn.w_o"):
-        deserialize_model(serialize_model(model))
+    with pytest.raises(NonFiniteError, match="tensor 'block1.attn.w_o' holds"):
+        save_model(model, tmp_path / "m.bbcv")
+    inputs = np.zeros((2, 3, 4))
+    inputs[1, 2, 3] = np.nan
+    with pytest.raises(NonFiniteError, match="tensor 'inputs' holds"):
+        save_dataset(inputs, np.zeros(2, dtype=np.int64), tmp_path / "d.bbcv")
+    assert not (tmp_path / "m.bbcv").exists()
+    assert not (tmp_path / "d.bbcv").exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_dataset_meta_must_be_finite(value):
+    """The manifest is strict JSON: no ``NaN`` or ``Infinity`` token."""
+    with pytest.raises(NonFiniteError, match="the manifest"):
+        serialize_dataset(np.zeros((2, 3, 4)), np.zeros(2, dtype=np.int64),
+                          meta={"seed": value})
+
+
+@pytest.mark.parametrize("inputs", [np.zeros((2, 3)), np.full((2, 3, 4), np.nan)],
+                         ids=["2-d", "nan"])
+def test_a_rejected_save_leaves_the_file_as_it_was(tmp_path, inputs):
+    path = tmp_path / "d.bbcv"
+    save_dataset(np.ones((1, 2, 2)), np.zeros(1, dtype=np.int64), path)
+    before = path.read_bytes()
+    with pytest.raises(ParameterError if inputs.ndim == 2 else NonFiniteError):
+        save_dataset(inputs, np.zeros(2, dtype=np.int64), path)
+    assert path.read_bytes() == before
 
 
 # ---------------------------------------------------------------------------
