@@ -539,18 +539,18 @@ def calibrate(model: Model, inputs, labels, config: CalibConfig,
     """Full calibration: one FP caching pass, then per-block greedy search.
 
     Every site starts from its FP-pass range. Embed and head are weight-only
-    min-max quantized and post-softmax sites get the configured softmax
-    quantizer; both are set before any search and never searched. Blocks
-    are then processed in order; inside each block the six matmuls are
-    visited last-to-first. Per matmul the weight side is first initialized
-    to its full-range step, then ``config.rounds`` alternations of
-    (activation search, weight search) run, each holding every other site at
-    its current state and resuming from the block paused once in front of
-    that matmul (``block_prefix``), and keeps the first argmin of its trace,
-    the rule ``CalibResult`` derives ``chosen_index`` with. An operand that
-    is one constant over the whole FP pass is not searched either; it gets
-    params that hold that constant exactly. Only the first
-    ``config.calib_batch`` samples are used.
+    min-max quantized, post-softmax sites get the configured softmax
+    quantizer, and an operand that is one constant over the whole FP pass
+    gets params that hold that constant exactly; all are set before any
+    search and never searched. Blocks are then processed in order; inside
+    each block the six matmuls are visited last-to-first. Per matmul the
+    weight side is first initialized to its full-range step, then
+    ``config.rounds`` alternations of (activation search, weight search)
+    run, each holding every other site at its current state and resuming
+    from the block paused once in front of that matmul (``block_prefix``),
+    and keeps the first argmin of its trace, the rule ``CalibResult``
+    derives ``chosen_index`` with. Only the first ``config.calib_batch``
+    samples are used.
     """
     instr = instrumentation if instrumentation is not None else CalibInstrumentation()
     fp = cache_fp_pass(model, inputs[:config.calib_batch],
@@ -561,8 +561,8 @@ def calibrate(model: Model, inputs, labels, config: CalibConfig,
     traces: dict[MatmulSite, list[list[float]]] = {site: [] for site in sites}
     state: dict[MatmulSite, QuantParams] = {}
     for site in sites:
-        if site.block is None or site.is_softmax_output:
-            lo, hi = fp.ranges[site]
+        lo, hi = fp.ranges[site]
+        if site.block is None or site.is_softmax_output or lo == hi:
             state[site] = softmax_site_params(*config.site_quantizer(site), hi, lo)
 
     by_unit = {(c.block, c.kind): c for c in fp.caches}
@@ -577,13 +577,10 @@ def calibrate(model: Model, inputs, labels, config: CalibConfig,
                 cache = by_unit[(b, unit_kind)]
                 grids = {}
                 for site in (MatmulSite(kind, "A", b), MatmulSite(kind, "B", b)):
-                    if site.is_softmax_output:
+                    if site in state:
                         continue
                     lo, hi = fp.ranges[site]
                     _, bits = config.site_quantizer(site)
-                    if lo == hi:
-                        state[site] = softmax_site_params("uniform", bits, hi, lo)
-                        continue
                     if site.role == "B":
                         # The grid's full-range step (hi - lo) / 2^bits.
                         state[site] = candidate_scales(lo, hi, bits, 1.0, 1.0, 2)[0]

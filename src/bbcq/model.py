@@ -17,14 +17,14 @@ one matmul once and resume every candidate from there. An untaped,
 hook-free full block forward runs a large batch in cache-sized slices of
 samples. ``freeze_operands`` fake-quantizes once what every such resumed
 forward or slice holds fixed. ``forward`` has each block write its output
-over its input.
+over its input. The five entry points run one input check, ``_check_call``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, make_dataclass, replace
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -254,14 +254,6 @@ def enumerate_sites(spec: ModelSpec) -> list[MatmulSite]:
     return sites
 
 
-def validate_quant_sites(spec: ModelSpec, sites: Iterable[MatmulSite]) -> None:
-    known = set(enumerate_sites(spec))
-    unknown = [s.site_id for s in sites if s not in known]
-    if unknown:
-        raise ContractError(
-            f"quant state references unknown sites: {', '.join(sorted(unknown))}")
-
-
 @dataclass
 class ForwardResult:
     """The logits; while a tape records, also every block's output and the
@@ -307,30 +299,35 @@ def _weights(p: BlockParams, kind: str) -> tuple[Tensor, ...]:
     return tuple(Tensor(getattr(p, field)) for field in _WEIGHT_FIELDS[kind])
 
 
-def _check_call(model: Model, block: int, x: Tensor | BlockCarry,
+def _check_call(model: Model, block: int | None, x: Tensor | BlockCarry | None,
                 quant: QuantState | None, kind: str | None = None) -> None:
-    """Reject a block index outside the model, a block input that is not
-    (batch, patches, embed_dim), a ``kind`` that is no block matmul, and a
-    ``DynamicSoftmax`` entry away from a post-softmax site."""
-    if not 0 <= block < model.spec.num_blocks:
+    """The one input check of every model entry. Rejects a block index
+    outside the model (None stands for the whole model), a block input that
+    is not (batch, patches, embed_dim), a ``kind`` that is no block matmul
+    or comes before the carry's, a quant state while a tape records (a
+    fake-quantized operand is a fresh leaf, so its gradient would be
+    wrong), a site the model does not have, and a ``DynamicSoftmax`` entry
+    away from a post-softmax site."""
+    spec = model.spec
+    if block is not None and not 0 <= block < spec.num_blocks:
         raise ParameterError(f"block index {block} outside a "
-                             f"{model.spec.num_blocks}-block model")
-    if not isinstance(x, BlockCarry):
-        _check_input(model.spec, x)
-    if kind is not None and kind not in BLOCK_KINDS:
-        raise ParameterError(f"unknown block matmul kind {kind!r}")
-    _check_entries(quant)
-
-
-def _check_input(spec: ModelSpec, x: Tensor) -> None:
-    if x.ndim != 3 or x.shape[1] != spec.patch_count or x.shape[2] != spec.embed_dim:
+                             f"{spec.num_blocks}-block model")
+    if x is not None and not isinstance(x, BlockCarry) and \
+            (x.ndim != 3 or x.shape[1:] != (spec.patch_count, spec.embed_dim)):
         raise DimensionError(
             f"input shape {x.shape} does not match (batch, {spec.patch_count}, "
             f"{spec.embed_dim})")
-
-
-def _check_entries(quant: QuantState | None) -> None:
+    if kind is not None and kind not in BLOCK_KINDS:
+        raise ParameterError(f"unknown block matmul kind {kind!r}")
+    if kind is not None and isinstance(x, BlockCarry) and \
+            BLOCK_KINDS.index(kind) < BLOCK_KINDS.index(x.kind):
+        raise ContractError(f"cannot run to {kind}: the carry resumes at {x.kind}")
+    if quant is not None and recording_active():
+        raise ContractError("quantized forward cannot run under a recording tape")
     for site, entry in (quant or {}).items():
+        # Edges have no activation site; block sites need a block of the model.
+        if (site.role == "A") if site.block is None else site.block >= spec.num_blocks:
+            raise ContractError(f"quant state references unknown site {site.site_id}")
         if isinstance(entry, DynamicSoftmax) and not site.is_softmax_output:
             raise ContractError(f"{site.site_id} is not a post-softmax site; "
                                 f"it cannot hold {entry}")
@@ -422,7 +419,7 @@ def freeze_operands(model: Model, block: int, carry: BlockCarry | None,
     weight (all six with no carry); unlisted sites stay full precision.
     Returns copies of the model and carry holding them, and ``quant``
     without their sites, under which the forward gives the same bits."""
-    _check_entries(quant)
+    _check_call(model, block, carry, quant)
     later = BLOCK_KINDS if carry is None else \
         BLOCK_KINDS[BLOCK_KINDS.index(carry.kind) + 1:]
     frozen = [MatmulSite(kind, "B", block) for kind in later if kind in _WEIGHT_FIELDS]
@@ -475,9 +472,6 @@ def block_forward(model: Model, block: int, x: Tensor | BlockCarry,
     shape that may be ``x.data`` itself; the returned tensor wraps ``out``.
     """
     _check_call(model, block, x, quant, stop)
-    if stop is not None and isinstance(x, BlockCarry) and \
-            BLOCK_KINDS.index(stop) < BLOCK_KINDS.index(x.kind):
-        raise ContractError(f"cannot stop at {stop}: the carry resumes at {x.kind}")
     rows = _slice_rows(model.spec)
     one_pass = isinstance(x, BlockCarry) or hook is not None or stop is not None \
         or recording_active()
@@ -526,13 +520,7 @@ def forward(model: Model, x, quant: QuantState | None = None, *,
     ``block_forward``); for ``embed`` and ``head`` its ``block`` is None.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
-    spec = model.spec
-    _check_input(spec, x)
-    if quant is not None:
-        if recording_active():
-            raise ContractError("quantized forward cannot run under a recording tape")
-        validate_quant_sites(spec, quant.keys())
-        _check_entries(quant)
+    _check_call(model, None, x, quant)
 
     def edge_matmul(kind: str, a: Tensor, w: np.ndarray) -> Tensor:
         out = matmul(a, fake_quant_operand(Tensor(w), MatmulSite(kind, "B"), quant))
@@ -547,7 +535,7 @@ def forward(model: Model, x, quant: QuantState | None = None, *,
     taped = recording_active()
     embed_out, block_outputs = (current, []) if taped else (None, None)
     out = None if taped or hook is not None else current.data
-    for b in range(spec.num_blocks):
+    for b in range(model.spec.num_blocks):
         current = block_forward(model, b, current, quant, hook=hook, out=out)
         if taped:
             block_outputs.append(current)
@@ -563,6 +551,7 @@ def forward_from(model: Model, block: int, block_output) -> Tensor:
     finite-difference oracles that perturb a cached block output.
     """
     current = block_output if isinstance(block_output, Tensor) else Tensor(block_output)
+    _check_call(model, block, current, None)
     for b in range(block + 1, model.spec.num_blocks):
         current = block_forward(model, b, current)
     pooled = current.mean(axis=1)

@@ -10,10 +10,10 @@ Layout (all integers little-endian):
 
 The manifest records ``kind`` (``model`` or ``dataset``), a ``spec`` object,
 and a ``tensors`` list of ``{name, shape, dtype, offset}`` descriptors with
-offsets relative to the payload start. Float tensors must be finite, and the
-writer refuses NaN and infinity in tensors and manifest alike. Each
-corruption mode maps to its own error type so callers can tell a truncated
-file from a mismatched manifest.
+offsets relative to the payload start. Float tensors must be finite: the
+writer and the reader refuse NaN and infinity in tensors and manifest
+alike. Each corruption mode maps to its own error type so callers can tell
+a truncated file from a mismatched manifest.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import (LengthError, MagicError, ManifestError, ParameterError,
-                     VersionError)
+from .errors import (LengthError, MagicError, ManifestError, NonFiniteError,
+                     ParameterError, VersionError)
 from .model import BLOCK_PARAMS, Model, ModelSpec, parameter_shapes
 from .records import record_fields, strict_json
 from .tensor import require_finite
@@ -75,6 +75,15 @@ _Descriptor = make_dataclass("_Descriptor", [
     ("name", "str"), ("shape", "list[int]"), ("dtype", "str"), ("offset", "int")])
 
 
+def _finite(text: str) -> float:
+    """A manifest number, as ``json.loads`` hands it over; the reader is as
+    strict as the writer, so NaN and infinity raise NonFiniteError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise NonFiniteError("the manifest holds NaN or infinite values")
+    return value
+
+
 def _read_manifest(blob: bytes) -> tuple[_Manifest, list[_Descriptor], memoryview]:
     """The checked manifest of a container, its tensor descriptors and a
     view of the payload after it (slicing a view copies no bytes)."""
@@ -89,7 +98,8 @@ def _read_manifest(blob: bytes) -> tuple[_Manifest, list[_Descriptor], memoryvie
         raise LengthError(
             f"manifest length {manifest_len} exceeds remaining {len(body)} bytes")
     try:
-        manifest = json.loads(str(body[:manifest_len], "utf-8"))
+        manifest = json.loads(str(body[:manifest_len], "utf-8"),
+                              parse_float=_finite, parse_constant=_finite)
     except ValueError as exc:  # bad UTF-8 or JSON, or an int past 4300 digits
         raise ManifestError(f"manifest is not valid JSON: {exc}") from None
     try:

@@ -13,6 +13,7 @@ place that decides whether the output is recorded.
 
 from __future__ import annotations
 
+import itertools
 import math
 import weakref
 from contextvars import ContextVar
@@ -21,7 +22,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import erf
 
-from .errors import ContractError, DimensionError, LabelIndexError, NonFiniteError
+from .errors import (ContractError, DimensionError, LabelIndexError,
+                     NonFiniteError, ParameterError)
 
 LAYERNORM_EPS = 1e-5
 
@@ -32,6 +34,7 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 # single-writer; nesting two recording scopes has no defined gradient
 # semantics, so it is rejected. Tapes in other threads are invisible here.
 _TAPE: "ContextVar[Tape | None]" = ContextVar("bbcq_tape", default=None)
+_TAPE_SERIALS = itertools.count()
 
 #: Output gradient -> one gradient contribution (or None) per parent.
 Backward = Callable[[np.ndarray], Sequence["np.ndarray | None"]]
@@ -46,14 +49,15 @@ class Tensor:
 
     ``data`` is the backing numpy array (row-major semantics); ``shape`` and
     ``ndim`` mirror it. A tensor created while a tape is recording carries the
-    id of its tape node so gradients can be looked up after ``backward``.
+    id of its tape node, and that tape's serial, so gradients can be looked
+    up after ``backward``; to any other tape it is a leaf.
     """
 
-    __slots__ = ("data", "_node", "__weakref__")
+    __slots__ = ("data", "_node", "_tape", "__weakref__")
 
     def __init__(self, values):
         self.data = _asarray(values)
-        self._node = None
+        self._node = self._tape = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -95,6 +99,7 @@ class Tape:
         self._nodes: list[tuple | None] = []
         self._grads: dict[int, np.ndarray] = {}
         self._swept = False
+        self._serial = next(_TAPE_SERIALS)
 
     def __enter__(self) -> "Tape":
         if _TAPE.get() is not None:
@@ -111,14 +116,18 @@ class Tape:
     def _append(self, parent_ids: tuple[int, ...], backward: Backward | None,
                 tensor: Tensor) -> int:
         """Record ``tensor`` as a new node and return its id."""
-        tensor._node = len(self._nodes)
+        tensor._node, tensor._tape = len(self._nodes), self._serial
         self._nodes.append((parent_ids, backward, tensor.data.shape,
                             weakref.ref(tensor)))
         return tensor._node
 
+    def _node_of(self, tensor: Tensor) -> int | None:
+        """The node of ``tensor`` on this tape; None if it has none here."""
+        return tensor._node if tensor._tape == self._serial else None
+
     def _leaf(self, tensor: Tensor) -> int:
-        """The node of ``tensor``, registered as a leaf if it has none."""
-        if tensor._node is None:
+        """The node of ``tensor``, registered as a leaf if it has none here."""
+        if self._node_of(tensor) is None:
             self._append((), None, tensor)
         return tensor._node
 
@@ -133,7 +142,7 @@ class Tape:
         if self._swept:
             raise ContractError("this tape has already run backward; "
                                 "record the forward again on a new tape")
-        if loss._node is None or loss._node >= len(self._nodes):
+        if self._node_of(loss) is None:
             raise ContractError("loss was not recorded on this tape")
         if loss.data.shape != ():
             raise ContractError(
@@ -168,9 +177,8 @@ class Tape:
 
     def grad(self, tensor: Tensor) -> Tensor | None:
         """Gradient of the swept loss w.r.t. ``tensor``."""
-        if tensor._node is None:
-            return None
-        grad = self._grads.get(tensor._node)
+        node = self._node_of(tensor)
+        grad = None if node is None else self._grads.get(node)
         return None if grad is None else Tensor(grad)
 
 
@@ -376,7 +384,8 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean negative log-softmax of the labelled class, via logsumexp.
 
     Computed in log space so extreme logits stay finite. Labels are integer
-    class indices and receive no gradient.
+    class indices and receive no gradient. An empty batch has no mean and
+    raises ParameterError.
     """
     logits = _as_tensor(logits)
     if logits.ndim != 2:
@@ -385,10 +394,12 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     if labels.shape != (logits.shape[0],):
         raise DimensionError(
             f"labels shape {labels.shape} does not match batch {logits.shape[0]}")
+    if not labels.size:
+        raise ParameterError("cross_entropy needs at least one sample")
     if not np.issubdtype(labels.dtype, np.integer):
         raise ContractError("labels must be integer class indices")
     num_classes = logits.shape[1]
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= num_classes:
+    if labels.min() < 0 or labels.max() >= num_classes:
         raise LabelIndexError(
             f"labels must lie in [0, {num_classes}), got range "
             f"[{labels.min()}, {labels.max()}]")

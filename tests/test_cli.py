@@ -585,6 +585,18 @@ def test_calibrate_manifest_of_wrong_json_shape_is_one_error_line(
     assert len(err) == 1 and err[0].startswith("error:manifest-mismatch: ")
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_calibrate_non_finite_calib_meta_is_one_error_line(tmp_path, capsys,
+                                                          value):
+    data = _gen(tmp_path)
+    bad = _with_manifest(data / "calib.bbcv", lambda m: {**m, "spec": {"seed": value}})
+    capsys.readouterr()
+    rc = main(["calibrate", "--model", str(data / "model.bbcv"),
+               "--calib", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    _assert_non_finite_error(capsys)
+
+
 def test_eval_model_with_fractional_spec_field_is_parameter_error(tmp_path,
                                                                   capsys):
     data = _gen(tmp_path)
@@ -896,8 +908,8 @@ def test_inspect_non_finite_report_field_is_non_finite_error(tmp_path, capsys,
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_inspect_non_finite_dataset_meta_is_non_finite_error(tmp_path, capsys,
                                                              value):
-    """The writer refuses such meta; a hand-edited container still loads,
-    but ``inspect`` prints no ``NaN`` or ``Infinity`` token."""
+    """The writer refuses such meta, and the reader a hand-edited container
+    that holds it, so ``inspect`` prints no ``NaN`` or ``Infinity`` token."""
     split = tmp_path / "split.bbcv"
     save_dataset(np.zeros((2, 3, 4)), np.zeros(2, dtype=np.int64), split)
     bad = _with_manifest(split, lambda m: {**m, "spec": {"seed": value}})

@@ -14,8 +14,7 @@ from bbcq.data import generate_dataset
 from bbcq.errors import ContractError, DimensionError, ParameterError
 from bbcq.model import (BLOCK_KINDS, MatmulSite, ModelSpec, block_forward,
                         block_prefix, enumerate_sites, forward, forward_from,
-                        freeze_operands, init_model, parameter_shapes,
-                        validate_quant_sites)
+                        freeze_operands, init_model, parameter_shapes)
 from bbcq import model as model_module
 from bbcq.quantizers import (DynamicSoftmax, QuantParams, fake_quant_array,
                              fake_quant_softmax_dynamic, softmax_site_params)
@@ -38,7 +37,7 @@ def test_spec_validation():
     with pytest.raises(ParameterError):
         ModelSpec(num_blocks=1, embed_dim=16, num_heads=2, patch_count=4,
                   num_classes=1)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="mlp_ratio must be positive"):
         ModelSpec(num_blocks=1, embed_dim=16, num_heads=2, patch_count=4,
                   num_classes=4, mlp_ratio=0.0)
     with pytest.raises(ParameterError, match="init_seed"):
@@ -95,12 +94,6 @@ def test_site_validation_errors():
         MatmulSite("embed", "B", 0)  # edges carry no block
     with pytest.raises(ParameterError):
         MatmulSite.parse("b0")
-
-
-def test_validate_quant_sites_rejects_stranger(tiny_spec):
-    stranger = MatmulSite("mlp-1", "A", 5)
-    with pytest.raises(ContractError, match="b5.mlp-1.A"):
-        validate_quant_sites(tiny_spec, [stranger])
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +465,77 @@ def test_hook_and_stop_are_keyword_only(tiny_model, tiny_batch):
         block_prefix(tiny_model, 0, block_input, "mlp-1", None, True)
 
 
+# ---------------------------------------------------------------------------
+# the one input check of every model entry
+
+
+def _quant_entries(model, x, quant) -> dict:
+    """One call of each model entry that takes a quant state, on block 0:
+    ``forward`` on the raw batch ``x``, the staged calls on its block input."""
+    block_input = _block_input(model, x)
+    return {
+        "forward": lambda: forward(model, x, quant),
+        "block_forward": lambda: block_forward(model, 0, block_input, quant),
+        "block_prefix": lambda: block_prefix(model, 0, block_input, "mlp-1", quant),
+        "freeze_operands": lambda: freeze_operands(model, 0, None, quant),
+    }
+
+
+@pytest.mark.parametrize("site_id", ["b1.mlp-1.A", "b5.mlp-1.A", "embed.A"])
+def test_every_entry_rejects_a_site_the_model_lacks(tiny_model, tiny_batch,
+                                                    site_id):
+    """A site of a block past the 1-block model, or an edge activation,
+    which is never quantized, is a ContractError naming the site at every
+    entry."""
+    params = QuantParams(bits=8, scale=0.01, zero_point=0, scheme="uniform")
+    quant = {MatmulSite.parse(site_id): params}
+    for call in _quant_entries(tiny_model, tiny_batch[0], quant).values():
+        with pytest.raises(ContractError, match=site_id):
+            call()
+
+
+def _calibrated_state(model, x, y) -> dict:
+    """The model's W4A4 state from a small ``calibrate`` run."""
+    return calibrate(model, x, y, CalibConfig(
+        w_bits=4, a_bits=4, num_candidates=4, rounds=1,
+        calib_batch=len(x))).quant_state()
+
+
+@pytest.mark.parametrize("entry", ["block_forward", "block_prefix",
+                                   "freeze_operands"])
+def test_every_entry_rejects_a_quant_state_under_a_tape(tiny_model, tiny_batch,
+                                                        entry):
+    """As ``forward`` does (see ``test_quant_rejected_under_recording_tape``):
+    a fake-quantized operand is a fresh tape leaf, so a gradient taken
+    through it would be silently wrong. Outside a tape the call runs."""
+    call = _quant_entries(tiny_model, tiny_batch[0],
+                          _calibrated_state(tiny_model, *tiny_batch))[entry]
+    with Tape():
+        with pytest.raises(ContractError, match="recording tape"):
+            call()
+    call()
+
+
+def test_block_prefix_cannot_pause_before_its_carry(tiny_model, tiny_batch):
+    """Pausing a carry at an earlier matmul is a ContractError, not a run
+    to the end of the block; pausing it where it is returns it."""
+    x = _block_input(tiny_model, tiny_batch[0])
+    carry = block_prefix(tiny_model, 0, x, "mlp-1")
+    with pytest.raises(ContractError, match="resumes at mlp-1"):
+        block_prefix(tiny_model, 0, carry, "qkv-projection")
+    assert block_prefix(tiny_model, 0, carry, "mlp-1") is carry
+    assert block_prefix(tiny_model, 0, carry, "mlp-2").kind == "mlp-2"
+
+
+@pytest.mark.parametrize("block", [1, 5, -1])
+def test_forward_from_rejects_a_block_outside_the_model(tiny_model, tiny_batch,
+                                                        block):
+    """On a 1-block model only block 0 has an output to start from."""
+    x = _block_input(tiny_model, tiny_batch[0])
+    with pytest.raises(ParameterError, match=f"block index {block}"):
+        forward_from(tiny_model, block, x)
+
+
 def test_block_forward_cannot_stop_before_its_carry(tiny_model, tiny_batch):
     x = _block_input(tiny_model, tiny_batch[0])
     carry = block_prefix(tiny_model, 0, x, "mlp-1")
@@ -499,13 +563,16 @@ def test_staged_calls_reject_unknown_kinds_and_blocks(tiny_model, tiny_batch,
 @pytest.mark.parametrize("shape", [(6, 16), (6, 5, 16)],
                          ids=["two-dims", "patches"])
 def test_staged_calls_reject_a_misshapen_block_input(tiny_model, shape):
-    """A block input that is not (batch, patches, embed_dim) is a
-    DimensionError, not a raw unpacking error or a silent forward."""
+    """A block input, or the block output ``forward_from`` starts from,
+    that is not (batch, patches, embed_dim) is a DimensionError, not a raw
+    unpacking error or a silent forward."""
     x = Tensor(np.zeros(shape))
     with pytest.raises(DimensionError):
         block_prefix(tiny_model, 0, x, "mlp-1")
     with pytest.raises(DimensionError):
         block_forward(tiny_model, 0, x)
+    with pytest.raises(DimensionError):
+        forward_from(tiny_model, 0, x)
 
 
 def _twin_quantized(dynamic):

@@ -306,6 +306,22 @@ def test_dataset_meta_must_be_finite(value):
                           meta={"seed": value})
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_loader_rejects_non_finite_manifest_numbers(tmp_path, token):
+    """The reader is as strict as the writer: a hand-edited manifest number
+    that is NaN or infinite is a NonFiniteError, not a loaded value."""
+    inputs, labels = generate_dataset(2, 4, 16, 3, seed=0)
+    _, _, manifest, _, payload = _split(serialize_dataset(inputs, labels))
+    raw = json.dumps({**manifest, "spec": {"seed": 0}}, sort_keys=True,
+                     separators=(",", ":")).replace('"seed":0', f'"seed":{token}')
+    path = tmp_path / "d.bbcv"
+    path.write_bytes(_HEADER.pack(b"BBCVIT", b"01", len(raw)) + raw.encode()
+                     + payload)
+    with pytest.raises(NonFiniteError,
+                       match="the manifest holds NaN or infinite values"):
+        load_dataset(path)
+
+
 @pytest.mark.parametrize("inputs", [np.zeros((2, 3)), np.full((2, 3, 4), np.nan)],
                          ids=["2-d", "nan"])
 def test_a_rejected_save_leaves_the_file_as_it_was(tmp_path, inputs):

@@ -170,6 +170,23 @@ def _block_input(model, samples=3 * ROWS + 5) -> Tensor:
     return Tensor(_batch(samples)[0] @ model.embed_w)
 
 
+@pytest.mark.parametrize("samples, calls", [(ROWS, 1), (ROWS + 1, 2),
+                                            (8 * ROWS, 8)])
+def test_block_forward_slices_only_past_one_slice(model, monkeypatch, samples,
+                                                  calls):
+    """Without ``out``, an untaped call on a block input runs a batch of at
+    most one slice in one pass on ``x`` itself, and a larger one in slices."""
+    seen = []
+    run_stages = model_module._run_stages
+    monkeypatch.setattr(model_module, "_run_stages",
+                        lambda model, block, x, *args: seen.append(x)
+                        or run_stages(model, block, x, *args))
+    block_input = _block_input(model, samples)
+    block_forward(model, 0, block_input)
+    assert len(seen) == calls
+    assert (seen[0] is block_input) == (samples == ROWS)
+
+
 def test_one_slice_batch_returns_its_output_in_out(model):
     block_input = _block_input(model, ROWS - 1)
     out = np.empty(block_input.shape)

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
-from bbcq.errors import ContractError, DimensionError, LabelIndexError
+from bbcq.errors import (ContractError, DimensionError, LabelIndexError,
+                         ParameterError)
 from bbcq.tensor import (LAYERNORM_EPS, Tape, Tensor, add, cross_entropy,
                          gelu, layernorm, matmul, mul, recording_active,
                          reshape, softmax, tensor_mean, tensor_sum, transpose)
@@ -90,6 +91,11 @@ def test_softmax_bad_axis(rng):
         softmax(Tensor(rng.normal(size=(2, 3))), axis=2)
 
 
+def test_softmax_counts_the_first_axis_from_the_end(rng):
+    x = Tensor(rng.normal(size=(3, 4, 5)))
+    np.testing.assert_array_equal(softmax(x, axis=-3).data, softmax(x, axis=0).data)
+
+
 def test_gelu_matches_erf_form(rng):
     x = rng.normal(size=(5, 3)) * 3.0
     expected = x * 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
@@ -146,6 +152,12 @@ def test_cross_entropy_rejects_float_labels(rng):
 def test_cross_entropy_label_shape_mismatch(rng):
     with pytest.raises(DimensionError):
         cross_entropy(Tensor(rng.normal(size=(2, 3))), np.array([0, 1, 2]))
+
+
+def test_cross_entropy_rejects_an_empty_batch():
+    """An empty batch has no mean: a ParameterError, not a NaN loss."""
+    with pytest.raises(ParameterError, match="at least one sample"):
+        cross_entropy(Tensor(np.zeros((0, 3))), np.zeros(0, dtype=np.int64))
 
 
 def test_concat_and_reshape_roundtrip(rng):
@@ -245,6 +257,24 @@ def test_backward_rejects_foreign_loss(rng):
     with Tape() as tape:
         with pytest.raises(ContractError):
             tape.backward(loss)
+
+
+def test_a_tensor_of_another_tape_is_a_leaf():
+    """A node id means something only on the tape that recorded it: a
+    tensor from an earlier tape enters a later one as a leaf, and a loss
+    from another tape is rejected even where its id is in range."""
+    with Tape():
+        y = matmul(Tensor(np.ones((1, 1))), Tensor(np.ones((1, 1))))
+    with Tape() as tape:
+        b = Tensor(np.ones((1, 1)))
+        loss = tensor_sum(add(mul(b, 2.0), y))
+        tape.backward(loss)
+    np.testing.assert_array_equal(tape.grad(b).data, [[2.0]])
+    np.testing.assert_array_equal(tape.grad(y).data, [[1.0]])
+    with Tape() as other:
+        tensor_sum(add(mul(Tensor(np.ones((1, 1))), 2.0), 1.0))
+        with pytest.raises(ContractError, match="not recorded on this tape"):
+            other.backward(loss)
 
 
 def test_second_backward_rejected(rng):
