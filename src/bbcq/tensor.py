@@ -20,7 +20,6 @@ from contextvars import ContextVar
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import (ContractError, DimensionError, LabelIndexError,
                      NonFiniteError, ParameterError)
@@ -29,6 +28,10 @@ LAYERNORM_EPS = 1e-5
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+# scipy.special's erf, loaded by the first _phi: importing scipy.special
+# costs every command about a quarter second, and only GeLU calls it.
+erf = None
 
 # The active tape of the current context (thread), if any. A Tape is
 # single-writer; nesting two recording scopes has no defined gradient
@@ -49,8 +52,8 @@ class Tensor:
 
     ``data`` is the backing numpy array (row-major semantics); ``shape`` and
     ``ndim`` mirror it. A tensor created while a tape is recording carries the
-    id of its tape node, and that tape's serial, so gradients can be looked
-    up after ``backward``; to any other tape it is a leaf.
+    id of its tape node, and that tape's serial; to any other tape it is a
+    leaf, and recording it there moves it to that tape's node.
     """
 
     __slots__ = ("data", "_node", "_tape", "__weakref__")
@@ -92,12 +95,13 @@ class Tape:
     can die with its last other reference. Nodes are appended in execution
     order, so parents always precede their consumers and the backward sweep
     is a single reversed pass. Gradient accumulation adds contributions in
-    that fixed reverse-node, left-to-right-parent order.
+    that fixed reverse-node, left-to-right-parent order. Gradients are kept
+    by Tensor, so one recorded again on a later tape keeps its gradient here.
     """
 
     def __init__(self):
         self._nodes: list[tuple | None] = []
-        self._grads: dict[int, np.ndarray] = {}
+        self._grads = weakref.WeakKeyDictionary()  # Tensor -> its gradient
         self._swept = False
         self._serial = next(_TAPE_SERIALS)
 
@@ -148,15 +152,17 @@ class Tape:
             raise ContractError(
                 f"backward needs a scalar loss, got shape {loss.data.shape}")
         self._swept = True
-        grads = self._grads = {loss._node: np.ones((), dtype=np.float64)}
+        grads = {loss._node: np.ones((), dtype=np.float64)}
         for node_id in range(len(self._nodes) - 1, -1, -1):
             parent_ids, node_backward, _, tensor_ref = self._nodes[node_id]
             self._nodes[node_id] = None
             grad = grads.pop(node_id, None)
             if grad is None:
                 continue
-            if tensor_ref() is not None:
-                grads[node_id] = grad
+            tensor = tensor_ref()
+            if tensor is not None:
+                # Every consumer comes later on the tape, so it is final.
+                self._grads[tensor] = grad
             if node_backward is None:
                 continue
             for parent_id, contrib in zip(parent_ids, node_backward(grad)):
@@ -177,8 +183,7 @@ class Tape:
 
     def grad(self, tensor: Tensor) -> Tensor | None:
         """Gradient of the swept loss w.r.t. ``tensor``."""
-        node = self._node_of(tensor)
-        grad = None if node is None else self._grads.get(node)
+        grad = self._grads.get(tensor)
         return None if grad is None else Tensor(grad)
 
 
@@ -357,6 +362,9 @@ def _phi(x: np.ndarray) -> np.ndarray:
     """0.5 * (1 + erf(x / sqrt(2))) as one new array. erf runs on |x| and
     gets the sign back, skipping scipy's branch on u < 0 that half of GeLU's
     inputs take: the same bits, as erf is odd and rounding sign-symmetric."""
+    global erf
+    if erf is None:
+        from scipy.special import erf
     out = np.asarray(np.abs(x))
     out *= _INV_SQRT2
     erf(out, out=out)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 import weakref
 import zlib
 
@@ -277,6 +281,18 @@ def test_a_tensor_of_another_tape_is_a_leaf():
             other.backward(loss)
 
 
+def test_recording_a_tensor_again_keeps_the_earlier_tapes_gradient():
+    """A tensor recorded on a later tape moves to that tape's node; the
+    earlier tape still returns the gradient its sweep gave it."""
+    y = Tensor(np.ones((1, 1)))
+    with Tape() as first:
+        first.backward(tensor_sum(mul(y, 2.0)))
+    with Tape() as second:
+        second.backward(tensor_sum(add(y, 1.0)))
+    np.testing.assert_array_equal(first.grad(y).data, [[2.0]])
+    np.testing.assert_array_equal(second.grad(y).data, [[1.0]])
+
+
 def test_second_backward_rejected(rng):
     """The first sweep frees the closures a second one would need."""
     with Tape() as tape:
@@ -302,7 +318,7 @@ def test_backward_frees_what_it_has_passed(rng):
         assert hidden_ref() is not None
         tape.backward(loss)
     assert hidden_ref() is None
-    assert sorted(tape._grads) == sorted(t._node for t in (x, kept, loss))
+    assert {id(t) for t in tape._grads} == {id(t) for t in (x, kept, loss)}
     assert all(node is None for node in tape._nodes)
     np.testing.assert_allclose(tape.grad(kept).data, np.ones((3, 4)))
 
@@ -444,6 +460,97 @@ def test_gelu_bits_match_signed_erf_form(pairs):
     x, g = (np.array(column) for column in zip(*pairs))
     with np.errstate(over="ignore"):
         _assert_gelu_bits(x, g)
+
+
+def _run_fresh(script, *args):
+    """``script`` in a new interpreter, where nothing has imported scipy yet;
+    returns its standard output."""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+_COMMANDS_WITHOUT_GELU = """
+import json, sys
+import numpy as np
+from bbcq import cli, tensor
+work = sys.argv[1]
+loaded = {"import": "scipy.special" in sys.modules}
+for argv in (["gen", "--blocks", "1", "--embed-dim", "16", "--heads", "2",
+              "--patches", "4", "--classes", "4", "--calib-size", "8",
+              "--eval-size", "8", "--out", work + "/data"],
+             ["inspect", work + "/data/model.bbcv"],
+             ["compare-softmax", "--synthetic", "powerlaw", "--rows", "16",
+              "--out", work + "/cmp"]):
+    assert cli.main(argv) == 0, argv
+    loaded[argv[0]] = "scipy.special" in sys.modules
+np.save(work + "/gelu.npy", tensor.gelu(np.load(work + "/x.npy")).data)
+loaded["gelu"] = "scipy.special" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_only_the_first_gelu_imports_scipy(tmp_path, rng):
+    """``import bbcq``, ``gen``, ``inspect`` and synthetic
+    ``compare-softmax`` never load scipy.special; the first GeLU does, and
+    gives the signed-erf bits."""
+    x = rng.normal(size=(3, 4, 8)) * 3.0
+    np.save(tmp_path / "x.npy", x)
+    out = _run_fresh(_COMMANDS_WITHOUT_GELU, tmp_path)
+    loaded = json.loads(out.splitlines()[-1])
+    assert loaded == {"import": False, "gen": False, "inspect": False,
+                      "compare-softmax": False, "gelu": True}
+    want = _reference_gelu(x, x)[0]
+    np.testing.assert_array_equal(np.load(tmp_path / "gelu.npy").view(np.uint64),
+                                  want.view(np.uint64))
+
+
+_GELU_IN_TWO_THREADS = """
+import sys, threading
+import numpy as np
+from bbcq.tensor import Tape, Tensor, gelu, mul, tensor_sum
+assert "scipy.special" not in sys.modules
+work = sys.argv[1]
+x, g = np.load(work + "/x.npy"), np.load(work + "/g.npy")
+start = threading.Barrier(2)
+results = {}
+
+def run(name):
+    start.wait()
+    with Tape() as tape:
+        leaf = Tensor(x)
+        out = gelu(leaf)
+        tape.backward(tensor_sum(mul(out, Tensor(g))))
+    results[name + "_value"] = out.data
+    results[name + "_grad"] = tape.grad(leaf).data
+
+threads = [threading.Thread(target=run, args=(name,)) for name in "ab"]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+np.savez(work + "/out.npz", **results)
+"""
+
+
+def test_two_threads_race_to_the_first_gelu(tmp_path, rng):
+    """Two threads released together into their first GeLU, before
+    scipy.special is loaded, each get the signed-erf value and gradient,
+    bit for bit."""
+    x, g = rng.normal(size=(16, 4, 64)) * 3.0, rng.normal(size=(16, 4, 64))
+    np.save(tmp_path / "x.npy", x)
+    np.save(tmp_path / "g.npy", g)
+    _run_fresh(_GELU_IN_TWO_THREADS, tmp_path)
+    want_value, (want_grad,) = _reference_gelu(x, g)
+    with np.load(tmp_path / "out.npz") as got:
+        assert sorted(got.files) == ["a_grad", "a_value", "b_grad", "b_value"]
+        for name in "ab":
+            np.testing.assert_array_equal(got[name + "_value"].view(np.uint64),
+                                          want_value.view(np.uint64))
+            np.testing.assert_array_equal(got[name + "_grad"].view(np.uint64),
+                                          want_grad.view(np.uint64))
 
 
 def _reference_softmax(x, g):
