@@ -13,7 +13,7 @@ from .calibration import (BlockCache, CalibConfig, CalibInstrumentation,
                           CalibResult, bbc_metric, bottom_mask,
                           bottom_threshold, cache_fp_pass, calibrate,
                           candidate_scales, load_result, save_result,
-                          search_site, total_blockwise_metric)
+                          search_site, total_blockwise_metric, worker_pool)
 from .data import generate_dataset, synthetic_scores
 from .errors import (BBCQError, ConfigError, ContractError,
                      DegenerateRangeError, DegenerateScaleError,
@@ -50,7 +50,7 @@ __all__ = [
     "BlockCache", "CalibConfig", "CalibInstrumentation", "CalibResult",
     "bbc_metric", "bottom_mask", "bottom_threshold", "cache_fp_pass",
     "calibrate", "candidate_scales", "load_result", "save_result",
-    "search_site", "total_blockwise_metric",
+    "search_site", "total_blockwise_metric", "worker_pool",
     # metrics + data
     "EvalMetrics", "QuantReportRow", "code_entropy",
     "compare_softmax_quantizers", "evaluate",

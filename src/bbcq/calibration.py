@@ -23,9 +23,9 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, make_dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -33,8 +33,8 @@ from .errors import (ConfigError, ContractError, DegenerateRangeError,
                      DimensionError, FormatError, NonFiniteError,
                      ParameterError)
 from .model import (BLOCK_KINDS, BlockCarry, MatmulSite, Model, QuantState,
-                    block_forward, block_prefix, enumerate_sites, forward,
-                    freeze_operands)
+                    WorkerPool, block_forward, block_prefix, enumerate_sites,
+                    forward, freeze_operands, shared_map)
 from .quantizers import (SCHEMES, DynamicSoftmax, QuantParams,
                          softmax_site_params, uniform_grid)
 from .records import check_field_types, record_fields
@@ -342,7 +342,7 @@ def _first_argmin(metrics: list[float]) -> int:
 
 def search_site(model: Model, site: MatmulSite, candidates: list[QuantParams],
                 state: QuantState, cache: BlockCache, prefix: BlockCarry,
-                gamma: float, executor: ThreadPoolExecutor | None = None
+                gamma: float, executor: WorkerPool | None = None
                 ) -> list[float]:
     """Score every candidate for one site: its trace, one metric per candidate.
 
@@ -354,9 +354,10 @@ def search_site(model: Model, site: MatmulSite, candidates: list[QuantParams],
     of that matmul and, for a block unit, each later weight, is
     fake-quantized once per call (``freeze_operands``), so a candidate
     quantizes only the searched operand and, for a block unit, the later
-    activations. Candidate evaluations are pure,
-    so the optional executor only changes wall-clock, never the trace; its
-    threads run under the caller's numpy error state. A NaN or infinite
+    activations. Candidate evaluations are pure, so sharing them with the
+    threads of an optional ``executor`` (``shared_map``, which runs them
+    under the caller's numpy error state) changes wall-clock only, never
+    the trace. A NaN or infinite
     metric raises NonFiniteError; a cache of another block or unit, or a
     prefix paused at another matmul, raises ContractError; no candidates
     raise ParameterError.
@@ -374,30 +375,44 @@ def search_site(model: Model, site: MatmulSite, candidates: list[QuantParams],
              if k != site and (cache.kind == "block" or k.kind == site.kind)}
     model, start, rest = freeze_operands(model, site.block, prefix, fixed)
     sensitivities = [g * g for g in cache.grads]
-    # numpy keeps its error state per context, and pool threads do not
-    # inherit the caller's, so every candidate runs under it explicitly.
-    errors = np.geterr()
 
     def metric_for(params: QuantParams) -> float:
-        with np.errstate(**errors):
-            return _unit_metric(model, cache, {**rest, site: params}, gamma,
-                                start, sensitivities)
+        return _unit_metric(model, cache, {**rest, site: params}, gamma,
+                            start, sensitivities)
 
-    trace = list((executor.map if executor else map)(metric_for, candidates))
+    trace = shared_map(metric_for, candidates, executor)
     if not np.isfinite(trace).all():
         raise NonFiniteError(f"site {site.site_id}: a candidate metric is not finite")
     return trace
 
 
-def _workers_from_env() -> int:
-    raw = os.environ.get("BBCQ_THREADS", "1")
+def _threads_from_env() -> int:
+    """``BBCQ_THREADS``, or every CPU this process may run on when unset."""
+    raw = os.environ.get("BBCQ_THREADS")
+    if raw is None:
+        # The affinity mask is Linux's; elsewhere every CPU counts.
+        return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+            else os.cpu_count() or 1
     try:
-        workers = int(raw)
+        threads = int(raw)
     except ValueError:
         raise ConfigError(f"BBCQ_THREADS must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise ConfigError(f"BBCQ_THREADS must be >= 1, got {workers}")
-    return workers
+    if threads < 1:
+        raise ConfigError(f"BBCQ_THREADS must be >= 1, got {threads}")
+    return threads
+
+
+@contextmanager
+def worker_pool() -> Iterator[WorkerPool | None]:
+    """The threads ``BBCQ_THREADS`` asks for: the caller and a pool of one
+    worker fewer, or None at one thread, since each worker thread's own
+    malloc arena costs RSS."""
+    threads = _threads_from_env()
+    if threads == 1:
+        yield None
+        return
+    with ThreadPoolExecutor(max_workers=threads - 1) as executor:
+        yield WorkerPool(executor, threads)
 
 
 def _site_sort_key(site: MatmulSite) -> tuple:
@@ -566,10 +581,7 @@ def calibrate(model: Model, inputs, labels, config: CalibConfig,
             state[site] = softmax_site_params(*config.site_quantizer(site), hi, lo)
 
     by_unit = {(c.block, c.kind): c for c in fp.caches}
-    workers = _workers_from_env()
-    # No pool at one thread: a worker thread's own malloc arena costs RSS.
-    with (ThreadPoolExecutor(max_workers=workers) if workers > 1
-          else nullcontext()) as executor:
+    with worker_pool() as executor:
         for b in range(model.spec.num_blocks):
             instr.enter_block()
             for kind in reversed(BLOCK_KINDS):

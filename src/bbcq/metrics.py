@@ -6,7 +6,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .calibration import CalibResult
+from .calibration import CalibResult, worker_pool
 from .errors import ContractError, DimensionError, ParameterError
 from .model import Model, enumerate_sites, forward
 from .quantizers import SCHEME_TABLE, CodeTensor, softmax_site_params
@@ -120,7 +120,7 @@ def evaluate(model: Model, result: CalibResult | None, inputs,
     With no calibration result the model runs in full precision and agrees
     with itself exactly. A result must cover every site of the model, and
     ``labels`` must hold one label per input sample, of which there must be
-    at least one.
+    at least one. Both forwards share one ``worker_pool()``.
     """
     if result is not None:
         missing = [site.site_id for site in enumerate_sites(model.spec)
@@ -135,14 +135,17 @@ def evaluate(model: Model, result: CalibResult | None, inputs,
                              f"{x.shape[:1]}, one label per input sample")
     if labels.shape == (0,):
         raise ParameterError("evaluate needs at least one sample")
-    fp_logits = require_finite(forward(model, Tensor(x)).logits.data,
-                               "the FP logit array")
-    if result is None:
-        logits = fp_logits
-    else:
-        logits = require_finite(
-            forward(model, Tensor(x), quant=result.quant_state()).logits.data,
-            "the quantized logit array")
+    with worker_pool() as executor:
+        fp_logits = require_finite(
+            forward(model, Tensor(x), executor=executor).logits.data,
+            "the FP logit array")
+        if result is None:
+            logits = fp_logits
+        else:
+            logits = require_finite(
+                forward(model, Tensor(x), quant=result.quant_state(),
+                        executor=executor).logits.data,
+                "the quantized logit array")
     pred = logits.argmax(axis=1)
     return EvalMetrics(
         top1_accuracy=float((pred == labels).mean()),

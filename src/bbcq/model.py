@@ -15,7 +15,8 @@ operand ranges and per-matmul outputs through it. A block runs as six
 matmul stages over a ``BlockCarry``, so calibration can advance a block to
 one matmul once and resume every candidate from there. An untaped,
 hook-free full block forward runs a large batch in cache-sized slices of
-samples. ``freeze_operands`` fake-quantizes once what every such resumed
+samples, which ``shared_map`` spreads over a ``WorkerPool`` when one is
+given. ``freeze_operands`` fake-quantizes once what every such resumed
 forward or slice holds fixed. ``forward`` has each block write its output
 over its input. The five entry points run one input check, ``_check_call``.
 """
@@ -23,8 +24,10 @@ over its input. The five entry points run one input check, ``_check_call``.
 from __future__ import annotations
 
 import math
+import threading
+from concurrent.futures import Executor
 from dataclasses import asdict, dataclass, make_dataclass, replace
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -403,6 +406,56 @@ def _run_stages(model: Model, block: int, x: Tensor | BlockCarry,
     return carry
 
 
+class WorkerPool(NamedTuple):
+    """An executor's workers and the caller, ``threads`` threads in all,
+    sharing the items of each ``shared_map``."""
+
+    executor: Executor
+    threads: int
+
+
+def shared_map(fn: Callable, items: Iterable, pool: WorkerPool | None) -> list:
+    """``[fn(item) for item in items]``, in order.
+
+    With a pool, the caller and up to ``pool.threads - 1`` of its workers
+    each take the next item until none is left, every one under the
+    caller's numpy error state (a thread does not inherit it). Once an item
+    fails no thread takes another; when all have stopped, the exception of
+    the first failed item is raised, the one a serial map raises for a pure
+    ``fn``.
+    """
+    items = list(items)
+    threads = 1 if pool is None else min(pool.threads, len(items))
+    if threads <= 1:
+        return [fn(item) for item in items]
+    errors = np.geterr()
+    results = [None] * len(items)
+    failures: dict[int, BaseException] = {}
+    pending = iter(range(len(items)))
+    lock = threading.Lock()
+
+    def take() -> int | None:
+        with lock:
+            return None if failures else next(pending, None)
+
+    def work() -> None:
+        with np.errstate(**errors):
+            while (i := take()) is not None:
+                try:
+                    results[i] = fn(items[i])
+                except BaseException as exc:
+                    with lock:
+                        failures[i] = exc
+
+    helpers = [pool.executor.submit(work) for _ in range(threads - 1)]
+    work()
+    for helper in helpers:  # work() keeps fn's errors, so this waits for all
+        helper.result()
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
 def _slice_rows(spec: ModelSpec) -> int:
     """Samples per slice of an untaped block forward: as many as keep one
     slice's MLP hidden activation and attention scores within 2**17 float64
@@ -448,7 +501,8 @@ def block_forward(model: Model, block: int, x: Tensor | BlockCarry,
                   quant: QuantState | None = None, *,
                   hook: MatmulHook | None = None,
                   stop: str | None = None,
-                  out: np.ndarray | None = None) -> Tensor | list[Tensor]:
+                  out: np.ndarray | None = None,
+                  executor: WorkerPool | None = None) -> Tensor | list[Tensor]:
     """One transformer block. ``x`` is the (B, N, D) block input, or a
     ``BlockCarry`` to resume from (see ``block_prefix``).
 
@@ -470,9 +524,12 @@ def block_forward(model: Model, block: int, x: Tensor | BlockCarry,
     runs the batch in one pass. Such a sliced call writes its output into
     ``out`` when given, a writeable C-contiguous float64 array of ``x``'s
     shape that may be ``x.data`` itself; the returned tensor wraps ``out``.
+    With an ``executor``, its threads share the slices (``shared_map``),
+    each slice ``1 / executor.threads`` of the serial size, so all of them
+    together hold about one serial slice's working set.
     """
     _check_call(model, block, x, quant, stop)
-    rows = _slice_rows(model.spec)
+    rows = max(1, _slice_rows(model.spec) // (executor.threads if executor else 1))
     one_pass = isinstance(x, BlockCarry) or hook is not None or stop is not None \
         or recording_active()
     if out is not None:
@@ -486,12 +543,16 @@ def block_forward(model: Model, block: int, x: Tensor | BlockCarry,
         return _run_stages(model, block, x, quant, hook, None, stop)
     # Every stage is per sample, so the slices' outputs, in order, are the
     # whole batch's output bit for bit. A slice's rows are read before they
-    # are written, so ``out`` may be the input itself.
+    # are written, and no other slice touches them, so ``out`` may be the
+    # input itself.
     out = np.empty(x.shape) if out is None else out
     model, _, quant = freeze_operands(model, block, None, quant)
-    for lo in range(0, x.shape[0], rows):
+
+    def run_slice(lo: int) -> None:
         out[lo:lo + rows] = _run_stages(model, block, Tensor(x.data[lo:lo + rows]),
                                         quant, None, None, None).data
+
+    shared_map(run_slice, range(0, x.shape[0], rows), executor)
     return Tensor(out)
 
 
@@ -510,7 +571,8 @@ def block_prefix(model: Model, block: int, x: Tensor, kind: str,
 
 
 def forward(model: Model, x, quant: QuantState | None = None, *,
-            hook: MatmulHook | None = None) -> ForwardResult:
+            hook: MatmulHook | None = None,
+            executor: WorkerPool | None = None) -> ForwardResult:
     """Full forward pass; returns the logits, and while a tape records also
     every block's output (see ``ForwardResult``).
 
@@ -518,6 +580,7 @@ def forward(model: Model, x, quant: QuantState | None = None, *,
     right before its matmul. Quantized forwards are not differentiable and
     are rejected while a tape is recording. ``hook`` sees every matmul (see
     ``block_forward``); for ``embed`` and ``head`` its ``block`` is None.
+    ``executor`` is passed to every ``block_forward``.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     _check_call(model, None, x, quant)
@@ -536,7 +599,8 @@ def forward(model: Model, x, quant: QuantState | None = None, *,
     embed_out, block_outputs = (current, []) if taped else (None, None)
     out = None if taped or hook is not None else current.data
     for b in range(model.spec.num_blocks):
-        current = block_forward(model, b, current, quant, hook=hook, out=out)
+        current = block_forward(model, b, current, quant, hook=hook, out=out,
+                                executor=executor)
         if taped:
             block_outputs.append(current)
     logits = edge_matmul("head", current.mean(axis=1), model.head_w)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 import threading
 from collections import Counter
@@ -31,6 +32,7 @@ from bbcq.calibration import (CalibConfig, CalibInstrumentation, CalibResult,
 from bbcq.data import generate_dataset
 from bbcq.errors import (ConfigError, ContractError, DegenerateRangeError,
                          DimensionError, NonFiniteError, ParameterError)
+from bbcq.metrics import evaluate
 from bbcq.model import (BLOCK_KINDS, MatmulSite, ModelSpec, block_forward,
                         block_prefix, enumerate_sites, forward, forward_from,
                         init_model)
@@ -940,7 +942,7 @@ def test_calibrate_deterministic():
 def test_calibrate_thread_count_does_not_change_result(monkeypatch):
     model, x, y = _small_setup()
     config = CalibConfig(w_bits=4, a_bits=4, num_candidates=5, rounds=1)
-    monkeypatch.delenv("BBCQ_THREADS", raising=False)
+    monkeypatch.setenv("BBCQ_THREADS", "1")
     sequential = calibrate(model, x, y, config)
     monkeypatch.setenv("BBCQ_THREADS", "3")
     threaded = calibrate(model, x, y, config)
@@ -957,7 +959,7 @@ def test_pool_threads_share_one_carry(monkeypatch, blocks_as_layers):
     config = CalibConfig(w_bits=3, a_bits=3, num_candidates=7, rounds=2,
                          dynamic_softmax=True, softmax_quantizer="twin",
                          blocks_as_layers=blocks_as_layers)
-    monkeypatch.delenv("BBCQ_THREADS", raising=False)
+    monkeypatch.setenv("BBCQ_THREADS", "1")
     sequential = calibrate(model, x, y, config).dumps()
     monkeypatch.setenv("BBCQ_THREADS", "6")
     interval = sys.getswitchinterval()
@@ -969,11 +971,8 @@ def test_pool_threads_share_one_carry(monkeypatch, blocks_as_layers):
     assert threaded == sequential
 
 
-@pytest.mark.parametrize("threads,pools", [("1", []), ("2", [2])])
-def test_calibrate_pools_only_above_one_thread(monkeypatch, threads, pools):
-    """BBCQ_THREADS=1 runs every candidate on the calling thread, with no
-    pool (a pool thread's malloc arena would cost RSS); n > 1 threads run
-    them on one pool of n workers."""
+def _record_pools(monkeypatch) -> list[int]:
+    """The ``max_workers`` of every pool ``worker_pool`` builds from here on."""
     built = []
 
     class Recorded(calibration_module.ThreadPoolExecutor):
@@ -982,10 +981,42 @@ def test_calibrate_pools_only_above_one_thread(monkeypatch, threads, pools):
             super().__init__(max_workers, *args, **kwargs)
 
     monkeypatch.setattr(calibration_module, "ThreadPoolExecutor", Recorded)
+    return built
+
+
+@pytest.mark.parametrize("threads,pools", [("1", []), ("2", [1]), ("3", [2])])
+def test_calibrate_pools_only_above_one_thread(monkeypatch, threads, pools):
+    """BBCQ_THREADS=1 runs every candidate and slice on the calling thread,
+    with no pool (a pool thread's malloc arena would cost RSS); n > 1
+    threads are the caller and one pool of n - 1 workers, built once per
+    ``calibrate`` and once per ``evaluate`` call."""
+    built = _record_pools(monkeypatch)
     monkeypatch.setenv("BBCQ_THREADS", threads)
     model, x, y = _small_setup()
-    calibrate(model, x, y, CalibConfig(num_candidates=2, rounds=1))
+    result = calibrate(model, x, y, CalibConfig(num_candidates=2, rounds=1))
     assert built == pools
+    built.clear()
+    evaluate(model, None, x, y)
+    assert built == pools
+    built.clear()
+    evaluate(model, result, x, y)
+    assert built == pools
+
+
+def test_unset_thread_env_uses_every_cpu_of_the_affinity_mask(monkeypatch):
+    """Without BBCQ_THREADS the pool has one thread per CPU this process
+    may run on, the caller being one of them."""
+    monkeypatch.delenv("BBCQ_THREADS", raising=False)
+    assert calibration_module._threads_from_env() == len(os.sched_getaffinity(0))
+    built = _record_pools(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    with calibration_module.worker_pool() as pool:
+        assert pool.threads == 3
+    assert built == [2]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
+    with calibration_module.worker_pool() as pool:
+        assert pool is None
+    assert built == [2]
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -1050,12 +1081,12 @@ def test_calibrate_while_another_thread_holds_a_tape():
 def test_bad_thread_env_rejected(monkeypatch):
     model, x, y = _small_setup()
     config = CalibConfig(num_candidates=2, rounds=1)
-    monkeypatch.setenv("BBCQ_THREADS", "many")
-    with pytest.raises(ConfigError):
-        calibrate(model, x, y, config)
-    monkeypatch.setenv("BBCQ_THREADS", "0")
-    with pytest.raises(ConfigError):
-        calibrate(model, x, y, config)
+    for raw in ("many", "0"):
+        monkeypatch.setenv("BBCQ_THREADS", raw)
+        with pytest.raises(ConfigError):
+            calibrate(model, x, y, config)
+        with pytest.raises(ConfigError):
+            evaluate(model, None, x, y)
 
 
 def test_calib_result_json_round_trip(tmp_path):
