@@ -13,7 +13,6 @@ place that decides whether the output is recorded.
 
 from __future__ import annotations
 
-import itertools
 import math
 import weakref
 from contextvars import ContextVar
@@ -37,7 +36,6 @@ erf = None
 # single-writer; nesting two recording scopes has no defined gradient
 # semantics, so it is rejected. Tapes in other threads are invisible here.
 _TAPE: "ContextVar[Tape | None]" = ContextVar("bbcq_tape", default=None)
-_TAPE_SERIALS = itertools.count()
 
 #: Output gradient -> one gradient contribution (or None) per parent.
 Backward = Callable[[np.ndarray], Sequence["np.ndarray | None"]]
@@ -51,16 +49,15 @@ class Tensor:
     """Immutable-by-convention dense array of 64-bit floats.
 
     ``data`` is the backing numpy array (row-major semantics); ``shape`` and
-    ``ndim`` mirror it. A tensor created while a tape is recording carries the
-    id of its tape node, and that tape's serial; to any other tape it is a
-    leaf, and recording it there moves it to that tape's node.
+    ``ndim`` mirror it. A tensor keeps no tape state: each tape maps the
+    tensors it recorded to their nodes, so a tensor of another tape is a
+    leaf there, and threads may tape through one shared tensor at once.
     """
 
-    __slots__ = ("data", "_node", "_tape", "__weakref__")
+    __slots__ = ("data", "__weakref__")
 
     def __init__(self, values):
         self.data = _asarray(values)
-        self._node = self._tape = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -95,19 +92,23 @@ class Tape:
     can die with its last other reference. Nodes are appended in execution
     order, so parents always precede their consumers and the backward sweep
     is a single reversed pass. Gradient accumulation adds contributions in
-    that fixed reverse-node, left-to-right-parent order. Gradients are kept
-    by Tensor, so one recorded again on a later tape keeps its gradient here.
+    that fixed reverse-node, left-to-right-parent order. The tape keeps
+    each Tensor's node id and gradient in weak maps of its own, which other
+    tapes never touch; it records once and cannot be entered again.
     """
 
     def __init__(self):
         self._nodes: list[tuple | None] = []
+        self._ids = weakref.WeakKeyDictionary()  # Tensor -> its node id
         self._grads = weakref.WeakKeyDictionary()  # Tensor -> its gradient
         self._swept = False
-        self._serial = next(_TAPE_SERIALS)
 
     def __enter__(self) -> "Tape":
         if _TAPE.get() is not None:
             raise ContractError("a tape is already recording; tapes do not nest")
+        if self._nodes:
+            raise ContractError("this tape has already recorded; "
+                                "record again on a new tape")
         _TAPE.set(self)
         return self
 
@@ -120,20 +121,15 @@ class Tape:
     def _append(self, parent_ids: tuple[int, ...], backward: Backward | None,
                 tensor: Tensor) -> int:
         """Record ``tensor`` as a new node and return its id."""
-        tensor._node, tensor._tape = len(self._nodes), self._serial
+        node_id = self._ids[tensor] = len(self._nodes)
         self._nodes.append((parent_ids, backward, tensor.data.shape,
                             weakref.ref(tensor)))
-        return tensor._node
-
-    def _node_of(self, tensor: Tensor) -> int | None:
-        """The node of ``tensor`` on this tape; None if it has none here."""
-        return tensor._node if tensor._tape == self._serial else None
+        return node_id
 
     def _leaf(self, tensor: Tensor) -> int:
         """The node of ``tensor``, registered as a leaf if it has none here."""
-        if self._node_of(tensor) is None:
-            self._append((), None, tensor)
-        return tensor._node
+        node_id = self._ids.get(tensor)
+        return self._append((), None, tensor) if node_id is None else node_id
 
     # -- reverse sweep ----------------------------------------------------
     def backward(self, loss: Tensor) -> None:
@@ -146,13 +142,14 @@ class Tape:
         if self._swept:
             raise ContractError("this tape has already run backward; "
                                 "record the forward again on a new tape")
-        if self._node_of(loss) is None:
+        loss_id = self._ids.get(loss)
+        if loss_id is None:
             raise ContractError("loss was not recorded on this tape")
         if loss.data.shape != ():
             raise ContractError(
                 f"backward needs a scalar loss, got shape {loss.data.shape}")
         self._swept = True
-        grads = {loss._node: np.ones((), dtype=np.float64)}
+        grads = {loss_id: np.ones((), dtype=np.float64)}
         for node_id in range(len(self._nodes) - 1, -1, -1):
             parent_ids, node_backward, _, tensor_ref = self._nodes[node_id]
             self._nodes[node_id] = None

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import weakref
 import zlib
 
@@ -154,7 +155,7 @@ def test_cross_entropy_rejects_float_labels(rng):
 
 
 def test_cross_entropy_label_shape_mismatch(rng):
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match=r"\(3,\) does not match batch 2$"):
         cross_entropy(Tensor(rng.normal(size=(2, 3))), np.array([0, 1, 2]))
 
 
@@ -293,6 +294,142 @@ def test_recording_a_tensor_again_keeps_the_earlier_tapes_gradient():
     np.testing.assert_array_equal(second.grad(y).data, [[1.0]])
 
 
+def test_a_loss_recorded_again_on_a_later_tape_still_sweeps():
+    """Each tape keeps its own node for a tensor: a later tape that records
+    the loss as a leaf leaves the earlier tape's node in place."""
+    y = Tensor(np.ones((1, 1)))
+    with Tape() as first:
+        loss = tensor_sum(mul(y, 2.0))
+    with Tape():
+        add(loss, 1.0)
+    first.backward(loss)
+    np.testing.assert_array_equal(first.grad(y).data, [[2.0]])
+
+
+def test_a_tape_that_has_recorded_cannot_be_entered_again():
+    """A tape records once; entering it again is rejected and leaves no
+    tape recording. An entered tape that recorded nothing may be reused."""
+    y = Tensor(np.ones((1, 1)))
+    tape = Tape()
+    with tape:
+        pass
+    with tape:
+        loss = tensor_sum(mul(y, 2.0))
+    with Tape():
+        add(y, 1.0)
+    with pytest.raises(ContractError, match="already recorded"):
+        with tape:
+            pass
+    assert not recording_active()
+    tape.backward(loss)
+    np.testing.assert_array_equal(tape.grad(y).data, [[2.0]])
+
+
+def _bits(t):
+    return None if t is None else t.data.view(np.uint64)
+
+
+def _assert_same_bits(got, want):
+    assert (got is None) == (want is None)
+    if got is not None:
+        np.testing.assert_array_equal(got, want)
+
+
+def test_threads_tape_through_one_shared_weight():
+    """Four threads each record ``gelu(x @ w)`` 200 times on a tape of
+    their own, through one shared ``w``, while the interpreter switches
+    threads as often as it can; each gradient of ``w`` is a lone tape's,
+    bit for bit."""
+    rng = np.random.default_rng(7)
+    w = Tensor(rng.normal(size=(8, 8)))
+    xs = [rng.normal(size=(4, 8)) for _ in range(4)]
+
+    def grad_of_w(x):
+        with Tape() as tape:
+            x = Tensor(x)
+            loss = tensor_sum(gelu(matmul(x, w)))
+            for _ in range(199):
+                loss = add(loss, tensor_sum(gelu(matmul(x, w))))
+        tape.backward(loss)
+        return _bits(tape.grad(w))
+
+    want = [grad_of_w(x) for x in xs]
+    got, errors = [None] * len(xs), []
+
+    def run(which):
+        try:
+            got[which] = grad_of_w(xs[which])
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(xs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors
+    for which, grad in enumerate(got):
+        np.testing.assert_array_equal(grad, want[which])
+
+
+_INTERLEAVED_OPS = {"add": add, "mul": mul, "gelu": lambda a, _: gelu(a)}
+
+
+def _replay(program, pool):
+    """Apply ``(op, i, j)`` steps to ``pool`` (extended in place) and return
+    the loss: the sum of the last value."""
+    for op, i, j in program:
+        pool.append(_INTERLEAVED_OPS[op](pool[i % len(pool)],
+                                         pool[j % len(pool)]))
+    return tensor_sum(pool[-1])
+
+
+def _lone_grads(program, leaves):
+    """The gradient bits of each of ``leaves`` from ``program`` recorded on
+    a tape of its own."""
+    with Tape() as tape:
+        loss = _replay(program, list(leaves))
+    tape.backward(loss)
+    return [_bits(tape.grad(t)) for t in leaves]
+
+
+_PROGRAM = st.lists(st.tuples(st.sampled_from(sorted(_INTERLEAVED_OPS)),
+                              st.integers(0, 63), st.integers(0, 63)),
+                    min_size=1, max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_PROGRAM, _PROGRAM, st.booleans(), st.integers(0, 2**32 - 1))
+def test_two_tapes_in_turn_give_lone_tape_gradients(first_program,
+                                                    second_program,
+                                                    second_sweeps_first, seed):
+    """Two tapes record in turn over shared leaves, the second also over
+    every tensor the first made (its loss included); swept in either order,
+    each gives the gradients of a lone tape, bit for bit."""
+    rng = np.random.default_rng(seed)
+    leaves = [Tensor(rng.normal(size=(2, 2))) for _ in range(3)]
+    with Tape() as first:
+        first_pool = list(leaves)
+        first_loss = _replay(first_program, first_pool)
+    first_pool.append(first_loss)
+    with Tape() as second:
+        second_loss = _replay(second_program, list(first_pool))
+    want_first = _lone_grads(first_program, leaves)
+    want_second = _lone_grads(second_program, first_pool)
+    sweeps = [(first, first_loss), (second, second_loss)]
+    for tape, loss in sweeps[::-1] if second_sweeps_first else sweeps:
+        tape.backward(loss)
+    for leaf, want in zip(leaves, want_first):
+        _assert_same_bits(_bits(first.grad(leaf)), want)
+    for value, want in zip(first_pool, want_second):
+        _assert_same_bits(_bits(second.grad(value)), want)
+
+
 def test_second_backward_rejected(rng):
     """The first sweep frees the closures a second one would need."""
     with Tape() as tape:
@@ -369,11 +506,19 @@ OP_CASES = [
 
 
 def test_ops_run_without_tape(rng):
+    """Outside a recording scope an op records nothing: a tape made but not
+    entered stays empty, and its output and inputs reach it later as
+    leaves."""
     assert not recording_active()
     for name, build, shapes in OP_CASES:
+        tape = Tape()
         inputs = [Tensor(rng.normal(size=shape)) for shape in shapes]
-        assert build(*inputs)._node is None, name
-        assert all(t._node is None for t in inputs), name
+        out = build(*inputs)
+        assert len(tape) == 0 and not tape._ids, name
+        with tape:
+            ids = [tape._leaf(t) for t in (out, *inputs)]
+        assert ids == list(range(len(inputs) + 1)), name
+        assert all(tape._nodes[i][:2] == ((), None) for i in ids), name
 
 
 @pytest.mark.parametrize("name,build,shapes", OP_CASES,
@@ -384,10 +529,10 @@ def test_op_records_one_node_per_call(name, build, shapes, rng):
     with Tape() as tape:
         first = build(*inputs)
         assert len(tape) == len(inputs) + 1
-        assert first._node == len(tape) - 1
+        assert tape._ids[first] == len(tape) - 1
         second = build(*inputs)
         assert len(tape) == len(inputs) + 2
-        assert second._node == len(tape) - 1
+        assert tape._ids[second] == len(tape) - 1
 
 
 @pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
