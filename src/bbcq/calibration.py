@@ -38,7 +38,7 @@ from .model import (BLOCK_KINDS, BlockCarry, MatmulSite, Model, QuantState,
 from .quantizers import (SCHEMES, DynamicSoftmax, QuantParams,
                          softmax_site_params, uniform_grid)
 from .records import check_field_types, record_fields
-from .tensor import Tape, Tensor, cross_entropy, require_finite
+from .tensor import Tape, Tensor, array_of, cross_entropy, require_finite
 
 PROFILES = ("classification", "detection")
 
@@ -219,7 +219,7 @@ def bottom_threshold(sigma, gamma: float) -> float:
     |sigma| (+inf when m == N, 0 when m == 0). Elimination is strict-below,
     so entries tied with the threshold always survive.
     """
-    return _magnitude_threshold(np.abs(_as_array(sigma)), gamma)
+    return _magnitude_threshold(np.abs(array_of(sigma)), gamma)
 
 
 def _magnitude_threshold(magnitudes: np.ndarray, gamma: float) -> float:
@@ -238,7 +238,7 @@ def _magnitude_threshold(magnitudes: np.ndarray, gamma: float) -> float:
 
 def bottom_mask(sigma, gamma: float) -> np.ndarray:
     """Zero the bottom-gamma-percent magnitudes of sigma; survivors unchanged."""
-    arr = _as_array(sigma)
+    arr = array_of(sigma)
     magnitudes = np.abs(arr)
     return np.where(magnitudes < _magnitude_threshold(magnitudes, gamma),
                     0.0, arr)
@@ -250,8 +250,8 @@ def bbc_metric(sigma_masked, h_diag) -> float:
     Computes sum(sigma^2 * h) per sample and means over axis 0; a 1-D input
     is treated as a single sample (plain sum).
     """
-    sigma = _as_array(sigma_masked)
-    h = _as_array(h_diag)
+    sigma = array_of(sigma_masked)
+    h = array_of(h_diag)
     if sigma.shape != h.shape:
         raise DimensionError(
             f"sigma shape {sigma.shape} does not match h_diag shape {h.shape}")
@@ -260,10 +260,6 @@ def bbc_metric(sigma_masked, h_diag) -> float:
     if sigma.ndim >= 2:
         return float(contrib.reshape(sigma.shape[0], -1).sum(axis=1).mean())
     return float(contrib.sum())
-
-
-def _as_array(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
 def cache_fp_pass(model: Model, inputs, labels, *,
@@ -387,24 +383,27 @@ def search_site(model: Model, site: MatmulSite, candidates: list[QuantParams],
 
 
 def _threads_from_env() -> int:
-    """``BBCQ_THREADS``, or every CPU this process may run on when unset."""
+    """``BBCQ_THREADS``, capped at the CPUs this process may run on (all of
+    them when unset): more threads only contend for the GIL and the cores,
+    and split an untaped forward into ever smaller slices."""
+    # The affinity mask is Linux's; elsewhere every CPU counts.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
     raw = os.environ.get("BBCQ_THREADS")
     if raw is None:
-        # The affinity mask is Linux's; elsewhere every CPU counts.
-        return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-            else os.cpu_count() or 1
+        return cpus
     try:
         threads = int(raw)
     except ValueError:
         raise ConfigError(f"BBCQ_THREADS must be an integer, got {raw!r}") from None
     if threads < 1:
         raise ConfigError(f"BBCQ_THREADS must be >= 1, got {threads}")
-    return threads
+    return min(threads, cpus)
 
 
 @contextmanager
 def worker_pool() -> Iterator[WorkerPool | None]:
-    """The threads ``BBCQ_THREADS`` asks for: the caller and a pool of one
+    """The threads ``_threads_from_env`` gives: the caller and a pool of one
     worker fewer, or None at one thread, since each worker thread's own
     malloc arena costs RSS."""
     threads = _threads_from_env()
@@ -572,7 +571,14 @@ def calibrate(model: Model, inputs, labels, config: CalibConfig,
                        labels[:config.calib_batch],
                        blocks_as_layers=config.blocks_as_layers)
     instr.cache_triples_allocated = len(fp.caches)
-    sites = enumerate_sites(model.spec)
+    spec = model.spec
+    # A freed mmap-served block raises glibc's mmap threshold to its size and
+    # its heap trim threshold to twice that, so the candidate loop's temporaries
+    # reuse heap pages instead of growing and trimming the heap every
+    # candidate (see README, Memory). Untouched, the block costs no RSS.
+    np.empty(4 * len(fp.caches[0].block_input) * spec.patch_count
+             * max(spec.hidden_dim, spec.num_heads * spec.patch_count))
+    sites = enumerate_sites(spec)
     traces: dict[MatmulSite, list[list[float]]] = {site: [] for site in sites}
     state: dict[MatmulSite, QuantParams] = {}
     for site in sites:

@@ -35,7 +35,7 @@ from .errors import ContractError, DimensionError, ParameterError
 from .quantizers import (DynamicSoftmax, QuantParams, fake_quant_array,
                          fake_quant_softmax_dynamic)
 from .records import check_field_types, record_fields
-from .tensor import (Tensor, add, gelu, layernorm, matmul, mul,
+from .tensor import (Tensor, add, array_of, gelu, layernorm, matmul, mul,
                      recording_active, reshape, softmax, transpose)
 
 BLOCK_KINDS = ("qkv-projection", "attn-score", "attn-apply",
@@ -284,22 +284,24 @@ class BlockCarry:
     the next residual add: the block input up to out-projection, then the
     attention output ``h1``. ``a`` and ``b`` are the operands of the next
     matmul (``b`` is the three q/k/v weights for qkv-projection); a
-    resumed forward fake-quantizes them as its state says. ``vh`` carries
-    the value heads from qkv-projection to attn-apply. Layernorm, softmax
-    and GeLU have already run. A carry is never mutated, so threads may
-    resume from the same carry at once.
+    resumed forward fake-quantizes them as its state says. A weight is a
+    plain array, a constant to the tape, so ``b`` holds tensors only at
+    attn-score and attn-apply. ``vh`` carries the value heads from
+    qkv-projection to attn-apply. Layernorm, softmax and GeLU have already
+    run. A carry is never mutated, so threads may resume from the same
+    carry at once.
     """
 
     kind: str
     residual: Tensor
     a: Tensor
-    b: tuple[Tensor, ...]
+    b: tuple[Tensor | np.ndarray, ...]
     vh: Tensor | None = None
 
 
-def _weights(p: BlockParams, kind: str) -> tuple[Tensor, ...]:
+def _weights(p: BlockParams, kind: str) -> tuple[np.ndarray, ...]:
     """The weights block matmul ``kind`` reads from ``p``."""
-    return tuple(Tensor(getattr(p, field)) for field in _WEIGHT_FIELDS[kind])
+    return tuple(getattr(p, field) for field in _WEIGHT_FIELDS[kind])
 
 
 def _check_call(model: Model, block: int | None, x: Tensor | BlockCarry | None,
@@ -336,15 +338,18 @@ def _check_call(model: Model, block: int | None, x: Tensor | BlockCarry | None,
                                 f"it cannot hold {entry}")
 
 
-def fake_quant_operand(x: Tensor, site: MatmulSite,
-                       quant: QuantState | None) -> Tensor:
-    """Fake-quantize one operand as ``quant`` says, if it lists the site."""
+def fake_quant_operand(x: Tensor | np.ndarray, site: MatmulSite,
+                       quant: QuantState | None) -> Tensor | np.ndarray:
+    """Fake-quantize one operand as ``quant`` says, if it lists the site;
+    a Tensor gives a Tensor and a weight array an array."""
     entry = None if quant is None else quant.get(site)
+    if entry is None:
+        return x
     if isinstance(entry, DynamicSoftmax):
-        return Tensor(fake_quant_softmax_dynamic(x.data, entry.scheme, entry.bits))
-    if entry is not None:
-        return Tensor(fake_quant_array(x.data, entry))
-    return x
+        out = fake_quant_softmax_dynamic(array_of(x), entry.scheme, entry.bits)
+    else:
+        out = fake_quant_array(array_of(x), entry)
+    return Tensor(out) if isinstance(x, Tensor) else out
 
 
 def _run_stages(model: Model, block: int, x: Tensor | BlockCarry,
@@ -376,7 +381,7 @@ def _run_stages(model: Model, block: int, x: Tensor | BlockCarry,
             if kind == "attn-score":
                 out = mul(out, inv_sqrt_d)
             if hook is not None:
-                hook(kind, block, carry.a.data, b.data, out)
+                hook(kind, block, carry.a.data, array_of(b), out)
             outs.append(out)
         # Drop each stage output as soon as the next carry has consumed it;
         # q, k and v stay in ``outs`` only while attn-score still reads them.
@@ -396,13 +401,13 @@ def _run_stages(model: Model, block: int, x: Tensor | BlockCarry,
                 outs.pop(), (0, 2, 1, 3)), (batch, n, d)), _weights(p, "out-projection"))
         elif kind == "out-projection":
             h1 = add(res, outs.pop())
-            carry = BlockCarry("mlp-1", h1, layernorm(
-                h1, Tensor(p.ln2_gamma), Tensor(p.ln2_beta)), _weights(p, "mlp-1"))
+            carry = BlockCarry("mlp-1", h1, layernorm(h1, p.ln2_gamma, p.ln2_beta),
+                               _weights(p, "mlp-1"))
         elif kind == "mlp-1":
-            carry = BlockCarry("mlp-2", res, gelu(add(outs.pop(), Tensor(p.b1))),
+            carry = BlockCarry("mlp-2", res, gelu(add(outs.pop(), p.b1)),
                                _weights(p, "mlp-2"))
         else:
-            return add(res, add(outs.pop(), Tensor(p.b2)))
+            return add(res, add(outs.pop(), p.b2))
     return carry
 
 
@@ -477,7 +482,7 @@ def freeze_operands(model: Model, block: int, carry: BlockCarry | None,
         BLOCK_KINDS[BLOCK_KINDS.index(carry.kind) + 1:]
     frozen = [MatmulSite(kind, "B", block) for kind in later if kind in _WEIGHT_FIELDS]
     p = model.blocks[block]
-    weights = {field: fake_quant_operand(Tensor(getattr(p, field)), site, quant).data
+    weights = {field: fake_quant_operand(getattr(p, field), site, quant)
                for site in frozen for field in _WEIGHT_FIELDS[site.kind]}
     if carry is not None:
         site_a, site_b = (MatmulSite(carry.kind, role, block) for role in "AB")
@@ -492,8 +497,7 @@ def freeze_operands(model: Model, block: int, carry: BlockCarry | None,
 def _block_entry(model: Model, block: int, x: Tensor) -> BlockCarry:
     """The carry in front of qkv-projection: ``x`` and its first layernorm."""
     p = model.blocks[block]
-    return BlockCarry("qkv-projection", x,
-                      layernorm(x, Tensor(p.ln1_gamma), Tensor(p.ln1_beta)),
+    return BlockCarry("qkv-projection", x, layernorm(x, p.ln1_gamma, p.ln1_beta),
                       _weights(p, "qkv-projection"))
 
 
@@ -586,7 +590,7 @@ def forward(model: Model, x, quant: QuantState | None = None, *,
     _check_call(model, None, x, quant)
 
     def edge_matmul(kind: str, a: Tensor, w: np.ndarray) -> Tensor:
-        out = matmul(a, fake_quant_operand(Tensor(w), MatmulSite(kind, "B"), quant))
+        out = matmul(a, fake_quant_operand(w, MatmulSite(kind, "B"), quant))
         if hook is not None:
             hook(kind, None, a.data, w, out)
         return out
@@ -619,4 +623,4 @@ def forward_from(model: Model, block: int, block_output) -> Tensor:
     for b in range(block + 1, model.spec.num_blocks):
         current = block_forward(model, b, current)
     pooled = current.mean(axis=1)
-    return matmul(pooled, Tensor(model.head_w))
+    return matmul(pooled, model.head_w)

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import (ContractError, DegenerateScaleError, DimensionError,
                      ParameterError)
 from .records import check_field_types
-from .tensor import Tensor
+from .tensor import Tensor, array_of
 
 EPSILON = 1e-12
 
@@ -301,7 +301,7 @@ def _scheme(name: str) -> Scheme:
 
 def quantize(x, params: QuantParams) -> CodeTensor:
     """Integer codes of ``x`` under ``params``."""
-    arr = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+    arr = array_of(x)
     codes = SCHEME_TABLE[params.scheme].encode(arr, params)
     return CodeTensor(arr.shape, codes, params)
 

@@ -7,8 +7,12 @@ Recording is explicit — operations append tape nodes only inside a
 no tape and therefore allocate no graph.
 
 Operations are plain functions over ``Tensor``s, arrays or numbers; a number
-is a 0-d tensor that broadcasts. Each one ends in ``_result``, the single
-place that decides whether the output is recorded.
+is a 0-d array that broadcasts. Only a ``Tensor`` carries a gradient: an
+array or a number is a constant, which gets no tape node, and no backward
+keeps a value that only a constant's gradient would read. So
+``matmul(h, w)`` with an array ``w`` does not keep ``h`` for the backward.
+Each operation ends in ``_result``, the single place that decides whether
+the output is recorded.
 """
 
 from __future__ import annotations
@@ -85,16 +89,19 @@ class Tape:
     """Ordered record of forward operations plus per-node gradient buffers.
 
     A node is a ``(parent_ids, backward, shape, tensor_ref)`` tuple: a leaf
-    has no parents and ``backward`` None. The tape keeps no forward value,
-    only its shape and a weak reference to its Tensor. A backward's closure
-    holds only the arrays it reads: an operation whose gradient needs just
-    an operand's shape keeps that shape, not the operand, so the operand
-    can die with its last other reference. Nodes are appended in execution
-    order, so parents always precede their consumers and the backward sweep
-    is a single reversed pass. Gradient accumulation adds contributions in
-    that fixed reverse-node, left-to-right-parent order. The tape keeps
-    each Tensor's node id and gradient in weak maps of its own, which other
-    tapes never touch; it records once and cannot be entered again.
+    has no parents and ``backward`` None, and a constant operand's slot in
+    ``parent_ids`` is None. The tape keeps no forward value, only its shape
+    and a weak reference to its Tensor. A backward's closure holds only the
+    arrays that its Tensor operands' gradients read: an operation whose
+    gradient needs just an operand's shape keeps that shape, not the
+    operand, and one whose other operand is a constant keeps neither, so
+    the operand can die with its last other reference. Nodes are appended
+    in execution order, so parents always precede their consumers and the
+    backward sweep is a single reversed pass. Gradient accumulation adds
+    contributions in that fixed reverse-node, left-to-right-parent order.
+    The tape keeps each Tensor's node id and gradient in weak maps of its
+    own, which other tapes never touch; it records once and cannot be
+    entered again.
     """
 
     def __init__(self):
@@ -163,7 +170,7 @@ class Tape:
             if node_backward is None:
                 continue
             for parent_id, contrib in zip(parent_ids, node_backward(grad)):
-                if contrib is None:
+                if contrib is None:  # a constant's slot
                     continue
                 expected = self._nodes[parent_id][2]
                 if contrib.shape != expected:
@@ -201,12 +208,18 @@ def _result(out: np.ndarray, parents: tuple[Tensor, ...],
     """``out`` as a Tensor; while a tape records, also its node.
 
     The only operation code that reads the active tape: with none,
-    ``backward`` is dropped unrun and no graph is kept.
+    ``backward`` is dropped unrun and no graph is kept. A parent that is
+    not a Tensor is a constant: its slot in the node's parent ids is None,
+    and ``backward`` gives None for it. The output of constants alone is a
+    leaf, so its ``backward`` is dropped too.
     """
     result = Tensor(out)
     tape = _TAPE.get()
     if tape is not None:
-        tape._append(tuple(tape._leaf(p) for p in parents), backward, result)
+        ids = tuple(tape._leaf(p) if isinstance(p, Tensor) else None for p in parents)
+        if ids.count(None) == len(ids):
+            ids, backward = (), None
+        tape._append(ids, backward, result)
     return result
 
 
@@ -224,63 +237,76 @@ def _reduce_to_shape(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _as_tensor(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
+def array_of(value) -> np.ndarray:
+    """The array of a Tensor, else ``value`` as a float64 array (not
+    ``value.data``: that of an ndarray is a memoryview)."""
+    return value.data if isinstance(value, Tensor) else _asarray(value)
 
 
 # ---------------------------------------------------------------------------
 # operations
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor | np.ndarray, b: Tensor | np.ndarray) -> Tensor:
     """Matrix product with numpy batching semantics over leading axes."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
+    a_data, b_data = array_of(a), array_of(b)
+    a_shape, b_shape = a_data.shape, b_data.shape
+    if len(a_shape) < 2 or len(b_shape) < 2:
         raise DimensionError(
-            f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
+            f"matmul needs >=2-d operands, got {a_shape} and {b_shape}")
+    if a_shape[-1] != b_shape[-2]:
         raise DimensionError(
-            f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
+            f"matmul inner dimensions disagree: {a_shape} x {b_shape}")
+    # Each operand's gradient reads the other one, and a constant has none.
+    b_read = b_data if isinstance(a, Tensor) else None
+    a_read = a_data if isinstance(b, Tensor) else None
 
     def backward(g: np.ndarray):
-        return (_reduce_to_shape(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape),
-                _reduce_to_shape(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
+        return (None if b_read is None else _reduce_to_shape(
+                    np.matmul(g, np.swapaxes(b_read, -1, -2)), a_shape),
+                None if a_read is None else _reduce_to_shape(
+                    np.matmul(np.swapaxes(a_read, -1, -2), g), b_shape))
 
-    return _result(np.matmul(a.data, b.data), (a, b), backward)
+    return _result(np.matmul(a_data, b_data), (a, b), backward)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def add(a: Tensor | np.ndarray, b: Tensor | np.ndarray) -> Tensor:
     """Elementwise sum with numpy broadcasting."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    a_shape, b_shape = a.shape, b.shape
+    a_data, b_data = array_of(a), array_of(b)
+    shapes = [x.shape if isinstance(x, Tensor) else None for x in (a, b)]
 
     def backward(g: np.ndarray):
-        return _reduce_to_shape(g, a_shape), _reduce_to_shape(g, b_shape)
+        return tuple(None if shape is None else _reduce_to_shape(g, shape)
+                     for shape in shapes)
 
-    return _result(a.data + b.data, (a, b), backward)
+    return _result(a_data + b_data, (a, b), backward)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
+def mul(a: Tensor | np.ndarray, b: Tensor | np.ndarray) -> Tensor:
     """Elementwise product with numpy broadcasting."""
-    a, b = _as_tensor(a), _as_tensor(b)
+    a_data, b_data = array_of(a), array_of(b)
+    a_shape, b_shape = a_data.shape, b_data.shape
+    # Each operand's gradient reads the other one, and a constant has none.
+    b_read = b_data if isinstance(a, Tensor) else None
+    a_read = a_data if isinstance(b, Tensor) else None
 
     def backward(g: np.ndarray):
-        return (_reduce_to_shape(g * b.data, a.shape),
-                _reduce_to_shape(g * a.data, b.shape))
+        return (None if b_read is None else _reduce_to_shape(g * b_read, a_shape),
+                None if a_read is None else _reduce_to_shape(g * a_read, b_shape))
 
-    return _result(a.data * b.data, (a, b), backward)
+    return _result(a_data * b_data, (a, b), backward)
 
 
 def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
-    x, axes = _as_tensor(x), tuple(axes)
-    return _result(np.transpose(x.data, axes), (x,),
+    axes = tuple(axes)
+    return _result(np.transpose(array_of(x), axes), (x,),
                    lambda g: (np.transpose(g, np.argsort(axes)),))
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
-    x = _as_tensor(x)
-    x_shape = x.shape
-    return _result(np.reshape(x.data, tuple(shape)), (x,),
+    x_data = array_of(x)
+    x_shape = x_data.shape
+    return _result(np.reshape(x_data, tuple(shape)), (x,),
                    lambda g: (np.reshape(g, x_shape),))
 
 
@@ -292,30 +318,30 @@ def _spread(g: np.ndarray, shape: tuple[int, ...], axis,
 
 
 def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    x = _as_tensor(x)
-    x_shape = x.shape
-    return _result(x.data.sum(axis=axis, keepdims=keepdims), (x,),
+    x_data = array_of(x)
+    x_shape = x_data.shape
+    return _result(x_data.sum(axis=axis, keepdims=keepdims), (x,),
                    lambda g: (_spread(g, x_shape, axis, keepdims),))
 
 
 def tensor_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    x = _as_tensor(x)
-    x_shape = x.shape
+    x_data = array_of(x)
+    x_shape = x_data.shape
 
     def backward(g: np.ndarray):
         axes = range(len(x_shape)) if axis is None else np.atleast_1d(axis)
         count = math.prod(x_shape[i] for i in axes)
         return (_spread(g / count, x_shape, axis, keepdims),)
 
-    return _result(x.data.mean(axis=axis, keepdims=keepdims), (x,), backward)
+    return _result(x_data.mean(axis=axis, keepdims=keepdims), (x,), backward)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Stable softmax along ``axis`` (max-subtraction, temperature 1)."""
-    x = _as_tensor(x)
-    if not -x.ndim <= axis < x.ndim:
-        raise DimensionError(f"softmax axis {axis} invalid for shape {x.shape}")
-    out = x.data - x.data.max(axis=axis, keepdims=True)
+    x_data = array_of(x)
+    if not -x_data.ndim <= axis < x_data.ndim:
+        raise DimensionError(f"softmax axis {axis} invalid for shape {x_data.shape}")
+    out = x_data - x_data.max(axis=axis, keepdims=True)
     np.exp(out, out=out)
     out /= out.sum(axis=axis, keepdims=True)
 
@@ -326,32 +352,34 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _result(out, (x,), backward)
 
 
-def layernorm(x: Tensor, gamma: Tensor, beta: Tensor,
+def layernorm(x: Tensor, gamma: Tensor | np.ndarray, beta: Tensor | np.ndarray,
               eps: float = LAYERNORM_EPS) -> Tensor:
     """Normalize over the last axis, then apply the affine pair."""
-    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
-    if gamma.shape != x.shape[-1:] or beta.shape != x.shape[-1:]:
+    x_data, gamma_data, beta_data = array_of(x), array_of(gamma), array_of(beta)
+    if gamma_data.shape != x_data.shape[-1:] or beta_data.shape != x_data.shape[-1:]:
         raise DimensionError(
-            f"layernorm affine shapes {gamma.shape}/{beta.shape} do not match "
-            f"feature dim of {x.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xhat = x.data - mu
+            f"layernorm affine shapes {gamma_data.shape}/{beta_data.shape} do "
+            f"not match feature dim of {x_data.shape}")
+    mu = x_data.mean(axis=-1, keepdims=True)
+    xhat = x_data - mu
     var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat *= inv_std
-    reduce_axes = tuple(range(x.ndim - 1))
+    reduce_axes = tuple(range(x_data.ndim - 1))
+    x_var, gamma_var, beta_var = (isinstance(t, Tensor) for t in (x, gamma, beta))
 
     def backward(g: np.ndarray):
-        dxhat = g * gamma.data
-        dx = inv_std * (dxhat
-                        - dxhat.mean(axis=-1, keepdims=True)
-                        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-        dgamma = (g * xhat).sum(axis=reduce_axes)
-        dbeta = g.sum(axis=reduce_axes)
-        return dx, dgamma, dbeta
+        dx = None
+        if x_var:
+            dxhat = g * gamma_data
+            dx = inv_std * (dxhat
+                            - dxhat.mean(axis=-1, keepdims=True)
+                            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        return (dx, (g * xhat).sum(axis=reduce_axes) if gamma_var else None,
+                g.sum(axis=reduce_axes) if beta_var else None)
 
-    out = xhat * gamma.data
-    out += beta.data
+    out = xhat * gamma_data
+    out += beta_data
     return _result(out, (x, gamma, beta), backward)
 
 
@@ -373,15 +401,15 @@ def _phi(x: np.ndarray) -> np.ndarray:
 
 def gelu(x: Tensor) -> Tensor:
     """Exact-erf GeLU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
-    x = _as_tensor(x)
+    x_data = array_of(x)
 
     def backward(g: np.ndarray):
         # phi is recomputed here so that the forward keeps a single array.
-        density = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
-        return (g * (_phi(x.data) + x.data * density),)
+        density = np.exp(-0.5 * x_data * x_data) * _INV_SQRT_2PI
+        return (g * (_phi(x_data) + x_data * density),)
 
-    out = _phi(x.data)
-    out *= x.data
+    out = _phi(x_data)
+    out *= x_data
     return _result(out, (x,), backward)
 
 
@@ -392,23 +420,22 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     class indices and receive no gradient. An empty batch has no mean and
     raises ParameterError.
     """
-    logits = _as_tensor(logits)
-    if logits.ndim != 2:
-        raise DimensionError(f"cross_entropy expects B x C logits, got {logits.shape}")
+    z = array_of(logits)
+    if z.ndim != 2:
+        raise DimensionError(f"cross_entropy expects B x C logits, got {z.shape}")
     labels = np.asarray(labels)
-    if labels.shape != (logits.shape[0],):
+    if labels.shape != (z.shape[0],):
         raise DimensionError(
-            f"labels shape {labels.shape} does not match batch {logits.shape[0]}")
+            f"labels shape {labels.shape} does not match batch {z.shape[0]}")
     if not labels.size:
         raise ParameterError("cross_entropy needs at least one sample")
     if not np.issubdtype(labels.dtype, np.integer):
         raise ContractError("labels must be integer class indices")
-    num_classes = logits.shape[1]
+    num_classes = z.shape[1]
     if labels.min() < 0 or labels.max() >= num_classes:
         raise LabelIndexError(
             f"labels must lie in [0, {num_classes}), got range "
             f"[{labels.min()}, {labels.max()}]")
-    z = logits.data
     batch = z.shape[0]
     shifted = z - z.max(axis=1, keepdims=True)
     exps = np.exp(shifted)

@@ -939,9 +939,16 @@ def test_calibrate_deterministic():
     assert a.dumps() == b.dumps()
 
 
+def _allow_cpus(monkeypatch, count: int) -> None:
+    """Let this process run on ``count`` CPUs, as the affinity mask that
+    caps ``BBCQ_THREADS`` reads them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
 def test_calibrate_thread_count_does_not_change_result(monkeypatch):
     model, x, y = _small_setup()
     config = CalibConfig(w_bits=4, a_bits=4, num_candidates=5, rounds=1)
+    _allow_cpus(monkeypatch, 3)
     monkeypatch.setenv("BBCQ_THREADS", "1")
     sequential = calibrate(model, x, y, config)
     monkeypatch.setenv("BBCQ_THREADS", "3")
@@ -959,6 +966,7 @@ def test_pool_threads_share_one_carry(monkeypatch, blocks_as_layers):
     config = CalibConfig(w_bits=3, a_bits=3, num_candidates=7, rounds=2,
                          dynamic_softmax=True, softmax_quantizer="twin",
                          blocks_as_layers=blocks_as_layers)
+    _allow_cpus(monkeypatch, 6)
     monkeypatch.setenv("BBCQ_THREADS", "1")
     sequential = calibrate(model, x, y, config).dumps()
     monkeypatch.setenv("BBCQ_THREADS", "6")
@@ -991,6 +999,7 @@ def test_calibrate_pools_only_above_one_thread(monkeypatch, threads, pools):
     threads are the caller and one pool of n - 1 workers, built once per
     ``calibrate`` and once per ``evaluate`` call."""
     built = _record_pools(monkeypatch)
+    _allow_cpus(monkeypatch, 3)
     monkeypatch.setenv("BBCQ_THREADS", threads)
     model, x, y = _small_setup()
     result = calibrate(model, x, y, CalibConfig(num_candidates=2, rounds=1))
@@ -1000,6 +1009,20 @@ def test_calibrate_pools_only_above_one_thread(monkeypatch, threads, pools):
     assert built == pools
     built.clear()
     evaluate(model, result, x, y)
+    assert built == pools
+
+
+@pytest.mark.parametrize("threads,cpus,pools", [("8", 1, []), ("8", 3, [2])])
+def test_thread_env_is_capped_at_the_affinity_mask(monkeypatch, threads, cpus,
+                                                   pools):
+    """BBCQ_THREADS asks for at most one thread per CPU this process may
+    run on: above the mask it gets the mask, so on one CPU no pool."""
+    built = _record_pools(monkeypatch)
+    _allow_cpus(monkeypatch, cpus)
+    monkeypatch.setenv("BBCQ_THREADS", threads)
+    assert calibration_module._threads_from_env() == min(int(threads), cpus)
+    with calibration_module.worker_pool():
+        pass
     assert built == pools
 
 

@@ -67,13 +67,14 @@ def test_fp_pass_peaks_well_below_a_tape_that_keeps_everything(
     lean = _peak_bytes(fp_pass)
     monkeypatch.setattr(calibration, "Tape", _KeepingTape)
     keeping = _peak_bytes(fp_pass)
-    assert lean < 0.65 * keeping, (lean, keeping)
+    assert lean < 0.5 * keeping, (lean, keeping)
 
 
 def test_blockwise_fp_pass_keeps_only_what_backward_reads(monkeypatch):
-    """Closures that need an operand's shape keep the shape, and the caches
-    take the pass's arrays rather than copies, so the blockwise pass peaks
-    below 0.45 of the keeping tape (about 0.40 at this size)."""
+    """Closures that need an operand's shape keep the shape, a product with
+    a weight keeps only the weight (a constant needs no gradient), and the
+    caches take the pass's arrays rather than copies, so the blockwise pass
+    peaks below 0.35 of the keeping tape (about 0.30 at this size)."""
     model, x, y = _setup(num_blocks=2, samples=16)
 
     def fp_pass():
@@ -82,7 +83,7 @@ def test_blockwise_fp_pass_keeps_only_what_backward_reads(monkeypatch):
     lean = _peak_bytes(fp_pass)
     monkeypatch.setattr(calibration, "Tape", _KeepingTape)
     keeping = _peak_bytes(fp_pass)
-    assert lean < 0.45 * keeping, (lean, keeping)
+    assert lean < 0.35 * keeping, (lean, keeping)
 
 
 def test_layerwise_fp_pass_peaks_near_the_caches_it_returns():

@@ -18,7 +18,7 @@ from bbcq.model import (BLOCK_KINDS, MatmulSite, ModelSpec, block_forward,
 from bbcq import model as model_module
 from bbcq.quantizers import (DynamicSoftmax, QuantParams, fake_quant_array,
                              fake_quant_softmax_dynamic, softmax_site_params)
-from bbcq.tensor import Tape, Tensor, cross_entropy, matmul
+from bbcq.tensor import Tape, Tensor, array_of, cross_entropy, matmul
 
 from _oracles import oracle_forward
 
@@ -377,7 +377,9 @@ def test_freeze_operands_quantizes_what_a_forward_holds_fixed(tiny_spec,
     """From a carry at ``kind`` (or a block input), the copies hold the
     carry's two operands and every later weight of that block
     fake-quantized; nothing else changes, ``rest`` drops just those sites,
-    and resuming from the copies under ``rest`` gives the same bits."""
+    and resuming from the copies under ``rest`` gives the same bits. A
+    weight operand is an array, frozen or not; only attn-score and
+    attn-apply carry a Tensor as operand B."""
     model = init_model(replace(tiny_spec, num_blocks=3))
     x = Tensor(tiny_batch[0])
     params = QuantParams(bits=3, scale=0.07, zero_point=3, scheme="uniform")
@@ -400,7 +402,10 @@ def test_freeze_operands_quantizes_what_a_forward_holds_fixed(tiny_spec,
         np.testing.assert_array_equal(frozen_carry.a.data,
                                       fake_quant_array(carry.a.data, params))
         for got, b in zip(frozen_carry.b, carry.b, strict=True):
-            np.testing.assert_array_equal(got.data, fake_quant_array(b.data, params))
+            assert isinstance(got, Tensor) == isinstance(b, Tensor) == \
+                (kind in ("attn-score", "attn-apply"))
+            np.testing.assert_array_equal(array_of(got),
+                                          fake_quant_array(array_of(b), params))
         assert (frozen_carry.residual, frozen_carry.vh) == (carry.residual, carry.vh)
     assert rest == {site: p for site, p in quant.items() if site not in held}
     resumed = block_forward(frozen, 1, x if carry is None else frozen_carry, rest)

@@ -444,20 +444,149 @@ def test_second_backward_rejected(rng):
 
 def test_backward_frees_what_it_has_passed(rng):
     """After the sweep an intermediate held only by a closure is gone, and
-    only tensors the caller still holds keep a gradient."""
+    only tensors the caller still holds keep a gradient. ``w``'s gradient
+    reads ``hidden``, so the product keeps it until the sweep; times the
+    constant 2.0 no gradient reads it, so it is freed at once."""
     with Tape() as tape:
         x = Tensor(rng.normal(size=(3, 4)))
+        w = Tensor(rng.normal(size=(3, 4)))
         hidden = gelu(x)
-        hidden_ref = weakref.ref(hidden)
-        kept = mul(hidden, 2.0)
+        hidden_ref = weakref.ref(hidden.data)
+        kept = mul(hidden, w)
         del hidden
         loss = tensor_sum(kept)
         assert hidden_ref() is not None
         tape.backward(loss)
     assert hidden_ref() is None
-    assert {id(t) for t in tape._grads} == {id(t) for t in (x, kept, loss)}
+    assert {id(t) for t in tape._grads} == {id(t) for t in (x, w, kept, loss)}
     assert all(node is None for node in tape._nodes)
     np.testing.assert_allclose(tape.grad(kept).data, np.ones((3, 4)))
+    with Tape():
+        hidden = gelu(x)
+        hidden_ref = weakref.ref(hidden.data)
+        kept = mul(hidden, 2.0)
+        del hidden
+        assert hidden_ref() is None
+
+
+@pytest.mark.parametrize("weight_is_tensor", [False, True],
+                         ids=["constant", "tensor"])
+@pytest.mark.parametrize("op,weight_shape", [(matmul, (4, 5)), (mul, None)],
+                         ids=["matmul", "mul"])
+def test_a_product_with_a_constant_keeps_no_reference_to_its_operand(
+        op, weight_shape, weight_is_tensor, rng):
+    """``matmul(h, w)`` and ``mul(h, 2.0)`` keep ``h``'s array only while
+    the other operand is a Tensor, whose gradient reads it; a constant's
+    gradient is never formed, so ``h`` dies with its last other reference."""
+    weight = 2.0 if weight_shape is None else rng.normal(size=weight_shape)
+    with Tape() as tape:
+        x = Tensor(rng.normal(size=(3, 4)))
+        h = gelu(x)
+        h_ref = weakref.ref(h.data)
+        out = op(h, Tensor(weight) if weight_is_tensor else weight)
+        del h
+        assert (h_ref() is not None) == weight_is_tensor
+        tape.backward(tensor_sum(out))
+    assert h_ref() is None
+    assert tape.grad(x) is not None
+
+
+def test_an_op_over_constants_alone_records_a_leaf(rng):
+    """With no Tensor operand nothing has a gradient to pass back: the
+    output is a leaf, and no backward keeps the operand."""
+    values = rng.normal(size=(2, 3))
+    values_ref = weakref.ref(values)
+    with Tape() as tape:
+        out = gelu(values)
+        del values
+        assert values_ref() is None
+        assert len(tape) == 1 and tape._nodes[tape._ids[out]][:2] == ((), None)
+        tape.backward(tensor_sum(out))
+    assert tape.grad(out) is not None
+
+
+#: Steps of ``_constant_program``: (op, activation index, other operand, swap).
+#: A negative ``other`` picks a weight-like operand, shaped by ``-other % 3``
+#: for mul/add; otherwise the other operand is a tensor of the pool.
+_CONSTANT_STEPS = st.lists(st.tuples(
+    st.sampled_from(["matmul", "mul", "add", "layernorm", "gelu", "softmax"]),
+    st.integers(0, 63), st.integers(-6, 63), st.booleans()),
+    min_size=1, max_size=6)
+
+
+def _constant_program(program, seed, wrap):
+    """Replay ``program`` from one (2, 4, 4) input on a tape of its own.
+    Every weight-like operand (matmul, mul and add weights, layernorm's
+    gamma and beta) is an array, or with ``wrap`` a Tensor of that array;
+    the arrays are the same either way. Returns the tape and the pool of
+    tensors made, the input first."""
+    rng = np.random.default_rng(seed)
+    pool = [Tensor(rng.normal(size=(2, 4, 4)))]
+
+    def weight(*shape, mean=0.0):
+        values = mean + 0.5 * rng.normal(size=shape)
+        return Tensor(values) if wrap else values
+
+    with Tape() as tape:
+        for op, i, other, swap in program:
+            h = pool[i % len(pool)]
+            if op == "gelu":
+                pool.append(gelu(h))
+            elif op == "softmax":
+                pool.append(softmax(h, axis=-1))
+            elif op == "layernorm":
+                pool.append(layernorm(h, weight(4, mean=1.0), weight(4)))
+            else:
+                shape = (4, 4) if op == "matmul" else ((), (4,), (4, 4))[-other % 3]
+                b = weight(*shape) if other < 0 else pool[other % len(pool)]
+                a, b = (b, h) if swap else (h, b)
+                pool.append({"matmul": matmul, "mul": mul, "add": add}[op](a, b))
+        loss = tensor_sum(mul(pool[-1], weight(2, 4, 4)))
+    tape.backward(loss)
+    return tape, pool
+
+
+@settings(max_examples=80, deadline=None)
+@given(_CONSTANT_STEPS, st.integers(0, 2**32 - 1))
+def test_constants_leave_every_tensor_gradient_bit_for_bit(program, seed):
+    """Weight-like operands passed as arrays, constants to the tape, give
+    every Tensor of the program the value and gradient it has when they are
+    passed as Tensors, bit for bit."""
+    constant_tape, constant_pool = _constant_program(program, seed, wrap=False)
+    tensor_tape, tensor_pool = _constant_program(program, seed, wrap=True)
+    for got, want in zip(constant_pool, tensor_pool, strict=True):
+        _assert_same_bits(_bits(got), _bits(want))
+        _assert_same_bits(_bits(constant_tape.grad(got)),
+                          _bits(tensor_tape.grad(want)))
+
+
+def test_fp_pass_tape_holds_no_model_parameter(monkeypatch):
+    """The FP pass passes every weight, bias and layernorm affine as an
+    array, so its tape's only leaf is the input batch and no node wraps a
+    model parameter."""
+    from bbcq import calibration
+    from bbcq.data import generate_dataset
+    from bbcq.model import ModelSpec, init_model
+
+    recorded = []
+
+    class ListingTape(Tape):
+        def _append(self, parent_ids, backward, tensor):
+            recorded.append((parent_ids, tensor.data))
+            return super()._append(parent_ids, backward, tensor)
+
+    monkeypatch.setattr(calibration, "Tape", ListingTape)
+    spec = ModelSpec(num_blocks=2, embed_dim=16, num_heads=2, patch_count=4,
+                     num_classes=4)
+    model = init_model(spec)
+    x, y = generate_dataset(3, spec.patch_count, spec.embed_dim,
+                            spec.num_classes, seed=2)
+    calibration.cache_fp_pass(model, x, y)
+    leaves = [values for parent_ids, values in recorded if not parent_ids]
+    assert len(leaves) == 1 and np.array_equal(leaves[0], x)
+    params = [values for _, values in model.parameters()]
+    assert not any(np.shares_memory(values, param)
+                   for _, values in recorded for param in params)
 
 
 def test_unused_tensor_has_no_gradient(rng):
@@ -757,21 +886,25 @@ def _reference_mean(x, g):
 def test_shape_only_operands_die_with_their_caller(op, reference, shapes,
                                                   shape_only, rng):
     """A backward that reads only an operand's shape keeps the shape, so
-    the first ``shape_only`` operands die once the caller drops them, tape
-    or not; values and gradients equal the plain expressions bit for bit."""
+    the arrays of the first ``shape_only`` operands die once the caller
+    drops them and the output, tape or not; values and gradients equal the
+    plain expressions bit for bit."""
     arrays = [rng.normal(size=shape) * 3.0 for shape in shapes]
     with Tape() as tape:
         leaves = [Tensor(a) for a in arrays]
         # Times one is exact, so each leaf's gradient is its operand's.
         operands = [mul(leaf, 1.0) for leaf in leaves]
         out = op(*operands)
-        dropped = [weakref.ref(t) for t in operands[:shape_only]]
-        del operands
-        assert [ref() for ref in dropped] == [None] * shape_only
         weight = rng.normal(size=out.shape)
-        tape.backward(tensor_sum(mul(out, Tensor(weight))))
+        # Times a constant keeps nothing of ``out``, which may view an operand.
+        loss = tensor_sum(mul(out, weight))
+        value = out.data.copy()
+        dropped = [weakref.ref(t.data) for t in operands[:shape_only]]
+        del operands, out
+        assert [ref() for ref in dropped] == [None] * shape_only
+        tape.backward(loss)
     want_value, want_grads = reference(*arrays, weight)
-    np.testing.assert_array_equal(out.data, want_value)
+    np.testing.assert_array_equal(value, want_value)
     for leaf, want in zip(leaves, want_grads, strict=True):
         np.testing.assert_array_equal(tape.grad(leaf).data, want)
 
