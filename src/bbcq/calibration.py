@@ -19,7 +19,6 @@ block to one matmul, which is the plain layerwise Hessian baseline.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -30,14 +29,13 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import (ConfigError, ContractError, DegenerateRangeError,
-                     DimensionError, FormatError, NonFiniteError,
-                     ParameterError)
+                     DimensionError, NonFiniteError, ParameterError)
 from .model import (BLOCK_KINDS, BlockCarry, MatmulSite, Model, QuantState,
                     WorkerPool, block_forward, block_prefix, enumerate_sites,
                     forward, freeze_operands, shared_map)
 from .quantizers import (SCHEMES, DynamicSoftmax, QuantParams,
                          softmax_site_params, uniform_grid)
-from .records import check_field_types, record_fields
+from .records import check_field_types, read_json, record_fields, strict_json
 from .tensor import Tape, Tensor, array_of, cross_entropy, require_finite
 
 PROFILES = ("classification", "detection")
@@ -439,8 +437,11 @@ class CalibResult:
     candidates); ``chosen_index`` is derived from it, the first argmin of
     the final round, as ``calibrate`` picks it. Unsearched sites
     (post-softmax, embed, head, constant operands) carry an empty trace and
-    a None index. Each row has the config's scheme and bits; a max-anchored
-    softmax row's ``calibrated_max`` is its block's ``softmax_max``.
+    a None index. A searched site's trace is ``config.rounds`` rounds of
+    ``num_candidates + 1`` finite metrics, and ``fp_loss`` and
+    ``softmax_max`` are finite. Each row has the config's scheme and bits; a
+    max-anchored softmax row's ``calibrated_max`` is its block's
+    ``softmax_max``.
     """
 
     config: CalibConfig
@@ -451,6 +452,16 @@ class CalibResult:
     softmax_max: list[float]
 
     def __post_init__(self):
+        require_finite(self.fp_loss, "fp_loss")
+        require_finite(self.softmax_max, "softmax_max")
+        width = self.config.num_candidates + 1
+        for site, trace in self.traces.items():
+            if trace and (len(trace) != self.config.rounds
+                          or any(len(metrics) != width for metrics in trace)
+                          or not np.isfinite(trace).all()):
+                raise ParameterError(f"site {site.site_id} trace must be "
+                                     f"{self.config.rounds} rounds of {width} "
+                                     "finite metrics")
         for site, p in self.params.items():
             if (p.scheme, p.bits) != (want := self.config.site_quantizer(site)):
                 raise ParameterError(f"site {site.site_id}: {p.scheme} at {p.bits} "
@@ -488,7 +499,7 @@ class CalibResult:
                 "sites": self.site_rows()}
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
+        return strict_json(self.to_json(), "the calib result")
 
     @classmethod
     def from_json(cls, payload: Mapping) -> "CalibResult":
@@ -503,7 +514,6 @@ class CalibResult:
         config = CalibConfig.from_json(doc.config)
         params: dict[MatmulSite, QuantParams] = {}
         rows = {}
-        width = config.num_candidates + 1
         for i, entry in enumerate(doc.sites):
             row = record_fields(_SiteRow, entry, f"site row {i}")
             site = MatmulSite.parse(row.site_id)
@@ -514,18 +524,12 @@ class CalibResult:
             except ParameterError as exc:
                 raise type(exc)(f"site {row.site_id}: {exc}") from None
             rows[site] = row
-            if row.trace and (len(row.trace) != config.rounds
-                              or any(len(metrics) != width for metrics in row.trace)
-                              or not np.isfinite(row.trace).all()):
-                raise ParameterError(f"site {row.site_id} trace must be {config.rounds} "
-                                     f"rounds of {width} finite metrics")
             if row.searched != bool(row.trace):
                 raise ParameterError(f"site {row.site_id} searched disagrees with "
                                      f"its {len(row.trace)}-round trace")
         result = cls(config=config, params=params,
                      traces={site: row.trace for site, row in rows.items()},
-                     fp_loss=require_finite(doc.fp_loss, "fp_loss"),
-                     softmax_max=require_finite(doc.softmax_max, "softmax_max"))
+                     fp_loss=doc.fp_loss, softmax_max=doc.softmax_max)
         for site, row in rows.items():
             if row.chosen_index != result.chosen_index[site]:
                 raise ParameterError(
@@ -540,12 +544,8 @@ def save_result(result: CalibResult, path) -> None:
 
 
 def load_result(path) -> CalibResult:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:  # bad UTF-8 or JSON, or an int past 4300 digits
-            raise FormatError(f"{path}: not valid JSON: {exc}") from None
-    return CalibResult.from_json(payload)
+    with open(path, "rb") as fh:
+        return CalibResult.from_json(read_json(fh.read(), path))
 
 
 def calibrate(model: Model, inputs, labels, config: CalibConfig,

@@ -9,7 +9,6 @@ byte-reproducible (reports differ only in their wall-clock field).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 import warnings
@@ -24,8 +23,8 @@ from .data import SYNTHETIC_KINDS, generate_dataset, synthetic_scores
 from .errors import BBCQError, ConfigError, FormatError
 from .metrics import compare_softmax_quantizers, evaluate
 from .model import ModelSpec, forward, init_model
-from .records import strict_json
-from .report import Report, site_summaries, write_report
+from .records import read_json, strict_json
+from .report import Report, site_summaries
 from .serialize import (MAGIC, container_kind, deserialize_dataset,
                         deserialize_model, load_dataset, load_model,
                         save_dataset, save_model)
@@ -160,12 +159,12 @@ def _report(args, started: float, config: dict, lines: list[str],
             **fields) -> int:
     """Write ``report.json`` for the command, then print ``lines`` and the
     path it wrote."""
+    text = Report(command=args.command,
+                  config={"command": args.command, "out": args.out, **config},
+                  wall_clock_seconds=time.perf_counter() - started,
+                  **fields).dumps()
     out = _outdir(args.out)
-    write_report(Report(command=args.command,
-                        config={"command": args.command, "out": args.out,
-                                **config},
-                        wall_clock_seconds=time.perf_counter() - started,
-                        **fields), out / "report.json")
+    (out / "report.json").write_text(text, encoding="utf-8")
     for line in lines:
         print(line)
     print(f"wrote {out / 'report.json'}")
@@ -253,14 +252,11 @@ def cmd_inspect(args) -> int:
     if blob.startswith(MAGIC):
         summary = _inspect_container(blob)
     else:
-        try:
-            payload = json.loads(blob.decode("utf-8"))
-        except ValueError as exc:  # bad UTF-8 or JSON, or an int past 4300 digits
-            raise FormatError(f"{args.path}: not valid JSON: {exc}") from None
+        payload = read_json(blob, args.path)
         if not isinstance(payload, dict):
             raise FormatError(f"{args.path}: top level is not a JSON object")
         summary = _inspect_json(payload)
-    print(strict_json(summary, args.path, sort_keys=True, indent=2))
+    print(strict_json(summary, args.path), end="")
     return 0
 
 

@@ -1,5 +1,6 @@
 """The record rule: which JSON value each dataclass field admits, checked
-where a record is built or read from JSON."""
+where a record is built or read from JSON; and the JSON rule: how every
+JSON artifact is written and read."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import json
 from dataclasses import fields
 from typing import Mapping
 
-from .errors import NonFiniteError, ParameterError
+from .errors import FormatError, NonFiniteError, ParameterError
 
 
 #: JSON value types each field annotation admits; bool is never a number.
@@ -62,13 +63,27 @@ def record_fields(cls, payload, what: str):
     return cls(**values)
 
 
-def strict_json(obj, what: str, **kwargs) -> str:
-    """``json.dumps(obj, **kwargs)``, which writes only JSON: a NaN or
-    infinite float in ``obj`` raises NonFiniteError naming ``what``."""
+def strict_json(obj, what: str, **layout) -> str:
+    """The text of a JSON artifact: ``obj`` with sorted keys, a two-space
+    indent and a final newline, or ``json.dumps(obj, **layout)`` when a
+    layout is given (the container manifest's). Only JSON is written: a
+    NaN or infinite float in ``obj`` raises NonFiniteError naming ``what``.
+    """
     try:
-        return json.dumps(obj, allow_nan=False, **kwargs)
+        if layout:
+            return json.dumps(obj, allow_nan=False, **layout)
+        return json.dumps(obj, allow_nan=False, sort_keys=True, indent=2) + "\n"
     except ValueError:
         raise NonFiniteError(f"{what} holds NaN or infinite values") from None
+
+
+def read_json(blob: bytes, path):
+    """The JSON value in ``blob``, the UTF-8 bytes of the file at ``path``;
+    FormatError naming ``path`` if they are not valid JSON."""
+    try:
+        return json.loads(blob.decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or JSON, or an int past 4300 digits
+        raise FormatError(f"{path}: not valid JSON: {exc}") from None
 
 
 def check_field_types(record, what: str) -> None:

@@ -14,6 +14,7 @@ from importlib import resources
 
 from . import __version__
 from .calibration import CalibResult
+from .records import read_json, strict_json
 
 SCHEMA_VERSION = 1
 
@@ -21,31 +22,26 @@ SCHEMA_VERSION = 1
 def report_schema() -> dict:
     """The published report schema as a dict."""
     ref = resources.files("bbcq").joinpath("schema/report.schema.json")
-    return json.loads(ref.read_text(encoding="utf-8"))
+    return read_json(ref.read_bytes(), ref)
 
 
 @dataclass
 class Report:
     command: str
     config: dict
+    wall_clock_seconds: float
     fp_loss: float | None = None
     fp_block_inputs: bool | None = None
     softmax_max: list[float] | None = None
     sites: list[dict] | None = None
     metrics: list[dict] | None = None
-    wall_clock_seconds: float = 0.0
     tool_version: str = field(default=__version__)
 
     def to_json(self) -> dict:
         return {"schema_version": SCHEMA_VERSION, **asdict(self)}
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
-
-
-def write_report(report: Report, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report.dumps())
+        return strict_json(self.to_json(), "the report")
 
 
 def site_summaries(result: CalibResult) -> list[dict]:

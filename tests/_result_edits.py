@@ -1,7 +1,8 @@
 """Edits that make a ``calib_result.json`` payload disagree with its own
 search: each changes one stored copy so that it no longer follows from the
 config, the traces or a row's own anchor. ``CalibResult.from_json`` must
-reject every one.
+reject every one. ``SOURCE_EDITS`` change a value the result holds instead,
+which ``CalibResult(...)`` rejects as well.
 
 The edits expect an mpq result searched for at least two rounds.
 """
@@ -31,6 +32,16 @@ def _one_empty_round(payload):
 
 def _one_round_too_few(payload):
     _searched(payload)["trace"].pop(0)
+
+
+def _one_round_too_many(payload):
+    trace = _searched(payload)["trace"]
+    trace.insert(0, list(trace[0]))
+
+
+def _one_metric_too_many(payload):
+    trace = _searched(payload)["trace"]
+    trace[0].append(trace[0][0])
 
 
 def _nan_metric(payload):
@@ -94,4 +105,19 @@ RESULT_EDITS = {
     "w-bits-off-by-one": _w_bits_off_by_one,
     "softmax-max-99": lambda payload: payload.update(softmax_max=[99.0]),
     "softmax-max-empty": lambda payload: payload.update(softmax_max=[]),
+}
+
+#: Edits of a value the result holds rather than of a stored copy: building
+#: the edited result with ``CalibResult(...)`` must fail as loading it does.
+SOURCE_EDITS = {
+    **{name: RESULT_EDITS[name]
+       for name in ("empty-round", "round-too-few", "nan-metric")},
+    "round-too-many": _one_round_too_many,
+    "metric-too-many": _one_metric_too_many,
+    "fp-loss-nan": lambda payload: payload.update(fp_loss=float("nan")),
+    "fp-loss-inf": lambda payload: payload.update(fp_loss=float("inf")),
+    "softmax-max-nan": lambda payload: payload.update(
+        softmax_max=[float("nan")]),
+    "softmax-max-inf": lambda payload: payload.update(
+        softmax_max=[float("-inf")]),
 }

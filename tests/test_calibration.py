@@ -42,7 +42,7 @@ from bbcq.records import record_fields
 from bbcq.tensor import Tape, Tensor, add, cross_entropy
 
 from _oracles import _grid, naive_bbc_metric, oracle_calibrate
-from _result_edits import RESULT_EDITS
+from _result_edits import RESULT_EDITS, SOURCE_EDITS
 
 
 def _small_setup(num_blocks=1, embed_dim=16, seed=7, samples=6):
@@ -1142,18 +1142,43 @@ def test_calib_result_rows_follow_site_order(blocks_as_layers):
     assert CalibResult.from_json(payload).dumps() == result.dumps()
 
 
-@pytest.mark.parametrize("edit", RESULT_EDITS.values(), ids=RESULT_EDITS.keys())
-def test_calib_result_rejects_copies_that_disagree_with_the_search(edit):
+def _built(payload: dict) -> CalibResult:
+    """The result ``payload`` holds, built with ``CalibResult(...)`` rather
+    than read by ``from_json``."""
+    rows = {MatmulSite.parse(row["site_id"]): row for row in payload["sites"]}
+    return CalibResult(
+        config=CalibConfig.from_json(payload["config"]),
+        params={site: record_fields(QuantParams, row, "quant params")
+                for site, row in rows.items()},
+        traces={site: row["trace"] for site, row in rows.items()},
+        fp_loss=payload["fp_loss"], softmax_max=payload["softmax_max"])
+
+
+@pytest.mark.parametrize("edit, built", [
+    *(pytest.param(edit, False, id=name) for name, edit in RESULT_EDITS.items()),
+    *(pytest.param(edit, True, id=f"built-{name}")
+      for name, edit in SOURCE_EDITS.items())])
+def test_calib_result_rejects_copies_that_disagree_with_the_search(edit, built):
     """Each stored copy (chosen index, searched flag, trace shape,
     fp_block_inputs, a row's anchored fields, scheme and bits, softmax_max)
-    is checked against its source on load."""
+    is checked against its source on load. A result built with a bad source
+    value (a trace's shape or metric, fp_loss, softmax_max) fails as the
+    same values loaded do."""
     model, x, y = _small_setup()
     config = CalibConfig(w_bits=4, a_bits=4, num_candidates=4, rounds=2)
     payload = json.loads(calibrate(model, x, y, config).dumps())
     CalibResult.from_json(payload)
     edit(payload)
-    with pytest.raises(ParameterError):
+    if not built:
+        with pytest.raises(ParameterError):
+            CalibResult.from_json(payload)
+        return
+    with pytest.raises((ParameterError, NonFiniteError)) as loaded:
         CalibResult.from_json(payload)
+    with pytest.raises(type(loaded.value)) as direct:
+        _built(payload)
+    assert (type(direct.value), str(direct.value)) == \
+        (type(loaded.value), str(loaded.value))
 
 
 def test_a_one_unit_mlp_builds_forwards_and_calibrates():

@@ -241,6 +241,25 @@ def test_overflowing_fp_forward_is_one_error_line(tmp_path, command, what):
     assert not (tmp_path / "o").exists()
 
 
+def test_eval_loss_past_the_float_range_is_one_error_line(tmp_path):
+    """Finite logits whose mean loss overflows: the report would hold an
+    ``Infinity`` token, which is not JSON, so none is written."""
+    data = tmp_path / "data"
+    assert main(["gen", "--blocks", "1", "--embed-dim", "8", "--heads", "2",
+                 "--patches", "4", "--classes", "3", "--calib-size", "8",
+                 "--eval-size", "16", "--seed", "7", "--out", str(data)]) == 0
+    model = load_model(data / "model.bbcv")
+    model.head_w = model.head_w * 1e307
+    save_model(model, data / "big.bbcv")
+    proc = _run_cli(["eval", "--model", str(data / "big.bbcv"),
+                     "--eval", str(data / "eval.bbcv"),
+                     "--out", str(tmp_path / "o")])
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error:non-finite: the report holds NaN or infinite values"]
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
 def test_warnings_wait_for_the_command_outcome(monkeypatch, capsys):
     """A command's warnings are shown after it succeeds and dropped when
     it fails, so a failure stays one line."""

@@ -158,7 +158,7 @@ def test_truncated_payload(model_blob):
 
 
 def test_trailing_bytes(model_blob):
-    with pytest.raises(LengthError):
+    with pytest.raises(LengthError, match="payload has 8 trailing bytes"):
         deserialize_model(model_blob + b"\x00" * 8)
 
 
@@ -166,6 +166,9 @@ def test_manifest_longer_than_body(model_blob):
     huge = _HEADER.pack(b"BBCVIT", b"01", 1 << 40)
     with pytest.raises(LengthError):
         deserialize_model(huge + model_blob[_HEADER.size:])
+    # A whole header and nothing after it.
+    with pytest.raises(LengthError):
+        deserialize_model(_HEADER.pack(b"BBCVIT", b"01", 1))
 
 
 def test_garbage_manifest(model_blob):
@@ -226,6 +229,22 @@ def test_duplicate_tensor_name(model_blob):
     # make the first two descriptors identical twins at the same offsets
     manifest["tensors"][1] = dict(manifest["tensors"][0])
     with pytest.raises(ManifestError, match="duplicate"):
+        deserialize_model(_reassemble(manifest, payload))
+
+
+@pytest.mark.parametrize("shape, error", [
+    ([0, 2**61], "numpy cannot hold"),
+    ([16, 16] + [1] * 62, "does not match the model spec"),
+    ([16, 16] + [1] * 63, "numpy cannot hold")],
+    ids=["empty-past-the-byte-limit", "64-dims", "65-dims"])
+def test_shape_numpy_cannot_hold(model_blob, shape, error):
+    """numpy holds at most 64 dimensions, and an empty tensor only while
+    its nonzero dimensions fit in its byte limit; past either, a shape is a
+    ManifestError rather than numpy's ValueError."""
+    _, _, manifest, _, payload = _split(model_blob)
+    assert manifest["tensors"][0]["shape"] == [16, 16]
+    manifest["tensors"][0]["shape"] = shape
+    with pytest.raises(ManifestError, match=error):
         deserialize_model(_reassemble(manifest, payload))
 
 
@@ -340,7 +359,7 @@ def test_a_rejected_save_leaves_the_file_as_it_was(tmp_path, inputs):
 def test_dataset_rejects_bad_shapes():
     with pytest.raises(ParameterError):
         serialize_dataset(np.zeros((4, 16)), np.zeros(4, dtype=np.int64))
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"\(3,\) does not match 4 samples"):
         serialize_dataset(np.zeros((4, 2, 16)), np.zeros(3, dtype=np.int64))
 
 

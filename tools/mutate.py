@@ -1,6 +1,6 @@
 """Mutation sweep: run the test suite against one small mutant at a time.
 
-A mutant changes one spot inside the named functions or classes of one
+A mutant changes one spot inside the named functions or classes of a
 module: it swaps a comparison (``<``/``<=``, ``>``/``>=``, ``==``/``!=``)
 or an arithmetic operator (``+``/``-``, ``*``/``/``), or bumps a constant
 0, 1, 2 or 0.5 by one. The repository is copied once into a temporary
@@ -12,10 +12,15 @@ pytest fails or times out. Each survivor is a test gap, code that nothing
 needs, or an equivalent mutant.
 
     python tools/mutate.py src/bbcq/quantizers.py QuantParams _mpq_anchor
+    python tools/mutate.py src/bbcq/records.py src/bbcq/report.py \
+        src/bbcq/calibration.py CalibResult save_result load_result
 
-Scopes are a top-level name or ``Class.method``; with none, every
-top-level function and class of the module is swept. ``--list`` prints the
-mutation points without running anything. Stdlib only.
+Each module path (an argument ending in ``.py``) is followed by its scopes:
+a top-level name or ``Class.method``; with none, every top-level function
+and class of the module is swept. All modules share one repository copy
+and one run of the unmutated suite, and each is restored before the next.
+A module with no mutation points reports ``killed 0 of 0``. ``--list``
+prints the mutation points without running anything. Stdlib only.
 """
 
 from __future__ import annotations
@@ -38,16 +43,17 @@ BUMPED = (0, 1, 2, 0.5)
 TIMEOUT_S = 600.0  # a hung mutant counts as killed
 
 
-def _scopes(tree: ast.Module, names: set[str]) -> list[ast.AST]:
-    """The function and class nodes whose qualified names are in ``names``."""
-    found = []
+def _scopes(tree: ast.Module, names: set[str]) -> dict[str, ast.AST]:
+    """The function and class nodes whose qualified names are in ``names``,
+    by name."""
+    found = {}
 
     def visit(node, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 name = prefix + child.name
                 if name in names:
-                    found.append(child)
+                    found[name] = child
                 else:
                     visit(child, name + ".")
 
@@ -58,7 +64,7 @@ def _scopes(tree: ast.Module, names: set[str]) -> list[ast.AST]:
 def _points(tree: ast.Module, names: set[str]) -> list[tuple[ast.AST, int]]:
     """(node, operator index) of every mutation point, in a fixed order."""
     points = []
-    for scope in _scopes(tree, names):
+    for scope in _scopes(tree, names).values():
         for node in ast.walk(scope):
             if isinstance(node, ast.Compare):
                 points += [(node, i) for i, op in enumerate(node.ops)
@@ -125,41 +131,56 @@ def _suite_fails(work: Path, tests: tuple[str, ...] = ()) -> bool:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("module", help="module path relative to the repo root")
-    parser.add_argument("scopes", nargs="*",
-                        help="function, class or Class.method (default: all)")
+    parser.add_argument("targets", nargs="+", metavar="module [scope ...]",
+                        help="module path relative to the repo root, then "
+                             "function, class or Class.method (default: all)")
     parser.add_argument("--list", action="store_true", help="only list points")
     args = parser.parse_args(argv)
-    source = (ROOT / args.module).read_text()
-    tree = ast.parse(source)
-    names = set(args.scopes) or {node.name for node in tree.body if isinstance(
-        node, (ast.FunctionDef, ast.ClassDef))}
-    count = len(_points(tree, names))
-    if not count:
-        parser.error(f"no mutation points in {sorted(names)}")
+    targets = []  # (module, scopes); a scope belongs to the path before it
+    for word in args.targets:
+        if word.endswith(".py"):
+            targets.append((word, []))
+        elif targets:
+            targets[-1][1].append(word)
+        else:
+            parser.error(f"scope {word!r} comes before any module path")
+    sweeps = []  # (module, source, names, count)
+    for module, scopes in targets:
+        source = (ROOT / module).read_text()
+        tree = ast.parse(source)
+        names = set(scopes) or {node.name for node in tree.body if isinstance(
+            node, (ast.FunctionDef, ast.ClassDef))}
+        if missing := names - set(_scopes(tree, names)):
+            parser.error(f"{module} has no scope {sorted(missing)}")
+        sweeps.append((module, source, names, len(_points(tree, names))))
     if args.list:
-        for k in range(count):
-            print(k, _mutant(source, names, k)[1])
+        for module, source, names, count in sweeps:
+            for k in range(count):
+                print(module, k, _mutant(source, names, k)[1])
         return 0
     with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
         work = Path(tmp) / "repo"
         shutil.copytree(ROOT, work, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".hypothesis", ".pytest_cache",
             ".perfbench-work"))
-        if _suite_fails(work):
+        if any(count for *_, count in sweeps) and _suite_fails(work):
             print("the unmutated suite fails; nothing to measure", file=sys.stderr)
             return 1
-        target = work / args.module
-        selection = _importers(args.module)
-        print(f"selection: {' '.join(selection)}", flush=True)
-        killed = 0
-        for k in range(count):
-            mutated, label = _mutant(source, names, k)
-            target.write_text(mutated)
-            dead = _suite_fails(work, selection) or _suite_fails(work)
-            killed += dead
-            print(f"{'killed ' if dead else 'SURVIVED'} {k} {label}", flush=True)
-    print(f"{args.module}: killed {killed} of {count} mutants")
+        totals = []
+        for module, source, names, count in sweeps:
+            target = work / module
+            selection = _importers(module)
+            print(f"{module} selection: {' '.join(selection)}", flush=True)
+            killed = 0
+            for k in range(count):
+                mutated, label = _mutant(source, names, k)
+                target.write_text(mutated)
+                dead = _suite_fails(work, selection) or _suite_fails(work)
+                killed += dead
+                print(f"{'killed ' if dead else 'SURVIVED'} {k} {label}", flush=True)
+            target.write_text(source)
+            totals.append(f"{module}: killed {killed} of {count} mutants")
+    print("\n".join(totals))
     return 0
 
 
