@@ -221,25 +221,32 @@ def bottom_threshold(sigma, gamma: float) -> float:
 
 
 def _magnitude_threshold(magnitudes: np.ndarray, gamma: float) -> float:
-    """``bottom_threshold`` of the entries whose magnitudes are given."""
+    """``bottom_threshold`` of the entries whose magnitudes are given. The
+    caller's array is partitioned in place, so it must be its own."""
     if not 0.0 <= gamma <= 100.0:
         raise ParameterError(f"gamma must lie in [0, 100], got {gamma}")
-    arr = magnitudes.ravel()
+    arr = magnitudes.ravel(order="K")
     count = arr.size
     m = min(max(int(math.ceil(gamma / 100.0 * count)), 0), count)
     if m == 0:
         return 0.0
     if m == count:
         return math.inf
-    return float(np.partition(arr, m)[m])
+    arr.partition(m)
+    return float(arr[m])
 
 
 def bottom_mask(sigma, gamma: float) -> np.ndarray:
-    """Zero the bottom-gamma-percent magnitudes of sigma; survivors unchanged."""
+    """Zero the bottom-gamma-percent magnitudes of sigma; survivors unchanged.
+
+    The magnitudes live only while the threshold is found: ``-t < sigma < t``
+    is the set ``|sigma| < t`` for every float, so the mask reads sigma.
+    """
     arr = array_of(sigma)
-    magnitudes = np.abs(arr)
-    return np.where(magnitudes < _magnitude_threshold(magnitudes, gamma),
-                    0.0, arr)
+    t = _magnitude_threshold(np.abs(arr), gamma)
+    bottoms = arr < t
+    bottoms &= arr > -t
+    return np.where(bottoms, 0.0, arr)
 
 
 def bbc_metric(sigma_masked, h_diag) -> float:
@@ -293,13 +300,19 @@ def cache_fp_pass(model: Model, inputs, labels, *,
         result = forward(model, Tensor(x), hook=hook)
         loss = cross_entropy(result.logits, labels)
         require_finite(loss.data, "the FP loss")
+        block_inputs = [t.data for t in (result.embed_output,
+                                         *result.block_outputs[:-1])]
+        if not blocks_as_layers:
+            for b, out in enumerate(result.block_outputs):
+                unit_outputs[(b, "block")] = [out]
+        # Only a block unit reads the gradient at a block output: a layerwise
+        # pass drops those tensors, so the sweep keeps none of their gradients.
+        del result
         tape.backward(loss)
-        for b in range(model.spec.num_blocks):
-            source = result.embed_output if b == 0 else result.block_outputs[b - 1]
-            block_input = source.data
-            units = ([(kind, unit_outputs[(b, kind)]) for kind in BLOCK_KINDS]
-                     if blocks_as_layers else [("block", [result.block_outputs[b]])])
-            for kind, outs in units:
+        kinds = BLOCK_KINDS if blocks_as_layers else ("block",)
+        for b, block_input in enumerate(block_inputs):
+            for kind in kinds:
+                outs = unit_outputs.pop((b, kind))
                 caches.append(BlockCache(
                     block=b, kind=kind, block_input=block_input,
                     outputs=[t.data for t in outs],
@@ -317,15 +330,22 @@ def _unit_metric(model: Model, cache: BlockCache, quant: QuantState,
 
     The block runs from ``start``: its cached input or a carry (see
     ``search_site``). A layerwise unit stops right after its own matmul.
-    ``sensitivities`` holds the square of each of ``cache.grads``.
+    ``sensitivities`` holds the square of each of ``cache.grads``. Each
+    output is the forward's own fresh array: the drift is subtracted into
+    it, and it is dropped once masked, so one unit-sized array is held at
+    a time besides the mask and the metric's own.
     """
     if cache.kind == "block":
         produced = [block_forward(model, cache.block, start, quant)]
     else:
         produced = block_forward(model, cache.block, start, quant, stop=cache.kind)
     total = 0.0
-    for out, reference, h in zip(produced, cache.outputs, sensitivities, strict=True):
-        total += bbc_metric(bottom_mask(out.data - reference, gamma), h)
+    for reference, h in zip(cache.outputs, sensitivities, strict=True):
+        drift = produced.pop(0).data
+        drift -= reference
+        masked = bottom_mask(drift, gamma)
+        del drift
+        total += bbc_metric(masked, h)
     return total
 
 
@@ -455,6 +475,11 @@ class CalibResult:
         require_finite(self.fp_loss, "fp_loss")
         require_finite(self.softmax_max, "softmax_max")
         width = self.config.num_candidates + 1
+        # A row holds both, so a site with only one would not survive dumps.
+        if self.traces.keys() != self.params.keys():
+            site = min(self.traces.keys() ^ self.params.keys(), key=_site_sort_key)
+            raise ParameterError(f"site {site.site_id} needs both params and a "
+                                 "trace (empty if unsearched)")
         for site, trace in self.traces.items():
             if trace and (len(trace) != self.config.rounds
                           or any(len(metrics) != width for metrics in trace)

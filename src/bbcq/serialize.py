@@ -27,8 +27,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import (LengthError, MagicError, ManifestError, NonFiniteError,
-                     ParameterError, VersionError)
+from .errors import (BBCQError, LengthError, MagicError, ManifestError,
+                     NonFiniteError, ParameterError, VersionError)
 from .model import BLOCK_PARAMS, Model, ModelSpec, parameter_shapes
 from .records import record_fields, strict_json
 from .tensor import require_finite
@@ -160,7 +160,17 @@ def _unpack(blob: bytes, expect_kind: str) -> tuple[dict, dict[str, np.ndarray]]
 
 
 def serialize_model(model: Model) -> bytes:
-    return _pack("model", model.spec.to_json(), model.parameters())
+    """The container of ``model``; ParameterError, before anything is packed,
+    if its blocks or parameter shapes are not what its spec gives, as the
+    reader would reject that container."""
+    spec = model.spec
+    if len(model.blocks) != spec.num_blocks:
+        raise ParameterError(f"the model has {len(model.blocks)} blocks, "
+                             f"its spec {spec.num_blocks}")
+    params = model.parameters()
+    if [(name, np.shape(arr)) for name, arr in params] != parameter_shapes(spec):
+        raise ParameterError("model parameter shapes do not match the model spec")
+    return _pack("model", spec.to_json(), params)
 
 
 def deserialize_model(blob: bytes) -> Model:
@@ -173,13 +183,20 @@ def deserialize_model(blob: bytes) -> Model:
     return Model.from_parameters(spec, tensors)
 
 
+def _check_dataset_shapes(inputs: np.ndarray, labels: np.ndarray,
+                          error: type[BBCQError]) -> None:
+    """A dataset's one shape rule, for its writer (ParameterError) and its
+    reader (ManifestError) alike: 3-d inputs and 1-d labels, one per sample."""
+    if inputs.ndim != 3:
+        raise error(f"dataset inputs must be 3-d, got shape {inputs.shape}")
+    if labels.ndim != 1 or labels.shape[0] != inputs.shape[0]:
+        raise error(
+            f"labels shape {labels.shape} does not match {inputs.shape[0]} samples")
+
+
 def serialize_dataset(inputs: np.ndarray, labels: np.ndarray,
                       meta: Mapping | None = None) -> bytes:
-    if inputs.ndim != 3:
-        raise ParameterError(f"dataset inputs must be 3-d, got shape {inputs.shape}")
-    if labels.ndim != 1 or labels.shape[0] != inputs.shape[0]:
-        raise ParameterError(
-            f"labels shape {labels.shape} does not match {inputs.shape[0]} samples")
+    _check_dataset_shapes(inputs, labels, ParameterError)
     spec = dict(meta or {})
     return _pack("dataset", spec, [("inputs", inputs),
                                    ("labels", labels.astype(np.int64))])
@@ -189,6 +206,7 @@ def deserialize_dataset(blob: bytes) -> tuple[np.ndarray, np.ndarray, dict]:
     meta, tensors = _unpack(blob, "dataset")
     if list(tensors) != ["inputs", "labels"]:
         raise ManifestError(f"dataset container has tensors {list(tensors)!r}")
+    _check_dataset_shapes(tensors["inputs"], tensors["labels"], ManifestError)
     return tensors["inputs"], tensors["labels"], meta
 
 

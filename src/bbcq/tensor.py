@@ -404,9 +404,18 @@ def gelu(x: Tensor) -> Tensor:
     x_data = array_of(x)
 
     def backward(g: np.ndarray):
+        # g * (phi(x) + x * density(x)), step by step in two arrays: every
+        # operation and operand order is the expression's, so are the bits.
         # phi is recomputed here so that the forward keeps a single array.
-        density = np.exp(-0.5 * x_data * x_data) * _INV_SQRT_2PI
-        return (g * (_phi(x_data) + x_data * density),)
+        slope = np.asarray(-0.5 * x_data)
+        slope *= x_data
+        np.exp(slope, out=slope)
+        slope *= _INV_SQRT_2PI
+        np.multiply(x_data, slope, out=slope)
+        out = _phi(x_data)
+        out += slope
+        np.multiply(g, out, out=out)
+        return (out,)
 
     out = _phi(x_data)
     out *= x_data

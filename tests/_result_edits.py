@@ -2,7 +2,9 @@
 search: each changes one stored copy so that it no longer follows from the
 config, the traces or a row's own anchor. ``CalibResult.from_json`` must
 reject every one. ``SOURCE_EDITS`` change a value the result holds instead,
-which ``CalibResult(...)`` rejects as well.
+which ``CalibResult(...)`` rejects as well. ``orphan-trace`` leaves a row
+with its trace but without its params: loading it fails on the missing
+params, and building it fails on a trace that has no params row.
 
 The edits expect an mpq result searched for at least two rounds.
 """
@@ -46,6 +48,13 @@ def _one_metric_too_many(payload):
 
 def _nan_metric(payload):
     _searched(payload)["trace"][0][0] = float("nan")
+
+
+def _orphan_trace(payload):
+    row = _searched(payload)
+    for name in ("bits", "scale", "zero_point", "scheme", "calibrated_max",
+                 "threshold"):
+        del row[name]
 
 
 def _searched_false_with_a_trace(payload):
@@ -120,4 +129,5 @@ SOURCE_EDITS = {
         softmax_max=[float("nan")]),
     "softmax-max-inf": lambda payload: payload.update(
         softmax_max=[float("-inf")]),
+    "orphan-trace": _orphan_trace,
 }

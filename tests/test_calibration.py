@@ -181,6 +181,46 @@ def test_bottom_mask_count_never_exceeds_rank(rng):
         assert zeroed <= m  # ties at the threshold survive
 
 
+def _bits(array):
+    """``array``'s float64 bits, so that -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(array).view(np.uint64)
+
+
+def _reference_bottom_mask(sigma, gamma):
+    """The mask as one expression, its threshold from a partitioned copy."""
+    magnitudes = np.abs(sigma)
+    m = math.ceil(gamma / 100.0 * sigma.size)
+    t = 0.0 if m == 0 else math.inf if m == sigma.size else \
+        np.partition(magnitudes.ravel(), m)[m]
+    return np.where(magnitudes < t, 0.0, sigma)
+
+
+#: Few values, so draws repeat them: ties at the threshold, both zeros,
+#: subnormals and the largest finite magnitudes.
+_MASK_VALUES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 0.25,
+                                -0.25, 1.0, -1.0, 3.0, 1.7e308, -1.7e308])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_MASK_VALUES | st.floats(allow_nan=False, allow_infinity=False,
+                                         allow_subnormal=True),
+                min_size=1, max_size=24),
+       st.sampled_from([0.0, 100.0]) | st.floats(0.0, 100.0),
+       st.sampled_from(["contiguous", "strided", "transposed"]))
+def test_bottom_mask_bits_match_the_where_expression(values, gamma, layout):
+    """``bottom_mask`` partitions its own magnitudes in place and masks by
+    ``-t < sigma < t``; compared as uint64 it equals ``np.where(|sigma| <
+    t, 0.0, sigma)``, for any layout of sigma, which it leaves as it was."""
+    base = np.array(values * 2).reshape(2, -1)
+    sigma = {"contiguous": base, "strided": base[:, ::2],
+             "transposed": base.T}[layout]
+    before = sigma.copy()
+    got = bottom_mask(sigma, gamma)
+    want = _reference_bottom_mask(sigma, gamma)
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+    np.testing.assert_array_equal(_bits(sigma), _bits(before))
+
+
 def test_bottom_mask_gamma_out_of_range():
     with pytest.raises(ParameterError):
         bottom_mask(SIGMA_EXAMPLE, -1.0)
@@ -1144,26 +1184,28 @@ def test_calib_result_rows_follow_site_order(blocks_as_layers):
 
 def _built(payload: dict) -> CalibResult:
     """The result ``payload`` holds, built with ``CalibResult(...)`` rather
-    than read by ``from_json``."""
+    than read by ``from_json``; a row without params gives a trace only."""
     rows = {MatmulSite.parse(row["site_id"]): row for row in payload["sites"]}
     return CalibResult(
         config=CalibConfig.from_json(payload["config"]),
         params={site: record_fields(QuantParams, row, "quant params")
-                for site, row in rows.items()},
+                for site, row in rows.items() if "scheme" in row},
         traces={site: row["trace"] for site, row in rows.items()},
         fp_loss=payload["fp_loss"], softmax_max=payload["softmax_max"])
 
 
-@pytest.mark.parametrize("edit, built", [
-    *(pytest.param(edit, False, id=name) for name, edit in RESULT_EDITS.items()),
-    *(pytest.param(edit, True, id=f"built-{name}")
+@pytest.mark.parametrize("name, edit, built", [
+    *(pytest.param(name, edit, False, id=name) for name, edit in RESULT_EDITS.items()),
+    *(pytest.param(name, edit, True, id=f"built-{name}")
       for name, edit in SOURCE_EDITS.items())])
-def test_calib_result_rejects_copies_that_disagree_with_the_search(edit, built):
+def test_calib_result_rejects_copies_that_disagree_with_the_search(name, edit,
+                                                                   built):
     """Each stored copy (chosen index, searched flag, trace shape,
     fp_block_inputs, a row's anchored fields, scheme and bits, softmax_max)
     is checked against its source on load. A result built with a bad source
     value (a trace's shape or metric, fp_loss, softmax_max) fails as the
-    same values loaded do."""
+    same values loaded do. A trace without a params row, which ``dumps``
+    would drop, fails to build, naming its site as loading such a row does."""
     model, x, y = _small_setup()
     config = CalibConfig(w_bits=4, a_bits=4, num_candidates=4, rounds=2)
     payload = json.loads(calibrate(model, x, y, config).dumps())
@@ -1177,8 +1219,29 @@ def test_calib_result_rejects_copies_that_disagree_with_the_search(edit, built):
         CalibResult.from_json(payload)
     with pytest.raises(type(loaded.value)) as direct:
         _built(payload)
+    if name == "orphan-trace":
+        site_id = next(row["site_id"] for row in payload["sites"]
+                       if "scheme" not in row)
+        assert str(loaded.value).startswith(f"site {site_id}: quant params is missing")
+        assert str(direct.value) == (f"site {site_id} needs both params and a "
+                                     "trace (empty if unsearched)")
+        return
     assert (type(direct.value), str(direct.value)) == \
         (type(loaded.value), str(loaded.value))
+
+
+def test_calib_result_needs_a_trace_for_every_params_row():
+    """The reverse of an orphan trace: ``dumps`` would write an empty trace
+    for the site, so the result read back would differ from the built one."""
+    model, x, y = _small_setup()
+    result = calibrate(model, x, y, CalibConfig(w_bits=4, a_bits=4,
+                                                num_candidates=2, rounds=1))
+    site = MatmulSite("mlp-2", "A", 0)
+    traces = {s: t for s, t in result.traces.items() if s != site}
+    with pytest.raises(ParameterError,
+                       match="site b0.mlp-2.A needs both params and a trace"):
+        CalibResult(config=result.config, params=result.params, traces=traces,
+                    fp_loss=result.fp_loss, softmax_max=result.softmax_max)
 
 
 def test_a_one_unit_mlp_builds_forwards_and_calibrates():

@@ -342,3 +342,32 @@ def test_synthetic_scores_validation():
 def test_generate_dataset_rejects_a_negative_seed():
     with pytest.raises(ParameterError, match="seed"):
         generate_dataset(4, 2, 2, 2, seed=-1)
+
+
+def test_generate_dataset_smallest_sizes_and_one_below():
+    """1 sample of 1 patch with embed dim 1 and 2 classes is legal; one
+    less of any of them is not."""
+    inputs, labels = generate_dataset(1, 1, 1, 2, seed=0)
+    assert inputs.shape == (1, 1, 1) and labels.shape == (1,)
+    for args in ((0, 1, 1, 2), (1, 0, 1, 2), (1, 1, 0, 2), (1, 1, 1, 1)):
+        with pytest.raises(ParameterError):
+            generate_dataset(*args, seed=0)
+
+
+def test_synthetic_scores_smallest_sizes_and_one_below():
+    """1 row of 2 columns is legal for both kinds; 0 rows or 1 column is not."""
+    for kind in ("powerlaw", "gaussian"):
+        assert synthetic_scores(kind, 1, 2, seed=0).shape == (1, 2)
+        for rows, cols in ((0, 2), (1, 1)):
+            with pytest.raises(ParameterError, match="need rows >= 1 and cols >= 2"):
+                synthetic_scores(kind, rows, cols, seed=0)
+
+
+def test_synthetic_powerlaw_bytes_are_pinned():
+    """The default exponent (2) and the jittered rank weights, bit for bit."""
+    want = np.array([[-2.0582816131797226, 0.07815751024077053,
+                      -2.8764578666605605, -1.2008558251264783],
+                     [-1.2296729176255357, -2.049942078468788,
+                      -0.22018619478889104, -2.7620734729833885]])
+    got = synthetic_scores("powerlaw", 2, 4, seed=7)
+    assert got.tobytes() == want.tobytes()

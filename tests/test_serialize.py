@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import struct
 
 import numpy as np
@@ -361,6 +362,51 @@ def test_dataset_rejects_bad_shapes():
         serialize_dataset(np.zeros((4, 16)), np.zeros(4, dtype=np.int64))
     with pytest.raises(ParameterError, match=r"\(3,\) does not match 4 samples"):
         serialize_dataset(np.zeros((4, 2, 16)), np.zeros(3, dtype=np.int64))
+
+
+@pytest.mark.parametrize("inputs_shape, labels_shape, error", [
+    ((2, 12), (2,), "dataset inputs must be 3-d, got shape (2, 12)"),
+    ((2, 3, 4), (1, 2), "labels shape (1, 2) does not match 2 samples"),
+    ((1, 6, 4), (2,), "labels shape (2,) does not match 1 samples")],
+    ids=["2-d-inputs", "2-d-labels", "two-labels-one-sample"])
+def test_dataset_reader_holds_the_writers_shape_rule(inputs_shape, labels_shape,
+                                                     error):
+    """A shape the writer refuses (ParameterError) is one the reader refuses
+    too (ManifestError), with the same words: 3-d inputs, 1-d labels, one
+    label per sample."""
+    inputs = np.zeros(24).reshape(inputs_shape)
+    labels = np.zeros(2, dtype=np.int64).reshape(labels_shape)
+    with pytest.raises(ParameterError, match=re.escape(error)):
+        serialize_dataset(inputs, labels)
+    _, _, manifest, _, payload = _split(
+        serialize_dataset(np.zeros((2, 3, 4)), np.zeros(2, dtype=np.int64)))
+    manifest["tensors"][0]["shape"] = list(inputs_shape)
+    manifest["tensors"][1]["shape"] = list(labels_shape)
+    with pytest.raises(ManifestError, match=re.escape(error)):
+        deserialize_dataset(_reassemble(manifest, payload))
+
+
+def _wrong_head(model):
+    model.head_w = np.zeros((8, 5))
+
+
+@pytest.mark.parametrize("edit, error", [
+    (_wrong_head, "model parameter shapes do not match the model spec"),
+    (lambda model: model.blocks.pop(), "the model has 1 blocks, its spec 2")],
+    ids=["head-8x5-on-3-classes", "fewer-blocks-than-spec"])
+def test_model_writer_holds_the_readers_layout(tmp_path, edit, error):
+    """A model whose blocks or parameter shapes are not its spec's is a
+    ParameterError before anything is packed, where the reader would reject
+    the container (or the parameter list would raise IndexError), so an
+    existing file stays as it was."""
+    path = tmp_path / "m.bbcv"
+    save_model(init_model(_spec()), path)
+    before = path.read_bytes()
+    model = init_model(_spec())
+    edit(model)
+    with pytest.raises(ParameterError, match=re.escape(error)):
+        save_model(model, path)
+    assert path.read_bytes() == before
 
 
 def test_dataset_labels_cast_to_int64():

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
+from bbcq import tensor as tensor_module
 from bbcq.errors import (ContractError, DimensionError, LabelIndexError,
                          ParameterError)
 from bbcq.tensor import (LAYERNORM_EPS, Tape, Tensor, add, cross_entropy,
@@ -734,6 +735,39 @@ def test_gelu_bits_match_signed_erf_form(pairs):
     x, g = (np.array(column) for column in zip(*pairs))
     with np.errstate(over="ignore"):
         _assert_gelu_bits(x, g)
+
+
+def _old_gelu_backward(x, g):
+    """The input gradient as the one expression the library used before it
+    computed it in place, with the library's own ``_phi``."""
+    density = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+    return g * (tensor_module._phi(x) + x * density)
+
+
+#: Both zeros, the smallest and largest subnormals, and magnitudes where
+#: x * x overflows or erf is exactly +-1.
+_GELU_EDGES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225e-308,
+                               -2.225e-308, 9.5, -9.5, 1e160, -1e160, 1.7e308,
+                               -1.7e308])
+_GELU_FLOATS = _GELU_EDGES | st.floats(allow_nan=False, allow_infinity=False,
+                                       allow_subnormal=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_GELU_FLOATS, _GELU_FLOATS), min_size=1, max_size=32))
+def test_gelu_backward_bits_match_the_old_expression(pairs):
+    """The in-place backward keeps every operation and operand order of
+    ``g * (phi(x) + x * density)``: compared as uint64 the two agree for
+    any finite x and any incoming gradient g, negative and zero included."""
+    x, g = (np.array(column) for column in zip(*pairs))
+    with np.errstate(all="ignore"):
+        with Tape() as tape:
+            leaf = Tensor(x)
+            # d(sum(out * g)) / d(out) is exactly ``g``.
+            tape.backward(tensor_sum(mul(gelu(leaf), Tensor(g))))
+        want = _old_gelu_backward(x, g)
+    np.testing.assert_array_equal(tape.grad(leaf).data.view(np.uint64),
+                                  want.view(np.uint64))
 
 
 def _run_fresh(script, *args):
