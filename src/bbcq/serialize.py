@@ -40,6 +40,8 @@ _HEADER = struct.Struct("<6s2sQ")
 _DTYPES = {"<f8": np.dtype("<f8"), "<i8": np.dtype("<i8")}
 #: The most dimensions, and bytes over the nonzero dimensions, numpy holds.
 _MAX_DIMS, _MAX_BYTES = 64, np.iinfo(np.intp).max
+#: The largest label a dataset container's int64 holds.
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _canonical_json(obj) -> bytes:
@@ -183,20 +185,26 @@ def deserialize_model(blob: bytes) -> Model:
     return Model.from_parameters(spec, tensors)
 
 
-def _check_dataset_shapes(inputs: np.ndarray, labels: np.ndarray,
-                          error: type[BBCQError]) -> None:
-    """A dataset's one shape rule, for its writer (ParameterError) and its
-    reader (ManifestError) alike: 3-d inputs and 1-d labels, one per sample."""
+def _check_dataset(inputs: np.ndarray, labels: np.ndarray,
+                   error: type[BBCQError]) -> None:
+    """A dataset's one rule, for its writer (ParameterError) and its reader
+    (ManifestError) alike: 3-d inputs and 1-d labels, one per sample, each
+    label an integer class index that int64 holds, so writing changes none."""
     if inputs.ndim != 3:
         raise error(f"dataset inputs must be 3-d, got shape {inputs.shape}")
     if labels.ndim != 1 or labels.shape[0] != inputs.shape[0]:
         raise error(
             f"labels shape {labels.shape} does not match {inputs.shape[0]} samples")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise error(f"labels must be integer class indices, got dtype {labels.dtype}")
+    if labels.size and (labels.min() < 0 or labels.max() > _INT64_MAX):
+        raise error(f"labels must lie in [0, 2**63), got range "
+                    f"[{labels.min()}, {labels.max()}]")
 
 
 def serialize_dataset(inputs: np.ndarray, labels: np.ndarray,
                       meta: Mapping | None = None) -> bytes:
-    _check_dataset_shapes(inputs, labels, ParameterError)
+    _check_dataset(inputs, labels, ParameterError)
     spec = dict(meta or {})
     return _pack("dataset", spec, [("inputs", inputs),
                                    ("labels", labels.astype(np.int64))])
@@ -206,7 +214,7 @@ def deserialize_dataset(blob: bytes) -> tuple[np.ndarray, np.ndarray, dict]:
     meta, tensors = _unpack(blob, "dataset")
     if list(tensors) != ["inputs", "labels"]:
         raise ManifestError(f"dataset container has tensors {list(tensors)!r}")
-    _check_dataset_shapes(tensors["inputs"], tensors["labels"], ManifestError)
+    _check_dataset(tensors["inputs"], tensors["labels"], ManifestError)
     return tensors["inputs"], tensors["labels"], meta
 
 

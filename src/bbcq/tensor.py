@@ -17,7 +17,10 @@ the output is recorded.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import threading
 import weakref
 from contextvars import ContextVar
 from typing import Callable, Sequence
@@ -32,9 +35,14 @@ LAYERNORM_EPS = 1e-5
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
-# scipy.special's erf, loaded by the first _phi: importing scipy.special
-# costs every command about a quarter second, and only GeLU calls it.
+# scipy's erf ufunc, loaded by the first _phi under _ERF_LOCK: only GeLU
+# calls it, so a command that runs no GeLU loads no scipy extension.
 erf = None
+_ERF_LOCK = threading.Lock()
+#: The extension module that defines erf (scipy 1.17). Loaded alone, with
+#: ``scipy`` itself, it costs a process about 2 MB and 10 ms, where
+#: ``import scipy.special`` runs 66 scipy modules, about 25 MB and 0.2 s.
+_ERF_MODULE = "scipy.special._special_ufuncs"
 
 # The active tape of the current context (thread), if any. A Tape is
 # single-writer; nesting two recording scopes has no defined gradient
@@ -383,13 +391,43 @@ def layernorm(x: Tensor, gamma: Tensor | np.ndarray, beta: Tensor | np.ndarray,
     return _result(out, (x, gamma, beta), backward)
 
 
+def _erf_extension():
+    """The module ``_ERF_MODULE`` loaded from scipy.special's directory
+    without running ``scipy/special/__init__.py`` (``find_spec`` imports
+    ``scipy`` alone), or None where the installed scipy has no such module."""
+    package = importlib.util.find_spec("scipy.special")
+    finder = importlib.machinery.FileFinder(
+        package.submodule_search_locations[0],
+        (importlib.machinery.ExtensionFileLoader,
+         importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec(_ERF_MODULE)
+    if spec is None:
+        return None
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _load_erf() -> None:
+    """Set ``erf``, once, to the ufunc ``scipy.special.erf`` names: the
+    extension's own ``erf`` if it has one, which is that same object, and
+    otherwise (older scipy keeps erf in another module) scipy.special's."""
+    global erf
+    with _ERF_LOCK:
+        if erf is not None:
+            return
+        found = getattr(_erf_extension(), "erf", None)
+        if not isinstance(found, np.ufunc):
+            from scipy.special import erf as found
+        erf = found
+
+
 def _phi(x: np.ndarray) -> np.ndarray:
     """0.5 * (1 + erf(x / sqrt(2))) as one new array. erf runs on |x| and
     gets the sign back, skipping scipy's branch on u < 0 that half of GeLU's
     inputs take: the same bits, as erf is odd and rounding sign-symmetric."""
-    global erf
     if erf is None:
-        from scipy.special import erf
+        _load_erf()
     out = np.asarray(np.abs(x))
     out *= _INV_SQRT2
     erf(out, out=out)

@@ -386,6 +386,37 @@ def test_dataset_reader_holds_the_writers_shape_rule(inputs_shape, labels_shape,
         deserialize_dataset(_reassemble(manifest, payload))
 
 
+@pytest.mark.parametrize("labels, error", [
+    (np.array([0.5, 1.7]), "labels must be integer class indices, got dtype float64"),
+    (np.array([-1, 2]), "labels must lie in [0, 2**63), got range [-1, 2]"),
+    (np.array([1, 2**64 - 1], dtype=np.uint64),
+     f"labels must lie in [0, 2**63), got range [1, {2**64 - 1}]")],
+    ids=["float", "negative", "past-int64"])
+def test_dataset_writer_refuses_labels_it_would_change(labels, error):
+    """Float labels would be truncated and uint64 ones past int64 would wrap
+    on the way to the container's int64; a negative label indexes no class.
+    Each is a ParameterError, not a container that reads back different
+    labels."""
+    with pytest.raises(ParameterError, match=re.escape(error)):
+        serialize_dataset(np.zeros((2, 3, 4)), labels)
+
+
+@pytest.mark.parametrize("dtype, labels, error", [
+    ("<f8", np.array([0.5, 1.7]), "labels must be integer class indices"),
+    ("<i8", np.array([-1, 2]), "labels must lie in [0, 2**63), got range [-1, 2]")],
+    ids=["float", "negative"])
+def test_dataset_reader_holds_the_writers_label_rule(dtype, labels, error):
+    """A container whose labels the writer would refuse, float or negative,
+    is a ManifestError for the reader."""
+    _, _, manifest, _, payload = _split(
+        serialize_dataset(np.zeros((2, 3, 4)), np.zeros(2, dtype=np.int64)))
+    manifest["tensors"][1]["dtype"] = dtype
+    payload = payload[:manifest["tensors"][1]["offset"]] + \
+        labels.astype(dtype).tobytes()
+    with pytest.raises(ManifestError, match=re.escape(error)):
+        deserialize_dataset(_reassemble(manifest, payload))
+
+
 def _wrong_head(model):
     model.head_w = np.zeros((8, 5))
 

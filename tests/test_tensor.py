@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
 import threading
 import weakref
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -780,12 +782,17 @@ def _run_fresh(script, *args):
     return proc.stdout
 
 
-_COMMANDS_WITHOUT_GELU = """
+_COMMANDS_IN_ONE_PROCESS = """
 import json, sys
 import numpy as np
 from bbcq import cli, tensor
 work = sys.argv[1]
-loaded = {"import": "scipy.special" in sys.modules}
+
+def scipy_modules():
+    return sorted(name for name in sys.modules
+                  if name == "scipy" or name.startswith("scipy."))
+
+loaded = {"import": scipy_modules()}
 for argv in (["gen", "--blocks", "1", "--embed-dim", "16", "--heads", "2",
               "--patches", "4", "--classes", "4", "--calib-size", "8",
               "--eval-size", "8", "--out", work + "/data"],
@@ -793,26 +800,58 @@ for argv in (["gen", "--blocks", "1", "--embed-dim", "16", "--heads", "2",
              ["compare-softmax", "--synthetic", "powerlaw", "--rows", "16",
               "--out", work + "/cmp"]):
     assert cli.main(argv) == 0, argv
-    loaded[argv[0]] = "scipy.special" in sys.modules
+    loaded[argv[0]] = scipy_modules()
 np.save(work + "/gelu.npy", tensor.gelu(np.load(work + "/x.npy")).data)
 loaded["gelu"] = "scipy.special" in sys.modules
+loaded["erf_is_a_ufunc"] = isinstance(tensor.erf, np.ufunc)
+for argv in (["calibrate", "--model", work + "/data/model.bbcv", "--calib",
+              work + "/data/calib.bbcv", "--candidates", "4", "--rounds", "1",
+              "--out", work + "/calib"],
+             ["eval", "--model", work + "/data/model.bbcv", "--eval",
+              work + "/data/eval.bbcv", "--result",
+              work + "/calib/calib_result.json", "--out", work + "/eval"]):
+    assert cli.main(argv) == 0, argv
+    loaded[argv[0]] = "scipy.special" in sys.modules
+import scipy.special
+loaded["same_erf"] = tensor.erf is scipy.special.erf
 print(json.dumps(loaded))
 """
 
 
 def test_only_the_first_gelu_imports_scipy(tmp_path, rng):
     """``import bbcq``, ``gen``, ``inspect`` and synthetic
-    ``compare-softmax`` never load scipy.special; the first GeLU does, and
-    gives the signed-erf bits."""
+    ``compare-softmax`` load no scipy module. The first GeLU loads erf's
+    extension module alone, not scipy.special, and gives the signed-erf
+    bits; ``calibrate`` and ``eval`` after it never load scipy.special
+    either. A later ``import scipy.special`` names the same erf object, so
+    the bits cannot depend on which of the two was loaded first."""
     x = rng.normal(size=(3, 4, 8)) * 3.0
     np.save(tmp_path / "x.npy", x)
-    out = _run_fresh(_COMMANDS_WITHOUT_GELU, tmp_path)
+    out = _run_fresh(_COMMANDS_IN_ONE_PROCESS, tmp_path)
     loaded = json.loads(out.splitlines()[-1])
-    assert loaded == {"import": False, "gen": False, "inspect": False,
-                      "compare-softmax": False, "gelu": True}
+    assert loaded == {"import": [], "gen": [], "inspect": [],
+                      "compare-softmax": [], "gelu": False,
+                      "erf_is_a_ufunc": True, "calibrate": False,
+                      "eval": False, "same_erf": True}
     want = _reference_gelu(x, x)[0]
     np.testing.assert_array_equal(np.load(tmp_path / "gelu.npy").view(np.uint64),
                                   want.view(np.uint64))
+
+
+@pytest.mark.parametrize("patch", [
+    ("_ERF_MODULE", "scipy.special._no_such_module"),
+    ("_erf_extension", SimpleNamespace),
+    ("_erf_extension", lambda: SimpleNamespace(erf=math.erf)),
+], ids=["module-not-found", "module-without-erf", "erf-not-a-ufunc"])
+def test_first_gelu_falls_back_to_scipy_special(monkeypatch, patch, rng):
+    """Where the installed scipy has no erf extension module, or one without
+    a ufunc named erf (older releases keep erf in another module), the
+    first GeLU takes ``scipy.special.erf`` and gives the same bits."""
+    monkeypatch.setattr(tensor_module, "erf", None)
+    monkeypatch.setattr(tensor_module, *patch)
+    x, g = rng.normal(size=(3, 4, 8)) * 3.0, rng.normal(size=(3, 4, 8))
+    _assert_gelu_bits(x, g)
+    assert tensor_module.erf is erf
 
 
 _GELU_IN_TWO_THREADS = """
@@ -859,6 +898,51 @@ def test_two_threads_race_to_the_first_gelu(tmp_path, rng):
                                           want_value.view(np.uint64))
             np.testing.assert_array_equal(got[name + "_grad"].view(np.uint64),
                                           want_grad.view(np.uint64))
+
+
+_ERF_LOAD_UNDER_CONTENTION = """
+import sys, threading, time
+import numpy as np
+from bbcq import tensor
+loads = []
+extension = tensor._erf_extension
+
+def slow_extension():
+    loads.append(threading.get_ident())
+    time.sleep(0.05)  # every other thread reaches the check meanwhile
+    return extension()
+
+tensor._erf_extension = slow_extension
+x = np.linspace(-4.0, 4.0, 257)
+start = threading.Barrier(6)
+results = [None] * 6
+
+def run(i):
+    start.wait()
+    results[i] = tensor.gelu(x).data
+
+sys.setswitchinterval(1e-6)
+try:
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(6)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+finally:
+    sys.setswitchinterval(0.005)
+assert not any(thread.is_alive() for thread in threads)
+assert len(loads) == 1, loads
+assert all(r is not None and r.tobytes() == results[0].tobytes()
+           for r in results)
+print("ok")
+"""
+
+
+def test_many_threads_load_erf_once():
+    """Six threads, more than the cores, released together into their first
+    GeLU with a slowed loader and a short switch interval: erf's module is
+    loaded once, and every thread gets the same bits."""
+    assert _run_fresh(_ERF_LOAD_UNDER_CONTENTION).splitlines()[-1] == "ok"
 
 
 def _reference_softmax(x, g):
