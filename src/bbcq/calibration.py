@@ -601,8 +601,7 @@ def calibrate(model: Model, inputs, labels, config: CalibConfig,
     # its heap trim threshold to twice that, so the candidate loop's temporaries
     # reuse heap pages instead of growing and trimming the heap every
     # candidate (see README, Memory). Untouched, the block costs no RSS.
-    np.empty(4 * len(fp.caches[0].block_input) * spec.patch_count
-             * max(spec.hidden_dim, spec.num_heads * spec.patch_count))
+    np.empty(4 * len(fp.caches[0].block_input) * spec.widest)
     sites = enumerate_sites(spec)
     traces: dict[MatmulSite, list[list[float]]] = {site: [] for site in sites}
     state: dict[MatmulSite, QuantParams] = {}
@@ -626,7 +625,8 @@ def calibrate(model: Model, inputs, labels, config: CalibConfig,
                     _, bits = config.site_quantizer(site)
                     if site.role == "B":
                         # The grid's full-range step (hi - lo) / 2^bits.
-                        state[site] = candidate_scales(lo, hi, bits, 1.0, 1.0, 2)[0]
+                        scale, zero = uniform_grid(lo, (hi - lo) / (1 << bits), bits)
+                        state[site] = QuantParams(bits, float(scale), int(zero), "uniform")
                     grids[site] = candidate_scales(lo, hi, bits, config.alpha,
                                                    config.beta,
                                                    config.num_candidates)

@@ -65,9 +65,12 @@ def compare_softmax_quantizers(scores, bits: int) -> list[QuantReportRow]:
     batch; the max-anchored scheme follows its defining rule of anchoring to
     each row's own maximum, which is what makes the per-row top value exactly
     representable. ``max_value_error`` is the worst dequantization error at
-    any row's argmax position; NaN or infinite scores raise NonFiniteError.
+    any row's argmax position; NaN or infinite scores raise NonFiniteError
+    and an empty score array (no rows, or rows of no score) ParameterError.
     """
     scores = require_finite(np.asarray(scores, dtype=np.float64), "the score array")
+    if not scores.size:
+        raise ParameterError(f"the score array of shape {scores.shape} is empty")
     probs = softmax(scores, axis=-1).data
     if probs.ndim < 2:
         raise DimensionError(f"scores must be at least 2-d, got shape {probs.shape}")

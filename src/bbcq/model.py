@@ -152,6 +152,12 @@ class ModelSpec:
     def hidden_dim(self) -> int:
         return int(round(self.embed_dim * self.mlp_ratio))
 
+    @property
+    def widest(self) -> int:
+        """Values per sample of a block forward's widest intermediate: the
+        MLP hidden activation or the attention scores."""
+        return self.patch_count * max(self.hidden_dim, self.num_heads * self.patch_count)
+
     def to_json(self) -> dict:
         return asdict(self)
 
@@ -465,8 +471,7 @@ def _slice_rows(spec: ModelSpec) -> int:
     """Samples per slice of an untaped block forward: as many as keep one
     slice's MLP hidden activation and attention scores within 2**17 float64
     values (1 MB, about an L2 cache)."""
-    widest = spec.patch_count * max(spec.hidden_dim, spec.num_heads * spec.patch_count)
-    return max(1, 2 ** 17 // widest)
+    return max(1, 2 ** 17 // spec.widest)
 
 
 def freeze_operands(model: Model, block: int, carry: BlockCarry | None,

@@ -7,12 +7,11 @@ Recording is explicit — operations append tape nodes only inside a
 no tape and therefore allocate no graph.
 
 Operations are plain functions over ``Tensor``s, arrays or numbers; a number
-is a 0-d array that broadcasts. Only a ``Tensor`` carries a gradient: an
-array or a number is a constant, which gets no tape node, and no backward
-keeps a value that only a constant's gradient would read. So
-``matmul(h, w)`` with an array ``w`` does not keep ``h`` for the backward.
-Each operation ends in ``_result``, the single place that decides whether
-the output is recorded.
+is a 0-d array that broadcasts. Each operation ends in ``_result``, passing
+each operand with its own gradient function. Only a ``Tensor`` carries a
+gradient: an array or a number is a constant, which gets no tape node, and
+``_result`` alone drops a constant's gradient function unrun, together with
+what it read. So ``matmul(h, w)`` with an array ``w`` does not keep ``h``.
 """
 
 from __future__ import annotations
@@ -49,8 +48,8 @@ _ERF_MODULE = "scipy.special._special_ufuncs"
 # semantics, so it is rejected. Tapes in other threads are invisible here.
 _TAPE: "ContextVar[Tape | None]" = ContextVar("bbcq_tape", default=None)
 
-#: Output gradient -> one gradient contribution (or None) per parent.
-Backward = Callable[[np.ndarray], Sequence["np.ndarray | None"]]
+#: Output gradient -> one operand's gradient contribution.
+Gradient = Callable[[np.ndarray], np.ndarray]
 
 
 def _asarray(values) -> np.ndarray:
@@ -96,17 +95,16 @@ class Tensor:
 class Tape:
     """Ordered record of forward operations plus per-node gradient buffers.
 
-    A node is a ``(parent_ids, backward, shape, tensor_ref)`` tuple: a leaf
-    has no parents and ``backward`` None, and a constant operand's slot in
-    ``parent_ids`` is None. The tape keeps no forward value, only its shape
-    and a weak reference to its Tensor. A backward's closure holds only the
-    arrays that its Tensor operands' gradients read: an operation whose
-    gradient needs just an operand's shape keeps that shape, not the
-    operand, and one whose other operand is a constant keeps neither, so
-    the operand can die with its last other reference. Nodes are appended
-    in execution order, so parents always precede their consumers and the
-    backward sweep is a single reversed pass. Gradient accumulation adds
-    contributions in that fixed reverse-node, left-to-right-parent order.
+    A node is a ``(parent_ids, gradients, shape, tensor_ref)`` tuple with
+    one gradient function per parent, and parents are Tensor operands only;
+    a leaf is ``((), None)``. The tape keeps no forward value, only its
+    shape and a weak reference to its Tensor. Each gradient function holds
+    only the arrays it reads, an operand's shape rather than the operand,
+    so an operand that only a constant's dropped gradient would read dies
+    with its last other reference. Nodes are appended in execution order,
+    so parents always precede their consumers and the backward sweep is a
+    single reversed pass. Gradient accumulation adds contributions in that
+    fixed reverse-node, left-to-right-parent order.
     The tape keeps each Tensor's node id and gradient in weak maps of its
     own, which other tapes never touch; it records once and cannot be
     entered again.
@@ -133,9 +131,10 @@ class Tape:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def _append(self, parent_ids: tuple[int, ...], backward: Backward | None,
-                tensor: Tensor) -> int:
-        """Record ``tensor`` as a new node and return its id."""
+    def _append(self, parent_ids: tuple[int, ...],
+                backward: tuple[Gradient, ...] | None, tensor: Tensor) -> int:
+        """Record ``tensor`` as a new node, with ``backward`` holding one
+        gradient function per parent, and return its id."""
         node_id = self._ids[tensor] = len(self._nodes)
         self._nodes.append((parent_ids, backward, tensor.data.shape,
                             weakref.ref(tensor)))
@@ -150,9 +149,10 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         """Fill gradient buffers for every node that influences ``loss``.
 
-        Each node is dropped once the sweep has passed it: its closure, with
-        the operands that closure holds, and its gradient once propagated
-        unless its Tensor is still reachable. A second sweep is rejected.
+        Each node is dropped once the sweep has passed it: its gradient
+        functions, with the arrays they hold, and its gradient once
+        propagated unless its Tensor is still reachable. A second sweep is
+        rejected.
         """
         if self._swept:
             raise ContractError("this tape has already run backward; "
@@ -166,7 +166,7 @@ class Tape:
         self._swept = True
         grads = {loss_id: np.ones((), dtype=np.float64)}
         for node_id in range(len(self._nodes) - 1, -1, -1):
-            parent_ids, node_backward, _, tensor_ref = self._nodes[node_id]
+            parent_ids, gradients, _, tensor_ref = self._nodes[node_id]
             self._nodes[node_id] = None
             grad = grads.pop(node_id, None)
             if grad is None:
@@ -175,11 +175,10 @@ class Tape:
             if tensor is not None:
                 # Every consumer comes later on the tape, so it is final.
                 self._grads[tensor] = grad
-            if node_backward is None:
+            if gradients is None:
                 continue
-            for parent_id, contrib in zip(parent_ids, node_backward(grad)):
-                if contrib is None:  # a constant's slot
-                    continue
+            for parent_id, gradient in zip(parent_ids, gradients):
+                contrib = gradient(grad)
                 expected = self._nodes[parent_id][2]
                 if contrib.shape != expected:
                     raise ContractError(
@@ -192,6 +191,8 @@ class Tape:
                     grads[parent_id] = np.array(contrib, order="C")
                 else:
                     buffer += contrib
+                # Freed before the next gradient function runs.
+                del contrib
 
     def grad(self, tensor: Tensor) -> Tensor | None:
         """Gradient of the swept loss w.r.t. ``tensor``."""
@@ -211,23 +212,23 @@ def require_finite(values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
-def _result(out: np.ndarray, parents: tuple[Tensor, ...],
-            backward: Backward) -> Tensor:
+def _result(out: np.ndarray, *operands: tuple[object, Gradient]) -> Tensor:
     """``out`` as a Tensor; while a tape records, also its node.
 
-    The only operation code that reads the active tape: with none,
-    ``backward`` is dropped unrun and no graph is kept. A parent that is
-    not a Tensor is a constant: its slot in the node's parent ids is None,
-    and ``backward`` gives None for it. The output of constants alone is a
-    leaf, so its ``backward`` is dropped too.
+    Each operand comes as a ``(value, gradient)`` pair. This is the only
+    operation code that reads the active tape, and the one place of the
+    constant rule: the node keeps the leaf id and gradient function of each
+    Tensor operand only, so a constant's function is dropped unrun with
+    whatever it read. The output of constants alone is a leaf; with no
+    tape every function is dropped and no graph is kept.
     """
     result = Tensor(out)
     tape = _TAPE.get()
     if tape is not None:
-        ids = tuple(tape._leaf(p) if isinstance(p, Tensor) else None for p in parents)
-        if ids.count(None) == len(ids):
-            ids, backward = (), None
-        tape._append(ids, backward, result)
+        kept = [(tape._leaf(value), gradient) for value, gradient in operands
+                if isinstance(value, Tensor)]
+        ids, gradients = zip(*kept) if kept else ((), None)
+        tape._append(ids, gradients, result)
     return result
 
 
@@ -265,57 +266,43 @@ def matmul(a: Tensor | np.ndarray, b: Tensor | np.ndarray) -> Tensor:
     if a_shape[-1] != b_shape[-2]:
         raise DimensionError(
             f"matmul inner dimensions disagree: {a_shape} x {b_shape}")
-    # Each operand's gradient reads the other one, and a constant has none.
-    b_read = b_data if isinstance(a, Tensor) else None
-    a_read = a_data if isinstance(b, Tensor) else None
-
-    def backward(g: np.ndarray):
-        return (None if b_read is None else _reduce_to_shape(
-                    np.matmul(g, np.swapaxes(b_read, -1, -2)), a_shape),
-                None if a_read is None else _reduce_to_shape(
-                    np.matmul(np.swapaxes(a_read, -1, -2), g), b_shape))
-
-    return _result(np.matmul(a_data, b_data), (a, b), backward)
+    # Each gradient captures only the other operand's array and a shape, so
+    # a constant's dropped gradient is the only holder of the other operand.
+    return _result(np.matmul(a_data, b_data),
+                   (a, lambda g: _reduce_to_shape(
+                       np.matmul(g, np.swapaxes(b_data, -1, -2)), a_shape)),
+                   (b, lambda g: _reduce_to_shape(
+                       np.matmul(np.swapaxes(a_data, -1, -2), g), b_shape)))
 
 
 def add(a: Tensor | np.ndarray, b: Tensor | np.ndarray) -> Tensor:
     """Elementwise sum with numpy broadcasting."""
     a_data, b_data = array_of(a), array_of(b)
-    shapes = [x.shape if isinstance(x, Tensor) else None for x in (a, b)]
-
-    def backward(g: np.ndarray):
-        return tuple(None if shape is None else _reduce_to_shape(g, shape)
-                     for shape in shapes)
-
-    return _result(a_data + b_data, (a, b), backward)
+    a_shape, b_shape = a_data.shape, b_data.shape
+    return _result(a_data + b_data, (a, lambda g: _reduce_to_shape(g, a_shape)),
+                   (b, lambda g: _reduce_to_shape(g, b_shape)))
 
 
 def mul(a: Tensor | np.ndarray, b: Tensor | np.ndarray) -> Tensor:
     """Elementwise product with numpy broadcasting."""
     a_data, b_data = array_of(a), array_of(b)
     a_shape, b_shape = a_data.shape, b_data.shape
-    # Each operand's gradient reads the other one, and a constant has none.
-    b_read = b_data if isinstance(a, Tensor) else None
-    a_read = a_data if isinstance(b, Tensor) else None
-
-    def backward(g: np.ndarray):
-        return (None if b_read is None else _reduce_to_shape(g * b_read, a_shape),
-                None if a_read is None else _reduce_to_shape(g * a_read, b_shape))
-
-    return _result(a_data * b_data, (a, b), backward)
+    return _result(a_data * b_data,
+                   (a, lambda g: _reduce_to_shape(g * b_data, a_shape)),
+                   (b, lambda g: _reduce_to_shape(g * a_data, b_shape)))
 
 
 def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
-    return _result(np.transpose(array_of(x), axes), (x,),
-                   lambda g: (np.transpose(g, np.argsort(axes)),))
+    return _result(np.transpose(array_of(x), axes),
+                   (x, lambda g: np.transpose(g, np.argsort(axes))))
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     x_data = array_of(x)
     x_shape = x_data.shape
-    return _result(np.reshape(x_data, tuple(shape)), (x,),
-                   lambda g: (np.reshape(g, x_shape),))
+    return _result(np.reshape(x_data, tuple(shape)),
+                   (x, lambda g: np.reshape(g, x_shape)))
 
 
 def _spread(g: np.ndarray, shape: tuple[int, ...], axis,
@@ -328,20 +315,20 @@ def _spread(g: np.ndarray, shape: tuple[int, ...], axis,
 def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     x_data = array_of(x)
     x_shape = x_data.shape
-    return _result(x_data.sum(axis=axis, keepdims=keepdims), (x,),
-                   lambda g: (_spread(g, x_shape, axis, keepdims),))
+    return _result(x_data.sum(axis=axis, keepdims=keepdims),
+                   (x, lambda g: _spread(g, x_shape, axis, keepdims)))
 
 
 def tensor_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     x_data = array_of(x)
     x_shape = x_data.shape
 
-    def backward(g: np.ndarray):
+    def gradient(g: np.ndarray):
         axes = range(len(x_shape)) if axis is None else np.atleast_1d(axis)
         count = math.prod(x_shape[i] for i in axes)
-        return (_spread(g / count, x_shape, axis, keepdims),)
+        return _spread(g / count, x_shape, axis, keepdims)
 
-    return _result(x_data.mean(axis=axis, keepdims=keepdims), (x,), backward)
+    return _result(x_data.mean(axis=axis, keepdims=keepdims), (x, gradient))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -353,11 +340,11 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     np.exp(out, out=out)
     out /= out.sum(axis=axis, keepdims=True)
 
-    def backward(g: np.ndarray):
+    def gradient(g: np.ndarray):
         inner = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - inner),)
+        return out * (g - inner)
 
-    return _result(out, (x,), backward)
+    return _result(out, (x, gradient))
 
 
 def layernorm(x: Tensor, gamma: Tensor | np.ndarray, beta: Tensor | np.ndarray,
@@ -374,21 +361,17 @@ def layernorm(x: Tensor, gamma: Tensor | np.ndarray, beta: Tensor | np.ndarray,
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat *= inv_std
     reduce_axes = tuple(range(x_data.ndim - 1))
-    x_var, gamma_var, beta_var = (isinstance(t, Tensor) for t in (x, gamma, beta))
 
-    def backward(g: np.ndarray):
-        dx = None
-        if x_var:
-            dxhat = g * gamma_data
-            dx = inv_std * (dxhat
-                            - dxhat.mean(axis=-1, keepdims=True)
-                            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-        return (dx, (g * xhat).sum(axis=reduce_axes) if gamma_var else None,
-                g.sum(axis=reduce_axes) if beta_var else None)
+    def x_gradient(g: np.ndarray):
+        dxhat = g * gamma_data
+        return inv_std * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                          - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
 
     out = xhat * gamma_data
     out += beta_data
-    return _result(out, (x, gamma, beta), backward)
+    return _result(out, (x, x_gradient),
+                   (gamma, lambda g: (g * xhat).sum(axis=reduce_axes)),
+                   (beta, lambda g: g.sum(axis=reduce_axes)))
 
 
 def _erf_extension():
@@ -441,7 +424,7 @@ def gelu(x: Tensor) -> Tensor:
     """Exact-erf GeLU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
     x_data = array_of(x)
 
-    def backward(g: np.ndarray):
+    def gradient(g: np.ndarray):
         # g * (phi(x) + x * density(x)), step by step in two arrays: every
         # operation and operand order is the expression's, so are the bits.
         # phi is recomputed here so that the forward keeps a single array.
@@ -453,11 +436,11 @@ def gelu(x: Tensor) -> Tensor:
         out = _phi(x_data)
         out += slope
         np.multiply(g, out, out=out)
-        return (out,)
+        return out
 
     out = _phi(x_data)
     out *= x_data
-    return _result(out, (x,), backward)
+    return _result(out, (x, gradient))
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -490,9 +473,9 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     log_probs = shifted - np.log(sums)
     nll = -log_probs[np.arange(batch), labels]
 
-    def backward(g: np.ndarray):
+    def gradient(g: np.ndarray):
         grad = exps / sums
         grad[np.arange(batch), labels] -= 1.0
-        return (grad * (g / batch),)
+        return grad * (g / batch)
 
-    return _result(np.asarray(nll.mean()), (logits,), backward)
+    return _result(np.asarray(nll.mean()), (logits, gradient))

@@ -41,7 +41,8 @@ from bbcq.quantizers import (EPSILON, SCHEMES, DynamicSoftmax, QuantParams,
 from bbcq.records import record_fields
 from bbcq.tensor import Tape, Tensor, add, cross_entropy
 
-from _oracles import _grid, naive_bbc_metric, oracle_calibrate
+from _oracles import (_block_fwd, _grid, _mask, _metric, naive_bbc_metric,
+                      oracle_calibrate, oracle_forward)
 from _result_edits import RESULT_EDITS, SOURCE_EDITS
 
 
@@ -1082,6 +1083,22 @@ def test_unset_thread_env_uses_every_cpu_of_the_affinity_mask(monkeypatch):
     assert built == [2]
 
 
+def test_without_an_affinity_mask_every_cpu_counts(monkeypatch):
+    """Where ``os`` has no ``sched_getaffinity`` (not Linux) the CPU count
+    caps the threads, and an unknown count (None) means one thread."""
+    monkeypatch.delattr(os, "sched_getaffinity")
+    built = _record_pools(monkeypatch)
+    monkeypatch.delenv("BBCQ_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert calibration_module._threads_from_env() == 1
+    with calibration_module.worker_pool() as pool:
+        assert pool is None
+    assert built == []
+    monkeypatch.setenv("BBCQ_THREADS", "8")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert calibration_module._threads_from_env() == 3
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("blocks_as_layers", [False, True],
                          ids=["blockwise", "layerwise"])
@@ -1477,3 +1494,28 @@ def test_total_blockwise_metric_positive_under_coarse_quant():
     total = total_blockwise_metric(model, x, y, result.quant_state(),
                                    gamma=0.0)
     assert total > 0.0
+
+
+@pytest.mark.parametrize("gamma", [0.0, 10.0])
+def test_total_blockwise_metric_is_the_oracle_sum_over_blocks(gamma):
+    """Each block re-forwards its FP input under one coarse W4A4 assignment
+    in the oracle, and its masked drift weighs by the square of the block
+    output's gradient from ``cache_fp_pass``; the blocks' metrics add up to
+    ``total_blockwise_metric`` exactly."""
+    model, x, y = _small_setup(num_blocks=2)
+    result = calibrate(model, x, y, CalibConfig(w_bits=4, a_bits=4,
+                                                num_candidates=3, rounds=1))
+    state = {(site.block, site.kind, site.role):
+             ("uniform", p.scale, p.zero_point, p.bits) if p.scheme == "uniform"
+             else (p.scheme, p.bits, p.calibrated_max)
+             for site, p in result.params.items() if site.block is not None}
+    _, fp_outputs, embed_out = oracle_forward(model, x)
+    grads = [cache.grads[0] for cache in cache_fp_pass(model, x, y).caches]
+    spec = model.spec
+    want = 0.0
+    for b, block_input in enumerate([embed_out, *fp_outputs[:-1]]):
+        out, _ = _block_fwd(model.blocks[b], block_input, spec.num_heads,
+                            spec.head_dim, state, b)
+        want += _metric(_mask(out - fp_outputs[b], gamma), grads[b] * grads[b])
+    got = total_blockwise_metric(model, x, y, result.quant_state(), gamma)
+    assert got == want > 0.0

@@ -744,6 +744,22 @@ def test_non_finite_softmax_scores_are_one_error_line(tmp_path, source):
     assert not (tmp_path / "o").exists()
 
 
+def test_compare_softmax_on_an_empty_split_is_one_error_line(tmp_path):
+    """A 0-sample eval split is a legal container, but it gives no score to
+    compare: one error line in a fresh process, and no report."""
+    data = _gen(tmp_path)
+    inputs, labels, meta = load_dataset(data / "eval.bbcv")
+    save_dataset(inputs[:0], labels[:0], data / "eval-empty.bbcv", meta)
+    proc = _run_cli(["compare-softmax", "--model", str(data / "model.bbcv"),
+                     "--eval", str(data / "eval-empty.bbcv"),
+                     "--out", str(tmp_path / "o")])
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and ERROR_LINE.match(lines[0])
+    assert lines[0].startswith("error:parameter: ")
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # reports validate against the published schema
 

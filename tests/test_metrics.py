@@ -167,6 +167,14 @@ def test_compare_rejects_vectors():
         compare_softmax_quantizers(np.zeros(5), 4)
 
 
+@pytest.mark.parametrize("shape", [(0, 16), (4, 0)], ids=["no-rows", "no-cols"])
+def test_compare_rejects_an_empty_score_array(shape):
+    """No rows (an empty split) or rows of no score have no maximum to
+    quantize against: a ParameterError, not numpy's ValueError."""
+    with pytest.raises(ParameterError, match="is empty"):
+        compare_softmax_quantizers(np.empty(shape), 4)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_compare_rejects_non_finite_scores(bad):
     scores = np.zeros((3, 4))

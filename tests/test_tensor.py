@@ -472,6 +472,30 @@ def test_backward_frees_what_it_has_passed(rng):
         assert hidden_ref() is None
 
 
+def test_backward_frees_each_contribution_before_the_next_gradient_runs(rng):
+    """A node's contribution, once added into its parent's buffer, is gone
+    by the time the parent's own gradient function runs, so the sweep holds
+    one contribution at a time."""
+    made, alive = [], []
+
+    def doubled(g):
+        contribution = g * 2.0
+        made.append(weakref.ref(contribution))
+        return contribution
+
+    def probe(g):
+        alive.append(made[-1]() is not None)
+        return g.copy()
+
+    with Tape() as tape:
+        x = Tensor(rng.normal(size=(3, 4)))
+        h = tensor_module._result(x.data.copy(), (x, probe))
+        out = tensor_module._result(h.data * 2.0, (h, doubled))
+        tape.backward(tensor_sum(out))
+    assert alive == [False]
+    np.testing.assert_array_equal(tape.grad(x).data, np.full((3, 4), 2.0))
+
+
 @pytest.mark.parametrize("weight_is_tensor", [False, True],
                          ids=["constant", "tensor"])
 @pytest.mark.parametrize("op,weight_shape", [(matmul, (4, 5)), (mul, None)],
