@@ -23,7 +23,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, make_dataclass
+from dataclasses import asdict, dataclass, field, make_dataclass, replace
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -534,8 +534,6 @@ class CalibResult:
         if (version := payload.get("schema_version", 1)) != 1:
             raise ParameterError(f"unsupported calib-result schema_version {version!r}")
         doc = record_fields(_Document, payload, "calib-result")
-        if not doc.fp_block_inputs:
-            raise ParameterError("fp_block_inputs must be true")
         config = CalibConfig.from_json(doc.config)
         params: dict[MatmulSite, QuantParams] = {}
         rows = {}
@@ -549,17 +547,19 @@ class CalibResult:
             except ParameterError as exc:
                 raise type(exc)(f"site {row.site_id}: {exc}") from None
             rows[site] = row
-            if row.searched != bool(row.trace):
-                raise ParameterError(f"site {row.site_id} searched disagrees with "
-                                     f"its {len(row.trace)}-round trace")
         result = cls(config=config, params=params,
                      traces={site: row.trace for site, row in rows.items()},
                      fp_loss=doc.fp_loss, softmax_max=doc.softmax_max)
-        for site, row in rows.items():
-            if row.chosen_index != result.chosen_index[site]:
-                raise ParameterError(
-                    f"site {site.site_id} chosen_index {row.chosen_index} is not the "
-                    f"first argmin of its final round, {result.chosen_index[site]}")
+        # Each stored copy must be what the built result writes.
+        written = result.to_json()
+        copies = [("fp_block_inputs", doc.fp_block_inputs, written["fp_block_inputs"]), *(
+            (f"site {want['site_id']} {name}", getattr(rows[site], name), want[name])
+            for site, want in zip(result.sites(), written["sites"])
+            for name in ("site_id", "searched", "chosen_index"))]
+        for what, stored, want in copies:
+            if stored != want:
+                raise ParameterError(f"{what} {stored!r} is not what the result "
+                                     f"writes, {want!r}")
         return result
 
 
@@ -589,8 +589,10 @@ def calibrate(model: Model, inputs, labels, config: CalibConfig,
     from the block paused once in front of that matmul (``block_prefix``),
     and keeps the first argmin of its trace, the rule ``CalibResult``
     derives ``chosen_index`` with. Only the first ``config.calib_batch``
-    samples are used.
+    samples are used; the result's config records a smaller split's size.
     """
+    if 0 < len(inputs) < config.calib_batch:
+        config = replace(config, calib_batch=len(inputs))
     instr = instrumentation if instrumentation is not None else CalibInstrumentation()
     fp = cache_fp_pass(model, inputs[:config.calib_batch],
                        labels[:config.calib_batch],

@@ -24,7 +24,7 @@ from .errors import BBCQError, ConfigError, FormatError
 from .metrics import compare_softmax_quantizers, evaluate
 from .model import ModelSpec, forward, init_model
 from .records import read_json, strict_json
-from .report import Report, site_summaries
+from .report import SCHEMA_VERSION, site_summaries
 from .serialize import (MAGIC, container_kind, deserialize_dataset,
                         deserialize_model, load_dataset, load_model,
                         save_dataset, save_model)
@@ -35,8 +35,13 @@ SOFTMAX_CHOICES = {"uniform": "uniform", "log": "log2", "twin": "twin",
                    "mpq": "mpq"}
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one error line, not a usage block and exit 2
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bbcq",
         description="Toy vision-transformer post-training quantization "
                     "with blockwise bottom-elimination calibration.")
@@ -142,27 +147,16 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _resolve_config(args, sample_count: int) -> CalibConfig:
-    ranges = {name: getattr(args, name) for name in ("alpha", "beta")
-              if getattr(args, name) is not None}
-    return CalibConfig.for_profile(
-        args.profile, w_bits=args.wbits, a_bits=args.abits, gamma=args.gamma,
-        num_candidates=args.candidates, rounds=args.rounds,
-        softmax_quantizer=SOFTMAX_CHOICES[args.softmax_quant],
-        dynamic_softmax=args.dynamic_softmax,
-        # An empty split is left to calibrate, which names the real fault.
-        calib_batch=min(args.calib_batch, sample_count or args.calib_batch),
-        blocks_as_layers=args.blocks_as_layers, **ranges)
-
-
 def _report(args, started: float, config: dict, lines: list[str],
             **fields) -> int:
-    """Write ``report.json`` for the command, then print ``lines`` and the
-    path it wrote."""
-    text = Report(command=args.command,
-                  config={"command": args.command, "out": args.out, **config},
-                  wall_clock_seconds=time.perf_counter() - started,
-                  **fields).dumps()
+    """Write ``report.json`` (the common fields and the command's own
+    ``fields``), then print ``lines`` and the path it wrote."""
+    text = strict_json(
+        {"schema_version": SCHEMA_VERSION, "tool_version": __version__,
+         "command": args.command,
+         "config": {"command": args.command, "out": args.out, **config},
+         "wall_clock_seconds": time.perf_counter() - started, **fields},
+        "the report")
     out = _outdir(args.out)
     (out / "report.json").write_text(text, encoding="utf-8")
     for line in lines:
@@ -175,8 +169,15 @@ def cmd_calibrate(args) -> int:
     started = time.perf_counter()
     model = load_model(args.model)
     inputs, labels, _meta = load_dataset(args.calib)
-    config = _resolve_config(args, len(inputs))
-    result = calibrate(model, inputs, labels, config)
+    ranges = {name: getattr(args, name) for name in ("alpha", "beta")
+              if getattr(args, name) is not None}
+    result = calibrate(model, inputs, labels, CalibConfig.for_profile(
+        args.profile, w_bits=args.wbits, a_bits=args.abits, gamma=args.gamma,
+        num_candidates=args.candidates, rounds=args.rounds,
+        softmax_quantizer=SOFTMAX_CHOICES[args.softmax_quant],
+        dynamic_softmax=args.dynamic_softmax, calib_batch=args.calib_batch,
+        blocks_as_layers=args.blocks_as_layers, **ranges))
+    config = result.config  # the batch calibrate used, not the flag's
     path = _outdir(args.out) / "calib_result.json"
     save_result(result, path)
     return _report(
@@ -294,19 +295,19 @@ def _inspect_json(payload: dict) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     # Warnings (numpy overflow, say) are held until the command ends: a
     # failing command prints only its error line.
     with warnings.catch_warnings(record=True) as caught:
-        code = _run(args)
+        code = _run(argv)
     if code == 0:
         for w in caught:
             warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     return code
 
 
-def _run(args) -> int:
+def _run(argv) -> int:
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except BBCQError as exc:
         print(f"error:{exc.category}: {exc}", file=sys.stderr)

@@ -2,19 +2,18 @@
 
 A report byte-reproduces across runs of the same command except for the
 ``wall_clock_seconds`` field; every other value is a pure function of the
-inputs. The schema ships with the package (``bbcq/schema/report.schema.json``).
+inputs. ``cli._report`` writes each one. The schema ships with the package
+(``bbcq/schema/report.schema.json``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
 from importlib import resources
 
-from . import __version__
 from .calibration import CalibResult
-from .records import read_json, strict_json
+from .records import read_json
 
 SCHEMA_VERSION = 1
 
@@ -23,25 +22,6 @@ def report_schema() -> dict:
     """The published report schema as a dict."""
     ref = resources.files("bbcq").joinpath("schema/report.schema.json")
     return read_json(ref.read_bytes(), ref)
-
-
-@dataclass
-class Report:
-    command: str
-    config: dict
-    wall_clock_seconds: float
-    fp_loss: float | None = None
-    fp_block_inputs: bool | None = None
-    softmax_max: list[float] | None = None
-    sites: list[dict] | None = None
-    metrics: list[dict] | None = None
-    tool_version: str = field(default=__version__)
-
-    def to_json(self) -> dict:
-        return {"schema_version": SCHEMA_VERSION, **asdict(self)}
-
-    def dumps(self) -> str:
-        return strict_json(self.to_json(), "the report")
 
 
 def site_summaries(result: CalibResult) -> list[dict]:

@@ -93,6 +93,14 @@ def _softmax_rows_log2(payload):
             row.update(scheme="log2", scale=row["calibrated_max"], zero_point=0)
 
 
+def _site_id(site_id):
+    """Rename the ``b0.mlp-1.A`` row to an id that parses to the same site
+    but is not the one the result writes."""
+    def edit(payload):
+        _row(payload, "b0.mlp-1.A")["site_id"] = site_id
+    return edit
+
+
 def _w_bits_off_by_one(payload):
     bits = payload["config"]["w_bits"]
     payload["config"]["w_bits"] = bits + 1 if bits < 8 else bits - 1
@@ -114,6 +122,10 @@ RESULT_EDITS = {
     "w-bits-off-by-one": _w_bits_off_by_one,
     "softmax-max-99": lambda payload: payload.update(softmax_max=[99.0]),
     "softmax-max-empty": lambda payload: payload.update(softmax_max=[]),
+    "site-id-plus": _site_id("b+0.mlp-1.A"),
+    "site-id-leading-zero": _site_id("b00.mlp-1.A"),
+    "site-id-space": _site_id("b0 .mlp-1.A"),
+    "site-id-underscore": _site_id("b0_0.mlp-1.A"),
 }
 
 #: Edits of a value the result holds rather than of a stored copy: building

@@ -758,6 +758,22 @@ def test_calibrate_uses_the_first_calib_batch_samples():
             == calibrate(model, x[:4], y[:4], config).dumps())
 
 
+def test_calibrate_records_the_batch_it_used():
+    """A split smaller than ``calib_batch`` gives a result whose config
+    holds the split's size, the batch the search ran on; an empty split is
+    still the FP pass's error."""
+    model, x, y = _small_setup(samples=4)
+    config = CalibConfig(w_bits=4, a_bits=4, num_candidates=4, rounds=1)
+    assert config.calib_batch == 32
+    result = calibrate(model, x, y, config)
+    assert result.config.calib_batch == 4
+    assert result.dumps() == calibrate(
+        model, x, y, CalibConfig(**{**asdict(config), "calib_batch": 4})).dumps()
+    assert calibrate(model, x[:1], y[:1], config).config.calib_batch == 1
+    with pytest.raises(ParameterError, match="^the FP pass needs at least one sample$"):
+        calibrate(model, x[:0], y[:0], config)
+
+
 def _full_reforward_trace(model, site, candidates, state, cache, config):
     """Every candidate scored by re-forwarding the whole block from the
     cached FP input, with no carry: the path the staged search replaces."""

@@ -778,6 +778,36 @@ def test_reports_validate_against_schema(tmp_path):
     jsonschema.validate(_report(cmp_out), schema)
 
 
+COMMON_REPORT_FIELDS = {"schema_version", "tool_version", "command", "config",
+                        "wall_clock_seconds"}
+
+
+def test_reports_hold_only_their_commands_fields(tmp_path):
+    """A report has no top-level null: only the common fields and those its
+    command writes. Only the three commands that write one are in the
+    schema's command enum; ``gen`` and ``inspect`` write none."""
+    schema = report_schema()
+    assert schema["properties"]["command"]["enum"] == \
+        ["calibrate", "eval", "compare-softmax"]
+    data = _gen(tmp_path)
+    run = _calibrate(tmp_path, data)
+    ev, cmp_out = tmp_path / "ev", tmp_path / "cmp"
+    assert main(["eval", "--model", str(data / "model.bbcv"),
+                 "--eval", str(data / "eval.bbcv"),
+                 "--result", str(run / "calib_result.json"),
+                 "--out", str(ev)]) == 0
+    assert main(["compare-softmax", "--synthetic", "powerlaw",
+                 "--out", str(cmp_out)]) == 0
+    assert main(["inspect", str(run / "report.json")]) == 0
+    assert not (data / "report.json").exists()
+    for out, own in ((run, {"fp_loss", "fp_block_inputs", "softmax_max", "sites"}),
+                     (ev, {"metrics"}), (cmp_out, {"metrics"})):
+        report = _report(out)
+        assert set(report) == COMMON_REPORT_FIELDS | own
+        assert None not in report.values()
+        jsonschema.validate(report, schema)
+
+
 # ---------------------------------------------------------------------------
 # inspect
 
@@ -960,6 +990,39 @@ def test_inspect_missing_file(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # parser-level behaviour
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "bbcq: the following arguments are required: command"),
+    (["gen", "--blocks", "x", "--out", "q"],
+     "bbcq gen: argument --blocks: invalid int value: 'x'"),
+    (["compare-softmax", "--synthetic", "power-law", "--out", "o"],
+     "bbcq compare-softmax: argument --synthetic: invalid choice: 'power-law'"),
+    (["calibrate"], "bbcq calibrate: the following arguments are required: "
+                    "--model, --calib, --out"),
+], ids=["no-command", "gen-bad-int", "compare-softmax-bad-choice",
+        "calibrate-bare"])
+def test_bad_or_missing_flag_is_one_config_error_line(tmp_path, argv, message):
+    """In a fresh process: one ``error:config:`` line and exit 1, not
+    argparse's usage block and exit 2, and nothing written."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "bbcq.cli", *argv], capture_output=True,
+        text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            os.path.abspath(p) for p in sys.path)})
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith(f"error:config: {message}")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["eval", "--help"]])
+def test_help_still_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: bbcq") and captured.err == ""
 
 
 def test_version_flag(capsys):
