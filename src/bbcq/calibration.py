@@ -30,18 +30,17 @@ import numpy as np
 
 from .errors import (ConfigError, ContractError, DegenerateRangeError,
                      DimensionError, NonFiniteError, ParameterError)
-from .model import (BLOCK_KINDS, BlockCarry, MatmulSite, Model, QuantState,
-                    WorkerPool, block_forward, block_prefix, enumerate_sites,
-                    forward, freeze_operands, shared_map)
+from .model import (BLOCK_KINDS, SOFTMAX_KIND, BlockCarry, MatmulSite, Model,
+                    QuantState, WorkerPool, block_forward, block_prefix,
+                    enumerate_sites, forward, freeze_operands, shared_map)
 from .quantizers import (SCHEMES, DynamicSoftmax, QuantParams,
                          softmax_site_params, uniform_grid)
 from .records import check_field_types, read_json, record_fields, strict_json
 from .tensor import Tape, Tensor, array_of, cross_entropy, require_finite
 
-PROFILES = ("classification", "detection")
-
 #: (alpha, beta) search-range defaults per task profile.
 PROFILE_RANGES = {"classification": (0.0, 1.2), "detection": (0.5, 1.2)}
+PROFILES = tuple(PROFILE_RANGES)
 
 
 @dataclass(frozen=True)
@@ -217,15 +216,10 @@ def bottom_threshold(sigma, gamma: float) -> float:
     |sigma| (+inf when m == N, 0 when m == 0). Elimination is strict-below,
     so entries tied with the threshold always survive.
     """
-    return _magnitude_threshold(np.abs(array_of(sigma)), gamma)
-
-
-def _magnitude_threshold(magnitudes: np.ndarray, gamma: float) -> float:
-    """``bottom_threshold`` of the entries whose magnitudes are given. The
-    caller's array is partitioned in place, so it must be its own."""
+    # A fresh array, so it is partitioned in place.
+    arr = np.abs(array_of(sigma)).ravel(order="K")
     if not 0.0 <= gamma <= 100.0:
         raise ParameterError(f"gamma must lie in [0, 100], got {gamma}")
-    arr = magnitudes.ravel(order="K")
     count = arr.size
     m = min(max(int(math.ceil(gamma / 100.0 * count)), 0), count)
     if m == 0:
@@ -243,7 +237,7 @@ def bottom_mask(sigma, gamma: float) -> np.ndarray:
     is the set ``|sigma| < t`` for every float, so the mask reads sigma.
     """
     arr = array_of(sigma)
-    t = _magnitude_threshold(np.abs(arr), gamma)
+    t = bottom_threshold(arr, gamma)
     bottoms = arr < t
     bottoms &= arr > -t
     return np.where(bottoms, 0.0, arr)
@@ -508,20 +502,18 @@ class CalibResult:
     def sites(self) -> list[MatmulSite]:
         return sorted(self.params, key=_site_sort_key)
 
-    def site_rows(self) -> list[dict]:
-        """One JSON row per site: its params, whether and how it was searched."""
-        return [{"site_id": site.site_id, **asdict(self.params[site]),
-                 "searched": bool(self.traces.get(site)),
-                 "chosen_index": self.chosen_index.get(site),
-                 "trace": self.traces.get(site, [])}
-                for site in self.sites()]
-
     def to_json(self) -> dict:
-        # Candidates are always scored from cached FP block inputs.
+        """The document: one row per site with its params, whether and how
+        it was searched. Candidates are always scored from cached FP block
+        inputs."""
         return {"schema_version": 1, "kind": "calib-result",
                 "config": self.config.to_json(), "fp_loss": self.fp_loss,
                 "fp_block_inputs": True, "softmax_max": list(self.softmax_max),
-                "sites": self.site_rows()}
+                "sites": [{"site_id": site.site_id, **asdict(self.params[site]),
+                           "searched": bool(self.traces.get(site)),
+                           "chosen_index": self.chosen_index.get(site),
+                           "trace": self.traces.get(site, [])}
+                          for site in self.sites()]}
 
     def dumps(self) -> str:
         return strict_json(self.to_json(), "the calib result")
@@ -647,7 +639,7 @@ def calibrate(model: Model, inputs, labels, config: CalibConfig,
 
     return CalibResult(config=config, params=state, traces=traces,
                        fp_loss=fp.loss,
-                       softmax_max=[fp.ranges[MatmulSite("attn-apply", "A", b)][1]
+                       softmax_max=[fp.ranges[MatmulSite(SOFTMAX_KIND, "A", b)][1]
                                     for b in range(model.spec.num_blocks)])
 
 

@@ -9,9 +9,12 @@ byte-reproducible (reports differ only in their wall-clock field).
 from __future__ import annotations
 
 import argparse
+import hashlib
+import json
 import sys
 import time
 import warnings
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +27,6 @@ from .errors import BBCQError, ConfigError, FormatError
 from .metrics import compare_softmax_quantizers, evaluate
 from .model import ModelSpec, forward, init_model
 from .records import read_json, strict_json
-from .report import SCHEMA_VERSION, site_summaries
 from .serialize import (MAGIC, container_kind, deserialize_dataset,
                         deserialize_model, load_dataset, load_model,
                         save_dataset, save_model)
@@ -147,10 +149,21 @@ def cmd_gen(args) -> int:
     return 0
 
 
+#: The version of every ``report.json``, whose schema ships with the package.
+SCHEMA_VERSION = 1
+
+
+def report_schema() -> dict:
+    """The published report schema as a dict."""
+    ref = resources.files("bbcq").joinpath("schema/report.schema.json")
+    return read_json(ref.read_bytes(), ref)
+
+
 def _report(args, started: float, config: dict, lines: list[str],
             **fields) -> int:
     """Write ``report.json`` (the common fields and the command's own
-    ``fields``), then print ``lines`` and the path it wrote."""
+    ``fields``), then print ``lines`` and the path it wrote. A report
+    byte-reproduces except for ``wall_clock_seconds``."""
     text = strict_json(
         {"schema_version": SCHEMA_VERSION, "tool_version": __version__,
          "command": args.command,
@@ -177,16 +190,28 @@ def cmd_calibrate(args) -> int:
         softmax_quantizer=SOFTMAX_CHOICES[args.softmax_quant],
         dynamic_softmax=args.dynamic_softmax, calib_batch=args.calib_batch,
         blocks_as_layers=args.blocks_as_layers, **ranges))
-    config = result.config  # the batch calibrate used, not the flag's
     path = _outdir(args.out) / "calib_result.json"
     save_result(result, path)
+    # The saved document, each trace replaced by its digest and the chosen
+    # candidate's metric; its config records the batch calibrate used.
+    doc = result.to_json()
+    for row in doc["sites"]:
+        trace = row.pop("trace")
+        row["trace_digest"] = row["chosen_metric"] = None
+        if trace:
+            digest = hashlib.sha256(
+                json.dumps(trace, sort_keys=True).encode("utf-8")).hexdigest()
+            row["trace_digest"] = {"rounds": len(trace),
+                                   "candidates": len(trace[-1]),
+                                   "sha256": digest}
+            row["chosen_metric"] = trace[-1][row["chosen_index"]]
+    config = doc["config"]
     return _report(
-        args, started, {"model": args.model, "calib": args.calib,
-                        **config.to_json()},
-        [f"wrote {path} (W{config.w_bits}A{config.a_bits}, "
-         f"fp_loss={result.fp_loss:.6f})"],
-        fp_loss=result.fp_loss, fp_block_inputs=True,
-        softmax_max=result.softmax_max, sites=site_summaries(result))
+        args, started, {"model": args.model, "calib": args.calib, **config},
+        [f"wrote {path} (W{config['w_bits']}A{config['a_bits']}, "
+         f"fp_loss={doc['fp_loss']:.6f})"],
+        **{key: doc[key] for key in ("fp_loss", "fp_block_inputs",
+                                     "softmax_max", "sites")})
 
 
 def cmd_eval(args) -> int:

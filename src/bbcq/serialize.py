@@ -89,8 +89,10 @@ def _finite(text: str) -> float:
 def _read_manifest(blob: bytes) -> tuple[_Manifest, list[_Descriptor], memoryview]:
     """The checked manifest of a container, its tensor descriptors and a
     view of the payload after it (slicing a view copies no bytes)."""
-    if len(blob) < _HEADER.size or blob[:6] != MAGIC:
+    if blob[:6] != MAGIC:
         raise MagicError("not a BBCVIT container (bad magic)")
+    if len(blob) < _HEADER.size:
+        raise LengthError(f"header needs {_HEADER.size} bytes, got {len(blob)}")
     version = blob[6:8]
     if version != VERSION:
         raise VersionError(f"unsupported container version {version!r}")

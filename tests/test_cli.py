@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -16,10 +17,9 @@ import numpy as np
 import pytest
 
 from bbcq import cli
-from bbcq.cli import main
+from bbcq.cli import main, report_schema
 from bbcq.data import generate_dataset
 from bbcq.errors import ParameterError
-from bbcq.report import report_schema
 from bbcq.serialize import load_dataset, load_model, save_dataset, save_model
 
 from _result_edits import RESULT_EDITS
@@ -169,6 +169,40 @@ def test_calibrate_softmax_flag_spelling(tmp_path):
     softmax_rows = [s for s in result["sites"]
                     if s["site_id"].endswith("attn-apply.A")]
     assert softmax_rows[0]["scheme"] == "log2"
+
+
+@pytest.mark.parametrize("extra", [
+    [], ["--blocks-as-layers"], ["--softmax-quant", "twin", "--dynamic-softmax"],
+], ids=["default", "blocks-as-layers", "dynamic-twin"])
+def test_calibrate_report_is_the_saved_result(tmp_path, extra):
+    """The calibrate report copies every field of the saved result, each
+    site row's trace replaced by its digest and the chosen candidate's
+    metric."""
+    data = _gen(tmp_path)
+    run = _calibrate(tmp_path, data, extra=extra)
+    report = _report(run)
+    result = json.loads((run / "calib_result.json").read_text())
+    jsonschema.validate(report, report_schema())
+    for key in ("fp_loss", "fp_block_inputs", "softmax_max"):
+        assert report[key] == result[key]
+    assert report["config"] == {"command": "calibrate", "out": str(run),
+                                "model": str(data / "model.bbcv"),
+                                "calib": str(data / "calib.bbcv"),
+                                **result["config"]}
+    assert len(report["sites"]) == len(result["sites"])
+    searched = 0
+    for got, row in zip(report["sites"], result["sites"]):
+        trace = row.pop("trace")
+        row["trace_digest"] = row["chosen_metric"] = None
+        if trace:
+            searched += 1
+            row["trace_digest"] = {
+                "rounds": len(trace), "candidates": len(trace[-1]),
+                "sha256": hashlib.sha256(json.dumps(
+                    trace, sort_keys=True).encode("utf-8")).hexdigest()}
+            row["chosen_metric"] = trace[-1][row["chosen_index"]]
+        assert got == row
+    assert searched == 11
 
 
 def test_calibrate_profile_changes_search_range(tmp_path):
@@ -836,6 +870,24 @@ def test_inspect_reports_the_model_container_error(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert err == ("error:manifest-mismatch: tensor list does not match "
                    "the model spec")
+
+
+@pytest.mark.parametrize("command", ["inspect", "calibrate"])
+def test_header_cut_after_the_magic_is_one_length_error_line(tmp_path, command):
+    """A model cut inside its 16-byte header, magic intact, is a truncated
+    container: one ``error:length-mismatch`` line in a fresh process."""
+    data = _gen(tmp_path)
+    cut = tmp_path / "cut.bbcv"
+    cut.write_bytes((data / "model.bbcv").read_bytes()[:10])
+    args = {"inspect": ["inspect", str(cut)],
+            "calibrate": ["calibrate", "--model", str(cut),
+                          "--calib", str(data / "calib.bbcv"),
+                          "--out", str(tmp_path / "o")]}[command]
+    proc = _run_cli(args)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "error:length-mismatch: header needs 16 bytes, got 10"]
+    assert not (tmp_path / "o").exists()
 
 
 def _set_descriptor(field, value):

@@ -148,6 +148,23 @@ def test_bad_magic(model_blob):
         deserialize_model(model_blob[:4])
 
 
+@pytest.mark.parametrize("n", [6, 7, 8, 10, 15])
+def test_header_cut_after_the_magic_is_a_length_error(model_blob, n):
+    """A header cut short after its magic is a truncated container, not a
+    foreign file: the magic is checked first, then the header's length."""
+    with pytest.raises(LengthError, match=f"header needs 16 bytes, got {n}"):
+        deserialize_model(model_blob[:n])
+
+
+def test_a_whole_header_is_read_past():
+    """Sixteen bytes are a whole header: a container that is only a header
+    fails on its manifest, not on its header's length."""
+    with pytest.raises(LengthError, match="manifest length 1 exceeds remaining 0"):
+        deserialize_model(_HEADER.pack(b"BBCVIT", b"01", 1))
+    with pytest.raises(ManifestError, match="not valid JSON"):
+        deserialize_model(_HEADER.pack(b"BBCVIT", b"01", 0))
+
+
 def test_bad_version(model_blob):
     with pytest.raises(VersionError):
         deserialize_model(model_blob[:6] + b"99" + model_blob[8:])

@@ -12,8 +12,8 @@ pytest fails or times out. Each survivor is a test gap, code that nothing
 needs, or an equivalent mutant.
 
     python tools/mutate.py src/bbcq/quantizers.py QuantParams _mpq_anchor
-    python tools/mutate.py src/bbcq/records.py src/bbcq/report.py \
-        src/bbcq/calibration.py CalibResult save_result load_result
+    python tools/mutate.py src/bbcq/cli.py src/bbcq/serialize.py \
+        _read_manifest src/bbcq/calibration.py CalibResult calibrate
 
 Each module path (an argument ending in ``.py``) is followed by its scopes:
 a top-level name or ``Class.method``; with none, every top-level function
