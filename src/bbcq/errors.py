@@ -75,7 +75,8 @@ class VersionError(FormatError):
 
 
 class LengthError(FormatError):
-    """File payload is shorter or longer than the manifest declares."""
+    """File is cut inside its header, or its payload is shorter or longer
+    than the manifest declares."""
 
     category = "length-mismatch"
 
