@@ -1,10 +1,10 @@
 """Toy vision-transformer post-training quantization toolkit.
 
-A float64 numpy stack end to end: a small reverse-mode autodiff engine, a
-pre-norm ViT-style classifier with per-matmul quantization hooks, a zoo of
-uniform/log/twin/max-anchored quantizers, blockwise Hessian-guided scale
-search with bottom elimination, entropy/agreement analysis, and a
-deterministic CLI.
+A float64 numpy stack end to end: plain array ops, a pre-norm ViT-style
+classifier with per-matmul quantization hooks and a hand-written block
+backward, a zoo of uniform/log/twin/max-anchored quantizers, blockwise
+Hessian-guided scale search with bottom elimination, entropy/agreement
+analysis, and a deterministic CLI.
 """
 
 __version__ = "0.1.0"
@@ -22,30 +22,27 @@ from .errors import (BBCQError, ConfigError, ContractError,
                      VersionError)
 from .metrics import (EvalMetrics, QuantReportRow, code_entropy,
                       compare_softmax_quantizers, evaluate)
-from .model import (BlockCarry, MatmulSite, Model, ModelSpec, block_forward,
-                    block_prefix, enumerate_sites, forward, forward_from,
-                    init_model)
+from .model import (BlockCarry, MatmulSite, Model, ModelSpec, block_backward,
+                    block_forward, block_prefix, enumerate_sites, forward,
+                    forward_from, init_model)
 from .quantizers import (CodeTensor, DynamicSoftmax, QuantParams, dequantize,
                          fake_quant_array, quantize, round_half_away)
 from .serialize import (load_dataset, load_model, save_dataset, save_model,
                         serialize_dataset, serialize_model)
-from .tensor import (Tape, Tensor, add, cross_entropy, gelu, layernorm,
-                     matmul, mul, reshape, softmax, tensor_mean, tensor_sum,
-                     transpose)
+from .tensor import add, cross_entropy, gelu, layernorm, matmul, mul, softmax
 
 __all__ = [
     "__version__",
-    # tensor engine
-    "Tape", "Tensor", "add", "cross_entropy", "gelu", "layernorm", "matmul",
-    "mul", "reshape", "softmax", "tensor_mean", "tensor_sum", "transpose",
+    # array ops
+    "add", "cross_entropy", "gelu", "layernorm", "matmul", "mul", "softmax",
     # quantizers
     "CodeTensor", "DynamicSoftmax", "QuantParams", "dequantize",
     "fake_quant_array", "quantize", "round_half_away",
     # model + serialization
-    "BlockCarry", "MatmulSite", "Model", "ModelSpec", "block_forward",
-    "block_prefix", "enumerate_sites", "forward", "forward_from",
-    "init_model", "load_dataset", "load_model", "save_dataset",
-    "save_model", "serialize_dataset", "serialize_model",
+    "BlockCarry", "MatmulSite", "Model", "ModelSpec", "block_backward",
+    "block_forward", "block_prefix", "enumerate_sites", "forward",
+    "forward_from", "init_model", "load_dataset", "load_model",
+    "save_dataset", "save_model", "serialize_dataset", "serialize_model",
     # calibration
     "BlockCache", "CalibConfig", "CalibInstrumentation", "CalibResult",
     "bbc_metric", "bottom_mask", "bottom_threshold", "cache_fp_pass",

@@ -31,12 +31,14 @@ import numpy as np
 from .errors import (ConfigError, ContractError, DegenerateRangeError,
                      DimensionError, NonFiniteError, ParameterError)
 from .model import (BLOCK_KINDS, SOFTMAX_KIND, BlockCarry, MatmulSite, Model,
-                    QuantState, WorkerPool, block_forward, block_prefix,
-                    enumerate_sites, forward, freeze_operands, shared_map)
+                    QuantState, WorkerPool, block_backward, block_forward,
+                    block_prefix, enumerate_sites, freeze_operands, shared_map)
+# Not called here: perfbench's tracer wraps ``calibration.forward`` by name.
+from .model import forward  # noqa: F401
 from .quantizers import (SCHEMES, DynamicSoftmax, QuantParams,
                          softmax_site_params, uniform_grid)
 from .records import check_field_types, read_json, record_fields, strict_json
-from .tensor import Tape, Tensor, array_of, cross_entropy, require_finite
+from .tensor import array_of, cross_entropy, matmul, require_finite
 
 #: (alpha, beta) search-range defaults per task profile.
 PROFILE_RANGES = {"classification": (0.0, 1.2), "detection": (0.5, 1.2)}
@@ -263,12 +265,17 @@ def bbc_metric(sigma_masked, h_diag) -> float:
 
 def cache_fp_pass(model: Model, inputs, labels, *,
                   blocks_as_layers: bool = False) -> FPPass:
-    """One taped forward/backward; retains block-level tensors only.
+    """One FP forward and backward; retains block-level arrays only.
 
     Per block this caches the input, the output and the loss gradient at the
     output — never the layer-by-layer activations. With ``blocks_as_layers``
     the same pair is kept per matmul instead (the layerwise baseline's
     working set). ``ranges`` holds the [min, max] of every site's operand.
+    The forward runs each block once (``block_forward``) and keeps only the
+    block outputs; the backward steps through the cross-entropy, the head
+    and the mean pooling, then runs ``block_backward`` from the last block
+    to the first, which re-runs one block at a time. Block 0's input
+    gradient is never read, so blockwise the backward stops at block 1.
     The cached arrays are the pass's own, not copies, and are read-only; in
     blockwise mode block b's input is block b-1's output array.
     """
@@ -276,7 +283,7 @@ def cache_fp_pass(model: Model, inputs, labels, *,
     if x.shape[:1] == (0,):
         raise ParameterError("the FP pass needs at least one sample")
     ranges: dict[MatmulSite, tuple[float, float]] = {}
-    unit_outputs: dict[tuple[int, str], list[Tensor]] = {}
+    unit_outputs: dict[tuple[int, str], list[np.ndarray]] = {}
 
     def hook(kind, block, a, b, out):
         # Edge activations (embed/head operand A) are never quantized.
@@ -289,28 +296,34 @@ def cache_fp_pass(model: Model, inputs, labels, *,
         if blocks_as_layers and block is not None:
             unit_outputs.setdefault((block, kind), []).append(out)
 
+    # block_io[b] is block b's input, block_io[b + 1] its output.
+    block_io = [matmul(x, model.embed_w)]
+    hook("embed", None, x, model.embed_w, block_io[0])
+    for b in range(model.spec.num_blocks):
+        block_io.append(block_forward(model, b, block_io[b], hook=hook))
+    pooled = block_io[-1].mean(axis=1)
+    logits = matmul(pooled, model.head_w)
+    hook("head", None, pooled, model.head_w, logits)
+    loss = require_finite(cross_entropy(logits, labels), "the FP loss")
+    # The loss gradient at the logits: (softmax - one-hot) / batch; then at
+    # the pooled features, and at every patch of the last block's output.
+    grad = np.exp(logits - logits.max(axis=1, keepdims=True))
+    grad /= grad.sum(axis=1, keepdims=True)
+    grad[np.arange(len(x)), np.asarray(labels)] -= 1.0
+    grad *= 1.0 / len(x)
+    grad = np.matmul(grad, model.head_w.T) / model.spec.patch_count
+    grad = np.broadcast_to(grad[:, None], block_io[-1].shape).copy()
     caches: list[BlockCache] = []
-    with Tape() as tape:
-        result = forward(model, Tensor(x), hook=hook)
-        loss = cross_entropy(result.logits, labels)
-        require_finite(loss.data, "the FP loss")
-        block_inputs = [t.data for t in (result.embed_output,
-                                         *result.block_outputs[:-1])]
-        if not blocks_as_layers:
-            for b, out in enumerate(result.block_outputs):
-                unit_outputs[(b, "block")] = [out]
-        # Only a block unit reads the gradient at a block output: a layerwise
-        # pass drops those tensors, so the sweep keeps none of their gradients.
-        del result
-        tape.backward(loss)
-        kinds = BLOCK_KINDS if blocks_as_layers else ("block",)
-        for b, block_input in enumerate(block_inputs):
-            for kind in kinds:
-                outs = unit_outputs.pop((b, kind))
-                caches.append(BlockCache(
-                    block=b, kind=kind, block_input=block_input,
-                    outputs=[t.data for t in outs],
-                    grads=[tape.grad(t).data for t in outs]))
+    for b in reversed(range(model.spec.num_blocks)):
+        if blocks_as_layers:
+            grad, unit_grads = block_backward(model, b, block_io[b], grad)
+            caches += [BlockCache(b, kind, block_io[b], unit_outputs.pop((b, kind)),
+                                  unit_grads[kind]) for kind in reversed(BLOCK_KINDS)]
+        else:
+            caches.append(BlockCache(b, "block", block_io[b], [block_io[b + 1]],
+                                     [grad]))
+            grad = block_backward(model, b, block_io[b], grad)[0] if b else None
+    caches.reverse()
     for cache in caches:
         for values in (cache.block_input, *cache.outputs, *cache.grads):
             values.flags.writeable = False
@@ -318,7 +331,7 @@ def cache_fp_pass(model: Model, inputs, labels, *,
 
 
 def _unit_metric(model: Model, cache: BlockCache, quant: QuantState,
-                 gamma: float, start: Tensor | BlockCarry,
+                 gamma: float, start: np.ndarray | BlockCarry,
                  sensitivities: list[np.ndarray]) -> float:
     """Masked sensitivity metric of one unit under a trial quant state.
 
@@ -335,7 +348,7 @@ def _unit_metric(model: Model, cache: BlockCache, quant: QuantState,
         produced = block_forward(model, cache.block, start, quant, stop=cache.kind)
     total = 0.0
     for reference, h in zip(cache.outputs, sensitivities, strict=True):
-        drift = produced.pop(0).data
+        drift = produced.pop(0)
         drift -= reference
         masked = bottom_mask(drift, gamma)
         del drift
@@ -397,7 +410,7 @@ def search_site(model: Model, site: MatmulSite, candidates: list[QuantParams],
 def _threads_from_env() -> int:
     """``BBCQ_THREADS``, capped at the CPUs this process may run on (all of
     them when unset): more threads only contend for the GIL and the cores,
-    and split an untaped forward into ever smaller slices."""
+    and split a hook-free forward into ever smaller slices."""
     # The affinity mask is Linux's; elsewhere every CPU counts.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else os.cpu_count() or 1
@@ -626,8 +639,8 @@ def calibrate(model: Model, inputs, labels, config: CalibConfig,
                                                    config.num_candidates)
                 if not grids:
                     continue
-                prefix = block_prefix(model, b, Tensor(cache.block_input),
-                                      kind, config.quant_state(state))
+                prefix = block_prefix(model, b, cache.block_input, kind,
+                                      config.quant_state(state))
                 for _ in range(config.rounds):
                     for site, candidates in grids.items():
                         trace = search_site(model, site, candidates,
@@ -657,6 +670,5 @@ def total_blockwise_metric(model: Model, inputs, labels,
     total = 0.0
     for cache in fp.caches:
         total += _unit_metric(model, cache, assignment, gamma,
-                              Tensor(cache.block_input),
-                              [g * g for g in cache.grads])
+                              cache.block_input, [g * g for g in cache.grads])
     return total

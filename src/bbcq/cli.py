@@ -27,10 +27,9 @@ from .errors import BBCQError, ConfigError, FormatError
 from .metrics import compare_softmax_quantizers, evaluate
 from .model import ModelSpec, forward, init_model
 from .records import read_json, strict_json
-from .serialize import (MAGIC, container_kind, deserialize_dataset,
-                        deserialize_model, load_dataset, load_model,
-                        save_dataset, save_model)
-from .tensor import Tensor
+from .serialize import (container_kind, deserialize_dataset,
+                        deserialize_model, is_container, load_dataset,
+                        load_model, save_dataset, save_model)
 
 #: CLI flag spelling -> internal scheme name.
 SOFTMAX_CHOICES = {"uniform": "uniform", "log": "log2", "twin": "twin",
@@ -242,9 +241,9 @@ def _harvest_scores(model_path: str, data_path: str) -> np.ndarray:
 
     def hook(kind, block, a, b, out):
         if kind == "attn-score":
-            per_block.append(out.data)
+            per_block.append(out)
 
-    forward(model, Tensor(np.asarray(inputs, dtype=np.float64)), hook=hook)
+    forward(model, inputs, hook=hook)
     cols = per_block[0].shape[-1]
     return np.concatenate([s.reshape(-1, cols) for s in per_block], axis=0)
 
@@ -275,7 +274,7 @@ def cmd_compare_softmax(args) -> int:
 
 def cmd_inspect(args) -> int:
     blob = Path(args.path).read_bytes()
-    if blob.startswith(MAGIC):
+    if is_container(blob):
         summary = _inspect_container(blob)
     else:
         payload = read_json(blob, args.path)

@@ -15,7 +15,7 @@ class BBCQError(Exception):
 
 
 class DimensionError(BBCQError):
-    """Tensor or model shapes do not line up."""
+    """Array or model shapes do not line up."""
 
     category = "dimension"
 

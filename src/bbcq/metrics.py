@@ -10,7 +10,7 @@ from .calibration import CalibResult, worker_pool
 from .errors import ContractError, DimensionError, ParameterError
 from .model import Model, enumerate_sites, forward
 from .quantizers import SCHEME_TABLE, CodeTensor, softmax_site_params
-from .tensor import Tensor, cross_entropy, require_finite, softmax
+from .tensor import cross_entropy, require_finite, softmax
 
 COMPARE_SCHEMES = ("uniform", "log2", "twin", "mpq")
 
@@ -71,7 +71,7 @@ def compare_softmax_quantizers(scores, bits: int) -> list[QuantReportRow]:
     scores = require_finite(np.asarray(scores, dtype=np.float64), "the score array")
     if not scores.size:
         raise ParameterError(f"the score array of shape {scores.shape} is empty")
-    probs = softmax(scores, axis=-1).data
+    probs = softmax(scores, axis=-1)
     if probs.ndim < 2:
         raise DimensionError(f"scores must be at least 2-d, got shape {probs.shape}")
     probs = probs.reshape(-1, probs.shape[-1])
@@ -140,18 +140,17 @@ def evaluate(model: Model, result: CalibResult | None, inputs,
         raise ParameterError("evaluate needs at least one sample")
     with worker_pool() as executor:
         fp_logits = require_finite(
-            forward(model, Tensor(x), executor=executor).logits.data,
+            forward(model, x, executor=executor),
             "the FP logit array")
         if result is None:
             logits = fp_logits
         else:
             logits = require_finite(
-                forward(model, Tensor(x), quant=result.quant_state(),
-                        executor=executor).logits.data,
+                forward(model, x, quant=result.quant_state(), executor=executor),
                 "the quantized logit array")
     pred = logits.argmax(axis=1)
     return EvalMetrics(
         top1_accuracy=float((pred == labels).mean()),
         fp_agreement=float((pred == fp_logits.argmax(axis=1)).mean()),
-        mean_loss=cross_entropy(Tensor(logits), labels).item(),
+        mean_loss=cross_entropy(logits, labels).item(),
     )

@@ -9,16 +9,19 @@ matrix); fake quantization is applied to the exact operand tensor fed to the
 matmul, after any reshape/transpose. Softmax, layernorm, GeLU, biases,
 residual adds, and pooling always run in full precision.
 
-``block_forward`` and ``forward`` take one optional ``hook``, called after
-every matmul with its kind, block, operands and output; calibration reads
-operand ranges and per-matmul outputs through it. A block runs as six
-matmul stages over a ``BlockCarry``, so calibration can advance a block to
-one matmul once and resume every candidate from there. An untaped,
-hook-free full block forward runs a large batch in cache-sized slices of
-samples, which ``shared_map`` spreads over a ``WorkerPool`` when one is
-given. ``freeze_operands`` fake-quantizes once what every such resumed
-forward or slice holds fixed. ``forward`` has each block write its output
-over its input. The five entry points run one input check, ``_check_call``.
+Every value is a float64 array. ``block_forward`` and ``forward`` take one
+optional ``hook``, called after every matmul with its kind, block, operands
+and output; calibration reads operand ranges and per-matmul outputs through
+it. A block runs as six matmul stages over a ``BlockCarry``, so calibration
+can advance a block to one matmul once and resume every candidate from
+there. A hook-free full block forward runs a large batch in cache-sized
+slices of samples, which ``shared_map`` spreads over a ``WorkerPool`` when
+one is given. ``freeze_operands`` fake-quantizes once what every such
+resumed forward or slice holds fixed. ``forward`` has each block write its
+output over its input. ``block_backward`` turns the loss gradient at a
+block's output into the gradients at its input and at each of its matmul
+outputs, re-running the block from its input. The six entry points run one
+input check, ``_check_call``.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from .errors import ContractError, DimensionError, ParameterError
 from .quantizers import (DynamicSoftmax, QuantParams, fake_quant_array,
                          fake_quant_softmax_dynamic)
 from .records import check_field_types, record_fields
-from .tensor import (Tensor, add, array_of, gelu, layernorm, matmul, mul,
-                     recording_active, reshape, softmax, transpose)
+from .tensor import (add, array_of, gelu, gelu_backward, layernorm,
+                     layernorm_backward, matmul, mul, softmax, softmax_backward)
 
 BLOCK_KINDS = ("qkv-projection", "attn-score", "attn-apply",
                "out-projection", "mlp-1", "mlp-2")
@@ -263,19 +266,8 @@ def enumerate_sites(spec: ModelSpec) -> list[MatmulSite]:
     return sites
 
 
-@dataclass
-class ForwardResult:
-    """The logits; while a tape records, also every block's output and the
-    embedding output, the tensors calibration takes gradients at. Without a
-    tape both are None: nothing could differentiate them."""
-
-    logits: Tensor
-    block_outputs: list[Tensor] | None
-    embed_output: Tensor | None
-
-
 #: ``hook(kind, block, a, b, out)``: called once per matmul, right after it.
-MatmulHook = Callable[[str, "int | None", np.ndarray, np.ndarray, Tensor], None]
+MatmulHook = Callable[[str, "int | None", np.ndarray, np.ndarray, np.ndarray], None]
 
 #: How each listed site's operand is fake-quantized; unlisted sites run FP.
 #: A ``DynamicSoftmax`` entry belongs only at a post-softmax site.
@@ -290,19 +282,18 @@ class BlockCarry:
     the next residual add: the block input up to out-projection, then the
     attention output ``h1``. ``a`` and ``b`` are the operands of the next
     matmul (``b`` is the three q/k/v weights for qkv-projection); a
-    resumed forward fake-quantizes them as its state says. A weight is a
-    plain array, a constant to the tape, so ``b`` holds tensors only at
-    attn-score and attn-apply. ``vh`` carries the value heads from
-    qkv-projection to attn-apply. Layernorm, softmax and GeLU have already
-    run. A carry is never mutated, so threads may resume from the same
-    carry at once.
+    resumed forward fake-quantizes them as its state says. ``b`` holds the
+    model's weights except at attn-score and attn-apply, where it holds
+    activations. ``vh`` carries the value heads from qkv-projection to
+    attn-apply. Layernorm, softmax and GeLU have already run. A carry is
+    never mutated, so threads may resume from the same carry at once.
     """
 
     kind: str
-    residual: Tensor
-    a: Tensor
-    b: tuple[Tensor | np.ndarray, ...]
-    vh: Tensor | None = None
+    residual: np.ndarray
+    a: np.ndarray
+    b: tuple[np.ndarray, ...]
+    vh: np.ndarray | None = None
 
 
 def _weights(p: BlockParams, kind: str) -> tuple[np.ndarray, ...]:
@@ -310,15 +301,13 @@ def _weights(p: BlockParams, kind: str) -> tuple[np.ndarray, ...]:
     return tuple(getattr(p, field) for field in _WEIGHT_FIELDS[kind])
 
 
-def _check_call(model: Model, block: int | None, x: Tensor | BlockCarry | None,
+def _check_call(model: Model, block: int | None, x: np.ndarray | BlockCarry | None,
                 quant: QuantState | None, kind: str | None = None) -> None:
     """The one input check of every model entry. Rejects a block index
     outside the model (None stands for the whole model), a block input that
     is not (batch, patches, embed_dim), a ``kind`` that is no block matmul
-    or comes before the carry's, a quant state while a tape records (a
-    fake-quantized operand is a fresh leaf, so its gradient would be
-    wrong), a site the model does not have, and a ``DynamicSoftmax`` entry
-    away from a post-softmax site."""
+    or comes before the carry's, a site the model does not have, and a
+    ``DynamicSoftmax`` entry away from a post-softmax site."""
     spec = model.spec
     if block is not None and not 0 <= block < spec.num_blocks:
         raise ParameterError(f"block index {block} outside a "
@@ -333,8 +322,6 @@ def _check_call(model: Model, block: int | None, x: Tensor | BlockCarry | None,
     if kind is not None and isinstance(x, BlockCarry) and \
             BLOCK_KINDS.index(kind) < BLOCK_KINDS.index(x.kind):
         raise ContractError(f"cannot run to {kind}: the carry resumes at {x.kind}")
-    if quant is not None and recording_active():
-        raise ContractError("quantized forward cannot run under a recording tape")
     for site, entry in (quant or {}).items():
         # Edges have no activation site; block sites need a block of the model.
         if (site.role == "A") if site.block is None else site.block >= spec.num_blocks:
@@ -344,24 +331,21 @@ def _check_call(model: Model, block: int | None, x: Tensor | BlockCarry | None,
                                 f"it cannot hold {entry}")
 
 
-def fake_quant_operand(x: Tensor | np.ndarray, site: MatmulSite,
-                       quant: QuantState | None) -> Tensor | np.ndarray:
-    """Fake-quantize one operand as ``quant`` says, if it lists the site;
-    a Tensor gives a Tensor and a weight array an array."""
+def fake_quant_operand(x: np.ndarray, site: MatmulSite,
+                       quant: QuantState | None) -> np.ndarray:
+    """Fake-quantize one operand as ``quant`` says, if it lists the site."""
     entry = None if quant is None else quant.get(site)
     if entry is None:
         return x
     if isinstance(entry, DynamicSoftmax):
-        out = fake_quant_softmax_dynamic(array_of(x), entry.scheme, entry.bits)
-    else:
-        out = fake_quant_array(array_of(x), entry)
-    return Tensor(out) if isinstance(x, Tensor) else out
+        return fake_quant_softmax_dynamic(x, entry.scheme, entry.bits)
+    return fake_quant_array(x, entry)
 
 
-def _run_stages(model: Model, block: int, x: Tensor | BlockCarry,
+def _run_stages(model: Model, block: int, x: np.ndarray | BlockCarry,
                 quant: QuantState | None, hook: MatmulHook | None,
                 end: str | None,
-                stop: str | None) -> BlockCarry | Tensor | list[Tensor]:
+                stop: str | None) -> BlockCarry | np.ndarray | list[np.ndarray]:
     """Run block input or carry ``x`` on: pause in front of matmul ``end``,
     return matmul ``stop``'s outputs after its hook, or the block output."""
     # Only this frame holds the entry carry, so its layernorm output is
@@ -372,9 +356,9 @@ def _run_stages(model: Model, block: int, x: Tensor | BlockCarry,
     batch, n, d = carry.residual.shape
     inv_sqrt_d = 1.0 / math.sqrt(spec.head_dim)
 
-    def split_heads(t: Tensor) -> Tensor:
-        return transpose(reshape(t, (batch, n, spec.num_heads, spec.head_dim)),
-                         (0, 2, 1, 3))
+    def split_heads(t: np.ndarray) -> np.ndarray:
+        return np.transpose(np.reshape(t, (batch, n, spec.num_heads, spec.head_dim)),
+                            (0, 2, 1, 3))
 
     while carry.kind != end:
         kind = carry.kind
@@ -387,7 +371,7 @@ def _run_stages(model: Model, block: int, x: Tensor | BlockCarry,
             if kind == "attn-score":
                 out = mul(out, inv_sqrt_d)
             if hook is not None:
-                hook(kind, block, carry.a.data, array_of(b), out)
+                hook(kind, block, carry.a, b, out)
             outs.append(out)
         # Drop each stage output as soon as the next carry has consumed it;
         # q, k and v stay in ``outs`` only while attn-score still reads them.
@@ -397,13 +381,13 @@ def _run_stages(model: Model, block: int, x: Tensor | BlockCarry,
         res = carry.residual
         if kind == "qkv-projection":
             carry = BlockCarry("attn-score", res, split_heads(outs[0]),
-                               (transpose(split_heads(outs[1]), (0, 1, 3, 2)),),
+                               (np.transpose(split_heads(outs[1]), (0, 1, 3, 2)),),
                                vh=split_heads(outs[2]))
         elif kind == "attn-score":
             carry = BlockCarry("attn-apply", res, softmax(outs.pop(), axis=-1),
                                (carry.vh,))
         elif kind == "attn-apply":
-            carry = BlockCarry("out-projection", res, reshape(transpose(
+            carry = BlockCarry("out-projection", res, np.reshape(np.transpose(
                 outs.pop(), (0, 2, 1, 3)), (batch, n, d)), _weights(p, "out-projection"))
         elif kind == "out-projection":
             h1 = add(res, outs.pop())
@@ -468,7 +452,7 @@ def shared_map(fn: Callable, items: Iterable, pool: WorkerPool | None) -> list:
 
 
 def _slice_rows(spec: ModelSpec) -> int:
-    """Samples per slice of an untaped block forward: as many as keep one
+    """Samples per slice of a hook-free block forward: as many as keep one
     slice's MLP hidden activation and attention scores within 2**17 float64
     values (1 MB, about an L2 cache)."""
     return max(1, 2 ** 17 // spec.widest)
@@ -499,19 +483,19 @@ def freeze_operands(model: Model, block: int, carry: BlockCarry | None,
     return replace(model, blocks=blocks), carry, rest
 
 
-def _block_entry(model: Model, block: int, x: Tensor) -> BlockCarry:
+def _block_entry(model: Model, block: int, x: np.ndarray) -> BlockCarry:
     """The carry in front of qkv-projection: ``x`` and its first layernorm."""
     p = model.blocks[block]
     return BlockCarry("qkv-projection", x, layernorm(x, p.ln1_gamma, p.ln1_beta),
                       _weights(p, "qkv-projection"))
 
 
-def block_forward(model: Model, block: int, x: Tensor | BlockCarry,
+def block_forward(model: Model, block: int, x: np.ndarray | BlockCarry,
                   quant: QuantState | None = None, *,
                   hook: MatmulHook | None = None,
                   stop: str | None = None,
                   out: np.ndarray | None = None,
-                  executor: WorkerPool | None = None) -> Tensor | list[Tensor]:
+                  executor: WorkerPool | None = None) -> np.ndarray | list[np.ndarray]:
     """One transformer block. ``x`` is the (B, N, D) block input, or a
     ``BlockCarry`` to resume from (see ``block_prefix``).
 
@@ -520,30 +504,28 @@ def block_forward(model: Model, block: int, x: Tensor | BlockCarry,
     (``freeze_operands`` may have fake-quantized them), before this call
     fake-quantizes them. ``out`` is the raw output (pre-bias for the MLP;
     attn-score includes the 1/sqrt(head_dim) scale); qkv-projection fires
-    once per q/k/v weight. While a tape records, ``out`` is a tape node, so
-    callers can read its gradient after ``backward``.
+    once per q/k/v weight.
 
     Returns the block output. With ``stop`` naming a matmul kind, the call
     ends right after that matmul's hook calls and returns its outputs, the
     hook's ``out``s: q, k and v for qkv-projection, one otherwise.
 
-    An untaped call on a block input with no ``hook`` and no ``stop`` runs
-    the batch in slices of ``_slice_rows(model.spec)`` samples, so its
-    intermediates stay cache-sized however large the batch; any other call
-    runs the batch in one pass. Such a sliced call writes its output into
-    ``out`` when given, a writeable C-contiguous float64 array of ``x``'s
-    shape that may be ``x.data`` itself; the returned tensor wraps ``out``.
-    With an ``executor``, its threads share the slices (``shared_map``),
-    each slice ``1 / executor.threads`` of the serial size, so all of them
-    together hold about one serial slice's working set.
+    A call on a block input with no ``hook`` and no ``stop`` runs the batch
+    in slices of ``_slice_rows(model.spec)`` samples, so its intermediates
+    stay cache-sized however large the batch; any other call runs the batch
+    in one pass. Such a sliced call writes its output into ``out`` when
+    given, a writeable C-contiguous float64 array of ``x``'s shape that may
+    be ``x`` itself, and returns ``out``. With an ``executor``, its threads
+    share the slices (``shared_map``), each slice ``1 / executor.threads``
+    of the serial size, so all of them together hold about one serial
+    slice's working set.
     """
     _check_call(model, block, x, quant, stop)
     rows = max(1, _slice_rows(model.spec) // (executor.threads if executor else 1))
-    one_pass = isinstance(x, BlockCarry) or hook is not None or stop is not None \
-        or recording_active()
+    one_pass = isinstance(x, BlockCarry) or hook is not None or stop is not None
     if out is not None:
         if one_pass:
-            raise ContractError("out= needs a sliced call: no carry, hook, stop or tape")
+            raise ContractError("out= needs a sliced call: no carry, hook or stop")
         if not (isinstance(out, np.ndarray) and out.shape == x.shape
                 and out.dtype == np.float64 and out.flags.carray):
             raise DimensionError(
@@ -558,14 +540,14 @@ def block_forward(model: Model, block: int, x: Tensor | BlockCarry,
     model, _, quant = freeze_operands(model, block, None, quant)
 
     def run_slice(lo: int) -> None:
-        out[lo:lo + rows] = _run_stages(model, block, Tensor(x.data[lo:lo + rows]),
-                                        quant, None, None, None).data
+        out[lo:lo + rows] = _run_stages(model, block, x[lo:lo + rows], quant,
+                                        None, None, None)
 
     shared_map(run_slice, range(0, x.shape[0], rows), executor)
-    return Tensor(out)
+    return out
 
 
-def block_prefix(model: Model, block: int, x: Tensor, kind: str,
+def block_prefix(model: Model, block: int, x: np.ndarray, kind: str,
                  quant: QuantState | None = None) -> BlockCarry:
     """The carry in front of matmul ``kind``, from block input ``x``.
 
@@ -579,53 +561,111 @@ def block_prefix(model: Model, block: int, x: Tensor, kind: str,
     return _run_stages(model, block, x, quant, None, kind, None)
 
 
+def block_backward(model: Model, block: int, x: np.ndarray, grad_out: np.ndarray
+                   ) -> tuple[np.ndarray, dict[str, list[np.ndarray]]]:
+    """The FP loss gradient at block input ``x``, and at each of the block's
+    matmul outputs by kind, from the gradient ``grad_out`` at its output.
+
+    The matmul gradients are at the hook's ``out``s (see ``block_forward``):
+    q, k and v for qkv-projection, one otherwise. The block runs again from
+    ``x``, carry by carry, keeping the carries its backward reads: the
+    attention operands, the attention probabilities and ``h1``. No weight
+    gets a gradient. Each step uses reverse mode's operations and operand
+    order, and a value read twice or three times gets its parts added last
+    reader first, so the bits are those of a tape over the forward's ops.
+    """
+    _check_call(model, block, x, None)
+    if grad_out.shape != x.shape:
+        raise DimensionError(f"output gradient shape {grad_out.shape} does not "
+                             f"match block input shape {x.shape}")
+    spec = model.spec
+    p = model.blocks[block]
+    batch, n, d = x.shape
+    score = _run_stages(model, block, x, None, None, "attn-score", None)
+    apply = _run_stages(model, block, score, None, None, "attn-apply", None)
+    mlp = _run_stages(model, block, apply, None, None, "mlp-1", None)
+    h1 = mlp.residual
+    [pre] = _run_stages(model, block, mlp, None, None, None, "mlp-1")
+    del mlp
+    pre += p.b1  # GeLU's input, as the forward's bias add makes it
+
+    def merge_heads(g: np.ndarray) -> np.ndarray:
+        # C order, as a tape's gradient buffers are: a matmul's bits can
+        # depend on its operands' layout.
+        return np.ascontiguousarray(
+            np.reshape(np.transpose(g, (0, 2, 1, 3)), (batch, n, d)))
+
+    # output = h1 + (mlp-2 + b2): both terms get grad_out. Each forward
+    # value is dropped once the last step that reads it has run.
+    g_hidden = gelu_backward(pre, np.matmul(grad_out, p.w2.T))
+    del pre
+    g_h1 = grad_out + layernorm_backward(h1, p.ln2_gamma,
+                                         np.matmul(g_hidden, p.w1.T))
+    del h1
+    # h1 = x + out-projection; the attention output is merged heads.
+    g_apply = np.ascontiguousarray(np.transpose(np.reshape(
+        np.matmul(g_h1, p.w_o.T), (batch, n, spec.num_heads, spec.head_dim)),
+        (0, 2, 1, 3)))
+    probs, vh = apply.a, apply.b[0]
+    del apply
+    g_score = softmax_backward(probs, np.matmul(g_apply, np.swapaxes(vh, -1, -2)))
+    g_vh = merge_heads(np.matmul(np.swapaxes(probs, -1, -2), g_apply))
+    del probs, vh
+    g_scaled = g_score * (1.0 / math.sqrt(spec.head_dim))
+    qh, kt = score.a, score.b[0]
+    del score
+    g_qkv = [merge_heads(np.matmul(g_scaled, np.swapaxes(kt, -1, -2))),
+             merge_heads(np.transpose(np.matmul(np.swapaxes(qh, -1, -2), g_scaled),
+                                      (0, 1, 3, 2))), g_vh]
+    del qh, kt, g_scaled
+    # The first layernorm's output feeds v, k and q, read last first.
+    g_ln1 = np.matmul(g_qkv[2], p.w_v.T)
+    g_ln1 += np.matmul(g_qkv[1], p.w_k.T)
+    g_ln1 += np.matmul(g_qkv[0], p.w_q.T)
+    g_x = g_h1 + layernorm_backward(x, p.ln1_gamma, g_ln1)
+    return g_x, {"qkv-projection": g_qkv, "attn-score": [g_score],
+                 "attn-apply": [g_apply], "out-projection": [g_h1],
+                 "mlp-1": [g_hidden], "mlp-2": [grad_out]}
+
+
 def forward(model: Model, x, quant: QuantState | None = None, *,
             hook: MatmulHook | None = None,
-            executor: WorkerPool | None = None) -> ForwardResult:
-    """Full forward pass; returns the logits, and while a tape records also
-    every block's output (see ``ForwardResult``).
+            executor: WorkerPool | None = None) -> np.ndarray:
+    """Full forward pass; returns the logits.
 
     With ``quant`` supplied, each listed site's operand is fake-quantized
-    right before its matmul. Quantized forwards are not differentiable and
-    are rejected while a tape is recording. ``hook`` sees every matmul (see
+    right before its matmul. ``hook`` sees every matmul (see
     ``block_forward``); for ``embed`` and ``head`` its ``block`` is None.
     ``executor`` is passed to every ``block_forward``.
     """
-    x = x if isinstance(x, Tensor) else Tensor(x)
+    x = array_of(x)
     _check_call(model, None, x, quant)
 
-    def edge_matmul(kind: str, a: Tensor, w: np.ndarray) -> Tensor:
+    def edge_matmul(kind: str, a: np.ndarray, w: np.ndarray) -> np.ndarray:
         out = matmul(a, fake_quant_operand(w, MatmulSite(kind, "B"), quant))
         if hook is not None:
-            hook(kind, None, a.data, w, out)
+            hook(kind, None, a, w, out)
         return out
 
     current = edge_matmul("embed", x, model.embed_w)
-    # Untaped, no list holds a block output. Without a hook as well, every
-    # block writes its output over its input, the embed output, so the
-    # forward holds one batch-sized activation array besides ``x``.
-    taped = recording_active()
-    embed_out, block_outputs = (current, []) if taped else (None, None)
-    out = None if taped or hook is not None else current.data
+    # No list holds a block output. Without a hook, every block writes its
+    # output over its input, the embed output, so the forward holds one
+    # batch-sized activation array besides ``x``.
+    out = None if hook is not None else current
     for b in range(model.spec.num_blocks):
         current = block_forward(model, b, current, quant, hook=hook, out=out,
                                 executor=executor)
-        if taped:
-            block_outputs.append(current)
-    logits = edge_matmul("head", current.mean(axis=1), model.head_w)
-    return ForwardResult(logits=logits, block_outputs=block_outputs,
-                         embed_output=embed_out)
+    return edge_matmul("head", current.mean(axis=1), model.head_w)
 
 
-def forward_from(model: Model, block: int, block_output) -> Tensor:
+def forward_from(model: Model, block: int, block_output) -> np.ndarray:
     """FP logits computed from a given block's output onward.
 
     Runs blocks ``block+1 ..`` plus pooling and the head; used by
     finite-difference oracles that perturb a cached block output.
     """
-    current = block_output if isinstance(block_output, Tensor) else Tensor(block_output)
+    current = array_of(block_output)
     _check_call(model, block, current, None)
     for b in range(block + 1, model.spec.num_blocks):
         current = block_forward(model, b, current)
-    pooled = current.mean(axis=1)
-    return matmul(pooled, model.head_w)
+    return matmul(current.mean(axis=1), model.head_w)

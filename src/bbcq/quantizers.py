@@ -24,7 +24,7 @@ import numpy as np
 from .errors import (ContractError, DegenerateScaleError, DimensionError,
                      ParameterError)
 from .records import check_field_types
-from .tensor import Tensor, array_of
+from .tensor import array_of
 
 EPSILON = 1e-12
 
@@ -306,9 +306,9 @@ def quantize(x, params: QuantParams) -> CodeTensor:
     return CodeTensor(arr.shape, codes, params)
 
 
-def dequantize(ct: CodeTensor) -> Tensor:
+def dequantize(ct: CodeTensor) -> np.ndarray:
     values = SCHEME_TABLE[ct.params.scheme].decode(ct.codes, ct.params)
-    return Tensor(values.reshape(ct.shape))
+    return values.reshape(ct.shape)
 
 
 def fake_quant_array(x: np.ndarray, params: QuantParams) -> np.ndarray:

@@ -44,6 +44,13 @@ _MAX_DIMS, _MAX_BYTES = 64, np.iinfo(np.intp).max
 _INT64_MAX = np.iinfo(np.int64).max
 
 
+def is_container(blob: bytes) -> bool:
+    """Whether ``blob`` is read as a container rather than as JSON: it
+    starts with ``MAGIC`` or is a proper prefix of it, a container cut short
+    (the empty file too), which the container reader rejects as bad magic."""
+    return blob.startswith(MAGIC) or MAGIC.startswith(blob)
+
+
 def _canonical_json(obj) -> bytes:
     return strict_json(obj, "the manifest", sort_keys=True,
                        separators=(",", ":")).encode("utf-8")

@@ -462,3 +462,357 @@ def oracle_calibrate(model, inputs, labels, *, w_bits, a_bits, gamma, alpha,
                     chosen[f"b{b}.{kind}.B"] = (b_cands[idx][1], b_cands[idx][2],
                                                 idx, trace)
     return chosen
+
+
+# ---------------------------------------------------------------------------
+# reference tape: the reverse-mode engine the FP pass once ran on
+#
+# A general tape over ``Tensor``s, kept as the reference that the library's
+# hand-written block backward is checked against bit for bit. Its ops give
+# the library ops' forward bits; each also records one gradient function
+# per ``Tensor`` operand. An array or a number is a constant: no node, no
+# gradient. The sweep adds a node's contributions in reverse node order,
+# left-to-right parents, each first contribution copied to a C-ordered
+# buffer.
+
+import threading as _threading
+import weakref as _weakref
+from contextvars import ContextVar as _ContextVar
+
+from bbcq.errors import ContractError as _ContractError
+
+LAYERNORM_EPS = 1e-5
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+# The active tape of the current context (thread), if any.
+_TAPE: "_ContextVar[Tape | None]" = _ContextVar("reference_tape", default=None)
+
+
+def _asarray(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64)
+
+
+class Tensor:
+    """A float64 array that carries a gradient on the tape recording it."""
+
+    __slots__ = ("data", "__weakref__")
+
+    def __init__(self, values):
+        self.data = _asarray(values)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.data.shape
+
+    @property
+    def ndim(self) -> int:
+        return self.data.ndim
+
+    @property
+    def size(self) -> int:
+        return self.data.size
+
+    def item(self) -> float:
+        return float(self.data)
+
+    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
+        return tensor_mean(self, axis, keepdims)
+
+
+class Tape:
+    """Nodes ``(parent_ids, gradients, shape, tensor_ref)`` in execution
+    order, a leaf being ``((), None)``; weak maps Tensor -> node id and
+    Tensor -> gradient of its own. A tape records once and sweeps once."""
+
+    def __init__(self):
+        self._nodes: list[tuple | None] = []
+        self._ids = _weakref.WeakKeyDictionary()
+        self._grads = _weakref.WeakKeyDictionary()
+        self._swept = False
+
+    def __enter__(self) -> "Tape":
+        if _TAPE.get() is not None:
+            raise _ContractError("a tape is already recording; tapes do not nest")
+        if self._nodes:
+            raise _ContractError("this tape has already recorded; "
+                                 "record again on a new tape")
+        _TAPE.set(self)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        _TAPE.set(None)
+
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+    def _append(self, parent_ids, backward, tensor: Tensor) -> int:
+        node_id = self._ids[tensor] = len(self._nodes)
+        self._nodes.append((parent_ids, backward, tensor.data.shape,
+                            _weakref.ref(tensor)))
+        return node_id
+
+    def _leaf(self, tensor: Tensor) -> int:
+        node_id = self._ids.get(tensor)
+        return self._append((), None, tensor) if node_id is None else node_id
+
+    def backward(self, loss: Tensor) -> None:
+        """Fill the gradient of every node ``loss`` depends on, dropping
+        each node once the sweep has passed it."""
+        if self._swept:
+            raise _ContractError("this tape has already run backward; "
+                                 "record the forward again on a new tape")
+        loss_id = self._ids.get(loss)
+        if loss_id is None:
+            raise _ContractError("loss was not recorded on this tape")
+        if loss.data.shape != ():
+            raise _ContractError(
+                f"backward needs a scalar loss, got shape {loss.data.shape}")
+        self._swept = True
+        grads = {loss_id: np.ones((), dtype=np.float64)}
+        for node_id in range(len(self._nodes) - 1, -1, -1):
+            parent_ids, gradients, _, tensor_ref = self._nodes[node_id]
+            self._nodes[node_id] = None
+            grad = grads.pop(node_id, None)
+            if grad is None:
+                continue
+            tensor = tensor_ref()
+            if tensor is not None:
+                self._grads[tensor] = grad
+            if gradients is None:
+                continue
+            for parent_id, gradient in zip(parent_ids, gradients):
+                contrib = gradient(grad)
+                assert contrib.shape == self._nodes[parent_id][2]
+                buffer = grads.get(parent_id)
+                if buffer is None:
+                    grads[parent_id] = np.array(contrib, order="C")
+                else:
+                    buffer += contrib
+                del contrib
+
+    def grad(self, tensor: Tensor) -> Tensor | None:
+        grad = self._grads.get(tensor)
+        return None if grad is None else Tensor(grad)
+
+
+def recording_active() -> bool:
+    return _TAPE.get() is not None
+
+
+def _result(out: np.ndarray, *operands) -> Tensor:
+    """``out`` as a Tensor; while a tape records, also its node, keeping
+    the gradient function of each Tensor operand only."""
+    result = Tensor(out)
+    tape = _TAPE.get()
+    if tape is not None:
+        kept = [(tape._leaf(value), gradient) for value, gradient in operands
+                if isinstance(value, Tensor)]
+        ids, gradients = zip(*kept) if kept else ((), None)
+        tape._append(ids, gradients, result)
+    return result
+
+
+def _reduce_to_shape(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for axis, dim in enumerate(shape):
+        if dim == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad
+
+
+def array_of(value) -> np.ndarray:
+    return value.data if isinstance(value, Tensor) else _asarray(value)
+
+
+def matmul(a, b) -> Tensor:
+    a_data, b_data = array_of(a), array_of(b)
+    a_shape, b_shape = a_data.shape, b_data.shape
+    return _result(np.matmul(a_data, b_data),
+                   (a, lambda g: _reduce_to_shape(
+                       np.matmul(g, np.swapaxes(b_data, -1, -2)), a_shape)),
+                   (b, lambda g: _reduce_to_shape(
+                       np.matmul(np.swapaxes(a_data, -1, -2), g), b_shape)))
+
+
+def add(a, b) -> Tensor:
+    a_data, b_data = array_of(a), array_of(b)
+    a_shape, b_shape = a_data.shape, b_data.shape
+    return _result(a_data + b_data, (a, lambda g: _reduce_to_shape(g, a_shape)),
+                   (b, lambda g: _reduce_to_shape(g, b_shape)))
+
+
+def mul(a, b) -> Tensor:
+    a_data, b_data = array_of(a), array_of(b)
+    a_shape, b_shape = a_data.shape, b_data.shape
+    return _result(a_data * b_data,
+                   (a, lambda g: _reduce_to_shape(g * b_data, a_shape)),
+                   (b, lambda g: _reduce_to_shape(g * a_data, b_shape)))
+
+
+def transpose(x, axes) -> Tensor:
+    axes = tuple(axes)
+    return _result(np.transpose(array_of(x), axes),
+                   (x, lambda g: np.transpose(g, np.argsort(axes))))
+
+
+def reshape(x, shape) -> Tensor:
+    x_data = array_of(x)
+    x_shape = x_data.shape
+    return _result(np.reshape(x_data, tuple(shape)),
+                   (x, lambda g: np.reshape(g, x_shape)))
+
+
+def _spread(g, shape, axis, keepdims: bool) -> np.ndarray:
+    expanded = g if axis is None or keepdims else np.expand_dims(g, axis)
+    return np.broadcast_to(expanded, shape).copy()
+
+
+def tensor_sum(x, axis=None, keepdims: bool = False) -> Tensor:
+    x_data = array_of(x)
+    x_shape = x_data.shape
+    return _result(x_data.sum(axis=axis, keepdims=keepdims),
+                   (x, lambda g: _spread(g, x_shape, axis, keepdims)))
+
+
+def tensor_mean(x, axis=None, keepdims: bool = False) -> Tensor:
+    x_data = array_of(x)
+    x_shape = x_data.shape
+
+    def gradient(g):
+        axes = range(len(x_shape)) if axis is None else np.atleast_1d(axis)
+        count = math.prod(x_shape[i] for i in axes)
+        return _spread(g / count, x_shape, axis, keepdims)
+
+    return _result(x_data.mean(axis=axis, keepdims=keepdims), (x, gradient))
+
+
+def softmax(x, axis: int = -1) -> Tensor:
+    x_data = array_of(x)
+    out = x_data - x_data.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+
+    def gradient(g):
+        inner = (g * out).sum(axis=axis, keepdims=True)
+        return out * (g - inner)
+
+    return _result(out, (x, gradient))
+
+
+def layernorm(x, gamma, beta, eps: float = LAYERNORM_EPS) -> Tensor:
+    x_data, gamma_data, beta_data = array_of(x), array_of(gamma), array_of(beta)
+    mu = x_data.mean(axis=-1, keepdims=True)
+    xhat = x_data - mu
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat *= inv_std
+    reduce_axes = tuple(range(x_data.ndim - 1))
+
+    def x_gradient(g):
+        dxhat = g * gamma_data
+        return inv_std * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                          - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+
+    out = xhat * gamma_data
+    out += beta_data
+    return _result(out, (x, x_gradient),
+                   (gamma, lambda g: (g * xhat).sum(axis=reduce_axes)),
+                   (beta, lambda g: g.sum(axis=reduce_axes)))
+
+
+def _phi(x: np.ndarray) -> np.ndarray:
+    out = np.asarray(np.abs(x))
+    out *= _INV_SQRT2
+    erf(out, out=out)
+    np.copysign(out, x, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
+
+
+def gelu(x) -> Tensor:
+    x_data = array_of(x)
+
+    def gradient(g):
+        slope = np.asarray(-0.5 * x_data)
+        slope *= x_data
+        np.exp(slope, out=slope)
+        slope *= _INV_SQRT_2PI
+        np.multiply(x_data, slope, out=slope)
+        out = _phi(x_data)
+        out += slope
+        np.multiply(g, out, out=out)
+        return out
+
+    out = _phi(x_data)
+    out *= x_data
+    return _result(out, (x, gradient))
+
+
+def cross_entropy(logits, labels) -> Tensor:
+    z = array_of(logits)
+    labels = np.asarray(labels)
+    batch = z.shape[0]
+    shifted = z - z.max(axis=1, keepdims=True)
+    exps = np.exp(shifted)
+    sums = exps.sum(axis=1, keepdims=True)
+    log_probs = shifted - np.log(sums)
+    nll = -log_probs[np.arange(batch), labels]
+
+    def gradient(g):
+        grad = exps / sums
+        grad[np.arange(batch), labels] -= 1.0
+        return grad * (g / batch)
+
+    return _result(np.asarray(nll.mean()), (logits, gradient))
+
+
+def _taped_block(p, x, heads, head_dim, taps: dict) -> Tensor:
+    """One FP block on the reference tape, op for op in the order the
+    library's staged forward runs them; ``taps`` gets each matmul's output
+    Tensors by kind (attn-score after its 1/sqrt(head_dim) scale)."""
+    batch, n, d = x.shape
+
+    def split(t):
+        return transpose(reshape(t, (batch, n, heads, head_dim)), (0, 2, 1, 3))
+
+    h = layernorm(x, p.ln1_gamma, p.ln1_beta)
+    taps["qkv-projection"] = [matmul(h, w) for w in (p.w_q, p.w_k, p.w_v)]
+    q, k, v = taps["qkv-projection"]
+    qh = split(q)
+    kt = transpose(split(k), (0, 1, 3, 2))
+    vh = split(v)
+    scores = mul(matmul(qh, kt), 1.0 / math.sqrt(head_dim))
+    ctx = matmul(softmax(scores, axis=-1), vh)
+    attn_out = matmul(reshape(transpose(ctx, (0, 2, 1, 3)), (batch, n, d)), p.w_o)
+    h1 = add(x, attn_out)
+    m1 = matmul(layernorm(h1, p.ln2_gamma, p.ln2_beta), p.w1)
+    m2 = matmul(gelu(add(m1, p.b1)), p.w2)
+    taps.update({"attn-score": [scores], "attn-apply": [ctx],
+                 "out-projection": [attn_out], "mlp-1": [m1], "mlp-2": [m2]})
+    return add(h1, add(m2, p.b2))
+
+
+def oracle_taped_gradients(model, inputs, labels):
+    """The FP pass's gradients off the reference tape, every weight a
+    constant: ``(block_grads, unit_grads)``, the loss gradient at each block
+    output and ``unit_grads[(block, kind)]`` at each matmul output."""
+    spec = model.spec
+    taps = [{} for _ in range(spec.num_blocks)]
+    with Tape() as tape:
+        current = matmul(Tensor(inputs), model.embed_w)
+        outputs = []
+        for b in range(spec.num_blocks):
+            current = _taped_block(model.blocks[b], current, spec.num_heads,
+                                   spec.head_dim, taps[b])
+            outputs.append(current)
+        loss = cross_entropy(matmul(current.mean(axis=1), model.head_w), labels)
+        tape.backward(loss)
+    block_grads = [tape.grad(t).data for t in outputs]
+    unit_grads = {(b, kind): [tape.grad(t).data for t in outs]
+                  for b, block_taps in enumerate(taps)
+                  for kind, outs in block_taps.items()}
+    return block_grads, unit_grads

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -15,12 +17,14 @@ import warnings
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bbcq import cli
 from bbcq.cli import main, report_schema
 from bbcq.data import generate_dataset
 from bbcq.errors import ParameterError
-from bbcq.serialize import load_dataset, load_model, save_dataset, save_model
+from bbcq.serialize import MAGIC, load_dataset, load_model, save_dataset, save_model
 
 from _result_edits import RESULT_EDITS
 
@@ -1093,3 +1097,83 @@ def test_bad_thread_env_surfaces_as_config_error(tmp_path, monkeypatch, capsys):
                "--rounds", "1"])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:config: ")
+
+
+# ---------------------------------------------------------------------------
+# input boundary: cut and flipped artifacts
+
+
+@pytest.fixture(scope="module")
+def boundary_work(tmp_path_factory):
+    """A directory holding a 1-block model and its splits in ``data`` and a
+    calib result in ``run``."""
+    work = tmp_path_factory.mktemp("boundary")
+    _calibrate(work, _gen(work), extra=["--candidates", "2"])
+    return work
+
+
+def _outcome(argv) -> str | None:
+    """The error category ``main(argv)`` reports, None if it succeeds: a
+    failure prints one line, its error line, and a success prints no error
+    line or traceback.
+    ``main`` runs under Python's default warning filters, as in a ``bbcq``
+    process, rather than the suite's ``error`` filter: it holds numpy's
+    overflow warnings, which a flipped weight can raise, drops them when
+    the command fails and shows them (here into a list) when it succeeds."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True), contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("default")
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert not [line for line in lines
+                    if line.startswith("error:") or "Traceback" in line], (argv, lines)
+        return None
+    assert len(lines) == 1 and ERROR_LINE.match(lines[0]), (argv, lines)
+    return lines[0].split(":")[1]
+
+
+_MUTATION = st.one_of(
+    st.tuples(st.just("cut"), st.integers(0, 5)),
+    st.tuples(st.just("cut"), st.integers(0, 2**20)),
+    st.tuples(st.just("flip"), st.integers(0, 2**20), st.integers(1, 255)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["model", "calib", "result"]), _MUTATION)
+@example("model", ("cut", 3))
+@example("calib", ("cut", 5))
+@example("model", ("flip", 61014, 64))  # a weight whose square overflows
+def test_a_cut_or_flipped_artifact_fails_with_one_error_line(boundary_work,
+                                                             name, mutation):
+    """A truncated artifact, or one with a byte flipped, makes ``inspect``
+    and the command that reads it each print one ``error:`` line or run.
+    A container cut short or flipped past its magic that ``inspect``
+    rejects, the reading command rejects with the same category: a
+    container cut to under six bytes is bad magic to both."""
+    work = boundary_work
+    files = {other: str(work / "data" / f"{other}.bbcv") for other in ("model", "calib")}
+    files["result"] = str(work / "run" / "calib_result.json")
+    with open(files[name], "rb") as fh:
+        blob = bytearray(fh.read())
+    at = mutation[1] % len(blob)
+    if mutation[0] == "cut":
+        blob = blob[:at]
+    else:
+        blob[at] ^= mutation[2]
+    path = work / f"mutant-{name}"
+    path.write_bytes(bytes(blob))
+    files[name] = str(path)
+    if name == "result":
+        reader = ["eval", "--model", files["model"], "--eval",
+                  str(work / "data" / "eval.bbcv"), "--result", files["result"]]
+    else:
+        reader = ["calibrate", "--model", files["model"], "--calib",
+                  files["calib"], "--wbits", "4", "--abits", "4",
+                  "--candidates", "2", "--rounds", "1"]
+    inspected = _outcome(["inspect", str(path)])
+    read = _outcome([*reader, "--out", str(work / "out")])
+    still_container = mutation[0] == "cut" or at >= len(MAGIC)
+    if name != "result" and still_container and inspected is not None:
+        assert read == inspected

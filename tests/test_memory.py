@@ -1,4 +1,4 @@
-"""Peak heap of the FP pass, an untaped forward and a container load.
+"""Peak heap of the FP pass, a forward and a container load.
 
 Measured with ``tracemalloc``, which numpy reports its array buffers to.
 Each bound is stated in units of the arrays involved, so the checks do not
@@ -12,12 +12,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bbcq import calibration
 from bbcq.calibration import cache_fp_pass
 from bbcq.data import generate_dataset
 from bbcq.model import ModelSpec, forward, init_model
 from bbcq.serialize import load_dataset, load_model, save_dataset, save_model
-from bbcq.tensor import Tape, Tensor, gelu
+from bbcq.tensor import gelu
 
 # The first GeLU loads scipy's erf. Run here, that load can never land inside
 # a measured region and be counted as the region's memory.
@@ -42,82 +41,64 @@ def _setup(num_blocks, samples, embed_dim=32):
     return init_model(spec), x, y
 
 
-class _KeepingTape(Tape):
-    """A tape that keeps every node alive through the sweep: holding each
-    recorded Tensor and closure keeps every forward value, every operand
-    and every gradient until the tape dies."""
-
-    def __init__(self):
-        super().__init__()
-        self.kept = []
-
-    def _append(self, parent_ids, backward, tensor):
-        self.kept.append((backward, tensor))
-        return super()._append(parent_ids, backward, tensor)
+def _widest_bytes(model, x) -> int:
+    """W: the bytes of one batch-sized array of a block's widest
+    intermediate, the MLP hidden activation or the attention scores."""
+    return len(x) * model.spec.widest * 8
 
 
-@pytest.mark.parametrize("blocks_as_layers", [False, True],
+def _fp_pass_peak(model, x, y, blocks_as_layers=False) -> tuple[int, int]:
+    """(peak heap of the FP pass, bytes of the distinct arrays it caches)."""
+    passes = []
+    peak = _peak_bytes(lambda: passes.append(
+        cache_fp_pass(model, x, y, blocks_as_layers=blocks_as_layers)))
+    cached = {id(values): values.nbytes for cache in passes[0].caches
+              for values in (cache.block_input, *cache.outputs, *cache.grads)}
+    return peak, sum(cached.values())
+
+
+@pytest.mark.parametrize("blocks_as_layers,widest", [(False, 6.0), (True, 4.0)],
                          ids=["blockwise", "layerwise"])
-def test_fp_pass_peaks_well_below_a_tape_that_keeps_everything(
-        monkeypatch, blocks_as_layers):
+def test_fp_pass_peaks_one_block_backward_over_its_caches(blocks_as_layers,
+                                                          widest):
+    """Beyond the arrays it returns, the pass holds one block backward's
+    working set: below 6 W blockwise and 4 W layerwise (about 5.3 W and
+    3.1 W here), W being ``_widest_bytes``."""
     model, x, y = _setup(num_blocks=2, samples=16)
-
-    def fp_pass():
-        return cache_fp_pass(model, x, y, blocks_as_layers=blocks_as_layers)
-
-    lean = _peak_bytes(fp_pass)
-    monkeypatch.setattr(calibration, "Tape", _KeepingTape)
-    keeping = _peak_bytes(fp_pass)
-    assert lean < 0.5 * keeping, (lean, keeping)
+    peak, cached = _fp_pass_peak(model, x, y, blocks_as_layers)
+    assert peak < cached + widest * _widest_bytes(model, x), \
+        ((peak - cached) / _widest_bytes(model, x))
 
 
-def test_blockwise_fp_pass_keeps_only_what_backward_reads(monkeypatch):
-    """Closures that need an operand's shape keep the shape, a product with
-    a weight keeps only the weight (a constant needs no gradient), and the
-    caches take the pass's arrays rather than copies, so the blockwise pass
-    peaks below 0.35 of the keeping tape (about 0.30 at this size)."""
-    model, x, y = _setup(num_blocks=2, samples=16)
-
-    def fp_pass():
-        return cache_fp_pass(model, x, y)
-
-    lean = _peak_bytes(fp_pass)
-    monkeypatch.setattr(calibration, "Tape", _KeepingTape)
-    keeping = _peak_bytes(fp_pass)
-    assert lean < 0.35 * keeping, (lean, keeping)
+def test_blockwise_fp_pass_keeps_only_what_backward_reads():
+    """Each block backward's values die before the next block's backward,
+    and the caches take the pass's arrays rather than copies, so the
+    blockwise pass holds as much beyond its caches at four blocks as at
+    two, within 0.5 W."""
+    over = []
+    for num_blocks in (2, 4):
+        model, x, y = _setup(num_blocks=num_blocks, samples=16)
+        peak, cached = _fp_pass_peak(model, x, y)
+        over.append((peak - cached) / _widest_bytes(model, x))
+    assert abs(over[1] - over[0]) < 0.5, over
 
 
 def test_layerwise_fp_pass_peaks_near_the_caches_it_returns():
     """The layerwise caches are most of what the pass holds at its peak;
     a copy of them on top would put the peak past twice their bytes."""
     model, x, y = _setup(num_blocks=2, samples=16)
-    passes = []
-    peak = _peak_bytes(lambda: passes.append(
-        cache_fp_pass(model, x, y, blocks_as_layers=True)))
-    cached = {id(values): values.nbytes for cache in passes[0].caches
-              for values in (cache.block_input, *cache.outputs, *cache.grads)}
-    assert peak <= 1.75 * sum(cached.values()), (peak, sum(cached.values()))
+    peak, cached = _fp_pass_peak(model, x, y, blocks_as_layers=True)
+    assert peak <= 1.75 * cached, (peak, cached)
 
 
 def test_untaped_forward_peak_does_not_grow_with_depth():
-    """Without a tape no block output outlives the block that reads it, so
-    four blocks peak where one does."""
+    """No block output outlives the block that reads it, so four blocks
+    peak where one does."""
     peaks = []
     for num_blocks in (1, 4):
         model, x, _ = _setup(num_blocks, samples=256)
-        inputs = Tensor(x)
-        peaks.append(_peak_bytes(lambda: forward(model, inputs)) / x.nbytes)
+        peaks.append(_peak_bytes(lambda: forward(model, x)) / x.nbytes)
     assert abs(peaks[1] - peaks[0]) < 0.5, peaks
-
-
-def test_taped_forward_keeps_the_block_outputs():
-    model, x, _ = _setup(num_blocks=2, samples=4)
-    with Tape():
-        taped = forward(model, x)
-    untaped = forward(model, x)
-    assert len(taped.block_outputs) == 2 and taped.embed_output is not None
-    assert untaped.block_outputs is None and untaped.embed_output is None
-    np.testing.assert_array_equal(untaped.logits.data, taped.logits.data)
 
 
 @pytest.mark.parametrize("kind", ["dataset", "model"])

@@ -18,7 +18,6 @@ from bbcq.metrics import (COMPARE_SCHEMES, EvalMetrics, QuantReportRow,
                           evaluate)
 from bbcq.model import MatmulSite, ModelSpec, forward, init_model
 from bbcq.quantizers import CodeTensor, DynamicSoftmax, QuantParams, quantize
-from bbcq.tensor import Tensor
 
 
 def _codes(values, bits=4):
@@ -205,7 +204,7 @@ def test_evaluate_fp_agrees_with_itself():
 
 def test_evaluate_top1_accuracy_counts_label_hits():
     model, x, _ = _eval_setup()
-    fp_pred = forward(model, Tensor(x)).logits.data.argmax(axis=1)
+    fp_pred = forward(model, x).argmax(axis=1)
     assert evaluate(model, None, x, fp_pred).top1_accuracy == 1.0
     assert evaluate(model, None, x, (fp_pred + 1) % 4).top1_accuracy == 0.0
 
@@ -253,10 +252,10 @@ def test_every_consumer_runs_a_dynamic_result_dynamically():
     state = result.quant_state()
     for b in range(2):
         assert state[MatmulSite("attn-apply", "A", b)] == DynamicSoftmax("twin", 4)
-    fp = forward(model, ex).logits.data.argmax(axis=1)
+    fp = forward(model, ex).argmax(axis=1)
 
     def agreement(quant):
-        return float((forward(model, ex, quant=quant).logits.data.argmax(axis=1)
+        return float((forward(model, ex, quant=quant).argmax(axis=1)
                       == fp).mean())
 
     assert evaluate(model, result, ex, ey).fp_agreement == agreement(state)
@@ -302,7 +301,7 @@ def test_evaluate_rejects_non_finite_quantized_logits(monkeypatch):
     def overflowing_forward(model, x, quant=None, **kwargs):
         out = fp_forward(model, x, quant=quant, **kwargs)
         if quant is not None:
-            out.logits.data[0, 0] = np.inf
+            out[0, 0] = np.inf
         return out
 
     monkeypatch.setattr(metrics_module, "forward", overflowing_forward)

@@ -12,13 +12,14 @@ import pytest
 from bbcq.calibration import CalibConfig, calibrate
 from bbcq.data import generate_dataset
 from bbcq.errors import ContractError, DimensionError, ParameterError
-from bbcq.model import (BLOCK_KINDS, MatmulSite, ModelSpec, block_forward,
-                        block_prefix, enumerate_sites, forward, forward_from,
-                        freeze_operands, init_model, parameter_shapes)
+from bbcq.model import (BLOCK_KINDS, MatmulSite, ModelSpec, block_backward,
+                        block_forward, block_prefix, enumerate_sites, forward,
+                        forward_from, freeze_operands, init_model,
+                        parameter_shapes)
 from bbcq import model as model_module
 from bbcq.quantizers import (DynamicSoftmax, QuantParams, fake_quant_array,
                              fake_quant_softmax_dynamic, softmax_site_params)
-from bbcq.tensor import Tape, Tensor, array_of, cross_entropy, matmul
+from bbcq.tensor import matmul
 
 from _oracles import oracle_forward
 
@@ -136,13 +137,11 @@ def test_xavier_bounds(tiny_spec):
 
 def test_forward_shapes(tiny_model, tiny_batch):
     x, _ = tiny_batch
-    with Tape():
-        result = forward(tiny_model, x)
     spec = tiny_model.spec
-    assert result.logits.shape == (len(x), spec.num_classes)
-    assert result.embed_output.shape == x.shape
-    assert len(result.block_outputs) == spec.num_blocks
-    assert result.block_outputs[-1].shape == x.shape
+    assert forward(tiny_model, x).shape == (len(x), spec.num_classes)
+    block_input = _block_input(tiny_model, x)
+    assert block_input.shape == x.shape
+    assert block_forward(tiny_model, 0, block_input).shape == x.shape
 
 
 def test_forward_input_validation(tiny_model):
@@ -153,48 +152,43 @@ def test_forward_input_validation(tiny_model):
 
 
 def test_forward_matches_straight_line_oracle():
-    """Dual route: the taped forward equals a plain numpy reimplementation."""
+    """Dual route: the forward, and its blocks run one by one, equal a
+    plain numpy reimplementation."""
     spec = ModelSpec(num_blocks=2, embed_dim=16, num_heads=2, patch_count=5,
                      num_classes=3, init_seed=3)
     model = init_model(spec)
     x, _ = generate_dataset(4, 5, 16, 3, seed=9)
-    with Tape():
-        result = forward(model, x)
     logits, block_outputs, embed_out = oracle_forward(model, x)
-    np.testing.assert_array_equal(result.logits.data, logits)
-    np.testing.assert_array_equal(result.embed_output.data, embed_out)
-    for got, want in zip(result.block_outputs, block_outputs):
-        np.testing.assert_array_equal(got.data, want)
+    np.testing.assert_array_equal(forward(model, x), logits)
+    current = _block_input(model, x)
+    np.testing.assert_array_equal(current, embed_out)
+    for b, want in enumerate(block_outputs):
+        current = block_forward(model, b, current)
+        np.testing.assert_array_equal(current, want)
 
 
 def test_forward_composes_from_block_forward(tiny_model, tiny_batch):
     """Running embed + blocks + pool + head by hand equals forward(), bitwise."""
     x, _ = tiny_batch
-    with Tape():
-        full = forward(tiny_model, x)
-    current = matmul(Tensor(np.asarray(x, dtype=np.float64)),
-                     Tensor(tiny_model.embed_w))
-    np.testing.assert_array_equal(current.data, full.embed_output.data)
+    current = matmul(x, tiny_model.embed_w)
     for b in range(tiny_model.spec.num_blocks):
         current = block_forward(tiny_model, b, current)
-        np.testing.assert_array_equal(current.data, full.block_outputs[b].data)
-    logits = matmul(current.mean(axis=1), Tensor(tiny_model.head_w))
-    np.testing.assert_array_equal(logits.data, full.logits.data)
+    logits = matmul(current.mean(axis=1), tiny_model.head_w)
+    np.testing.assert_array_equal(logits, forward(tiny_model, x))
 
 
 def test_forward_from_tail(tiny_model, tiny_batch):
     x, _ = tiny_batch
-    with Tape():
-        full = forward(tiny_model, x)
-    tail = forward_from(tiny_model, 0, full.block_outputs[0].data)
-    np.testing.assert_array_equal(tail.data, full.logits.data)
+    block_output = block_forward(tiny_model, 0, _block_input(tiny_model, x))
+    tail = forward_from(tiny_model, 0, block_output)
+    np.testing.assert_array_equal(tail, forward(tiny_model, x))
 
 
 def test_batch_permutation_permutes_logits(tiny_model, tiny_batch):
     x, _ = tiny_batch
     perm = np.array([3, 0, 5, 1, 4, 2])
-    logits = forward(tiny_model, x).logits.data
-    permuted = forward(tiny_model, x[perm]).logits.data
+    logits = forward(tiny_model, x)
+    permuted = forward(tiny_model, x[perm])
     np.testing.assert_array_equal(permuted, logits[perm])
 
 
@@ -216,8 +210,8 @@ def test_attention_rows_sum_to_one(tiny_model, tiny_batch):
 
 def test_empty_quant_state_is_bitwise_noop(tiny_model, tiny_batch):
     x, _ = tiny_batch
-    plain = forward(tiny_model, x).logits.data
-    quantless = forward(tiny_model, x, quant={}).logits.data
+    plain = forward(tiny_model, x)
+    quantless = forward(tiny_model, x, quant={})
     np.testing.assert_array_equal(plain, quantless)
 
 
@@ -225,20 +219,9 @@ def test_quantized_forward_changes_logits(tiny_model, tiny_batch):
     x, _ = tiny_batch
     coarse = QuantParams(bits=2, scale=0.05, zero_point=2, scheme="uniform")
     quant = {MatmulSite("mlp-1", "B", 0): coarse}
-    plain = forward(tiny_model, x).logits.data
-    quantized = forward(tiny_model, x, quant=quant).logits.data
+    plain = forward(tiny_model, x)
+    quantized = forward(tiny_model, x, quant=quant)
     assert not np.array_equal(plain, quantized)
-
-
-def test_quant_rejected_under_recording_tape(tiny_model, tiny_batch):
-    x, _ = tiny_batch
-    quant = {MatmulSite("embed", "B"):
-             QuantParams(bits=8, scale=0.01, zero_point=128, scheme="uniform")}
-    with Tape():
-        with pytest.raises(ContractError):
-            forward(tiny_model, x, quant=quant)
-    # outside a tape the same call is fine
-    forward(tiny_model, x, quant=quant)
 
 
 def test_quant_unknown_site_rejected(tiny_model, tiny_batch):
@@ -249,9 +232,9 @@ def test_quant_unknown_site_rejected(tiny_model, tiny_batch):
         forward(tiny_model, x, quant=quant)
 
 
-def _block_outputs(calls, block: int) -> dict[str, list[Tensor]]:
+def _block_outputs(calls, block: int) -> dict[str, list[np.ndarray]]:
     """The hook's matmul outputs of one block, keyed by kind."""
-    outs: dict[str, list[Tensor]] = {}
+    outs: dict[str, list[np.ndarray]] = {}
     for kind, b, _, _, out in calls:
         if b == block:
             outs.setdefault(kind, []).append(out)
@@ -286,18 +269,19 @@ def test_block_taps_expose_matmul_outputs(tiny_model, tiny_batch):
     assert tap["mlp-1"][0].shape == (batch, n, spec.hidden_dim)
 
 
-def test_taps_carry_gradients_under_tape(tiny_model, tiny_batch):
-    x, y = tiny_batch
+def test_block_backward_gives_every_tap_a_gradient(tiny_model, tiny_batch, rng):
+    """``block_backward`` returns the block-input gradient and one gradient
+    per hook ``out``, by kind and in hook order, each of its tap's shape;
+    it reads the block as the hooked forward runs it, so the taps match."""
+    x = _block_input(tiny_model, tiny_batch[0])
     calls = []
-    with Tape() as tape:
-        result = forward(tiny_model, Tensor(np.asarray(x, dtype=np.float64)),
-                         hook=lambda *call: calls.append(call))
-        tape.backward(cross_entropy(result.logits, y))
-        tap = _block_outputs(calls, 0)
-        for kind in BLOCK_KINDS:
-            for t in tap[kind]:
-                grad = tape.grad(t)
-                assert grad is not None and grad.shape == t.shape
+    block_forward(tiny_model, 0, x, hook=lambda *call: calls.append(call))
+    tap = _block_outputs(calls, 0)
+    grad_in, grads = block_backward(tiny_model, 0, x, rng.normal(size=x.shape))
+    assert grad_in.shape == x.shape
+    assert sorted(grads) == sorted(BLOCK_KINDS)
+    for kind in BLOCK_KINDS:
+        assert [g.shape for g in grads[kind]] == [t.shape for t in tap[kind]]
 
 
 def test_hook_receives_pre_quant_operands(tiny_model, tiny_batch):
@@ -316,14 +300,14 @@ def test_hook_receives_pre_quant_operands(tiny_model, tiny_batch):
                                              fp_calls[1:4], strict=True):
         assert b is weight
         np.testing.assert_array_equal(a, fp[2])
-        assert not np.array_equal(out.data, a @ b)
+        assert not np.array_equal(out, a @ b)
     softmax_rows = next(c[2] for c in calls if c[0] == "attn-apply")
     np.testing.assert_allclose(softmax_rows.sum(axis=-1), 1.0, atol=1e-9)
 
 
 def _block_input(model, x):
-    with Tape():
-        return forward(model, x).embed_output
+    """The embed output of ``x``: the first block's input."""
+    return matmul(x, model.embed_w)
 
 
 def test_block_forward_stop_ends_after_that_matmul(tiny_model, tiny_batch):
@@ -344,7 +328,7 @@ def test_block_forward_stop_ends_after_that_matmul(tiny_model, tiny_batch):
         assert len(calls) == max(i for i, c in enumerate(full) if c[0] == kind) + 1
         for got, want in zip(calls, full):
             assert got[:2] == want[:2]
-            np.testing.assert_array_equal(got[4].data, want[4].data)
+            np.testing.assert_array_equal(got[4], want[4])
 
 
 @pytest.mark.parametrize("dynamic_softmax", [False, True])
@@ -368,7 +352,7 @@ def test_block_prefix_resumes_bit_for_bit(tiny_model, tiny_batch,
                                             scheme="uniform")}
         resumed = block_forward(tiny_model, 0, prefix, trial)
         full = block_forward(tiny_model, 0, x, trial)
-        np.testing.assert_array_equal(resumed.data, full.data, site.site_id)
+        np.testing.assert_array_equal(resumed, full, site.site_id)
 
 
 @pytest.mark.parametrize("kind", [None, *BLOCK_KINDS])
@@ -377,11 +361,9 @@ def test_freeze_operands_quantizes_what_a_forward_holds_fixed(tiny_spec,
     """From a carry at ``kind`` (or a block input), the copies hold the
     carry's two operands and every later weight of that block
     fake-quantized; nothing else changes, ``rest`` drops just those sites,
-    and resuming from the copies under ``rest`` gives the same bits. A
-    weight operand is an array, frozen or not; only attn-score and
-    attn-apply carry a Tensor as operand B."""
+    and resuming from the copies under ``rest`` gives the same bits."""
     model = init_model(replace(tiny_spec, num_blocks=3))
-    x = Tensor(tiny_batch[0])
+    x = tiny_batch[0]
     params = QuantParams(bits=3, scale=0.07, zero_point=3, scheme="uniform")
     quant = {site: params for site in enumerate_sites(model.spec)}
     carry = None if kind is None else block_prefix(model, 1, x, kind, quant)
@@ -399,18 +381,14 @@ def test_freeze_operands_quantizes_what_a_forward_holds_fixed(tiny_spec,
             assert value is original, name
     if carry is not None:
         held |= {MatmulSite(kind, "A", 1), MatmulSite(kind, "B", 1)}
-        np.testing.assert_array_equal(frozen_carry.a.data,
-                                      fake_quant_array(carry.a.data, params))
+        np.testing.assert_array_equal(frozen_carry.a,
+                                      fake_quant_array(carry.a, params))
         for got, b in zip(frozen_carry.b, carry.b, strict=True):
-            assert isinstance(got, Tensor) == isinstance(b, Tensor) == \
-                (kind in ("attn-score", "attn-apply"))
-            np.testing.assert_array_equal(array_of(got),
-                                          fake_quant_array(array_of(b), params))
-        assert (frozen_carry.residual, frozen_carry.vh) == (carry.residual, carry.vh)
+            np.testing.assert_array_equal(got, fake_quant_array(b, params))
+        assert frozen_carry.residual is carry.residual and frozen_carry.vh is carry.vh
     assert rest == {site: p for site, p in quant.items() if site not in held}
     resumed = block_forward(frozen, 1, x if carry is None else frozen_carry, rest)
-    np.testing.assert_array_equal(resumed.data,
-                                  block_forward(model, 1, x, quant).data)
+    np.testing.assert_array_equal(resumed, block_forward(model, 1, x, quant))
 
 
 def test_dynamic_softmax_entry_anchors_the_softmax_rows(tiny_model, tiny_batch,
@@ -499,28 +477,6 @@ def test_every_entry_rejects_a_site_the_model_lacks(tiny_model, tiny_batch,
             call()
 
 
-def _calibrated_state(model, x, y) -> dict:
-    """The model's W4A4 state from a small ``calibrate`` run."""
-    return calibrate(model, x, y, CalibConfig(
-        w_bits=4, a_bits=4, num_candidates=4, rounds=1,
-        calib_batch=len(x))).quant_state()
-
-
-@pytest.mark.parametrize("entry", ["block_forward", "block_prefix",
-                                   "freeze_operands"])
-def test_every_entry_rejects_a_quant_state_under_a_tape(tiny_model, tiny_batch,
-                                                        entry):
-    """As ``forward`` does (see ``test_quant_rejected_under_recording_tape``):
-    a fake-quantized operand is a fresh tape leaf, so a gradient taken
-    through it would be silently wrong. Outside a tape the call runs."""
-    call = _quant_entries(tiny_model, tiny_batch[0],
-                          _calibrated_state(tiny_model, *tiny_batch))[entry]
-    with Tape():
-        with pytest.raises(ContractError, match="recording tape"):
-            call()
-    call()
-
-
 def test_block_prefix_cannot_pause_before_its_carry(tiny_model, tiny_batch):
     """Pausing a carry at an earlier matmul is a ContractError, not a run
     to the end of the block; pausing it where it is returns it."""
@@ -571,7 +527,7 @@ def test_staged_calls_reject_a_misshapen_block_input(tiny_model, shape):
     """A block input, or the block output ``forward_from`` starts from,
     that is not (batch, patches, embed_dim) is a DimensionError, not a raw
     unpacking error or a silent forward."""
-    x = Tensor(np.zeros(shape))
+    x = np.zeros(shape)
     with pytest.raises(DimensionError):
         block_prefix(tiny_model, 0, x, "mlp-1")
     with pytest.raises(DimensionError):
@@ -630,13 +586,13 @@ def test_quantized_block_forward_frees_its_entry_carry(dynamic):
     input and its layernorm) until the block returns peaks at about 11.0 E.
     """
     model, x, state = _twin_quantized(dynamic)
-    block_input = Tensor(x @ model.embed_w)
+    block_input = x @ model.embed_w
     peak = _heap_peak(lambda: block_forward(model, 0, block_input, state))
     assert peak < 10.5 * x.nbytes, f"peak {peak / x.nbytes:.2f} E"
 
 
 def _one_slice(monkeypatch):
-    """Run every untaped block forward as one slice, as before slicing."""
+    """Run every hook-free block forward as one slice, as before slicing."""
     monkeypatch.setattr(model_module, "_slice_rows", lambda spec: sys.maxsize)
 
 
@@ -660,13 +616,13 @@ def test_quantized_block_forward_frees_its_entry_carry_in_one_slice(dynamic,
     samples in one slice (about 10.0 E; eight slices peak near 2.3 E)."""
     _one_slice(monkeypatch)
     model, x, state = _twin_quantized(dynamic)
-    block_input = Tensor(x @ model.embed_w)
+    block_input = x @ model.embed_w
     peak = _heap_peak(lambda: block_forward(model, 0, block_input, state))
     assert peak < 10.5 * x.nbytes, f"peak {peak / x.nbytes:.2f} E"
 
 
 def test_quantized_forward_peak_grows_by_embed_arrays_not_slices():
-    """An untaped quantized forward of 8 slices holds the embedding and one
+    """A hook-free quantized forward of 8 slices holds the embedding and one
     block output of the whole batch (16 E, E one slice's embed-sized array)
     plus one slice's working set (about 10 E), against about 11 E for one
     slice: a ratio of 2.3. Running the batch as one slice makes it 7.8."""
@@ -679,7 +635,7 @@ def test_quantized_forward_peak_grows_by_embed_arrays_not_slices():
 
 
 def test_quantized_forward_runs_its_blocks_in_one_activation_array():
-    """Every block of an untaped forward writes its output over its input,
+    """Every block of a hook-free forward writes its output over its input,
     the embed output, so 8 slices hold one embed-sized array of the whole
     batch (8 E) plus one slice's working set: a ratio of about 1.6 to one
     slice. A fresh output array per block, with the input held while it is

@@ -24,7 +24,6 @@ from bbcq.data import generate_dataset
 from bbcq.metrics import evaluate
 from bbcq.model import (ModelSpec, WorkerPool, block_forward, forward,
                         init_model, shared_map)
-from bbcq.tensor import Tensor
 
 SPEC = ModelSpec(num_blocks=2, embed_dim=32, num_heads=2, patch_count=16,
                  num_classes=4, init_seed=3)
@@ -77,16 +76,16 @@ def test_pooled_sliced_forward_equals_the_serial_one(pools, model, states,
     samples = max(1, slices * (ROWS // threads) + offset)
     x, _ = generate_dataset(samples, SPEC.patch_count, SPEC.embed_dim,
                             SPEC.num_classes, seed=samples)
-    block_input = Tensor(x @ model.embed_w)
-    in_place = block_input.data.copy()
-    serial = block_forward(model, 0, block_input, quant).data
-    pooled = block_forward(model, 0, block_input, quant, executor=pool).data
+    block_input = x @ model.embed_w
+    in_place = block_input.copy()
+    serial = block_forward(model, 0, block_input, quant)
+    pooled = block_forward(model, 0, block_input, quant, executor=pool)
     assert np.array_equal(_bits(pooled), _bits(serial))
-    block_forward(model, 0, Tensor(in_place), quant, out=in_place, executor=pool)
+    block_forward(model, 0, in_place, quant, out=in_place, executor=pool)
     assert np.array_equal(_bits(in_place), _bits(serial))
     assert np.array_equal(
-        _bits(forward(model, x, quant, executor=pool).logits.data),
-        _bits(forward(model, x, quant).logits.data))
+        _bits(forward(model, x, quant, executor=pool)),
+        _bits(forward(model, x, quant)))
 
 
 @pytest.mark.parametrize("threads, slices", [(1, [ROWS] * 3 + [5]),
@@ -103,7 +102,7 @@ def test_pooled_slices_shrink_per_thread(pools, model, monkeypatch, threads,
                         or run_stages(model, block, x, *args))
     x, _ = generate_dataset(3 * ROWS + 5, SPEC.patch_count, SPEC.embed_dim,
                             SPEC.num_classes, seed=2)
-    block_forward(model, 0, Tensor(x @ model.embed_w), executor=pools[threads])
+    block_forward(model, 0, x @ model.embed_w, executor=pools[threads])
     assert sorted(sizes, reverse=True) == slices
 
 
@@ -198,8 +197,8 @@ def _in_callers(fn, items):
 
 
 def test_concurrent_calibrate_calls_give_the_serial_bytes(monkeypatch):
-    """Four threads each calibrate, each with its own FP-pass tape and its
-    own 2-thread pool, and every result equals the serial run's bytes."""
+    """Four threads each calibrate, each with its own FP pass and its own
+    2-thread pool, and every result equals the serial run's bytes."""
     model, x, y = _small_model()
     monkeypatch.setenv("BBCQ_THREADS", "1")
     serial = [calibrate(model, x, y, config).dumps() for config in CONFIGS]

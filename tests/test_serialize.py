@@ -16,9 +16,10 @@ from bbcq.data import generate_dataset
 from bbcq.errors import (BBCQError, LengthError, MagicError, ManifestError,
                          NonFiniteError, ParameterError, VersionError)
 from bbcq.model import ModelSpec, init_model
-from bbcq.serialize import (deserialize_dataset, deserialize_model,
-                            load_dataset, load_model, save_dataset,
-                            save_model, serialize_dataset, serialize_model)
+from bbcq.serialize import (MAGIC, deserialize_dataset, deserialize_model,
+                            is_container, load_dataset, load_model,
+                            save_dataset, save_model, serialize_dataset,
+                            serialize_model)
 
 _HEADER = struct.Struct("<6s2sQ")
 
@@ -146,6 +147,20 @@ def test_bad_magic(model_blob):
         deserialize_model(b"")
     with pytest.raises(MagicError):
         deserialize_model(model_blob[:4])
+
+
+@pytest.mark.parametrize("n", range(len(MAGIC)))
+def test_a_blob_cut_inside_the_magic_is_a_container(model_blob, n):
+    """Empty or cut inside the magic, a blob still counts as a container,
+    which the reader rejects as bad magic rather than reading it as JSON."""
+    assert is_container(model_blob[:n])
+    with pytest.raises(MagicError):
+        deserialize_model(model_blob[:n])
+
+
+@pytest.mark.parametrize("blob", [b"{}", b"BBCVI!", b"XBBCVIT", b" BBCVIT"])
+def test_a_blob_off_the_magic_is_no_container(blob):
+    assert not is_container(blob)
 
 
 @pytest.mark.parametrize("n", [6, 7, 8, 10, 15])

@@ -1,10 +1,11 @@
-"""Untaped block forwards run large batches in slices of samples.
+"""Hook-free block forwards run large batches in slices of samples.
 
 Every stage of a block is per sample, so a sliced run equals a one-slice
-run bit for bit. A call that a hook, ``stop``, a carry or a recording tape
-can observe still runs the whole batch in one pass. A sliced call may write
-its output into a given array, the block input itself included, and an
-untaped forward runs every block in its embed output that way.
+run bit for bit. A call that a hook, ``stop`` or a carry can observe, and
+the FP pass's forward and block backward, still run the whole batch in one
+pass. A sliced call may write its output into a given array, the block
+input itself included, and a hook-free forward runs every block in its
+embed output that way.
 """
 
 from __future__ import annotations
@@ -15,14 +16,14 @@ import numpy as np
 import pytest
 
 from bbcq import model as model_module
-from bbcq.calibration import CalibConfig, calibrate, total_blockwise_metric
+from bbcq.calibration import (CalibConfig, cache_fp_pass, calibrate,
+                              total_blockwise_metric)
 from bbcq.data import generate_dataset
 from bbcq.errors import ContractError, DimensionError
 from bbcq.metrics import evaluate
-from bbcq.model import (ModelSpec, block_forward, block_prefix, forward,
-                        forward_from, init_model)
+from bbcq.model import (BlockCarry, ModelSpec, block_forward, block_prefix,
+                        forward, forward_from, init_model)
 from bbcq.quantizers import SCHEMES
-from bbcq.tensor import Tape, Tensor
 
 SPEC = ModelSpec(num_blocks=2, embed_dim=32, num_heads=2, patch_count=16,
                  num_classes=4, init_seed=3)
@@ -70,7 +71,7 @@ def _slices_seen(monkeypatch) -> list[int]:
     run_stages = model_module._run_stages
 
     def spy(model, block, x, *args):
-        sizes.append(x.shape[0] if isinstance(x, Tensor) else x.residual.shape[0])
+        sizes.append(x.residual.shape[0] if isinstance(x, BlockCarry) else x.shape[0])
         return run_stages(model, block, x, *args)
 
     monkeypatch.setattr(model_module, "_run_stages", spy)
@@ -113,14 +114,14 @@ def test_sliced_runs_equal_one_slice(model, results, monkeypatch, samples,
     result = results[setting]
     quant = None if result is None else result.quant_state()
     x, y = _batch(samples)
-    block_input = Tensor(x @ model.embed_w)
+    block_input = x @ model.embed_w
 
     def run():
-        in_place = block_input.data.copy()
-        return (block_forward(model, 0, block_input, quant).data,
-                forward(model, x, quant).logits.data,
-                forward_from(model, 0, block_input).data,
-                block_forward(model, 0, Tensor(in_place), quant, out=in_place).data,
+        in_place = block_input.copy()
+        return (block_forward(model, 0, block_input, quant),
+                forward(model, x, quant),
+                forward_from(model, 0, block_input),
+                block_forward(model, 0, in_place, quant, out=in_place),
                 evaluate(model, result, x, y),
                 total_blockwise_metric(model, x, y, quant or {}, gamma=10.0))
 
@@ -157,24 +158,22 @@ def test_forward_writes_neither_input_nor_block_output(model, results, setting):
     x, _ = _batch(3 * ROWS + 5)
     x_before = x.copy()
     forward(model, x, quant)
-    forward(model, Tensor(x), quant)
     assert np.array_equal(x, x_before)
-    block_output = block_forward(model, 0, Tensor(x @ model.embed_w)).data
+    block_output = block_forward(model, 0, x @ model.embed_w)
     output_before = block_output.copy()
     forward_from(model, 0, block_output)
-    forward_from(model, 0, Tensor(block_output))
     assert np.array_equal(block_output, output_before)
 
 
-def _block_input(model, samples=3 * ROWS + 5) -> Tensor:
-    return Tensor(_batch(samples)[0] @ model.embed_w)
+def _block_input(model, samples=3 * ROWS + 5) -> np.ndarray:
+    return _batch(samples)[0] @ model.embed_w
 
 
 @pytest.mark.parametrize("samples, calls", [(ROWS, 1), (ROWS + 1, 2),
                                             (8 * ROWS, 8)])
 def test_block_forward_slices_only_past_one_slice(model, monkeypatch, samples,
                                                   calls):
-    """Without ``out``, an untaped call on a block input runs a batch of at
+    """Without ``out``, a hook-free call on a block input runs a batch of at
     most one slice in one pass on ``x`` itself, and a larger one in slices."""
     seen = []
     run_stages = model_module._run_stages
@@ -191,8 +190,8 @@ def test_one_slice_batch_returns_its_output_in_out(model):
     block_input = _block_input(model, ROWS - 1)
     out = np.empty(block_input.shape)
     got = block_forward(model, 0, block_input, out=out)
-    assert got.data is out
-    assert np.array_equal(out, block_forward(model, 0, block_input).data)
+    assert got is out
+    assert np.array_equal(out, block_forward(model, 0, block_input))
 
 
 def _read_only(shape):
@@ -228,12 +227,6 @@ def test_out_needs_a_sliced_call(model, call):
         call(model, block_input, np.empty(block_input.shape))
 
 
-def test_out_is_rejected_under_a_recording_tape(model):
-    block_input = _block_input(model)
-    with Tape(), pytest.raises(ContractError):
-        block_forward(model, 0, block_input, out=np.empty(block_input.shape))
-
-
 def test_a_hooked_forward_runs_in_one_pass(model, results, monkeypatch):
     """The hook sees one call per matmul, with full-batch operands."""
     samples = 3 * ROWS + 5
@@ -249,14 +242,15 @@ def test_a_hooked_forward_runs_in_one_pass(model, results, monkeypatch):
                for _, _, a, out in calls)
 
 
-def test_stop_carry_and_tape_run_in_one_pass(model, monkeypatch):
+def test_stop_carry_and_fp_pass_run_in_one_pass(model, monkeypatch):
+    """The FP pass runs each block forward once with its hook, and the
+    backward of block 1 re-runs it in four stage calls, all full-batch."""
     samples = 3 * ROWS + 5
-    x, _ = _batch(samples)
-    block_input = Tensor(x @ model.embed_w)
+    x, y = _batch(samples)
+    block_input = x @ model.embed_w
     sizes = _slices_seen(monkeypatch)
     block_forward(model, 0, block_input, stop="mlp-1")
     carry = block_prefix(model, 0, block_input, "attn-apply")
     block_forward(model, 0, carry)
-    with Tape():
-        forward(model, x)
-    assert sizes == [samples] * (3 + SPEC.num_blocks)
+    cache_fp_pass(model, x, y)
+    assert sizes == [samples] * (3 + SPEC.num_blocks + 4)

@@ -1,4 +1,7 @@
-"""Autodiff engine: forward values, gradients vs finite differences, tape rules."""
+"""Array ops: forward values, input errors, the erf loader and the
+backward steps' bits; and the reference tape in ``_oracles`` that the FP
+pass's gradients are checked against: its gradients vs finite differences
+and its rules."""
 
 from __future__ import annotations
 
@@ -21,17 +24,19 @@ from scipy.special import erf
 from bbcq import tensor as tensor_module
 from bbcq.errors import (ContractError, DimensionError, LabelIndexError,
                          ParameterError)
-from bbcq.tensor import (LAYERNORM_EPS, Tape, Tensor, add, cross_entropy,
-                         gelu, layernorm, matmul, mul, recording_active,
-                         reshape, softmax, tensor_mean, tensor_sum, transpose)
+from bbcq.tensor import (LAYERNORM_EPS, add, cross_entropy, gelu,
+                         gelu_backward, layernorm, layernorm_backward, matmul,
+                         mul, softmax, softmax_backward)
+
+import _oracles as ref
 
 
 def check_gradients(build, shapes, seed, points=10, h=1e-6):
-    """Tape gradients vs central differences at random coordinates."""
+    """Reference-tape gradients vs central differences at random coordinates."""
     rng = np.random.default_rng(seed)
     arrays = [rng.normal(size=shape) for shape in shapes]
-    with Tape() as tape:
-        tensors = [Tensor(a.copy()) for a in arrays]
+    with ref.Tape() as tape:
+        tensors = [ref.Tensor(a.copy()) for a in arrays]
         loss = build(*tensors)
         tape.backward(loss)
         grads = [tape.grad(t) for t in tensors]
@@ -45,7 +50,7 @@ def check_gradients(build, shapes, seed, points=10, h=1e-6):
             def loss_at(value):
                 probe = [a.copy() for a in arrays]
                 probe[which][idx] = value
-                return build(*[Tensor(p) for p in probe]).item()
+                return build(*[ref.Tensor(p) for p in probe]).item()
 
             fd = (loss_at(arr[idx] + h) - loss_at(arr[idx] - h)) / (2.0 * h)
             assert np.isclose(grad.data[idx], fd, rtol=1e-4, atol=1e-7), (
@@ -59,63 +64,63 @@ def check_gradients(build, shapes, seed, points=10, h=1e-6):
 def test_matmul_matches_numpy(rng):
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(4, 5))
-    np.testing.assert_array_equal(matmul(Tensor(a), Tensor(b)).data, a @ b)
+    np.testing.assert_array_equal(matmul(a, b), a @ b)
 
 
 def test_matmul_batched(rng):
     a = rng.normal(size=(2, 3, 4, 5))
     b = rng.normal(size=(2, 3, 5, 6))
-    out = matmul(Tensor(a), Tensor(b))
+    out = matmul(a, b)
     assert out.shape == (2, 3, 4, 6)
-    np.testing.assert_array_equal(out.data, np.matmul(a, b))
+    np.testing.assert_array_equal(out, np.matmul(a, b))
 
 
 @pytest.mark.parametrize("shapes", [((3,), (4, 5)), ((3, 4), (3,))])
 def test_matmul_rejects_vectors(shapes, rng):
     a, b = (rng.normal(size=s) for s in shapes)
     with pytest.raises(DimensionError):
-        matmul(Tensor(a), Tensor(b))
+        matmul(a, b)
 
 
 def test_matmul_inner_mismatch_names_shapes(rng):
     with pytest.raises(DimensionError, match=r"\(3, 4\).*\(5, 6\)"):
-        matmul(Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(5, 6))))
+        matmul(rng.normal(size=(3, 4)), rng.normal(size=(5, 6)))
 
 
 def test_softmax_rows_sum_to_one(rng):
-    out = softmax(Tensor(rng.normal(size=(4, 7)) * 30.0), axis=-1)
-    np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
-    assert (out.data > 0).all()
+    out = softmax(rng.normal(size=(4, 7)) * 30.0, axis=-1)
+    np.testing.assert_allclose(out.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+    assert (out > 0).all()
 
 
 def test_softmax_invariant_to_shift(rng):
     x = rng.normal(size=(2, 5))
-    np.testing.assert_allclose(softmax(Tensor(x)).data,
-                               softmax(Tensor(x + 1000.0)).data, atol=1e-15)
+    np.testing.assert_allclose(softmax(x),
+                               softmax(x + 1000.0), atol=1e-15)
 
 
 def test_softmax_bad_axis(rng):
     with pytest.raises(DimensionError):
-        softmax(Tensor(rng.normal(size=(2, 3))), axis=2)
+        softmax(rng.normal(size=(2, 3)), axis=2)
 
 
 def test_softmax_counts_the_first_axis_from_the_end(rng):
-    x = Tensor(rng.normal(size=(3, 4, 5)))
-    np.testing.assert_array_equal(softmax(x, axis=-3).data, softmax(x, axis=0).data)
+    x = rng.normal(size=(3, 4, 5))
+    np.testing.assert_array_equal(softmax(x, axis=-3), softmax(x, axis=0))
 
 
 def test_gelu_matches_erf_form(rng):
     x = rng.normal(size=(5, 3)) * 3.0
     expected = x * 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
-    np.testing.assert_allclose(gelu(Tensor(x)).data, expected, atol=1e-15)
+    np.testing.assert_allclose(gelu(x), expected, atol=1e-15)
 
 
 def test_layernorm_normalizes_last_axis(rng):
     x = rng.normal(size=(3, 4, 8)) * 5.0 + 2.0
-    out = layernorm(Tensor(x), Tensor(np.ones(8)), Tensor(np.zeros(8)))
-    np.testing.assert_allclose(out.data.mean(axis=-1), 0.0, atol=1e-12)
+    out = layernorm(x, np.ones(8), np.zeros(8))
+    np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-12)
     # variance of the normalized output is var/(var+eps), slightly below 1
-    assert (out.data.var(axis=-1) <= 1.0 + 1e-12).all()
+    assert (out.var(axis=-1) <= 1.0 + 1e-12).all()
 
 
 def test_layernorm_eps_is_pinned():
@@ -123,9 +128,9 @@ def test_layernorm_eps_is_pinned():
 
 
 def test_layernorm_affine_shape_error(rng):
-    x = Tensor(rng.normal(size=(2, 8)))
+    x = rng.normal(size=(2, 8))
     with pytest.raises(DimensionError):
-        layernorm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)))
+        layernorm(x, np.ones(4), np.zeros(4))
 
 
 def test_cross_entropy_matches_manual(rng):
@@ -134,18 +139,18 @@ def test_cross_entropy_matches_manual(rng):
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     expected = -log_probs[np.arange(6), labels].mean()
-    got = cross_entropy(Tensor(logits), labels).item()
+    got = cross_entropy(logits, labels).item()
     assert np.isclose(got, expected, rtol=1e-14)
 
 
 def test_cross_entropy_extreme_logits_stay_finite():
     logits = np.array([[1e4, -1e4, 0.0], [-1e4, 1e4, 0.0]])
-    loss = cross_entropy(Tensor(logits), np.array([0, 1])).item()
+    loss = cross_entropy(logits, np.array([0, 1])).item()
     assert np.isfinite(loss) and loss >= 0.0
 
 
 def test_cross_entropy_label_out_of_range(rng):
-    logits = Tensor(rng.normal(size=(2, 3)))
+    logits = rng.normal(size=(2, 3))
     with pytest.raises(LabelIndexError):
         cross_entropy(logits, np.array([0, 3]))
     with pytest.raises(LabelIndexError):
@@ -154,25 +159,28 @@ def test_cross_entropy_label_out_of_range(rng):
 
 def test_cross_entropy_rejects_float_labels(rng):
     with pytest.raises(ContractError):
-        cross_entropy(Tensor(rng.normal(size=(2, 3))), np.array([0.0, 1.0]))
+        cross_entropy(rng.normal(size=(2, 3)), np.array([0.0, 1.0]))
 
 
 def test_cross_entropy_label_shape_mismatch(rng):
     with pytest.raises(DimensionError, match=r"\(3,\) does not match batch 2$"):
-        cross_entropy(Tensor(rng.normal(size=(2, 3))), np.array([0, 1, 2]))
+        cross_entropy(rng.normal(size=(2, 3)), np.array([0, 1, 2]))
 
 
 def test_cross_entropy_rejects_an_empty_batch():
     """An empty batch has no mean: a ParameterError, not a NaN loss."""
     with pytest.raises(ParameterError, match="at least one sample"):
-        cross_entropy(Tensor(np.zeros((0, 3))), np.zeros(0, dtype=np.int64))
+        cross_entropy(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
 
 
 def test_concat_and_reshape_roundtrip(rng):
+    """The reference tape's reshape, forward only."""
     a, b = rng.normal(size=(2, 3)), rng.normal(size=(4, 3))
     joined = np.concatenate([a, b])
-    np.testing.assert_array_equal(reshape(Tensor(joined), (3, 6)).data,
+    np.testing.assert_array_equal(ref.reshape(joined, (3, 6)).data,
                                   joined.reshape(3, 6))
+
+
 
 
 # ---------------------------------------------------------------------------
@@ -180,29 +188,29 @@ def test_concat_and_reshape_roundtrip(rng):
 
 
 GRAD_CASES = [
-    ("matmul", lambda a, b: tensor_sum(mul(matmul(a, b), 0.7)),
+    ("matmul", lambda a, b: ref.tensor_sum(ref.mul(ref.matmul(a, b), 0.7)),
      [(3, 4), (4, 5)]),
-    ("matmul_broadcast", lambda a, b: tensor_sum(matmul(a, b)),
+    ("matmul_broadcast", lambda a, b: ref.tensor_sum(ref.matmul(a, b)),
      [(2, 3, 4), (4, 5)]),
-    ("add_broadcast", lambda a, b: tensor_sum(mul(add(a, b), add(a, b))),
+    ("add_broadcast", lambda a, b: ref.tensor_sum(ref.mul(ref.add(a, b), ref.add(a, b))),
      [(3, 4), (4,)]),
-    ("mul_broadcast", lambda a, b: tensor_sum(mul(a, b)), [(2, 3, 4), (3, 4)]),
-    ("transpose", lambda a: tensor_sum(mul(transpose(a, (1, 0, 2)), 2.0)),
+    ("mul_broadcast", lambda a, b: ref.tensor_sum(ref.mul(a, b)), [(2, 3, 4), (3, 4)]),
+    ("transpose", lambda a: ref.tensor_sum(ref.mul(ref.transpose(a, (1, 0, 2)), 2.0)),
      [(2, 3, 4)]),
-    ("reshape", lambda a: tensor_sum(mul(reshape(a, (6, 2)),
-                                         reshape(a, (6, 2)))), [(3, 4)]),
-    ("sum_axis", lambda a: tensor_sum(mul(tensor_sum(a, axis=1, keepdims=True),
+    ("reshape", lambda a: ref.tensor_sum(ref.mul(ref.reshape(a, (6, 2)),
+                                         ref.reshape(a, (6, 2)))), [(3, 4)]),
+    ("sum_axis", lambda a: ref.tensor_sum(ref.mul(ref.tensor_sum(a, axis=1, keepdims=True),
                                           3.0)), [(3, 4)]),
-    ("mean", lambda a: tensor_sum(mul(tensor_mean(a, axis=0), a.mean())),
+    ("mean", lambda a: ref.tensor_sum(ref.mul(ref.tensor_mean(a, axis=0), a.mean())),
      [(4, 3)]),
-    ("mean_tuple_axis", lambda a: tensor_sum(mul(tensor_mean(a, axis=(0, 1)), a)),
+    ("mean_tuple_axis", lambda a: ref.tensor_sum(ref.mul(ref.tensor_mean(a, axis=(0, 1)), a)),
      [(2, 3, 4)]),
     ("mean_tuple_axis_keepdims",
-     lambda a: tensor_sum(mul(tensor_mean(a, axis=(0, 2), keepdims=True), a)),
+     lambda a: ref.tensor_sum(ref.mul(ref.tensor_mean(a, axis=(0, 2), keepdims=True), a)),
      [(2, 3, 4)]),
-    ("softmax", lambda a: tensor_sum(mul(softmax(a, axis=-1), a)), [(3, 5)]),
-    ("gelu", lambda a: tensor_sum(mul(gelu(a), 1.3)), [(4, 4)]),
-    ("add_scalar", lambda a: tensor_sum(mul(add(a, 2.5), a)), [(3, 4)]),
+    ("softmax", lambda a: ref.tensor_sum(ref.mul(ref.softmax(a, axis=-1), a)), [(3, 5)]),
+    ("gelu", lambda a: ref.tensor_sum(ref.mul(ref.gelu(a), 1.3)), [(4, 4)]),
+    ("add_scalar", lambda a: ref.tensor_sum(ref.mul(ref.add(a, 2.5), a)), [(3, 4)]),
 ]
 
 
@@ -214,7 +222,7 @@ def test_gradients_match_finite_differences(name, build, shapes):
 
 def test_layernorm_gradients():
     def build(x, g, b):
-        return tensor_sum(mul(layernorm(x, g, b), x))
+        return ref.tensor_sum(ref.mul(ref.layernorm(x, g, b), x))
 
     check_gradients(build, [(3, 8), (8,), (8,)], seed=42)
 
@@ -223,7 +231,7 @@ def test_cross_entropy_gradients():
     labels = np.array([0, 2, 1, 2])
 
     def build(logits):
-        return cross_entropy(logits, labels)
+        return ref.cross_entropy(logits, labels)
 
     check_gradients(build, [(4, 3)], seed=11)
 
@@ -233,10 +241,10 @@ def test_composite_chain_gradients():
     labels = np.array([1, 0])
 
     def build(x, w1, w2, g, b):
-        h = layernorm(matmul(x, w1), g, b)
-        probs = softmax(h, axis=-1)
-        out = matmul(gelu(probs), w2)
-        return cross_entropy(tensor_mean(out, axis=1), labels)
+        h = ref.layernorm(ref.matmul(x, w1), g, b)
+        probs = ref.softmax(h, axis=-1)
+        out = ref.matmul(ref.gelu(probs), w2)
+        return ref.cross_entropy(ref.tensor_mean(out, axis=1), labels)
 
     check_gradients(build, [(2, 3, 4), (4, 6), (6, 5), (6,), (6,)], seed=3)
 
@@ -246,23 +254,23 @@ def test_composite_chain_gradients():
 
 
 def test_tape_nesting_rejected():
-    with Tape():
+    with ref.Tape():
         with pytest.raises(ContractError):
-            with Tape():
+            with ref.Tape():
                 pass
-    assert not recording_active()
+    assert not ref.recording_active()
 
 
 def test_backward_requires_scalar(rng):
-    with Tape() as tape:
-        out = mul(Tensor(rng.normal(size=(2, 2))), 2.0)
+    with ref.Tape() as tape:
+        out = ref.mul(ref.Tensor(rng.normal(size=(2, 2))), 2.0)
         with pytest.raises(ContractError):
             tape.backward(out)
 
 
 def test_backward_rejects_foreign_loss(rng):
-    loss = Tensor(np.asarray(1.0))
-    with Tape() as tape:
+    loss = ref.Tensor(np.asarray(1.0))
+    with ref.Tape() as tape:
         with pytest.raises(ContractError):
             tape.backward(loss)
 
@@ -271,16 +279,16 @@ def test_a_tensor_of_another_tape_is_a_leaf():
     """A node id means something only on the tape that recorded it: a
     tensor from an earlier tape enters a later one as a leaf, and a loss
     from another tape is rejected even where its id is in range."""
-    with Tape():
-        y = matmul(Tensor(np.ones((1, 1))), Tensor(np.ones((1, 1))))
-    with Tape() as tape:
-        b = Tensor(np.ones((1, 1)))
-        loss = tensor_sum(add(mul(b, 2.0), y))
+    with ref.Tape():
+        y = ref.matmul(ref.Tensor(np.ones((1, 1))), ref.Tensor(np.ones((1, 1))))
+    with ref.Tape() as tape:
+        b = ref.Tensor(np.ones((1, 1)))
+        loss = ref.tensor_sum(ref.add(ref.mul(b, 2.0), y))
         tape.backward(loss)
     np.testing.assert_array_equal(tape.grad(b).data, [[2.0]])
     np.testing.assert_array_equal(tape.grad(y).data, [[1.0]])
-    with Tape() as other:
-        tensor_sum(add(mul(Tensor(np.ones((1, 1))), 2.0), 1.0))
+    with ref.Tape() as other:
+        ref.tensor_sum(ref.add(ref.mul(ref.Tensor(np.ones((1, 1))), 2.0), 1.0))
         with pytest.raises(ContractError, match="not recorded on this tape"):
             other.backward(loss)
 
@@ -288,11 +296,11 @@ def test_a_tensor_of_another_tape_is_a_leaf():
 def test_recording_a_tensor_again_keeps_the_earlier_tapes_gradient():
     """A tensor recorded on a later tape moves to that tape's node; the
     earlier tape still returns the gradient its sweep gave it."""
-    y = Tensor(np.ones((1, 1)))
-    with Tape() as first:
-        first.backward(tensor_sum(mul(y, 2.0)))
-    with Tape() as second:
-        second.backward(tensor_sum(add(y, 1.0)))
+    y = ref.Tensor(np.ones((1, 1)))
+    with ref.Tape() as first:
+        first.backward(ref.tensor_sum(ref.mul(y, 2.0)))
+    with ref.Tape() as second:
+        second.backward(ref.tensor_sum(ref.add(y, 1.0)))
     np.testing.assert_array_equal(first.grad(y).data, [[2.0]])
     np.testing.assert_array_equal(second.grad(y).data, [[1.0]])
 
@@ -300,11 +308,11 @@ def test_recording_a_tensor_again_keeps_the_earlier_tapes_gradient():
 def test_a_loss_recorded_again_on_a_later_tape_still_sweeps():
     """Each tape keeps its own node for a tensor: a later tape that records
     the loss as a leaf leaves the earlier tape's node in place."""
-    y = Tensor(np.ones((1, 1)))
-    with Tape() as first:
-        loss = tensor_sum(mul(y, 2.0))
-    with Tape():
-        add(loss, 1.0)
+    y = ref.Tensor(np.ones((1, 1)))
+    with ref.Tape() as first:
+        loss = ref.tensor_sum(ref.mul(y, 2.0))
+    with ref.Tape():
+        ref.add(loss, 1.0)
     first.backward(loss)
     np.testing.assert_array_equal(first.grad(y).data, [[2.0]])
 
@@ -312,18 +320,18 @@ def test_a_loss_recorded_again_on_a_later_tape_still_sweeps():
 def test_a_tape_that_has_recorded_cannot_be_entered_again():
     """A tape records once; entering it again is rejected and leaves no
     tape recording. An entered tape that recorded nothing may be reused."""
-    y = Tensor(np.ones((1, 1)))
-    tape = Tape()
+    y = ref.Tensor(np.ones((1, 1)))
+    tape = ref.Tape()
     with tape:
         pass
     with tape:
-        loss = tensor_sum(mul(y, 2.0))
-    with Tape():
-        add(y, 1.0)
+        loss = ref.tensor_sum(ref.mul(y, 2.0))
+    with ref.Tape():
+        ref.add(y, 1.0)
     with pytest.raises(ContractError, match="already recorded"):
         with tape:
             pass
-    assert not recording_active()
+    assert not ref.recording_active()
     tape.backward(loss)
     np.testing.assert_array_equal(tape.grad(y).data, [[2.0]])
 
@@ -339,20 +347,20 @@ def _assert_same_bits(got, want):
 
 
 def test_threads_tape_through_one_shared_weight():
-    """Four threads each record ``gelu(x @ w)`` 200 times on a tape of
+    """Four threads each record ``ref.gelu(x @ w)`` 200 times on a tape of
     their own, through one shared ``w``, while the interpreter switches
     threads as often as it can; each gradient of ``w`` is a lone tape's,
     bit for bit."""
     rng = np.random.default_rng(7)
-    w = Tensor(rng.normal(size=(8, 8)))
+    w = ref.Tensor(rng.normal(size=(8, 8)))
     xs = [rng.normal(size=(4, 8)) for _ in range(4)]
 
     def grad_of_w(x):
-        with Tape() as tape:
-            x = Tensor(x)
-            loss = tensor_sum(gelu(matmul(x, w)))
+        with ref.Tape() as tape:
+            x = ref.Tensor(x)
+            loss = ref.tensor_sum(ref.gelu(ref.matmul(x, w)))
             for _ in range(199):
-                loss = add(loss, tensor_sum(gelu(matmul(x, w))))
+                loss = ref.add(loss, ref.tensor_sum(ref.gelu(ref.matmul(x, w))))
         tape.backward(loss)
         return _bits(tape.grad(w))
 
@@ -380,7 +388,7 @@ def test_threads_tape_through_one_shared_weight():
         np.testing.assert_array_equal(grad, want[which])
 
 
-_INTERLEAVED_OPS = {"add": add, "mul": mul, "gelu": lambda a, _: gelu(a)}
+_INTERLEAVED_OPS = {"add": ref.add, "mul": ref.mul, "gelu": lambda a, _: ref.gelu(a)}
 
 
 def _replay(program, pool):
@@ -389,13 +397,13 @@ def _replay(program, pool):
     for op, i, j in program:
         pool.append(_INTERLEAVED_OPS[op](pool[i % len(pool)],
                                          pool[j % len(pool)]))
-    return tensor_sum(pool[-1])
+    return ref.tensor_sum(pool[-1])
 
 
 def _lone_grads(program, leaves):
     """The gradient bits of each of ``leaves`` from ``program`` recorded on
     a tape of its own."""
-    with Tape() as tape:
+    with ref.Tape() as tape:
         loss = _replay(program, list(leaves))
     tape.backward(loss)
     return [_bits(tape.grad(t)) for t in leaves]
@@ -415,12 +423,12 @@ def test_two_tapes_in_turn_give_lone_tape_gradients(first_program,
     every tensor the first made (its loss included); swept in either order,
     each gives the gradients of a lone tape, bit for bit."""
     rng = np.random.default_rng(seed)
-    leaves = [Tensor(rng.normal(size=(2, 2))) for _ in range(3)]
-    with Tape() as first:
+    leaves = [ref.Tensor(rng.normal(size=(2, 2))) for _ in range(3)]
+    with ref.Tape() as first:
         first_pool = list(leaves)
         first_loss = _replay(first_program, first_pool)
     first_pool.append(first_loss)
-    with Tape() as second:
+    with ref.Tape() as second:
         second_loss = _replay(second_program, list(first_pool))
     want_first = _lone_grads(first_program, leaves)
     want_second = _lone_grads(second_program, first_pool)
@@ -435,9 +443,9 @@ def test_two_tapes_in_turn_give_lone_tape_gradients(first_program,
 
 def test_second_backward_rejected(rng):
     """The first sweep frees the closures a second one would need."""
-    with Tape() as tape:
-        x = Tensor(rng.normal(size=(2, 2)))
-        loss = tensor_sum(mul(x, x))
+    with ref.Tape() as tape:
+        x = ref.Tensor(rng.normal(size=(2, 2)))
+        loss = ref.tensor_sum(ref.mul(x, x))
         tape.backward(loss)
         first = tape.grad(x).data.copy()
         with pytest.raises(ContractError, match="already run backward"):
@@ -450,24 +458,24 @@ def test_backward_frees_what_it_has_passed(rng):
     only tensors the caller still holds keep a gradient. ``w``'s gradient
     reads ``hidden``, so the product keeps it until the sweep; times the
     constant 2.0 no gradient reads it, so it is freed at once."""
-    with Tape() as tape:
-        x = Tensor(rng.normal(size=(3, 4)))
-        w = Tensor(rng.normal(size=(3, 4)))
-        hidden = gelu(x)
+    with ref.Tape() as tape:
+        x = ref.Tensor(rng.normal(size=(3, 4)))
+        w = ref.Tensor(rng.normal(size=(3, 4)))
+        hidden = ref.gelu(x)
         hidden_ref = weakref.ref(hidden.data)
-        kept = mul(hidden, w)
+        kept = ref.mul(hidden, w)
         del hidden
-        loss = tensor_sum(kept)
+        loss = ref.tensor_sum(kept)
         assert hidden_ref() is not None
         tape.backward(loss)
     assert hidden_ref() is None
     assert {id(t) for t in tape._grads} == {id(t) for t in (x, w, kept, loss)}
     assert all(node is None for node in tape._nodes)
     np.testing.assert_allclose(tape.grad(kept).data, np.ones((3, 4)))
-    with Tape():
-        hidden = gelu(x)
+    with ref.Tape():
+        hidden = ref.gelu(x)
         hidden_ref = weakref.ref(hidden.data)
-        kept = mul(hidden, 2.0)
+        kept = ref.mul(hidden, 2.0)
         del hidden
         assert hidden_ref() is None
 
@@ -487,33 +495,33 @@ def test_backward_frees_each_contribution_before_the_next_gradient_runs(rng):
         alive.append(made[-1]() is not None)
         return g.copy()
 
-    with Tape() as tape:
-        x = Tensor(rng.normal(size=(3, 4)))
-        h = tensor_module._result(x.data.copy(), (x, probe))
-        out = tensor_module._result(h.data * 2.0, (h, doubled))
-        tape.backward(tensor_sum(out))
+    with ref.Tape() as tape:
+        x = ref.Tensor(rng.normal(size=(3, 4)))
+        h = ref._result(x.data.copy(), (x, probe))
+        out = ref._result(h.data * 2.0, (h, doubled))
+        tape.backward(ref.tensor_sum(out))
     assert alive == [False]
     np.testing.assert_array_equal(tape.grad(x).data, np.full((3, 4), 2.0))
 
 
 @pytest.mark.parametrize("weight_is_tensor", [False, True],
                          ids=["constant", "tensor"])
-@pytest.mark.parametrize("op,weight_shape", [(matmul, (4, 5)), (mul, None)],
+@pytest.mark.parametrize("op,weight_shape", [(ref.matmul, (4, 5)), (ref.mul, None)],
                          ids=["matmul", "mul"])
 def test_a_product_with_a_constant_keeps_no_reference_to_its_operand(
         op, weight_shape, weight_is_tensor, rng):
-    """``matmul(h, w)`` and ``mul(h, 2.0)`` keep ``h``'s array only while
+    """``ref.matmul(h, w)`` and ``ref.mul(h, 2.0)`` keep ``h``'s array only while
     the other operand is a Tensor, whose gradient reads it; a constant's
     gradient is never formed, so ``h`` dies with its last other reference."""
     weight = 2.0 if weight_shape is None else rng.normal(size=weight_shape)
-    with Tape() as tape:
-        x = Tensor(rng.normal(size=(3, 4)))
-        h = gelu(x)
+    with ref.Tape() as tape:
+        x = ref.Tensor(rng.normal(size=(3, 4)))
+        h = ref.gelu(x)
         h_ref = weakref.ref(h.data)
-        out = op(h, Tensor(weight) if weight_is_tensor else weight)
+        out = op(h, ref.Tensor(weight) if weight_is_tensor else weight)
         del h
         assert (h_ref() is not None) == weight_is_tensor
-        tape.backward(tensor_sum(out))
+        tape.backward(ref.tensor_sum(out))
     assert h_ref() is None
     assert tape.grad(x) is not None
 
@@ -523,12 +531,12 @@ def test_an_op_over_constants_alone_records_a_leaf(rng):
     output is a leaf, and no backward keeps the operand."""
     values = rng.normal(size=(2, 3))
     values_ref = weakref.ref(values)
-    with Tape() as tape:
-        out = gelu(values)
+    with ref.Tape() as tape:
+        out = ref.gelu(values)
         del values
         assert values_ref() is None
         assert len(tape) == 1 and tape._nodes[tape._ids[out]][:2] == ((), None)
-        tape.backward(tensor_sum(out))
+        tape.backward(ref.tensor_sum(out))
     assert tape.grad(out) is not None
 
 
@@ -548,27 +556,27 @@ def _constant_program(program, seed, wrap):
     the arrays are the same either way. Returns the tape and the pool of
     tensors made, the input first."""
     rng = np.random.default_rng(seed)
-    pool = [Tensor(rng.normal(size=(2, 4, 4)))]
+    pool = [ref.Tensor(rng.normal(size=(2, 4, 4)))]
 
     def weight(*shape, mean=0.0):
         values = mean + 0.5 * rng.normal(size=shape)
-        return Tensor(values) if wrap else values
+        return ref.Tensor(values) if wrap else values
 
-    with Tape() as tape:
+    with ref.Tape() as tape:
         for op, i, other, swap in program:
             h = pool[i % len(pool)]
             if op == "gelu":
-                pool.append(gelu(h))
+                pool.append(ref.gelu(h))
             elif op == "softmax":
-                pool.append(softmax(h, axis=-1))
+                pool.append(ref.softmax(h, axis=-1))
             elif op == "layernorm":
-                pool.append(layernorm(h, weight(4, mean=1.0), weight(4)))
+                pool.append(ref.layernorm(h, weight(4, mean=1.0), weight(4)))
             else:
                 shape = (4, 4) if op == "matmul" else ((), (4,), (4, 4))[-other % 3]
                 b = weight(*shape) if other < 0 else pool[other % len(pool)]
                 a, b = (b, h) if swap else (h, b)
-                pool.append({"matmul": matmul, "mul": mul, "add": add}[op](a, b))
-        loss = tensor_sum(mul(pool[-1], weight(2, 4, 4)))
+                pool.append({"matmul": ref.matmul, "mul": ref.mul, "add": ref.add}[op](a, b))
+        loss = ref.tensor_sum(ref.mul(pool[-1], weight(2, 4, 4)))
     tape.backward(loss)
     return tape, pool
 
@@ -588,27 +596,26 @@ def test_constants_leave_every_tensor_gradient_bit_for_bit(program, seed):
 
 
 def test_fp_pass_tape_holds_no_model_parameter(monkeypatch):
-    """The FP pass passes every weight, bias and layernorm affine as an
-    array, so its tape's only leaf is the input batch and no node wraps a
-    model parameter."""
-    from bbcq import calibration
+    """The reference FP pass, as the library's once did, passes every
+    weight, bias and layernorm affine as an array, so its tape's only leaf
+    is the input batch and no node wraps a model parameter."""
     from bbcq.data import generate_dataset
     from bbcq.model import ModelSpec, init_model
 
     recorded = []
 
-    class ListingTape(Tape):
+    class ListingTape(ref.Tape):
         def _append(self, parent_ids, backward, tensor):
             recorded.append((parent_ids, tensor.data))
             return super()._append(parent_ids, backward, tensor)
 
-    monkeypatch.setattr(calibration, "Tape", ListingTape)
+    monkeypatch.setattr(ref, "Tape", ListingTape)
     spec = ModelSpec(num_blocks=2, embed_dim=16, num_heads=2, patch_count=4,
                      num_classes=4)
     model = init_model(spec)
     x, y = generate_dataset(3, spec.patch_count, spec.embed_dim,
                             spec.num_classes, seed=2)
-    calibration.cache_fp_pass(model, x, y)
+    ref.oracle_taped_gradients(model, x, y)
     leaves = [values for parent_ids, values in recorded if not parent_ids]
     assert len(leaves) == 1 and np.array_equal(leaves[0], x)
     params = [values for _, values in model.parameters()]
@@ -617,19 +624,19 @@ def test_fp_pass_tape_holds_no_model_parameter(monkeypatch):
 
 
 def test_unused_tensor_has_no_gradient(rng):
-    with Tape() as tape:
-        used = Tensor(rng.normal(size=(2, 2)))
-        unused = Tensor(rng.normal(size=(2, 2)))
-        tape.backward(tensor_sum(mul(used, used)))
+    with ref.Tape() as tape:
+        used = ref.Tensor(rng.normal(size=(2, 2)))
+        unused = ref.Tensor(rng.normal(size=(2, 2)))
+        tape.backward(ref.tensor_sum(ref.mul(used, used)))
         assert tape.grad(unused) is None
         assert tape.grad(used) is not None
 
 
 def test_gradient_accumulates_over_reuse(rng):
     x = rng.normal(size=(3,))
-    with Tape() as tape:
-        t = Tensor(x.reshape(1, 3))
-        y = tensor_sum(add(mul(t, 2.0), mul(t, 3.0)))
+    with ref.Tape() as tape:
+        t = ref.Tensor(x.reshape(1, 3))
+        y = ref.tensor_sum(ref.add(ref.mul(t, 2.0), ref.mul(t, 3.0)))
         tape.backward(y)
         np.testing.assert_allclose(tape.grad(t).data, np.full((1, 3), 5.0))
 
@@ -638,37 +645,37 @@ def test_gradient_accumulates_over_reused_scalar(rng):
     """Contributions to a 0-d node add up, though numpy hands them over as
     immutable scalars rather than arrays."""
     x = rng.normal(size=(3,))
-    with Tape() as tape:
-        t = Tensor(x)
-        total = tensor_sum(t)
-        tape.backward(mul(total, total))
+    with ref.Tape() as tape:
+        t = ref.Tensor(x)
+        total = ref.tensor_sum(t)
+        tape.backward(ref.mul(total, total))
         np.testing.assert_allclose(tape.grad(t).data, np.full(3, 2 * x.sum()))
 
 
 # Every operation once: (name, build, input shapes).
 OP_CASES = [
-    ("matmul", matmul, [(3, 4), (4, 5)]),
-    ("add", add, [(3, 4), (4,)]),
-    ("mul", mul, [(2, 3), (2, 3)]),
-    ("transpose", lambda a: transpose(a, (1, 0)), [(2, 3)]),
-    ("reshape", lambda a: reshape(a, (6,)), [(2, 3)]),
-    ("tensor_sum", lambda a: tensor_sum(a, axis=0), [(2, 3)]),
-    ("tensor_mean", lambda a: tensor_mean(a, axis=1), [(2, 3)]),
-    ("softmax", softmax, [(2, 3)]),
-    ("layernorm", layernorm, [(3, 8), (8,), (8,)]),
-    ("gelu", gelu, [(2, 3)]),
-    ("cross_entropy", lambda a: cross_entropy(a, np.array([0, 2])), [(2, 3)]),
+    ("matmul", ref.matmul, [(3, 4), (4, 5)]),
+    ("add", ref.add, [(3, 4), (4,)]),
+    ("mul", ref.mul, [(2, 3), (2, 3)]),
+    ("transpose", lambda a: ref.transpose(a, (1, 0)), [(2, 3)]),
+    ("reshape", lambda a: ref.reshape(a, (6,)), [(2, 3)]),
+    ("tensor_sum", lambda a: ref.tensor_sum(a, axis=0), [(2, 3)]),
+    ("tensor_mean", lambda a: ref.tensor_mean(a, axis=1), [(2, 3)]),
+    ("softmax", ref.softmax, [(2, 3)]),
+    ("layernorm", ref.layernorm, [(3, 8), (8,), (8,)]),
+    ("gelu", ref.gelu, [(2, 3)]),
+    ("cross_entropy", lambda a: ref.cross_entropy(a, np.array([0, 2])), [(2, 3)]),
 ]
 
 
 def test_ops_run_without_tape(rng):
-    """Outside a recording scope an op records nothing: a tape made but not
+    """Outside a recording scope a reference op records nothing: a tape made but not
     entered stays empty, and its output and inputs reach it later as
     leaves."""
-    assert not recording_active()
+    assert not ref.recording_active()
     for name, build, shapes in OP_CASES:
-        tape = Tape()
-        inputs = [Tensor(rng.normal(size=shape)) for shape in shapes]
+        tape = ref.Tape()
+        inputs = [ref.Tensor(rng.normal(size=shape)) for shape in shapes]
         out = build(*inputs)
         assert len(tape) == 0 and not tape._ids, name
         with tape:
@@ -681,8 +688,8 @@ def test_ops_run_without_tape(rng):
                          ids=[c[0] for c in OP_CASES])
 def test_op_records_one_node_per_call(name, build, shapes, rng):
     """A taped op adds its own node plus one leaf per input not yet seen."""
-    inputs = [Tensor(rng.normal(size=shape)) for shape in shapes]
-    with Tape() as tape:
+    inputs = [ref.Tensor(rng.normal(size=shape)) for shape in shapes]
+    with ref.Tape() as tape:
         first = build(*inputs)
         assert len(tape) == len(inputs) + 1
         assert tape._ids[first] == len(tape) - 1
@@ -690,20 +697,28 @@ def test_op_records_one_node_per_call(name, build, shapes, rng):
         assert len(tape) == len(inputs) + 2
         assert tape._ids[second] == len(tape) - 1
 
+#: The library's forward op for each OP_CASES name it still has, with the
+#: same arguments.
+LIBRARY_OPS = {"matmul": matmul, "add": add, "mul": mul, "softmax": softmax,
+               "layernorm": layernorm, "gelu": gelu,
+               "cross_entropy": lambda a: cross_entropy(a, np.array([0, 2]))}
+
 
 @pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
 @pytest.mark.parametrize("name,build,shapes", OP_CASES,
                          ids=[c[0] for c in OP_CASES])
 def test_op_leaves_its_inputs_untouched(name, build, shapes, taped, rng):
-    """Ops write in place only into arrays they allocated themselves."""
+    """Ops write in place only into arrays they allocated themselves:
+    untaped, the library op of that name where there is one; taped, the
+    reference op, its backward included."""
     arrays = [rng.normal(size=shape) for shape in shapes]
     before = [a.copy() for a in arrays]
     if taped:
-        with Tape() as tape:
-            inputs = [Tensor(a) for a in arrays]
-            tape.backward(tensor_sum(build(*inputs)))
+        with ref.Tape() as tape:
+            inputs = [ref.Tensor(a) for a in arrays]
+            tape.backward(ref.tensor_sum(build(*inputs)))
     else:
-        build(*[Tensor(a) for a in arrays])
+        LIBRARY_OPS.get(name, build)(*arrays)
     for got, want in zip(arrays, before):
         np.testing.assert_array_equal(got, want)
 
@@ -720,18 +735,13 @@ def _reference_gelu(x, g):
 
 
 def _assert_gelu_bits(x, g):
-    """``gelu``'s value and gradient equal ``_reference_gelu``, which runs
-    erf on the signed input, bit for bit; comparing as uint64 tells -0.0
-    from +0.0."""
+    """``gelu``'s value and ``gelu_backward``'s gradient for output
+    gradient ``g`` equal ``_reference_gelu``, which runs erf on the signed
+    input, bit for bit; comparing as uint64 tells -0.0 from +0.0."""
     want_value, (want_grad,) = _reference_gelu(x, g)
-    with Tape() as tape:
-        leaf = Tensor(x)
-        out = gelu(leaf)
-        # d(sum(out * g)) / d(out) is exactly ``g``.
-        tape.backward(tensor_sum(mul(out, Tensor(g))))
-    np.testing.assert_array_equal(out.data.view(np.uint64),
+    np.testing.assert_array_equal(gelu(x).view(np.uint64),
                                   want_value.view(np.uint64))
-    np.testing.assert_array_equal(tape.grad(leaf).data.view(np.uint64),
+    np.testing.assert_array_equal(gelu_backward(x, g).view(np.uint64),
                                   want_grad.view(np.uint64))
 
 
@@ -787,13 +797,9 @@ def test_gelu_backward_bits_match_the_old_expression(pairs):
     any finite x and any incoming gradient g, negative and zero included."""
     x, g = (np.array(column) for column in zip(*pairs))
     with np.errstate(all="ignore"):
-        with Tape() as tape:
-            leaf = Tensor(x)
-            # d(sum(out * g)) / d(out) is exactly ``g``.
-            tape.backward(tensor_sum(mul(gelu(leaf), Tensor(g))))
+        got = gelu_backward(x, g)
         want = _old_gelu_backward(x, g)
-    np.testing.assert_array_equal(tape.grad(leaf).data.view(np.uint64),
-                                  want.view(np.uint64))
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def _run_fresh(script, *args):
@@ -825,7 +831,7 @@ for argv in (["gen", "--blocks", "1", "--embed-dim", "16", "--heads", "2",
               "--out", work + "/cmp"]):
     assert cli.main(argv) == 0, argv
     loaded[argv[0]] = scipy_modules()
-np.save(work + "/gelu.npy", tensor.gelu(np.load(work + "/x.npy")).data)
+np.save(work + "/gelu.npy", tensor.gelu(np.load(work + "/x.npy")))
 loaded["gelu"] = "scipy.special" in sys.modules
 loaded["erf_is_a_ufunc"] = isinstance(tensor.erf, np.ufunc)
 for argv in (["calibrate", "--model", work + "/data/model.bbcv", "--calib",
@@ -881,7 +887,7 @@ def test_first_gelu_falls_back_to_scipy_special(monkeypatch, patch, rng):
 _GELU_IN_TWO_THREADS = """
 import sys, threading
 import numpy as np
-from bbcq.tensor import Tape, Tensor, gelu, mul, tensor_sum
+from bbcq.tensor import gelu, gelu_backward
 assert "scipy.special" not in sys.modules
 work = sys.argv[1]
 x, g = np.load(work + "/x.npy"), np.load(work + "/g.npy")
@@ -890,12 +896,8 @@ results = {}
 
 def run(name):
     start.wait()
-    with Tape() as tape:
-        leaf = Tensor(x)
-        out = gelu(leaf)
-        tape.backward(tensor_sum(mul(out, Tensor(g))))
-    results[name + "_value"] = out.data
-    results[name + "_grad"] = tape.grad(leaf).data
+    results[name + "_value"] = gelu(x)
+    results[name + "_grad"] = gelu_backward(x, g)
 
 threads = [threading.Thread(target=run, args=(name,)) for name in "ab"]
 for thread in threads:
@@ -943,7 +945,7 @@ results = [None] * 6
 
 def run(i):
     start.wait()
-    results[i] = tensor.gelu(x).data
+    results[i] = tensor.gelu(x)
 
 sys.setswitchinterval(1e-6)
 try:
@@ -987,24 +989,27 @@ def _reference_layernorm(x, gamma, beta, g):
                                  g.sum(axis=(0, 1)))
 
 
-@pytest.mark.parametrize("op,reference,shapes", [
-    (gelu, _reference_gelu, [(3, 4, 8)]),
-    (softmax, _reference_softmax, [(3, 4, 8)]),
-    (layernorm, _reference_layernorm, [(3, 4, 8), (8,), (8,)]),
+@pytest.mark.parametrize("op,backward,reference,shapes", [
+    (gelu, lambda x, g: gelu_backward(x, g), _reference_gelu, [(3, 4, 8)]),
+    (softmax, lambda x, g: softmax_backward(softmax(x), g), _reference_softmax,
+     [(3, 4, 8)]),
+    (layernorm, lambda x, gamma, _, g: layernorm_backward(x, gamma, g),
+     _reference_layernorm, [(3, 4, 8), (8,), (8,)]),
 ], ids=["gelu", "softmax", "layernorm"])
-def test_in_place_op_equals_its_expression(op, reference, shapes, rng):
-    """Values and gradients equal the plain expressions bit for bit."""
+def test_in_place_op_equals_its_expression(op, backward, reference, shapes, rng):
+    """Values, and the input gradient for an output gradient ``weight``,
+    equal the plain expressions bit for bit; the backward writes into no
+    array it was given."""
     arrays = [rng.normal(size=shape) * 3.0 for shape in shapes]
     weight = rng.normal(size=shapes[0])
+    before = [a.copy() for a in (*arrays, weight)]
     want_value, want_grads = reference(*arrays, weight)
-    np.testing.assert_array_equal(op(*[Tensor(a) for a in arrays]).data,
-                                  want_value)
-    with Tape() as tape:
-        inputs = [Tensor(a) for a in arrays]
-        # d(sum(out * weight)) / d(out) is exactly ``weight``.
-        tape.backward(tensor_sum(mul(op(*inputs), Tensor(weight))))
-    for t, want in zip(inputs, want_grads):
-        np.testing.assert_array_equal(tape.grad(t).data, want)
+    np.testing.assert_array_equal(op(*arrays), want_value)
+    np.testing.assert_array_equal(backward(*arrays, weight), want_grads[0])
+    for got, want in zip((*arrays, weight), before):
+        np.testing.assert_array_equal(got, want)
+
+
 
 
 def _reference_add(a, b, g):
@@ -1020,10 +1025,10 @@ def _reference_mean(x, g):
 
 
 @pytest.mark.parametrize("op,reference,shapes,shape_only", [
-    (add, _reference_add, [(3, 4, 8), (8,)], 2),
-    (lambda x: reshape(x, (12, 8)), _reference_reshape, [(3, 4, 8)], 1),
-    (lambda x: tensor_mean(x, axis=1), _reference_mean, [(3, 4, 8)], 1),
-    (layernorm, _reference_layernorm, [(3, 4, 8), (8,), (8,)], 1),
+    (ref.add, _reference_add, [(3, 4, 8), (8,)], 2),
+    (lambda x: ref.reshape(x, (12, 8)), _reference_reshape, [(3, 4, 8)], 1),
+    (lambda x: ref.tensor_mean(x, axis=1), _reference_mean, [(3, 4, 8)], 1),
+    (ref.layernorm, _reference_layernorm, [(3, 4, 8), (8,), (8,)], 1),
 ], ids=["add", "reshape", "tensor_mean", "layernorm"])
 def test_shape_only_operands_die_with_their_caller(op, reference, shapes,
                                                   shape_only, rng):
@@ -1032,14 +1037,14 @@ def test_shape_only_operands_die_with_their_caller(op, reference, shapes,
     drops them and the output, tape or not; values and gradients equal the
     plain expressions bit for bit."""
     arrays = [rng.normal(size=shape) * 3.0 for shape in shapes]
-    with Tape() as tape:
-        leaves = [Tensor(a) for a in arrays]
+    with ref.Tape() as tape:
+        leaves = [ref.Tensor(a) for a in arrays]
         # Times one is exact, so each leaf's gradient is its operand's.
-        operands = [mul(leaf, 1.0) for leaf in leaves]
+        operands = [ref.mul(leaf, 1.0) for leaf in leaves]
         out = op(*operands)
         weight = rng.normal(size=out.shape)
         # Times a constant keeps nothing of ``out``, which may view an operand.
-        loss = tensor_sum(mul(out, weight))
+        loss = ref.tensor_sum(ref.mul(out, weight))
         value = out.data.copy()
         dropped = [weakref.ref(t.data) for t in operands[:shape_only]]
         del operands, out
@@ -1057,9 +1062,9 @@ def test_backward_is_deterministic(rng):
     labels = np.array([0, 1, 2, 0])
     grads = []
     for _ in range(2):
-        with Tape() as tape:
-            xt = Tensor(x.copy())
-            loss = cross_entropy(matmul(gelu(xt), Tensor(w.copy())), labels)
+        with ref.Tape() as tape:
+            xt = ref.Tensor(x.copy())
+            loss = ref.cross_entropy(ref.matmul(ref.gelu(xt), ref.Tensor(w.copy())), labels)
             tape.backward(loss)
             grads.append(tape.grad(xt).data.copy())
     np.testing.assert_array_equal(grads[0], grads[1])
@@ -1067,8 +1072,8 @@ def test_backward_is_deterministic(rng):
 
 def test_tape_exits_cleanly_on_error():
     try:
-        with Tape():
+        with ref.Tape():
             raise ValueError("boom")
     except ValueError:
         pass
-    assert not recording_active()
+    assert not ref.recording_active()
