@@ -593,9 +593,13 @@ def calibrate(model: Model, inputs, labels, config: CalibConfig,
     run, each holding every other site at its current state and resuming
     from the block paused once in front of that matmul (``block_prefix``),
     and keeps the first argmin of its trace, the rule ``CalibResult``
-    derives ``chosen_index`` with. Only the first ``config.calib_batch``
-    samples are used; the result's config records a smaller split's size.
+    derives ``chosen_index`` with. ``labels`` must hold one label per input
+    sample. Only the first ``config.calib_batch`` samples are used; the
+    result's config records a smaller split's size.
     """
+    if np.shape(labels) != np.shape(inputs)[:1]:
+        raise DimensionError(f"labels shape {np.shape(labels)} does not match "
+                             f"{np.shape(inputs)[:1]}, one label per input sample")
     if 0 < len(inputs) < config.calib_batch:
         config = replace(config, calib_batch=len(inputs))
     instr = instrumentation if instrumentation is not None else CalibInstrumentation()

@@ -38,7 +38,7 @@ from .errors import ContractError, DimensionError, ParameterError
 from .quantizers import (DynamicSoftmax, QuantParams, fake_quant_array,
                          fake_quant_softmax_dynamic)
 from .records import check_field_types, record_fields
-from .tensor import (add, array_of, gelu, gelu_backward, layernorm,
+from .tensor import (add, array_of, gelu, gelu_slope, layernorm,
                      layernorm_backward, matmul, mul, softmax, softmax_backward)
 
 BLOCK_KINDS = ("qkv-projection", "attn-score", "attn-apply",
@@ -302,21 +302,23 @@ def _weights(p: BlockParams, kind: str) -> tuple[np.ndarray, ...]:
 
 
 def _check_call(model: Model, block: int | None, x: np.ndarray | BlockCarry | None,
-                quant: QuantState | None, kind: str | None = None) -> None:
-    """The one input check of every model entry. Rejects a block index
-    outside the model (None stands for the whole model), a block input that
-    is not (batch, patches, embed_dim), a ``kind`` that is no block matmul
-    or comes before the carry's, a site the model does not have, and a
+                quant: QuantState | None, kind: str | None = None
+                ) -> np.ndarray | BlockCarry | None:
+    """The one input check of every model entry; returns ``x``, an input
+    that is no carry as a float64 array. Rejects a block index outside the
+    model (None stands for the whole model), a block input that is not
+    (batch, patches, embed_dim), a ``kind`` that is no block matmul or
+    comes before the carry's, a site the model does not have, and a
     ``DynamicSoftmax`` entry away from a post-softmax site."""
     spec = model.spec
     if block is not None and not 0 <= block < spec.num_blocks:
         raise ParameterError(f"block index {block} outside a "
                              f"{spec.num_blocks}-block model")
-    if x is not None and not isinstance(x, BlockCarry) and \
-            (x.ndim != 3 or x.shape[1:] != (spec.patch_count, spec.embed_dim)):
-        raise DimensionError(
-            f"input shape {x.shape} does not match (batch, {spec.patch_count}, "
-            f"{spec.embed_dim})")
+    if x is not None and not isinstance(x, BlockCarry):
+        x = array_of(x)
+        if x.ndim != 3 or x.shape[1:] != (spec.patch_count, spec.embed_dim):
+            raise DimensionError(f"input shape {x.shape} does not match (batch, "
+                                 f"{spec.patch_count}, {spec.embed_dim})")
     if kind is not None and kind not in BLOCK_KINDS:
         raise ParameterError(f"unknown block matmul kind {kind!r}")
     if kind is not None and isinstance(x, BlockCarry) and \
@@ -329,6 +331,7 @@ def _check_call(model: Model, block: int | None, x: np.ndarray | BlockCarry | No
         if isinstance(entry, DynamicSoftmax) and not site.is_softmax_output:
             raise ContractError(f"{site.site_id} is not a post-softmax site; "
                                 f"it cannot hold {entry}")
+    return x
 
 
 def fake_quant_operand(x: np.ndarray, site: MatmulSite,
@@ -520,7 +523,7 @@ def block_forward(model: Model, block: int, x: np.ndarray | BlockCarry,
     of the serial size, so all of them together hold about one serial
     slice's working set.
     """
-    _check_call(model, block, x, quant, stop)
+    x = _check_call(model, block, x, quant, stop)
     rows = max(1, _slice_rows(model.spec) // (executor.threads if executor else 1))
     one_pass = isinstance(x, BlockCarry) or hook is not None or stop is not None
     if out is not None:
@@ -557,7 +560,7 @@ def block_prefix(model: Model, block: int, x: np.ndarray, kind: str,
     resumed from it under any state that agrees with ``quant`` on the
     earlier sites equals the full forward under that state, bit for bit.
     """
-    _check_call(model, block, x, quant, kind)
+    x = _check_call(model, block, x, quant, kind)
     return _run_stages(model, block, x, quant, None, kind, None)
 
 
@@ -574,7 +577,7 @@ def block_backward(model: Model, block: int, x: np.ndarray, grad_out: np.ndarray
     order, and a value read twice or three times gets its parts added last
     reader first, so the bits are those of a tape over the forward's ops.
     """
-    _check_call(model, block, x, None)
+    x, grad_out = _check_call(model, block, x, None), array_of(grad_out)
     if grad_out.shape != x.shape:
         raise DimensionError(f"output gradient shape {grad_out.shape} does not "
                              f"match block input shape {x.shape}")
@@ -597,8 +600,9 @@ def block_backward(model: Model, block: int, x: np.ndarray, grad_out: np.ndarray
 
     # output = h1 + (mlp-2 + b2): both terms get grad_out. Each forward
     # value is dropped once the last step that reads it has run.
-    g_hidden = gelu_backward(pre, np.matmul(grad_out, p.w2.T))
+    g_hidden = gelu_slope(pre)
     del pre
+    np.multiply(np.matmul(grad_out, p.w2.T), g_hidden, out=g_hidden)
     g_h1 = grad_out + layernorm_backward(h1, p.ln2_gamma,
                                          np.matmul(g_hidden, p.w1.T))
     del h1
@@ -638,8 +642,7 @@ def forward(model: Model, x, quant: QuantState | None = None, *,
     ``block_forward``); for ``embed`` and ``head`` its ``block`` is None.
     ``executor`` is passed to every ``block_forward``.
     """
-    x = array_of(x)
-    _check_call(model, None, x, quant)
+    x = _check_call(model, None, x, quant)
 
     def edge_matmul(kind: str, a: np.ndarray, w: np.ndarray) -> np.ndarray:
         out = matmul(a, fake_quant_operand(w, MatmulSite(kind, "B"), quant))
@@ -664,8 +667,7 @@ def forward_from(model: Model, block: int, block_output) -> np.ndarray:
     Runs blocks ``block+1 ..`` plus pooling and the head; used by
     finite-difference oracles that perturb a cached block output.
     """
-    current = array_of(block_output)
-    _check_call(model, block, current, None)
+    current = _check_call(model, block, block_output, None)
     for b in range(block + 1, model.spec.num_blocks):
         current = block_forward(model, b, current)
     return matmul(current.mean(axis=1), model.head_w)

@@ -5,10 +5,10 @@ Everything runs in double precision: candidate metrics during scale search
 can differ by tiny margins, and argmin tie behavior must be reproducible.
 Every operation is a plain function from float64 arrays (or numbers, which
 broadcast as 0-d arrays) to a new float64 array; none writes into its
-inputs. ``softmax_backward``, ``layernorm_backward`` and ``gelu_backward``
-turn the gradient at an op's output into the gradient at its input, with
-the operations and operand order reverse mode takes, so
-``model.block_backward`` gets the same bits a tape over these ops would.
+inputs. ``softmax_backward`` and ``layernorm_backward`` turn the gradient
+at an op's output into the gradient at its input, and ``gelu_slope`` is
+what it multiplies through GeLU, each with reverse mode's operations and
+operand order, so ``model.block_backward`` gets a tape's bits.
 """
 
 from __future__ import annotations
@@ -178,10 +178,11 @@ def gelu(x) -> np.ndarray:
     return out
 
 
-def gelu_backward(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The gradient at GeLU's input ``x``, from the gradient ``g`` at its
-    output: g * (phi(x) + x * density(x)), step by step in two arrays.
-    Every operation and operand order is the expression's, so are the bits."""
+def gelu_slope(x: np.ndarray) -> np.ndarray:
+    """GeLU's derivative at ``x``: phi(x) + x * density(x), step by step in
+    two arrays. Every operation and operand order is the expression's, so
+    the gradient ``g`` at GeLU's output times it has the bits of
+    g * (phi(x) + x * density(x))."""
     slope = np.asarray(-0.5 * x)
     slope *= x
     np.exp(slope, out=slope)
@@ -189,7 +190,6 @@ def gelu_backward(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     np.multiply(x, slope, out=slope)
     out = _phi(x)
     out += slope
-    np.multiply(g, out, out=out)
     return out
 
 

@@ -467,26 +467,21 @@ def oracle_calibrate(model, inputs, labels, *, w_bits, a_bits, gamma, alpha,
 # ---------------------------------------------------------------------------
 # reference tape: the reverse-mode engine the FP pass once ran on
 #
-# A general tape over ``Tensor``s, kept as the reference that the library's
-# hand-written block backward is checked against bit for bit. Its ops give
-# the library ops' forward bits; each also records one gradient function
-# per ``Tensor`` operand. An array or a number is a constant: no node, no
-# gradient. The sweep adds a node's contributions in reverse node order,
-# left-to-right parents, each first contribution copied to a C-ordered
-# buffer.
-
-import threading as _threading
-import weakref as _weakref
-from contextvars import ContextVar as _ContextVar
-
-from bbcq.errors import ContractError as _ContractError
+# A general tape over ``Tensor``s, kept only as the reference that the
+# library's hand-written block backward is checked against bit for bit.
+# Its ops give the library ops' forward bits; while a tape records, each
+# also records one gradient function per ``Tensor`` operand. An array or a
+# number is a constant: no node, no gradient. The sweep adds a node's
+# contributions in reverse node order, left-to-right parents, each first
+# contribution copied to a C-ordered buffer and later ones added with
+# ``+=``. A tape holds every tensor it records and every gradient it fills.
 
 LAYERNORM_EPS = 1e-5
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
-# The active tape of the current context (thread), if any.
-_TAPE: "_ContextVar[Tape | None]" = _ContextVar("reference_tape", default=None)
+# The tape recording, if any.
+_TAPE = None
 
 
 def _asarray(values) -> np.ndarray:
@@ -496,7 +491,7 @@ def _asarray(values) -> np.ndarray:
 class Tensor:
     """A float64 array that carries a gradient on the tape recording it."""
 
-    __slots__ = ("data", "__weakref__")
+    __slots__ = ("data",)
 
     def __init__(self, values):
         self.data = _asarray(values)
@@ -504,14 +499,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
     def item(self) -> float:
         return float(self.data)
@@ -521,95 +508,65 @@ class Tensor:
 
 
 class Tape:
-    """Nodes ``(parent_ids, gradients, shape, tensor_ref)`` in execution
-    order, a leaf being ``((), None)``; weak maps Tensor -> node id and
-    Tensor -> gradient of its own. A tape records once and sweeps once."""
+    """Nodes ``(parent_ids, gradients, tensor)`` in execution order, a leaf
+    being ``((), (), tensor)``; maps Tensor -> node id and Tensor ->
+    gradient, by identity."""
 
     def __init__(self):
-        self._nodes: list[tuple | None] = []
-        self._ids = _weakref.WeakKeyDictionary()
-        self._grads = _weakref.WeakKeyDictionary()
-        self._swept = False
+        self._nodes: list[tuple] = []
+        self._ids: dict[Tensor, int] = {}
+        self._grads: dict[Tensor, np.ndarray] = {}
 
     def __enter__(self) -> "Tape":
-        if _TAPE.get() is not None:
-            raise _ContractError("a tape is already recording; tapes do not nest")
-        if self._nodes:
-            raise _ContractError("this tape has already recorded; "
-                                 "record again on a new tape")
-        _TAPE.set(self)
+        global _TAPE
+        _TAPE = self
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        _TAPE.set(None)
+        global _TAPE
+        _TAPE = None
 
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def _append(self, parent_ids, backward, tensor: Tensor) -> int:
+    def _append(self, parent_ids, gradients, tensor: Tensor) -> int:
         node_id = self._ids[tensor] = len(self._nodes)
-        self._nodes.append((parent_ids, backward, tensor.data.shape,
-                            _weakref.ref(tensor)))
+        self._nodes.append((parent_ids, gradients, tensor))
         return node_id
 
     def _leaf(self, tensor: Tensor) -> int:
         node_id = self._ids.get(tensor)
-        return self._append((), None, tensor) if node_id is None else node_id
+        return self._append((), (), tensor) if node_id is None else node_id
 
     def backward(self, loss: Tensor) -> None:
-        """Fill the gradient of every node ``loss`` depends on, dropping
-        each node once the sweep has passed it."""
-        if self._swept:
-            raise _ContractError("this tape has already run backward; "
-                                 "record the forward again on a new tape")
-        loss_id = self._ids.get(loss)
-        if loss_id is None:
-            raise _ContractError("loss was not recorded on this tape")
-        if loss.data.shape != ():
-            raise _ContractError(
-                f"backward needs a scalar loss, got shape {loss.data.shape}")
-        self._swept = True
-        grads = {loss_id: np.ones((), dtype=np.float64)}
+        """Fill the gradient of every node the scalar ``loss`` depends on."""
+        grads = {self._ids[loss]: np.ones((), dtype=np.float64)}
         for node_id in range(len(self._nodes) - 1, -1, -1):
-            parent_ids, gradients, _, tensor_ref = self._nodes[node_id]
-            self._nodes[node_id] = None
             grad = grads.pop(node_id, None)
             if grad is None:
                 continue
-            tensor = tensor_ref()
-            if tensor is not None:
-                self._grads[tensor] = grad
-            if gradients is None:
-                continue
+            parent_ids, gradients, tensor = self._nodes[node_id]
+            self._grads[tensor] = grad
             for parent_id, gradient in zip(parent_ids, gradients):
                 contrib = gradient(grad)
-                assert contrib.shape == self._nodes[parent_id][2]
+                assert contrib.shape == self._nodes[parent_id][2].shape
                 buffer = grads.get(parent_id)
                 if buffer is None:
                     grads[parent_id] = np.array(contrib, order="C")
                 else:
                     buffer += contrib
-                del contrib
 
     def grad(self, tensor: Tensor) -> Tensor | None:
         grad = self._grads.get(tensor)
         return None if grad is None else Tensor(grad)
 
 
-def recording_active() -> bool:
-    return _TAPE.get() is not None
-
-
 def _result(out: np.ndarray, *operands) -> Tensor:
     """``out`` as a Tensor; while a tape records, also its node, keeping
     the gradient function of each Tensor operand only."""
     result = Tensor(out)
-    tape = _TAPE.get()
-    if tape is not None:
-        kept = [(tape._leaf(value), gradient) for value, gradient in operands
+    if _TAPE is not None:
+        kept = [(_TAPE._leaf(value), gradient) for value, gradient in operands
                 if isinstance(value, Tensor)]
-        ids, gradients = zip(*kept) if kept else ((), None)
-        tape._append(ids, gradients, result)
+        ids, gradients = zip(*kept) if kept else ((), ())
+        _TAPE._append(ids, gradients, result)
     return result
 
 

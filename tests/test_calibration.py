@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import sys
 from collections import Counter
 from dataclasses import asdict, fields
@@ -356,6 +357,20 @@ def test_calibrate_rejects_zero_samples():
     model, x, y = _small_setup()
     with pytest.raises(ParameterError, match="at least one sample"):
         calibrate(model, x[:0], y[:0], CalibConfig(num_candidates=2, rounds=1))
+
+
+@pytest.mark.parametrize("samples,labels", [(10, 40), (40, 39), (40, 20)],
+                         ids=["more-labels", "one-short", "half"])
+def test_calibrate_rejects_labels_of_another_length(samples, labels):
+    """One label per input sample, whatever ``calib_batch`` slices off:
+    more labels than samples, one short past the batch's 32 samples or
+    short inside it, is a DimensionError before anything runs."""
+    model, x, y = _small_setup(samples=40)
+    with pytest.raises(DimensionError, match=re.escape(
+            f"labels shape ({labels},) does not match ({samples},), "
+            "one label per input sample")):
+        calibrate(model, x[:samples], y[:labels],
+                  CalibConfig(num_candidates=2, rounds=1))
 
 
 def test_config_json_round_trip():

@@ -536,6 +536,26 @@ def test_staged_calls_reject_a_misshapen_block_input(tiny_model, shape):
         forward_from(tiny_model, 0, x)
 
 
+@pytest.mark.parametrize("entry", ["forward", "forward_from", "block_forward",
+                                   "block_prefix", "block_backward"])
+def test_every_entry_takes_nested_lists(tiny_model, tiny_batch, entry):
+    """Nested lists are an array like any other: each entry given its
+    arrays as lists returns what it returns for the arrays, bit for bit."""
+    x = tiny_batch[0]
+    h = _block_input(tiny_model, x)
+    args, call = {
+        "forward": ((x,), lambda x: forward(tiny_model, x)),
+        "forward_from": ((h,), lambda h: forward_from(tiny_model, 0, h)),
+        "block_forward": ((h,), lambda h: block_forward(tiny_model, 0, h)),
+        "block_prefix": ((h,), lambda h: block_prefix(tiny_model, 0, h, "mlp-1").a),
+        "block_backward": ((h, -h),
+                           lambda h, g: block_backward(tiny_model, 0, h, g)[0]),
+    }[entry]
+    want = call(*args)
+    got = call(*(a.tolist() for a in args))
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def _twin_quantized(dynamic):
     """A 1-block dim-32 model, 512 samples and a W4A4 twin-softmax state."""
     spec = ModelSpec(num_blocks=1, embed_dim=32, num_heads=2, patch_count=16,
