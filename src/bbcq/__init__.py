@@ -12,8 +12,9 @@ __version__ = "0.1.0"
 from .calibration import (BlockCache, CalibConfig, CalibInstrumentation,
                           CalibResult, bbc_metric, bottom_mask,
                           bottom_threshold, cache_fp_pass, calibrate,
-                          candidate_scales, load_result, save_result,
-                          search_site, total_blockwise_metric, worker_pool)
+                          candidate_scales, layer_caches, load_result,
+                          save_result, search_site, total_blockwise_metric,
+                          worker_pool)
 from .data import generate_dataset, synthetic_scores
 from .errors import (BBCQError, ConfigError, ContractError,
                      DegenerateRangeError, DegenerateScaleError,
@@ -46,7 +47,8 @@ __all__ = [
     # calibration
     "BlockCache", "CalibConfig", "CalibInstrumentation", "CalibResult",
     "bbc_metric", "bottom_mask", "bottom_threshold", "cache_fp_pass",
-    "calibrate", "candidate_scales", "load_result", "save_result",
+    "calibrate", "candidate_scales", "layer_caches", "load_result",
+    "save_result",
     "search_site", "total_blockwise_metric", "worker_pool",
     # metrics + data
     "EvalMetrics", "QuantReportRow", "code_entropy",

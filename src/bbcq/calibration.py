@@ -13,8 +13,9 @@ are the same for every candidate of both its sites in every round, so the
 block is advanced to that matmul once per layer and each candidate resumes
 from there.
 
-``blocks_as_layers=True`` degrades the unit of caching/scoring from a whole
-block to one matmul, which is the plain layerwise Hessian baseline.
+``blocks_as_layers=True`` degrades the unit of scoring from a whole block to
+one matmul, which is the plain layerwise Hessian baseline; a block's matmul
+units are rebuilt from its cache while its search runs.
 """
 
 from __future__ import annotations
@@ -142,15 +143,15 @@ class CalibInstrumentation:
 
 @dataclass
 class BlockCache:
-    """FP-pass cache for one search unit.
+    """FP cache for one search unit.
 
     In blockwise mode (``kind == "block"``) the unit is a whole transformer
     block and the lists hold single entries: the block output and its loss
     gradient (whose elementwise square is the sensitivity). In layerwise mode
     the unit is one matmul and ``kind`` names it (the fused q/k/v projection
     carries three parallel outputs). ``block_input`` is shared by all units
-    of one block and is always the full-precision value. The arrays are
-    read-only, as ``cache_fp_pass`` shares them rather than copying them.
+    of one block and is always the full-precision value. A cache marks its
+    arrays read-only, as it shares them rather than copying them.
     """
 
     block: int
@@ -165,6 +166,8 @@ class BlockCache:
                 raise ContractError(
                     f"cache tensors for block {self.block}/{self.kind} disagree "
                     f"on shape: {o.shape} vs {g.shape}")
+        for values in (self.block_input, *self.outputs, *self.grads):
+            values.flags.writeable = False
 
     @property
     def output(self) -> np.ndarray:
@@ -263,27 +266,23 @@ def bbc_metric(sigma_masked, h_diag) -> float:
     return float(contrib.sum())
 
 
-def cache_fp_pass(model: Model, inputs, labels, *,
-                  blocks_as_layers: bool = False) -> FPPass:
+def cache_fp_pass(model: Model, inputs, labels) -> FPPass:
     """One FP forward and backward; retains block-level arrays only.
 
     Per block this caches the input, the output and the loss gradient at the
-    output — never the layer-by-layer activations. With ``blocks_as_layers``
-    the same pair is kept per matmul instead (the layerwise baseline's
-    working set). ``ranges`` holds the [min, max] of every site's operand.
-    The forward runs each block once (``block_forward``) and keeps only the
-    block outputs; the backward steps through the cross-entropy, the head
-    and the mean pooling, then runs ``block_backward`` from the last block
-    to the first, which re-runs one block at a time. Block 0's input
-    gradient is never read, so blockwise the backward stops at block 1.
-    The cached arrays are the pass's own, not copies, and are read-only; in
-    blockwise mode block b's input is block b-1's output array.
+    output — never the layer-by-layer activations (see ``layer_caches``).
+    ``ranges`` holds the [min, max] of every site's operand. The forward
+    runs each block once (``block_forward``) and keeps only the block
+    outputs; the backward steps through the cross-entropy, the head and the
+    mean pooling, then runs ``block_backward``, which re-runs one block at a
+    time, from the last block down to block 1: block 0's input gradient is
+    never read. The cached arrays are the pass's own, not copies, and are
+    read-only; block b's input is block b-1's output array.
     """
     x = require_finite(np.asarray(inputs, dtype=np.float64), "inputs")
     if x.shape[:1] == (0,):
         raise ParameterError("the FP pass needs at least one sample")
     ranges: dict[MatmulSite, tuple[float, float]] = {}
-    unit_outputs: dict[tuple[int, str], list[np.ndarray]] = {}
 
     def hook(kind, block, a, b, out):
         # Edge activations (embed/head operand A) are never quantized.
@@ -293,8 +292,6 @@ def cache_fp_pass(model: Model, inputs, labels, *,
             lo, hi = ranges.get(site, (math.inf, -math.inf))
             ranges[site] = (min(lo, float(values.min())),
                             max(hi, float(values.max())))
-        if blocks_as_layers and block is not None:
-            unit_outputs.setdefault((block, kind), []).append(out)
 
     # block_io[b] is block b's input, block_io[b + 1] its output.
     block_io = [matmul(x, model.embed_w)]
@@ -312,22 +309,25 @@ def cache_fp_pass(model: Model, inputs, labels, *,
     grad[np.arange(len(x)), np.asarray(labels)] -= 1.0
     grad *= 1.0 / len(x)
     grad = np.matmul(grad, model.head_w.T) / model.spec.patch_count
-    grad = np.broadcast_to(grad[:, None], block_io[-1].shape).copy()
+    grad = np.repeat(grad[:, None], model.spec.patch_count, axis=1)
     caches: list[BlockCache] = []
     for b in reversed(range(model.spec.num_blocks)):
-        if blocks_as_layers:
-            grad, unit_grads = block_backward(model, b, block_io[b], grad)
-            caches += [BlockCache(b, kind, block_io[b], unit_outputs.pop((b, kind)),
-                                  unit_grads[kind]) for kind in reversed(BLOCK_KINDS)]
-        else:
-            caches.append(BlockCache(b, "block", block_io[b], [block_io[b + 1]],
-                                     [grad]))
-            grad = block_backward(model, b, block_io[b], grad)[0] if b else None
+        caches.append(BlockCache(b, "block", block_io[b], [block_io[b + 1]], [grad]))
+        grad = block_backward(model, b, block_io[b], grad)[0] if b else None
     caches.reverse()
-    for cache in caches:
-        for values in (cache.block_input, *cache.outputs, *cache.grads):
-            values.flags.writeable = False
     return FPPass(caches=caches, loss=loss.item(), ranges=ranges)
+
+
+def layer_caches(model: Model, cache: BlockCache) -> list[BlockCache]:
+    """The layerwise units of block cache ``cache``'s block, in
+    ``BLOCK_KINDS`` order: one hooked ``block_backward`` from the cached
+    input gives each matmul's FP outputs and the loss gradients at them."""
+    outputs: dict[str, list[np.ndarray]] = {kind: [] for kind in BLOCK_KINDS}
+    _, grads = block_backward(
+        model, cache.block, cache.block_input, cache.grad,
+        hook=lambda kind, block, a, b, out: outputs[kind].append(out))
+    return [BlockCache(cache.block, kind, cache.block_input, outputs[kind],
+                       grads[kind]) for kind in BLOCK_KINDS]
 
 
 def _unit_metric(model: Model, cache: BlockCache, quant: QuantState,
@@ -586,8 +586,9 @@ def calibrate(model: Model, inputs, labels, config: CalibConfig,
     min-max quantized, post-softmax sites get the configured softmax
     quantizer, and an operand that is one constant over the whole FP pass
     gets params that hold that constant exactly; all are set before any
-    search and never searched. Blocks are then processed in order; inside
-    each block the six matmuls are visited last-to-first. Per matmul the
+    search and never searched. Blocks are then processed in order (a
+    layerwise block's units exist only during its search); inside each
+    block the six matmuls are visited last-to-first. Per matmul the
     weight side is first initialized to its full-range step, then
     ``config.rounds`` alternations of (activation search, weight search)
     run, each holding every other site at its current state and resuming
@@ -604,8 +605,7 @@ def calibrate(model: Model, inputs, labels, config: CalibConfig,
         config = replace(config, calib_batch=len(inputs))
     instr = instrumentation if instrumentation is not None else CalibInstrumentation()
     fp = cache_fp_pass(model, inputs[:config.calib_batch],
-                       labels[:config.calib_batch],
-                       blocks_as_layers=config.blocks_as_layers)
+                       labels[:config.calib_batch])
     instr.cache_triples_allocated = len(fp.caches)
     spec = model.spec
     # A freed mmap-served block raises glibc's mmap threshold to its size and
@@ -621,13 +621,12 @@ def calibrate(model: Model, inputs, labels, config: CalibConfig,
         if site.block is None or site.is_softmax_output or lo == hi:
             state[site] = softmax_site_params(*config.site_quantizer(site), hi, lo)
 
-    by_unit = {(c.block, c.kind): c for c in fp.caches}
     with worker_pool() as executor:
-        for b in range(model.spec.num_blocks):
+        for b, block_cache in enumerate(fp.caches):
             instr.enter_block()
-            for kind in reversed(BLOCK_KINDS):
-                unit_kind = kind if config.blocks_as_layers else "block"
-                cache = by_unit[(b, unit_kind)]
+            units = layer_caches(model, block_cache) if config.blocks_as_layers \
+                else [block_cache] * len(BLOCK_KINDS)
+            for kind, cache in zip(reversed(BLOCK_KINDS), reversed(units)):
                 grids = {}
                 for site in (MatmulSite(kind, "A", b), MatmulSite(kind, "B", b)):
                     if site in state:
@@ -652,6 +651,7 @@ def calibrate(model: Model, inputs, labels, config: CalibConfig,
                                             prefix, config.gamma, executor)
                         state[site] = candidates[_first_argmin(trace)]
                         traces[site].append(trace)
+            del units, cache
             instr.exit_block()
 
     return CalibResult(config=config, params=state, traces=traces,

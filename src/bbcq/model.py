@@ -564,7 +564,8 @@ def block_prefix(model: Model, block: int, x: np.ndarray, kind: str,
     return _run_stages(model, block, x, quant, None, kind, None)
 
 
-def block_backward(model: Model, block: int, x: np.ndarray, grad_out: np.ndarray
+def block_backward(model: Model, block: int, x: np.ndarray, grad_out: np.ndarray,
+                   *, hook: MatmulHook | None = None
                    ) -> tuple[np.ndarray, dict[str, list[np.ndarray]]]:
     """The FP loss gradient at block input ``x``, and at each of the block's
     matmul outputs by kind, from the gradient ``grad_out`` at its output.
@@ -572,10 +573,12 @@ def block_backward(model: Model, block: int, x: np.ndarray, grad_out: np.ndarray
     The matmul gradients are at the hook's ``out``s (see ``block_forward``):
     q, k and v for qkv-projection, one otherwise. The block runs again from
     ``x``, carry by carry, keeping the carries its backward reads: the
-    attention operands, the attention probabilities and ``h1``. No weight
-    gets a gradient. Each step uses reverse mode's operations and operand
-    order, and a value read twice or three times gets its parts added last
-    reader first, so the bits are those of a tape over the forward's ops.
+    attention operands, the attention probabilities and ``h1``; ``hook``
+    sees the re-run's matmuls as ``block_forward``'s does (mlp-2 runs only
+    for it). No weight gets a gradient. Each step uses reverse mode's
+    operations and operand order, and a value read twice or three times
+    gets its parts added last reader first, so the bits are those of a
+    tape over the forward's ops.
     """
     x, grad_out = _check_call(model, block, x, None), array_of(grad_out)
     if grad_out.shape != x.shape:
@@ -584,13 +587,18 @@ def block_backward(model: Model, block: int, x: np.ndarray, grad_out: np.ndarray
     spec = model.spec
     p = model.blocks[block]
     batch, n, d = x.shape
-    score = _run_stages(model, block, x, None, None, "attn-score", None)
-    apply = _run_stages(model, block, score, None, None, "attn-apply", None)
-    mlp = _run_stages(model, block, apply, None, None, "mlp-1", None)
+    score = _run_stages(model, block, x, None, hook, "attn-score", None)
+    apply = _run_stages(model, block, score, None, hook, "attn-apply", None)
+    mlp = _run_stages(model, block, apply, None, hook, "mlp-1", None)
     h1 = mlp.residual
-    [pre] = _run_stages(model, block, mlp, None, None, None, "mlp-1")
+    [pre] = _run_stages(model, block, mlp, None, hook, None, "mlp-1")
+    # GeLU's input, as the forward's bias add makes it: a new array if a
+    # hook may keep mlp-1's output, and then mlp-2 runs for the hook alone.
+    pre = np.add(pre, p.b1, out=pre if hook is None else None)
+    if hook is not None:
+        mlp = replace(mlp, kind="mlp-2", a=gelu(pre), b=_weights(p, "mlp-2"))
+        _run_stages(model, block, mlp, None, hook, None, "mlp-2")
     del mlp
-    pre += p.b1  # GeLU's input, as the forward's bias add makes it
 
     def merge_heads(g: np.ndarray) -> np.ndarray:
         # C order, as a tape's gradient buffers are: a matmul's bits can

@@ -12,8 +12,9 @@ import math
 import os
 import re
 import sys
+import weakref
 from collections import Counter
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -27,8 +28,8 @@ from bbcq import tensor as tensor_module
 from bbcq.calibration import (CalibConfig, CalibInstrumentation, CalibResult,
                               PROFILE_RANGES, bbc_metric, bottom_mask,
                               bottom_threshold, cache_fp_pass, calibrate,
-                              candidate_scales, load_result, save_result,
-                              search_site, total_blockwise_metric)
+                              candidate_scales, layer_caches, load_result,
+                              save_result, search_site, total_blockwise_metric)
 from bbcq.data import generate_dataset
 from bbcq.errors import (ConfigError, ContractError, DegenerateRangeError,
                          DimensionError, NonFiniteError, ParameterError)
@@ -53,6 +54,16 @@ def _small_setup(num_blocks=1, embed_dim=16, seed=7, samples=6):
     x, y = generate_dataset(samples, spec.patch_count, spec.embed_dim,
                             spec.num_classes, seed=seed + 100)
     return model, x, y
+
+
+def _fp_units(model, x, y, layerwise=False):
+    """The FP pass with its search units as ``calibrate`` scores them: one
+    cache per block, or every block's rebuilt layerwise units."""
+    fp = cache_fp_pass(model, x, y)
+    if not layerwise:
+        return fp
+    return replace(fp, caches=[unit for cache in fp.caches
+                               for unit in layer_caches(model, cache)])
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +489,9 @@ def test_cache_fp_pass_structure():
 
 def test_gelu_runs_erf_on_non_negative_inputs_only(monkeypatch):
     """scipy's erf branches on the sign of each element, which GeLU's
-    inputs flip at random; ``gelu`` feeds it |x| in the FP pass (forward
-    and backward: the layerwise pass steps back through block 0) and in
-    block forwards."""
+    inputs flip at random; ``gelu`` feeds it |x| in the FP pass's forward,
+    in a layerwise rebuild (its re-run and backward step through GeLU) and
+    in block forwards."""
     model, x, y = _small_setup()
     seen = []
 
@@ -490,10 +501,12 @@ def test_gelu_runs_erf_on_non_negative_inputs_only(monkeypatch):
         return erf(u, *args, **kwargs)
 
     monkeypatch.setattr(tensor_module, "erf", spy)
-    fp = cache_fp_pass(model, x, y, blocks_as_layers=True)
-    assert len(seen) == 2
-    block_forward(model, 0, fp.caches[0].block_input)
+    fp = cache_fp_pass(model, x, y)
+    assert len(seen) == 1
+    layer_caches(model, fp.caches[0])
     assert len(seen) == 3
+    block_forward(model, 0, fp.caches[0].block_input)
+    assert len(seen) == 4
 
 
 def test_cache_fp_pass_deterministic():
@@ -530,27 +543,56 @@ def test_cache_fp_pass_counts_allocations():
             for c in fp.caches] == [(b, "block", 1, 1) for b in range(3)]
 
 
+def test_layerwise_calibrate_holds_one_block_of_units(monkeypatch):
+    """c10's layerwise companion: one cache triple per block and one live
+    working block, and each block's units, built when its search starts,
+    are dead before the next block's are built."""
+    monkeypatch.setenv("BBCQ_THREADS", "1")
+    model, x, y = _small_setup(num_blocks=3)
+    built = []
+    rebuild = calibration_module.layer_caches
+
+    def spy(model, cache):
+        assert all(ref() is None for ref in built), "units outlived their block"
+        units = rebuild(model, cache)
+        built.extend(weakref.ref(values) for unit in units
+                     for values in unit.outputs)
+        return units
+
+    monkeypatch.setattr(calibration_module, "layer_caches", spy)
+    instr = CalibInstrumentation()
+    calibrate(model, x, y, CalibConfig(w_bits=4, a_bits=4, num_candidates=2,
+                                       rounds=1, blocks_as_layers=True),
+              instrumentation=instr)
+    assert len(built) == 3 * 8
+    assert instr.cache_triples_allocated == 3
+    assert instr.max_live_working_blocks == 1
+
+
 def test_cache_fp_pass_layerwise_units():
+    """``layer_caches`` rebuilds one block's six units, in ``BLOCK_KINDS``
+    order, from that block's cache: they share its input array, and mlp-2's
+    gradient is the block output's."""
     model, x, y = _small_setup(num_blocks=2)
-    fp = cache_fp_pass(model, x, y, blocks_as_layers=True)
-    assert len(fp.caches) == 12
-    kinds = {(c.block, c.kind) for c in fp.caches}
-    assert kinds == {(b, k) for b in range(2) for k in BLOCK_KINDS}
-    qkv = next(c for c in fp.caches if c.kind == "qkv-projection")
-    assert len(qkv.outputs) == len(qkv.grads) == 3
-    block0 = [c for c in fp.caches if c.block == 0]
-    for cache in block0[1:]:
-        np.testing.assert_array_equal(cache.block_input,
-                                      block0[0].block_input)
+    fp = cache_fp_pass(model, x, y)
+    for cache in fp.caches:
+        units = layer_caches(model, cache)
+        assert [(u.block, u.kind) for u in units] == \
+            [(cache.block, kind) for kind in BLOCK_KINDS]
+        assert [len(u.outputs) for u in units] == [len(u.grads) for u in units] \
+            == [3, 1, 1, 1, 1, 1]
+        assert all(u.block_input is cache.block_input for u in units)
+        assert units[-1].grad is cache.grad
 
 
 @pytest.mark.parametrize("blocks_as_layers", [False, True],
                          ids=["blockwise", "layerwise"])
 def test_cache_fp_pass_shares_read_only_arrays(blocks_as_layers):
-    """The caches hold the pass's own arrays, not copies, so none of them
-    can be written; blockwise, block b's input is block b-1's output."""
+    """The caches hold the pass's own arrays, not copies, and so do the
+    rebuilt layerwise units, so none of them can be written; blockwise,
+    block b's input is block b-1's output."""
     model, x, y = _small_setup(num_blocks=3)
-    fp = cache_fp_pass(model, x, y, blocks_as_layers=blocks_as_layers)
+    fp = _fp_units(model, x, y, blocks_as_layers)
     for cache in fp.caches:
         for values in (cache.block_input, *cache.outputs, *cache.grads):
             with pytest.raises(ValueError):
@@ -584,10 +626,12 @@ _ZEROABLE = (None, "w_q", "w_k", "w_v", "w_o", "w1", "w2", "ln1_gamma",
 def test_fp_pass_gradients_match_the_reference_tape(num_blocks, heads, patches,
                                                     embed_dim, samples, zeroed,
                                                     seed):
-    """Every blockwise block-output gradient and every layerwise unit
-    gradient equals the reference tape's, compared as uint64. A dim of 32
-    is past the size where a matmul's bits depend on its operands' layout,
-    so every gradient must be as C-ordered as the tape's buffers."""
+    """Every blockwise block-output gradient and every rebuilt layerwise
+    unit gradient equals the reference tape's, and every rebuilt unit
+    output a hooked ``block_forward``'s from the cached block input,
+    compared as uint64. A dim of 32 is past the size where a matmul's bits
+    depend on its operands' layout, so every gradient must be as C-ordered
+    as the tape's buffers."""
     spec = ModelSpec(num_blocks=num_blocks, embed_dim=embed_dim, num_heads=heads,
                      patch_count=patches, num_classes=3, init_seed=seed)
     model = init_model(spec)
@@ -601,11 +645,18 @@ def test_fp_pass_gradients_match_the_reference_tape(num_blocks, heads, patches,
     for cache in blockwise.caches:
         np.testing.assert_array_equal(cache.grad.view(np.uint64),
                                       block_grads[cache.block].view(np.uint64))
-    layerwise = cache_fp_pass(model, x, y, blocks_as_layers=True)
-    assert {(c.block, c.kind) for c in layerwise.caches} == set(unit_grads)
-    for cache in layerwise.caches:
-        for got, want in zip(cache.grads, unit_grads[(cache.block, cache.kind)],
-                             strict=True):
+    units = [unit for cache in blockwise.caches
+             for unit in layer_caches(model, cache)]
+    assert {(c.block, c.kind) for c in units} == set(unit_grads)
+    outputs = {}
+    for cache in blockwise.caches:
+        block_forward(model, cache.block, cache.block_input,
+                      hook=lambda kind, block, a, b, out:
+                      outputs.setdefault((block, kind), []).append(out))
+    for cache in units:
+        unit = (cache.block, cache.kind)
+        for got, want in [*zip(cache.grads, unit_grads[unit], strict=True),
+                          *zip(cache.outputs, outputs[unit], strict=True)]:
             np.testing.assert_array_equal(got.view(np.uint64),
                                           want.view(np.uint64))
 
@@ -716,7 +767,7 @@ def test_search_site_scores_only_the_unit_of_its_site(site_id, layerwise, unit,
     pick."""
     model, x, y = _small_setup(num_blocks=2)
     config = CalibConfig(w_bits=4, a_bits=4, num_candidates=4, rounds=1)
-    fp = cache_fp_pass(model, x, y, blocks_as_layers=layerwise)
+    fp = _fp_units(model, x, y, layerwise)
     cache = next(c for c in fp.caches if (c.block, c.kind) == unit)
     site = MatmulSite.parse(site_id)
     cands = candidate_scales(*fp.ranges[site], 4, 0.2, 1.0, 4)[:count]
@@ -741,7 +792,7 @@ def test_search_site_quantizes_the_partner_once(monkeypatch, site_id,
     quantizes nothing later."""
     model, x, y = _small_setup()
     config = CalibConfig(w_bits=4, a_bits=4, num_candidates=6, rounds=1)
-    fp = cache_fp_pass(model, x, y, blocks_as_layers=layerwise)
+    fp = _fp_units(model, x, y, layerwise)
     site = MatmulSite.parse(site_id)
     cache = next(c for c in fp.caches if c.kind in ("block", site.kind))
     state = _every_site_state(model, fp, config)
@@ -886,7 +937,7 @@ def test_staged_search_matches_full_reforward(scheme, dynamic_softmax,
                          rounds=1, softmax_quantizer=scheme,
                          dynamic_softmax=dynamic_softmax,
                          blocks_as_layers=blocks_as_layers)
-    fp = cache_fp_pass(model, x, y, blocks_as_layers=blocks_as_layers)
+    fp = _fp_units(model, x, y, blocks_as_layers)
     by_unit = {(c.block, c.kind): c for c in fp.caches}
     state = _every_site_state(model, fp, config)
     for site in state:
@@ -942,9 +993,10 @@ def test_calibrate_advances_each_searched_layer_once(monkeypatch,
     """Both sites of a layer, in every round, resume from one prefix: the
     search enters a block from its cached input once per layer with a
     searched site, on top of the FP pass entering each block once forward
-    and once more for each block backward (all but block 0 blockwise). A
-    zero ``w_v`` makes attn-apply's B operand constant, leaving that layer
-    with no searched site."""
+    and once more for each block backward but block 0's, and, layerwise,
+    the one ``block_backward`` that rebuilds each block's units. A zero
+    ``w_v`` makes attn-apply's B operand constant, leaving that layer with
+    no searched site."""
     model, x, y = _small_setup(num_blocks=2)
     if zero_w_v:
         model.blocks[1].w_v = np.zeros_like(model.blocks[1].w_v)
@@ -962,7 +1014,7 @@ def test_calibrate_advances_each_searched_layer_once(monkeypatch,
     searched_layers = {(site.block, site.kind)
                        for site, trace in result.traces.items() if trace}
     assert len(searched_layers) == 12 - zero_w_v
-    fp_entries = 2 * model.spec.num_blocks - (not blocks_as_layers)
+    fp_entries = (3 if blocks_as_layers else 2) * model.spec.num_blocks - 1
     assert len(entries) == fp_entries + len(searched_layers)
 
 
@@ -1185,7 +1237,7 @@ def test_calibrate_keeps_the_candidate_at_chosen_index(monkeypatch, scheme,
                          softmax_quantizer=scheme, dynamic_softmax=dynamic,
                          blocks_as_layers=blocks_as_layers)
     result = calibrate(model, x, y, config)
-    fp = cache_fp_pass(model, x, y, blocks_as_layers=blocks_as_layers)
+    fp = cache_fp_pass(model, x, y)
     searched = [site for site, trace in result.traces.items() if trace]
     assert len(searched) == 2 * 11
     for site in searched:
@@ -1384,7 +1436,7 @@ def test_matmul_units_match_layerwise_oracle():
     config = CalibConfig(w_bits=4, a_bits=4, gamma=0.0, alpha=0.0, beta=1.2,
                          num_candidates=6, rounds=1, blocks_as_layers=True)
     result = calibrate(model, x, y, config)
-    fp = cache_fp_pass(model, x, y, blocks_as_layers=True)
+    fp = _fp_units(model, x, y, layerwise=True)
     h_override = {(c.block, c.kind): [g * g for g in c.grads] for c in fp.caches}
     oracle = oracle_calibrate(model, x, y, w_bits=4, a_bits=4, gamma=0.0,
                               alpha=0.0, beta=1.2, n=6, rounds=1,
@@ -1429,7 +1481,7 @@ def oracle_cases(draw):
 def _oracle_of(model, x, y, config):
     """The oracle's search under ``config``; it takes the package's cached
     sensitivities, since it has no autodiff of its own."""
-    fp = cache_fp_pass(model, x, y, blocks_as_layers=config.blocks_as_layers)
+    fp = _fp_units(model, x, y, config.blocks_as_layers)
     if config.blocks_as_layers:
         unit, h_override = "layer", {(c.block, c.kind): [g * g for g in c.grads]
                                      for c in fp.caches}

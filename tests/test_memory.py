@@ -1,4 +1,5 @@
-"""Peak heap of the FP pass, a forward and a container load.
+"""Peak heap of the FP pass, layerwise calibration, a forward and a
+container load.
 
 Measured with ``tracemalloc``, which numpy reports its array buffers to.
 Each bound is stated in units of the arrays involved, so the checks do not
@@ -12,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bbcq.calibration import cache_fp_pass
+from bbcq.calibration import CalibConfig, cache_fp_pass, calibrate, layer_caches
 from bbcq.data import generate_dataset
 from bbcq.model import ModelSpec, forward, init_model
 from bbcq.serialize import load_dataset, load_model, save_dataset, save_model
@@ -47,25 +48,35 @@ def _widest_bytes(model, x) -> int:
     return len(x) * model.spec.widest * 8
 
 
-def _fp_pass_peak(model, x, y, blocks_as_layers=False) -> tuple[int, int]:
-    """(peak heap of the FP pass, bytes of the distinct arrays it caches)."""
-    passes = []
-    peak = _peak_bytes(lambda: passes.append(
-        cache_fp_pass(model, x, y, blocks_as_layers=blocks_as_layers)))
-    cached = {id(values): values.nbytes for cache in passes[0].caches
+def _fp_pass_peak(model, x, y, layerwise=False) -> tuple[int, int]:
+    """(peak heap of the FP pass, bytes of the distinct arrays it caches).
+    Layerwise, the pass is followed by each block's ``layer_caches`` in
+    turn, the last block's units dropped first, as ``calibrate`` holds
+    them, and the cached bytes count one block's units as well."""
+    held = {}
+
+    def run():
+        held["fp"] = fp = cache_fp_pass(model, x, y)
+        for cache in fp.caches if layerwise else ():
+            held.pop("units", None)
+            held["units"] = layer_caches(model, cache)
+
+    peak = _peak_bytes(run)
+    cached = {id(values): values.nbytes
+              for cache in held["fp"].caches + held.get("units", [])
               for values in (cache.block_input, *cache.outputs, *cache.grads)}
     return peak, sum(cached.values())
 
 
-@pytest.mark.parametrize("blocks_as_layers,widest", [(False, 5.0), (True, 3.0)],
+@pytest.mark.parametrize("layerwise,widest", [(False, 5.0), (True, 3.0)],
                          ids=["blockwise", "layerwise"])
-def test_fp_pass_peaks_one_block_backward_over_its_caches(blocks_as_layers,
-                                                          widest):
-    """Beyond the arrays it returns, the pass holds one block backward's
-    working set: below 5 W blockwise and 3 W layerwise (about 4.3 W and
-    2.1 W here), W being ``_widest_bytes``."""
+def test_fp_pass_peaks_one_block_backward_over_its_caches(layerwise, widest):
+    """Beyond the arrays it returns, the pass, and layerwise each block's
+    rebuild, holds one block backward's working set: below 5 W blockwise
+    and 3 W layerwise (about 4.3 W and 1.6 W here), W being
+    ``_widest_bytes``."""
     model, x, y = _setup(num_blocks=2, samples=16)
-    peak, cached = _fp_pass_peak(model, x, y, blocks_as_layers)
+    peak, cached = _fp_pass_peak(model, x, y, layerwise)
     assert peak < cached + widest * _widest_bytes(model, x), \
         ((peak - cached) / _widest_bytes(model, x))
 
@@ -84,11 +95,31 @@ def test_blockwise_fp_pass_keeps_only_what_backward_reads():
 
 
 def test_layerwise_fp_pass_peaks_near_the_caches_it_returns():
-    """The layerwise caches are most of what the pass holds at its peak;
-    a copy of them on top would put the peak past twice their bytes."""
+    """The block caches and one block's rebuilt units are most of what the
+    pass and the rebuilds hold at their peak; a copy of them on top would
+    put the peak past twice their bytes."""
     model, x, y = _setup(num_blocks=2, samples=16)
-    peak, cached = _fp_pass_peak(model, x, y, blocks_as_layers=True)
+    peak, cached = _fp_pass_peak(model, x, y, layerwise=True)
     assert peak <= 1.75 * cached, (peak, cached)
+
+
+def test_layerwise_calibrate_peak_grows_only_by_block_caches(monkeypatch):
+    """Layerwise ``calibrate`` holds one block's units at a time, so from
+    two blocks to four its peak grows by the two added blocks' cached
+    output and output gradient, within 0.5 W (0.12 W here); keeping every
+    block's units for the whole search adds two blocks' units (11.6 W)."""
+    monkeypatch.setenv("BBCQ_THREADS", "1")
+    config = CalibConfig(w_bits=4, a_bits=4, num_candidates=2, rounds=1,
+                         blocks_as_layers=True)
+    peaks = []
+    for num_blocks in (2, 4):
+        model, x, y = _setup(num_blocks=num_blocks, samples=16)
+        peaks.append(_peak_bytes(lambda: calibrate(model, x, y, config)))
+    # Two arrays per added block, each of the input's (batch, patches,
+    # embed_dim) shape.
+    added = 2 * 2 * x.nbytes
+    assert peaks[1] - peaks[0] <= added + 0.5 * _widest_bytes(model, x), \
+        ((peaks[1] - peaks[0] - added) / _widest_bytes(model, x))
 
 
 def test_untaped_forward_peak_does_not_grow_with_depth():
