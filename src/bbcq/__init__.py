@@ -30,12 +30,12 @@ from .quantizers import (CodeTensor, DynamicSoftmax, QuantParams, dequantize,
                          fake_quant_array, quantize, round_half_away)
 from .serialize import (load_dataset, load_model, save_dataset, save_model,
                         serialize_dataset, serialize_model)
-from .tensor import add, cross_entropy, gelu, layernorm, matmul, mul, softmax
+from .tensor import add, cross_entropy, gelu, layernorm, matmul, softmax
 
 __all__ = [
     "__version__",
     # array ops
-    "add", "cross_entropy", "gelu", "layernorm", "matmul", "mul", "softmax",
+    "add", "cross_entropy", "gelu", "layernorm", "matmul", "softmax",
     # quantizers
     "CodeTensor", "DynamicSoftmax", "QuantParams", "dequantize",
     "fake_quant_array", "quantize", "round_half_away",

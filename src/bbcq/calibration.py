@@ -39,7 +39,7 @@ from .model import forward  # noqa: F401
 from .quantizers import (SCHEMES, DynamicSoftmax, QuantParams,
                          softmax_site_params, uniform_grid)
 from .records import check_field_types, read_json, record_fields, strict_json
-from .tensor import array_of, cross_entropy, matmul, require_finite
+from .tensor import array_of, cross_entropy, matmul, require_finite, softmax
 
 #: (alpha, beta) search-range defaults per task profile.
 PROFILE_RANGES = {"classification": (0.0, 1.2), "detection": (0.5, 1.2)}
@@ -126,7 +126,9 @@ class CalibConfig:
 
 @dataclass
 class CalibInstrumentation:
-    """Allocation/liveness counters for the memory-contract check."""
+    """Call counts for the memory-contract check: FP caches allocated, and
+    the most block searches begun and not yet ended. They see no arrays;
+    tests that hold weak references check that a block's arrays die."""
 
     cache_triples_allocated: int = 0
     live_working_blocks: int = 0
@@ -304,8 +306,7 @@ def cache_fp_pass(model: Model, inputs, labels) -> FPPass:
     loss = require_finite(cross_entropy(logits, labels), "the FP loss")
     # The loss gradient at the logits: (softmax - one-hot) / batch; then at
     # the pooled features, and at every patch of the last block's output.
-    grad = np.exp(logits - logits.max(axis=1, keepdims=True))
-    grad /= grad.sum(axis=1, keepdims=True)
+    grad = softmax(logits)
     grad[np.arange(len(x)), np.asarray(labels)] -= 1.0
     grad *= 1.0 / len(x)
     grad = np.matmul(grad, model.head_w.T) / model.spec.patch_count
@@ -651,7 +652,8 @@ def calibrate(model: Model, inputs, labels, config: CalibConfig,
                                             prefix, config.gamma, executor)
                         state[site] = candidates[_first_argmin(trace)]
                         traces[site].append(trace)
-            del units, cache
+            # Drop b's units and last carry (unbound if b searched no layer).
+            units = cache = prefix = None
             instr.exit_block()
 
     return CalibResult(config=config, params=state, traces=traces,

@@ -71,7 +71,7 @@ def compare_softmax_quantizers(scores, bits: int) -> list[QuantReportRow]:
     scores = require_finite(np.asarray(scores, dtype=np.float64), "the score array")
     if not scores.size:
         raise ParameterError(f"the score array of shape {scores.shape} is empty")
-    probs = softmax(scores, axis=-1)
+    probs = softmax(scores)
     if probs.ndim < 2:
         raise DimensionError(f"scores must be at least 2-d, got shape {probs.shape}")
     probs = probs.reshape(-1, probs.shape[-1])

