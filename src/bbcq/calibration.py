@@ -15,7 +15,8 @@ from there.
 
 ``blocks_as_layers=True`` degrades the unit of scoring from a whole block to
 one matmul, which is the plain layerwise Hessian baseline; a block's matmul
-units are rebuilt from its cache while its search runs.
+units are rebuilt from its cache when its search starts, and each dies when
+its layer's search ends.
 """
 
 from __future__ import annotations
@@ -588,16 +589,16 @@ def calibrate(model: Model, inputs, labels, config: CalibConfig,
     quantizer, and an operand that is one constant over the whole FP pass
     gets params that hold that constant exactly; all are set before any
     search and never searched. Blocks are then processed in order (a
-    layerwise block's units exist only during its search); inside each
-    block the six matmuls are visited last-to-first. Per matmul the
-    weight side is first initialized to its full-range step, then
-    ``config.rounds`` alternations of (activation search, weight search)
-    run, each holding every other site at its current state and resuming
-    from the block paused once in front of that matmul (``block_prefix``),
-    and keeps the first argmin of its trace, the rule ``CalibResult``
-    derives ``chosen_index`` with. ``labels`` must hold one label per input
-    sample. Only the first ``config.calib_batch`` samples are used; the
-    result's config records a smaller split's size.
+    layerwise block's units are built when its search starts, and each dies
+    when its layer's search ends); inside each block the six matmuls are
+    visited last-to-first. Per matmul the weight side is first initialized
+    to its full-range step, then ``config.rounds`` alternations of
+    (activation search, weight search) run, each holding every other site at
+    its current state and resuming from the block paused once in front of
+    that matmul (``block_prefix``), and keeps the first argmin of its trace,
+    the rule ``CalibResult`` derives ``chosen_index`` with. ``labels`` must
+    hold one label per input sample. Only the first ``config.calib_batch``
+    samples are used; the result's config records a smaller split's size.
     """
     if np.shape(labels) != np.shape(inputs)[:1]:
         raise DimensionError(f"labels shape {np.shape(labels)} does not match "
@@ -608,13 +609,7 @@ def calibrate(model: Model, inputs, labels, config: CalibConfig,
     fp = cache_fp_pass(model, inputs[:config.calib_batch],
                        labels[:config.calib_batch])
     instr.cache_triples_allocated = len(fp.caches)
-    spec = model.spec
-    # A freed mmap-served block raises glibc's mmap threshold to its size and
-    # its heap trim threshold to twice that, so the candidate loop's temporaries
-    # reuse heap pages instead of growing and trimming the heap every
-    # candidate (see README, Memory). Untouched, the block costs no RSS.
-    np.empty(4 * len(fp.caches[0].block_input) * spec.widest)
-    sites = enumerate_sites(spec)
+    sites = enumerate_sites(model.spec)
     traces: dict[MatmulSite, list[list[float]]] = {site: [] for site in sites}
     state: dict[MatmulSite, QuantParams] = {}
     for site in sites:
@@ -627,7 +622,7 @@ def calibrate(model: Model, inputs, labels, config: CalibConfig,
             instr.enter_block()
             units = layer_caches(model, block_cache) if config.blocks_as_layers \
                 else [block_cache] * len(BLOCK_KINDS)
-            for kind, cache in zip(reversed(BLOCK_KINDS), reversed(units)):
+            for kind in reversed(BLOCK_KINDS):
                 grids = {}
                 for site in (MatmulSite(kind, "A", b), MatmulSite(kind, "B", b)):
                     if site in state:
@@ -641,19 +636,22 @@ def calibrate(model: Model, inputs, labels, config: CalibConfig,
                     grids[site] = candidate_scales(lo, hi, bits, config.alpha,
                                                    config.beta,
                                                    config.num_candidates)
-                if not grids:
-                    continue
-                prefix = block_prefix(model, b, cache.block_input, kind,
-                                      config.quant_state(state))
-                for _ in range(config.rounds):
-                    for site, candidates in grids.items():
-                        trace = search_site(model, site, candidates,
-                                            config.quant_state(state), cache,
-                                            prefix, config.gamma, executor)
-                        state[site] = candidates[_first_argmin(trace)]
-                        traces[site].append(trace)
-            # Drop b's units and last carry (unbound if b searched no layer).
-            units = cache = prefix = None
+                cache = units.pop()
+                if grids:
+                    prefix = block_prefix(model, b, cache.block_input, kind,
+                                          config.quant_state(state))
+                    for _ in range(config.rounds):
+                        for site, candidates in grids.items():
+                            trace = search_site(model, site, candidates,
+                                                config.quant_state(state),
+                                                cache, prefix, config.gamma,
+                                                executor)
+                            state[site] = candidates[_first_argmin(trace)]
+                            traces[site].append(trace)
+                    del prefix
+                # The layer's carry and, layerwise, its unit die with its
+                # search, before the next layer's carry is made.
+                del cache
             instr.exit_block()
 
     return CalibResult(config=config, params=state, traces=traces,

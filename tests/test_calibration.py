@@ -573,37 +573,48 @@ def test_layerwise_calibrate_holds_one_block_of_units(monkeypatch):
                          ids=["blockwise", "layerwise"])
 def test_calibrate_frees_each_block_carry_with_its_block(monkeypatch,
                                                           blocks_as_layers):
-    """The carries ``block_prefix`` pauses a block at, the last one
-    included, are dead before a later block's units are rebuilt or its
-    first carry is made. Block 1 is pruned to zero, so it searches no
-    layer and binds no carry, and block 2 must still run."""
+    """Every carry ``block_prefix`` paused a block at, in this block or an
+    earlier one, is dead before the next carry is made or a later block's
+    units are rebuilt; layerwise, each unit is dead once the next layer's
+    search begins. Block 1 is pruned to zero, so it searches no layer and
+    binds no carry, and its units must die all the same."""
     monkeypatch.setenv("BBCQ_THREADS", "1")
     model, x, y = _small_setup(num_blocks=3)
     pruned = model.blocks[1]
     for f in fields(pruned):
         setattr(pruned, f.name, np.zeros_like(getattr(pruned, f.name)))
     carries = []  # (block, weak reference to the carry's operand A)
+    units = {}  # (block, kind index) -> weak reference to the unit's outputs[0]
     pause, rebuild = calibration_module.block_prefix, calibration_module.layer_caches
 
-    def assert_earlier_carries_dead(block):
-        assert [b for b, ref in carries if b < block and ref() is not None] \
-            == [], f"a carry outlived its block when block {block} began"
+    def assert_searched_dead(block, layer):
+        """Every carry and every unit of a layer searched before ``layer``
+        of ``block`` (layers run last to first) is dead."""
+        assert [b for b, ref in carries if ref() is not None] == [], \
+            f"a carry outlived its layer when block {block} layer {layer} began"
+        assert [key for key, ref in units.items() if ref() is not None
+                and (key[0] < block or key[0] == block and key[1] > layer)] \
+            == [], f"a unit outlived its layer when block {block} layer {layer} began"
 
-    def prefix_spy(model, block, *args):
-        assert_earlier_carries_dead(block)
-        carry = pause(model, block, *args)
+    def prefix_spy(model, block, block_input, kind, quant):
+        assert_searched_dead(block, BLOCK_KINDS.index(kind))
+        carry = pause(model, block, block_input, kind, quant)
         carries.append((block, weakref.ref(carry.a)))
         return carry
 
     def rebuild_spy(model, cache):
-        assert_earlier_carries_dead(cache.block)
-        return rebuild(model, cache)
+        assert_searched_dead(cache.block, len(BLOCK_KINDS))
+        built = rebuild(model, cache)
+        units.update(((cache.block, k), weakref.ref(unit.outputs[0]))
+                     for k, unit in enumerate(built))
+        return built
 
     monkeypatch.setattr(calibration_module, "block_prefix", prefix_spy)
     monkeypatch.setattr(calibration_module, "layer_caches", rebuild_spy)
     calibrate(model, x, y, CalibConfig(w_bits=4, a_bits=4, num_candidates=2,
                                        rounds=1, blocks_as_layers=blocks_as_layers))
     assert [b for b, _ in carries] == [0] * 6 + [2] * 6
+    assert len(units) == (3 * len(BLOCK_KINDS) if blocks_as_layers else 0)
 
 
 def test_cache_fp_pass_layerwise_units():

@@ -2,8 +2,9 @@
 
 A mutant changes one spot inside the named functions or classes of a
 module: it swaps a comparison (``<``/``<=``, ``>``/``>=``, ``==``/``!=``)
-or an arithmetic operator (``+``/``-``, ``*``/``/``), or bumps a constant
-0, 1, 2 or 0.5 by one. The repository is copied once into a temporary
+or an arithmetic operator (``+``/``-``, ``*``/``/``), an in-place one
+(``+=``/``-=``, ``*=``/``/=``) included, or bumps a constant 0, 1, 2 or 0.5
+by one. The repository is copied once into a temporary
 directory; each mutant rewrites the module there (with ``ast.unparse``, so
 comments drop out) and runs ``pytest -x`` first on the test files that
 import the module plus ``tests/test_acceptance.py``, then, only if that
@@ -69,7 +70,8 @@ def _points(tree: ast.Module, names: set[str]) -> list[tuple[ast.AST, int]]:
             if isinstance(node, ast.Compare):
                 points += [(node, i) for i, op in enumerate(node.ops)
                            if type(op) in SWAPS]
-            elif isinstance(node, ast.BinOp) and type(node.op) in SWAPS:
+            elif (isinstance(node, (ast.BinOp, ast.AugAssign))
+                  and type(node.op) in SWAPS):
                 points.append((node, 0))
             elif (isinstance(node, ast.Constant)
                   and type(node.value) in (int, float) and node.value in BUMPED):
@@ -84,7 +86,7 @@ def _mutant(source: str, names: set[str], k: int) -> tuple[str, str]:
     before = ast.unparse(node)
     if isinstance(node, ast.Compare):
         node.ops[i] = SWAPS[type(node.ops[i])]()
-    elif isinstance(node, ast.BinOp):
+    elif isinstance(node, (ast.BinOp, ast.AugAssign)):
         node.op = SWAPS[type(node.op)]()
     else:
         node.value += 1
