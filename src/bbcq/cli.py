@@ -9,7 +9,6 @@ byte-reproducible (reports differ only in their wall-clock field).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -194,6 +193,7 @@ def cmd_calibrate(args) -> int:
     # The saved document, each trace replaced by its digest and the chosen
     # candidate's metric; its config records the batch calibrate used.
     doc = result.to_json()
+    import hashlib  # here, not at the top: it maps OpenSSL's libcrypto
     for row in doc["sites"]:
         trace = row.pop("trace")
         row["trace_digest"] = row["chosen_metric"] = None

@@ -19,8 +19,9 @@ from bbcq.model import ModelSpec, forward, init_model
 from bbcq.serialize import load_dataset, load_model, save_dataset, save_model
 from bbcq.tensor import gelu
 
-# The first GeLU loads scipy's erf. Run here, that load can never land inside
-# a measured region and be counted as the region's memory.
+# The first GeLU loads erf's extension module, scipy.special._special_ufuncs,
+# and no scipy package. Run here, that load can never land inside a measured
+# region and be counted as the region's memory.
 gelu(np.zeros(1))
 
 

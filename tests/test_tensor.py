@@ -459,8 +459,8 @@ def test_gelu_backward_bits_match_the_old_expression(pairs):
 
 
 def _run_fresh(script, *args):
-    """``script`` in a new interpreter, where nothing has imported scipy yet;
-    returns its standard output."""
+    """``script`` in a new interpreter, where nothing has imported scipy or
+    ``_hashlib`` yet; returns its standard output."""
     proc = subprocess.run(
         [sys.executable, "-c", script, *map(str, args)], capture_output=True,
         text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
@@ -472,53 +472,78 @@ _COMMANDS_IN_ONE_PROCESS = """
 import json, sys
 import numpy as np
 from bbcq import cli, tensor
-work = sys.argv[1]
+work, steps = sys.argv[1], sys.argv[2:]
+data = work + "/data"
+COMMANDS = {
+    "gen": ["gen", "--blocks", "1", "--embed-dim", "16", "--heads", "2",
+            "--patches", "4", "--classes", "4", "--calib-size", "8",
+            "--eval-size", "8", "--out", data],
+    "inspect": ["inspect", data + "/model.bbcv"],
+    "compare-softmax": ["compare-softmax", "--synthetic", "powerlaw",
+                        "--rows", "16", "--out", work + "/cmp"],
+    "eval-fp": ["eval", "--model", data + "/model.bbcv", "--eval",
+                data + "/eval.bbcv", "--out", work + "/eval-fp"],
+    "calibrate": ["calibrate", "--model", data + "/model.bbcv", "--calib",
+                  data + "/calib.bbcv", "--candidates", "4", "--rounds", "1",
+                  "--out", work + "/calib"],
+    "eval": ["eval", "--model", data + "/model.bbcv", "--eval",
+             data + "/eval.bbcv", "--result",
+             work + "/calib/calib_result.json", "--out", work + "/eval"]}
 
-def scipy_modules():
-    return sorted(name for name in sys.modules
-                  if name == "scipy" or name.startswith("scipy."))
+def native_modules():
+    return sorted(name for name in sys.modules if name in ("scipy", "_hashlib")
+                  or name.startswith("scipy."))
 
-loaded = {"import": scipy_modules()}
-for argv in (["gen", "--blocks", "1", "--embed-dim", "16", "--heads", "2",
-              "--patches", "4", "--classes", "4", "--calib-size", "8",
-              "--eval-size", "8", "--out", work + "/data"],
-             ["inspect", work + "/data/model.bbcv"],
-             ["compare-softmax", "--synthetic", "powerlaw", "--rows", "16",
-              "--out", work + "/cmp"]):
-    assert cli.main(argv) == 0, argv
-    loaded[argv[0]] = scipy_modules()
-np.save(work + "/gelu.npy", tensor.gelu(np.load(work + "/x.npy")))
-loaded["gelu"] = "scipy.special" in sys.modules
-loaded["erf_is_a_ufunc"] = isinstance(tensor.erf, np.ufunc)
-for argv in (["calibrate", "--model", work + "/data/model.bbcv", "--calib",
-              work + "/data/calib.bbcv", "--candidates", "4", "--rounds", "1",
-              "--out", work + "/calib"],
-             ["eval", "--model", work + "/data/model.bbcv", "--eval",
-              work + "/data/eval.bbcv", "--result",
-              work + "/calib/calib_result.json", "--out", work + "/eval"]):
-    assert cli.main(argv) == 0, argv
-    loaded[argv[0]] = "scipy.special" in sys.modules
-import scipy.special
-loaded["same_erf"] = tensor.erf is scipy.special.erf
+save_result = cli.save_result
+
+def save_noting_modules(*args):
+    loaded["calibrate-search"] = native_modules()
+    return save_result(*args)
+
+cli.save_result = save_noting_modules
+loaded = {"import": native_modules()}
+for step in steps:
+    if step == "gelu":
+        np.save(work + "/gelu.npy", tensor.gelu(np.load(work + "/x.npy")))
+        loaded["erf_is_a_ufunc"] = isinstance(tensor.erf, np.ufunc)
+    else:
+        assert cli.main(COMMANDS[step]) == 0, step
+    loaded[step] = native_modules()
+if "gelu" in steps:
+    import scipy.special
+    loaded["same_erf"] = tensor.erf is scipy.special.erf
 print(json.dumps(loaded))
 """
 
 
 def test_only_the_first_gelu_imports_scipy(tmp_path, rng):
-    """``import bbcq``, ``gen``, ``inspect`` and synthetic
-    ``compare-softmax`` load no scipy module. The first GeLU loads erf's
-    extension module alone, not scipy.special, and gives the signed-erf
-    bits; ``calibrate`` and ``eval`` after it never load scipy.special
-    either. A later ``import scipy.special`` names the same erf object, so
+    """A process loads only the native code its command needs, in two
+    fresh processes. ``import bbcq``, ``gen``, ``inspect`` and synthetic
+    ``compare-softmax`` load no scipy module. ``import bbcq`` loads no
+    ``_hashlib`` (OpenSSL); ``gen`` does, as numpy.random imports
+    ``secrets`` and so ``hmac``. In a process that runs no gen,
+    ``inspect``, the first GeLU and an FP-only ``eval`` load no
+    ``_hashlib``, and the first GeLU loads erf's extension module alone,
+    no scipy package, and gives the signed-erf bits. ``calibrate`` loads
+    ``_hashlib`` for its report's trace digests, after the search has
+    saved its result, and nothing else; ``eval`` after it loads nothing
+    more. A later ``import scipy.special`` names the same erf object, so
     the bits cannot depend on which of the two was loaded first."""
+    out = _run_fresh(_COMMANDS_IN_ONE_PROCESS, tmp_path, "gen", "inspect",
+                     "compare-softmax")
+    assert json.loads(out.splitlines()[-1]) == {
+        "import": [], "gen": ["_hashlib"], "inspect": ["_hashlib"],
+        "compare-softmax": ["_hashlib"]}
     x = rng.normal(size=(3, 4, 8)) * 3.0
     np.save(tmp_path / "x.npy", x)
-    out = _run_fresh(_COMMANDS_IN_ONE_PROCESS, tmp_path)
-    loaded = json.loads(out.splitlines()[-1])
-    assert loaded == {"import": [], "gen": [], "inspect": [],
-                      "compare-softmax": [], "gelu": False,
-                      "erf_is_a_ufunc": True, "calibrate": False,
-                      "eval": False, "same_erf": True}
+    out = _run_fresh(_COMMANDS_IN_ONE_PROCESS, tmp_path, "inspect", "gelu",
+                     "eval-fp", "calibrate", "eval")
+    erf_alone = ["scipy.special._special_ufuncs"]
+    assert json.loads(out.splitlines()[-1]) == {
+        "import": [], "inspect": [], "gelu": erf_alone,
+        "erf_is_a_ufunc": True, "eval-fp": erf_alone,
+        "calibrate-search": erf_alone, "calibrate": ["_hashlib", *erf_alone],
+        "eval": ["_hashlib", *erf_alone], "same_erf": True}
     want = _reference_gelu(x, x)[0]
     np.testing.assert_array_equal(np.load(tmp_path / "gelu.npy").view(np.uint64),
                                   want.view(np.uint64))
